@@ -92,7 +92,7 @@ BM_L0BufferLookup(benchmark::State &state)
 BENCHMARK(BM_L0BufferLookup)->Arg(4)->Arg(8)->Arg(16);
 
 /**
- * The kernel simulator, three ways on the same schedule and machine
+ * The kernel simulator, four ways on the same schedule and machine
  * (Arg: 0 = coherence oracle off, 1 = on):
  *
  *  - Reference: the original cycle-walking executor, which rebuilds
@@ -101,10 +101,12 @@ BENCHMARK(BM_L0BufferLookup)->Arg(4)->Arg(8)->Arg(16);
  *  - PlanCold: compile a KernelPlan per invocation (what the
  *    simulateInvocation() wrapper does) — compile cost included.
  *  - PlanReused: one plan reused across every invocation, as
- *    ExperimentRunner's plan cache does — the after number.
+ *    runCell() does — the after number for a simulated invocation.
+ *  - Folded: the same plan once its invocations provably repeat, so
+ *    run() folds them instead of simulating.
  *
- * All three share the setup: memory system created once, invocations
- * chained on a shared clock, 256 trips per invocation.
+ * All four share the setup: invocations chained on a shared clock per
+ * memory system, 256 trips per invocation.
  */
 void
 BM_KernelSimReference(benchmark::State &state)
@@ -156,17 +158,51 @@ BM_KernelSimPlanReused(benchmark::State &state)
     sched::Schedule sch = s.schedule(loop);
     sim::SimOptions opts;
     opts.checkCoherence = state.range(0) != 0;
+    // Alternating two memory systems keeps every call simulated: a
+    // plan folds only a repeat on the memory its previous call used.
+    std::unique_ptr<mem::MemSystem> mems[2] = {
+        mem::MemSystem::create(cfg), mem::MemSystem::create(cfg)};
+    Cycle clocks[2] = {0, 0};
+    sim::KernelPlan plan(sch);
+    int m = 0;
+    for (auto _ : state) {
+        auto res = plan.run(*mems[m], 256, clocks[m], opts);
+        clocks[m] += res.totalCycles();
+        m ^= 1;
+        benchmark::DoNotOptimize(res.stallCycles);
+    }
+    if (plan.foldedRuns() != 0)
+        state.SkipWithError("a reused-plan invocation folded");
+    state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_KernelSimPlanReused)->Arg(0)->Arg(1);
+
+void
+BM_KernelSimFolded(benchmark::State &state)
+{
+    ir::Loop loop = benchLoop();
+    machine::MachineConfig cfg = machine::MachineConfig::paperL0(8);
+    sched::ModuloScheduler s(cfg, sched::SchedulerOptions::l0());
+    sched::Schedule sch = s.schedule(loop);
+    sim::SimOptions opts;
+    opts.checkCoherence = state.range(0) != 0;
     auto mem = mem::MemSystem::create(cfg);
     sim::KernelPlan plan(sch);
     Cycle clock = 0;
+    // Simulate until the invocations reach their steady state.
+    for (int i = 0; i < 8 && plan.foldedRuns() == 0; ++i)
+        clock += plan.run(*mem, 256, clock, opts).totalCycles();
+    const std::uint64_t simulated = plan.simulatedRuns();
     for (auto _ : state) {
         auto res = plan.run(*mem, 256, clock, opts);
         clock += res.totalCycles();
         benchmark::DoNotOptimize(res.stallCycles);
     }
+    if (plan.foldedRuns() == 0 || plan.simulatedRuns() != simulated)
+        state.SkipWithError("an invocation was simulated, not folded");
     state.SetItemsProcessed(state.iterations() * 256);
 }
-BENCHMARK(BM_KernelSimPlanReused)->Arg(0)->Arg(1);
+BENCHMARK(BM_KernelSimFolded)->Arg(0)->Arg(1);
 
 /**
  * The instrumentation itself: one counter increment and one histogram
@@ -209,7 +245,9 @@ BENCHMARK(BM_MetricsHistogramRecord);
  * baselines, so this measures the wall-clock win of parallel cell
  * execution (bounded by the phase-0 serial fraction and the core
  * count; on a single-core host the two track each other, parallel
- * paying only the thread-pool overhead).
+ * paying only the thread-pool overhead). Every grid benchmark reports
+ * real time: their work runs on worker threads, child processes and
+ * daemons whose CPU time the main thread's clock never sees.
  */
 driver::ExperimentSpec
 suiteSpec()
@@ -234,7 +272,9 @@ BM_SuiteSerial(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 16); // cells per grid
 }
-BENCHMARK(BM_SuiteSerial)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SuiteSerial)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * A --serve worker daemon on a loopback ephemeral port, started once
@@ -346,7 +386,9 @@ BM_SuitePublish(benchmark::State &state)
         state.SkipWithError("publisher dropped frames");
     state.SetItemsProcessed(state.iterations() * 16);
 }
-BENCHMARK(BM_SuitePublish)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SuitePublish)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /** The subscription fanout's cost to the publisher: the same publish
  *  loop as BM_SuitePublish with a live subscriber attached and
@@ -403,7 +445,9 @@ BM_StorePublishSubscribed(benchmark::State &state)
     ::shutdown(sub.get(), SHUT_RDWR);
     drain.join();
 }
-BENCHMARK(BM_StorePublishSubscribed)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StorePublishSubscribed)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /** The wire protocol's end-to-end cost: the same grid through a pool
  *  of --cell-worker subprocesses (spawn + JSON both ways per cell). */
@@ -420,7 +464,10 @@ BM_SuiteSubprocess(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 16);
 }
-BENCHMARK(BM_SuiteSubprocess)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SuiteSubprocess)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /** The TCP transport's end-to-end cost: the same grid through a
  *  loopback --serve daemon (connect + framing + JSON both ways per
@@ -443,7 +490,10 @@ BM_SuiteTcp(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 16);
 }
-BENCHMARK(BM_SuiteTcp)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SuiteTcp)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /** A loopback daemon serving each connection through a 2-worker
  *  pipelined pool — what `--serve --jobs 2` runs. */
@@ -492,7 +542,10 @@ BM_SuiteTcpPipelined(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 16);
 }
-BENCHMARK(BM_SuiteTcpPipelined)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SuiteTcpPipelined)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 
@@ -518,6 +571,7 @@ main(int argc, char **argv)
     for (int jobs : {2, 4})
         ::benchmark::RegisterBenchmark(name, BM_SuiteGrid, backend)
             ->Arg(jobs)
+            ->UseRealTime()
             ->Unit(benchmark::kMillisecond);
 
     ::benchmark::Initialize(&argc, argv);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Per-loop inspection of a benchmark model under one architecture:
- * unroll decision, II, stage count, latency assignment, hit rates and
- * the compute/stall split. Useful to understand *why* a benchmark
+ * unroll decision, II, stage count, latency assignment, hit rates,
+ * the compute/stall split, and how many invocations the simulator
+ * actually simulated rather than folded as exact repeats. Useful to understand *why* a benchmark
  * behaves as it does in the paper-level figures.
  *
  * Usage: inspect_benchmark [benchmark] [arch] [--format=...]
@@ -25,7 +26,7 @@
 #include "mem/l0_system.hh"
 #include "mem/mem_system.hh"
 #include "sched/scheduler.hh"
-#include "sim/kernel_sim.hh"
+#include "sim/kernel_plan.hh"
 #include "workloads/registry.hh"
 #include "workloads/workload.hh"
 
@@ -55,7 +56,8 @@ main(int argc, char **argv)
                   bench_name.c_str(), arch.label.c_str());
     t.title = title;
     t.header = {"loop", "unroll", "II", "SC", "l0loads", "trips", "inv",
-                "compute", "stall", "hit%", "viol"};
+                "simulated", "folded", "compute", "stall", "hit%",
+                "viol"};
 
     Cycle clock = 0;
     for (const auto &li : bench.loops) {
@@ -74,11 +76,11 @@ main(int argc, char **argv)
 
         // Fresh memory system per loop so the stats are per-loop.
         auto mem = mem::MemSystem::create(arch.config);
+        sim::KernelPlan plan(s);
         sim::SimOptions so;
         std::uint64_t compute = 0, stall = 0, viol = 0;
         for (std::uint64_t inv = 0; inv < li.invocations; ++inv) {
-            auto r = sim::simulateInvocation(s, *mem, li.trips / u, clock,
-                                             so);
+            auto r = plan.run(*mem, li.trips / u, clock, so);
             clock += r.totalCycles();
             compute += r.computeCycles;
             stall += r.stallCycles;
@@ -98,6 +100,8 @@ main(int argc, char **argv)
              CellValue::integer(static_cast<std::uint64_t>(s.stageCount)),
              CellValue::integer(static_cast<std::uint64_t>(l0_loads)),
              CellValue::integer(li.trips), CellValue::integer(li.invocations),
+             CellValue::integer(plan.simulatedRuns()),
+             CellValue::integer(plan.foldedRuns()),
              CellValue::integer(compute), CellValue::integer(stall),
              CellValue::fixed(hit, 1), CellValue::integer(viol)});
     }

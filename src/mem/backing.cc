@@ -77,6 +77,7 @@ Backing::read(Addr addr, std::uint8_t *out, int size) const
 void
 Backing::write(Addr addr, const std::uint8_t *in, int size)
 {
+    ++writes;
     while (size > 0) {
         Addr off = addr % pageBytes;
         int n = static_cast<int>(

@@ -24,10 +24,21 @@
 namespace l0vliw::mem
 {
 
-/** Sparse paged byte store with deterministic default contents. */
+/**
+ * Sparse paged byte store with deterministic default contents.
+ *
+ * Not copyable: the one-entry page cache points into this object's
+ * own page map, so a copy would read the source's pages and dangle once
+ * the source is destroyed. A Backing lives inside its MemSystem, whose
+ * id() therefore identifies it.
+ */
 class Backing
 {
   public:
+    Backing() = default;
+    Backing(const Backing &) = delete;
+    Backing &operator=(const Backing &) = delete;
+
     /** Read @p size bytes at @p addr into @p out. */
     void read(Addr addr, std::uint8_t *out, int size) const;
 
@@ -44,7 +55,14 @@ class Backing
         pages.clear();
         cachedId = kNoPage;
         cachedPage = nullptr;
+        ++writes;
     }
+
+    /**
+     * Count of write() and clear() calls so far: equal values at two
+     * moments prove nothing wrote in between.
+     */
+    std::uint64_t version() const { return writes; }
 
   private:
     static constexpr Addr pageBytes = 4096;
@@ -69,6 +87,7 @@ class Backing
      */
     mutable Addr cachedId = kNoPage;
     mutable Page *cachedPage = nullptr;
+    std::uint64_t writes = 0;
 };
 
 } // namespace l0vliw::mem

@@ -17,6 +17,7 @@
 #include <algorithm>
 
 #include "common/types.hh"
+#include "mem/fold.hh"
 
 namespace l0vliw::mem
 {
@@ -42,6 +43,14 @@ class Bus
 
     /** Reset occupancy (new simulation run). */
     void reset() { nextFree = 0; }
+
+    /** Fold hooks (MemSystem::timeKey / shiftTime). */
+    std::uint64_t
+    timeKey(Cycle start) const
+    {
+        return relativeCycle(nextFree, start);
+    }
+    void shiftTime(Cycle from, Cycle to) { shiftCycle(nextFree, from, to); }
 
   private:
     Cycle nextFree = 0;

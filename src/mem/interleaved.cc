@@ -97,6 +97,28 @@ InterleavedMemSystem::access(const MemAccess &acc, Cycle now,
 }
 
 void
+InterleavedMemSystem::stateKey(std::vector<std::uint64_t> &key) const
+{
+    for (const auto &s : slices)
+        s.appendKey(key);
+    for (const auto &ab : abs)
+        ab.appendKey(key);
+}
+
+void
+InterleavedMemSystem::counterSnapshot(
+        std::vector<std::uint64_t> &out) const
+{
+    appendHot(hot, out);
+}
+
+void
+InterleavedMemSystem::addCounters(const std::uint64_t *delta)
+{
+    addHot(hot, delta);
+}
+
+void
 InterleavedMemSystem::syncStats() const
 {
     statSet.setNonzero("ab_store_invalidations", hot.abStoreInvalidations);

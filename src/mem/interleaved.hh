@@ -36,6 +36,13 @@ class InterleavedMemSystem final : public MemSystem
                            std::uint8_t *load_out,
                            AccessScratch &scratch) override;
 
+    void stateKey(std::vector<std::uint64_t> &key) const override;
+    void counterSnapshot(std::vector<std::uint64_t> &out) const override;
+    void addCounters(const std::uint64_t *delta) override;
+    // Fixed latencies: no field holds an absolute cycle.
+    void timeKey(Cycle, std::vector<std::uint64_t> &) const override {}
+    void shiftTime(Cycle, Cycle) override {}
+
     /** Cluster statically owning the word at @p addr. */
     ClusterId owner(Addr addr) const
     {

@@ -1,5 +1,6 @@
 #include "mem/l0_buffer.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bytes.hh"
@@ -301,6 +302,25 @@ L0Buffer::syncStats() const
     statSet.setNonzero("l0_store_dup_invalidations", hot.storeDupInvalidations);
     statSet.setNonzero("l0_psr_invalidations", hot.psrInvalidations);
     statSet.setNonzero("l0_flushes", hot.flushes);
+}
+
+void
+L0Buffer::appendKey(std::vector<std::uint64_t> &key) const
+{
+    const L0Entry *begin = entries.data();
+    appendLruOrder(begin, begin + entries.size(), key,
+                   [&key](const L0Entry &e) {
+        key.push_back(e.blockAddr);
+        key.push_back(static_cast<std::uint64_t>(e.kind));
+        key.push_back(static_cast<std::uint64_t>(e.index));
+        key.push_back(static_cast<std::uint64_t>(e.factor));
+        for (std::size_t i = 0; i < e.data.size(); i += 8) {
+            std::uint64_t word = 0;
+            std::memcpy(&word, e.data.data() + i,
+                        std::min<std::size_t>(8, e.data.size() - i));
+            key.push_back(word);
+        }
+    });
 }
 
 int

@@ -33,6 +33,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "ir/hints.hh"
+#include "mem/fold.hh"
 
 namespace l0vliw::mem
 {
@@ -122,6 +123,25 @@ class L0Buffer
 
     StatSet &stats() { syncStats(); return statSet; }
     const StatSet &stats() const { syncStats(); return statSet; }
+
+    // ---- fold hooks (see MemSystem::stateKey) ----
+
+    /**
+     * Append the valid entries in LRU order (see appendLruOrder()):
+     * block, kind, index, factor and payload bytes of each.
+     */
+    void appendKey(std::vector<std::uint64_t> &key) const;
+
+    void appendCounters(std::vector<std::uint64_t> &out) const
+    {
+        appendHot(hot, out);
+    }
+
+    /** Add a counter delta; @return the rest of @p delta. */
+    const std::uint64_t *addCounters(const std::uint64_t *delta)
+    {
+        return addHot(hot, delta);
+    }
 
   private:
     /** True when entry @p e contains all bytes of [addr, addr+size). */

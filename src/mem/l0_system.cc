@@ -333,6 +333,57 @@ L0MemSystem::endLoop(Cycle now)
 }
 
 void
+L0MemSystem::stateKey(std::vector<std::uint64_t> &key) const
+{
+    l1.appendKey(key);
+    for (const auto &b : l0s)
+        b.appendKey(key);
+    key.push_back(pending.size());
+    for (const auto &f : pending) {
+        key.push_back(f.interleaved);
+        key.push_back(f.blockAddr);
+        key.push_back(static_cast<std::uint64_t>(f.subIndex));
+        key.push_back(static_cast<std::uint64_t>(f.factor));
+        key.push_back(static_cast<std::uint64_t>(f.firstResidue));
+        key.push_back(static_cast<std::uint64_t>(f.firstCluster));
+    }
+}
+
+void
+L0MemSystem::timeKey(Cycle start, std::vector<std::uint64_t> &key) const
+{
+    for (const auto &b : buses)
+        key.push_back(b.timeKey(start));
+    for (const auto &f : pending)
+        key.push_back(relativeCycle(f.ready, start));
+}
+
+void
+L0MemSystem::counterSnapshot(std::vector<std::uint64_t> &out) const
+{
+    appendHot(hot, out);
+    for (const auto &b : l0s)
+        b.appendCounters(out);
+}
+
+void
+L0MemSystem::addCounters(const std::uint64_t *delta)
+{
+    delta = addHot(hot, delta);
+    for (auto &b : l0s)
+        delta = b.addCounters(delta);
+}
+
+void
+L0MemSystem::shiftTime(Cycle from, Cycle to)
+{
+    for (auto &b : buses)
+        b.shiftTime(from, to);
+    for (auto &f : pending)
+        shiftCycle(f.ready, from, to);
+}
+
+void
 L0MemSystem::syncStats() const
 {
     statSet.setNonzero("l1_hits", hot.l1Hits);

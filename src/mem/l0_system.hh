@@ -54,6 +54,13 @@ class L0MemSystem final : public MemSystem
 
     void endLoop(Cycle now) override;
 
+    void stateKey(std::vector<std::uint64_t> &key) const override;
+    void timeKey(Cycle start,
+                 std::vector<std::uint64_t> &key) const override;
+    void counterSnapshot(std::vector<std::uint64_t> &out) const override;
+    void addCounters(const std::uint64_t *delta) override;
+    void shiftTime(Cycle from, Cycle to) override;
+
     /** The L0 buffer of cluster @p c (tests and stats). */
     L0Buffer &l0(ClusterId c) { return l0s[c]; }
 

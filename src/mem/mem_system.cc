@@ -1,5 +1,7 @@
 #include "mem/mem_system.hh"
 
+#include <atomic>
+
 #include "common/logging.hh"
 #include "mem/interleaved.hh"
 #include "mem/l0_system.hh"
@@ -8,6 +10,13 @@
 
 namespace l0vliw::mem
 {
+
+std::uint64_t
+MemSystem::nextId()
+{
+    static std::atomic<std::uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 std::unique_ptr<MemSystem>
 MemSystem::create(const machine::MachineConfig &config)

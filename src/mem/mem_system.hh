@@ -22,6 +22,7 @@
 #include "ir/hints.hh"
 #include "machine/machine_config.hh"
 #include "mem/backing.hh"
+#include "mem/fold.hh"
 
 namespace l0vliw::mem
 {
@@ -67,7 +68,7 @@ class MemSystem
 {
   public:
     explicit MemSystem(const machine::MachineConfig &config)
-        : cfg(config)
+        : uid(nextId()), cfg(config)
     {
     }
 
@@ -106,6 +107,43 @@ class MemSystem
     /** Backing store (for initialisation and the oracle). */
     Backing &backing() { return back; }
 
+    /** Process-unique id; unlike the address, never reused. */
+    std::uint64_t id() const { return uid; }
+
+    // ---- fold hooks (sim::KernelPlan::run; ARCHITECTURE.md inv. 11) ----
+
+    /**
+     * Append a canonical key of every behaviour-affecting field that
+     * holds no absolute cycle: each cache set's or buffer's valid
+     * tags in LRU order (appendLruOrder(): never the raw use clock nor
+     * the way a tag sits in), the payload bytes of valid L0 entries,
+     * pending fills. Two states with equal keys (and equal timeKey()s
+     * and backing contents) produce the same results from then on.
+     */
+    virtual void stateKey(std::vector<std::uint64_t> &key) const = 0;
+
+    /**
+     * Append every absolute-cycle field (bus next-free cycles, pending
+     * fill ready cycles) relative to @p start, clamped at 0: a cycle
+     * at or before the start of a run cannot delay anything in it.
+     */
+    virtual void timeKey(Cycle start,
+                         std::vector<std::uint64_t> &key) const = 0;
+
+    /** Append every hot counter, this system's and its buffers'. */
+    virtual void counterSnapshot(std::vector<std::uint64_t> &out) const = 0;
+
+    /** Add @p delta, laid out as counterSnapshot(), to the counters. */
+    virtual void addCounters(const std::uint64_t *delta) = 0;
+
+    /**
+     * Move every absolute-cycle field later than @p from by
+     * @p to - @p from (to >= from). A run starting at cycle c writes
+     * only cycles > c, so this replays a run's timing effects at a
+     * later start without touching fields the run left alone.
+     */
+    virtual void shiftTime(Cycle from, Cycle to) = 0;
+
     StatSet &stats() { syncStats(); return statSet; }
     const StatSet &stats() const { syncStats(); return statSet; }
 
@@ -114,6 +152,11 @@ class MemSystem
     /** Build the memory system matching @p config.memArch. */
     static std::unique_ptr<MemSystem>
     create(const machine::MachineConfig &config);
+
+  private:
+    static std::uint64_t nextId();
+
+    const std::uint64_t uid;
 
   protected:
     /**

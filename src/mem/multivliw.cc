@@ -82,6 +82,25 @@ MultiVliwMemSystem::access(const MemAccess &acc, Cycle now,
 }
 
 void
+MultiVliwMemSystem::stateKey(std::vector<std::uint64_t> &key) const
+{
+    for (const auto &s : slices)
+        s.appendKey(key);
+}
+
+void
+MultiVliwMemSystem::counterSnapshot(std::vector<std::uint64_t> &out) const
+{
+    appendHot(hot, out);
+}
+
+void
+MultiVliwMemSystem::addCounters(const std::uint64_t *delta)
+{
+    addHot(hot, delta);
+}
+
+void
 MultiVliwMemSystem::syncStats() const
 {
     statSet.setNonzero("mv_store_invalidations", hot.storeInvalidations);

@@ -2,6 +2,7 @@
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
+#include "mem/fold.hh"
 
 namespace l0vliw::mem
 {
@@ -81,6 +82,14 @@ TagCache::invalidate(Addr addr)
         }
     }
     return false;
+}
+
+void
+TagCache::appendKey(std::vector<std::uint64_t> &key) const
+{
+    for (std::size_t s = 0; s < store.size(); s += ways)
+        appendLruOrder(&store[s], &store[s] + ways, key,
+                       [&key](const Way &w) { key.push_back(w.tag); });
 }
 
 void

@@ -59,6 +59,12 @@ class TagCache
     int numSets() const { return sets; }
     int numWays() const { return ways; }
 
+    /**
+     * Append the fold key (MemSystem::stateKey): per set, the valid
+     * tags in LRU order (see appendLruOrder()).
+     */
+    void appendKey(std::vector<std::uint64_t> &key) const;
+
   private:
     struct Way
     {

@@ -46,6 +46,39 @@ UnifiedMemSystem::access(const MemAccess &acc, Cycle now,
 }
 
 void
+UnifiedMemSystem::stateKey(std::vector<std::uint64_t> &key) const
+{
+    l1.appendKey(key);
+}
+
+void
+UnifiedMemSystem::timeKey(Cycle start,
+                          std::vector<std::uint64_t> &key) const
+{
+    for (const auto &b : buses)
+        key.push_back(b.timeKey(start));
+}
+
+void
+UnifiedMemSystem::counterSnapshot(std::vector<std::uint64_t> &out) const
+{
+    appendHot(hot, out);
+}
+
+void
+UnifiedMemSystem::addCounters(const std::uint64_t *delta)
+{
+    addHot(hot, delta);
+}
+
+void
+UnifiedMemSystem::shiftTime(Cycle from, Cycle to)
+{
+    for (auto &b : buses)
+        b.shiftTime(from, to);
+}
+
+void
 UnifiedMemSystem::syncStats() const
 {
     statSet.setNonzero("l1_hits", hot.l1Hits);

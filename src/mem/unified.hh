@@ -32,6 +32,13 @@ class UnifiedMemSystem final : public MemSystem
                            std::uint8_t *load_out,
                            AccessScratch &scratch) override;
 
+    void stateKey(std::vector<std::uint64_t> &key) const override;
+    void timeKey(Cycle start,
+                 std::vector<std::uint64_t> &key) const override;
+    void counterSnapshot(std::vector<std::uint64_t> &out) const override;
+    void addCounters(const std::uint64_t *delta) override;
+    void shiftTime(Cycle from, Cycle to) override;
+
   private:
     void syncStats() const override;
 

@@ -146,6 +146,24 @@ initialCursor(const detail::AddrGen &g)
     return c;
 }
 
+bool
+sameOptions(const SimOptions &a, const SimOptions &b)
+{
+    return a.checkCoherence == b.checkCoherence
+           && a.strictCoherence == b.strictCoherence;
+}
+
+/**
+ * Fold-key scratch shared by every plan on a thread (run() is not
+ * reentrant). A state key runs to a few thousand words, too many to
+ * keep one per plan.
+ */
+struct KeyScratch
+{
+    std::vector<std::uint64_t> before, after;
+};
+thread_local KeyScratch keyScratch;
+
 } // namespace
 
 KernelPlan::KernelPlan(const sched::Schedule &schedule) : sched_(schedule)
@@ -431,7 +449,6 @@ InvocationResult
 KernelPlan::run(mem::MemSystem &mem, std::uint64_t trips,
                 Cycle start_cycle, const SimOptions &opts)
 {
-    InvocationResult out;
     {
         static metrics::Counter &runs = metrics::counter(
             "l0vliw_sim_plan_runs_total",
@@ -440,8 +457,95 @@ KernelPlan::run(mem::MemSystem &mem, std::uint64_t trips,
         runs.inc();
     }
     if (trips == 0)
-        return out;
+        return InvocationResult{};
 
+    if (tryFold(mem, trips, start_cycle, opts)) {
+        static metrics::Counter &folds = metrics::counter(
+            "l0vliw_sim_plan_folds_total",
+            "Compiled-plan invocations folded: proven exact repeats of "
+            "the previous invocation, returned without simulating");
+        folds.inc();
+        ++folded_;
+        return fold_.result;
+    }
+    ++simulated_;
+
+    FoldRecord &f = fold_;
+    const std::uint64_t version_before = mem.backing().version();
+    // A run's writes are a function of (plan, trips) alone, so they
+    // change no byte when this plan's previous call applied the same
+    // writes (or folded them: a fold implies they change nothing) and
+    // nothing wrote since.
+    const bool rewrites = f.memId == mem.id() && f.trips == trips
+                          && f.backingVersion == version_before;
+    std::vector<std::uint64_t> &state_before = keyScratch.before;
+    state_before.clear();
+    mem.stateKey(state_before);
+    f.timeKey.clear();
+    mem.timeKey(start_cycle, f.timeKey);
+    f.delta.clear();
+    mem.counterSnapshot(f.delta);
+
+    const InvocationResult out =
+        simulate(mem, trips, start_cycle, opts);
+
+    f.counters.clear();
+    mem.counterSnapshot(f.counters);
+    for (std::size_t i = 0; i < f.counters.size(); ++i)
+        f.delta[i] = f.counters[i] - f.delta[i];
+    f.backingVersion = mem.backing().version();
+    f.foldable = false;
+    if (rewrites || f.backingVersion == version_before) {
+        std::vector<std::uint64_t> &state_after = keyScratch.after;
+        state_after.clear();
+        mem.stateKey(state_after);
+        f.foldable = state_after == state_before;
+    }
+    f.memId = mem.id();
+    f.trips = trips;
+    f.opts = opts;
+    f.start = start_cycle;
+    f.result = out;
+    return out;
+}
+
+bool
+KernelPlan::tryFold(mem::MemSystem &mem, std::uint64_t trips,
+                    Cycle start_cycle, const SimOptions &opts)
+{
+    FoldRecord &f = fold_;
+    // The memory system must be exactly as this plan's previous call
+    // left it — same system, no backing write, no counter moved (every
+    // access moves one) — and that call must repeat a simulated
+    // invocation with the same inputs that left the backing and the
+    // stateKey() as it found them. What remains to compare is time.
+    if (!f.foldable || f.memId != mem.id() || f.trips != trips
+        || !sameOptions(f.opts, opts) || start_cycle < f.start
+        || mem.backing().version() != f.backingVersion)
+        return false;
+    std::vector<std::uint64_t> &probe = keyScratch.after;
+    probe.clear();
+    mem.counterSnapshot(probe);
+    if (probe != f.counters)
+        return false;
+    probe.clear();
+    mem.timeKey(start_cycle, probe);
+    if (probe != f.timeKey)
+        return false;
+
+    mem.addCounters(f.delta.data());
+    for (std::size_t i = 0; i < f.counters.size(); ++i)
+        f.counters[i] += f.delta[i];
+    mem.shiftTime(f.start, start_cycle);
+    f.start = start_cycle;
+    return true;
+}
+
+InvocationResult
+KernelPlan::simulate(mem::MemSystem &mem, std::uint64_t trips,
+                     Cycle start_cycle, const SimOptions &opts)
+{
+    InvocationResult out;
     const machine::MachineConfig &cfg = mem.config();
     const Cycle bus_latency = cfg.busLatency;
 

@@ -26,6 +26,29 @@
  * ramp-up and drain phases. Results are bit-for-bit identical to the
  * reference executor (tests/test_plan.cc proves it); one plan is meant
  * to be reused across every invocation of its loop.
+ *
+ * Most invocations need not be simulated at all. The inter-loop flush
+ * (MemSystem::endLoop) empties the L0 buffers at every loop exit, so
+ * once the L1 settles, invocation k starts from the state invocation
+ * k-1 started from and repeats it exactly. run() folds such a call —
+ * returns the last simulated invocation's result without simulating —
+ * when it can prove the repeat:
+ *
+ *  - same memory system (MemSystem::id()), trips and SimOptions;
+ *  - nothing touched the memory since this plan's previous call: the
+ *    Backing version and the counter snapshot are as it left them;
+ *  - the last simulated invocation left the backing content and the
+ *    memory system's stateKey() as it found them (its writes repeat
+ *    the previous call's, which a run's writes do: they depend only
+ *    on the plan and trips);
+ *  - the timeKey() (bus and fill cycles relative to the start) equals
+ *    the one that invocation started from.
+ *
+ * The fold adds that invocation's counter delta and shifts the
+ * absolute-cycle fields, leaving the memory system exactly as a full
+ * simulation would (ARCHITECTURE.md invariant 11; tests/test_plan.cc
+ * checks it against the reference walker, which never folds). The
+ * coherence oracle runs on every simulated invocation.
  */
 
 #ifndef L0VLIW_SIM_KERNEL_PLAN_HH
@@ -188,6 +211,10 @@ class KernelPlan
     InvocationResult run(mem::MemSystem &mem, std::uint64_t trips,
                          Cycle start_cycle, const SimOptions &opts);
 
+    /** Calls of run() that simulated / that folded (trips > 0). */
+    std::uint64_t simulatedRuns() const { return simulated_; }
+    std::uint64_t foldedRuns() const { return folded_; }
+
   private:
     /** A register flow edge whose producer is a load. */
     struct Use
@@ -233,6 +260,37 @@ class KernelPlan
         int size = 0;
     };
 
+    /**
+     * What folding the next call needs to know about this plan's
+     * previous call (simulated or folded) and the last simulated one.
+     */
+    struct FoldRecord
+    {
+        std::uint64_t memId = 0; ///< previous call's memory; 0 = none
+        std::uint64_t trips = 0;
+        SimOptions opts;
+        Cycle start = 0;         ///< previous call's start cycle
+        /** Backing version and counter snapshot as it returned. */
+        std::uint64_t backingVersion = 0;
+        std::vector<std::uint64_t> counters;
+        /**
+         * The last simulated invocation left the backing content and
+         * the memory system's stateKey() as it found them.
+         */
+        bool foldable = false;
+        std::vector<std::uint64_t> timeKey; ///< its start timeKey()
+        std::vector<std::uint64_t> delta;   ///< its counter delta
+        InvocationResult result;
+    };
+
+    /** Fold this call if it provably repeats the previous one. */
+    bool tryFold(mem::MemSystem &mem, std::uint64_t trips,
+                 Cycle start_cycle, const SimOptions &opts);
+
+    /** The simulation proper (everything run() did before folding). */
+    InvocationResult simulate(mem::MemSystem &mem, std::uint64_t trips,
+                              Cycle start_cycle, const SimOptions &opts);
+
     Addr nextAddr(int gen, detail::AddrCursor &cursor) const;
 
     void goldenReplay(const mem::Backing &backing, std::uint64_t trips);
@@ -273,6 +331,8 @@ class KernelPlan
     std::vector<detail::AddrCursor> goldenCursors_;
     std::vector<detail::AddrCursor> execCursors_;
     mem::AccessScratch memScratch_;
+    FoldRecord fold_;
+    std::uint64_t simulated_ = 0, folded_ = 0;
 };
 
 } // namespace l0vliw::sim

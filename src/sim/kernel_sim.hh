@@ -44,7 +44,11 @@ struct InvocationResult
     }
 };
 
-/** Options of one simulation run. */
+/**
+ * Options of one simulation run. KernelPlan::run folds a call only
+ * into one with equal options (sameOptions() in kernel_plan.cc lists
+ * the fields).
+ */
 struct SimOptions
 {
     /** Run the golden replay and compare every load. */

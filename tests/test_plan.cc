@@ -6,19 +6,32 @@
  * every memory-system statistic — across every ArchSpec factory, with
  * plans reused across invocations, and over randomized loops and trip
  * counts (including degenerate trips where ramp-up and drain overlap).
+ *
+ * The reference walker never folds, so the same comparisons prove the
+ * plan's invocation folding exact (ARCHITECTURE.md invariant 11): a
+ * behaviour-affecting field missing from a memory system's key, a
+ * counter missing from its snapshot or a cycle field missing from its
+ * shift makes some step below diverge. Runs are long enough for folds
+ * to happen, and the tests assert that they did.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "common/rng.hh"
+#include "driver/executor.hh"
+#include "driver/registry.hh"
 #include "driver/runner.hh"
 #include "ir/loop.hh"
 #include "mem/l0_system.hh"
 #include "mem/mem_system.hh"
+#include "metrics/registry.hh"
 #include "sched/scheduler.hh"
 #include "sim/kernel_plan.hh"
 #include "sim/kernel_sim.hh"
 #include "workloads/kernels.hh"
+#include "workloads/workload.hh"
 
 using namespace l0vliw;
 using l0vliw::driver::ArchSpec;
@@ -150,42 +163,93 @@ allStats(mem::MemSystem &mem)
     return mem.stats().all();
 }
 
+/** One plan invocation of a step sequence (see expectStepsEquivalent). */
+struct Step
+{
+    int plan = 0; ///< index into the schedules
+    int mem = 0;  ///< which memory system (each has its own clock)
+    std::uint64_t trips = 0;
+    /** Cycles the memory's clock moves before the step: < 0 overlaps
+     *  the previous invocation's tail, > 0 leaves the machine idle. */
+    long gap = 0;
+};
+
+/** Applied to the plan and the reference memory alike before a step. */
+using BetweenFn = std::function<void(std::size_t step, mem::MemSystem &)>;
+
 /**
- * Run @p invocations of @p schedule with a shared clock through both
- * executors (one reused plan vs the reference) on fresh memory systems
- * and assert every result field and every stat is identical.
+ * Run @p steps through one reused KernelPlan per schedule and through
+ * the reference walker, each on its own fresh memory systems, and
+ * assert every result field and, after every step, every stat
+ * identical. @return the plans' folded invocations.
  */
-void
+std::uint64_t
+expectStepsEquivalent(const std::vector<sched::Schedule> &schedules,
+                      const ArchSpec &arch, const std::vector<Step> &steps,
+                      bool check_coherence = true,
+                      const BetweenFn &between = {})
+{
+    sim::SimOptions opts;
+    opts.checkCoherence = check_coherence;
+
+    int num_mems = 0;
+    for (const Step &st : steps)
+        num_mems = std::max(num_mems, st.mem + 1);
+    std::vector<std::unique_ptr<mem::MemSystem>> ref_mems, plan_mems;
+    for (int m = 0; m < num_mems; ++m) {
+        ref_mems.push_back(mem::MemSystem::create(arch.config));
+        plan_mems.push_back(mem::MemSystem::create(arch.config));
+    }
+    std::vector<std::unique_ptr<sim::KernelPlan>> plans;
+    for (const sched::Schedule &s : schedules)
+        plans.push_back(std::make_unique<sim::KernelPlan>(s));
+
+    std::vector<Cycle> ref_clock(num_mems, 0), plan_clock(num_mems, 0);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        const Step &st = steps[i];
+        SCOPED_TRACE("step " + std::to_string(i));
+        ref_clock[st.mem] += st.gap;
+        plan_clock[st.mem] += st.gap;
+        if (between) {
+            between(i, *ref_mems[st.mem]);
+            between(i, *plan_mems[st.mem]);
+        }
+        sim::InvocationResult r = sim::simulateInvocationReference(
+            schedules[st.plan], *ref_mems[st.mem], st.trips,
+            ref_clock[st.mem], opts);
+        sim::InvocationResult p = plans[st.plan]->run(
+            *plan_mems[st.mem], st.trips, plan_clock[st.mem], opts);
+        ref_clock[st.mem] += r.totalCycles();
+        plan_clock[st.mem] += p.totalCycles();
+
+        EXPECT_EQ(p.computeCycles, r.computeCycles);
+        EXPECT_EQ(p.stallCycles, r.stallCycles);
+        EXPECT_EQ(p.memAccesses, r.memAccesses);
+        EXPECT_EQ(p.coherenceViolations, r.coherenceViolations);
+        EXPECT_EQ(allStats(*plan_mems[st.mem]), allStats(*ref_mems[st.mem]));
+    }
+    std::uint64_t folds = 0;
+    for (const auto &plan : plans)
+        folds += plan->foldedRuns();
+    return folds;
+}
+
+/**
+ * @p invocations of @p schedule with a shared clock through both
+ * executors on one memory system each. @return the folded invocations.
+ */
+std::uint64_t
 expectEquivalent(const sched::Schedule &schedule, const ArchSpec &arch,
                  std::uint64_t trips, int invocations,
                  bool check_coherence = true)
 {
     SCOPED_TRACE("arch=" + arch.label + " trips="
                  + std::to_string(trips));
-
-    sim::SimOptions opts;
-    opts.checkCoherence = check_coherence;
-
-    auto ref_mem = mem::MemSystem::create(arch.config);
-    auto plan_mem = mem::MemSystem::create(arch.config);
-    sim::KernelPlan plan(schedule);
-
-    Cycle ref_clock = 0, plan_clock = 0;
-    for (int inv = 0; inv < invocations; ++inv) {
-        sim::InvocationResult r = sim::simulateInvocationReference(
-            schedule, *ref_mem, trips, ref_clock, opts);
-        sim::InvocationResult p =
-            plan.run(*plan_mem, trips, plan_clock, opts);
-        ref_clock += r.totalCycles();
-        plan_clock += p.totalCycles();
-
-        EXPECT_EQ(p.computeCycles, r.computeCycles) << "inv " << inv;
-        EXPECT_EQ(p.stallCycles, r.stallCycles) << "inv " << inv;
-        EXPECT_EQ(p.memAccesses, r.memAccesses) << "inv " << inv;
-        EXPECT_EQ(p.coherenceViolations, r.coherenceViolations)
-            << "inv " << inv;
-    }
-    EXPECT_EQ(allStats(*plan_mem), allStats(*ref_mem));
+    return expectStepsEquivalent(
+        {schedule}, arch,
+        std::vector<Step>(static_cast<std::size_t>(invocations),
+                          Step{0, 0, trips}),
+        check_coherence);
 }
 
 sched::Schedule
@@ -216,7 +280,9 @@ TEST(KernelPlanEquivalence, EveryArchSpecFactory)
     ir::Loop body = streamBody(4);
     for (const ArchSpec &arch : allArchSpecs()) {
         sched::Schedule s = scheduleFor(body, arch);
-        expectEquivalent(s, arch, 256, 3);
+        // 256 trips fill the L1; 64 reach a steady state that folds.
+        expectEquivalent(s, arch, 256, 6);
+        EXPECT_GT(expectEquivalent(s, arch, 64, 6), 0u) << arch.label;
     }
 }
 
@@ -225,7 +291,11 @@ TEST(KernelPlanEquivalence, CoherenceCheckOff)
     ir::Loop body = streamBody(4);
     for (const ArchSpec &arch : allArchSpecs()) {
         sched::Schedule s = scheduleFor(body, arch);
-        expectEquivalent(s, arch, 256, 3, /*check_coherence=*/false);
+        expectEquivalent(s, arch, 256, 6, /*check_coherence=*/false);
+        EXPECT_GT(expectEquivalent(s, arch, 64, 6,
+                                   /*check_coherence=*/false),
+                  0u)
+            << arch.label;
     }
 }
 
@@ -331,12 +401,343 @@ TEST_P(RandomLoopEquivalence, PlanMatchesReferenceBitForBit)
         ArchSpec::l0(2),
         ArchSpec::interleaved2(),
     };
+    std::uint64_t folds = 0;
     for (const ArchSpec &arch : archs) {
         SCOPED_TRACE("seed=" + std::to_string(seed));
         sched::Schedule s = scheduleFor(body, arch);
-        expectEquivalent(s, arch, trips, 2);
+        folds += expectEquivalent(s, arch, trips, 6);
+        folds += expectEquivalent(s, arch, trips, 6,
+                                  /*check_coherence=*/false);
     }
+    EXPECT_GT(folds, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomLoopEquivalence,
                          ::testing::Range<std::uint64_t>(1, 31));
+
+namespace
+{
+
+/** A read-modify-write stream over @p elems 4-byte elements. */
+ir::Loop
+rmwLoop(const std::string &name, std::uint64_t elems)
+{
+    ir::Loop l(name);
+    int arr = l.addArray({"arr", 0x40000, elems * 4});
+    ir::Operation ld;
+    ld.kind = ir::OpKind::Load;
+    ld.mem.array = arr;
+    ld.mem.elemSize = 4;
+    ld.mem.strideElems = 1;
+    ld.mem.offsetElems = -1;
+    OpId lid = l.addOp(ld);
+    ir::Operation al;
+    al.kind = ir::OpKind::IntAlu;
+    OpId aid = l.addOp(al);
+    l.addRegEdge(lid, aid);
+    ir::Operation st;
+    st.kind = ir::OpKind::Store;
+    st.mem.array = arr;
+    st.mem.elemSize = 4;
+    st.mem.strideElems = 1;
+    OpId sid = l.addOp(st);
+    l.addRegEdge(aid, sid);
+    l.addMemEdge(sid, lid, 1);
+    l.addMemEdge(lid, sid, 0);
+    l.validate();
+    return l;
+}
+
+/** Base address of the first load's array in @p s. */
+Addr
+firstLoadArray(const sched::Schedule &s)
+{
+    for (OpId i = 0; i < s.loop.numOps(); ++i)
+        if (s.loop.op(i).kind == ir::OpKind::Load)
+            return s.loop.array(s.loop.op(i).mem.array).base;
+    return 0;
+}
+
+/**
+ * The cell runCell() aggregates, with every invocation simulated by the
+ * reference walker, which never folds, instead of a plan.
+ */
+driver::BenchmarkRun
+referenceCell(const workloads::Benchmark &bench, const ArchSpec &arch,
+              const std::vector<int> &unrolls,
+              const driver::BenchmarkRun &baseline)
+{
+    // runner.cc's per-invocation cost of a specialized loop's check.
+    constexpr std::uint64_t kSpecializationCheckCycles = 4;
+
+    auto plans = driver::buildLoopPlans(bench, arch, unrolls);
+    auto mem = mem::MemSystem::create(arch.config);
+    sim::SimOptions opts;
+
+    driver::BenchmarkRun out;
+    out.bench = bench.name;
+    out.arch = arch.label;
+    Cycle clock = 0;
+    double unroll_weighted = 0;
+    std::uint64_t loop_cycles_total = 0;
+    for (std::size_t i = 0; i < bench.loops.size(); ++i) {
+        const workloads::LoopInstance &li = bench.loops[i];
+        const std::uint64_t spec_cost =
+            li.specialize ? kSpecializationCheckCycles : 0;
+        std::uint64_t loop_cycles = 0;
+        for (std::uint64_t inv = 0; inv < li.invocations; ++inv) {
+            sim::InvocationResult r = sim::simulateInvocationReference(
+                plans[i]->schedule(), *mem, li.trips / unrolls[i], clock,
+                opts);
+            clock += r.totalCycles() + spec_cost;
+            out.loopCompute += r.computeCycles + spec_cost;
+            out.loopStall += r.stallCycles;
+            out.memAccesses += r.memAccesses;
+            out.coherenceViolations += r.coherenceViolations;
+            loop_cycles += r.totalCycles() + spec_cost;
+        }
+        unroll_weighted += static_cast<double>(loop_cycles) * unrolls[i];
+        loop_cycles_total += loop_cycles;
+    }
+    out.avgUnroll = loop_cycles_total == 0
+                        ? 1.0
+                        : unroll_weighted / loop_cycles_total;
+    if (auto *l0sys = dynamic_cast<mem::L0MemSystem *>(mem.get())) {
+        StatSet merged = l0sys->l0Stats();
+        out.memStats = merged;
+        out.l0Hits = merged.get("l0_hits");
+        out.l0Misses = merged.get("l0_misses");
+        out.fillsLinear = merged.get("l0_fills_linear");
+        out.fillsInterleaved = merged.get("l0_fills_interleaved");
+    } else {
+        out.memStats = mem->stats();
+    }
+    out.scalarCycles = baseline.scalarCycles;
+    return out;
+}
+
+} // namespace
+
+TEST(FoldEquivalence, TwoPlansShareOneMemory)
+{
+    // A x4, B x4, A x4: A's second run of invocations starts from B's
+    // leftovers, not from its own.
+    const ir::Loop a = streamBody(1);
+    const ir::Loop b = rmwLoop("rmw", 512);
+    for (const ArchSpec &arch :
+         {ArchSpec::unified(), ArchSpec::l0(8), ArchSpec::multiVliw(),
+          ArchSpec::interleaved2()}) {
+        SCOPED_TRACE(arch.label);
+        std::vector<Step> steps;
+        for (int plan : {0, 1, 0})
+            for (int i = 0; i < 4; ++i)
+                steps.push_back({plan, 0, 64});
+        EXPECT_GT(expectStepsEquivalent(
+                      {scheduleFor(a, arch), scheduleFor(b, arch)}, arch,
+                      steps),
+                  0u);
+    }
+}
+
+TEST(FoldEquivalence, ForeignWritesAndAccessesBetweenInvocations)
+{
+    const ir::Loop body = streamBody(1);
+    for (const ArchSpec &arch :
+         {ArchSpec::l0(8), ArchSpec::unified(), ArchSpec::multiVliw()}) {
+        SCOPED_TRACE(arch.label);
+        const sched::Schedule s = scheduleFor(body, arch);
+        const Addr input = firstLoadArray(s);
+        BetweenFn between = [input](std::size_t step, mem::MemSystem &m) {
+            const std::uint8_t bytes[4] = {1, 2, 3, 4};
+            if (step == 4) // into the loop's input
+                m.backing().write(input + 8, bytes, 4);
+            if (step == 8) // nowhere the loop looks
+                m.backing().write(0x7000000, bytes, 4);
+            if (step == 12) {
+                // Loads that evict the input's first block: the 8 KB
+                // 2-way L1 (and each MultiVLIW slice) repeats its sets
+                // every 4 KB. Cycle 0 leaves the bus cycles in the
+                // time key alone on the next start.
+                for (Addr conflict : {input + 4096, input + 8192}) {
+                    mem::MemAccess acc;
+                    acc.addr = conflict;
+                    std::uint8_t out[4];
+                    m.access(acc, 0, nullptr, out);
+                }
+            }
+        };
+        EXPECT_GT(expectStepsEquivalent(
+                      {s}, arch, std::vector<Step>(16, Step{0, 0, 64}),
+                      true, between),
+                  0u);
+    }
+}
+
+TEST(FoldEquivalence, TripsChange)
+{
+    const ir::Loop body = streamBody(2);
+    for (const ArchSpec &arch : {ArchSpec::l0(8), ArchSpec::unified()}) {
+        SCOPED_TRACE(arch.label);
+        std::vector<Step> steps;
+        for (std::uint64_t trips : {100, 120, 100})
+            for (int i = 0; i < 4; ++i)
+                steps.push_back({0, 0, trips});
+        EXPECT_GT(expectStepsEquivalent({scheduleFor(body, arch)}, arch,
+                                        steps),
+                  0u);
+    }
+}
+
+TEST(FoldEquivalence, StartCyclesOverlapOrLeaveGaps)
+{
+    // Starting an invocation before the previous one's bus traffic has
+    // drained puts nonzero bus cycles into the time key, which a fold
+    // must shift exactly as simulation would advance them.
+    const ir::Loop body = streamBody(1);
+    for (const ArchSpec &arch :
+         {ArchSpec::unified(), ArchSpec::l0(8), ArchSpec::l0(2)}) {
+        SCOPED_TRACE(arch.label);
+        std::vector<Step> steps;
+        for (long gap : {-40L, 0L, 25L})
+            for (int i = 0; i < 5; ++i)
+                steps.push_back({0, 0, 64, i == 0 ? 0 : gap});
+        EXPECT_GT(expectStepsEquivalent({scheduleFor(body, arch)}, arch,
+                                        steps),
+                  0u);
+    }
+}
+
+TEST(FoldEquivalence, OnePlanTwoMemorySystems)
+{
+    const ir::Loop body = streamBody(1);
+    const ArchSpec arch = ArchSpec::l0(8);
+    const sched::Schedule s = scheduleFor(body, arch);
+    std::vector<Step> alternating;
+    for (int i = 0; i < 12; ++i)
+        alternating.push_back({0, i % 2, 64});
+    expectStepsEquivalent({s}, arch, alternating);
+
+    std::vector<Step> blocks;
+    for (int m : {0, 1, 0})
+        for (int i = 0; i < 4; ++i)
+            blocks.push_back({0, m, 64});
+    EXPECT_GT(expectStepsEquivalent({s}, arch, blocks), 0u);
+}
+
+TEST(FoldEquivalence, WrappingStoresChangeBytesEveryInvocation)
+{
+    // 40 trips over 16 elements: the store stream wraps within an
+    // invocation, so invocation k+1's first stores overwrite the bytes
+    // invocation k's last stores left with other values — the backing
+    // only returns to the same content at the end of each invocation.
+    const ir::Loop body = rmwLoop("wrap", 16);
+    for (const ArchSpec &arch :
+         {ArchSpec::l0(8), ArchSpec::unified(), ArchSpec::interleaved1()}) {
+        SCOPED_TRACE(arch.label);
+        const sched::Schedule s = scheduleFor(body, arch);
+        EXPECT_GT(expectEquivalent(s, arch, 40, 8), 0u);
+        EXPECT_GT(expectEquivalent(s, arch, 40, 8, false), 0u);
+    }
+}
+
+namespace
+{
+
+/** Fold one steady plan, then break each fold condition in turn. */
+void
+expectOnlyUntouchedMemoryFolds(const ArchSpec &arch)
+{
+    sim::KernelPlan plan(scheduleFor(streamBody(1), arch));
+    const sim::SimOptions on;
+    sim::SimOptions off;
+    off.checkCoherence = false;
+    auto mem = mem::MemSystem::create(arch.config);
+    auto other = mem::MemSystem::create(arch.config);
+    metrics::Counter &fold_metric = metrics::counter(
+        "l0vliw_sim_plan_folds_total", "");
+    const std::uint64_t metric_before = fold_metric.value();
+
+    Cycle clock = 0;
+    // Run one invocation; @return whether it folded.
+    auto folds = [&](mem::MemSystem &m, std::uint64_t trips,
+                     const sim::SimOptions &opts) {
+        const std::uint64_t before = plan.foldedRuns();
+        clock += plan.run(m, trips, clock, opts).totalCycles();
+        return plan.foldedRuns() > before;
+    };
+    auto steady = [&](std::uint64_t trips, const sim::SimOptions &opts) {
+        bool folded = false;
+        for (int i = 0; i < 4 && !folded; ++i)
+            folded = folds(*mem, trips, opts);
+        ASSERT_TRUE(folded);
+        EXPECT_TRUE(folds(*mem, trips, opts));
+    };
+
+    steady(64, on);
+    const std::uint8_t byte = 7;
+    mem->backing().write(0x7000000, &byte, 1);
+    EXPECT_FALSE(folds(*mem, 64, on)) << "after a backing write";
+
+    steady(64, on);
+    mem::MemAccess acc;
+    acc.addr = 0x7000000;
+    std::uint8_t out[4];
+    mem->access(acc, clock, nullptr, out);
+    EXPECT_FALSE(folds(*mem, 64, on)) << "after a direct access";
+
+    steady(64, on);
+    EXPECT_FALSE(folds(*mem, 65, on)) << "with other trips";
+    steady(64, on);
+    EXPECT_FALSE(folds(*mem, 64, off)) << "with other options";
+    steady(64, on);
+    EXPECT_FALSE(folds(*other, 64, on)) << "on another memory system";
+
+    EXPECT_EQ(fold_metric.value() - metric_before, plan.foldedRuns());
+}
+
+} // namespace
+
+TEST(FoldEquivalence, OnlyAnUntouchedMemoryFolds)
+{
+    // MultiVLIW has no cycle fields, so there only the untouched-memory
+    // check can notice a direct access.
+    for (const ArchSpec &arch : {ArchSpec::l0(8), ArchSpec::multiVliw()}) {
+        SCOPED_TRACE(arch.label);
+        expectOnlyUntouchedMemoryFolds(arch);
+    }
+}
+
+TEST(FoldEquivalence, EveryMediabenchCellOnEveryArch)
+{
+    const std::vector<workloads::Benchmark> suite =
+        workloads::mediabenchSuite();
+    // A sanitizer build runs ~40x slower: there, the first benchmark.
+#if defined(__SANITIZE_ADDRESS__)
+    const std::size_t stride = suite.size();
+#else
+    const std::size_t stride = 1;
+#endif
+    const ArchSpec unified = ArchSpec::unified();
+    for (std::size_t b = 0; b < suite.size(); b += stride) {
+        const workloads::Benchmark &bench = suite[b];
+        const std::vector<int> unrolls = driver::chooseUnrollFactors(bench);
+        const driver::BenchmarkRun baseline = driver::runCell(
+            bench, unified, unrolls,
+            driver::buildLoopPlans(bench, unified, unrolls), nullptr);
+        for (const std::string &label : driver::archRegistry().names()) {
+            SCOPED_TRACE(bench.name + " on " + label);
+            driver::CellJob job;
+            job.id = 1;
+            job.bench = bench.name;
+            job.arch = label;
+            job.unrolls = unrolls;
+            job.baseline = baseline;
+            const driver::CellOutcome out = driver::executeCellJob(job);
+            ASSERT_TRUE(out.ok) << out.error;
+            EXPECT_EQ(driver::benchmarkRunToJson(out.run),
+                      driver::benchmarkRunToJson(referenceCell(
+                          bench, driver::archRegistry().resolve(label),
+                          unrolls, baseline)));
+        }
+    }
+}
