@@ -266,8 +266,9 @@ void
 BM_SuiteSerial(benchmark::State &state)
 {
     driver::Suite suite(suiteSpec());
+    driver::ExecOptions serial; // in-process, one worker
     for (auto _ : state) {
-        driver::ResultGrid grid = suite.run(1);
+        driver::ResultGrid grid = suite.run(serial);
         benchmark::DoNotOptimize(grid.cell(0, 0).normalized);
     }
     state.SetItemsProcessed(state.iterations() * 16); // cells per grid
@@ -559,7 +560,7 @@ main(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--cell-worker")
-            return driver::cellWorkerMain(stdin, stdout);
+            return driver::cellWorkerMain();
     }
 
     driver::ExecBackend backend = driver::execBackendFromEnv();

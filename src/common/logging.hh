@@ -47,12 +47,14 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Report normal operating status. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Abort via panic() when @p cond is false. */
+/** Abort via panic() when @p cond is false. The condition's text
+ *  travels as a %s argument: pasted into the format, a '%' in it
+ *  (say, `a % b == 0`) would become a conversion. */
 #define L0_ASSERT(cond, fmt, ...)                                       \
     do {                                                                \
         if (!(cond)) {                                                  \
-            ::l0vliw::panic("assertion '" #cond "' failed at "          \
-                            __FILE__ ":%d: " fmt, __LINE__,             \
+            ::l0vliw::panic("assertion '%s' failed at " __FILE__        \
+                            ":%d: " fmt, #cond, __LINE__,               \
                             ##__VA_ARGS__);                             \
         }                                                               \
     } while (0)

@@ -144,7 +144,7 @@ parseCli(int argc, char **argv)
     // an executor worker and never returns to the driver body.
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--cell-worker")
-            std::exit(cellWorkerMain(stdin, stdout));
+            std::exit(cellWorkerMain());
     }
 
     CliOptions opts;
@@ -295,14 +295,13 @@ CliOptions::exec() const
     // (The L0VLIW_CONNECT env default is exempt: it is ambient.)
     if (e.backend != ExecBackend::Tcp && !connect.empty())
         fatal("--connect only applies to --executor tcp");
-    // Same shape of mistake: asking for a degradation policy on a
-    // backend that has no endpoints to degrade from.
-    if (e.backend != ExecBackend::Tcp && degradeExplicit)
-        fatal("--degrade only applies to --executor tcp");
-    // And windowing: pipelining is a property of the tcp transport.
-    // (The L0VLIW_WINDOW env default is exempt: it is ambient.)
-    if (e.backend != ExecBackend::Tcp && windowExplicit)
-        fatal("--window only applies to --executor tcp");
+    // Same shape of mistake: asking for a degradation policy or a
+    // pipeline window where no channel carries the cells. (The
+    // L0VLIW_WINDOW env default is exempt: it is ambient.)
+    if (e.backend == ExecBackend::InProcess && degradeExplicit)
+        fatal("--degrade only applies to --executor subprocess|tcp");
+    if (e.backend == ExecBackend::InProcess && windowExplicit)
+        fatal("--window only applies to --executor subprocess|tcp");
     if (e.backend == ExecBackend::Tcp) {
         if (e.endpoints.empty()) {
             const char *env = std::getenv("L0VLIW_CONNECT");

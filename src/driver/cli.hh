@@ -20,7 +20,8 @@
  *   --connect=host:port[,host:port...]
  *                       the worker daemons for --executor tcp, one
  *                       connection per entry (env: L0VLIW_CONNECT)
- *   --window=N          jobs pipelined per tcp connection (default 4;
+ *   --window=N          jobs pipelined per subprocess/tcp channel
+ *                       (default 4 for tcp, 1 for subprocess;
  *                       1 = strict lockstep, one request one reply;
  *                       env: L0VLIW_WINDOW). Results are bit-identical
  *                       for every value — windowing only changes how
@@ -46,8 +47,8 @@
  *                       60000 for tcp, off locally; env:
  *                       L0VLIW_CELL_TIMEOUT_MS)
  *   --degrade=fail|local
- *                       what the tcp executor does when every
- *                       endpoint has permanently failed: fail the
+ *                       what the subprocess/tcp executor does when
+ *                       every endpoint has permanently failed: fail the
  *                       remaining cells (default) or drain them
  *                       through the in-process executor
  *   --fault-inject=<spec>
@@ -72,10 +73,10 @@
  * examples take benchmark/architecture names positionally).
  *
  * Two modes preempt the driver body: --cell-worker turns the process
- * into a pipe-fed executor worker (jobs on stdin, outcomes on
- * stdout) — how the SubprocessExecutor re-executes any driver binary
- * as its own worker — and --serve <port> turns it into a TCP worker
- * daemon answering the same protocol until SIGINT/SIGTERM. Under
+ * into a socketpair-fed executor worker (jobs in on fd 0, outcomes
+ * out on fd 1) — how the subprocess backend re-executes any driver
+ * binary as its own worker — and --serve <port> turns it into a TCP
+ * worker daemon answering the same protocol until SIGINT/SIGTERM. Under
  * --serve, an explicit --jobs N sets the daemon's per-connection
  * worker-pool size (default: all hardware threads; 1 restores the
  * strict serial request/reply loop).
@@ -119,14 +120,14 @@ struct CliOptions
     std::string runId;
     /** --cell-timeout-ms (-1 = backend default; 0 = off). */
     int cellTimeoutMs = -1;
-    /** --window pipelined jobs per tcp connection (-1 = backend
-     *  default: 4 for tcp). */
+    /** --window pipelined jobs per channel (-1 = backend default: 4
+     *  for tcp, 1 for subprocess). */
     int window = -1;
-    /** True when --window was given (it only applies to tcp). */
+    /** True when --window was given (not for inprocess). */
     bool windowExplicit = false;
-    /** --degrade policy for the tcp executor. */
+    /** --degrade policy for the subprocess/tcp executor. */
     DegradeMode degrade = DegradeMode::Fail;
-    /** True when --degrade was given (it only applies to tcp). */
+    /** True when --degrade was given (not for inprocess). */
     bool degradeExplicit = false;
     /** --trace output file ("" = no tracing). */
     std::string trace;

@@ -12,7 +12,7 @@
 #include <mutex>
 #include <thread>
 
-#include <fcntl.h>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -545,29 +545,17 @@ recordWireWrite(const ExecOptions &opts, std::uint64_t id,
     opts.trace->record(std::move(span));
 }
 
-/** Run @p work on min(jobs, tasks) threads (<= 1 runs inline). Every
- *  worker loops over a shared work-stealing index inside @p work. */
-template <typename Fn>
-void
-runOnPool(int jobs, std::size_t tasks, const Fn &work)
+/** Workers for @p tasks jobs — pool threads or worker children:
+ *  min(jobs, tasks), at least one. */
+std::size_t
+poolSize(const ExecOptions &opts, std::size_t tasks)
 {
-    std::size_t workers =
-        jobs <= 1 ? 1 : std::min<std::size_t>(jobs, tasks);
-    if (workers <= 1) {
-        work();
-        return;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w)
-        pool.emplace_back(work);
-    for (auto &t : pool)
-        t.join();
+    return opts.jobs <= 1 ? 1 : std::min<std::size_t>(opts.jobs, tasks);
 }
 
 /** The per-job deadline in effect: explicit value wins (0 = off), the
  *  backend default otherwise — on for Tcp (a remote cell must resolve
- *  in bounded time), off locally. -1 means unbounded. */
+ *  in bounded time), off for Subprocess. -1 means unbounded. */
 int
 effectiveCellTimeoutMs(const ExecOptions &opts)
 {
@@ -576,7 +564,8 @@ effectiveCellTimeoutMs(const ExecOptions &opts)
     return opts.backend == ExecBackend::Tcp ? 60000 : -1;
 }
 
-/** The heartbeat interval in effect (Tcp only; 0 = off). */
+/** The heartbeat interval in effect (default on for Tcp only; 0 =
+ *  off). */
 int
 effectiveHeartbeatMs(const ExecOptions &opts)
 {
@@ -585,25 +574,14 @@ effectiveHeartbeatMs(const ExecOptions &opts)
     return opts.backend == ExecBackend::Tcp ? 5000 : 0;
 }
 
-/** The per-connection pipeline window in effect (>= 1; Tcp defaults
- *  to 4, everything else is effectively lockstep). */
+/** The per-channel pipeline window in effect (>= 1; Tcp defaults to
+ *  4, Subprocess to lockstep). */
 int
 effectiveWindow(const ExecOptions &opts)
 {
     if (opts.window >= 1)
         return opts.window;
     return opts.backend == ExecBackend::Tcp ? 4 : 1;
-}
-
-/** The executors' shared retry budget/backoff in RetryPolicy terms. */
-RetryPolicy
-retryPolicyOf(const ExecOptions &opts)
-{
-    RetryPolicy policy;
-    policy.maxAttempts = opts.maxRetries + 1;
-    policy.baseBackoffMs = opts.retryBackoffMs;
-    policy.maxBackoffMs = opts.maxBackoffMs;
-    return policy;
 }
 
 /** Fill the permanent-failure fields of a job that exhausted its
@@ -631,8 +609,10 @@ InProcessExecutor::execute(const std::vector<CellJob> &jobs)
     if (jobs.empty())
         return outcomes;
 
+    // Every worker, this thread included, loops over a shared
+    // work-stealing index.
     std::atomic<std::size_t> next{0};
-    runOnPool(opts_.jobs, jobs.size(), [&]() {
+    auto work = [&]() {
         for (;;) {
             std::size_t i = next.fetch_add(1);
             if (i >= jobs.size())
@@ -641,11 +621,17 @@ InProcessExecutor::execute(const std::vector<CellJob> &jobs)
             outcomes[i] = executeCellJob(jobs[i]);
             emitOutcomeEvent(opts_, jobs[i], outcomes[i], start);
         }
-    });
+    };
+    std::vector<std::thread> pool;
+    for (std::size_t w = 1; w < poolSize(opts_, jobs.size()); ++w)
+        pool.emplace_back(work);
+    work();
+    for (auto &t : pool)
+        t.join();
     return outcomes;
 }
 
-// ---- subprocess backend ----
+// ---- channels: where an endpoint's jobs travel ----
 
 namespace
 {
@@ -654,7 +640,7 @@ namespace
 //
 // SIGINT/SIGTERM while a subprocess pool is mid-suite must not leave
 // worker children behind (a worker blocked computing a cell never
-// notices its job pipe closing). Live children register in a fixed
+// notices its socket closing). Live children register in a fixed
 // lock-free table; the signal handler — async-signal-safe only:
 // kill/signal/raise — SIGKILLs every registered pid, restores the
 // default disposition, and re-raises so the process still dies with
@@ -722,294 +708,168 @@ untrackChild(pid_t pid)
 }
 
 /**
- * One spawned --cell-worker child and its pipe endpoints. Raw fds (not
- * stdio) so the parent reads through net::LineReader — which is what
- * makes the pipe transport deadline-aware (the watchdog) and routes it
- * through the fault-injection seam like every other transport.
+ * One endpoint's open channel: a TCP connection to a --serve daemon,
+ * or a socketpair whose far end is a spawned --cell-worker child's
+ * stdin and stdout. The executor frames both through
+ * net::LineReader/writeLine, so windows, deadlines, heartbeats, and
+ * fault injection treat them alike.
  */
-struct Child
+struct Channel
 {
-    pid_t pid = -1;
-    net::Fd toChild;        ///< parent writes jobs here
-    net::Fd fromChild;      ///< parent reads outcomes here
-    net::LineReader reader; ///< framed reads over fromChild
+    net::Fd fd;
+    pid_t pid = -1; ///< the child behind a spawned channel
 
-    bool alive() const { return pid > 0; }
+    Channel() = default;
+    Channel(const Channel &) = delete;
+    Channel &operator=(const Channel &) = delete;
+    ~Channel() { close(/*kill=*/false); }
+
+    bool valid() const { return fd.valid(); }
+
+    /**
+     * Close the fd and reap the child, if any. @p kill SIGKILLs it
+     * first — every teardown does: a worker that blew its deadline or
+     * broke the stream may still be computing and would never notice
+     * its socket closing. Without @p kill the closed socket is the
+     * idle child's clean EOF, and it exits on its own.
+     */
+    void
+    close(bool kill)
+    {
+        if (pid > 0) {
+            untrackChild(pid);
+            if (kill)
+                ::kill(pid, SIGKILL);
+        }
+        fd.reset();
+        if (pid > 0) {
+            int status = 0;
+            waitpid(pid, &status, 0);
+        }
+        pid = -1;
+    }
 };
 
 /**
- * Reap a child. @p killFirst force-kills it before waiting — the
- * watchdog path: a worker that blew its deadline is still computing
- * and would never notice its job pipe closing, so waitpid without the
- * SIGKILL would inherit the very hang the deadline bounded.
+ * Where one endpoint's channel leads, and the executor's one channel
+ * factory (open). Everything else about an endpoint — windowing,
+ * credits, retries, teardown accounting — is channel-agnostic; a
+ * broken stream only names its cause per kind (conn-reset for a
+ * daemon, worker-crash for a child).
  */
-void
-closeChild(Child &child, bool killFirst = false)
+struct Endpoint
 {
-    if (child.pid > 0) {
-        untrackChild(child.pid);
-        if (killFirst)
-            ::kill(child.pid, SIGKILL);
-    }
-    child.toChild.reset();
-    child.fromChild.reset();
-    if (child.pid > 0) {
-        int status = 0;
-        waitpid(child.pid, &status, 0);
-    }
-    child = Child();
-}
+    std::string name;                 ///< for diagnostics
+    net::HostPort daemon;             ///< connect here...
+    std::vector<std::string> command; ///< ...unless set: spawn this
+    FailReason broken = FailReason::ConnReset;
+    const char *traceCat = "tcp"; ///< wire-write span category
 
-/**
- * fork/exec one worker. Pipe fds are O_CLOEXEC so a child spawned
- * concurrently by another pool thread cannot inherit (and keep open)
- * this child's endpoints — otherwise a dead worker's pipe would never
- * read EOF in the parent.
- */
-bool
-spawnChild(const std::vector<std::string> &command, Child &out,
-           std::string &error)
-{
-    int jobPipe[2] = {-1, -1}, resultPipe[2] = {-1, -1};
-    if (pipe2(jobPipe, O_CLOEXEC) != 0
-        || pipe2(resultPipe, O_CLOEXEC) != 0) {
-        error = std::string("pipe2: ") + std::strerror(errno);
-        if (jobPipe[0] >= 0) {
-            close(jobPipe[0]);
-            close(jobPipe[1]);
+    /**
+     * Connect, or fork/exec the child over one socketpair dup'd onto
+     * its fds 0 and 1. The pair is O_CLOEXEC so a child spawned
+     * concurrently by another pool thread cannot inherit (and keep
+     * open) this child's end — otherwise a dead worker's socket would
+     * never read EOF in the parent.
+     */
+    bool
+    open(Channel &out, std::string &error) const
+    {
+        if (command.empty()) {
+            out.fd = net::connectTcp(daemon.host, daemon.port, error);
+            return out.valid();
         }
-        return false;
-    }
+        int pair[2];
+        if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair)
+            != 0) {
+            error = std::string("socketpair: ") + std::strerror(errno);
+            return false;
+        }
+        std::vector<char *> argv;
+        argv.reserve(command.size() + 1);
+        for (const auto &arg : command)
+            argv.push_back(const_cast<char *>(arg.c_str()));
+        argv.push_back(nullptr);
 
-    std::vector<char *> argv;
-    argv.reserve(command.size() + 1);
-    for (const auto &arg : command)
-        argv.push_back(const_cast<char *>(arg.c_str()));
-    argv.push_back(nullptr);
+        // Flush stdio so buffered output is not duplicated into the
+        // child.
+        std::fflush(stdout);
+        std::fflush(stderr);
 
-    // Flush stdio so buffered output is not duplicated into the child.
-    std::fflush(stdout);
-    std::fflush(stderr);
-
-    pid_t pid = fork();
-    if (pid < 0) {
-        error = std::string("fork: ") + std::strerror(errno);
-        close(jobPipe[0]);
-        close(jobPipe[1]);
-        close(resultPipe[0]);
-        close(resultPipe[1]);
-        return false;
-    }
-    if (pid == 0) {
-        // Child: jobs on stdin, outcomes on stdout, stderr inherited.
-        // Only async-signal-safe calls between fork and exec.
-        if (dup2(jobPipe[0], STDIN_FILENO) < 0
-            || dup2(resultPipe[1], STDOUT_FILENO) < 0)
+        pid_t pid = fork();
+        if (pid < 0) {
+            error = std::string("fork: ") + std::strerror(errno);
+            ::close(pair[0]);
+            ::close(pair[1]);
+            return false;
+        }
+        if (pid == 0) {
+            // Child: jobs in on fd 0, outcomes out on fd 1, stderr
+            // inherited. Only async-signal-safe calls until exec.
+            if (dup2(pair[1], STDIN_FILENO) < 0
+                || dup2(pair[1], STDOUT_FILENO) < 0)
+                _exit(127);
+            execv(argv[0], argv.data());
             _exit(127);
-        execv(argv[0], argv.data());
-        _exit(127);
-    }
-
-    close(jobPipe[0]);
-    close(resultPipe[1]);
-    trackChild(pid);
-    out.pid = pid;
-    out.toChild.reset(jobPipe[1]);
-    out.fromChild.reset(resultPipe[0]);
-    out.reader.reset(resultPipe[0]);
-    return true;
-}
-
-/** Read one newline-terminated line; false on EOF/error. */
-bool
-readLine(std::FILE *f, std::string &out)
-{
-    out.clear();
-    char buf[4096];
-    while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-        out += buf;
-        if (!out.empty() && out.back() == '\n') {
-            out.pop_back();
-            return true;
         }
+        ::close(pair[1]);
+        trackChild(pid);
+        out.pid = pid;
+        out.fd.reset(pair[0]);
+        return true;
     }
-    return false;
+};
+
+/** The endpoints @p opts names: min(jobs, cells) children of
+ *  workerCommand for Subprocess, one per --connect entry for Tcp. */
+std::vector<Endpoint>
+endpointsOf(const ExecOptions &opts, std::size_t cells)
+{
+    std::vector<Endpoint> out;
+    if (opts.backend == ExecBackend::Subprocess) {
+        for (std::size_t e = 0; e < poolSize(opts, cells); ++e) {
+            Endpoint ep;
+            ep.name = "worker " + std::to_string(e);
+            ep.command = opts.workerCommand;
+            ep.broken = FailReason::WorkerCrash;
+            ep.traceCat = "subprocess";
+            out.push_back(std::move(ep));
+        }
+        return out;
+    }
+    for (const auto &spec : opts.endpoints) {
+        Endpoint ep;
+        ep.name = spec;
+        std::string error;
+        if (!net::parseHostPort(spec, ep.daemon, error))
+            fatal("--connect: %s", error.c_str());
+        out.push_back(std::move(ep));
+    }
+    return out;
 }
 
 } // namespace
 
-SubprocessExecutor::SubprocessExecutor(const ExecOptions &opts)
-    : opts_(opts)
-{
-    if (opts_.workerCommand.empty()) {
-        // Re-execute this binary in the shared CLI's hidden worker
-        // mode; every driver is its own worker.
-        opts_.workerCommand = {"/proc/self/exe", "--cell-worker"};
-    }
-    // A worker dying mid-write must surface as EPIPE, not kill us.
-    net::ignoreSigpipe();
-    // And ^C mid-suite must take the worker children down with us.
-    installChildKillHandlers();
-}
-
-std::vector<CellOutcome>
-SubprocessExecutor::execute(const std::vector<CellJob> &jobs)
-{
-    std::vector<CellOutcome> outcomes(jobs.size());
-    if (jobs.empty())
-        return outcomes;
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<int> spawns{0}, respawns{0}, retries{0}, timeouts{0};
-    const RetryPolicy policy = retryPolicyOf(opts_);
-    const int deadlineMs = effectiveCellTimeoutMs(opts_);
-    std::atomic<std::uint64_t> threadSalt{0};
-
-    // One pool thread per child: each claims jobs off the shared
-    // index, streams them to its worker, and owns that worker's
-    // lifecycle (respawn on death or deadline, bounded retry of the
-    // in-flight job). Failures never throw across threads — they land
-    // in the job's outcome.
-    auto work = [&]() {
-        Child child;
-        bool everSpawned = false;
-        Rng rng(0x5eedf001u ^ (threadSalt.fetch_add(1) + 1) * kGolden);
-        for (;;) {
-            std::size_t i = next.fetch_add(1);
-            if (i >= jobs.size())
-                break;
-            const std::string line = jobs[i].toJson();
-            ExecClock::time_point start = ExecClock::now();
-
-            CellOutcome result;
-            std::string lastError = "worker never started";
-            FailReason lastReason = FailReason::WorkerCrash;
-            bool done = false;
-            int attempt = 1;
-            for (; attempt <= policy.maxAttempts && !done; ++attempt) {
-                if (attempt > 1) {
-                    retries.fetch_add(1);
-                    retryCounter(lastReason).inc();
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(
-                            policy.backoffMs(attempt - 1, rng)));
-                }
-                if (!child.alive()) {
-                    std::string err;
-                    if (!spawnChild(opts_.workerCommand, child, err)) {
-                        lastError = err;
-                        lastReason = FailReason::WorkerCrash;
-                        continue;
-                    }
-                    spawns.fetch_add(1);
-                    if (everSpawned)
-                        respawns.fetch_add(1);
-                    everSpawned = true;
-                }
-
-                std::string err;
-                ExecClock::time_point writeStart = ExecClock::now();
-                if (!net::writeLine(child.toChild.get(), line, err)) {
-                    lastError =
-                        "worker died before accepting the job: " + err;
-                    lastReason = FailReason::WorkerCrash;
-                    closeChild(child);
-                    continue;
-                }
-                recordWireWrite(opts_, jobs[i].id, "subprocess",
-                                writeStart);
-
-                std::string reply;
-                net::LineReader::Status status =
-                    child.reader.readLine(reply, err, deadlineMs);
-                if (status == net::LineReader::Status::Timeout) {
-                    // The watchdog: a worker past its deadline is
-                    // wedged (or the cell is pathological either way);
-                    // SIGKILL it and let the next attempt respawn.
-                    timeouts.fetch_add(1);
-                    deadlineTimeouts().inc();
-                    lastError = "worker exceeded the "
-                                + std::to_string(deadlineMs)
-                                + "ms cell deadline (killed)";
-                    lastReason = FailReason::Timeout;
-                    closeChild(child, /*killFirst=*/true);
-                    continue;
-                }
-                if (status != net::LineReader::Status::Line) {
-                    bool offProtocol =
-                        status == net::LineReader::Status::Error
-                        && child.reader.errorKind()
-                               == net::LineReader::ErrorKind::Oversized;
-                    lastError =
-                        status == net::LineReader::Status::Eof
-                            ? std::string("worker died computing the cell")
-                            : "worker stream broke: " + err;
-                    lastReason = offProtocol ? FailReason::FrameCorrupt
-                                             : FailReason::WorkerCrash;
-                    // A broken stream can leave the worker alive and
-                    // mid-compute (it would never see its stdin close);
-                    // kill before reaping. EOF means it is already gone.
-                    closeChild(child,
-                               status == net::LineReader::Status::Error);
-                    continue;
-                }
-                if (!CellOutcome::fromJson(reply, result, err)) {
-                    lastError = "malformed worker reply: " + err;
-                    lastReason = FailReason::FrameCorrupt;
-                    closeChild(child);
-                    continue;
-                }
-                if (result.id != jobs[i].id) {
-                    lastError = "worker replied to job "
-                                + std::to_string(result.id)
-                                + " instead of "
-                                + std::to_string(jobs[i].id);
-                    lastReason = FailReason::FrameCorrupt;
-                    closeChild(child);
-                    continue;
-                }
-                result.attempts = attempt;
-                done = true;
-            }
-
-            if (done) {
-                outcomes[i] = std::move(result);
-            } else {
-                fillFailedOutcome(outcomes[i], jobs[i], "", attempt - 1,
-                                  lastError, lastReason);
-            }
-            emitOutcomeEvent(opts_, jobs[i], outcomes[i], start);
-        }
-        // EOF on the job pipe tells the worker to exit; reap it.
-        if (child.alive())
-            closeChild(child);
-    };
-
-    runOnPool(opts_.jobs, jobs.size(), work);
-
-    stats_.spawns += spawns.load();
-    stats_.respawns += respawns.load();
-    stats_.retries += retries.load();
-    stats_.timeouts += timeouts.load();
-    return outcomes;
-}
-
-// ---- tcp backend ----
+// ---- the windowed executor ----
 
 RemoteExecutor::RemoteExecutor(const ExecOptions &opts) : opts_(opts)
 {
-    if (opts_.endpoints.empty())
-        fatal("--executor tcp needs at least one --connect host:port "
-              "worker daemon");
-    for (const auto &ep : opts_.endpoints) {
-        net::HostPort hp;
-        std::string error;
-        if (!net::parseHostPort(ep, hp, error))
-            fatal("--connect: %s", error.c_str());
+    if (opts_.backend == ExecBackend::Subprocess) {
+        // Re-execute this binary in the shared CLI's hidden worker
+        // mode; every driver is its own worker.
+        if (opts_.workerCommand.empty())
+            opts_.workerCommand = {"/proc/self/exe", "--cell-worker"};
+        // ^C mid-suite must take the worker children down with us.
+        installChildKillHandlers();
+    } else {
+        if (opts_.endpoints.empty())
+            fatal("--executor tcp needs at least one --connect "
+                  "host:port worker daemon");
+        endpointsOf(opts_, 0); // fatal on a malformed entry
     }
-    // A daemon hanging up mid-send must be an EPIPE error on the
-    // retry path, not process death (MSG_NOSIGNAL covers writeLine,
-    // but belt and braces for any other write to the socket).
+    // A peer hanging up mid-send must be an EPIPE error on the retry
+    // path, not process death (MSG_NOSIGNAL covers writeLine, but
+    // belt and braces for any other write to the channel).
     net::ignoreSigpipe();
 }
 
@@ -1194,23 +1054,26 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
     if (jobs.empty())
         return outcomes;
 
-    RemoteQueue queue(jobs.size(),
-                      static_cast<int>(opts_.endpoints.size()));
+    const std::vector<Endpoint> endpoints = endpointsOf(opts_, jobs.size());
+    RemoteQueue queue(jobs.size(), static_cast<int>(endpoints.size()));
     std::atomic<int> connects{0}, reconnects{0}, retries{0},
         timeouts{0}, maxInFlight{0};
-    const RetryPolicy policy = retryPolicyOf(opts_);
+    RetryPolicy policy;
+    policy.maxAttempts = opts_.maxRetries + 1;
+    policy.baseBackoffMs = opts_.retryBackoffMs;
+    policy.maxBackoffMs = opts_.maxBackoffMs;
     const int deadlineMs = effectiveCellTimeoutMs(opts_);
     const int heartbeatMs = effectiveHeartbeatMs(opts_);
     const int window = effectiveWindow(opts_);
-    std::vector<int> perEndpoint(opts_.endpoints.size(), 0);
+    std::vector<int> perEndpoint(endpoints.size(), 0);
 
     // The live-gauge view of Stats: per-endpoint outcome totals and
     // windowed in-flight depth, registered once per endpoint index up
     // front so the per-reply updates are lock-free gauge stores.
     metrics::Registry &registry = metrics::Registry::global();
-    std::vector<metrics::Gauge *> epJobs(opts_.endpoints.size());
-    std::vector<metrics::Gauge *> epInflight(opts_.endpoints.size());
-    for (std::size_t e = 0; e < opts_.endpoints.size(); ++e) {
+    std::vector<metrics::Gauge *> epJobs(endpoints.size());
+    std::vector<metrics::Gauge *> epInflight(endpoints.size());
+    for (std::size_t e = 0; e < endpoints.size(); ++e) {
         std::string label = "{endpoint=\"" + std::to_string(e) + "\"}";
         epJobs[e] = &registry.gauge(
             "l0vliw_driver_jobs_per_endpoint" + label,
@@ -1218,11 +1081,11 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
             "Stats::jobsPerEndpoint, by endpoint index)");
         epInflight[e] = &registry.gauge(
             "l0vliw_driver_inflight" + label,
-            "Jobs currently windowed on each endpoint's connection");
+            "Jobs currently windowed on each endpoint's channel");
     }
     metrics::Gauge &maxInFlightGauge = registry.gauge(
         "l0vliw_driver_max_inflight",
-        "Peak windowed jobs observed on any one connection (the live "
+        "Peak windowed jobs observed on any one channel (the live "
         "view of Stats::maxInFlight)");
 
     // Jobs only the in-process fallback can still resolve (--degrade
@@ -1230,30 +1093,26 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
     std::mutex degradeMutex;
     std::vector<std::size_t> degraded;
 
-    // One pool thread per endpoint: each owns one connection and
-    // windows up to `window` jobs onto it, claimed off the shared
-    // queue whenever a slot is free (credit-based assignment: a reply
-    // frees a slot, so throughput sets the claim rate). Replies
-    // complete out of order against the in-flight map — the wire
-    // frames carry per-job ids. Any teardown (connect failure, broken
-    // stream, blown deadline) re-queues *every* windowed job on this
-    // thread, each charged one attempt, and reconnects under the
-    // shared jittered RetryPolicy — the jitter keeps N endpoints from
-    // re-stampeding a restarted daemon in lockstep. A job that
-    // exhausts its budget is handed back to the queue for the
-    // remaining endpoints (this one retires, releasing the rest of
-    // its window: one dead daemon must not sink jobs a healthy one
-    // could run); only the last endpoint standing writes permanent
-    // failures into outcomes (or, under --degrade local, parks them
-    // for the in-process drain).
-    auto work = [&](const std::string &endpoint, std::size_t index) {
-        net::HostPort hp;
-        std::string parseError;
-        if (!net::parseHostPort(endpoint, hp, parseError))
-            return; // ctor validated; belt and braces
-        net::Fd conn;
+    // One pool thread per endpoint: each owns one channel (a daemon
+    // connection or a spawned child) and windows up to `window` jobs
+    // onto it, claimed off the shared queue whenever a slot is free
+    // (credit-based assignment: a reply frees a slot, so throughput
+    // sets the claim rate). Replies complete out of order against the
+    // in-flight map — the wire frames carry per-job ids. Any teardown
+    // (open failure, broken stream, blown deadline) re-queues *every*
+    // windowed job on this thread, charging the head of the line one
+    // attempt, and reopens the channel under the shared jittered
+    // RetryPolicy — the jitter keeps N endpoints from re-stampeding a
+    // restarted daemon in lockstep. A job that exhausts its budget is
+    // handed back to the queue for the remaining endpoints (this one
+    // retires, releasing the rest of its window: one dead peer must
+    // not sink jobs a healthy one could run); only the last endpoint
+    // standing writes permanent failures into outcomes (or, under
+    // --degrade local, parks them for the in-process drain).
+    auto work = [&](const Endpoint &ep, std::size_t index) {
+        Channel chan;
         net::LineReader reader;
-        bool everConnected = false;
+        bool everOpened = false;
         Rng rng(0x7eefca11u ^ (index + 1) * kGolden);
 
         struct Flight
@@ -1266,8 +1125,8 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
         std::uint64_t nextSeq = 0;
         std::vector<std::size_t> pending; ///< claimed, not on the wire
         std::vector<int> attempts(jobs.size(), 0); ///< mine, per job
-        std::string lastError = "never connected";
-        FailReason lastReason = FailReason::ConnReset;
+        std::string lastError = "channel never opened";
+        FailReason lastReason = ep.broken;
         int cycleFails = 0; ///< teardowns since the last good reply
 
         // One failed cycle that never reached the wire (connect or
@@ -1291,7 +1150,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
         // the write-failure path, where the charged victim never left
         // `pending`.
         auto teardown = [&](bool refundHead) {
-            conn.reset();
+            chan.close(/*kill=*/true);
             ++cycleFails;
             std::uint64_t headSeq = ~std::uint64_t{0};
             if (!refundHead) {
@@ -1314,7 +1173,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
             epInflight[index]->set(0);
         };
         // Ping/pong on an otherwise quiet channel; false means the
-        // caller resets the connection.
+        // caller closes the channel.
         auto probe = [&]() -> bool {
             std::string err;
             {
@@ -1324,9 +1183,9 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                     "answered by executing sides");
                 pings.inc();
             }
-            if (!net::writeLine(conn.get(), kCellPingLine, err)) {
+            if (!net::writeLine(chan.fd.get(), kCellPingLine, err)) {
                 lastError = "ping write failed: " + err;
-                lastReason = FailReason::ConnReset;
+                lastReason = ep.broken;
                 return false;
             }
             std::string pong;
@@ -1335,7 +1194,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
             if (st == net::LineReader::Status::Timeout) {
                 timeouts.fetch_add(1);
                 deadlineTimeouts().inc();
-                lastError = "daemon silent: no pong within "
+                lastError = "peer silent: no pong within "
                             + std::to_string(heartbeatMs) + "ms";
                 lastReason = FailReason::Timeout;
                 return false;
@@ -1343,7 +1202,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
             if (st != net::LineReader::Status::Line
                 || pong != kCellPongLine) {
                 lastError = st == net::LineReader::Status::Line
-                                ? "daemon answered ping off-protocol"
+                                ? "peer answered ping off-protocol"
                                 : "ping probe broke: " + err;
                 lastReason = FailReason::FrameCorrupt;
                 return false;
@@ -1377,7 +1236,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                     degraded.push_back(i);
                 } else {
                     fillFailedOutcome(outcomes[i], jobs[i],
-                                      " via " + endpoint, attempts[i],
+                                      " via " + ep.name, attempts[i],
                                       lastError, lastReason);
                     emitOutcomeEvent(opts_, jobs[i], outcomes[i],
                                      queue.firstDispatch(i));
@@ -1407,60 +1266,59 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
             if (pending.empty() && inflight.empty()) {
                 std::size_t i;
                 int waitMs =
-                    heartbeatMs > 0 && conn.valid() ? heartbeatMs : -1;
+                    heartbeatMs > 0 && chan.valid() ? heartbeatMs : -1;
                 RemoteQueue::Wait got = queue.claimFor(i, waitMs);
                 if (got == RemoteQueue::Wait::Done)
                     break;
                 if (got == RemoteQueue::Wait::Timeout) {
                     // The idle-channel timer: nothing in flight and
                     // no exchange for a full interval. A dead channel
-                    // found now costs nobody a job — just drop it and
-                    // reconnect when work arrives.
+                    // found now costs nobody a job — just close it and
+                    // reopen when work arrives.
                     if (!probe())
-                        conn.reset();
+                        chan.close(/*kill=*/true);
                     continue;
                 }
                 pending.push_back(i);
             }
 
-            // (Re)connect, with backoff once something has failed.
-            if (!conn.valid()) {
+            // (Re)open the channel, with backoff once something has
+            // failed.
+            if (!chan.valid()) {
                 if (cycleFails > 0)
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(policy.backoffMs(
                             std::min(cycleFails, policy.maxAttempts),
                             rng)));
                 std::string err;
-                conn = net::connectTcp(hp.host, hp.port, err);
-                if (!conn.valid()) {
+                if (!ep.open(chan, err)) {
                     lastError = err;
-                    lastReason = FailReason::ConnReset;
+                    lastReason = ep.broken;
                     ++cycleFails;
                     chargeAll();
                     continue;
                 }
-                reader.reset(conn.get());
+                reader.reset(chan.fd.get());
                 connects.fetch_add(1);
                 {
                     static metrics::Counter &c = metrics::counter(
                         "l0vliw_driver_connects_total",
-                        "Daemon connections established (initial and "
-                        "re-established)");
+                        "Executor channels opened: daemon connections "
+                        "and spawned workers (initial and reopened)");
                     c.inc();
                 }
-                if (everConnected) {
+                if (everOpened) {
                     reconnects.fetch_add(1);
                     static metrics::Counter &c = metrics::counter(
                         "l0vliw_driver_reconnects_total",
-                        "Daemon connections re-established after a "
-                        "drop");
+                        "Executor channels reopened after a teardown");
                     c.inc();
                 }
-                everConnected = true;
+                everOpened = true;
                 if (heartbeatMs > 0 && !probe()) {
-                    // A fresh connection proves it serves the
-                    // protocol loop before any job rides it.
-                    conn.reset();
+                    // A fresh channel proves it serves the protocol
+                    // loop before any job rides it.
+                    chan.close(/*kill=*/true);
                     ++cycleFails;
                     chargeAll();
                     continue;
@@ -1479,18 +1337,18 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                         retries.fetch_add(1);
                     std::string err;
                     ExecClock::time_point writeStart = ExecClock::now();
-                    if (!net::writeLine(conn.get(), jobs[i].toJson(),
+                    if (!net::writeLine(chan.fd.get(), jobs[i].toJson(),
                                         err)) {
-                        lastError = "daemon dropped before accepting "
-                                    "the job: "
-                                    + err;
-                        lastReason = FailReason::ConnReset;
+                        lastError =
+                            "peer dropped before accepting the job: "
+                            + err;
+                        lastReason = ep.broken;
                         // The write-failing job itself paid above.
                         teardown(/*refundHead=*/true);
                         wireOk = false;
                         break;
                     }
-                    recordWireWrite(opts_, jobs[i].id, "tcp",
+                    recordWireWrite(opts_, jobs[i].id, ep.traceCat,
                                     writeStart);
                     pending.pop_back();
                     inflight[jobs[i].id] = {i, ExecClock::now(),
@@ -1541,7 +1399,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
             if (status == net::LineReader::Status::Timeout) {
                 // The oldest windowed job blew its deadline. A late
                 // reply would be unattributable after teardown, so the
-                // connection goes too — every in-flight job re-queues
+                // channel goes too — every in-flight job re-queues
                 // and pays its next attempt on redispatch.
                 timeouts.fetch_add(1);
                 deadlineTimeouts().inc();
@@ -1559,32 +1417,32 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                            == net::LineReader::ErrorKind::Oversized;
                 lastError =
                     status == net::LineReader::Status::Eof
-                        ? std::string("daemon dropped mid-job")
+                        ? std::string("peer dropped mid-job")
                         : "framing error: " + err;
-                lastReason = offProtocol ? FailReason::FrameCorrupt
-                                         : FailReason::ConnReset;
+                lastReason =
+                    offProtocol ? FailReason::FrameCorrupt : ep.broken;
                 teardown(/*refundHead=*/false);
                 continue;
             }
             CellOutcome result;
             if (!CellOutcome::fromJson(reply, result, err)) {
-                lastError = "malformed daemon reply: " + err;
+                lastError = "malformed reply: " + err;
                 lastReason = FailReason::FrameCorrupt;
                 teardown(/*refundHead=*/false);
                 continue;
             }
             auto it = inflight.find(result.id);
             if (it == inflight.end()) {
-                // id 0 is the daemon's corrupted-frame sentinel: one
-                // of our frames arrived mangled and we cannot know
-                // which. Any other unknown id is a daemon bug. Either
+                // id 0 is the peer's corrupted-frame sentinel: one of
+                // our frames arrived mangled and we cannot know which.
+                // Any other unknown id is a peer bug. Either
                 // way the stream is off-protocol — tear down and
                 // redispatch the whole window.
                 lastError =
                     result.id == 0
-                        ? std::string("daemon flagged a corrupted "
-                                      "job frame")
-                        : "daemon replied to unknown job "
+                        ? std::string("peer flagged a corrupted job "
+                                      "frame")
+                        : "peer replied to unknown job "
                               + std::to_string(result.id);
                 lastReason = FailReason::FrameCorrupt;
                 teardown(/*refundHead=*/false);
@@ -1602,13 +1460,15 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
             epJobs[index]->add(1);
             queue.finish();
         }
-        // Closing the connection tells the daemon this stream is done.
+        // Closing the channel tells the peer this stream is done: a
+        // daemon drops the connection, an idle child reads EOF and
+        // exits (and is reaped).
     };
 
     std::vector<std::thread> pool;
-    pool.reserve(opts_.endpoints.size());
-    for (std::size_t e = 0; e < opts_.endpoints.size(); ++e)
-        pool.emplace_back(work, opts_.endpoints[e], e);
+    pool.reserve(endpoints.size());
+    for (std::size_t e = 0; e < endpoints.size(); ++e)
+        pool.emplace_back(work, std::cref(endpoints[e]), e);
     for (auto &t : pool)
         t.join();
 
@@ -1628,7 +1488,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
         // and local, and loudly so.
         warn("all %zu endpoint(s) failed; running %zu remaining "
              "cell(s) in-process (--degrade local)",
-             opts_.endpoints.size(), degraded.size());
+             endpoints.size(), degraded.size());
         {
             static metrics::Counter &c = metrics::counter(
                 "l0vliw_driver_degraded_jobs_total",
@@ -1658,15 +1518,9 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
 std::unique_ptr<Executor>
 makeExecutor(const ExecOptions &opts)
 {
-    switch (opts.backend) {
-    case ExecBackend::InProcess:
+    if (opts.backend == ExecBackend::InProcess)
         return std::make_unique<InProcessExecutor>(opts);
-    case ExecBackend::Subprocess:
-        return std::make_unique<SubprocessExecutor>(opts);
-    case ExecBackend::Tcp:
-        return std::make_unique<RemoteExecutor>(opts);
-    }
-    return nullptr;
+    return std::make_unique<RemoteExecutor>(opts);
 }
 
 // ---- the worker loop ----
@@ -1720,7 +1574,7 @@ handleCellLine(const std::string &line)
 }
 
 int
-cellWorkerMain(std::FILE *in, std::FILE *out, int exitAfter)
+cellWorkerMain(int exitAfter)
 {
     // The parent dying mid-reply must be a write error (the return 1
     // below), not a SIGPIPE death that looks like a worker crash.
@@ -1728,19 +1582,22 @@ cellWorkerMain(std::FILE *in, std::FILE *out, int exitAfter)
     if (exitAfter == 0)
         _exit(3); // crash-path test hook: die before the first job
 
+    net::LineReader reader(STDIN_FILENO);
     int handled = 0;
-    std::string line;
-    while (readLine(in, line)) {
+    std::string line, error;
+    for (;;) {
+        net::LineReader::Status status = reader.readLine(line, error);
+        if (status == net::LineReader::Status::Eof)
+            return 0; // the parent closed the channel
+        if (status != net::LineReader::Status::Line)
+            return 1; // broken or off-protocol stream
         if (line.empty())
             continue;
-        std::string reply = handleCellLine(line);
-        if (std::fputs(reply.c_str(), out) < 0
-            || std::fputc('\n', out) == EOF || std::fflush(out) != 0)
+        if (!net::writeLine(STDOUT_FILENO, handleCellLine(line), error))
             return 1; // parent went away
         if (exitAfter > 0 && ++handled >= exitAfter)
             _exit(3); // crash-path test hook
     }
-    return 0;
 }
 
 // ---- the --serve worker daemon ----

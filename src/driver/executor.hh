@@ -14,31 +14,33 @@
  * from their raw tokens and doubles travel as %.17g, so a run that
  * crossed a pipe is bit-identical to one computed in place.
  *
- * Three backends ship:
+ * Two engines ship:
  *
- *  - InProcessExecutor: a work-stealing thread pool, the engine's
- *    classic Suite::run(jobs) behaviour.
- *  - SubprocessExecutor: a pool of `--cell-worker` child processes
- *    (the shared driver CLI's hidden mode re-executing this binary),
- *    fed newline-delimited JSON jobs over pipes. Worker death is
- *    survived by respawning the child and retrying the job a bounded
- *    number of times; a job that keeps killing its worker fails
- *    cleanly in its outcome instead of sinking the grid.
- *  - RemoteExecutor: the same NDJSON lines over TCP (src/net) to a
- *    set of `--serve` worker daemons, one connection per endpoint —
- *    *pipelined*: each connection windows up to ExecOptions.window
- *    jobs in flight (the wire frames carry per-job ids, so replies
- *    complete out of order against an in-flight map). Work assignment
- *    is credit-based: a completion frees a window slot and the
- *    endpoint immediately claims the next job off the shared queue,
- *    so a fast daemon drains more of the grid than a slow one with no
- *    static partitioning. The respawn discipline becomes a reconnect
- *    discipline: a teardown re-queues *every* windowed in-flight job
- *    (each is charged one attempt), reconnects with backoff (which
- *    also rides out a daemon restart), and an endpoint that exhausts
- *    a job's retry budget hands the job back to the shared queue and
- *    retires — the surviving endpoints absorb its load, and only when
- *    every endpoint is gone do jobs fail in their outcomes.
+ *  - InProcessExecutor: a work-stealing thread pool in this process.
+ *  - RemoteExecutor: the one dispatch engine for cells that cross a
+ *    process boundary. It runs one thread per endpoint, and each
+ *    endpoint owns a *channel* carrying newline-delimited JSON jobs
+ *    and outcomes. A channel is one of two kinds, opened and closed
+ *    by one small factory:
+ *      - Subprocess: a socketpair to a `--cell-worker` child (the
+ *        shared driver CLI's hidden mode re-executing this binary),
+ *        min(jobs, cells) of them; closing one on a teardown
+ *        SIGKILLs and reaps the child.
+ *      - Tcp: a connection to a `--serve` worker daemon (src/net),
+ *        one per ExecOptions.endpoints entry.
+ *    Every channel is *pipelined*: it windows up to
+ *    ExecOptions.window jobs in flight (the frames carry per-job ids,
+ *    so replies complete out of order against an in-flight map).
+ *    Work assignment is credit-based: a completion frees a window
+ *    slot and the endpoint immediately claims the next job off the
+ *    shared queue, so a fast peer drains more of the grid than a slow
+ *    one with no static partitioning. A teardown re-queues *every*
+ *    windowed in-flight job (only the head of the line is charged an
+ *    attempt) and reopens the channel with backoff (which also rides
+ *    out a daemon restart or a worker crash). An endpoint that
+ *    exhausts a job's retry budget hands the job back to the shared
+ *    queue and retires — the surviving endpoints absorb its load, and
+ *    only when every endpoint is gone do jobs fail in their outcomes.
  *
  * Every cell is a deterministic pure function of its job, so all
  * backends produce bit-identical grids for every jobs/endpoint count
@@ -117,64 +119,67 @@ struct ExecOptions
     ExecBackend backend = ExecBackend::InProcess;
     /** Worker threads or worker processes (<= 1: one worker). */
     int jobs = 1;
-    /** Subprocess/Tcp: retry budget per job on worker/connection
-     *  death (attempts = maxRetries + 1). */
+    /** Channel backends: retry budget per job on a channel teardown
+     *  (attempts = maxRetries + 1). */
     int maxRetries = 2;
     /**
-     * Subprocess: the worker command line. Empty means re-execute this
-     * binary via /proc/self/exe with the hidden --cell-worker flag —
-     * every driver built on the shared CLI is its own worker.
+     * Subprocess channels: the worker command line. Empty means
+     * re-execute this binary via /proc/self/exe with the hidden
+     * --cell-worker flag — every driver built on the shared CLI is its
+     * own worker.
      */
     std::vector<std::string> workerCommand;
     /**
-     * Tcp: the "host:port" worker daemons (the drivers' --connect).
-     * One connection — and one pool thread — per entry; list a daemon
-     * twice for two concurrent streams into it.
+     * Tcp channels: the "host:port" worker daemons (the drivers'
+     * --connect). One connection — and one pool thread — per entry;
+     * list a daemon twice for two concurrent streams into it.
      */
     std::vector<std::string> endpoints;
     /**
-     * Subprocess/Tcp: base retry backoff. Attempt k waits
+     * Channel backends: base retry backoff. Attempt k waits
      * base * 2^(k-1) capped at maxBackoffMs, jittered +/- 50%
      * (RetryPolicy) — the jitter keeps N connections to a restarted
      * daemon from re-stampeding it in lockstep.
      */
     int retryBackoffMs = 50;
-    /** Subprocess/Tcp: backoff cap before jitter. */
+    /** Channel backends: backoff cap before jitter. */
     int maxBackoffMs = 2000;
     /**
      * Per-job wall-clock deadline (the drivers' --cell-timeout-ms).
      * < 0 is the backend default: 60000 for Tcp (a remote cell must
-     * resolve in bounded time), off locally. 0 disables explicitly.
-     * Subprocess: the parent's watchdog SIGKILLs and respawns a
-     * worker that blows the deadline. InProcess: not applicable (a
-     * compute thread cannot be safely preempted; cells are pure
-     * deterministic functions, so locally a slow cell is just slow).
+     * resolve in bounded time), off for Subprocess. 0 disables
+     * explicitly. A blown deadline tears the channel down like any
+     * other break — a child is SIGKILLed and respawned. InProcess: not
+     * applicable (a compute thread cannot be safely preempted; cells
+     * are pure deterministic functions, so locally a slow cell is just
+     * slow).
      */
     int cellTimeoutMs = -1;
     /**
-     * Tcp: heartbeat interval — an *idle-channel* timer. A
-     * {"event":"ping"} probe goes out on fresh connections and on
-     * connections that have sat idle (no job in flight, no exchange)
-     * for this long while the endpoint waits for work, and the daemon
-     * must pong within the same bound — a silent (accepted but
-     * wedged) daemon is detected in bounded time instead of
-     * swallowing a job for its full deadline. A connection with jobs
-     * in flight is never pinged: the replies themselves prove
-     * liveness, and the per-job deadline bounds their silence. < 0 is
-     * the backend default (5000 for Tcp); 0 disables.
+     * Channel backends: heartbeat interval — an *idle-channel* timer.
+     * A {"event":"ping"} probe goes out on fresh channels and on
+     * channels that have sat idle (no job in flight, no exchange) for
+     * this long while the endpoint waits for work, and the peer must
+     * pong within the same bound — a silent (accepted but wedged)
+     * peer is detected in bounded time instead of swallowing a job
+     * for its full deadline. A channel with jobs in flight is never
+     * pinged: the replies themselves prove liveness, and the per-job
+     * deadline bounds their silence. < 0 is the backend default (5000
+     * for Tcp, off for Subprocess); 0 disables.
      */
     int heartbeatMs = -1;
     /**
-     * Tcp: jobs windowed per connection (the drivers' --window). The
-     * client keeps up to this many jobs in flight on each connection,
-     * matching replies by id; 1 is strict lockstep (one request, one
-     * reply — bit-identical outcomes either way, cells are pure).
-     * < 0 is the backend default (4 for Tcp). Higher windows hide
-     * link round trips; see src/net/PROTOCOL.md and the README note
-     * on picking a value.
+     * Channel backends: jobs windowed per channel (the drivers'
+     * --window). The client keeps up to this many jobs in flight on
+     * each channel, matching replies by id; 1 is strict lockstep (one
+     * request, one reply — bit-identical outcomes either way, cells
+     * are pure). < 0 is the backend default (4 for Tcp, 1 for
+     * Subprocess). Higher windows hide link round trips; see
+     * src/net/PROTOCOL.md and the README note on picking a value.
      */
     int window = -1;
-    /** Tcp: what happens when every endpoint permanently fails. */
+    /** Channel backends: what happens when every endpoint permanently
+     *  fails (the drivers' --degrade). */
     DegradeMode degrade = DegradeMode::Fail;
     /** Fires once per job with its final outcome; see CellEventFn. */
     CellEventFn onOutcome;
@@ -272,50 +277,32 @@ class InProcessExecutor : public Executor
     ExecOptions opts_;
 };
 
-/** A pool of --cell-worker children speaking NDJSON over pipes. */
-class SubprocessExecutor : public Executor
-{
-  public:
-    /** Worker-pool health counters (inspectable by tests). */
-    struct Stats
-    {
-        int spawns = 0;   ///< children started (initial + respawns)
-        int respawns = 0; ///< children restarted after dying
-        int retries = 0;  ///< jobs re-sent after a worker death
-        int timeouts = 0; ///< watchdog SIGKILLs of deadline-blowers
-    };
-
-    explicit SubprocessExecutor(const ExecOptions &opts);
-    std::vector<CellOutcome>
-    execute(const std::vector<CellJob> &jobs) override;
-
-    const Stats &stats() const { return stats_; }
-
-  private:
-    ExecOptions opts_;
-    Stats stats_;
-};
-
-/** Ships cell jobs to --serve daemons over TCP (ExecBackend::Tcp). */
+/**
+ * Ships cell jobs over channels: spawned --cell-worker children
+ * (ExecBackend::Subprocess) or --serve daemons over TCP
+ * (ExecBackend::Tcp).
+ */
 class RemoteExecutor : public Executor
 {
   public:
-    /** Connection-health counters (inspectable by tests). */
+    /** Channel-health counters (inspectable by tests). */
     struct Stats
     {
-        int connects = 0;   ///< connections established (initial + re)
-        int reconnects = 0; ///< connections re-established after a drop
+        int connects = 0;   ///< channels opened (initial + reopened)
+        int reconnects = 0; ///< channels reopened after a teardown
         int retries = 0;    ///< job attempts charged beyond the first
         int timeouts = 0;   ///< deadline/heartbeat expiries observed
         int degradedLocal = 0; ///< jobs drained in-process (--degrade)
         int maxInFlight = 0;   ///< peak windowed jobs on one connection
         /** Final outcomes each endpoint produced, by endpoint index —
-         *  how credit-based assignment shows: a fast daemon's entry
+         *  how credit-based assignment shows: a fast peer's entry
          *  dwarfs a slow one's. */
         std::vector<int> jobsPerEndpoint;
     };
 
-    /** Fatal on an empty or malformed ExecOptions.endpoints list. */
+    /** Tcp: fatal on an empty or malformed ExecOptions.endpoints
+     *  list. Subprocess: installs the kill-children-on-signal
+     *  handlers. */
     explicit RemoteExecutor(const ExecOptions &opts);
     std::vector<CellOutcome>
     execute(const std::vector<CellJob> &jobs) override;
@@ -330,22 +317,24 @@ class RemoteExecutor : public Executor
 std::unique_ptr<Executor> makeExecutor(const ExecOptions &opts);
 
 /**
- * The hidden --cell-worker CLI mode: read one JSON CellJob per line
- * from @p in, write one JSON CellOutcome per line to @p out (flushed
- * per job), until EOF. Returns the process exit code.
+ * The hidden --cell-worker CLI mode: the daemon's per-connection loop
+ * on fds 0/1. Reads one frame per line from fd 0 and writes
+ * handleCellLine's reply to fd 1 (net::LineReader/writeLine: framed,
+ * bounded, fault-injectable), until EOF. Returns the process exit
+ * code.
  *
  * @p exitAfter is a test hook for the crash/retry path: >= 0 makes
  * the worker _exit(3) after that many outcomes (0 dies immediately).
  */
-int cellWorkerMain(std::FILE *in, std::FILE *out, int exitAfter = -1);
+int cellWorkerMain(int exitAfter = -1);
 
 /**
  * The heartbeat probe frames. A client sends kCellPingLine on a fresh
- * connection or one that has sat idle with nothing in flight; every
+ * channel or one that has sat idle with nothing in flight; every
  * executing side (handleCellLine, so the daemon, the --cell-worker
  * loop, and in-process test daemons alike) answers kCellPongLine —
  * proof the peer is not merely accepting bytes but actually serving
- * its protocol loop. Connections with jobs in flight are never
+ * its protocol loop. Channels with jobs in flight are never
  * pinged (see ExecOptions.heartbeatMs).
  */
 extern const char *const kCellPingLine;

@@ -4,13 +4,10 @@
  * structured failure-reason taxonomy carried through CellOutcome and
  * --stream events.
  *
- * Before this existed, RemoteExecutor and SubprocessExecutor each grew
- * an ad-hoc retry loop with different backoff shapes — and the remote
- * one was deterministic (attempt * base), so N connections to a
- * restarted daemon woke in lockstep and re-stampeded it. RetryPolicy
+ * A deterministic backoff (attempt * base) would wake N connections
+ * to a restarted daemon in lockstep and re-stampede it. RetryPolicy
  * is capped exponential backoff with uniform jitter: attempts spread
- * out, the cap keeps the worst-case wait bounded, and both executors
- * now describe their budget in the same vocabulary.
+ * out, and the cap keeps the worst-case wait bounded.
  *
  * FailReason is the diagnosis side: when a cell fails for good, the
  * executor records *why* in transport terms (timeout, worker-crash,

@@ -38,8 +38,9 @@ ArchSpec::l0(int entries, sched::CoherenceMode mode)
     ArchSpec a;
     a.label = entries < 0 ? "l0-unbounded"
                           : "l0-" + std::to_string(entries);
-    // The label keys the runner's plan cache, so every option that
-    // changes scheduling must show up in it.
+    // The label is the cell's identity on the wire (workers
+    // re-resolve it), so every option that changes scheduling must
+    // show up in it.
     if (mode == sched::CoherenceMode::ForceNL0)
         a.label += "-nl0";
     else if (mode == sched::CoherenceMode::Psr)
@@ -155,31 +156,6 @@ buildLoopPlans(const workloads::Benchmark &bench, const ArchSpec &arch,
     return plans;
 }
 
-const std::vector<int> &
-ExperimentRunner::unrollFactors(const workloads::Benchmark &bench)
-{
-    auto it = unrollCache.find(bench.name);
-    if (it != unrollCache.end())
-        return it->second;
-    return unrollCache
-        .emplace(bench.name, chooseUnrollFactors(bench))
-        .first->second;
-}
-
-const std::vector<std::shared_ptr<sim::KernelPlan>> &
-ExperimentRunner::loopPlans(const workloads::Benchmark &bench,
-                            const ArchSpec &arch)
-{
-    PlanKey key{bench.name, arch.label};
-    auto it = planCache.find(key);
-    if (it != planCache.end())
-        return it->second;
-    return planCache
-        .emplace(std::move(key),
-                 buildLoopPlans(bench, arch, unrollFactors(bench)))
-        .first->second;
-}
-
 BenchmarkRun
 runCell(const workloads::Benchmark &bench, const ArchSpec &arch,
         const std::vector<int> &unrolls,
@@ -244,44 +220,6 @@ runCell(const workloads::Benchmark &bench, const ArchSpec &arch,
         out.scalarCycles = baseline->scalarCycles;
     }
     return out;
-}
-
-BenchmarkRun
-ExperimentRunner::run(const workloads::Benchmark &bench,
-                      const ArchSpec &arch)
-{
-    const std::vector<int> &unrolls = unrollFactors(bench);
-    const auto &plans = loopPlans(bench, arch);
-    const BenchmarkRun *base =
-        arch.label == "unified" ? nullptr : &baseline(bench);
-    return runCell(bench, arch, unrolls, plans, base);
-}
-
-const BenchmarkRun &
-ExperimentRunner::baseline(const workloads::Benchmark &bench)
-{
-    auto it = baselineCache.find(bench.name);
-    if (it != baselineCache.end())
-        return it->second;
-    BenchmarkRun base = run(bench, ArchSpec::unified());
-    return baselineCache.emplace(bench.name, std::move(base))
-        .first->second;
-}
-
-double
-ExperimentRunner::normalized(const workloads::Benchmark &bench,
-                             const BenchmarkRun &r)
-{
-    const BenchmarkRun &base = baseline(bench);
-    return static_cast<double>(r.totalCycles()) / base.totalCycles();
-}
-
-double
-ExperimentRunner::normalizedStall(const workloads::Benchmark &bench,
-                                  const BenchmarkRun &r)
-{
-    const BenchmarkRun &base = baseline(bench);
-    return static_cast<double>(r.loopStall) / base.totalCycles();
 }
 
 } // namespace l0vliw::driver

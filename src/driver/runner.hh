@@ -18,7 +18,6 @@
 #ifndef L0VLIW_DRIVER_RUNNER_HH
 #define L0VLIW_DRIVER_RUNNER_HH
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,71 +119,6 @@ BenchmarkRun runCell(const workloads::Benchmark &bench,
                      const std::vector<std::shared_ptr<sim::KernelPlan>>
                          &plans,
                      const BenchmarkRun *baseline);
-
-/** Runs benchmarks under architectures with cached baselines. */
-class ExperimentRunner
-{
-  public:
-    ExperimentRunner() = default;
-
-    /** Run @p bench under @p arch. */
-    BenchmarkRun run(const workloads::Benchmark &bench,
-                     const ArchSpec &arch);
-
-    /** The cached unified-baseline run of @p bench. */
-    const BenchmarkRun &baseline(const workloads::Benchmark &bench);
-
-    /** Execution time of @p r normalised to the unified baseline. */
-    double normalized(const workloads::Benchmark &bench,
-                      const BenchmarkRun &r);
-
-    /** Stall fraction of normalised time (the white bar segments). */
-    double normalizedStall(const workloads::Benchmark &bench,
-                           const BenchmarkRun &r);
-
-  private:
-    /**
-     * (benchmark, architecture) plan-cache key. ArchSpec labels must
-     * uniquely identify the machine config + scheduler options they
-     * carry — all the ArchSpec factories guarantee that.
-     */
-    struct PlanKey
-    {
-        std::string bench;
-        std::string arch;
-
-        bool
-        operator<(const PlanKey &o) const
-        {
-            return bench != o.bench ? bench < o.bench : arch < o.arch;
-        }
-    };
-
-    /** Reference-config unroll decision per loop, cached. */
-    const std::vector<int> &
-    unrollFactors(const workloads::Benchmark &bench);
-
-    /**
-     * Compiled kernel plans of @p bench under @p arch, one per loop,
-     * scheduled and validated once and then reused across every
-     * invocation (and every repeated run() of the same pair).
-     *
-     * The cached vectors hold shared_ptrs, so once a runner stops
-     * being mutated (no further run()/baseline() calls that could
-     * insert) the cache can be read concurrently and plan vectors
-     * handed out by copy — but each KernelPlan's scratch is still
-     * single-threaded; never run one plan from two threads. The Suite
-     * executor therefore builds its plans per worker with
-     * buildLoopPlans() instead of sharing these.
-     */
-    const std::vector<std::shared_ptr<sim::KernelPlan>> &
-    loopPlans(const workloads::Benchmark &bench, const ArchSpec &arch);
-
-    std::map<std::string, std::vector<int>> unrollCache;
-    std::map<std::string, BenchmarkRun> baselineCache;
-    std::map<PlanKey, std::vector<std::shared_ptr<sim::KernelPlan>>>
-        planCache;
-};
 
 } // namespace l0vliw::driver
 

@@ -259,14 +259,6 @@ Suite::run(const ExecOptions &exec) const
     return grid;
 }
 
-ResultGrid
-Suite::run(int jobs) const
-{
-    ExecOptions exec;
-    exec.jobs = jobs;
-    return run(exec);
-}
-
 // ---- rendering ----
 
 namespace

@@ -5,7 +5,7 @@
  * a thread pool, and rendered through typed result sinks.
  *
  * Every figure/table driver used to hand-roll the same serial double
- * loop over ExperimentRunner; with this API a driver is a spec:
+ * loop over the cell primitives; with this API a driver is a spec:
  *
  *   ExperimentSpec spec;
  *   spec.archs = {"l0-2", "l0-8", "l0-unbounded"};
@@ -18,8 +18,9 @@
  * (serially, in suite order) the per-benchmark unroll factors and
  * unified-baseline runs, then turns every remaining cell into a
  * serializable CellJob and hands the batch to an Executor
- * (driver/executor.hh) — worker threads in this process, a pool of
- * --cell-worker subprocesses, or remote --serve daemons over TCP.
+ * (driver/executor.hh) — worker threads in this process, or the
+ * windowed channel executor over --cell-worker children or remote
+ * --serve daemons.
  * Phase-0 results ride inside each job, and each worker constructs
  * its own KernelPlans — a plan's scratch is not reentrant, one plan
  * per worker — so results are bit-identical for every (backend, jobs,
@@ -224,17 +225,12 @@ class Suite
 
     /**
      * Execute every (benchmark, architecture) cell through the
-     * executor @p exec selects (in-process thread pool or subprocess
-     * worker pool). Bit-identical results for every (backend, jobs)
-     * combination; see the execution contract above.
+     * executor @p exec selects (in-process thread pool, or channels to
+     * worker children or daemons). Bit-identical results for every
+     * (backend, jobs, window) combination; see the execution
+     * contract above.
      */
     ResultGrid run(const ExecOptions &exec) const;
-
-    /**
-     * Deprecated shim for the pre-executor API: in-process execution
-     * on @p jobs worker threads. Prefer run(const ExecOptions&).
-     */
-    ResultGrid run(int jobs = 1) const;
 
     const ExperimentSpec &spec() const { return state_->spec; }
 

@@ -18,7 +18,8 @@
  * writeLine consults the process-global plan (when one is installed,
  * via --fault-inject / L0VLIW_FAULT_INJECT or installFaultPlan from a
  * test), so the same injection layer covers the TCP daemon, the
- * RemoteExecutor connections, and the SubprocessExecutor's pipes.
+ * RemoteExecutor's channels, and both ends of a --cell-worker
+ * child's socketpair (the child inherits L0VLIW_FAULT_INJECT).
  *
  * Fault semantics per stream operation:
  *

@@ -2,7 +2,7 @@
  * @file
  * Experiment-engine suite: the parallel executor must be bit-identical
  * to serial execution and to the pre-redesign hand-rolled driver loop
- * (ExperimentRunner::run in a double loop) across every registered
+ * (a double loop over the cell primitives) across every registered
  * ArchSpec — every BenchmarkRun field, every memory statistic, and
  * every derived metric. Plus the arch registry's label grammar and the
  * typed result sinks.
@@ -60,6 +60,15 @@ expectRunsEqual(const driver::BenchmarkRun &a,
     EXPECT_EQ(a.memStats.all(), b.memStats.all());
 }
 
+/** In-process execution on @p jobs worker threads. */
+driver::ExecOptions
+threads(int jobs)
+{
+    driver::ExecOptions exec;
+    exec.jobs = jobs;
+    return exec;
+}
+
 driver::ExperimentSpec
 fullRegistrySpec()
 {
@@ -111,8 +120,8 @@ TEST(ArchRegistry, AliasesAndUnknowns)
 TEST(Suite, ParallelBitIdenticalToSerial)
 {
     driver::Suite suite(fullRegistrySpec());
-    driver::ResultGrid serial = suite.run(1);
-    driver::ResultGrid parallel = suite.run(8);
+    driver::ResultGrid serial = suite.run(threads(1));
+    driver::ResultGrid parallel = suite.run(threads(8));
 
     ASSERT_EQ(serial.numBenches(), parallel.numBenches());
     ASSERT_EQ(serial.numArchs(), parallel.numArchs());
@@ -137,21 +146,33 @@ TEST(Suite, MatchesPreRedesignDriverLoop)
 {
     driver::ExperimentSpec spec = fullRegistrySpec();
     driver::Suite suite(spec);
-    driver::ResultGrid grid = suite.run(8);
+    driver::ResultGrid grid = suite.run(threads(8));
 
-    // The loop every pre-engine driver hand-rolled.
-    driver::ExperimentRunner runner;
+    // The loop every pre-engine driver hand-rolled, straight over the
+    // cell primitives: the unroll decision and unified baseline per
+    // benchmark, then every architecture's cell normalised to it.
+    const ArchSpec unified = ArchSpec::unified();
     for (std::size_t b = 0; b < spec.benchmarks.size(); ++b) {
         workloads::Benchmark bench =
             workloads::makeBenchmark(spec.benchmarks[b]);
+        std::vector<int> unrolls = driver::chooseUnrollFactors(bench);
+        driver::BenchmarkRun base = driver::runCell(
+            bench, unified, unrolls,
+            driver::buildLoopPlans(bench, unified, unrolls), nullptr);
         for (std::size_t a = 0; a < spec.archs.size(); ++a) {
             ArchSpec arch =
                 driver::archRegistry().resolve(spec.archs[a]);
-            driver::BenchmarkRun r = runner.run(bench, arch);
+            driver::BenchmarkRun r = driver::runCell(
+                bench, arch, unrolls,
+                driver::buildLoopPlans(bench, arch, unrolls),
+                arch.label == "unified" ? nullptr : &base);
             const driver::Cell &cell = grid.cell(b, a);
             expectRunsEqual(r, cell.run);
-            EXPECT_EQ(runner.normalized(bench, r), cell.normalized);
-            EXPECT_EQ(runner.normalizedStall(bench, r),
+            EXPECT_EQ(static_cast<double>(r.totalCycles())
+                          / base.totalCycles(),
+                      cell.normalized);
+            EXPECT_EQ(static_cast<double>(r.loopStall)
+                          / base.totalCycles(),
                       cell.normalizedStall);
         }
     }
@@ -164,7 +185,8 @@ TEST(Suite, UnifiedCellEqualsBaseline)
     spec.archs = {"unified", "l0-8"};
     spec.columns = {driver::normalizedColumn("unified", 0),
                     driver::normalizedColumn("l0-8", 1)};
-    driver::ResultGrid grid = driver::Suite(std::move(spec)).run(2);
+    driver::ResultGrid grid =
+        driver::Suite(std::move(spec)).run(threads(2));
     expectRunsEqual(grid.cell(0, 0).run, grid.baseline(0));
     EXPECT_EQ(grid.cell(0, 0).normalized, 1.0);
 }
@@ -178,7 +200,8 @@ TEST(Suite, MeanRowAndRendering)
                     driver::stallColumn("st", 0),
                     driver::violationsColumn("viol")};
     spec.meanRow = true;
-    driver::ResultGrid grid = driver::Suite(std::move(spec)).run(1);
+    driver::ResultGrid grid =
+        driver::Suite(std::move(spec)).run(threads(1));
     ResultTable t = grid.render();
 
     ASSERT_EQ(t.header.size(), 4u);
@@ -209,8 +232,8 @@ TEST(Suite, ParallelBitIdenticalOnSyntheticFamilies)
             spec.archs[a], static_cast<int>(a)));
 
     driver::Suite suite(std::move(spec));
-    driver::ResultGrid serial = suite.run(1);
-    driver::ResultGrid parallel = suite.run(8);
+    driver::ResultGrid serial = suite.run(threads(1));
+    driver::ResultGrid parallel = suite.run(threads(8));
     ASSERT_EQ(serial.numBenches(), parallel.numBenches());
     for (std::size_t b = 0; b < serial.numBenches(); ++b)
         for (std::size_t a = 0; a < serial.numArchs(); ++a) {
@@ -231,7 +254,8 @@ TEST(Suite, SyntheticLabelsResolveInSpecs)
     spec.benchmarks = {"stream-4", "pchase-64"};
     spec.archs = {"l0-8"};
     spec.columns = {driver::normalizedColumn("norm", 0)};
-    driver::ResultGrid grid = driver::Suite(std::move(spec)).run(1);
+    driver::ResultGrid grid =
+        driver::Suite(std::move(spec)).run(threads(1));
     EXPECT_EQ(grid.bench(0).name, "stream-4");
     EXPECT_EQ(grid.bench(1).name, "pchase-64");
     for (std::size_t b = 0; b < grid.numBenches(); ++b)

@@ -8,7 +8,7 @@
  * per-cell event stream, and graceful shutdown (daemon SIGTERM, no
  * orphaned --cell-worker children).
  *
- * This test carries its own main(): the SubprocessExecutor re-executes
+ * This test carries its own main(): the subprocess backend re-executes
  * /proc/self/exe as a --cell-worker, so this binary doubles as its own
  * worker (with a --crash-after=N hook for the death tests, a
  * --sleep-worker hook for the orphan-cleanup test, and a --hang hook
@@ -17,10 +17,11 @@
  * The reliability layer is covered here too: the subprocess deadline
  * watchdog, the TCP heartbeat against a silent daemon, --degrade
  * local draining a suite with every daemon down, failed --stream
- * events carrying reason + attempts, and a 20-seed chaos soak
- * (src/net/fault.hh) asserting every seed terminates with cells that
- * are bit-identical to an in-process run or carry an explicit
- * failure reason — never a hang.
+ * events carrying reason + attempts, and two chaos soaks
+ * (src/net/fault.hh) — 20 seeds over TCP, 10 over spawned workers
+ * with faults on the child's side of the socketpair too — asserting
+ * every seed terminates with cells that are bit-identical to an
+ * in-process run or carry an explicit failure reason — never a hang.
  */
 
 #include <atomic>
@@ -409,7 +410,7 @@ TEST(SubprocessExecutor, RespawnsWorkersAndRetries)
         jobs.push_back(makeJob(i, "gsmdec",
                                i % 2 ? "l0-4" : "l0-8", p0));
 
-    driver::SubprocessExecutor exec(subprocessOpts(2, /*crashAfter=*/1));
+    driver::RemoteExecutor exec(subprocessOpts(2, /*crashAfter=*/1));
     std::vector<CellOutcome> outcomes = exec.execute(jobs);
 
     ASSERT_EQ(outcomes.size(), jobs.size());
@@ -419,8 +420,8 @@ TEST(SubprocessExecutor, RespawnsWorkersAndRetries)
         EXPECT_EQ(outcomes[i].run.arch, jobs[i].arch);
     }
     // 4 jobs, workers die after each one: at least two extra spawns.
-    EXPECT_GT(exec.stats().respawns, 0);
-    EXPECT_GE(exec.stats().spawns, 4);
+    EXPECT_GT(exec.stats().reconnects, 0);
+    EXPECT_GE(exec.stats().connects, 4);
 }
 
 TEST(SubprocessExecutor, FailsCleanlyWhenWorkersAlwaysDie)
@@ -432,7 +433,7 @@ TEST(SubprocessExecutor, FailsCleanlyWhenWorkersAlwaysDie)
 
     ExecOptions opts = subprocessOpts(1, /*crashAfter=*/0);
     opts.maxRetries = 1;
-    driver::SubprocessExecutor exec(opts);
+    driver::RemoteExecutor exec(opts);
     std::vector<CellOutcome> outcomes = exec.execute(jobs);
 
     ASSERT_EQ(outcomes.size(), 1u);
@@ -452,7 +453,7 @@ TEST(SubprocessExecutor, PropagatesInJobFailures)
         makeJob(0, "gsmdec", "l0-8", p0),
         makeJob(1, "no-such-bench", "l0-8", p0),
     };
-    driver::SubprocessExecutor exec(subprocessOpts(1));
+    driver::RemoteExecutor exec(subprocessOpts(1));
     std::vector<CellOutcome> outcomes = exec.execute(jobs);
 
     ASSERT_EQ(outcomes.size(), 2u);
@@ -1131,7 +1132,7 @@ TEST(Shutdown, SigtermLeavesNoWorkerChildrenBehind)
         opts.jobs = 2;
         opts.maxRetries = 0;
         opts.workerCommand = {"/proc/self/exe", "--sleep-worker"};
-        driver::SubprocessExecutor exec(opts);
+        driver::RemoteExecutor exec(opts);
         std::vector<CellJob> jobs = {
             makeJob(0, "gsmdec", "l0-8", p0),
             makeJob(1, "gsmdec", "l0-4", p0),
@@ -1156,8 +1157,9 @@ TEST(Shutdown, SigtermLeavesNoWorkerChildrenBehind)
     // The handler re-raises after killing the children, so the middle
     // still reports death-by-SIGTERM.
     EXPECT_TRUE(WIFSIGNALED(status));
-    if (WIFSIGNALED(status))
+    if (WIFSIGNALED(status)) {
         EXPECT_EQ(WTERMSIG(status), SIGTERM);
+    }
 
     // Every worker must be gone (SIGKILLed, then reaped by init).
     for (pid_t worker : workers) {
@@ -1205,7 +1207,7 @@ TEST(SubprocessExecutor, WatchdogKillsHungWorker)
     opts.workerCommand = {"/proc/self/exe", "--hang"};
 
     auto start = std::chrono::steady_clock::now();
-    driver::SubprocessExecutor exec(opts);
+    driver::RemoteExecutor exec(opts);
     std::vector<CellOutcome> outcomes = exec.execute(jobs);
     double elapsedMs = elapsedMsSince(start);
 
@@ -1216,7 +1218,7 @@ TEST(SubprocessExecutor, WatchdogKillsHungWorker)
         << outcomes[0].error;
     EXPECT_EQ(outcomes[0].attempts, 2);
     EXPECT_EQ(exec.stats().timeouts, 2);
-    EXPECT_EQ(exec.stats().respawns, 1);
+    EXPECT_EQ(exec.stats().reconnects, 1);
     // Two 200ms deadlines plus spawn overhead — bounded, not a hang.
     EXPECT_GE(elapsedMs, 350.0);
     EXPECT_LT(elapsedMs, 10000.0);
@@ -1687,6 +1689,75 @@ TEST(ChaosSoak, TwentySeedsBitIdenticalOrDiagnosedNeverHung)
     }
 }
 
+TEST(ChaosSoak, SubprocessSeedsBitIdenticalOrDiagnosedNeverHung)
+{
+    // The same contract over spawned --cell-worker channels, with the
+    // faults on both ends of every socketpair: the parent's plan is
+    // installed here, and every child installs the exported
+    // L0VLIW_FAULT_INJECT spec before its first read (main below).
+    // The worker side frames through LineReader/writeLine like the
+    // daemon, so its reads stall, corrupt and reset, and its writes
+    // drop and tear — a teardown must SIGKILL and respawn the child
+    // and re-queue or diagnose every windowed id.
+    Phase0 p0 = phase0("gsmdec");
+    std::vector<CellJob> jobs;
+    for (int i = 0; i < 4; ++i)
+        jobs.push_back(
+            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+
+    ExecOptions inproc;
+    inproc.jobs = 2;
+    std::vector<CellOutcome> reference =
+        driver::InProcessExecutor(inproc).execute(jobs);
+    for (const CellOutcome &ref : reference)
+        ASSERT_TRUE(ref.ok) << ref.error;
+
+    net::FaultSpec spec;
+    std::string specError;
+    ASSERT_TRUE(net::FaultSpec::parse(
+        "delay=0..5ms@0.25,drop@0.05,corrupt@0.05,stall@0.01,"
+        "reset@0.05",
+        spec, specError))
+        << specError;
+
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        spec.seed = seed;
+        ASSERT_EQ(setenv("L0VLIW_FAULT_INJECT", spec.summary().c_str(), 1),
+                  0);
+        auto start = std::chrono::steady_clock::now();
+        std::vector<CellOutcome> outcomes;
+        {
+            net::ScopedFaultPlan chaos(spec);
+            ExecOptions opts = subprocessOpts(2);
+            opts.maxRetries = 4;
+            opts.window = 4;
+            opts.retryBackoffMs = 2;
+            opts.maxBackoffMs = 20;
+            opts.cellTimeoutMs = 2000;
+            opts.degrade = driver::DegradeMode::Local;
+            driver::RemoteExecutor exec(opts);
+            outcomes = exec.execute(jobs);
+        }
+        unsetenv("L0VLIW_FAULT_INJECT");
+        double elapsedMs = elapsedMsSince(start);
+
+        ASSERT_EQ(outcomes.size(), jobs.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < outcomes.size(); ++i) {
+            if (outcomes[i].ok) {
+                EXPECT_EQ(outcomes[i].id, jobs[i].id)
+                    << "seed " << seed;
+                expectRunsEqual(reference[i].run, outcomes[i].run);
+            } else {
+                EXPECT_NE(outcomes[i].reason, FailReason::None)
+                    << "seed " << seed << ": " << outcomes[i].error;
+                EXPECT_FALSE(outcomes[i].error.empty())
+                    << "seed " << seed;
+            }
+        }
+        EXPECT_LT(elapsedMs, 60000.0) << "seed " << seed;
+    }
+}
+
 // ---- main: this binary is its own --cell-worker ----
 
 int
@@ -1717,8 +1788,12 @@ main(int argc, char **argv)
         for (;;)
             pause();
     }
-    if (worker)
-        return driver::cellWorkerMain(stdin, stdout, crashAfter);
+    if (worker) {
+        // Children inherit a chaos soak's fault spec through the
+        // environment, as a driver's --cell-worker does (parseCli).
+        net::installFaultPlanFromEnv();
+        return driver::cellWorkerMain(crashAfter);
+    }
 
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();

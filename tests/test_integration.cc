@@ -3,12 +3,15 @@
  * End-to-end integration tests: every benchmark under every
  * architecture must produce valid schedules and a coherent execution
  * (zero oracle violations), and the paper's headline relations must
- * hold on the suite level.
+ * hold on the suite level. Every grid runs through Suite::run, the
+ * one grid engine the drivers use.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
-#include "driver/runner.hh"
+#include "driver/suite.hh"
 #include "workloads/workload.hh"
 
 using namespace l0vliw;
@@ -34,22 +37,6 @@ allCases()
     return cases;
 }
 
-ArchSpec
-archByName(const std::string &a)
-{
-    if (a == "unified")
-        return ArchSpec::unified();
-    if (a == "l0-8")
-        return ArchSpec::l0(8);
-    if (a == "l0-4")
-        return ArchSpec::l0(4);
-    if (a == "multivliw")
-        return ArchSpec::multiVliw();
-    if (a == "int1")
-        return ArchSpec::interleaved1();
-    return ArchSpec::interleaved2();
-}
-
 std::string
 caseName(const ::testing::TestParamInfo<Case> &info)
 {
@@ -60,6 +47,27 @@ caseName(const ::testing::TestParamInfo<Case> &info)
     return s;
 }
 
+/** Run @p archs over @p benches (empty = all of Mediabench) in
+ *  process on one worker. */
+ResultGrid
+runGrid(std::vector<std::string> benches, std::vector<std::string> archs)
+{
+    ExperimentSpec spec;
+    spec.benchmarks = std::move(benches);
+    spec.archs = std::move(archs);
+    return Suite(std::move(spec)).run(ExecOptions{});
+}
+
+/** Column @p a of @p grid's normalised execution times. */
+std::vector<double>
+normalizedTimes(const ResultGrid &grid, std::size_t a)
+{
+    std::vector<double> out;
+    for (std::size_t b = 0; b < grid.numBenches(); ++b)
+        out.push_back(grid.cell(b, a).normalized);
+    return out;
+}
+
 } // namespace
 
 class EndToEnd : public ::testing::TestWithParam<Case>
@@ -68,13 +76,11 @@ class EndToEnd : public ::testing::TestWithParam<Case>
 
 TEST_P(EndToEnd, CoherentAndProductive)
 {
-    // The runner warns on invalid schedules (checked separately by the
+    // Cells warn on invalid schedules (checked separately by the
     // property tests); here the hard requirements are a coherent
     // execution and a plausible cycle count.
-    ExperimentRunner runner;
-    workloads::Benchmark bench =
-        workloads::makeBenchmark(GetParam().bench);
-    BenchmarkRun r = runner.run(bench, archByName(GetParam().arch));
+    BenchmarkRun r =
+        runGrid({GetParam().bench}, {GetParam().arch}).cell(0, 0).run;
     EXPECT_EQ(r.coherenceViolations, 0u)
         << GetParam().bench << " on " << GetParam().arch;
     EXPECT_GT(r.memAccesses, 0u);
@@ -86,14 +92,7 @@ INSTANTIATE_TEST_SUITE_P(AllPairs, EndToEnd,
 
 TEST(SuiteLevel, EightEntryBuffersBeatBaselineOnAverage)
 {
-    ExperimentRunner runner;
-    ArchSpec l0 = ArchSpec::l0(8);
-    std::vector<double> norm;
-    for (const auto &name : workloads::benchmarkNames()) {
-        workloads::Benchmark b = workloads::makeBenchmark(name);
-        norm.push_back(runner.normalized(b, runner.run(b, l0)));
-    }
-    double mean = amean(norm);
+    double mean = amean(normalizedTimes(runGrid({}, {"l0-8"}), 0));
     // Paper: 16% better. Accept a generous band around that.
     EXPECT_LT(mean, 0.95);
     EXPECT_GT(mean, 0.70);
@@ -101,46 +100,29 @@ TEST(SuiteLevel, EightEntryBuffersBeatBaselineOnAverage)
 
 TEST(SuiteLevel, JpegdecIsTheOutlier)
 {
-    ExperimentRunner runner;
-    workloads::Benchmark b = workloads::makeBenchmark("jpegdec");
-    double n8 = runner.normalized(b, runner.run(b, ArchSpec::l0(8)));
+    double n8 = runGrid({"jpegdec"}, {"l0-8"}).cell(0, 0).normalized;
     EXPECT_GT(n8, 1.0); // the paper's only regression at 8 entries
 }
 
 TEST(SuiteLevel, MoreEntriesNeverHurtMuch)
 {
     // 8 -> 16 -> unbounded must be monotone within noise on the mean.
-    ExperimentRunner runner;
-    std::vector<double> n8, n16, nun;
-    for (const auto &name : workloads::benchmarkNames()) {
-        workloads::Benchmark b = workloads::makeBenchmark(name);
-        n8.push_back(runner.normalized(b, runner.run(b, ArchSpec::l0(8))));
-        n16.push_back(
-            runner.normalized(b, runner.run(b, ArchSpec::l0(16))));
-        nun.push_back(
-            runner.normalized(b, runner.run(b, ArchSpec::l0(-1))));
-    }
-    EXPECT_LE(amean(n16), amean(n8) + 0.01);
-    EXPECT_LE(amean(nun), amean(n16) + 0.01);
+    ResultGrid grid = runGrid({}, {"l0-8", "l0-16", "l0-unbounded"});
+    double n8 = amean(normalizedTimes(grid, 0));
+    double n16 = amean(normalizedTimes(grid, 1));
+    double nun = amean(normalizedTimes(grid, 2));
+    EXPECT_LE(n16, n8 + 0.01);
+    EXPECT_LE(nun, n16 + 0.01);
 }
 
 TEST(SuiteLevel, L0BeatsWordInterleavedAndIsCloseToMultiVliw)
 {
-    ExperimentRunner runner;
-    std::vector<double> l0, mv, i1, i2;
-    for (const auto &name : workloads::benchmarkNames()) {
-        workloads::Benchmark b = workloads::makeBenchmark(name);
-        l0.push_back(runner.normalized(b, runner.run(b, ArchSpec::l0(8))));
-        mv.push_back(
-            runner.normalized(b, runner.run(b, ArchSpec::multiVliw())));
-        i1.push_back(runner.normalized(
-            b, runner.run(b, ArchSpec::interleaved1())));
-        i2.push_back(runner.normalized(
-            b, runner.run(b, ArchSpec::interleaved2())));
-    }
-    EXPECT_LT(amean(l0), amean(i1));
-    EXPECT_LT(amean(l0), amean(i2));
-    EXPECT_NEAR(amean(l0), amean(mv), 0.10);
+    ResultGrid grid = runGrid(
+        {}, {"l0-8", "multivliw", "interleaved-1", "interleaved-2"});
+    double l0 = amean(normalizedTimes(grid, 0));
+    EXPECT_LT(l0, amean(normalizedTimes(grid, 2)));
+    EXPECT_LT(l0, amean(normalizedTimes(grid, 3)));
+    EXPECT_NEAR(l0, amean(normalizedTimes(grid, 1)), 0.10);
 }
 
 TEST(SuiteLevel, PrefetchDistanceTwoHelpsSmallIIBenchmarks)
@@ -148,15 +130,13 @@ TEST(SuiteLevel, PrefetchDistanceTwoHelpsSmallIIBenchmarks)
     // Paper: -12% (epicdec) and -4% (rasta). Our calibrated stall
     // shares are smaller, so require "does not hurt, helps at least
     // one" rather than the exact magnitudes (see EXPERIMENTS.md).
-    ExperimentRunner runner;
+    ResultGrid grid =
+        runGrid({"epicdec", "rasta"}, {"l0-8-pf1", "l0-8-pf2"});
     double gain = 0;
-    for (const auto &name : {"epicdec", "rasta"}) {
-        workloads::Benchmark b = workloads::makeBenchmark(name);
-        double d1 = runner.normalized(
-            b, runner.run(b, ArchSpec::l0PrefetchDistance(8, 1)));
-        double d2 = runner.normalized(
-            b, runner.run(b, ArchSpec::l0PrefetchDistance(8, 2)));
-        EXPECT_LT(d2, d1 + 0.03) << name;
+    for (std::size_t b = 0; b < grid.numBenches(); ++b) {
+        double d1 = grid.cell(b, 0).normalized;
+        double d2 = grid.cell(b, 1).normalized;
+        EXPECT_LT(d2, d1 + 0.03) << grid.bench(b).name;
         gain = std::max(gain, d1 - d2);
     }
     EXPECT_GT(gain, 0.0);
@@ -164,20 +144,17 @@ TEST(SuiteLevel, PrefetchDistanceTwoHelpsSmallIIBenchmarks)
 
 TEST(SuiteLevel, RunnerIsDeterministic)
 {
-    ExperimentRunner r1, r2;
-    workloads::Benchmark b = workloads::makeBenchmark("gsmdec");
-    BenchmarkRun a = r1.run(b, ArchSpec::l0(8));
-    BenchmarkRun c = r2.run(b, ArchSpec::l0(8));
+    BenchmarkRun a = runGrid({"gsmdec"}, {"l0-8"}).cell(0, 0).run;
+    BenchmarkRun c = runGrid({"gsmdec"}, {"l0-8"}).cell(0, 0).run;
     EXPECT_EQ(a.totalCycles(), c.totalCycles());
     EXPECT_EQ(a.l0Hits, c.l0Hits);
 }
 
 TEST(SuiteLevel, ScalarRegionIdenticalAcrossArchitectures)
 {
-    ExperimentRunner runner;
-    workloads::Benchmark b = workloads::makeBenchmark("g721dec");
-    BenchmarkRun l0 = runner.run(b, ArchSpec::l0(8));
-    BenchmarkRun mv = runner.run(b, ArchSpec::multiVliw());
+    ResultGrid grid = runGrid({"g721dec"}, {"l0-8", "multivliw"});
+    BenchmarkRun l0 = grid.cell(0, 0).run;
+    BenchmarkRun mv = grid.cell(0, 1).run;
     EXPECT_EQ(l0.scalarCycles, mv.scalarCycles);
-    EXPECT_EQ(l0.scalarCycles, runner.baseline(b).scalarCycles);
+    EXPECT_EQ(l0.scalarCycles, grid.baseline(0).scalarCycles);
 }

@@ -209,6 +209,18 @@ TEST(L0Buffer, InterleavedWiderAccessMisses)
     EXPECT_FALSE(b.lookup(0x200, 4, nullptr).hit);
 }
 
+TEST(L0BufferDeathTest, IncompatibleInterleaveFactorPanicsReadably)
+{
+    // 8-byte subblocks cannot be split 3 ways. The assertion's text
+    // carries a '%', which must reach the message verbatim rather
+    // than act as a printf conversion.
+    L0Buffer b(4, 8, 4);
+    auto blk = pattern32();
+    EXPECT_DEATH(b.fillInterleaved(0x200, 3, 0, blk.data()),
+                 "subblockBytes % factor == 0.*interleave factor 3 "
+                 "incompatible with 8-byte subblocks");
+}
+
 TEST(L0Buffer, InterleavedBoundaryFlags)
 {
     L0Buffer b(4, 8, 4);

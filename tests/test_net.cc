@@ -569,8 +569,8 @@ TEST(Sigpipe, PipeWriteToDeadReaderSurvivesAsError)
 {
     // Pipes have no MSG_NOSIGNAL: without the SIG_IGN disposition the
     // plain-write fallback would kill the process on a dead reader —
-    // the SubprocessExecutor parent's exact failure mode when a
-    // worker dies between dispatch and write.
+    // any pipe-fed peer's exact failure mode when its reader dies
+    // between dispatch and write.
     net::ignoreSigpipe();
     int fds[2];
     ASSERT_EQ(pipe(fds), 0);
