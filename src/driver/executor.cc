@@ -418,43 +418,14 @@ constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 metrics::Counter &
 retryCounter(FailReason reason)
 {
-    static constexpr const char *kHelp =
+    // Registered on first use per reason, like a function-local
+    // static (the registry lookup is idempotent); retries are rare.
+    const char *name = failReasonName(reason);
+    return metrics::Registry::global().counter(
+        std::string("l0vliw_driver_retries_total{reason=\"")
+            + (*name != '\0' ? name : "none") + "\"}",
         "Cell attempts charged beyond the first, by the transport "
-        "failure that caused the retry";
-    switch (reason) {
-      case FailReason::Timeout: {
-        static metrics::Counter &c = metrics::counter(
-            "l0vliw_driver_retries_total{reason=\"timeout\"}", kHelp);
-        return c;
-      }
-      case FailReason::WorkerCrash: {
-        static metrics::Counter &c = metrics::counter(
-            "l0vliw_driver_retries_total{reason=\"worker-crash\"}",
-            kHelp);
-        return c;
-      }
-      case FailReason::FrameCorrupt: {
-        static metrics::Counter &c = metrics::counter(
-            "l0vliw_driver_retries_total{reason=\"frame-corrupt\"}",
-            kHelp);
-        return c;
-      }
-      case FailReason::ConnReset: {
-        static metrics::Counter &c = metrics::counter(
-            "l0vliw_driver_retries_total{reason=\"conn-reset\"}", kHelp);
-        return c;
-      }
-      case FailReason::JobError: {
-        static metrics::Counter &c = metrics::counter(
-            "l0vliw_driver_retries_total{reason=\"job-error\"}", kHelp);
-        return c;
-      }
-      default: {
-        static metrics::Counter &c = metrics::counter(
-            "l0vliw_driver_retries_total{reason=\"none\"}", kHelp);
-        return c;
-      }
-    }
+        "failure that caused the retry");
 }
 
 /** The executors' deadline/heartbeat expiries (Stats::timeouts). */

@@ -1,39 +1,12 @@
 #include "driver/registry.hh"
 
-#include <cstdlib>
-
-#include "common/logging.hh"
+#include <climits>
 
 namespace l0vliw::driver
 {
 
 namespace
 {
-
-const ArchRegistry::Factory *
-findIn(const std::vector<std::pair<std::string, ArchRegistry::Factory>>
-           &factories,
-       const std::string &name)
-{
-    for (const auto &kv : factories)
-        if (kv.first == name)
-            return &kv.second;
-    return nullptr;
-}
-
-/** Parse a decimal integer; false unless the whole string matches. */
-bool
-parseInt(const std::string &s, int &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    long v = std::strtol(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size())
-        return false;
-    out = static_cast<int>(v);
-    return true;
-}
 
 /** Resolve the parametric "l0-..." label grammar. */
 std::optional<ArchSpec>
@@ -43,16 +16,15 @@ parseL0Label(const std::string &label)
         return std::nullopt;
     std::string rest = label.substr(3);
 
-    // Leading size: "unbounded" or a positive integer.
-    int entries = -1;
+    // Leading size: "unbounded" (-1) or a positive integer.
     std::size_t dash = rest.find('-');
     std::string size = rest.substr(0, dash);
     std::string suffix =
         dash == std::string::npos ? "" : rest.substr(dash + 1);
-    if (size == "unbounded")
-        entries = -1;
-    else if (!parseInt(size, entries) || entries <= 0)
+    long n = -1;
+    if (size != "unbounded" && !parseLabelNumber(size, 1, INT_MAX, n))
         return std::nullopt;
+    const int entries = static_cast<int>(n);
 
     if (suffix.empty())
         return ArchSpec::l0(entries);
@@ -63,75 +35,25 @@ parseL0Label(const std::string &label)
     if (suffix == "allcand")
         return ArchSpec::l0AllCandidates(entries);
     if (suffix.rfind("pf", 0) == 0) {
-        int d = 0;
-        if (parseInt(suffix.substr(2), d) && d >= 0)
-            return ArchSpec::l0PrefetchDistance(entries, d);
+        long d = 0;
+        if (parseLabelNumber(suffix.substr(2), 0, INT_MAX, d))
+            return ArchSpec::l0PrefetchDistance(entries,
+                                                static_cast<int>(d));
     }
     return std::nullopt;
 }
 
 } // namespace
 
-void
-ArchRegistry::add(const std::string &name, Factory factory)
-{
-    if (contains(name))
-        fatal("architecture '%s' registered twice", name.c_str());
-    order_.push_back(name);
-    factories_.emplace_back(name, std::move(factory));
-}
-
-void
-ArchRegistry::addAlias(const std::string &alias, const std::string &name)
-{
-    if (contains(alias))
-        fatal("architecture alias '%s' registered twice", alias.c_str());
-    if (!findIn(factories_, name))
-        fatal("alias '%s' targets unknown architecture '%s'",
-              alias.c_str(), name.c_str());
-    aliases_.emplace_back(alias, name);
-}
-
-bool
-ArchRegistry::contains(const std::string &name) const
-{
-    if (findIn(factories_, name))
-        return true;
-    for (const auto &kv : aliases_)
-        if (kv.first == name)
-            return true;
-    return false;
-}
-
-std::optional<ArchSpec>
-ArchRegistry::tryResolve(const std::string &label) const
-{
-    if (const Factory *f = findIn(factories_, label))
-        return (*f)();
-    for (const auto &kv : aliases_)
-        if (kv.first == label)
-            if (const Factory *f = findIn(factories_, kv.second))
-                return (*f)();
-    return parseL0Label(label);
-}
-
-ArchSpec
-ArchRegistry::resolve(const std::string &label) const
-{
-    std::optional<ArchSpec> spec = tryResolve(label);
-    if (!spec)
-        fatal("unknown architecture '%s' (try unified, l0-<N>, "
-              "l0-unbounded, l0-<N>-{nl0,psr,allcand,pf<D>}, "
-              "multivliw, interleaved-1, interleaved-2)",
-              label.c_str());
-    return *spec;
-}
-
 ArchRegistry &
 archRegistry()
 {
     static ArchRegistry *reg = [] {
-        auto *r = new ArchRegistry;
+        auto *r = new ArchRegistry(
+            "architecture", parseL0Label,
+            "unified, l0-<N>, l0-unbounded, "
+            "l0-<N>-{nl0,psr,allcand,pf<D>}, multivliw, "
+            "interleaved-1, interleaved-2");
         r->add("unified", [] { return ArchSpec::unified(); });
         r->add("multivliw", [] { return ArchSpec::multiVliw(); });
         r->add("interleaved-1", [] { return ArchSpec::interleaved1(); });

@@ -13,56 +13,21 @@
  *   ...-allcand                    ArchSpec::l0AllCandidates(N)
  *   ...-pf<D>                      ArchSpec::l0PrefetchDistance(N, D)
  *
- * The registry is process-global; registering is cheap and happens at
- * first use. Resolution is read-only and safe to call concurrently
- * once registration stops (the drivers register before running).
+ * Only the canonical spelling resolves ("l0-08", "l0-8-" do not);
+ * the lookup rules are common::LabelRegistry's.
  */
 
 #ifndef L0VLIW_DRIVER_REGISTRY_HH
 #define L0VLIW_DRIVER_REGISTRY_HH
 
-#include <functional>
-#include <optional>
-#include <string>
-#include <vector>
-
+#include "common/label_registry.hh"
 #include "driver/runner.hh"
 
 namespace l0vliw::driver
 {
 
 /** Label-to-factory registry of architecture specifications. */
-class ArchRegistry
-{
-  public:
-    using Factory = std::function<ArchSpec()>;
-
-    /** Register @p factory under @p name (fatal on duplicates). */
-    void add(const std::string &name, Factory factory);
-
-    /** Register @p alias as another name for registered @p name. */
-    void addAlias(const std::string &alias, const std::string &name);
-
-    /** True if @p name is explicitly registered (aliases included). */
-    bool contains(const std::string &name) const;
-
-    /**
-     * Resolve @p label: a registered name or alias, else the
-     * parametric "l0-..." grammar. Empty on unknown labels.
-     */
-    std::optional<ArchSpec> tryResolve(const std::string &label) const;
-
-    /** tryResolve(), but fatal on unknown labels. */
-    ArchSpec resolve(const std::string &label) const;
-
-    /** The registered canonical labels, in registration order. */
-    const std::vector<std::string> &names() const { return order_; }
-
-  private:
-    std::vector<std::string> order_;
-    std::vector<std::pair<std::string, Factory>> factories_;
-    std::vector<std::pair<std::string, std::string>> aliases_;
-};
+using ArchRegistry = LabelRegistry<ArchSpec, &ArchSpec::label>;
 
 /**
  * The process-wide registry, pre-seeded with every architecture the

@@ -3,39 +3,21 @@
 namespace l0vliw
 {
 
-const char *
-failReasonName(FailReason reason)
-{
-    switch (reason) {
-      case FailReason::Timeout:
-        return "timeout";
-      case FailReason::WorkerCrash:
-        return "worker-crash";
-      case FailReason::FrameCorrupt:
-        return "frame-corrupt";
-      case FailReason::ConnReset:
-        return "conn-reset";
-      case FailReason::JobError:
-        return "job-error";
-      case FailReason::None:
-        break;
-    }
-    return "";
-}
+static_assert(
+    [] {
+        for (int i = 0; i < kFailReasonCount; ++i)
+            if (static_cast<int>(kFailReasons[i].reason) != i)
+                return false;
+        return true;
+    }(),
+    "kFailReasons must list every FailReason in enum order");
 
 FailReason
 failReasonFromName(const std::string &name)
 {
-    if (name == "timeout")
-        return FailReason::Timeout;
-    if (name == "worker-crash")
-        return FailReason::WorkerCrash;
-    if (name == "frame-corrupt")
-        return FailReason::FrameCorrupt;
-    if (name == "conn-reset")
-        return FailReason::ConnReset;
-    if (name == "job-error")
-        return FailReason::JobError;
+    for (const FailReasonInfo &info : kFailReasons)
+        if (info.reason != FailReason::None && name == info.name)
+            return info.reason;
     return FailReason::None;
 }
 

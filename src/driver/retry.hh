@@ -37,9 +37,35 @@ enum class FailReason
     JobError,     ///< the job itself is unrunnable (bad label, ...)
 };
 
+/** One FailReason with its wire/CLI name (empty for None). */
+struct FailReasonInfo
+{
+    FailReason reason;
+    const char *name;
+};
+
+/** The taxonomy, in enum order: the one list every per-reason name,
+ *  counter array, metric series and `stats` column derives from. */
+inline constexpr FailReasonInfo kFailReasons[] = {
+    {FailReason::None, ""},
+    {FailReason::Timeout, "timeout"},
+    {FailReason::WorkerCrash, "worker-crash"},
+    {FailReason::FrameCorrupt, "frame-corrupt"},
+    {FailReason::ConnReset, "conn-reset"},
+    {FailReason::JobError, "job-error"},
+};
+
+/** Number of FailReason values (sizes per-reason counter arrays). */
+inline constexpr int kFailReasonCount =
+    static_cast<int>(sizeof(kFailReasons) / sizeof(kFailReasons[0]));
+
 /** Wire/CLI name of @p reason ("timeout", "worker-crash", ...);
  *  empty for None. */
-const char *failReasonName(FailReason reason);
+inline const char *
+failReasonName(FailReason reason)
+{
+    return kFailReasons[static_cast<int>(reason)].name;
+}
 
 /** Inverse of failReasonName; unknown names decode to None (forward
  *  compatibility: an old driver reading a new daemon's outcome). */
@@ -63,13 +89,6 @@ struct RetryPolicy
     /** The wait before retry number @p attempt (1-based: the wait
      *  after the first failure is backoffMs(1, ...)). */
     int backoffMs(int attempt, Rng &rng) const;
-
-    /** True while @p attempt (1-based) is within the budget. */
-    bool
-    shouldRetry(int attempt) const
-    {
-        return attempt < maxAttempts;
-    }
 };
 
 } // namespace l0vliw

@@ -11,8 +11,41 @@
 namespace l0vliw::net
 {
 
+namespace
+{
+
+/** Each per-connection read waits at most this long before re-arming.
+ *  An idle connection stays open, but no single silent stretch costs
+ *  more: an injected stall burns this deadline instead of the 30 s
+ *  unbounded-read cap, so daemon teardown never waits behind one. */
+constexpr int kIdleReadDeadlineMs = 1000;
+
+} // namespace
+
 bool
 Server::start(std::uint16_t port, Handler handler, std::string &error)
+{
+    return launch(port, std::move(handler), nullptr, nullptr, error);
+}
+
+bool
+Server::start(std::uint16_t port, SessionHandler handler,
+              ClosedHandler onClosed, std::string &error)
+{
+    if (workersPerConn_ > 1) {
+        // Pushes interleaving with out-of-order pool replies would
+        // leave the peer no way to correlate.
+        error = "session mode requires workersPerConnection == 1";
+        return false;
+    }
+    return launch(port, nullptr, std::move(handler), std::move(onClosed),
+                  error);
+}
+
+bool
+Server::launch(std::uint16_t port, Handler handler,
+               SessionHandler sessionHandler, ClosedHandler onClosed,
+               std::string &error)
 {
     if (running()) {
         error = "server already running";
@@ -20,33 +53,7 @@ Server::start(std::uint16_t port, Handler handler, std::string &error)
     }
     stopping_.store(false);
     handler_ = std::move(handler);
-    sessionHandler_ = nullptr;
-    closedHandler_ = nullptr;
-    listen_ = listenTcp(port, error, &port_);
-    if (!listen_.valid())
-        return false;
-    acceptThread_ = std::thread([this]() { acceptLoop(); });
-    return true;
-}
-
-bool
-Server::start(std::uint16_t port, SessionHandler handler,
-              ClosedHandler onClosed, std::string &error)
-{
-    if (running()) {
-        error = "server already running";
-        return false;
-    }
-    if (workersPerConn_ > 1) {
-        // Pushes interleaving with out-of-order pipelined replies
-        // would leave the peer no way to correlate; session protocols
-        // depend on the strict serial read loop.
-        error = "session mode requires workersPerConnection == 1";
-        return false;
-    }
-    stopping_.store(false);
-    handler_ = nullptr;
-    sessionHandler_ = std::move(handler);
+    sessionHandler_ = std::move(sessionHandler);
     closedHandler_ = std::move(onClosed);
     listen_ = listenTcp(port, error, &port_);
     if (!listen_.valid())
@@ -124,143 +131,90 @@ Server::acceptLoop()
 void
 Server::serveConn(Conn *conn)
 {
-    if (workersPerConn_ > 1) {
-        serveConnPipelined(conn);
-        return;
-    }
     Peer peer(conn, conn->id);
-    LineReader reader(conn->fd.get());
-    const int deadlineMs = idleReadDeadlineMs_ > 0 ? idleReadDeadlineMs_
-                                                   : -1;
-    std::string line, error;
-    for (;;) {
-        LineReader::Status status =
-            reader.readLine(line, error, deadlineMs);
-        if (status == LineReader::Status::Timeout) {
-            // Idle (or stalled) connection: re-arm the read. Partial
-            // bytes stay buffered, so a slow frame still completes;
-            // stop() still wins promptly because the shutdown below
-            // turns the next read into an immediate EOF.
-            if (stopping_.load())
-                break;
-            continue;
-        }
-        if (status != LineReader::Status::Line)
-            break;
+    // One frame through the handler and its reply onto the wire.
+    // False — a declining handler or a failed write — poisons the
+    // connection: the peer sees EOF and its retry discipline takes
+    // over.
+    auto serve = [&](const std::string &frame) {
         std::optional<std::string> reply =
-            sessionHandler_ ? sessionHandler_(line, peer)
-                            : handler_(line);
+            sessionHandler_ ? sessionHandler_(frame, peer)
+                            : handler_(frame);
         if (!reply.has_value())
-            break;
+            return false;
         // Session convention: an empty reply means the handler
         // answered (or will answer) through Peer::send instead.
         if (sessionHandler_ && reply->empty())
-            continue;
-        bool wrote;
-        {
-            std::lock_guard<std::mutex> wlock(conn->writeMutex);
-            wrote = writeLine(conn->fd.get(), *reply, error);
-        }
-        if (!wrote)
-            break;
-    }
-    // The connection is over, whatever ended it: give the session's
-    // owner its one chance to drop (and join anything holding) Peer
-    // copies before the fd goes away.
-    if (closedHandler_)
-        closedHandler_(peer);
-    // Framing errors (truncated/oversized), a declining handler, and
-    // EOF all end here: the peer sees EOF and its retry discipline
-    // takes over. Close the fd now — under the mutex, so stop()'s
-    // shutdown sweep can never touch a recycled descriptor — rather
-    // than holding it until the next accept reaps us; an idle daemon
-    // must not sit on a finished suite's worth of sockets.
-    std::lock_guard<std::mutex> lock(mutex_);
-    ::shutdown(conn->fd.get(), SHUT_RDWR);
-    {
-        // Under the write mutex too: a contract-violating late
-        // Peer::send must see an invalid fd, never a recycled one.
-        std::lock_guard<std::mutex> wlock(conn->writeMutex);
-        conn->fd.reset();
-    }
-    conn->done.store(true);
-}
+            return true;
+        std::string error;
+        std::lock_guard<std::mutex> lock(conn->writeMutex);
+        return writeLine(conn->fd.get(), *reply, error);
+    };
 
-void
-Server::serveConnPipelined(Conn *conn)
-{
-    // The connection thread stays the reader; a small worker pool
-    // drains a bounded frame queue and writes replies as handlers
-    // complete. Replies leave in completion order, not request order
-    // — the cell protocol correlates by id — and the queue bound is
-    // the backpressure that keeps a fast client in the kernel's
-    // socket buffer instead of daemon memory.
-    const std::size_t depth = queueDepth_ > 0
-                                  ? static_cast<std::size_t>(queueDepth_)
-                                  : static_cast<std::size_t>(
-                                        2 * workersPerConn_);
+    // With one worker the connection thread serves each frame inline.
+    // With more it stays the reader and a worker pool drains a
+    // bounded frame queue, replying as handlers complete — completion
+    // order, not request order (the cell protocol correlates by id).
+    // The queue bound is the backpressure that keeps a fast client in
+    // the kernel's socket buffer instead of daemon memory. A poisoned
+    // frame shuts the socket down (the reader wakes with EOF) and the
+    // remaining queued frames drain unanswered.
+    const std::size_t depth = static_cast<std::size_t>(2 * workersPerConn_);
     std::mutex qMutex;
     std::condition_variable notEmpty, notFull;
     std::deque<std::string> queue;
     bool readerDone = false;
-    // A declining handler or a failed reply write poisons the
-    // connection: the socket is shut down (the reader wakes with EOF,
-    // the client's retry discipline takes over) and the remaining
-    // queued frames are drained unanswered.
     bool broken = false;
-    std::mutex writeMutex;
-
-    auto workerBody = [&]() {
-        std::string frame, error;
-        for (;;) {
-            {
-                std::unique_lock<std::mutex> lock(qMutex);
-                notEmpty.wait(lock, [&]() {
-                    return !queue.empty() || readerDone;
-                });
-                if (queue.empty())
-                    break;
-                frame = std::move(queue.front());
-                queue.pop_front();
-                notFull.notify_one();
-                if (broken)
-                    continue; // drain without serving
-            }
-            std::optional<std::string> reply = handler_(frame);
-            bool ok = reply.has_value();
-            if (ok) {
-                std::lock_guard<std::mutex> lock(writeMutex);
-                ok = writeLine(conn->fd.get(), *reply, error);
-            }
-            if (!ok) {
-                std::lock_guard<std::mutex> lock(qMutex);
-                if (!broken) {
-                    broken = true;
-                    ::shutdown(conn->fd.get(), SHUT_RDWR);
-                    notFull.notify_all(); // reader may be backpressured
+    std::vector<std::thread> workers;
+    for (int w = 0; workersPerConn_ > 1 && w < workersPerConn_; ++w)
+        workers.emplace_back([&]() {
+            std::string frame;
+            for (;;) {
+                {
+                    std::unique_lock<std::mutex> lock(qMutex);
+                    notEmpty.wait(lock, [&]() {
+                        return !queue.empty() || readerDone;
+                    });
+                    if (queue.empty())
+                        return;
+                    frame = std::move(queue.front());
+                    queue.pop_front();
+                    notFull.notify_one();
+                    if (broken)
+                        continue; // drain without serving
+                }
+                if (!serve(frame)) {
+                    std::lock_guard<std::mutex> lock(qMutex);
+                    if (!broken) {
+                        broken = true;
+                        ::shutdown(conn->fd.get(), SHUT_RDWR);
+                        notFull.notify_all(); // reader may be blocked
+                    }
                 }
             }
-        }
-    };
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(workersPerConn_));
-    for (int w = 0; w < workersPerConn_; ++w)
-        workers.emplace_back(workerBody);
+        });
 
     LineReader reader(conn->fd.get());
-    const int deadlineMs = idleReadDeadlineMs_ > 0 ? idleReadDeadlineMs_
-                                                   : -1;
     std::string line, error;
     for (;;) {
         LineReader::Status status =
-            reader.readLine(line, error, deadlineMs);
+            reader.readLine(line, error, kIdleReadDeadlineMs);
         if (status == LineReader::Status::Timeout) {
+            // Idle (or stalled) connection: re-arm the read. Partial
+            // bytes stay buffered, so a slow frame still completes;
+            // stop() still wins promptly because its shutdown turns
+            // the next read into an immediate EOF.
             if (stopping_.load())
                 break;
             continue;
         }
         if (status != LineReader::Status::Line)
             break;
+        if (workers.empty()) {
+            if (!serve(line))
+                break;
+            continue;
+        }
         std::unique_lock<std::mutex> lock(qMutex);
         notFull.wait(lock, [&]() {
             return queue.size() < depth || broken;
@@ -278,9 +232,23 @@ Server::serveConnPipelined(Conn *conn)
     for (auto &w : workers)
         w.join();
 
+    // The connection is over, whatever ended it: give the session's
+    // owner its one chance to drop (and join anything holding) Peer
+    // copies before the fd goes away.
+    if (closedHandler_)
+        closedHandler_(peer);
+    // Close the fd now — under the mutex, so stop()'s shutdown sweep
+    // can never touch a recycled descriptor — rather than holding it
+    // until the next accept reaps us; an idle daemon must not sit on
+    // a finished suite's worth of sockets.
     std::lock_guard<std::mutex> lock(mutex_);
     ::shutdown(conn->fd.get(), SHUT_RDWR);
-    conn->fd.reset();
+    {
+        // Under the write mutex too: a contract-violating late
+        // Peer::send must see an invalid fd, never a recycled one.
+        std::lock_guard<std::mutex> wlock(conn->writeMutex);
+        conn->fd.reset();
+    }
     conn->done.store(true);
 }
 

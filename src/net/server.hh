@@ -1,46 +1,48 @@
 /**
  * @file
  * A small line-framed request/reply TCP server: the accept loop under
- * the driver's `--serve` worker daemon (and anything else that wants
- * to answer NDJSON lines on a port).
+ * the driver's `--serve` worker daemon and the result store (anything
+ * that answers NDJSON lines on a port).
  *
  * One background thread accepts; each connection gets its own thread
- * running read-line → handler → write-line until the peer hangs up,
- * the handler declines (nullopt closes the connection), or the server
- * stops. The handler runs concurrently across connections and must be
- * thread-safe. stop() is idempotent, wakes the accept loop by
- * shutting the listening socket down, shuts every live connection,
- * and joins all threads — after it returns no server thread is
- * running, which is what makes SIGINT-driven daemon shutdown clean
- * (the signal handler only sets a flag; teardown happens on the
- * normal path).
+ * running one read loop — read-line → handler → write-line — until
+ * the peer hangs up, the handler declines (nullopt closes the
+ * connection), a reply write fails, or the server stops. Handlers
+ * run concurrently across connections and must be thread-safe.
+ * stop() is idempotent, wakes the accept loop by shutting the
+ * listening socket down, shuts every live connection, and joins all
+ * threads — after it returns no server thread is running, which is
+ * what makes SIGINT-driven daemon shutdown clean (the signal handler
+ * only sets a flag; teardown happens on the normal path).
  *
- * Pipelined mode (setWorkersPerConnection > 1): each connection
- * additionally gets a small worker pool fed from a bounded
- * per-connection frame queue. The connection thread keeps reading —
- * so a client may have several frames in flight — while workers run
- * the handler and write replies *as they complete*, not in request
- * order (writes are serialized per connection; ordering across frames
- * is the client's problem, which the cell protocol solves with ids).
- * The queue bound is the backpressure: a client that outruns the
- * workers blocks in the kernel's socket buffer, never in daemon
- * memory. See src/net/PROTOCOL.md for the windowing rules.
+ * A serving mode is a handler shape plus a worker count, never a
+ * second loop:
  *
- * Session mode (the SessionHandler start overload): the handler
- * additionally receives a Peer handle for the connection — a stable
- * identity (id) plus two thread-safe operations: send() pushes an
- * unsolicited frame to the peer (serialized with the reply path), and
- * close() shuts the connection down so its reader wakes with EOF.
- * This is the sanctioned departure from strict request/reply that the
- * store's subscription channel rides on (src/net/PROTOCOL.md): a
- * handler may keep the Peer (it is a copyable handle), hand it to a
- * writer thread, and push frames until the closed callback for that
- * peer returns — after which every copy is dead and must not be used.
- * The closed callback runs on the connection's own thread, exactly
- * once per connection, whatever ended it (EOF, error, close(),
- * stop()); it is where the owner joins any thread still holding the
- * Peer. Session mode keeps the strict serial read loop (it composes
- * with per-connection ordering, not with the pipelined worker pool).
+ *  - Handler shape. A plain Handler maps a frame to its reply. A
+ *    SessionHandler (the second start overload) also receives a Peer
+ *    handle for the connection — a stable identity (id) plus two
+ *    thread-safe operations: send() pushes an unsolicited frame
+ *    (serialized with the reply path), and close() shuts the
+ *    connection down so its reader wakes with EOF. This is the
+ *    sanctioned departure from strict request/reply that the store's
+ *    subscription channel rides on (src/net/PROTOCOL.md): a handler
+ *    may keep the Peer (a copyable handle), hand it to a writer
+ *    thread, and push frames until the closed callback for that peer
+ *    returns — after which every copy is dead. The closed callback
+ *    runs on the connection's own thread, exactly once per
+ *    connection, whatever ended it (EOF, error, close(), stop()).
+ *  - Worker count (setWorkersPerConnection). With 1, the default,
+ *    the connection thread handles each frame inline: strict
+ *    request order, no extra thread or queue hop. With more, the
+ *    connection thread only reads, feeding a bounded queue of 2x
+ *    workers frames to a per-connection pool whose workers write
+ *    replies *as they complete*, not in request order (ordering is
+ *    the client's problem; the cell protocol solves it with ids).
+ *    The queue bound is the backpressure: a client that outruns the
+ *    workers blocks in the kernel's socket buffer, never in daemon
+ *    memory. See src/net/PROTOCOL.md for the windowing rules.
+ *    Session handlers need one worker: pushes interleaving with
+ *    out-of-order replies would leave the peer no way to correlate.
  */
 
 #ifndef L0VLIW_NET_SERVER_HH
@@ -139,35 +141,21 @@ class Server
     /**
      * Session-mode start: like start(), but the handler gets a Peer
      * and @p onClosed runs when a connection ends (may be null).
-     * Incompatible with setWorkersPerConnection > 1 (session
-     * protocols rely on the strict serial read loop).
+     * Incompatible with setWorkersPerConnection > 1.
      */
     bool start(std::uint16_t port, SessionHandler handler,
                ClosedHandler onClosed, std::string &error);
 
     /**
-     * Bound each per-connection read to @p ms of wall clock (the
-     * default is 1000; <= 0 restores the historical unbounded read).
-     * An expired deadline just re-arms the read — an idle connection
-     * stays open — but it caps what any single silent stretch can
-     * cost: an injected stall burns the deadline instead of the 30s
-     * unbounded-read cap, so daemon teardown never waits behind one.
-     * Call before start().
+     * Serve each connection with @p workers handler threads, replying
+     * as handlers complete — out of request order. The default (1)
+     * handles each frame inline on the connection thread; protocols
+     * whose replies carry no correlation id (the store's ack stream)
+     * must stay there. Call before start().
      */
-    void setIdleReadDeadlineMs(int ms) { idleReadDeadlineMs_ = ms; }
-
-    /**
-     * Serve each connection with @p workers handler threads fed from
-     * a bounded queue of @p queueDepth frames (<= 0 picks 2x workers),
-     * replying as handlers complete — out of request order. The
-     * default (1) keeps the strict serial read→handle→reply loop;
-     * protocols whose replies carry no correlation id (the store's
-     * ack stream) must stay there. Call before start().
-     */
-    void setWorkersPerConnection(int workers, int queueDepth = 0)
+    void setWorkersPerConnection(int workers)
     {
         workersPerConn_ = workers < 1 ? 1 : workers;
-        queueDepth_ = queueDepth;
     }
 
     /** The bound port (valid after a successful start). */
@@ -189,14 +177,17 @@ class Server
         std::atomic<bool> done{false};
         std::uint64_t id = 0;
         /** Serializes every write on this connection: the reply path
-         *  against Peer::send pushes (session mode) or against the
-         *  pipelined workers' completion-order replies. */
+         *  against Peer::send pushes or against the other workers'
+         *  completion-order replies. */
         std::mutex writeMutex;
     };
 
+    /** Bind @p port, install the handlers, start the accept thread. */
+    bool launch(std::uint16_t port, Handler handler,
+                SessionHandler sessionHandler, ClosedHandler onClosed,
+                std::string &error);
     void acceptLoop();
     void serveConn(Conn *conn);
-    void serveConnPipelined(Conn *conn);
     /** Join and drop connections whose threads already finished. */
     void reapFinished();
 
@@ -204,9 +195,7 @@ class Server
     SessionHandler sessionHandler_;
     ClosedHandler closedHandler_;
     Fd listen_;
-    int idleReadDeadlineMs_ = 1000;
     int workersPerConn_ = 1;
-    int queueDepth_ = 0;
     std::uint16_t port_ = 0;
     std::thread acceptThread_;
     std::mutex mutex_; ///< guards conns_

@@ -5,7 +5,6 @@
 
 #include "common/json.hh"
 #include "metrics/registry.hh"
-#include "store/event_log.hh"
 
 namespace l0vliw::obs
 {
@@ -80,11 +79,13 @@ LiveGrid::applyFrame(const std::string &line, std::string &error)
     if (!applied_.insert(seq).second) {
         // Replay overlap after a resume — the at-least-once half of
         // the channel; dropping it here is the exactly-once half.
-        ++duplicates_;
+        ++info_.counters.duplicates;
         return Apply::Duplicate;
     }
     if (seq > lastSeq_)
         lastSeq_ = seq;
+    if (!info_.apply(event, seq))
+        return Apply::Duplicate;
     {
         static metrics::Counter &folded = metrics::counter(
             "l0vliw_obs_events_folded_total",
@@ -92,58 +93,19 @@ LiveGrid::applyFrame(const std::string &line, std::string &error)
             "already dropped)");
         folded.inc();
     }
-
-    LiveRun &run = runFor(event.run, event.rev);
-    if (seq > run.seq)
-        run.seq = seq;
-    if (event.kind == store::Event::Kind::Grid) {
-        run.hasGrid = true;
-        run.grid = event.table;
-        ++gridsApplied_;
-        return Apply::Applied;
-    }
-    LiveCell cell;
-    cell.ok = event.ok;
-    cell.reason = event.reason;
-    cell.attempts = event.attempts;
-    cell.wallMs = event.wallMs;
-    cell.totalCycles = event.totalCycles;
-    run.cells[{event.bench, event.arch}] = cell;
-    knownKeys_.insert({event.bench, event.arch});
-    ++cellsApplied_;
-    if (!event.ok) {
-        ++failed_;
-        ++byReason_[static_cast<int>(event.reason)];
-    }
+    if (event.kind == store::Event::Kind::Cell)
+        knownKeys_.insert({event.bench, event.arch});
     return Apply::Applied;
 }
 
 void
 LiveGrid::reset()
 {
-    runs_.clear();
+    info_ = store::SuiteInfo{};
     knownKeys_.clear();
     applied_.clear();
     lastSeq_ = 0;
     caughtUp_ = false;
-    cellsApplied_ = 0;
-    gridsApplied_ = 0;
-    duplicates_ = 0;
-    failed_ = 0;
-    for (auto &count : byReason_)
-        count = 0;
-}
-
-LiveRun &
-LiveGrid::runFor(const std::string &run, const std::string &rev)
-{
-    for (auto &info : runs_)
-        if (info.run == run)
-            return info;
-    runs_.emplace_back();
-    runs_.back().run = run;
-    runs_.back().rev = rev;
-    return runs_.back();
 }
 
 ResultTable
@@ -152,10 +114,7 @@ LiveGrid::liveTable() const
     ResultTable t;
     t.header = {"benchmark", "arch", "status", "cycles", "attempts",
                 "wallMs"};
-    const LiveRun *latest = nullptr;
-    for (const auto &run : runs_)
-        if (latest == nullptr || run.seq > latest->seq)
-            latest = &run;
+    const store::RunInfo *latest = info_.latestRun();
     if (latest == nullptr) {
         t.title = "live " + suite_ + ": waiting for events\n";
         return t;
@@ -176,7 +135,7 @@ LiveGrid::liveTable() const
             row.push_back(CellValue::text("-"));
             row.push_back(CellValue::text("-"));
         } else {
-            const LiveCell &cell = it->second;
+            const store::CellRecord &cell = it->second;
             row.push_back(CellValue::text(
                 cell.ok ? "ok" : failReasonName(cell.reason)));
             row.push_back(CellValue::integer(cell.totalCycles));
@@ -187,10 +146,10 @@ LiveGrid::liveTable() const
         t.rows.push_back(std::move(row));
     }
     std::ostringstream foot;
-    foot << runs_.size() << " run(s) | " << cellsApplied_
-         << " cell(s) | " << failed_ << " failed | " << duplicates_
-         << " dup(s) | seq " << lastSeq_ << " | "
-         << (caughtUp_ ? "live" : "replaying") << "\n";
+    foot << info_.runs.size() << " run(s) | " << info_.counters.cells
+         << " cell(s) | " << info_.counters.failed << " failed | "
+         << info_.counters.duplicates << " dup(s) | seq " << lastSeq_
+         << " | " << (caughtUp_ ? "live" : "replaying") << "\n";
     t.footer = foot.str();
     return t;
 }
@@ -198,13 +157,8 @@ LiveGrid::liveTable() const
 const ResultTable *
 LiveGrid::latestStoredGrid() const
 {
-    // Mirrors the store's `latest-grid`: the newest run *with a
-    // published grid* — an in-flight run never shadows the previous
-    // complete one.
-    for (auto it = runs_.rbegin(); it != runs_.rend(); ++it)
-        if (it->hasGrid)
-            return &it->grid;
-    return nullptr;
+    const store::RunInfo *run = info_.latestGridRun();
+    return run == nullptr ? nullptr : &run->grid;
 }
 
 } // namespace l0vliw::obs

@@ -15,6 +15,10 @@
  * the connection drops. A `subscribed` reply whose `latest` is below
  * what we already applied means the server lost history (restarted
  * onto a truncated log); the model resets and refolds from scratch.
+ * That protocol is all LiveGrid adds: each new push folds through
+ * store::SuiteInfo, the store index's own per-suite fold, and both
+ * read sides select runs by SuiteInfo's rules — the live view and
+ * the store cannot disagree on runs, counters or the latest grid.
  *
  * Two read sides: liveTable() is the in-flight view — latest run
  * wins, cells the suite is known to produce but that have not landed
@@ -29,38 +33,15 @@
 #define L0VLIW_OBS_LIVE_GRID_HH
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/result_sink.hh"
-#include "driver/retry.hh"
+#include "store/event_log.hh"
 
 namespace l0vliw::obs
 {
-
-/** One cell of the in-flight view. */
-struct LiveCell
-{
-    bool ok = false;
-    FailReason reason = FailReason::None;
-    int attempts = 1;
-    double wallMs = 0;
-    std::uint64_t totalCycles = 0;
-};
-
-/** Everything seen for one run of the watched suite. */
-struct LiveRun
-{
-    std::string run;
-    std::string rev;
-    std::uint64_t seq = 0; ///< newest applied event's sequence
-    std::map<std::pair<std::string, std::string>, LiveCell> cells;
-    bool hasGrid = false;
-    ResultTable grid; ///< the published table, losslessly decoded
-};
 
 /** Fold of one suite's subscription stream. Not thread-safe. */
 class LiveGrid
@@ -103,38 +84,23 @@ class LiveGrid
      *  renderText() of it matches `latest-grid` byte-for-byte. */
     const ResultTable *latestStoredGrid() const;
 
-    /** Runs seen, first-push order. */
-    const std::vector<LiveRun> &runs() const { return runs_; }
+    /** The fold itself — runs (first-push order) and counters, the
+     *  same store::SuiteInfo the store's index keeps; duplicates
+     *  count the resends the sequence dedup absorbed. */
+    const store::SuiteInfo &info() const { return info_; }
 
-    // ---- counters (the TUI's status line) ----
-
-    std::uint64_t cellsApplied() const { return cellsApplied_; }
-    std::uint64_t gridsApplied() const { return gridsApplied_; }
-    std::uint64_t duplicates() const { return duplicates_; }
-    std::uint64_t failed() const { return failed_; }
-    std::uint64_t failedBy(FailReason r) const
-    {
-        return byReason_[static_cast<int>(r)];
-    }
     /** Times the model restarted because the server lost history. */
     std::uint64_t resets() const { return resets_; }
 
   private:
-    LiveRun &runFor(const std::string &run, const std::string &rev);
-
     std::string suite_;
-    std::vector<LiveRun> runs_;
+    store::SuiteInfo info_;
     /** Every (bench, arch) the suite has ever produced — what the
      *  in-flight view expects of the latest run. */
     std::set<std::pair<std::string, std::string>> knownKeys_;
     std::set<std::uint64_t> applied_;
     std::uint64_t lastSeq_ = 0;
     bool caughtUp_ = false;
-    std::uint64_t cellsApplied_ = 0;
-    std::uint64_t gridsApplied_ = 0;
-    std::uint64_t duplicates_ = 0;
-    std::uint64_t failed_ = 0;
-    std::uint64_t byReason_[6] = {};
     std::uint64_t resets_ = 0;
 };
 

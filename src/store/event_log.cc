@@ -153,6 +153,65 @@ SuiteInfo::findRun(const std::string &run) const
     return nullptr;
 }
 
+bool
+SuiteInfo::apply(const Event &event, std::uint64_t seq)
+{
+    auto it = std::find_if(runs.begin(), runs.end(),
+                           [&](const RunInfo &info) {
+                               return info.run == event.run;
+                           });
+    if (it == runs.end()) {
+        it = runs.emplace(runs.end());
+        it->run = event.run;
+        it->rev = event.rev;
+    }
+    RunInfo &run = *it;
+
+    if (event.kind == Event::Kind::Grid) {
+        if (run.hasGrid) {
+            ++counters.duplicates;
+            return false;
+        }
+        run.hasGrid = true;
+        run.grid = event.table;
+        ++counters.grids;
+    } else {
+        if (!run.seenIds.insert(event.id).second) {
+            ++counters.duplicates;
+            return false;
+        }
+        run.cells[{event.bench, event.arch}] = {
+            event.ok, event.reason, event.attempts, event.wallMs,
+            event.totalCycles};
+        ++counters.cells;
+        if (!event.ok) {
+            ++counters.failed;
+            ++counters.byReason[static_cast<int>(event.reason)];
+        }
+    }
+    run.seq = std::max(run.seq, seq);
+    return true;
+}
+
+const RunInfo *
+SuiteInfo::latestRun() const
+{
+    const RunInfo *latest = nullptr;
+    for (const auto &run : runs)
+        if (latest == nullptr || run.seq > latest->seq)
+            latest = &run;
+    return latest;
+}
+
+const RunInfo *
+SuiteInfo::latestGridRun() const
+{
+    for (auto it = runs.rbegin(); it != runs.rend(); ++it)
+        if (it->hasGrid)
+            return &*it;
+    return nullptr;
+}
+
 // ---- the log ----
 
 bool
@@ -288,53 +347,14 @@ std::uint64_t
 EventLog::index(const Event &event, std::uint64_t forcedSeq)
 {
     auto inserted = suites_.emplace(event.suite, SuiteInfo{});
-    SuiteInfo &suite = inserted.first->second;
     if (inserted.second)
         suiteOrder_.push_back(event.suite);
-
-    RunInfo *run = nullptr;
-    for (auto &info : suite.runs)
-        if (info.run == event.run)
-            run = &info;
-    if (run == nullptr) {
-        suite.runs.emplace_back();
-        run = &suite.runs.back();
-        run->run = event.run;
-        run->rev = event.rev;
-    }
-
-    if (event.kind == Event::Kind::Grid) {
-        // One grid per run: a resend after a lost ack is byte-
-        // identical, so replacing would change nothing and keeping
-        // the first stored copy keeps the log append-only in spirit.
-        if (run->hasGrid) {
-            ++suite.counters.duplicates;
-            return 0;
-        }
-        run->hasGrid = true;
-        run->grid = event.table;
-        run->seq = forcedSeq != 0 ? forcedSeq : ++seq_;
-        ++suite.counters.grids;
-        return run->seq;
-    }
-
-    if (!run->seenIds.insert(event.id).second) {
-        ++suite.counters.duplicates;
+    std::uint64_t seq = forcedSeq != 0 ? forcedSeq : seq_ + 1;
+    if (!inserted.first->second.apply(event, seq))
         return 0;
-    }
-    CellRecord &cell = run->cells[{event.bench, event.arch}];
-    cell.ok = event.ok;
-    cell.reason = event.reason;
-    cell.attempts = event.attempts;
-    cell.wallMs = event.wallMs;
-    cell.totalCycles = event.totalCycles;
-    run->seq = forcedSeq != 0 ? forcedSeq : ++seq_;
-    ++suite.counters.cells;
-    if (!event.ok) {
-        ++suite.counters.failed;
-        ++suite.counters.byReason[static_cast<int>(event.reason)];
-    }
-    return run->seq;
+    if (forcedSeq == 0)
+        seq_ = seq;
+    return seq;
 }
 
 bool
@@ -480,13 +500,7 @@ const RunInfo *
 EventLog::latestRun(const std::string &suiteName) const
 {
     const SuiteInfo *info = suite(suiteName);
-    if (info == nullptr)
-        return nullptr;
-    const RunInfo *latest = nullptr;
-    for (const auto &run : info->runs)
-        if (latest == nullptr || run.seq > latest->seq)
-            latest = &run;
-    return latest;
+    return info == nullptr ? nullptr : info->latestRun();
 }
 
 const RunInfo *

@@ -156,16 +156,37 @@ struct SuiteCounters
     std::uint64_t grids = 0;      ///< grid frames stored
     std::uint64_t failed = 0;     ///< stored cells with ok=false
     /** Stored failures by FailReason (indexed by the enum). */
-    std::uint64_t byReason[6] = {};
+    std::uint64_t byReason[kFailReasonCount] = {};
 };
 
-/** One suite's runs (ingest order) plus its counters. */
+/**
+ * One suite's runs (ingest order) plus its counters: the fold both
+ * the store's index (EventLog) and the live view (obs::LiveGrid) run
+ * their events through, with the selection rules both answer from.
+ */
 struct SuiteInfo
 {
     std::vector<RunInfo> runs; ///< first-seen order
     SuiteCounters counters;
 
     const RunInfo *findRun(const std::string &run) const;
+
+    /**
+     * Fold one decoded event of this suite, recording @p seq as its
+     * run's newest event. False — counted as a duplicate, nothing
+     * else touched — for a resend: a cell id the run already holds,
+     * or a second grid for the run (a resend after a lost ack is
+     * byte-identical, so keeping the first copy loses nothing).
+     */
+    bool apply(const Event &event, std::uint64_t seq);
+
+    /** The run with the newest event, or null. */
+    const RunInfo *latestRun() const;
+
+    /** The newest run with a published grid, or null — what
+     *  `latest-grid` serves: a run that has streamed cells but not
+     *  yet its table never shadows the previous complete one. */
+    const RunInfo *latestGridRun() const;
 };
 
 /** The append-only log plus its in-memory index. */

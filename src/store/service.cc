@@ -149,14 +149,12 @@ StoreService::handleSessionLine(const std::string &line,
             return std::nullopt; // closes the connection
         }
     }
-    if (line == driver::kCellPingLine)
-        return std::string(driver::kCellPongLine);
-    if (!line.empty() && line[0] == '{')
-        return handleIngest(line);
-    std::vector<std::string> words = splitWords(line);
-    if (!words.empty() && words[0] == "subscribe")
-        return handleSubscribe(words, peer);
-    return handleQuery(line);
+    if (line.empty() || line[0] != '{') {
+        std::vector<std::string> words = splitWords(line);
+        if (!words.empty() && words[0] == "subscribe")
+            return handleSubscribe(words, peer);
+    }
+    return handleLine(line);
 }
 
 std::string
@@ -372,17 +370,7 @@ StoreService::handleQuery(const std::string &line)
         const SuiteInfo *info = log_.suite(words[1]);
         if (info == nullptr)
             return errReply("unknown suite '" + words[1] + "'");
-        // The latest *stored grid*: an in-flight run that has
-        // streamed cells but not yet published its table does not
-        // shadow the previous complete one.
-        const RunInfo *run = nullptr;
-        for (auto it = info->runs.rbegin(); it != info->runs.rend();
-             ++it) {
-            if (it->hasGrid) {
-                run = &*it;
-                break;
-            }
-        }
+        const RunInfo *run = info->latestGridRun();
         if (run == nullptr)
             return errReply("suite '" + words[1]
                             + "' has cell events but no stored grid "
@@ -490,11 +478,8 @@ StoreService::handleQuery(const std::string &line)
         ResultTable t;
         t.title = "store ingest stats\n";
         t.header = {"suite", "runs", "cells", "dup", "grids", "failed"};
-        for (FailReason r :
-             {FailReason::Timeout, FailReason::WorkerCrash,
-              FailReason::FrameCorrupt, FailReason::ConnReset,
-              FailReason::JobError})
-            t.header.push_back(failReasonName(r));
+        for (int r = 1; r < kFailReasonCount; ++r) // None: no column
+            t.header.push_back(kFailReasons[r].name);
         for (const auto &name : log_.suiteNames()) {
             const SuiteInfo *info = log_.suite(name);
             const SuiteCounters &c = info->counters;
@@ -505,12 +490,8 @@ StoreService::handleQuery(const std::string &line)
                 CellValue::integer(c.duplicates),
                 CellValue::integer(c.grids),
                 CellValue::integer(c.failed)};
-            for (FailReason r :
-                 {FailReason::Timeout, FailReason::WorkerCrash,
-                  FailReason::FrameCorrupt, FailReason::ConnReset,
-                  FailReason::JobError})
-                row.push_back(CellValue::integer(
-                    c.byReason[static_cast<int>(r)]));
+            for (int r = 1; r < kFailReasonCount; ++r)
+                row.push_back(CellValue::integer(c.byReason[r]));
             t.rows.push_back(std::move(row));
         }
         std::ostringstream foot;

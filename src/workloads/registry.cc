@@ -1,88 +1,19 @@
 #include "workloads/registry.hh"
 
-#include "common/logging.hh"
 #include "workloads/synthetic.hh"
 
 namespace l0vliw::workloads
 {
 
-namespace
-{
-
-const WorkloadRegistry::Factory *
-findIn(const std::vector<std::pair<std::string, WorkloadRegistry::Factory>>
-           &factories,
-       const std::string &name)
-{
-    for (const auto &kv : factories)
-        if (kv.first == name)
-            return &kv.second;
-    return nullptr;
-}
-
-} // namespace
-
-void
-WorkloadRegistry::add(const std::string &name, Factory factory)
-{
-    if (contains(name))
-        fatal("workload '%s' registered twice", name.c_str());
-    order_.push_back(name);
-    factories_.emplace_back(name, std::move(factory));
-}
-
-void
-WorkloadRegistry::addAlias(const std::string &alias,
-                           const std::string &name)
-{
-    if (contains(alias))
-        fatal("workload alias '%s' registered twice", alias.c_str());
-    if (!findIn(factories_, name))
-        fatal("alias '%s' targets unknown workload '%s'", alias.c_str(),
-              name.c_str());
-    aliases_.emplace_back(alias, name);
-}
-
-bool
-WorkloadRegistry::contains(const std::string &name) const
-{
-    if (findIn(factories_, name))
-        return true;
-    for (const auto &kv : aliases_)
-        if (kv.first == name)
-            return true;
-    return false;
-}
-
-std::optional<Benchmark>
-WorkloadRegistry::tryResolve(const std::string &label) const
-{
-    if (const Factory *f = findIn(factories_, label))
-        return (*f)();
-    for (const auto &kv : aliases_)
-        if (kv.first == label)
-            if (const Factory *f = findIn(factories_, kv.second))
-                return (*f)();
-    return makeSyntheticWorkload(label);
-}
-
-Benchmark
-WorkloadRegistry::resolve(const std::string &label) const
-{
-    std::optional<Benchmark> bench = tryResolve(label);
-    if (!bench)
-        fatal("unknown benchmark '%s' (try a Mediabench name, "
-              "stream-<ops>, stride-<s>x<ops>, stencil2d-<w>, "
-              "reduce-<fan>, pchase-<s>, rand-s<seed>-<ops>)",
-              label.c_str());
-    return *bench;
-}
-
 WorkloadRegistry &
 workloadRegistry()
 {
     static WorkloadRegistry *reg = [] {
-        auto *r = new WorkloadRegistry;
+        auto *r = new WorkloadRegistry(
+            "benchmark", makeSyntheticWorkload,
+            "a Mediabench name, stream-<ops>, stride-<s>x<ops>, "
+            "stencil2d-<w>, reduce-<fan>, pchase-<s>, "
+            "rand-s<seed>-<ops>");
         for (const auto &name : benchmarkNames())
             r->add(name, [name] { return makeBenchmark(name); });
         // One canonical instance per synthetic family; every other

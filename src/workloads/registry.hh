@@ -13,56 +13,22 @@
  *   | pchase-<s> | rand-s<seed>-<ops>
  *
  * Resolution is deterministic: the same label always yields a
- * bit-identical benchmark model. The registry is process-global;
- * registration happens at first use, resolution is read-only and safe
- * to call concurrently once registration stops.
+ * bit-identical benchmark model, and only the canonical spelling
+ * resolves ("stream-04" does not); the lookup rules are
+ * common::LabelRegistry's.
  */
 
 #ifndef L0VLIW_WORKLOADS_REGISTRY_HH
 #define L0VLIW_WORKLOADS_REGISTRY_HH
 
-#include <functional>
-#include <optional>
-#include <string>
-#include <vector>
-
+#include "common/label_registry.hh"
 #include "workloads/workload.hh"
 
 namespace l0vliw::workloads
 {
 
 /** Label-to-factory registry of benchmark models. */
-class WorkloadRegistry
-{
-  public:
-    using Factory = std::function<Benchmark()>;
-
-    /** Register @p factory under @p name (fatal on duplicates). */
-    void add(const std::string &name, Factory factory);
-
-    /** Register @p alias as another name for registered @p name. */
-    void addAlias(const std::string &alias, const std::string &name);
-
-    /** True if @p name is explicitly registered (aliases included). */
-    bool contains(const std::string &name) const;
-
-    /**
-     * Resolve @p label: a registered name or alias, else the
-     * parametric synthetic-family grammar. Empty on unknown labels.
-     */
-    std::optional<Benchmark> tryResolve(const std::string &label) const;
-
-    /** tryResolve(), but fatal on unknown labels. */
-    Benchmark resolve(const std::string &label) const;
-
-    /** The registered canonical labels, in registration order. */
-    const std::vector<std::string> &names() const { return order_; }
-
-  private:
-    std::vector<std::string> order_;
-    std::vector<std::pair<std::string, Factory>> factories_;
-    std::vector<std::pair<std::string, std::string>> aliases_;
-};
+using WorkloadRegistry = LabelRegistry<Benchmark, &Benchmark::name>;
 
 /**
  * The process-wide registry, pre-seeded with the Mediabench suite and

@@ -1,8 +1,8 @@
 #include "workloads/synthetic.hh"
 
-#include <cstdlib>
 #include <limits>
 
+#include "common/label_registry.hh"
 #include "common/rng.hh"
 #include "workloads/kernels.hh"
 
@@ -11,26 +11,6 @@ namespace l0vliw::workloads
 
 namespace
 {
-
-/** Parse a decimal integer; false unless the whole string matches. */
-bool
-parseLong(const std::string &s, long &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    long v = std::strtol(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size())
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseLongIn(const std::string &s, long lo, long hi, long &out)
-{
-    return parseLong(s, out) && out >= lo && out <= hi;
-}
 
 /** Log-depth combine tree over @p inputs; returns the root. */
 OpId
@@ -245,29 +225,29 @@ makeSyntheticWorkload(const std::string &label)
 
     long a = 0, b = 0;
     if (auto p = param("stream-")) {
-        if (parseLongIn(*p, 1, 64, a))
+        if (parseLabelNumber(*p, 1, 64, a))
             return makeStream(label, a);
     } else if (auto p = param("stride-")) {
         std::size_t x = p->find('x');
         if (x != std::string::npos
-            && parseLongIn(p->substr(0, x), 1, 1024, a)
-            && parseLongIn(p->substr(x + 1), 0, 64, b))
+            && parseLabelNumber(p->substr(0, x), 1, 1024, a)
+            && parseLabelNumber(p->substr(x + 1), 0, 64, b))
             return makeStride(label, a, b);
     } else if (auto p = param("stencil2d-")) {
-        if (parseLongIn(*p, 1, 16, a))
+        if (parseLabelNumber(*p, 1, 16, a))
             return makeStencil2d(label, a);
     } else if (auto p = param("reduce-")) {
-        if (parseLongIn(*p, 1, 32, a))
+        if (parseLabelNumber(*p, 1, 32, a))
             return makeReduce(label, a);
     } else if (auto p = param("pchase-")) {
-        if (parseLongIn(*p, 1, 1024, a))
+        if (parseLabelNumber(*p, 1, 1024, a))
             return makePchase(label, a);
     } else if (auto p = param("rand-s")) {
         std::size_t dash = p->find('-');
         if (dash != std::string::npos
-            && parseLongIn(p->substr(0, dash), 0,
-                           std::numeric_limits<long>::max(), a)
-            && parseLongIn(p->substr(dash + 1), 2, 128, b))
+            && parseLabelNumber(p->substr(0, dash), 0,
+                                std::numeric_limits<long>::max(), a)
+            && parseLabelNumber(p->substr(dash + 1), 2, 128, b))
             return makeRand(label, static_cast<std::uint64_t>(a), b);
     }
     return std::nullopt;

@@ -11,7 +11,9 @@
  * label always produces bit-identical ir::Loop kernels (the rand
  * family draws everything from an Rng seeded by its label).
  *
- * Grammar (all integers decimal; bounds in makeSyntheticWorkload):
+ * Grammar (all integers canonical decimal — no sign, space or
+ * leading zero, see parseLabelNumber; bounds in
+ * makeSyntheticWorkload):
  *
  *   stream-<ops>        unit-stride map, <ops>-deep ALU chain
  *   stride-<s>x<ops>    walk with stride <s> elements, <ops> ALU ops

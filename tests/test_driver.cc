@@ -111,8 +111,12 @@ TEST(ArchRegistry, AliasesAndUnknowns)
               "interleaved-1");
     EXPECT_EQ(driver::archRegistry().resolve("int2").label,
               "interleaved-2");
+    // Only canonical spellings are cell identities: no stray dash,
+    // sign, space or leading zero, and no number that would wrap.
     for (const char *bad :
-         {"bogus", "l0-", "l0-x", "l0-0", "l0-8-pfx", "l0-8-wat"})
+         {"bogus", "l0-", "l0-x", "l0-0", "l0-8-pfx", "l0-8-wat",
+          "l0-8-", "l0-08", "l0-+8", "l0- 8", "l0-8-pf+1", "l0-8-pf01",
+          "l0-4294967304", "l0-99999999999999999999"})
         EXPECT_FALSE(driver::archRegistry().tryResolve(bad).has_value())
             << bad;
 }

@@ -10,6 +10,7 @@
  */
 
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,10 +152,11 @@ TEST(LiveGridTest, FoldsReplayIntoLiveViewExactlyOnce)
                   error),
               LiveGrid::Apply::Duplicate);
 
-    EXPECT_EQ(grid.cellsApplied(), 2u);
-    EXPECT_EQ(grid.duplicates(), 1u);
-    EXPECT_EQ(grid.failed(), 1u);
-    EXPECT_EQ(grid.failedBy(FailReason::Timeout), 1u);
+    EXPECT_EQ(grid.info().counters.cells, 2u);
+    EXPECT_EQ(grid.info().counters.duplicates, 1u);
+    EXPECT_EQ(grid.info().counters.failed, 1u);
+    EXPECT_EQ(grid.info().counters.byReason[static_cast<int>(
+                  FailReason::Timeout)], 1u);
     EXPECT_EQ(grid.lastSeq(), 2u);
 
     // In flight: no grid frame yet, and the live table says so.
@@ -173,7 +175,7 @@ TEST(LiveGridTest, FoldsReplayIntoLiveViewExactlyOnce)
     EXPECT_EQ(grid.applyFrame(pushFrame(3, gridLine("s", "r1", table)),
                               error),
               LiveGrid::Apply::Applied);
-    EXPECT_EQ(grid.gridsApplied(), 1u);
+    EXPECT_EQ(grid.info().counters.grids, 1u);
     ASSERT_NE(grid.latestStoredGrid(), nullptr);
     EXPECT_EQ(renderText(*grid.latestStoredGrid()), renderText(table));
     EXPECT_EQ(grid.liveTable().title.find("[in flight]"),
@@ -199,7 +201,7 @@ TEST(LiveGridTest, LatestRunWinsAndMissingCellsAreMarked)
     std::string text = renderText(grid.liveTable());
     EXPECT_NE(text.find("run r2"), std::string::npos);
     EXPECT_NE(text.find("..."), std::string::npos); // b2 in flight
-    EXPECT_EQ(grid.runs().size(), 2u);
+    EXPECT_EQ(grid.info().runs.size(), 2u);
 }
 
 TEST(LiveGridTest, RejectedAndMalformedFrames)
@@ -219,7 +221,7 @@ TEST(LiveGridTest, RejectedAndMalformedFrames)
                               "\"data\":{\"event\":\"dance\"}}",
                               error),
               LiveGrid::Apply::Malformed);
-    EXPECT_EQ(grid.cellsApplied(), 0u);
+    EXPECT_EQ(grid.info().counters.cells, 0u);
 }
 
 TEST(LiveGridTest, ResetsWhenServerLostHistory)
@@ -243,14 +245,100 @@ TEST(LiveGridTest, ResetsWhenServerLostHistory)
               LiveGrid::Apply::Info);
     EXPECT_EQ(grid.resets(), 1u);
     EXPECT_EQ(grid.lastSeq(), 0u);
-    EXPECT_EQ(grid.cellsApplied(), 0u);
-    EXPECT_TRUE(grid.runs().empty());
+    EXPECT_EQ(grid.info().counters.cells, 0u);
+    EXPECT_TRUE(grid.info().runs.empty());
     // The same seq numbers apply cleanly again after the reset.
     EXPECT_EQ(grid.applyFrame(
                   pushFrame(1, cellLine("s", "r1", 1, "b1", "a", true,
                                         100)),
                   error),
               LiveGrid::Apply::Applied);
+}
+
+TEST(LiveGridTest, AgreesWithTheStoreOnOneStream)
+{
+    // One canned stream, two consumers: the store ingests it, the
+    // live view folds the store's pushes of it. Two runs, a failed
+    // cell, a grid frame, and a resend of an already-stored cell —
+    // which the store drops by id and the live side sees as a replay
+    // overlap of the seq it already applied.
+    const std::vector<std::string> stream = {
+        cellLine("s", "r1", 1, "b1", "a", true, 100),
+        cellLine("s", "r1", 2, "b2", "a", false, 0),
+        gridLine("s", "r1", sampleTable()),
+        cellLine("s", "r2", 1, "b1", "a", true, 110),
+        cellLine("s", "r1", 2, "b2", "a", false, 0),
+        cellLine("s", "r2", 2, "b2", "a", true, 210),
+    };
+    TempLog log("agree");
+    StoreService service;
+    std::string error;
+    ASSERT_TRUE(service.open(log.path(), error)) << error;
+    LiveGrid grid("s");
+    std::map<std::string, std::uint64_t> seqOf;
+    for (const std::string &line : stream) {
+        std::optional<std::string> ack = service.handleLine(line);
+        ASSERT_TRUE(ack.has_value());
+        if (*ack == "{\"event\":\"ack\",\"stored\":true}")
+            seqOf[line] = service.log().events().back().seq;
+        else
+            ASSERT_EQ(*ack, "{\"event\":\"ack\",\"stored\":false}");
+        grid.applyFrame(pushFrame(seqOf.at(line), line), error);
+    }
+
+    const store::SuiteInfo *stored = service.log().suite("s");
+    ASSERT_NE(stored, nullptr);
+    const store::SuiteInfo &live = grid.info();
+    ASSERT_EQ(live.runs.size(), 2u);
+    ASSERT_EQ(stored->runs.size(), live.runs.size());
+    for (std::size_t i = 0; i < live.runs.size(); ++i) {
+        const store::RunInfo &a = stored->runs[i];
+        const store::RunInfo &b = live.runs[i];
+        EXPECT_EQ(a.run, b.run);
+        EXPECT_EQ(a.rev, b.rev);
+        EXPECT_EQ(a.seq, b.seq);
+        EXPECT_EQ(a.seenIds, b.seenIds);
+        EXPECT_EQ(a.hasGrid, b.hasGrid);
+        ASSERT_EQ(a.cells.size(), b.cells.size());
+        for (const auto &kv : a.cells) {
+            const store::CellRecord &x = kv.second;
+            const store::CellRecord &y = b.cells.at(kv.first);
+            EXPECT_EQ(x.ok, y.ok);
+            EXPECT_EQ(x.reason, y.reason);
+            EXPECT_EQ(x.attempts, y.attempts);
+            EXPECT_EQ(x.wallMs, y.wallMs);
+            EXPECT_EQ(x.totalCycles, y.totalCycles);
+        }
+    }
+
+    const store::SuiteCounters &sc = stored->counters;
+    const store::SuiteCounters &lc = live.counters;
+    EXPECT_EQ(sc.cells, 4u);
+    EXPECT_EQ(sc.duplicates, 1u);
+    EXPECT_EQ(sc.grids, 1u);
+    EXPECT_EQ(sc.failed, 1u);
+    EXPECT_EQ(lc.cells, sc.cells);
+    EXPECT_EQ(lc.duplicates, sc.duplicates);
+    EXPECT_EQ(lc.grids, sc.grids);
+    EXPECT_EQ(lc.failed, sc.failed);
+    for (int r = 0; r < kFailReasonCount; ++r)
+        EXPECT_EQ(lc.byReason[r], sc.byReason[r]) << r;
+
+    // Latest run is r2; the latest grid is still r1's (r2 is in
+    // flight), rendered byte-identically on both sides.
+    ASSERT_NE(service.log().latestRun("s"), nullptr);
+    ASSERT_NE(live.latestRun(), nullptr);
+    EXPECT_EQ(service.log().latestRun("s")->run, "r2");
+    EXPECT_EQ(live.latestRun()->run, "r2");
+    std::optional<std::string> reply =
+        service.handleLine("latest-grid s");
+    ASSERT_TRUE(reply.has_value());
+    std::optional<json::Value> doc = json::parse(*reply);
+    ASSERT_TRUE(doc.has_value() && doc->find("text") != nullptr)
+        << *reply;
+    ASSERT_NE(grid.latestStoredGrid(), nullptr);
+    EXPECT_EQ(renderText(*grid.latestStoredGrid()),
+              doc->find("text")->str());
 }
 
 // ---- renderers ----
@@ -347,9 +435,9 @@ TEST(WatcherEndToEnd, CatchesUpByteIdenticalToLatestGrid)
     Watcher::Session session = watcher.runSession(
         [](LiveGrid &grid) { return !grid.caughtUp(); }, error, 250);
     EXPECT_EQ(session, Watcher::Session::Stopped);
-    EXPECT_EQ(watcher.grid().cellsApplied(), 6u);
-    EXPECT_EQ(watcher.grid().gridsApplied(), 1u);
-    EXPECT_EQ(watcher.grid().duplicates(), 0u);
+    EXPECT_EQ(watcher.grid().info().counters.cells, 6u);
+    EXPECT_EQ(watcher.grid().info().counters.grids, 1u);
+    EXPECT_EQ(watcher.grid().info().counters.duplicates, 0u);
 
     // The --once contract: the watcher's stored grid renders byte-
     // identically to the store's own latest-grid answer.
@@ -398,8 +486,8 @@ TEST(WatcherEndToEnd, SeesLivePushesAfterCatchUp)
                   [](LiveGrid &grid) { return grid.lastSeq() < 4; },
                   error, 250),
               Watcher::Session::Stopped);
-    EXPECT_EQ(watcher.grid().cellsApplied(), 3u);
-    EXPECT_EQ(watcher.grid().duplicates(), 0u);
+    EXPECT_EQ(watcher.grid().info().counters.cells, 3u);
+    EXPECT_EQ(watcher.grid().info().counters.duplicates, 0u);
 
     pub.reset();
     store.server.stop();
@@ -446,8 +534,8 @@ TEST(WatcherChaos, ExactlyOnceUnderResetsAndCorruption)
         // Exactly once: every stored event applied, none twice —
         // whatever the replay overlap was, the dedup absorbed it
         // (duplicates counts the absorbed resends, applied does not).
-        EXPECT_EQ(watcher.grid().cellsApplied(), want - 1);
-        EXPECT_EQ(watcher.grid().gridsApplied(), 1u);
+        EXPECT_EQ(watcher.grid().info().counters.cells, want - 1);
+        EXPECT_EQ(watcher.grid().info().counters.grids, 1u);
         EXPECT_EQ(watcher.grid().lastSeq(), want);
         ASSERT_NE(watcher.grid().latestStoredGrid(), nullptr);
         EXPECT_EQ(renderText(*watcher.grid().latestStoredGrid()),

@@ -94,7 +94,8 @@ TEST(WorkloadRegistry, UnknownLabelsRejected)
           "stride-4", "stride-0x2", "stride-4x", "stride-x4",
           "stencil2d-0", "stencil2d-17", "reduce-33", "pchase-0",
           "pchase--1", "rand-s1", "rand-s1-1", "rand-sx-4",
-          "rand-s1-129"})
+          "rand-s1-129", "stream-04", "stream-+4", "stream- 4",
+          "rand-s01-4", "rand-s99999999999999999999-4"})
         EXPECT_FALSE(workloadRegistry().tryResolve(bad).has_value())
             << bad;
     EXPECT_EXIT(workloadRegistry().resolve("nosuch"),
