@@ -241,11 +241,11 @@ BENCHMARK(BM_MetricsHistogramRecord);
 /**
  * The experiment engine end to end: a 4-benchmark x 4-architecture
  * grid (the Figure 7 architectures), executed serially vs on a worker
- * pool. One iteration = the whole grid including the serial phase-0
- * baselines, so this measures the wall-clock win of parallel cell
- * execution (bounded by the phase-0 serial fraction and the core
- * count; on a single-core host the two track each other, parallel
- * paying only the thread-pool overhead). Every grid benchmark reports
+ * pool. One iteration = the whole grid, its wave of baseline jobs
+ * included, so this measures the wall-clock win of parallel cell
+ * execution (bounded by the barrier between the two waves and the
+ * core count; on a single-core host the two track each other,
+ * parallel paying only the thread-pool overhead). Every grid benchmark reports
  * real time: their work runs on worker threads, child processes and
  * daemons whose CPU time the main thread's clock never sees.
  */

@@ -17,10 +17,12 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/result_sink.hh"
 #include "driver/cli.hh"
 #include "driver/registry.hh"
+#include "driver/runner.hh"
 #include "driver/suite.hh"
 #include "ir/memdep.hh"
 #include "mem/l0_system.hh"
@@ -45,9 +47,8 @@ main(int argc, char **argv)
         workloads::workloadRegistry().resolve(bench_name);
     driver::ArchSpec arch = driver::archRegistry().resolve(arch_name);
 
-    // Reference unroll decisions (same rule the runner uses).
-    driver::ArchSpec ref = driver::ArchSpec::l0(8);
-    sched::ModuloScheduler ref_sched(ref.config, ref.sched);
+    // The grid's own unroll decision, one factor per loop.
+    std::vector<int> unrolls = driver::chooseUnrollFactors(bench);
     sched::ModuloScheduler scheduler(arch.config, arch.sched);
 
     ResultTable t;
@@ -60,11 +61,11 @@ main(int argc, char **argv)
                 "viol"};
 
     Cycle clock = 0;
-    for (const auto &li : bench.loops) {
+    for (std::size_t i = 0; i < bench.loops.size(); ++i) {
+        const workloads::LoopInstance &li = bench.loops[i];
         ir::Loop body =
             li.specialize ? ir::specializeLoop(li.loop) : li.loop;
-        int u = sched::chooseUnrollFactor(body, li.trips, ref_sched,
-                                          ref.config.numClusters);
+        int u = unrolls[i];
         if (u > 1)
             body = ir::unrollLoop(body, u);
         sched::Schedule s = scheduler.schedule(body);

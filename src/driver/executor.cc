@@ -4,12 +4,15 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <thread>
 
 #include <sys/socket.h>
@@ -87,22 +90,63 @@ getU64(const json::Value &obj, const char *key, std::uint64_t &out,
     const json::Value *v = obj.find(key);
     // Strict: the token must be a plain non-negative integer —
     // strtoull would silently wrap "-1" and truncate "1.5e3".
-    bool plain = v != nullptr && v->isNumber()
-                 && !v->numberToken().empty();
-    if (plain)
-        for (char c : v->numberToken())
-            plain &= c >= '0' && c <= '9';
-    if (!plain) {
+    const std::string token =
+        v != nullptr && v->isNumber() ? v->numberToken() : "";
+    if (token.empty()
+        || token.find_first_not_of("0123456789") != std::string::npos) {
         error = std::string("missing or non-u64 field '") + key + "'";
         return false;
     }
     errno = 0;
-    out = std::strtoull(v->numberToken().c_str(), nullptr, 10);
+    out = std::strtoull(token.c_str(), nullptr, 10);
     if (errno == ERANGE) {
         error = std::string("out-of-range u64 field '") + key + "'";
         return false;
     }
     return true;
+}
+
+/**
+ * The "unrolls" array: each factor a plain integer token in int range
+ * — a fraction or an out-of-range value is an error, never truncated
+ * or wrapped. Range checks against the loops are executeCellJob's.
+ */
+bool
+getUnrolls(const json::Value &obj, std::vector<int> &out,
+           std::string &error)
+{
+    const json::Value *v = obj.find("unrolls");
+    if (v == nullptr || !v->isArray()) {
+        error = "missing or non-array field 'unrolls'";
+        return false;
+    }
+    for (const auto &u : v->items()) {
+        const std::string token = u.isNumber() ? u.numberToken() : "";
+        const std::size_t sign = token.rfind('-', 0) == 0 ? 1 : 0;
+        errno = 0;
+        long long n = std::strtoll(token.c_str(), nullptr, 10);
+        if (token.size() == sign
+            || token.find_first_not_of("0123456789", sign)
+                   != std::string::npos
+            || errno == ERANGE || n < INT_MIN || n > INT_MAX) {
+            error = "non-integer or out-of-range entry in 'unrolls'";
+            return false;
+        }
+        out.push_back(static_cast<int>(n));
+    }
+    return true;
+}
+
+void
+appendUnrolls(std::string &out, const std::vector<int> &unrolls)
+{
+    out += "\"unrolls\":[";
+    for (std::size_t i = 0; i < unrolls.size(); ++i) {
+        if (i)
+            out += ',';
+        out += std::to_string(unrolls[i]);
+    }
+    out += ']';
 }
 
 bool
@@ -232,14 +276,10 @@ CellJob::toJson() const
     appendField(out, "id", id);
     out += ",\"bench\":" + json::quote(bench);
     out += ",\"arch\":" + json::quote(arch);
-    out += ",\"unrolls\":[";
-    for (std::size_t i = 0; i < unrolls.size(); ++i) {
-        if (i)
-            out += ',';
-        out += std::to_string(unrolls[i]);
-    }
-    out += "],\"baseline\":";
-    appendBenchmarkRun(out, baseline);
+    out += ',';
+    appendUnrolls(out, unrolls);
+    out += ',';
+    appendField(out, "scalarCycles", baseline.scalarCycles);
     out += '}';
     return out;
 }
@@ -258,26 +298,10 @@ CellJob::fromJson(const std::string &text, CellJob &out,
     out = CellJob{};
     if (!getU64(*doc, "id", out.id, error)
         || !getString(*doc, "bench", out.bench, error)
-        || !getString(*doc, "arch", out.arch, error))
+        || !getString(*doc, "arch", out.arch, error)
+        || !getUnrolls(*doc, out.unrolls, error))
         return false;
-    const json::Value *unrolls = doc->find("unrolls");
-    if (unrolls == nullptr || !unrolls->isArray()) {
-        error = "missing or non-array field 'unrolls'";
-        return false;
-    }
-    for (const auto &u : unrolls->items()) {
-        if (!u.isNumber()) {
-            error = "non-numeric unroll factor";
-            return false;
-        }
-        out.unrolls.push_back(static_cast<int>(u.asI64()));
-    }
-    const json::Value *baseline = doc->find("baseline");
-    if (baseline == nullptr) {
-        error = "missing field 'baseline'";
-        return false;
-    }
-    return decodeBenchmarkRun(*baseline, out.baseline, error);
+    return getU64(*doc, "scalarCycles", out.baseline.scalarCycles, error);
 }
 
 std::string
@@ -294,6 +318,10 @@ CellOutcome::toJson() const
     out += ",\"attempts\":" + std::to_string(attempts);
     out += ",\"execUs\":" + json::fromDouble(execUs);
     out += ",\"planUs\":" + json::fromDouble(planUs);
+    if (!unrolls.empty()) {
+        out += ',';
+        appendUnrolls(out, unrolls);
+    }
     out += ",\"run\":";
     appendBenchmarkRun(out, run);
     out += '}';
@@ -322,23 +350,19 @@ CellOutcome::fromJson(const std::string &text, CellOutcome &out,
     out.ok = ok->boolean();
     if (const json::Value *err = doc->find("error"))
         out.error = err->isString() ? err->str() : std::string();
-    // Tolerant decode: reason/attempts are absent from pre-taxonomy
-    // peers and unknown reason names decode to None, so an old daemon
-    // and a new driver (or vice versa) still interoperate.
+    // Only failures carry a reason; an unknown name decodes to None.
     if (const json::Value *reason = doc->find("reason"))
         out.reason = reason->isString()
                          ? failReasonFromName(reason->str())
                          : FailReason::None;
-    if (const json::Value *attempts = doc->find("attempts"))
-        out.attempts = attempts->isNumber()
-                           ? static_cast<int>(attempts->asI64())
-                           : 1;
-    // Same tolerance for the daemon-side span timings: a pre-timing
-    // peer's frames simply decode to 0 and the trace omits the spans.
-    if (const json::Value *v = doc->find("execUs"))
-        out.execUs = v->isNumber() ? v->asDouble() : 0;
-    if (const json::Value *v = doc->find("planUs"))
-        out.planUs = v->isNumber() ? v->asDouble() : 0;
+    std::uint64_t attempts = 0;
+    if (!getU64(*doc, "attempts", attempts, error)
+        || !getDouble(*doc, "execUs", out.execUs, error)
+        || !getDouble(*doc, "planUs", out.planUs, error)
+        || (doc->find("unrolls") != nullptr
+            && !getUnrolls(*doc, out.unrolls, error)))
+        return false;
+    out.attempts = static_cast<int>(attempts);
     const json::Value *run = doc->find("run");
     if (run == nullptr) {
         error = "missing field 'run'";
@@ -369,18 +393,39 @@ executeCellJob(const CellJob &job)
         out.error = "unknown architecture label '" + job.arch + "'";
         return out;
     }
-    if (job.unrolls.size() != bench->loops.size()) {
-        out.error = "job has " + std::to_string(job.unrolls.size())
-                    + " unroll factors for " + job.bench + "'s "
-                    + std::to_string(bench->loops.size()) + " loops";
+    // A baseline job (no factors) makes the unroll decision itself and
+    // normalises against its own run; every other job brings both.
+    const bool baseline = job.unrolls.empty();
+    if (baseline ? arch->label != "unified"
+                 : job.unrolls.size() != bench->loops.size()) {
+        out.error = job.bench + "/" + job.arch + ": "
+                    + std::to_string(job.unrolls.size())
+                    + " unroll factors for "
+                    + std::to_string(bench->loops.size())
+                    + " loops (only a unified job may carry none)";
         return out;
+    }
+    for (std::size_t i = 0; i < job.unrolls.size(); ++i) {
+        const std::uint64_t trips = bench->loops[i].trips;
+        if (job.unrolls[i] < 1
+            || static_cast<std::uint64_t>(job.unrolls[i]) > trips) {
+            out.error = "unroll factor " + std::to_string(job.unrolls[i])
+                        + " outside 1.." + std::to_string(trips)
+                        + ", its loop's trip count";
+            return out;
+        }
     }
     out.reason = FailReason::None;
 
     auto planStart = std::chrono::steady_clock::now();
-    auto plans = buildLoopPlans(*bench, *arch, job.unrolls);
+    std::vector<int> unrolls =
+        baseline ? chooseUnrollFactors(*bench) : job.unrolls;
+    auto plans = buildLoopPlans(*bench, *arch, unrolls);
     auto planEnd = std::chrono::steady_clock::now();
-    out.run = runCell(*bench, *arch, job.unrolls, plans, &job.baseline);
+    out.run = runCell(*bench, *arch, unrolls, plans,
+                      baseline ? nullptr : &job.baseline);
+    if (baseline)
+        out.unrolls = std::move(unrolls);
     out.ok = true;
     // The executing side's own span timings ride back in the outcome
     // frame (no shared clock with the client; see CellOutcome).
@@ -460,41 +505,27 @@ emitOutcomeEvent(const ExecOptions &opts, const CellJob &job,
         h.record(static_cast<std::uint64_t>(wallMs * 1000.0));
     }
     if (opts.trace != nullptr) {
+        double startUs = opts.trace->sinceUs(start);
         double endUs = opts.trace->sinceUs(end);
-        metrics::TraceSpan cell;
-        cell.job = job.id;
-        cell.name = "cell";
-        cell.cat = "driver";
-        cell.tsUs = opts.trace->sinceUs(start);
-        cell.durUs = endUs - cell.tsUs;
-        cell.args = {{"bench", job.bench},
-                     {"arch", job.arch},
-                     {"ok", outcome.ok ? "true" : "false"},
-                     {"attempts", std::to_string(outcome.attempts)}};
+        metrics::TraceSpan cell{
+            job.id, "cell", "driver", startUs, endUs - startUs,
+            {{"bench", job.bench},
+             {"arch", job.arch},
+             {"ok", outcome.ok ? "true" : "false"},
+             {"attempts", std::to_string(outcome.attempts)}}};
         if (!outcome.ok && outcome.reason != FailReason::None)
             cell.args.emplace_back("reason",
                                    failReasonName(outcome.reason));
         opts.trace->record(std::move(cell));
-        if (outcome.execUs > 0) {
-            // The executing side has no shared clock: anchor its
-            // self-measured spans to end when the reply landed here.
-            metrics::TraceSpan exec;
-            exec.job = job.id;
-            exec.name = "execute";
-            exec.cat = "worker";
-            exec.tsUs = endUs - outcome.execUs;
-            exec.durUs = outcome.execUs;
-            opts.trace->record(std::move(exec));
-            if (outcome.planUs > 0) {
-                metrics::TraceSpan plan;
-                plan.job = job.id;
-                plan.name = "plan-build";
-                plan.cat = "worker";
-                plan.tsUs = endUs - outcome.execUs;
-                plan.durUs = outcome.planUs;
-                opts.trace->record(std::move(plan));
-            }
-        }
+        // The executing side has no shared clock: anchor its
+        // self-measured spans to end when the reply landed here.
+        double execStart = endUs - outcome.execUs;
+        if (outcome.execUs > 0)
+            opts.trace->record({job.id, "execute", "worker", execStart,
+                                outcome.execUs, {}});
+        if (outcome.execUs > 0 && outcome.planUs > 0)
+            opts.trace->record({job.id, "plan-build", "worker", execStart,
+                                outcome.planUs, {}});
     }
     if (opts.onOutcome)
         opts.onOutcome(job, outcome, wallMs);
@@ -507,13 +538,9 @@ recordWireWrite(const ExecOptions &opts, std::uint64_t id,
 {
     if (opts.trace == nullptr)
         return;
-    metrics::TraceSpan span;
-    span.job = id;
-    span.name = "wire-write";
-    span.cat = cat;
-    span.tsUs = opts.trace->sinceUs(start);
-    span.durUs = opts.trace->nowUs() - span.tsUs;
-    opts.trace->record(std::move(span));
+    double startUs = opts.trace->sinceUs(start);
+    opts.trace->record({id, "wire-write", cat, startUs,
+                        opts.trace->nowUs() - startUs, {}});
 }
 
 /** Workers for @p tasks jobs — pool threads or worker children:
@@ -1341,7 +1368,8 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
 
             // Await one reply — bounded by the oldest in-flight job's
             // deadline (each windowed job keeps its own dispatch
-            // stamp; the minimum is the first deadline to fire).
+            // stamp; the minimum is the first deadline to fire). A
+            // deadline already past is a timeout without a read.
             int remainingMs = -1;
             if (deadlineMs >= 0) {
                 ExecClock::time_point oldest =
@@ -1352,21 +1380,13 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                     std::chrono::duration_cast<std::chrono::milliseconds>(
                         ExecClock::now() - oldest)
                         .count();
-                remainingMs = deadlineMs - static_cast<int>(age);
-                if (remainingMs <= 0) {
-                    timeouts.fetch_add(1);
-                    deadlineTimeouts().inc();
-                    lastError = "cell exceeded the "
-                                + std::to_string(deadlineMs)
-                                + "ms deadline";
-                    lastReason = FailReason::Timeout;
-                    teardown(/*refundHead=*/false);
-                    continue;
-                }
+                remainingMs =
+                    std::max(0, deadlineMs - static_cast<int>(age));
             }
             std::string reply, err;
             net::LineReader::Status status =
-                reader.readLine(reply, err, remainingMs);
+                remainingMs == 0 ? net::LineReader::Status::Timeout
+                                 : reader.readLine(reply, err, remainingMs);
             if (status == net::LineReader::Status::Timeout) {
                 // The oldest windowed job blew its deadline. A late
                 // reply would be unattributable after teardown, so the
@@ -1513,21 +1533,15 @@ handleCellLine(const std::string &line)
     // The metrics query verb: a plain-word line (the store protocol's
     // request shape) whose first word is "metrics" — what lets
     // `l0store query host:port metrics prom` scrape a cell daemon with
-    // the same client that scrapes the store. Only an exact word match
-    // diverts: injected corruption flips a frame byte to a control
-    // character (net/fault.cc), so a mangled job can never alias this
-    // and chaos runs keep their id-0 corrupted-frame sentinel.
+    // the same client that scrapes the store. Only a first word of
+    // exactly "metrics" diverts: injected corruption flips a frame
+    // byte to a control character (net/fault.cc), which leaves a
+    // mangled job's first word its own, so chaos runs keep their id-0
+    // corrupted-frame sentinel.
     if (!line.empty() && line[0] != '{') {
-        std::vector<std::string> words;
-        std::size_t pos = 0;
-        while (pos < line.size()) {
-            std::size_t space = line.find(' ', pos);
-            if (space == std::string::npos)
-                space = line.size();
-            if (space > pos)
-                words.push_back(line.substr(pos, space - pos));
-            pos = space + 1;
-        }
+        std::istringstream in(line);
+        std::vector<std::string> words{
+            std::istream_iterator<std::string>(in), {}};
         if (!words.empty() && words[0] == "metrics")
             return metrics::metricsQueryReply(words);
     }

@@ -7,12 +7,17 @@
  * described by a serializable CellJob — benchmark and architecture
  * *labels* (resolved through workloadRegistry()/archRegistry() on the
  * executing side, which is what makes cells addressable across a
- * process boundary), the phase-0 unroll factors, and the unified
- * baseline run the cell normalises against. The result is a
- * CellOutcome carrying the full BenchmarkRun. Both value types have a
- * lossless JSON encoding (common/json.hh): 64-bit counters decode
- * from their raw tokens and doubles travel as %.17g, so a run that
- * crossed a pipe is bit-identical to one computed in place.
+ * process boundary), the unroll factors, and the scalar-region cycles
+ * of the benchmark's unified baseline. A job with no unroll factors
+ * is a *baseline job*: the worker makes the unroll decision itself,
+ * runs the unified cell with its self-referential scalar region, and
+ * returns the factors in the outcome. Every simulated run, baselines
+ * included, is one job through one worker body (executeCellJob). The
+ * result is a CellOutcome carrying the full BenchmarkRun. Both value
+ * types have a lossless JSON encoding (common/json.hh): 64-bit
+ * counters decode from their raw tokens and doubles travel as %.17g,
+ * so a run that crossed a pipe is bit-identical to one computed in
+ * place.
  *
  * Two engines ship:
  *
@@ -198,9 +203,12 @@ struct CellJob
     std::uint64_t id = 0;        ///< echoed back in the outcome
     std::string bench;           ///< workloadRegistry() label
     std::string arch;            ///< archRegistry() label
-    std::vector<int> unrolls;    ///< phase-0 decision, one per loop
-    /** The phase-0 unified baseline rides inside the job so workers
-     *  stay stateless (runCell() reads its scalar-region cycles). */
+    /** The unroll decision, one factor per loop; empty marks a
+     *  baseline job (arch "unified"), which decides them itself. */
+    std::vector<int> unrolls;
+    /** The benchmark's unified baseline. Only its scalarCycles is
+     *  read (runCell()) and only it travels on the wire, so workers
+     *  stay stateless; ignored by a baseline job. */
     BenchmarkRun baseline;
 
     /** One-line JSON encoding (no raw newlines). */
@@ -226,11 +234,14 @@ struct CellOutcome
      * executing side and ridden back inside the outcome frame so a
      * client trace covers both sides of the wire without a shared
      * clock: total execute wall time and the plan-build slice of it,
-     * both in microseconds. 0 on frames from pre-timing peers
-     * (decoded tolerantly, like reason/attempts).
+     * both in microseconds; 0 when nothing executed (the id-0
+     * malformed-frame reply).
      */
     double execUs = 0;
     double planUs = 0;
+    /** A baseline job's unroll decision, one factor per loop (empty
+     *  for every other job). */
+    std::vector<int> unrolls;
     BenchmarkRun run; ///< the full aggregated cell run
 
     std::string toJson() const;
@@ -245,8 +256,10 @@ bool benchmarkRunFromJson(const std::string &text, BenchmarkRun &out,
 
 /**
  * The worker body shared by every backend: resolve the job's labels
- * through the registries, compile plans, run the cell. Label or shape
- * errors come back as a failed outcome, not a crash.
+ * through the registries, make the unroll decision (baseline jobs
+ * only), compile plans, run the cell. Label, shape and factor errors
+ * (a factor below 1 or above its loop's trip count) come back as a
+ * failed job-error outcome, not a crash.
  */
 CellOutcome executeCellJob(const CellJob &job);
 

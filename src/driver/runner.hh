@@ -13,6 +13,11 @@
  * reference configuration (8-entry L0) and reused everywhere, per the
  * paper's "same loop unrolling heuristic ... for all three
  * architectures".
+ *
+ * These are the cell primitives. The grid engine calls them only
+ * through executeCellJob (driver/executor.hh): a baseline job makes
+ * the decision and runs the unified cell, and every other job reuses
+ * both.
  */
 
 #ifndef L0VLIW_DRIVER_RUNNER_HH
@@ -97,9 +102,9 @@ std::vector<int> chooseUnrollFactors(const workloads::Benchmark &bench);
 /**
  * Compile @p bench's loops for @p arch with the given @p unrolls
  * (from chooseUnrollFactors()), scheduling and validating each once.
- * Pure apart from warn() on invalid schedules; the Suite executor
- * calls this per worker, because a KernelPlan's scratch is not
- * reentrant — one plan per thread.
+ * Pure apart from warn() on invalid schedules; executeCellJob calls
+ * this per job, because a KernelPlan's scratch is not reentrant — one
+ * plan per thread.
  */
 std::vector<std::shared_ptr<sim::KernelPlan>>
 buildLoopPlans(const workloads::Benchmark &bench, const ArchSpec &arch,

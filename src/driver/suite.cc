@@ -150,112 +150,91 @@ Suite::run(const ExecOptions &exec) const
     grid.state_ = state_;
     grid.baselines_.resize(nb);
     grid.cells_.resize(nb * na);
+    // An arch-less grid (computed columns only, like table1) simulates
+    // nothing.
+    if (na == 0)
+        return grid;
 
-    // Phase 0, serial and in suite order: the architecture-independent
-    // unroll decision and the unified baseline of every benchmark.
-    // Both ride inside each CellJob, so workers stay stateless. An
-    // arch-less grid (computed columns only, like table1) simulates
-    // nothing and skips both.
-    std::vector<std::vector<int>> unrolls(nb);
-    if (na > 0) {
-        for (std::size_t b = 0; b < nb; ++b)
-            unrolls[b] = chooseUnrollFactors(benches[b]);
-        const ArchSpec uni = ArchSpec::unified();
-        for (std::size_t b = 0; b < nb; ++b) {
-            auto plans = buildLoopPlans(benches[b], uni, unrolls[b]);
-            grid.baselines_[b] =
-                runCell(benches[b], uni, unrolls[b], plans, nullptr);
+    // Every cell is a serializable CellJob, label-addressed through
+    // the registries, and one executor decides where the jobs run —
+    // this process, worker children, or --serve daemons over TCP. The
+    // event stream (ExecOptions.onOutcome) and the trace see each job
+    // once. Ids start at 1 and run on across both waves: an executing
+    // side that receives a corrupted or malformed frame replies with
+    // a failed id-0 outcome (handleCellLine), and that sentinel must
+    // never match a real job — the client retries instead of adopting
+    // the failure.
+    std::unique_ptr<Executor> executor = makeExecutor(exec);
+    std::uint64_t nextId = 1;
+    auto runWave = [&](std::vector<CellJob> &jobs, const auto &fold) {
+        // The head of each job's span chain: a zero-duration
+        // "enqueue" mark on the job's trace lane, stamped before the
+        // executor sees the batch.
+        for (CellJob &job : jobs) {
+            job.id = nextId++;
+            if (exec.trace != nullptr)
+                exec.trace->record(
+                    {job.id, "enqueue", "driver", exec.trace->nowUs(), 0,
+                     {{"bench", job.bench}, {"arch", job.arch}}});
         }
-    }
+        std::vector<CellOutcome> outcomes = executor->execute(jobs);
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            if (!outcomes[j].ok)
+                fatal("suite cell %s/%s: %s", jobs[j].bench.c_str(),
+                      jobs[j].arch.c_str(), outcomes[j].error.c_str());
+            double foldStart =
+                exec.trace != nullptr ? exec.trace->nowUs() : 0;
+            fold(j, outcomes[j]);
+            // The tail of the chain: the outcome folding back into the
+            // grid.
+            if (exec.trace != nullptr)
+                exec.trace->record({jobs[j].id, "fold", "driver", foldStart,
+                                    exec.trace->nowUs() - foldStart, {}});
+        }
+    };
+    auto setCell = [&](std::size_t b, std::size_t a, BenchmarkRun run) {
+        const double base =
+            static_cast<double>(grid.baselines_[b].totalCycles());
+        Cell &cell = grid.cells_[b * na + a];
+        cell.normalized = run.totalCycles() / base;
+        cell.normalizedStall = run.loopStall / base;
+        cell.run = std::move(run);
+    };
 
-    // Phase 1: every remaining cell becomes a serializable CellJob,
-    // label-addressed through the registries, and the executor decides
-    // where it runs — this process, a subprocess pool, or --serve
-    // daemons over TCP; the event stream (ExecOptions.onOutcome) sees
-    // exactly these dispatched jobs, one event per cell as it
-    // completes. "unified" cells are the baseline bit-for-bit and
-    // never dispatch. The in-process backend pays the same
-    // value-semantics cost as subprocess (a baseline copy per job,
-    // label re-resolution per cell) so that every cell exercises the
-    // one protocol path; measured at ~3% of BM_SuiteSerial's 16-cell
-    // grid, shrinking as cells grow.
+    // Wave 1: one baseline job per benchmark. Its worker makes the
+    // architecture-independent unroll decision and runs the unified
+    // cell, whose scalar region is self-referential; both travel back
+    // in the outcome. A "unified" column is that run.
+    std::vector<CellJob> baselineJobs;
+    for (const std::string &label : state_->spec.benchmarks)
+        baselineJobs.push_back(
+            {0, label, "unified", /*unrolls=*/{}, /*baseline=*/{}});
+    std::vector<std::vector<int>> unrolls(nb);
+    runWave(baselineJobs, [&](std::size_t b, CellOutcome &outcome) {
+        unrolls[b] = std::move(outcome.unrolls);
+        grid.baselines_[b] = std::move(outcome.run);
+        for (std::size_t a = 0; a < na; ++a)
+            if (archs[a].label == "unified")
+                setCell(b, a, grid.baselines_[b]);
+    });
+
+    // Wave 2: every other cell, carrying the decision and the
+    // baseline's scalar-region cycles.
     std::vector<CellJob> jobs;
     std::vector<std::size_t> cellOf; // job index -> cell index
-    jobs.reserve(nb * na);
     for (std::size_t i = 0; i < nb * na; ++i) {
         std::size_t b = i / na, a = i % na;
         if (archs[a].label == "unified")
             continue;
-        CellJob job;
-        // Ids start at 1: an executing side that receives a corrupted
-        // or malformed frame replies with a failed id-0 outcome
-        // (handleCellLine), and that sentinel must never match a real
-        // job — the client retries instead of adopting the failure.
-        job.id = jobs.size() + 1;
-        job.bench = state_->spec.benchmarks[b];
-        job.arch = archs[a].label;
-        job.unrolls = unrolls[b];
-        job.baseline = grid.baselines_[b];
-        jobs.push_back(std::move(job));
+        jobs.push_back({0, state_->spec.benchmarks[b], archs[a].label,
+                        unrolls[b], /*baseline=*/{}});
+        jobs.back().baseline.scalarCycles =
+            grid.baselines_[b].scalarCycles;
         cellOf.push_back(i);
     }
-
-    // The head of each job's span chain: a zero-duration "enqueue"
-    // mark on the job's trace lane, stamped before the executor sees
-    // the batch.
-    if (exec.trace != nullptr)
-        for (const CellJob &job : jobs) {
-            metrics::TraceSpan span;
-            span.job = job.id;
-            span.name = "enqueue";
-            span.cat = "driver";
-            span.tsUs = exec.trace->nowUs();
-            span.args = {{"bench", job.bench}, {"arch", job.arch}};
-            exec.trace->record(std::move(span));
-        }
-
-    std::vector<CellOutcome> outcomes;
-    if (!jobs.empty())
-        outcomes = makeExecutor(exec)->execute(jobs);
-
-    auto finishCell = [&](std::size_t i, Cell cell) {
-        std::size_t b = i / na;
-        const double base = static_cast<double>(
-            grid.baselines_[b].totalCycles());
-        cell.normalized = cell.run.totalCycles() / base;
-        cell.normalizedStall = cell.run.loopStall / base;
-        grid.cells_[i] = std::move(cell);
-    };
-
-    for (std::size_t j = 0; j < outcomes.size(); ++j) {
-        if (!outcomes[j].ok)
-            fatal("suite cell %s/%s: %s", jobs[j].bench.c_str(),
-                  jobs[j].arch.c_str(), outcomes[j].error.c_str());
-        double foldStart =
-            exec.trace != nullptr ? exec.trace->nowUs() : 0;
-        Cell cell;
-        cell.run = std::move(outcomes[j].run);
-        finishCell(cellOf[j], std::move(cell));
-        if (exec.trace != nullptr) {
-            // The tail of the chain: the outcome folding back into
-            // the grid.
-            metrics::TraceSpan span;
-            span.job = jobs[j].id;
-            span.name = "fold";
-            span.cat = "driver";
-            span.tsUs = foldStart;
-            span.durUs = exec.trace->nowUs() - foldStart;
-            exec.trace->record(std::move(span));
-        }
-    }
-    for (std::size_t i = 0; i < nb * na; ++i) {
-        if (archs[i % na].label != "unified")
-            continue;
-        // The baseline already ran this cell bit-for-bit.
-        Cell cell;
-        cell.run = grid.baselines_[i / na];
-        finishCell(i, std::move(cell));
-    }
+    runWave(jobs, [&](std::size_t j, CellOutcome &outcome) {
+        setCell(cellOf[j] / na, cellOf[j] % na, std::move(outcome.run));
+    });
     return grid;
 }
 

@@ -14,19 +14,20 @@
  *   spec.meanRow = true;
  *   Suite(std::move(spec)).run(exec).emit(SinkFormat::Table);
  *
- * Execution contract: Suite::run(const ExecOptions&) first computes
- * (serially, in suite order) the per-benchmark unroll factors and
- * unified-baseline runs, then turns every remaining cell into a
- * serializable CellJob and hands the batch to an Executor
+ * Execution contract: Suite::run(const ExecOptions&) runs the grid
+ * as two waves of serializable CellJobs through one Executor
  * (driver/executor.hh) — worker threads in this process, or the
  * windowed channel executor over --cell-worker children or remote
- * --serve daemons.
- * Phase-0 results ride inside each job, and each worker constructs
- * its own KernelPlans — a plan's scratch is not reentrant, one plan
- * per worker — so results are bit-identical for every (backend, jobs,
- * endpoints) combination (tests/test_driver.cc and
- * tests/test_executor.cc prove it). ExecOptions.onOutcome additionally
- * streams every completed cell as it lands — see OutcomeStream.
+ * --serve daemons. Wave 1 is one baseline job per benchmark: its
+ * worker makes the unroll decision and runs the unified cell. Wave 2
+ * is every other cell, carrying that decision and the baseline's
+ * scalar-region cycles; a "unified" column is the wave-1 run itself.
+ * Each worker constructs its own KernelPlans — a plan's scratch is
+ * not reentrant, one plan per worker — so results are bit-identical
+ * for every (backend, jobs, endpoints) combination
+ * (tests/test_driver.cc and tests/test_executor.cc prove it).
+ * ExecOptions.onOutcome additionally streams every completed cell,
+ * baselines included, as it lands — see OutcomeStream.
  */
 
 #ifndef L0VLIW_DRIVER_SUITE_HH

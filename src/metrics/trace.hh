@@ -13,8 +13,8 @@
  * Timestamps are microseconds on the recorder's own steady-clock
  * epoch (construction time). The daemon side of the wire has no shared
  * clock: executeCellJob measures its own execute/plan-build durations
- * and rides them back inside the CellOutcome frame (execUs/planUs,
- * decoded tolerantly), and the client anchors those spans to end at
+ * and rides them back inside the CellOutcome frame (execUs/planUs),
+ * and the client anchors those spans to end at
  * the moment the reply landed — one trace covers both sides of the
  * wire without clock synchronization.
  *

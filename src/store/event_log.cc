@@ -104,8 +104,8 @@ Event::decode(const json::Value &docValue, Event &out,
     out.ok = ok->boolean();
     if (const json::Value *id = doc->find("id"))
         out.id = id->isNumber() ? id->asU64() : 0;
-    // Tolerant, exactly like CellOutcome::fromJson: reason/attempts
-    // are absent from pre-taxonomy events, unknown reasons are None.
+    // Tolerant: a log replays events from before the failure taxonomy,
+    // which carry no reason/attempts; unknown reasons are None.
     if (const json::Value *reason = doc->find("reason"))
         out.reason = reason->isString()
                          ? failReasonFromName(reason->str())

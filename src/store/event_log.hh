@@ -68,8 +68,9 @@ namespace l0vliw::store
  * One decoded stream event. Decoding is tolerant where the --stream
  * schema grew over time: run identity ("suite"/"rev"/"run") defaults
  * for events published by older drivers or replayed from plain
- * --stream files, and "reason"/"attempts" default exactly as
- * CellOutcome::fromJson does — an unknown reason name decodes to None.
+ * --stream files, "reason"/"attempts" default for events logged
+ * before the failure taxonomy existed, and an unknown reason name
+ * decodes to None.
  */
 struct Event
 {

@@ -110,19 +110,20 @@ sampleRun()
     return r;
 }
 
-/** Phase-0 inputs for hand-built jobs: unrolls + unified baseline. */
-struct Phase0
+/** Wave-1 results for hand-built jobs, from the cell primitives:
+ *  the unroll decision and the unified baseline. */
+struct Wave1
 {
     std::vector<int> unrolls;
     driver::BenchmarkRun baseline;
 };
 
-Phase0
-phase0(const std::string &benchLabel)
+Wave1
+wave1(const std::string &benchLabel)
 {
     workloads::Benchmark bench =
         workloads::workloadRegistry().resolve(benchLabel);
-    Phase0 out;
+    Wave1 out;
     out.unrolls = driver::chooseUnrollFactors(bench);
     ArchSpec uni = ArchSpec::unified();
     auto plans = driver::buildLoopPlans(bench, uni, out.unrolls);
@@ -133,14 +134,14 @@ phase0(const std::string &benchLabel)
 
 CellJob
 makeJob(std::uint64_t id, const std::string &bench,
-        const std::string &arch, const Phase0 &p0)
+        const std::string &arch, const Wave1 &w1)
 {
     CellJob job;
     job.id = id;
     job.bench = bench;
     job.arch = arch;
-    job.unrolls = p0.unrolls;
-    job.baseline = p0.baseline;
+    job.unrolls = w1.unrolls;
+    job.baseline = w1.baseline;
     return job;
 }
 
@@ -238,11 +239,11 @@ TEST(Protocol, RealRunRoundTripsBitForBit)
     // A run the simulator actually produced, StatSet included.
     workloads::Benchmark bench =
         workloads::workloadRegistry().resolve("gsmdec");
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     ArchSpec arch = driver::archRegistry().resolve("l0-8");
-    auto plans = driver::buildLoopPlans(bench, arch, p0.unrolls);
-    driver::BenchmarkRun r = driver::runCell(bench, arch, p0.unrolls,
-                                             plans, &p0.baseline);
+    auto plans = driver::buildLoopPlans(bench, arch, w1.unrolls);
+    driver::BenchmarkRun r = driver::runCell(bench, arch, w1.unrolls,
+                                             plans, &w1.baseline);
 
     driver::BenchmarkRun back;
     std::string err;
@@ -267,7 +268,69 @@ TEST(Protocol, CellJobRoundTrips)
     EXPECT_EQ(back.bench, "stream-4");
     EXPECT_EQ(back.arch, "l0-8-pf2");
     EXPECT_EQ(back.unrolls, (std::vector<int>{1, 4, 2}));
-    expectRunsEqual(job.baseline, back.baseline);
+    EXPECT_EQ(back.baseline.scalarCycles, job.baseline.scalarCycles);
+}
+
+TEST(Protocol, JobFrameCarriesOnlyTheBaselineScalarCycles)
+{
+    // The worker reads nothing of the baseline but its scalar-region
+    // cycles, so nothing else travels: no run object, no counters.
+    CellJob job;
+    job.id = 3;
+    job.bench = "gsmdec";
+    job.arch = "l0-8";
+    job.unrolls = {4, 1};
+    job.baseline = sampleRun();
+    job.baseline.scalarCycles = (1ULL << 62) + 5; // past a double
+    std::string wire = job.toJson();
+    auto doc = json::parse(wire);
+    ASSERT_TRUE(doc.has_value()) << wire;
+    EXPECT_EQ(doc->find("run"), nullptr) << wire;
+    EXPECT_EQ(doc->find("baseline"), nullptr) << wire;
+    ASSERT_NE(doc->find("scalarCycles"), nullptr) << wire;
+    EXPECT_EQ(doc->members().size(), 5u) << wire;
+
+    CellJob back;
+    std::string err;
+    ASSERT_TRUE(CellJob::fromJson(wire, back, err)) << err;
+    EXPECT_EQ(back.baseline.scalarCycles, job.baseline.scalarCycles);
+    EXPECT_EQ(back.baseline.loopCompute, 0u);
+    EXPECT_TRUE(back.baseline.memStats.all().empty());
+
+    // A frame without it is malformed, not a zero scalar region.
+    EXPECT_FALSE(CellJob::fromJson(
+        "{\"id\":1,\"bench\":\"gsmdec\",\"arch\":\"l0-8\","
+        "\"unrolls\":[4,1]}",
+        back, err));
+    EXPECT_NE(err.find("scalarCycles"), std::string::npos) << err;
+}
+
+TEST(Protocol, UnrollFactorsDecodeStrictly)
+{
+    // Factors are integer tokens in int range: a fraction or a value
+    // past 32 bits is a decode error, never truncated to a factor the
+    // sender did not ask for. Range checks against the loops are the
+    // worker body's (ExecuteCellJob.RejectsFactorsOutsideTheTripCount).
+    auto frame = [](const std::string &unrolls) {
+        return "{\"id\":1,\"bench\":\"gsmdec\",\"arch\":\"l0-8\","
+               "\"unrolls\":["
+               + unrolls + "],\"scalarCycles\":0}";
+    };
+    CellJob job;
+    std::string err;
+    for (const char *bad : {"1.5", "4294967297", "2147483648", "1e0",
+                            "-2147483649", "\"4\"", "true", "4,null"}) {
+        EXPECT_FALSE(CellJob::fromJson(frame(bad), job, err)) << bad;
+        EXPECT_NE(err.find("unrolls"), std::string::npos) << err;
+    }
+    for (const char *plain : {"0", "-1", "2147483647", "-2147483648"}) {
+        ASSERT_TRUE(CellJob::fromJson(frame(plain), job, err))
+            << plain << ": " << err;
+        ASSERT_EQ(job.unrolls.size(), 1u);
+        EXPECT_EQ(std::to_string(job.unrolls[0]), plain);
+    }
+    ASSERT_TRUE(CellJob::fromJson(frame(""), job, err)) << err;
+    EXPECT_TRUE(job.unrolls.empty()); // a baseline job
 }
 
 TEST(Protocol, CellOutcomeRoundTrips)
@@ -282,7 +345,13 @@ TEST(Protocol, CellOutcomeRoundTrips)
     EXPECT_EQ(back.id, 5u);
     EXPECT_TRUE(back.ok);
     EXPECT_TRUE(back.error.empty());
+    EXPECT_TRUE(back.unrolls.empty());
     expectRunsEqual(ok.run, back.run);
+
+    // A baseline outcome carries the unroll decision back.
+    ok.unrolls = {4, 1, 4};
+    ASSERT_TRUE(CellOutcome::fromJson(ok.toJson(), back, err)) << err;
+    EXPECT_EQ(back.unrolls, ok.unrolls);
 
     CellOutcome failed;
     failed.id = 6;
@@ -330,36 +399,89 @@ TEST(Protocol, DecodeRejectsMissingFields)
 
 TEST(ExecuteCellJob, ResolvesLabelsThroughRegistries)
 {
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     CellOutcome out =
-        driver::executeCellJob(makeJob(9, "gsmdec", "l0-8", p0));
+        driver::executeCellJob(makeJob(9, "gsmdec", "l0-8", w1));
     ASSERT_TRUE(out.ok) << out.error;
     EXPECT_EQ(out.id, 9u);
     EXPECT_EQ(out.run.bench, "gsmdec");
     EXPECT_EQ(out.run.arch, "l0-8");
     EXPECT_GT(out.run.totalCycles(), 0u);
     // Scalar cycles come from the baseline riding in the job.
-    EXPECT_EQ(out.run.scalarCycles, p0.baseline.scalarCycles);
+    EXPECT_EQ(out.run.scalarCycles, w1.baseline.scalarCycles);
 }
 
 TEST(ExecuteCellJob, FailsCleanlyOnBadJobs)
 {
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
 
     CellOutcome out =
-        driver::executeCellJob(makeJob(1, "no-such-bench", "l0-8", p0));
+        driver::executeCellJob(makeJob(1, "no-such-bench", "l0-8", w1));
     EXPECT_FALSE(out.ok);
     EXPECT_NE(out.error.find("no-such-bench"), std::string::npos);
 
-    out = driver::executeCellJob(makeJob(2, "gsmdec", "l0-bogus", p0));
+    out = driver::executeCellJob(makeJob(2, "gsmdec", "l0-bogus", w1));
     EXPECT_FALSE(out.ok);
     EXPECT_NE(out.error.find("l0-bogus"), std::string::npos);
 
-    CellJob shape = makeJob(3, "gsmdec", "l0-8", p0);
+    CellJob shape = makeJob(3, "gsmdec", "l0-8", w1);
     shape.unrolls.push_back(1);
     out = driver::executeCellJob(shape);
     EXPECT_FALSE(out.ok);
     EXPECT_NE(out.error.find("unroll"), std::string::npos);
+
+    // No factors marks a baseline job, which only "unified" can be.
+    CellJob misplaced = makeJob(4, "gsmdec", "l0-8", w1);
+    misplaced.unrolls.clear();
+    out = driver::executeCellJob(misplaced);
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.reason, FailReason::JobError);
+    EXPECT_NE(out.error.find("unified"), std::string::npos) << out.error;
+}
+
+TEST(ExecuteCellJob, RejectsFactorsOutsideTheTripCount)
+{
+    // A factor below 1 used to divide by zero (SIGFPE) or run a
+    // negative trip count; one above the trip count leaves no whole
+    // iteration to run. Either is a failed job, not a cell.
+    workloads::Benchmark bench =
+        workloads::workloadRegistry().resolve("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
+    const std::uint64_t trips = bench.loops[0].trips;
+    for (long long u : {0LL, -1LL, static_cast<long long>(trips) + 1}) {
+        CellJob job = makeJob(5, "gsmdec", "l0-8", w1);
+        job.unrolls[0] = static_cast<int>(u);
+        CellOutcome out = driver::executeCellJob(job);
+        EXPECT_FALSE(out.ok) << u;
+        EXPECT_EQ(out.reason, FailReason::JobError) << u;
+        EXPECT_NE(out.error.find("unroll factor"), std::string::npos)
+            << out.error;
+    }
+    CellJob edge = makeJob(6, "gsmdec", "l0-8", w1);
+    edge.unrolls[0] = static_cast<int>(trips);
+    EXPECT_TRUE(driver::executeCellJob(edge).ok);
+}
+
+TEST(ExecuteCellJob, BaselineJobDecidesAndRunsTheUnifiedCell)
+{
+    // A job with no factors makes the unroll decision on the reference
+    // configuration and returns it with the self-referential unified
+    // run, bit for bit what the cell primitives compute directly.
+    Wave1 w1 = wave1("gsmdec");
+    CellJob job;
+    job.id = 8;
+    job.bench = "gsmdec";
+    job.arch = "unified";
+    job.baseline.scalarCycles = 12345; // ignored: self-referential
+    CellOutcome out = driver::executeCellJob(job);
+    ASSERT_TRUE(out.ok) << out.error;
+    EXPECT_EQ(out.unrolls, w1.unrolls);
+    expectRunsEqual(out.run, w1.baseline);
+
+    // Every other job keeps the outcome free of factors.
+    EXPECT_TRUE(
+        driver::executeCellJob(makeJob(9, "gsmdec", "unified", w1))
+            .unrolls.empty());
 }
 
 // ---- subprocess ≡ in-process ----
@@ -404,11 +526,11 @@ TEST(SubprocessExecutor, RespawnsWorkersAndRetries)
 {
     // Workers _exit(3) after every job: each completes, but the pool
     // must respawn a child per job past the first.
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs;
     for (int i = 0; i < 4; ++i)
         jobs.push_back(makeJob(i, "gsmdec",
-                               i % 2 ? "l0-4" : "l0-8", p0));
+                               i % 2 ? "l0-4" : "l0-8", w1));
 
     driver::RemoteExecutor exec(subprocessOpts(2, /*crashAfter=*/1));
     std::vector<CellOutcome> outcomes = exec.execute(jobs);
@@ -428,8 +550,8 @@ TEST(SubprocessExecutor, FailsCleanlyWhenWorkersAlwaysDie)
 {
     // Workers die before accepting any job: the retry budget runs out
     // and the outcome reports failure instead of hanging or crashing.
-    Phase0 p0 = phase0("gsmdec");
-    std::vector<CellJob> jobs = {makeJob(0, "gsmdec", "l0-8", p0)};
+    Wave1 w1 = wave1("gsmdec");
+    std::vector<CellJob> jobs = {makeJob(0, "gsmdec", "l0-8", w1)};
 
     ExecOptions opts = subprocessOpts(1, /*crashAfter=*/0);
     opts.maxRetries = 1;
@@ -448,10 +570,10 @@ TEST(SubprocessExecutor, PropagatesInJobFailures)
 {
     // A job the *worker* rejects (bad label) is not a worker death:
     // no retries, the failure comes back through the outcome.
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs = {
-        makeJob(0, "gsmdec", "l0-8", p0),
-        makeJob(1, "no-such-bench", "l0-8", p0),
+        makeJob(0, "gsmdec", "l0-8", w1),
+        makeJob(1, "no-such-bench", "l0-8", w1),
     };
     driver::RemoteExecutor exec(subprocessOpts(1));
     std::vector<CellOutcome> outcomes = exec.execute(jobs);
@@ -462,6 +584,76 @@ TEST(SubprocessExecutor, PropagatesInJobFailures)
     EXPECT_NE(outcomes[1].error.find("no-such-bench"),
               std::string::npos);
     EXPECT_EQ(exec.stats().retries, 0);
+}
+
+TEST(SubprocessExecutor, WorkerSurvivesBadUnrollFactors)
+{
+    // Straight onto a --cell-worker's socketpair, no executor in
+    // between: a factor of 0 used to kill the worker with SIGFPE, -1
+    // came back as an ok zero-cycle cell, and 1.5 and 2^32+1 ran as 1.
+    // Each must now get a failed outcome — the worker's job-error for
+    // a frame that decodes, the id-0 frame-corrupt sentinel for one
+    // that does not — and the same worker must then serve a valid job.
+    int pair[2];
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair), 0);
+    pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        if (dup2(pair[1], STDIN_FILENO) < 0
+            || dup2(pair[1], STDOUT_FILENO) < 0)
+            _exit(127);
+        execl("/proc/self/exe", "/proc/self/exe", "--cell-worker",
+              static_cast<char *>(nullptr));
+        _exit(127);
+    }
+    ::close(pair[1]);
+    net::Fd chan(pair[0]);
+    net::LineReader reader(chan.get());
+    auto roundTrip = [&](const std::string &frame, CellOutcome &out) {
+        std::string reply, error;
+        ASSERT_TRUE(net::writeLine(chan.get(), frame, error)) << error;
+        ASSERT_EQ(reader.readLine(reply, error, 30000),
+                  net::LineReader::Status::Line)
+            << frame << ": " << error;
+        ASSERT_TRUE(CellOutcome::fromJson(reply, out, error)) << error;
+    };
+
+    Wave1 w1 = wave1("gsmdec");
+    const CellJob good = makeJob(2, "gsmdec", "l0-8", w1);
+    const std::string key = "\"unrolls\":[";
+    struct Bad
+    {
+        const char *factor;
+        std::uint64_t id;
+        FailReason reason;
+    };
+    for (const Bad &bad : {Bad{"0", 1, FailReason::JobError},
+                           Bad{"-1", 1, FailReason::JobError},
+                           Bad{"1.5", 0, FailReason::FrameCorrupt},
+                           Bad{"4294967297", 0, FailReason::FrameCorrupt}}) {
+        CellJob job = good;
+        job.id = 1;
+        std::string frame = job.toJson();
+        std::size_t at = frame.find(key) + key.size();
+        frame.replace(at, frame.find_first_of(",]", at) - at, bad.factor);
+
+        CellOutcome out;
+        roundTrip(frame, out);
+        EXPECT_FALSE(out.ok) << bad.factor;
+        EXPECT_EQ(out.id, bad.id) << bad.factor;
+        EXPECT_EQ(out.reason, bad.reason) << bad.factor << ": "
+                                          << out.error;
+        roundTrip(good.toJson(), out);
+        EXPECT_TRUE(out.ok) << bad.factor << ": " << out.error;
+        EXPECT_EQ(out.id, 2u);
+    }
+
+    chan.reset(); // EOF: the worker exits on its own
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status)) << "worker died of signal "
+                                   << WTERMSIG(status);
+    EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 // ---- tcp executor: a loopback --serve daemon in this process ----
@@ -572,11 +764,11 @@ TEST(RemoteExecutor, ReconnectsWhenDaemonDropsMidJob)
     // the in-flight job must be re-queued on a fresh connection, and
     // every outcome still lands correctly.
     LoopbackDaemon daemon(/*dropEvery=*/3);
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs;
     for (int i = 0; i < 6; ++i)
         jobs.push_back(
-            makeJob(i, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+            makeJob(i, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
 
     driver::RemoteExecutor exec(tcpOpts({daemon.endpoint()}));
     std::vector<CellOutcome> outcomes = exec.execute(jobs);
@@ -661,11 +853,11 @@ TEST(RemoteExecutor, MidWindowTeardownRequeuesEveryInFlightJob)
         error))
         << error;
 
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs;
     for (int i = 0; i < 8; ++i)
         jobs.push_back(
-            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
 
     ExecOptions opts =
         tcpOpts({"127.0.0.1:" + std::to_string(server.port())});
@@ -689,59 +881,67 @@ TEST(RemoteExecutor, MidWindowTeardownRequeuesEveryInFlightJob)
 
 TEST(RemoteExecutor, WindowedBeatsLockstepOnAHighLatencyLink)
 {
-    // A simulated WAN: every write frame pays a fixed 25ms before it
-    // moves (both directions — the fault plan is global). Lockstep
-    // pays the full round trip per job; the windowed pipeline keeps
-    // frames moving in both directions at once. Same daemon, same
-    // jobs: the speedup must be structural, the results identical.
+    // A simulated WAN: every write frame pays a fixed latency period
+    // before it moves (both directions — the fault plan is global).
+    // Lockstep pays the full round trip per job; the windowed pipeline
+    // keeps frames moving in both directions at once. The cells are
+    // pchase-64, the cheapest registered synthetic label, so a cell's
+    // compute is far below one period even at sanitizer speed, and both
+    // runs are measured in periods: the link, not the host, sets them.
+    // Same daemon, same jobs: the speedup must be structural, the
+    // results identical.
+    constexpr int kPeriodMs = 25;
     net::FaultSpec wan;
     std::string err;
-    ASSERT_TRUE(net::FaultSpec::parse("seed=1,latency=25ms", wan, err))
+    ASSERT_TRUE(net::FaultSpec::parse(
+        "seed=1,latency=" + std::to_string(kPeriodMs) + "ms", wan, err))
         << err;
 
     LoopbackDaemon daemon;
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("pchase-64");
     std::vector<CellJob> jobs;
     for (int i = 0; i < 8; ++i)
         jobs.push_back(
-            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+            makeJob(i + 1, "pchase-64", i % 2 ? "l0-4" : "l0-8", w1));
 
-    auto timedRun = [&](int window, double &elapsedMs,
-                        int &maxInFlight) {
+    auto timedRun = [&](int window, double &periods, int &maxInFlight) {
         net::ScopedFaultPlan plan(wan);
         ExecOptions opts = tcpOpts({daemon.endpoint()});
         opts.window = window;
         driver::RemoteExecutor exec(opts);
         auto start = std::chrono::steady_clock::now();
         std::vector<CellOutcome> outcomes = exec.execute(jobs);
-        elapsedMs = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+        periods = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count()
+                  / kPeriodMs;
         maxInFlight = exec.stats().maxInFlight;
         return outcomes;
     };
 
-    double lockstepMs = 0, windowedMs = 0;
+    double lockstep = 0, windowed = 0;
     int lockstepDepth = 0, windowedDepth = 0;
-    std::vector<CellOutcome> lockstep =
-        timedRun(1, lockstepMs, lockstepDepth);
-    std::vector<CellOutcome> windowed =
-        timedRun(8, windowedMs, windowedDepth);
+    std::vector<CellOutcome> lockstepOut =
+        timedRun(1, lockstep, lockstepDepth);
+    std::vector<CellOutcome> windowedOut =
+        timedRun(8, windowed, windowedDepth);
 
-    ASSERT_EQ(lockstep.size(), jobs.size());
-    ASSERT_EQ(windowed.size(), jobs.size());
+    ASSERT_EQ(lockstepOut.size(), jobs.size());
+    ASSERT_EQ(windowedOut.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        ASSERT_TRUE(lockstep[i].ok) << lockstep[i].error;
-        ASSERT_TRUE(windowed[i].ok) << windowed[i].error;
-        expectRunsEqual(lockstep[i].run, windowed[i].run);
+        ASSERT_TRUE(lockstepOut[i].ok) << lockstepOut[i].error;
+        ASSERT_TRUE(windowedOut[i].ok) << windowedOut[i].error;
+        expectRunsEqual(lockstepOut[i].run, windowedOut[i].run);
     }
     EXPECT_EQ(lockstepDepth, 1);
     EXPECT_GE(windowedDepth, 4);
-    // 8 jobs × 50ms RTT lockstep vs one overlapped stream: the
-    // pipeline must win by a structural margin, not measurement noise.
-    EXPECT_LT(windowedMs, 0.75 * lockstepMs)
-        << "windowed " << windowedMs << "ms vs lockstep " << lockstepMs
-        << "ms";
+    // By construction each lockstep job waits out a job frame and its
+    // reply, one period each.
+    EXPECT_GE(lockstep, 2.0 * jobs.size());
+    // The pipeline must win by a structural margin, not measurement
+    // noise.
+    EXPECT_LT(windowed, 0.75 * lockstep)
+        << "windowed " << windowed << " periods vs lockstep " << lockstep;
 }
 
 TEST(RemoteExecutor, CreditSchedulingFollowsDaemonThroughput)
@@ -754,11 +954,11 @@ TEST(RemoteExecutor, CreditSchedulingFollowsDaemonThroughput)
     LoopbackDaemon slow(/*dropEvery=*/0, /*workers=*/1,
                         /*serveDelayMs=*/40);
 
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs;
     for (int i = 0; i < 12; ++i)
         jobs.push_back(
-            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
 
     ExecOptions opts = tcpOpts({fast.endpoint(), slow.endpoint()});
     opts.window = 2;
@@ -788,11 +988,11 @@ TEST(RemoteExecutor, OnlyIdleChannelsAreHeartbeatProbed)
     LoopbackDaemon slow(/*dropEvery=*/0, /*workers=*/1,
                         /*serveDelayMs=*/150);
 
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs;
     for (int i = 0; i < 3; ++i)
         jobs.push_back(
-            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
 
     ExecOptions opts = tcpOpts({fast.endpoint(), slow.endpoint()});
     opts.window = 1;
@@ -813,11 +1013,11 @@ TEST(RemoteExecutor, SurvivesDaemonRestartMidSuite)
 {
     // Stop the daemon while a grid is in flight and bring a new one
     // up on the same port: the reconnect backoff must ride the gap.
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs;
     for (int i = 0; i < 8; ++i)
         jobs.push_back(
-            makeJob(i, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+            makeJob(i, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
 
     net::Server first;
     std::atomic<int> served{0};
@@ -881,11 +1081,11 @@ TEST(RemoteExecutor, ReroutesJobsFromADeadEndpoint)
         ASSERT_TRUE(listener.valid()) << error;
     }
 
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs;
     for (int i = 0; i < 8; ++i)
         jobs.push_back(
-            makeJob(i, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+            makeJob(i, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
 
     ExecOptions opts = tcpOpts(
         {daemon.endpoint(), "127.0.0.1:" + std::to_string(deadPort)},
@@ -914,8 +1114,8 @@ TEST(RemoteExecutor, FailsCleanlyWhenNoDaemonListens)
         net::Fd listener = net::listenTcp(0, error, &port);
         ASSERT_TRUE(listener.valid()) << error;
     }
-    Phase0 p0 = phase0("gsmdec");
-    std::vector<CellJob> jobs = {makeJob(0, "gsmdec", "l0-8", p0)};
+    Wave1 w1 = wave1("gsmdec");
+    std::vector<CellJob> jobs = {makeJob(0, "gsmdec", "l0-8", w1)};
 
     ExecOptions opts = tcpOpts(
         {"127.0.0.1:" + std::to_string(port)}, /*maxRetries=*/1);
@@ -935,10 +1135,10 @@ TEST(RemoteExecutor, PropagatesInJobFailures)
     // A job the *daemon* rejects (bad label) is not a connection
     // failure: no retries, the failure comes back in the outcome.
     LoopbackDaemon daemon;
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs = {
-        makeJob(0, "gsmdec", "l0-8", p0),
-        makeJob(1, "no-such-bench", "l0-8", p0),
+        makeJob(0, "gsmdec", "l0-8", w1),
+        makeJob(1, "no-such-bench", "l0-8", w1),
     };
     driver::RemoteExecutor exec(tcpOpts({daemon.endpoint()}));
     std::vector<CellOutcome> outcomes = exec.execute(jobs);
@@ -994,10 +1194,11 @@ streamedEvents(const driver::Suite &suite, ExecOptions opts,
 
 TEST(Stream, OneEventPerDispatchedCellFromEveryBackend)
 {
-    // 2 benchmarks × 3 archs, one of them "unified": unified cells
-    // are satisfied by the phase-0 baseline and never dispatch, so
-    // every backend must emit exactly 2 × 2 events, ids unique, and
-    // each event's labels must name a real dispatched cell.
+    // 2 benchmarks × 3 archs, one of them "unified": a unified cell is
+    // its benchmark's baseline job, dispatched once like any other
+    // cell, so every backend must emit exactly 2 × 3 events, ids
+    // unique, and each event's labels must name a real dispatched
+    // cell.
     driver::ExperimentSpec spec;
     spec.benchmarks = {"gsmdec", "stream-4"};
     spec.archs = {"l0-8", "unified", "l0-4"};
@@ -1018,7 +1219,7 @@ TEST(Stream, OneEventPerDispatchedCellFromEveryBackend)
     for (auto &[tag, opts] : backends) {
         std::vector<json::Value> events =
             streamedEvents(suite, opts, tag);
-        ASSERT_EQ(events.size(), 4u) << tag;
+        ASSERT_EQ(events.size(), 6u) << tag;
         std::set<std::uint64_t> ids;
         for (const auto &event : events) {
             EXPECT_EQ(event.find("event")->str(), "cell") << tag;
@@ -1027,7 +1228,9 @@ TEST(Stream, OneEventPerDispatchedCellFromEveryBackend)
             std::string bench = event.find("bench")->str();
             std::string arch = event.find("arch")->str();
             EXPECT_TRUE(bench == "gsmdec" || bench == "stream-4");
-            EXPECT_TRUE(arch == "l0-8" || arch == "l0-4") << arch;
+            EXPECT_TRUE(arch == "l0-8" || arch == "l0-4"
+                        || arch == "unified")
+                << arch;
             EXPECT_TRUE(event.find("wallMs")->isNumber()) << tag;
             const json::Value *outcome = event.find("outcome");
             ASSERT_NE(outcome, nullptr) << tag;
@@ -1038,7 +1241,59 @@ TEST(Stream, OneEventPerDispatchedCellFromEveryBackend)
             EXPECT_EQ(run->find("bench")->str(), bench) << tag;
             EXPECT_EQ(run->find("arch")->str(), arch) << tag;
         }
-        EXPECT_EQ(ids.size(), 4u) << tag << ": duplicate event ids";
+        EXPECT_EQ(ids.size(), 6u) << tag << ": duplicate event ids";
+    }
+}
+
+TEST(Stream, BaselineWaveThenEveryOtherCell)
+{
+    // Without a unified column (fig5's shape) a grid executes one
+    // baseline job per benchmark and then every cell: nb + nb × na.
+    // With one, the unified column *is* the baseline job: nb × na.
+    // Either way each executed cell is one counted execution, one cell
+    // span and one event, and the job ids run 1..N across both waves,
+    // the baseline jobs first.
+    struct Shape
+    {
+        std::vector<std::string> archs;
+        std::uint64_t executed;
+    };
+    for (const Shape &shape :
+         {Shape{{"l0-2", "l0-8", "l0-unbounded"}, 2 + 2 * 3},
+          Shape{{"l0-8", "unified", "l0-4"}, 2 * 3}}) {
+        driver::ExperimentSpec spec;
+        spec.benchmarks = {"gsmdec", "stream-4"};
+        spec.archs = shape.archs;
+        driver::Suite suite(std::move(spec));
+        ExecOptions opts;
+        opts.jobs = 2;
+        suite.run(opts); // registers the executed-cells counter
+        metrics::Counter &executed =
+            metrics::counter("l0vliw_driver_cells_executed_total", "");
+        const std::uint64_t before = executed.value();
+
+        metrics::TraceRecorder rec;
+        std::mutex mutex;
+        std::map<std::uint64_t, std::string> archOf; // by job id
+        opts.trace = &rec;
+        opts.onOutcome = [&](const CellJob &job, const CellOutcome &,
+                             double) {
+            std::lock_guard<std::mutex> lock(mutex);
+            EXPECT_TRUE(archOf.emplace(job.id, job.arch).second)
+                << "duplicate id " << job.id;
+        };
+        suite.run(opts);
+
+        EXPECT_EQ(executed.value() - before, shape.executed);
+        std::uint64_t cellSpans = 0;
+        for (const metrics::TraceSpan &span : rec.spans())
+            cellSpans += span.name == "cell" ? 1 : 0;
+        EXPECT_EQ(cellSpans, shape.executed);
+        ASSERT_EQ(archOf.size(), shape.executed);
+        EXPECT_EQ(archOf.begin()->first, 1u);
+        EXPECT_EQ(archOf.rbegin()->first, shape.executed);
+        for (const auto &[id, arch] : archOf)
+            EXPECT_EQ(arch == "unified", id <= 2) << id << " " << arch;
     }
 }
 
@@ -1122,7 +1377,7 @@ TEST(Shutdown, SigtermLeavesNoWorkerChildrenBehind)
     // job and then sleep forever (--sleep-worker). SIGTERM to the
     // middle must take the workers down with it — the no-zombie
     // contract of the child-kill signal handlers.
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
 
     pid_t middle = fork();
     ASSERT_GE(middle, 0);
@@ -1134,8 +1389,8 @@ TEST(Shutdown, SigtermLeavesNoWorkerChildrenBehind)
         opts.workerCommand = {"/proc/self/exe", "--sleep-worker"};
         driver::RemoteExecutor exec(opts);
         std::vector<CellJob> jobs = {
-            makeJob(0, "gsmdec", "l0-8", p0),
-            makeJob(1, "gsmdec", "l0-4", p0),
+            makeJob(0, "gsmdec", "l0-8", w1),
+            makeJob(1, "gsmdec", "l0-4", w1),
         };
         exec.execute(jobs); // blocks: workers never reply
         _exit(0);           // unreachable
@@ -1194,8 +1449,8 @@ TEST(SubprocessExecutor, WatchdogKillsHungWorker)
     // Workers accept the job and never reply (--hang): every attempt
     // must end in a bounded-deadline SIGKILL + respawn, not a pool
     // hang, and the final outcome must say so in transport terms.
-    Phase0 p0 = phase0("gsmdec");
-    std::vector<CellJob> jobs = {makeJob(0, "gsmdec", "l0-8", p0)};
+    Wave1 w1 = wave1("gsmdec");
+    std::vector<CellJob> jobs = {makeJob(0, "gsmdec", "l0-8", w1)};
 
     ExecOptions opts;
     opts.backend = ExecBackend::Subprocess;
@@ -1247,8 +1502,8 @@ TEST(RemoteExecutor, HeartbeatDetectsSilentDaemon)
         }
     });
 
-    Phase0 p0 = phase0("gsmdec");
-    std::vector<CellJob> jobs = {makeJob(0, "gsmdec", "l0-8", p0)};
+    Wave1 w1 = wave1("gsmdec");
+    std::vector<CellJob> jobs = {makeJob(0, "gsmdec", "l0-8", w1)};
 
     ExecOptions opts =
         tcpOpts({"127.0.0.1:" + std::to_string(port)}, /*maxRetries=*/1);
@@ -1292,11 +1547,11 @@ TEST(RemoteExecutor, DegradeLocalCompletesSuiteWithAllDaemonsDown)
         dead.push_back("127.0.0.1:" + std::to_string(port));
     }
 
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs;
     for (int i = 0; i < 6; ++i)
         jobs.push_back(
-            makeJob(i, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+            makeJob(i, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
 
     ExecOptions inproc;
     inproc.jobs = 2;
@@ -1347,8 +1602,8 @@ TEST(Stream, FailedCellEventsCarryReasonAndAttempts)
         net::Fd listener = net::listenTcp(0, error, &port);
         ASSERT_TRUE(listener.valid()) << error;
     }
-    Phase0 p0 = phase0("gsmdec");
-    std::vector<CellJob> jobs = {makeJob(3, "gsmdec", "l0-8", p0)};
+    Wave1 w1 = wave1("gsmdec");
+    std::vector<CellJob> jobs = {makeJob(3, "gsmdec", "l0-8", w1)};
 
     std::string path = ::testing::TempDir() + "events_failed.ndjson";
     {
@@ -1398,10 +1653,11 @@ TEST(Stream, FailedCellEventsCarryReasonAndAttempts)
 
 TEST(Trace, OneCompleteSpanChainPerDispatchedCellFromEveryBackend)
 {
-    // 2 benchmarks × {l0-8, unified, l0-4}: unified cells never
-    // dispatch, so every backend traces exactly 4 job lanes, each a
-    // complete lifecycle chain — enqueue, cell, execute, plan-build,
-    // fold — plus exactly one wire-write on the backends with a wire.
+    // 2 benchmarks × {l0-8, unified, l0-4}: unified cells are the
+    // baseline jobs and dispatch once each, so every backend traces
+    // exactly 6 job lanes, each a complete lifecycle chain — enqueue,
+    // cell, execute, plan-build, fold — plus exactly one wire-write on
+    // the backends with a wire.
     driver::ExperimentSpec spec;
     spec.benchmarks = {"gsmdec", "stream-4"};
     spec.archs = {"l0-8", "unified", "l0-4"};
@@ -1430,7 +1686,7 @@ TEST(Trace, OneCompleteSpanChainPerDispatchedCellFromEveryBackend)
             EXPECT_GE(span.tsUs, 0.0) << tag;
             EXPECT_GE(span.durUs, 0.0) << tag;
         }
-        EXPECT_EQ(lanes.size(), 4u) << tag;
+        EXPECT_EQ(lanes.size(), 6u) << tag;
         for (auto &[job, names] : lanes) {
             EXPECT_EQ(names["enqueue"], 1) << tag << " job " << job;
             EXPECT_EQ(names["cell"], 1) << tag << " job " << job;
@@ -1462,8 +1718,8 @@ TEST(Trace, FailedCellsCarryReasonTaggedSpans)
         net::Fd listener = net::listenTcp(0, error, &port);
         ASSERT_TRUE(listener.valid()) << error;
     }
-    Phase0 p0 = phase0("gsmdec");
-    std::vector<CellJob> jobs = {makeJob(5, "gsmdec", "l0-8", p0)};
+    Wave1 w1 = wave1("gsmdec");
+    std::vector<CellJob> jobs = {makeJob(5, "gsmdec", "l0-8", w1)};
 
     metrics::TraceRecorder rec;
     ExecOptions opts = tcpOpts(
@@ -1500,11 +1756,11 @@ TEST(Trace, StaysValidJsonUnderChaos)
     // sides of the wire; the trace must still parse as one valid
     // trace-event document with exactly one authoritative cell span
     // per job (retries may add wire-writes, never duplicate cells).
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs;
     for (int i = 0; i < 4; ++i)
         jobs.push_back(
-            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
 
     net::FaultSpec spec;
     std::string error;
@@ -1559,11 +1815,11 @@ TEST(Metrics, RemoteExecutorPublishesLiveGauges)
     std::int64_t jobsBefore = epJobs.value();
 
     LoopbackDaemon daemon;
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs;
     for (int i = 0; i < 4; ++i)
         jobs.push_back(
-            makeJob(i, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+            makeJob(i, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
     driver::RemoteExecutor exec(tcpOpts({daemon.endpoint()}));
     std::vector<CellOutcome> outcomes = exec.execute(jobs);
     for (const CellOutcome &outcome : outcomes)
@@ -1616,13 +1872,13 @@ TEST(ChaosSoak, TwentySeedsBitIdenticalOrDiagnosedNeverHung)
     // failure reason. Corruption injects control bytes the JSON layer
     // rejects by construction, so a silently wrong cell is impossible
     // — this asserts it stays that way.
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs;
     // Ids start at 1: a daemon that receives a corrupted frame replies
     // with a failed id-0 outcome, which must never match a real job.
     for (int i = 0; i < 4; ++i)
         jobs.push_back(
-            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
 
     ExecOptions inproc;
     inproc.jobs = 2;
@@ -1699,11 +1955,11 @@ TEST(ChaosSoak, SubprocessSeedsBitIdenticalOrDiagnosedNeverHung)
     // daemon, so its reads stall, corrupt and reset, and its writes
     // drop and tear — a teardown must SIGKILL and respawn the child
     // and re-queue or diagnose every windowed id.
-    Phase0 p0 = phase0("gsmdec");
+    Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs;
     for (int i = 0; i < 4; ++i)
         jobs.push_back(
-            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", p0));
+            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
 
     ExecOptions inproc;
     inproc.jobs = 2;

@@ -583,19 +583,19 @@ TEST(StoreEndToEnd, LoopbackPublishMatchesInProcessGrid)
     }
 
     // Exactly one stored event per dispatched cell (2 benchmarks x
-    // 2 architectures, none unified), per run — no duplicates, no
-    // losses.
+    // 2 architectures, plus each benchmark's unified baseline job),
+    // per run — no duplicates, no losses.
     {
         const store::SuiteInfo *info = service.log().suite("e2e");
         ASSERT_NE(info, nullptr);
-        EXPECT_EQ(info->counters.cells, 8u);
+        EXPECT_EQ(info->counters.cells, 12u);
         EXPECT_EQ(info->counters.duplicates, 0u);
         EXPECT_EQ(info->counters.grids, 2u);
         EXPECT_EQ(info->counters.failed, 0u);
         for (const auto &runName : {"runA", "runB"}) {
             const store::RunInfo *run = info->findRun(runName);
             ASSERT_NE(run, nullptr);
-            EXPECT_EQ(run->cells.size(), 4u);
+            EXPECT_EQ(run->cells.size(), 6u);
         }
     }
 
