@@ -26,7 +26,6 @@ class LatencyModel
   public:
     LatencyModel(const ir::Loop &loop, const machine::MachineConfig &cfg,
                  int mem_load_latency)
-        : loadLatency(loop.numOps(), mem_load_latency)
     {
         lat.reserve(loop.numOps());
         for (const auto &op : loop.ops()) {
@@ -44,9 +43,18 @@ class LatencyModel
     void
     setLoadLatency(OpId id, int latency)
     {
+        if (lat[id] == latency)
+            return;
         lat[id] = latency;
-        loadLatency[id] = latency;
+        ++_version;
     }
+
+    /**
+     * Bumped by every setLoadLatency() that changes a latency: equal
+     * versions of one model mean equal latencies, so results derived
+     * from them (slack) are still current.
+     */
+    unsigned long version() const { return _version; }
 
     /**
      * Latency contributed by dependence edge @p e: a register edge
@@ -61,7 +69,7 @@ class LatencyModel
 
   private:
     std::vector<int> lat;
-    std::vector<int> loadLatency;
+    unsigned long _version = 0;
 };
 
 } // namespace l0vliw::sched

@@ -1,7 +1,6 @@
 #include "sched/mii.hh"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -45,35 +44,30 @@ namespace
 
 /**
  * True when the graph with weights lat(e) - ii*dist(e) has a
- * positive-weight cycle (meaning ii is infeasible).
+ * positive-weight cycle (meaning ii is infeasible): longest paths from
+ * a virtual source joined to every node (so every node starts at 0)
+ * settle within n-1 rounds of relaxation unless a positive cycle keeps
+ * raising them.
  */
 bool
 hasPositiveCycle(const ir::Loop &loop, const LatencyModel &lat, int ii)
 {
     const int n = loop.numOps();
-    constexpr long neg_inf = std::numeric_limits<long>::min() / 4;
-    std::vector<long> dist(static_cast<std::size_t>(n) * n, neg_inf);
-    auto at = [&](int i, int j) -> long & { return dist[i * n + j]; };
-
-    for (const auto &e : loop.edges()) {
-        long w = lat.edgeLatency(e) - static_cast<long>(ii) * e.distance;
-        at(e.src, e.dst) = std::max(at(e.src, e.dst), w);
-    }
-    for (int k = 0; k < n; ++k) {
-        for (int i = 0; i < n; ++i) {
-            if (at(i, k) == neg_inf)
-                continue;
-            for (int j = 0; j < n; ++j) {
-                if (at(k, j) == neg_inf)
-                    continue;
-                at(i, j) = std::max(at(i, j), at(i, k) + at(k, j));
+    std::vector<long> dist(n, 0);
+    for (int round = 0; round <= n; ++round) {
+        bool changed = false;
+        for (const auto &e : loop.edges()) {
+            long cand = dist[e.src] + lat.edgeLatency(e)
+                        - static_cast<long>(ii) * e.distance;
+            if (cand > dist[e.dst]) {
+                dist[e.dst] = cand;
+                changed = true;
             }
         }
+        if (!changed)
+            return false;
     }
-    for (int i = 0; i < n; ++i)
-        if (at(i, i) > 0)
-            return true;
-    return false;
+    return true;
 }
 
 } // namespace

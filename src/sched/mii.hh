@@ -22,7 +22,8 @@ int resMii(const ir::Loop &loop, const machine::MachineConfig &cfg);
 /**
  * Recurrence-constrained MII: the smallest II such that the dependence
  * graph, with edge weight latency(e) - II * distance(e), has no
- * positive-weight cycle (checked with a max-plus Floyd-Warshall).
+ * positive-weight cycle (checked with a Bellman-Ford longest-path
+ * relaxation, O(ops * edges) per probe).
  */
 int recMii(const ir::Loop &loop, const LatencyModel &lat);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 
@@ -83,6 +84,9 @@ class Attempt
     void insertExplicitPrefetches();// step 5 (needs the maps)
     void assignAccessAndPrefetchHints(); // step 4 (needs final MRT)
 
+    /** Every candidate, least slack first (ties: lower id). */
+    std::vector<OpId> rankedCandidates() const;
+
     /** (latency, usesL0) instruction @p id would get in cluster @p c. */
     std::pair<int, bool> latencyFor(OpId id, ClusterId c) const;
 
@@ -118,6 +122,14 @@ class Attempt
 
     LatencyModel latWork;
     SlackInfo slack;
+    /** latWork.version() and slackII the current slack was derived
+     *  from; unset while it still holds init()'s optimistic slack. */
+    std::optional<std::pair<unsigned long, int>> slackInputs;
+    /** rankedCandidates() under the current slack (item 10). */
+    std::vector<OpId> ranked;
+    /** Edges touching each op, in loop.edges() order (a self-loop
+     *  once): the placement steps only look at an op's neighbours. */
+    std::vector<std::vector<const ir::DepEdge *>> incident;
     std::vector<OpId> order;
 
     std::vector<bool> wantL0;       // current latency-assignment intent
@@ -150,6 +162,12 @@ Attempt::init()
     clusterLoad.assign(cfg.numClusters, 0);
     recommended.assign(n, kNoCluster);
     countedKeys.assign(cfg.numClusters, {});
+    incident.assign(n, {});
+    for (const auto &e : loop.edges()) {
+        incident[e.src].push_back(&e);
+        if (e.dst != e.src)
+            incident[e.dst].push_back(&e);
+    }
     freeEntries.assign(cfg.numClusters,
                        cfg.l0Unbounded() ? kPosInf : cfg.l0Entries);
     if (cfg.memArch != machine::MemArch::L0Buffers)
@@ -181,15 +199,7 @@ Attempt::init()
 
     // Item 2: the N*NE most critical candidates start with L0 latency.
     if (opts.l0Aware) {
-        std::vector<OpId> cands;
-        for (const auto &op : loop.ops())
-            if (isCandidate(op))
-                cands.push_back(op.id);
-        std::sort(cands.begin(), cands.end(), [&](OpId a, OpId b) {
-            if (slack.slack[a] != slack.slack[b])
-                return slack.slack[a] < slack.slack[b];
-            return a < b;
-        });
+        std::vector<OpId> cands = rankedCandidates();
         std::size_t budget = cands.size();
         if (opts.selectiveL0 && !cfg.l0Unbounded()) {
             budget = static_cast<std::size_t>(cfg.numClusters)
@@ -253,6 +263,21 @@ Attempt::decideSetTreatment(OpId id)
             }
         }
     }
+}
+
+std::vector<OpId>
+Attempt::rankedCandidates() const
+{
+    std::vector<OpId> cands;
+    for (const auto &op : loop.ops())
+        if (isCandidate(op))
+            cands.push_back(op.id);
+    std::sort(cands.begin(), cands.end(), [&](OpId a, OpId b) {
+        if (slack.slack[a] != slack.slack[b])
+            return slack.slack[a] < slack.slack[b];
+        return a < b;
+    });
+    return cands;
 }
 
 std::pair<int, bool>
@@ -362,7 +387,8 @@ Attempt::orderClusters(OpId id) const
         long score = 0;
         // Register communication cost with already-placed neighbours.
         int comm = 0;
-        for (const auto &e : loop.edges()) {
+        for (const ir::DepEdge *ep : incident[id]) {
+            const ir::DepEdge &e = *ep;
             if (e.kind != ir::DepKind::Reg)
                 continue;
             if (e.src == id && placed[e.dst] && sched[e.dst].cluster != c)
@@ -415,7 +441,8 @@ Attempt::tryPlace(OpId id, ClusterId c)
     // Earliest start from placed predecessors; latest from placed
     // successors (the SMS bidirectional window).
     int estart = kNegInf, lstart = kPosInf;
-    for (const auto &e : loop.edges()) {
+    for (const ir::DepEdge *ep : incident[id]) {
+        const ir::DepEdge &e = *ep;
         if (e.dst == id && placed[e.src]) {
             bool cross = e.kind == ir::DepKind::Reg
                          && sched[e.src].cluster != c;
@@ -461,7 +488,8 @@ Attempt::tryPlace(OpId id, ClusterId c)
         bool ok = true;
         std::vector<BusTransfer> local;
 
-        for (const auto &e : loop.edges()) {
+        for (const ir::DepEdge *ep : incident[id]) {
+            const ir::DepEdge &e = *ep;
             if (!ok)
                 break;
             if (e.kind != ir::DepKind::Reg)
@@ -583,43 +611,43 @@ Attempt::reassignLatencies()
 {
     if (!opts.l0Aware || !opts.selectiveL0)
         return;
-    bool converged = true;
-    slack = computeSlack(loop, latWork, slackII, &converged);
-    if (!converged) {
-        // NL0 demotion raised recurrence latencies above what this
-        // attempt's II supports. Re-derive the minimum feasible II for
-        // the working latencies and order the remaining candidates at
-        // that II (the demoted loops still *schedule* at _ii — slack
-        // here only ranks L0-entry assignment) instead of warning on
-        // every relaxation.
-        slackII = std::max(slackII, recMii(loop, latWork));
-        slack = computeSlack(loop, latWork, slackII);
+    // The slack, and so the candidates' ranking, is a function of the
+    // working latencies and slackII alone: re-derive it only when one
+    // of them moved since the last derivation (init()'s slack used the
+    // optimistic latencies).
+    if (slackInputs != std::make_pair(latWork.version(), slackII)) {
+        bool converged = true;
+        slack = computeSlack(loop, latWork, slackII, &converged);
+        if (!converged) {
+            // NL0 demotion raised recurrence latencies above what this
+            // attempt's II supports. Re-derive the minimum feasible II
+            // for the working latencies and order the remaining
+            // candidates at that II (the demoted loops still *schedule*
+            // at _ii — slack here only ranks L0-entry assignment)
+            // instead of warning on every relaxation.
+            slackII = std::max(slackII, recMii(loop, latWork));
+            slack = computeSlack(loop, latWork, slackII);
+        }
+        slackInputs = std::make_pair(latWork.version(), slackII);
+        ranked = rankedCandidates();
     }
 
-    std::vector<OpId> cands;
-    for (const auto &op : loop.ops()) {
-        if (placed[op.id] || !isCandidate(op))
-            continue;
-        int s = setOf[op.id];
-        if (s >= 0 && treatment[s] == SetTreatment::NotUseL0)
-            continue;
-        cands.push_back(op.id);
-    }
-    std::sort(cands.begin(), cands.end(), [&](OpId a, OpId b) {
-        if (slack.slack[a] != slack.slack[b])
-            return slack.slack[a] < slack.slack[b];
-        return a < b;
-    });
+    // The unplaced candidates outside NL0 sets, in ranking order, take
+    // the free entries.
     std::size_t budget = cfg.l0Unbounded()
-                             ? cands.size()
+                             ? ranked.size()
                              : static_cast<std::size_t>(
                                    std::max(totalFreeEntries(), 0));
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-        bool use = i < budget;
-        if (wantL0[cands[i]] != use) {
-            wantL0[cands[i]] = use;
-            latWork.setLoadLatency(cands[i], use ? cfg.l0Latency
-                                                 : opts.memLoadLatency);
+    std::size_t rank = 0;
+    for (OpId id : ranked) {
+        int s = setOf[id];
+        if (placed[id] || (s >= 0 && treatment[s] == SetTreatment::NotUseL0))
+            continue;
+        bool use = rank++ < budget;
+        if (wantL0[id] != use) {
+            wantL0[id] = use;
+            latWork.setLoadLatency(id, use ? cfg.l0Latency
+                                           : opts.memLoadLatency);
         }
     }
 }

@@ -1,6 +1,8 @@
 #include "sched/sms.hh"
 
 #include <algorithm>
+#include <numeric>
+#include <queue>
 
 #include "common/logging.hh"
 
@@ -89,32 +91,36 @@ smsOrder(const ir::Loop &loop, const SlackInfo &slack)
         return a < b;
     };
 
+    // Seeds of new (possibly disconnected) components: every node,
+    // best first.
+    std::vector<OpId> seeds(n);
+    std::iota(seeds.begin(), seeds.end(), 0);
+    std::sort(seeds.begin(), seeds.end(), better);
+    std::size_t next_seed = 0;
+
+    // Frontier: unordered nodes adjacent to the ordered set, best on
+    // top. Nodes ordered after they were pushed are dropped lazily.
+    auto worse = [&](OpId a, OpId b) { return better(b, a); };
+    std::priority_queue<OpId, std::vector<OpId>, decltype(worse)>
+        frontier(worse);
+
     while (static_cast<int>(order.size()) < n) {
-        // Frontier: unordered nodes adjacent to the ordered set.
-        OpId pick = kNoOp;
-        for (OpId u = 0; u < n; ++u) {
-            if (ordered[u])
-                continue;
-            bool frontier = false;
-            for (OpId v : adj[u])
-                frontier |= ordered[v];
-            if (!frontier)
-                continue;
-            if (pick == kNoOp || better(u, pick))
-                pick = u;
+        while (!frontier.empty() && ordered[frontier.top()])
+            frontier.pop();
+        OpId pick;
+        if (!frontier.empty()) {
+            pick = frontier.top();
+            frontier.pop();
+        } else {
+            while (ordered[seeds[next_seed]])
+                ++next_seed;
+            pick = seeds[next_seed];
         }
-        if (pick == kNoOp) {
-            // Seed a new (possibly disconnected) component.
-            for (OpId u = 0; u < n; ++u) {
-                if (ordered[u])
-                    continue;
-                if (pick == kNoOp || better(u, pick))
-                    pick = u;
-            }
-        }
-        L0_ASSERT(pick != kNoOp, "ordering stuck");
         ordered[pick] = true;
         order.push_back(pick);
+        for (OpId v : adj[pick])
+            if (!ordered[v])
+                frontier.push(v);
     }
     return order;
 }

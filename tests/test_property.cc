@@ -3,8 +3,9 @@
  * Property-based tests: randomly generated loops (seeded, reproducible)
  * are scheduled for every architecture and executed; the invariants
  * checked are (1) the schedule validator finds no violation, (2) the
- * coherence oracle sees no stale load, and (3) the simulated cycle
- * count is deterministic.
+ * coherence oracle sees no stale load, (3) the simulated cycle count
+ * is deterministic, and (4) recMii is exactly the smallest II at which
+ * the slack relaxation converges.
  *
  * The generator builds semantically meaningful loops: independent
  * strided/irregular streams over disjoint arrays, ALU/FP dataflow, and
@@ -18,7 +19,10 @@
 #include "ir/loop.hh"
 #include "machine/machine_config.hh"
 #include "mem/mem_system.hh"
+#include "sched/latency_model.hh"
+#include "sched/mii.hh"
 #include "sched/scheduler.hh"
+#include "sched/sms.hh"
 #include "sched/validate.hh"
 #include "sim/kernel_sim.hh"
 
@@ -167,34 +171,41 @@ class RandomLoops : public ::testing::TestWithParam<PropCase>
 {
 };
 
+namespace
+{
+
+/** The case's machine and scheduler options. */
+std::pair<MachineConfig, sched::SchedulerOptions>
+propArch(int arch)
+{
+    switch (arch) {
+      case 0:
+        return {MachineConfig::paperUnified(),
+                sched::SchedulerOptions::baseUnified()};
+      case 1:
+        return {MachineConfig::paperL0(8), sched::SchedulerOptions::l0()};
+      case 2:
+        return {MachineConfig::paperL0(2), sched::SchedulerOptions::l0()};
+      default:
+        return {MachineConfig::paperL0(8),
+                sched::SchedulerOptions::l0(sched::CoherenceMode::Psr)};
+    }
+}
+
+/** The case's loop body: half the cases unroll by the cluster count. */
+ir::Loop
+propBody(const PropCase &c)
+{
+    ir::Loop loop = randomLoop(c.seed);
+    return c.seed % 2 == 0 ? ir::unrollLoop(loop, 4) : loop;
+}
+
+} // namespace
+
 TEST_P(RandomLoops, ScheduleValidAndExecutionCoherent)
 {
-    ir::Loop loop = randomLoop(GetParam().seed);
-
-    MachineConfig cfg;
-    sched::SchedulerOptions opts;
-    switch (GetParam().arch) {
-      case 0:
-        cfg = MachineConfig::paperUnified();
-        opts = sched::SchedulerOptions::baseUnified();
-        break;
-      case 1:
-        cfg = MachineConfig::paperL0(8);
-        opts = sched::SchedulerOptions::l0();
-        break;
-      case 2:
-        cfg = MachineConfig::paperL0(2);
-        opts = sched::SchedulerOptions::l0();
-        break;
-      default:
-        cfg = MachineConfig::paperL0(8);
-        opts = sched::SchedulerOptions::l0(sched::CoherenceMode::Psr);
-        break;
-    }
-
-    // Half the cases also unroll by the cluster count.
-    ir::Loop body = GetParam().seed % 2 == 0 ? ir::unrollLoop(loop, 4)
-                                             : loop;
+    auto [cfg, opts] = propArch(GetParam().arch);
+    ir::Loop body = propBody(GetParam());
 
     sched::ModuloScheduler scheduler(cfg, opts);
     sched::Schedule s = scheduler.schedule(body);
@@ -221,6 +232,35 @@ TEST_P(RandomLoops, ScheduleValidAndExecutionCoherent)
     auto mem2 = mem::MemSystem::create(cfg);
     auto again = sim::simulateInvocation(s, *mem2, 64, 0, sim_opts);
     EXPECT_EQ(again.totalCycles(), first_total);
+}
+
+/**
+ * recMii's positive-cycle probe against an independent oracle: the
+ * slack relaxation converges exactly at the IIs without a positive
+ * cycle, so recMii must be the first II at which it converges. Checked
+ * with loads at the L1 latency and with candidates at the L0 latency.
+ */
+TEST_P(RandomLoops, RecMiiIsFirstConvergingII)
+{
+    auto [cfg, opts] = propArch(GetParam().arch);
+    ir::Loop body = propBody(GetParam());
+
+    sched::LatencyModel l1(body, cfg, opts.memLoadLatency);
+    sched::LatencyModel l0 = l1;
+    for (const auto &op : body.ops())
+        if (op.kind == ir::OpKind::Load && op.mem.strided)
+            l0.setLoadLatency(op.id, cfg.l0Latency);
+
+    for (const sched::LatencyModel *lat : {&l1, &l0}) {
+        int rec = sched::recMii(body, *lat);
+        bool converged = false;
+        sched::computeSlack(body, *lat, rec, &converged);
+        EXPECT_TRUE(converged) << "recMii " << rec;
+        if (rec > 1) {
+            sched::computeSlack(body, *lat, rec - 1, &converged);
+            EXPECT_FALSE(converged) << "recMii " << rec;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomLoops,

@@ -6,8 +6,10 @@
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <gtest/gtest.h>
 #include <set>
+#include <string>
 
 #include "ir/loop.hh"
 #include "ir/memdep.hh"
@@ -18,7 +20,10 @@
 #include "sched/scheduler.hh"
 #include "sched/sms.hh"
 #include "sched/validate.hh"
+#include "driver/registry.hh"
 #include "workloads/kernels.hh"
+#include "workloads/registry.hh"
+#include "workloads/workload.hh"
 
 using namespace l0vliw;
 using namespace l0vliw::sched;
@@ -129,6 +134,27 @@ TEST(Mii, NoRecurrenceGivesOne)
     l.addRegEdge(a, b);
     LatencyModel lat(l, cfg, 6);
     EXPECT_EQ(recMii(l, lat), 1);
+}
+
+TEST(Mii, ReverseOrderedChainNeedsEveryRound)
+{
+    // Edges listed against the dependence order: each relaxation round
+    // of the positive-cycle probe settles one more op, so the probe
+    // must run all n-1 rounds before it may call the graph settled.
+    MachineConfig cfg = MachineConfig::paperUnified();
+    constexpr int kOps = 12;
+    for (bool closed : {false, true}) {
+        ir::Loop l("reverse");
+        for (int i = 0; i < kOps; ++i)
+            l.addOp(mkOp(ir::OpKind::IntAlu));
+        if (closed)
+            l.addRegEdge(kOps - 1, 0, 1);
+        for (int i = kOps - 1; i > 0; --i)
+            l.addRegEdge(i - 1, i);
+        LatencyModel lat(l, cfg, 6);
+        // The closed cycle carries kOps unit latencies over distance 1.
+        EXPECT_EQ(recMii(l, lat), closed ? kOps : 1);
+    }
 }
 
 TEST(Mii, MinIIIsMax)
@@ -675,4 +701,133 @@ TEST(Validator, CatchesOversubscribedFu)
     auto bad = validateSchedule(s, MachineConfig::paperUnified());
     ASSERT_FALSE(bad.empty());
     EXPECT_NE(bad[0].find("oversubscribed"), std::string::npos);
+}
+
+// ---------------------------------------------------------- golden digest
+
+namespace
+{
+
+/** FNV-1a 64 over every field of a set of schedules. */
+class ScheduleDigest
+{
+  public:
+    void
+    add(long v)
+    {
+        auto u = static_cast<std::uint64_t>(v);
+        for (int i = 0; i < 8; ++i) {
+            h ^= (u >> (8 * i)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    }
+
+    void
+    add(const std::string &s)
+    {
+        add(static_cast<long>(s.size()));
+        for (unsigned char c : s) {
+            h ^= c;
+            h *= 1099511628211ULL;
+        }
+    }
+
+    void
+    add(const Schedule &s)
+    {
+        add(s.ii);
+        add(s.stageCount);
+        add(s.rampCycles);
+        add(s.explicitPrefetches);
+        add(static_cast<long>(s.ops.size()));
+        for (const OpSchedule &os : s.ops) {
+            add(os.cluster);
+            add(os.startCycle);
+            add(os.assignedLatency);
+            add(os.usesL0);
+            add(static_cast<long>(os.access));
+            add(static_cast<long>(os.map));
+            add(static_cast<long>(os.prefetch));
+        }
+        add(static_cast<long>(s.transfers.size()));
+        for (const BusTransfer &t : s.transfers) {
+            add(t.producer);
+            add(t.consumer);
+            add(t.startCycle);
+        }
+        add(s.loop.name());
+        add(s.loop.numOps());
+        for (const ir::Operation &op : s.loop.ops()) {
+            add(op.id);
+            add(static_cast<long>(op.kind));
+            add(op.tag);
+            add(op.fixedCluster);
+            add(op.mem.array);
+            add(op.mem.elemSize);
+            add(op.mem.strideElems);
+            add(op.mem.offsetElems);
+            add(op.mem.strided);
+            add(op.mem.primaryStore);
+            add(op.mem.psrReplicated);
+        }
+        add(static_cast<long>(s.loop.edges().size()));
+        for (const ir::DepEdge &e : s.loop.edges()) {
+            add(e.src);
+            add(e.dst);
+            add(static_cast<long>(e.kind));
+            add(e.distance);
+            add(e.conservative);
+        }
+    }
+
+    std::uint64_t value() const { return h; }
+
+  private:
+    std::uint64_t h = 1469598103934665603ULL;
+};
+
+} // namespace
+
+/**
+ * Every schedule the paper grid and the synthetic sweep can ask for —
+ * each Mediabench loop prepared as buildLoopPlans prepares it
+ * (specialised when flagged) at unroll 1 and at the cluster count,
+ * plus each fig8_synthetic point's loops, under every registered
+ * architecture — folded into one digest. The golden value pins the
+ * scheduler's output bit for bit: a change that only speeds the
+ * scheduler up must leave it alone.
+ */
+TEST(GoldenSchedules, EveryRegisteredArchMatchesDigest)
+{
+    std::vector<workloads::Benchmark> benches =
+        workloads::mediabenchSuite();
+    // The points fig8_synthetic sweeps.
+    for (const char *label :
+         {"stream-2", "stream-8", "stride-4x2", "stride-32x4",
+          "stencil2d-2", "stencil2d-4", "reduce-4", "reduce-12",
+          "pchase-8", "pchase-256", "rand-s1-12", "rand-s7-16"})
+        benches.push_back(workloads::workloadRegistry().resolve(label));
+
+    ScheduleDigest digest;
+    int schedules = 0;
+    for (const std::string &label : driver::archRegistry().names()) {
+        driver::ArchSpec arch = driver::archRegistry().resolve(label);
+        ModuloScheduler scheduler(arch.config, arch.sched);
+        for (const workloads::Benchmark &bench : benches) {
+            for (const workloads::LoopInstance &li : bench.loops) {
+                ir::Loop body =
+                    li.specialize ? ir::specializeLoop(li.loop) : li.loop;
+                for (int u : {1, arch.config.numClusters}) {
+                    digest.add(scheduler.schedule(
+                        u > 1 ? ir::unrollLoop(body, u) : body));
+                    ++schedules;
+                }
+            }
+        }
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(digest.value()));
+    EXPECT_EQ(std::string(hex), "0096eca5c055eeff")
+        << "over " << schedules << " schedules";
 }
