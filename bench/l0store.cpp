@@ -28,6 +28,7 @@
  * network is not trusted (src/store/README.md).
  */
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -37,6 +38,7 @@
 
 #include <unistd.h>
 
+#include "common/decimal.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "net/fault.hh"
@@ -183,37 +185,32 @@ queryMain(const std::string &endpoint,
     }
 
     std::optional<json::Value> doc = json::parse(reply, &error);
-    if (!doc || !doc->isObject()) {
+    bool ok = false;
+    if (!doc || !json::getBool(*doc, "ok", ok, error)) {
         std::fprintf(stderr, "l0store query: malformed reply: %s\n",
                      error.c_str());
         return 2;
     }
-    const json::Value *ok = doc->find("ok");
-    if (ok == nullptr || !ok->isBool()) {
-        std::fprintf(stderr, "l0store query: reply without 'ok'\n");
+    if (!ok) {
+        std::string refusal = "store refused the query";
+        json::getString(*doc, "error", refusal, error,
+                        json::Presence::Optional);
+        std::fprintf(stderr, "l0store query: %s\n", refusal.c_str());
         return 2;
     }
-    if (!ok->boolean()) {
-        const json::Value *err = doc->find("error");
-        std::fprintf(stderr, "l0store query: %s\n",
-                     err != nullptr && err->isString()
-                         ? err->str().c_str()
-                         : "store refused the query");
-        return 2;
-    }
-    const json::Value *text = doc->find("text");
-    const json::Value *exit = doc->find("exit");
-    if (text == nullptr || !text->isString() || exit == nullptr
-        || !exit->isNumber()) {
-        std::fprintf(stderr, "l0store query: reply without text/"
-                             "exit\n");
+    std::string text;
+    int exit = 0;
+    if (!json::getString(*doc, "text", text, error)
+        || !json::getInt(*doc, "exit", INT_MIN, INT_MAX, exit, error)) {
+        std::fprintf(stderr, "l0store query: malformed reply: %s\n",
+                     error.c_str());
         return 2;
     }
     // Verbatim: latest-grid must match the driver's own output byte
     // for byte, so no added newline, no reformatting.
-    std::fputs(text->str().c_str(), stdout);
+    std::fputs(text.c_str(), stdout);
     std::fflush(stdout);
-    return static_cast<int>(exit->asI64());
+    return exit;
 }
 
 } // namespace
@@ -271,13 +268,10 @@ main(int argc, char **argv)
                 options.htmlPath = valueOf("--html");
             } else if (arg == "--for" || arg.rfind("--for=", 0) == 0) {
                 std::string v = valueOf("--for");
-                char *end = nullptr;
-                long s = std::strtol(v.c_str(), &end, 10);
-                if (v.empty() || *end != '\0' || s < 1)
+                if (!parseDecimal(v, 1, INT_MAX, options.forSeconds))
                     fatal("--for wants a positive second count, got "
                           "'%s'",
                           v.c_str());
-                options.forSeconds = static_cast<int>(s);
             } else {
                 usage(2);
             }
@@ -302,34 +296,27 @@ main(int argc, char **argv)
         };
         if (arg == "--serve" || arg.rfind("--serve=", 0) == 0) {
             std::string v = valueOf("--serve");
-            char *end = nullptr;
-            long p = std::strtol(v.c_str(), &end, 10);
             // 0 is allowed: an ephemeral port, logged on startup —
             // how the CI smoke job and tests avoid port races.
-            if (v.empty() || *end != '\0' || p < 0 || p > 65535)
+            if (!parseDecimal(v, 0, 65535, port))
                 fatal("--serve wants a port in [0, 65535], got '%s'",
                       v.c_str());
-            port = static_cast<int>(p);
         } else if (arg == "--log" || arg.rfind("--log=", 0) == 0) {
             logPath = valueOf("--log");
         } else if (arg == "--retain-runs"
                    || arg.rfind("--retain-runs=", 0) == 0) {
             std::string v = valueOf("--retain-runs");
-            char *end = nullptr;
-            long n = std::strtol(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || n < 1)
-                fatal("--retain-runs wants an integer >= 1, got '%s'",
-                      v.c_str());
-            retainRuns = static_cast<int>(n);
+            if (!parseDecimal(v, 1, INT_MAX, retainRuns))
+                fatal("--retain-runs wants an integer in [1, %d], got "
+                      "'%s'",
+                      INT_MAX, v.c_str());
         } else if (arg == "--max-conns"
                    || arg.rfind("--max-conns=", 0) == 0) {
             std::string v = valueOf("--max-conns");
-            char *end = nullptr;
-            long n = std::strtol(v.c_str(), &end, 10);
-            if (v.empty() || *end != '\0' || n < 1)
-                fatal("--max-conns wants an integer >= 1, got '%s'",
-                      v.c_str());
-            maxConns = static_cast<int>(n);
+            if (!parseDecimal(v, 1, INT_MAX, maxConns))
+                fatal("--max-conns wants an integer in [1, %d], got "
+                      "'%s'",
+                      INT_MAX, v.c_str());
         } else {
             usage(2);
         }

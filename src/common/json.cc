@@ -1,27 +1,14 @@
 #include "common/json.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/decimal.hh"
+
 namespace l0vliw::json
 {
-
-std::uint64_t
-Value::asU64() const
-{
-    if (kind_ != Kind::Number)
-        return 0;
-    return std::strtoull(scalar_.c_str(), nullptr, 10);
-}
-
-std::int64_t
-Value::asI64() const
-{
-    if (kind_ != Kind::Number)
-        return 0;
-    return std::strtoll(scalar_.c_str(), nullptr, 10);
-}
 
 double
 Value::asDouble() const
@@ -338,6 +325,114 @@ std::optional<Value>
 parse(const std::string &text, std::string *error)
 {
     return Parser(text).run(error);
+}
+
+bool
+toU64(const Value &v, std::uint64_t &out)
+{
+    return v.isNumber()
+           && parseDecimal(v.numberToken(), 0, UINT64_MAX, out);
+}
+
+bool
+toInt(const Value &v, int lo, int hi, int &out)
+{
+    return v.isNumber() && parseDecimal(v.numberToken(), lo, hi, out);
+}
+
+bool
+toDouble(const Value &v, double &out)
+{
+    const double d = v.asDouble();
+    if (!v.isNumber() || !std::isfinite(d))
+        return false;
+    out = d;
+    return true;
+}
+
+namespace
+{
+
+/** The frame every member reader shares: presence first, then
+ *  @p read on the member, with @p want naming the expected type. */
+template <typename Read>
+bool
+readMember(const Value &obj, const char *key, Presence presence,
+           std::string &error, const char *want, Read read)
+{
+    if (!obj.isObject()) {
+        error = std::string("not an object where '") + key
+                + "' was expected";
+        return false;
+    }
+    const Value *v = obj.find(key);
+    if (v == nullptr) {
+        if (presence == Presence::Optional)
+            return true;
+        error = std::string("missing field '") + key + "'";
+        return false;
+    }
+    if (read(*v))
+        return true;
+    error = std::string("field '") + key + "' is not " + want;
+    return false;
+}
+
+} // namespace
+
+bool
+getU64(const Value &obj, const char *key, std::uint64_t &out,
+       std::string &error, Presence presence)
+{
+    return readMember(obj, key, presence, error, "a u64",
+                      [&](const Value &v) { return toU64(v, out); });
+}
+
+bool
+getInt(const Value &obj, const char *key, int lo, int hi, int &out,
+       std::string &error, Presence presence)
+{
+    if (readMember(obj, key, presence, error, "an integer",
+                   [&](const Value &v) { return toInt(v, lo, hi, out); }))
+        return true;
+    if (obj.find(key) != nullptr)
+        error += " in [" + std::to_string(lo) + ", " + std::to_string(hi)
+                 + "]";
+    return false;
+}
+
+bool
+getDouble(const Value &obj, const char *key, double &out,
+          std::string &error, Presence presence)
+{
+    return readMember(obj, key, presence, error, "a finite number",
+                      [&](const Value &v) { return toDouble(v, out); });
+}
+
+bool
+getString(const Value &obj, const char *key, std::string &out,
+          std::string &error, Presence presence)
+{
+    return readMember(obj, key, presence, error, "a string",
+                      [&](const Value &v) {
+                          if (!v.isString())
+                              return false;
+                          out = v.str();
+                          return true;
+                      });
+}
+
+bool
+getBool(const Value &obj, const char *key, bool &out,
+        std::string &error, Presence presence)
+{
+    return readMember(obj, key, presence, error, "a bool",
+                      [&](const Value &v) {
+                          if (!v.isBool())
+                              return false;
+                          out = v.boolean();
+                          return true;
+                      });
 }
 
 std::string

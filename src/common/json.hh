@@ -46,9 +46,8 @@ class Value
     /** The raw number token as it appeared in the source. */
     const std::string &numberToken() const { return scalar_; }
 
-    /** Number conversions; 0 on non-numbers (callers type-check). */
-    std::uint64_t asU64() const;
-    std::int64_t asI64() const;
+    /** The number as a double; 0 on non-numbers. Decoders read
+     *  numbers through toU64/toInt/toDouble or the get* readers. */
     double asDouble() const;
 
     const std::vector<Value> &items() const { return items_; }
@@ -78,6 +77,38 @@ class Value
  */
 std::optional<Value> parse(const std::string &text,
                            std::string *error = nullptr);
+
+/**
+ * Number reads by the one number rule (common/decimal.hh): an integer
+ * is a canonical decimal token in range ("-1", "1.5e3", "007" and
+ * "-0" are not u64s), a double any number token that reads as a
+ * finite value. False, with @p out untouched, on anything else.
+ */
+bool toU64(const Value &v, std::uint64_t &out);
+bool toInt(const Value &v, int lo, int hi, int &out);
+bool toDouble(const Value &v, double &out);
+
+/** Whether a member reader treats an absent member as an error. */
+enum class Presence { Required, Optional };
+
+/**
+ * Typed reads of member @p key of object @p obj. A present member of
+ * the wrong type or out of range is an error naming @p key, as is an
+ * absent Required one and an @p obj that is not an object; an absent
+ * Optional member leaves @p out at its default.
+ */
+bool getU64(const Value &obj, const char *key, std::uint64_t &out,
+            std::string &error, Presence presence = Presence::Required);
+bool getInt(const Value &obj, const char *key, int lo, int hi, int &out,
+            std::string &error, Presence presence = Presence::Required);
+bool getDouble(const Value &obj, const char *key, double &out,
+               std::string &error,
+               Presence presence = Presence::Required);
+bool getString(const Value &obj, const char *key, std::string &out,
+               std::string &error,
+               Presence presence = Presence::Required);
+bool getBool(const Value &obj, const char *key, bool &out,
+             std::string &error, Presence presence = Presence::Required);
 
 /** @p s as a quoted JSON string literal (escapes applied). */
 std::string quote(const std::string &s);

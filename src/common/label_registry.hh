@@ -12,8 +12,8 @@
  * accepted only when the value it builds carries exactly the label
  * asked for — so a grammar that tolerates a stray spelling ("l0-8-",
  * "l0-08") can never mint a second identity for one machine.
- * parseLabelNumber() is the grammars' one number parser, strict in
- * the same spirit.
+ * The grammars read their numbers with parseDecimal()
+ * (common/decimal.hh), strict in the same spirit.
  *
  * Registration happens at first use of the process-wide instance;
  * resolution is read-only and safe to call concurrently once
@@ -33,32 +33,6 @@
 
 namespace l0vliw
 {
-
-/**
- * Parse @p s as a canonical decimal in [@p lo, @p hi] (0 <= lo <= hi):
- * digits only — no sign, space or leading zero — range-checked
- * before narrowing, so exactly one spelling names each value.
- */
-inline bool
-parseLabelNumber(const std::string &s, long lo, long hi, long &out)
-{
-    if (s.empty() || (s[0] == '0' && s.size() > 1))
-        return false;
-    const unsigned long max = static_cast<unsigned long>(hi);
-    unsigned long v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        unsigned long digit = static_cast<unsigned long>(c - '0');
-        if (digit > max || v > (max - digit) / 10)
-            return false;
-        v = v * 10 + digit;
-    }
-    if (v < static_cast<unsigned long>(lo))
-        return false;
-    out = static_cast<long>(v);
-    return true;
-}
 
 /** Label-to-factory registry of @p T values labelled by @p Label. */
 template <typename T, std::string T::*Label>

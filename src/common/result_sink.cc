@@ -180,26 +180,29 @@ bool
 decodeWireCell(const json::Value &doc, CellValue &out,
                std::string &error)
 {
-    const json::Value *k = doc.find("k");
+    // "d" is the display digits: at most 17, %.17g's round-trip
+    // precision, so no decoded cell can ask printf for more.
+    std::string kind;
+    int digits = 2;
+    if (!json::getString(doc, "k", kind, error)
+        || !json::getInt(doc, "d", 0, 17, digits, error,
+                         json::Presence::Optional))
+        return false;
     const json::Value *v = doc.find("v");
-    if (!doc.isObject() || k == nullptr || !k->isString()
-        || v == nullptr) {
-        error = "table cell is not a {k, v} object";
+    if (v == nullptr) {
+        error = "table cell without a 'v'";
         return false;
     }
-    const json::Value *d = doc.find("d");
-    int digits = d != nullptr && d->isNumber()
-                     ? static_cast<int>(d->asI64())
-                     : 2;
-    const std::string &kind = k->str();
+    double number = 0;
+    std::uint64_t integer = 0;
     if (kind == "t" && v->isString()) {
         out = CellValue::text(v->str());
-    } else if (kind == "f" && v->isNumber()) {
-        out = CellValue::fixed(v->asDouble(), digits);
-    } else if (kind == "p" && v->isNumber()) {
-        out = CellValue::percent(v->asDouble(), digits);
-    } else if (kind == "i" && v->isNumber()) {
-        out = CellValue::integer(v->asU64());
+    } else if (kind == "f" && json::toDouble(*v, number)) {
+        out = CellValue::fixed(number, digits);
+    } else if (kind == "p" && json::toDouble(*v, number)) {
+        out = CellValue::percent(number, digits);
+    } else if (kind == "i" && json::toU64(*v, integer)) {
+        out = CellValue::integer(integer);
     } else {
         error = "table cell kind '" + kind
                 + "' does not match its value";
@@ -241,23 +244,17 @@ bool
 tableFromJsonValue(const json::Value &doc, ResultTable &out,
                    std::string &error)
 {
-    if (!doc.isObject()) {
-        error = "wire table is not an object";
+    out = ResultTable{};
+    if (!json::getString(doc, "title", out.title, error)
+        || !json::getString(doc, "footer", out.footer, error))
         return false;
-    }
-    const json::Value *title = doc.find("title");
-    const json::Value *footer = doc.find("footer");
     const json::Value *header = doc.find("header");
     const json::Value *rows = doc.find("rows");
-    if (title == nullptr || !title->isString() || footer == nullptr
-        || !footer->isString() || header == nullptr
-        || !header->isArray() || rows == nullptr || !rows->isArray()) {
-        error = "wire table is missing title/footer/header/rows";
+    if (header == nullptr || !header->isArray() || rows == nullptr
+        || !rows->isArray()) {
+        error = "wire table is missing header/rows";
         return false;
     }
-    out = ResultTable{};
-    out.title = title->str();
-    out.footer = footer->str();
     for (const auto &h : header->items()) {
         if (!h.isString()) {
             error = "non-string wire table header";

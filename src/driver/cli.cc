@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include "common/decimal.hh"
 #include "common/logging.hh"
 #include "driver/registry.hh"
 #include "net/fault.hh"
@@ -18,6 +19,9 @@ namespace l0vliw::driver
 namespace
 {
 
+constexpr int kMaxCellTimeoutMs = 86400000;
+constexpr int kMaxWindow = 256;
+
 int
 defaultJobs()
 {
@@ -25,48 +29,15 @@ defaultJobs()
     return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+/** A numeric flag's value: a canonical decimal in [lo, hi], or fatal. */
 int
-parseJobs(const std::string &val)
+flagNumber(const char *flag, const std::string &val, int lo, int hi)
 {
-    char *end = nullptr;
-    long jobs = std::strtol(val.c_str(), &end, 10);
-    if (val.empty() || *end != '\0' || jobs < 1 || jobs > 4096)
-        fatal("--jobs wants a positive integer, got '%s'", val.c_str());
-    return static_cast<int>(jobs);
-}
-
-int
-parseCellTimeout(const std::string &val)
-{
-    char *end = nullptr;
-    long ms = std::strtol(val.c_str(), &end, 10);
-    if (val.empty() || *end != '\0' || ms < 0 || ms > 86400000)
-        fatal("--cell-timeout-ms wants milliseconds in [0, 86400000], "
-              "got '%s'",
+    int n = 0;
+    if (!parseDecimal(val, lo, hi, n))
+        fatal("%s wants an integer in [%d, %d], got '%s'", flag, lo, hi,
               val.c_str());
-    return static_cast<int>(ms);
-}
-
-int
-parseWindow(const std::string &val)
-{
-    char *end = nullptr;
-    long window = std::strtol(val.c_str(), &end, 10);
-    if (val.empty() || *end != '\0' || window < 1 || window > 256)
-        fatal("--window wants a window size in [1, 256], got '%s'",
-              val.c_str());
-    return static_cast<int>(window);
-}
-
-std::uint16_t
-parsePort(const std::string &val)
-{
-    char *end = nullptr;
-    long port = std::strtol(val.c_str(), &end, 10);
-    if (val.empty() || *end != '\0' || port < 1 || port > 65535)
-        fatal("--serve wants a port in [1, 65535], got '%s'",
-              val.c_str());
-    return static_cast<std::uint16_t>(port);
+    return n;
 }
 
 /** Split a comma-separated endpoint list (empty entries dropped). */
@@ -176,7 +147,8 @@ parseCli(int argc, char **argv)
         if (matches(arg, "--filter")) {
             opts.filter = valueOf(i, arg, "--filter");
         } else if (matches(arg, "--jobs")) {
-            opts.jobs = parseJobs(valueOf(i, arg, "--jobs"));
+            opts.jobs =
+                flagNumber("--jobs", valueOf(i, arg, "--jobs"), 1, 4096);
             opts.jobsExplicit = true;
         } else if (matches(arg, "--executor")) {
             opts.executor =
@@ -195,10 +167,12 @@ parseCli(int argc, char **argv)
         } else if (matches(arg, "--run-id")) {
             opts.runId = valueOf(i, arg, "--run-id");
         } else if (matches(arg, "--cell-timeout-ms")) {
-            opts.cellTimeoutMs =
-                parseCellTimeout(valueOf(i, arg, "--cell-timeout-ms"));
+            opts.cellTimeoutMs = flagNumber(
+                "--cell-timeout-ms", valueOf(i, arg, "--cell-timeout-ms"),
+                0, kMaxCellTimeoutMs);
         } else if (matches(arg, "--window")) {
-            opts.window = parseWindow(valueOf(i, arg, "--window"));
+            opts.window = flagNumber(
+                "--window", valueOf(i, arg, "--window"), 1, kMaxWindow);
             opts.windowExplicit = true;
         } else if (matches(arg, "--degrade")) {
             opts.degrade =
@@ -215,7 +189,8 @@ parseCli(int argc, char **argv)
             // inherit the injection through the environment.
             ::setenv("L0VLIW_FAULT_INJECT", spec.c_str(), 1);
         } else if (matches(arg, "--serve")) {
-            servePort = parsePort(valueOf(i, arg, "--serve"));
+            servePort =
+                flagNumber("--serve", valueOf(i, arg, "--serve"), 1, 65535);
         } else if (matches(arg, "--format")) {
             opts.format = parseSinkFormat(valueOf(i, arg, "--format"));
         } else if (arg == "--list") {
@@ -253,12 +228,13 @@ parseCli(int argc, char **argv)
     if (opts.cellTimeoutMs < 0) {
         const char *env = std::getenv("L0VLIW_CELL_TIMEOUT_MS");
         if (env != nullptr && *env != '\0')
-            opts.cellTimeoutMs = parseCellTimeout(env);
+            opts.cellTimeoutMs = flagNumber(
+                "L0VLIW_CELL_TIMEOUT_MS", env, 0, kMaxCellTimeoutMs);
     }
     if (opts.window < 0) {
         const char *env = std::getenv("L0VLIW_WINDOW");
         if (env != nullptr && *env != '\0')
-            opts.window = parseWindow(env);
+            opts.window = flagNumber("L0VLIW_WINDOW", env, 1, kMaxWindow);
     }
     // Run-identity defaults: every published event needs a suite to
     // group under, a revision to diff by, and a run id to dedup on —

@@ -69,6 +69,10 @@
  *                       and exit
  *
  * Every flag also accepts its value space-separated (--jobs 4).
+ * Numbers — in flags, their environment fallbacks, fd:N and ports —
+ * are canonical decimals in the stated range: digits only, no '+',
+ * no space, no leading zero (common/decimal.hh); anything else is
+ * fatal, never wrapped or narrowed.
  * Anything else is passed through as a positional argument (the
  * examples take benchmark/architecture names positionally).
  *

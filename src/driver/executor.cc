@@ -20,6 +20,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/decimal.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -82,34 +83,10 @@ appendField(std::string &out, const char *key, std::uint64_t v)
     out += std::to_string(v);
 }
 
-/** Required typed member lookups; false sets @p error. */
-bool
-getU64(const json::Value &obj, const char *key, std::uint64_t &out,
-       std::string &error)
-{
-    const json::Value *v = obj.find(key);
-    // Strict: the token must be a plain non-negative integer —
-    // strtoull would silently wrap "-1" and truncate "1.5e3".
-    const std::string token =
-        v != nullptr && v->isNumber() ? v->numberToken() : "";
-    if (token.empty()
-        || token.find_first_not_of("0123456789") != std::string::npos) {
-        error = std::string("missing or non-u64 field '") + key + "'";
-        return false;
-    }
-    errno = 0;
-    out = std::strtoull(token.c_str(), nullptr, 10);
-    if (errno == ERANGE) {
-        error = std::string("out-of-range u64 field '") + key + "'";
-        return false;
-    }
-    return true;
-}
-
 /**
- * The "unrolls" array: each factor a plain integer token in int range
- * — a fraction or an out-of-range value is an error, never truncated
- * or wrapped. Range checks against the loops are executeCellJob's.
+ * The "unrolls" array: each factor an integer in int range — a
+ * fraction or an out-of-range value is an error, never truncated or
+ * wrapped. Range checks against the loops are executeCellJob's.
  */
 bool
 getUnrolls(const json::Value &obj, std::vector<int> &out,
@@ -121,18 +98,12 @@ getUnrolls(const json::Value &obj, std::vector<int> &out,
         return false;
     }
     for (const auto &u : v->items()) {
-        const std::string token = u.isNumber() ? u.numberToken() : "";
-        const std::size_t sign = token.rfind('-', 0) == 0 ? 1 : 0;
-        errno = 0;
-        long long n = std::strtoll(token.c_str(), nullptr, 10);
-        if (token.size() == sign
-            || token.find_first_not_of("0123456789", sign)
-                   != std::string::npos
-            || errno == ERANGE || n < INT_MIN || n > INT_MAX) {
+        int n = 0;
+        if (!json::toInt(u, INT_MIN, INT_MAX, n)) {
             error = "non-integer or out-of-range entry in 'unrolls'";
             return false;
         }
-        out.push_back(static_cast<int>(n));
+        out.push_back(n);
     }
     return true;
 }
@@ -147,32 +118,6 @@ appendUnrolls(std::string &out, const std::vector<int> &unrolls)
         out += std::to_string(unrolls[i]);
     }
     out += ']';
-}
-
-bool
-getDouble(const json::Value &obj, const char *key, double &out,
-          std::string &error)
-{
-    const json::Value *v = obj.find(key);
-    if (v == nullptr || !v->isNumber()) {
-        error = std::string("missing or non-numeric field '") + key + "'";
-        return false;
-    }
-    out = v->asDouble();
-    return true;
-}
-
-bool
-getString(const json::Value &obj, const char *key, std::string &out,
-          std::string &error)
-{
-    const json::Value *v = obj.find(key);
-    if (v == nullptr || !v->isString()) {
-        error = std::string("missing or non-string field '") + key + "'";
-        return false;
-    }
-    out = v->str();
-    return true;
 }
 
 void
@@ -215,24 +160,21 @@ bool
 decodeBenchmarkRun(const json::Value &obj, BenchmarkRun &out,
                    std::string &error)
 {
-    if (!obj.isObject()) {
-        error = "BenchmarkRun is not an object";
-        return false;
-    }
     out = BenchmarkRun{};
-    if (!getString(obj, "bench", out.bench, error)
-        || !getString(obj, "arch", out.arch, error)
-        || !getU64(obj, "loopCompute", out.loopCompute, error)
-        || !getU64(obj, "loopStall", out.loopStall, error)
-        || !getU64(obj, "scalarCycles", out.scalarCycles, error)
-        || !getU64(obj, "memAccesses", out.memAccesses, error)
-        || !getU64(obj, "coherenceViolations", out.coherenceViolations,
-                   error)
-        || !getDouble(obj, "avgUnroll", out.avgUnroll, error)
-        || !getU64(obj, "l0Hits", out.l0Hits, error)
-        || !getU64(obj, "l0Misses", out.l0Misses, error)
-        || !getU64(obj, "fillsLinear", out.fillsLinear, error)
-        || !getU64(obj, "fillsInterleaved", out.fillsInterleaved, error))
+    if (!json::getString(obj, "bench", out.bench, error)
+        || !json::getString(obj, "arch", out.arch, error)
+        || !json::getU64(obj, "loopCompute", out.loopCompute, error)
+        || !json::getU64(obj, "loopStall", out.loopStall, error)
+        || !json::getU64(obj, "scalarCycles", out.scalarCycles, error)
+        || !json::getU64(obj, "memAccesses", out.memAccesses, error)
+        || !json::getU64(obj, "coherenceViolations",
+                         out.coherenceViolations, error)
+        || !json::getDouble(obj, "avgUnroll", out.avgUnroll, error)
+        || !json::getU64(obj, "l0Hits", out.l0Hits, error)
+        || !json::getU64(obj, "l0Misses", out.l0Misses, error)
+        || !json::getU64(obj, "fillsLinear", out.fillsLinear, error)
+        || !json::getU64(obj, "fillsInterleaved", out.fillsInterleaved,
+                         error))
         return false;
     const json::Value *stats = obj.find("memStats");
     if (stats == nullptr || !stats->isObject()) {
@@ -240,11 +182,12 @@ decodeBenchmarkRun(const json::Value &obj, BenchmarkRun &out,
         return false;
     }
     for (const auto &kv : stats->members()) {
-        if (!kv.second.isNumber()) {
-            error = "non-numeric memStats counter '" + kv.first + "'";
+        std::uint64_t counter = 0;
+        if (!json::toU64(kv.second, counter)) {
+            error = "memStats counter '" + kv.first + "' is not a u64";
             return false;
         }
-        out.memStats.set(kv.first, kv.second.asU64());
+        out.memStats.set(kv.first, counter);
     }
     return true;
 }
@@ -291,17 +234,13 @@ CellJob::fromJson(const std::string &text, CellJob &out,
     std::optional<json::Value> doc = json::parse(text, &error);
     if (!doc)
         return false;
-    if (!doc->isObject()) {
-        error = "CellJob is not an object";
-        return false;
-    }
     out = CellJob{};
-    if (!getU64(*doc, "id", out.id, error)
-        || !getString(*doc, "bench", out.bench, error)
-        || !getString(*doc, "arch", out.arch, error)
-        || !getUnrolls(*doc, out.unrolls, error))
-        return false;
-    return getU64(*doc, "scalarCycles", out.baseline.scalarCycles, error);
+    return json::getU64(*doc, "id", out.id, error)
+           && json::getString(*doc, "bench", out.bench, error)
+           && json::getString(*doc, "arch", out.arch, error)
+           && getUnrolls(*doc, out.unrolls, error)
+           && json::getU64(*doc, "scalarCycles",
+                           out.baseline.scalarCycles, error);
 }
 
 std::string
@@ -335,34 +274,23 @@ CellOutcome::fromJson(const std::string &text, CellOutcome &out,
     std::optional<json::Value> doc = json::parse(text, &error);
     if (!doc)
         return false;
-    if (!doc->isObject()) {
-        error = "CellOutcome is not an object";
-        return false;
-    }
     out = CellOutcome{};
-    if (!getU64(*doc, "id", out.id, error))
-        return false;
-    const json::Value *ok = doc->find("ok");
-    if (ok == nullptr || !ok->isBool()) {
-        error = "missing or non-bool field 'ok'";
-        return false;
-    }
-    out.ok = ok->boolean();
-    if (const json::Value *err = doc->find("error"))
-        out.error = err->isString() ? err->str() : std::string();
     // Only failures carry a reason; an unknown name decodes to None.
-    if (const json::Value *reason = doc->find("reason"))
-        out.reason = reason->isString()
-                         ? failReasonFromName(reason->str())
-                         : FailReason::None;
-    std::uint64_t attempts = 0;
-    if (!getU64(*doc, "attempts", attempts, error)
-        || !getDouble(*doc, "execUs", out.execUs, error)
-        || !getDouble(*doc, "planUs", out.planUs, error)
+    std::string reason;
+    if (!json::getU64(*doc, "id", out.id, error)
+        || !json::getBool(*doc, "ok", out.ok, error)
+        || !json::getString(*doc, "error", out.error, error,
+                            json::Presence::Optional)
+        || !json::getString(*doc, "reason", reason, error,
+                            json::Presence::Optional)
+        || !json::getInt(*doc, "attempts", 0, INT_MAX, out.attempts,
+                         error)
+        || !json::getDouble(*doc, "execUs", out.execUs, error)
+        || !json::getDouble(*doc, "planUs", out.planUs, error)
         || (doc->find("unrolls") != nullptr
             && !getUnrolls(*doc, out.unrolls, error)))
         return false;
-    out.attempts = static_cast<int>(attempts);
+    out.reason = failReasonFromName(reason);
     const json::Value *run = doc->find("run");
     if (run == nullptr) {
         error = "missing field 'run'";
@@ -1713,11 +1641,10 @@ OutcomeStream::open(const std::string &spec, std::string &error)
         out = stdout;
         owned = false;
     } else if (spec.rfind("fd:", 0) == 0) {
-        char *end = nullptr;
-        long fd = std::strtol(spec.c_str() + 3, &end, 10);
+        int fd = -1;
         int dup = -1;
-        if (spec.size() > 3 && *end == '\0' && fd >= 0)
-            dup = ::dup(static_cast<int>(fd));
+        if (parseDecimal(spec.substr(3), 0, INT_MAX, fd))
+            dup = ::dup(fd);
         out = dup >= 0 ? fdopen(dup, "w") : nullptr;
         if (out == nullptr) {
             if (dup >= 0)

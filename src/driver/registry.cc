@@ -2,6 +2,8 @@
 
 #include <climits>
 
+#include "common/decimal.hh"
+
 namespace l0vliw::driver
 {
 
@@ -21,10 +23,9 @@ parseL0Label(const std::string &label)
     std::string size = rest.substr(0, dash);
     std::string suffix =
         dash == std::string::npos ? "" : rest.substr(dash + 1);
-    long n = -1;
-    if (size != "unbounded" && !parseLabelNumber(size, 1, INT_MAX, n))
+    int entries = -1;
+    if (size != "unbounded" && !parseDecimal(size, 1, INT_MAX, entries))
         return std::nullopt;
-    const int entries = static_cast<int>(n);
 
     if (suffix.empty())
         return ArchSpec::l0(entries);
@@ -35,10 +36,9 @@ parseL0Label(const std::string &label)
     if (suffix == "allcand")
         return ArchSpec::l0AllCandidates(entries);
     if (suffix.rfind("pf", 0) == 0) {
-        long d = 0;
-        if (parseLabelNumber(suffix.substr(2), 0, INT_MAX, d))
-            return ArchSpec::l0PrefetchDistance(entries,
-                                                static_cast<int>(d));
+        int d = 0;
+        if (parseDecimal(suffix.substr(2), 0, INT_MAX, d))
+            return ArchSpec::l0PrefetchDistance(entries, d);
     }
     return std::nullopt;
 }

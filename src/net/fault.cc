@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/decimal.hh"
 #include "common/logging.hh"
 #include "metrics/registry.hh"
 
@@ -84,7 +86,8 @@ parseProb(const std::string &text, double &out, std::string &error,
     errno = 0;
     char *end = nullptr;
     double p = std::strtod(text.c_str(), &end);
-    if (text.empty() || errno != 0 || *end != '\0' || p < 0 || p > 1) {
+    if (text.empty() || errno != 0 || *end != '\0' || !std::isfinite(p)
+        || p < 0 || p > 1) {
         error = "fault clause '" + clause
                 + "': probability must be in [0, 1]";
         return false;
@@ -120,17 +123,12 @@ FaultSpec::parse(const std::string &text, FaultSpec &out,
         }
 
         if (clause.rfind("seed=", 0) == 0) {
-            std::string value = clause.substr(5);
-            errno = 0;
-            char *end = nullptr;
-            unsigned long long seed =
-                std::strtoull(value.c_str(), &end, 10);
-            if (value.empty() || errno != 0 || *end != '\0') {
+            if (!parseDecimal(clause.substr(5), 0, UINT64_MAX,
+                              spec.seed)) {
                 error = "fault clause '" + clause
                         + "': seed must be a decimal u64";
                 return false;
             }
-            spec.seed = seed;
             continue;
         }
 
@@ -149,16 +147,11 @@ FaultSpec::parse(const std::string &text, FaultSpec &out,
             std::string maxText =
                 value.substr(dots + 2, unit - (dots + 2));
             auto parseMs = [&](const std::string &t, int &ms) {
-                errno = 0;
-                char *end = nullptr;
-                long v = std::strtol(t.c_str(), &end, 10);
-                if (t.empty() || errno != 0 || *end != '\0' || v < 0
-                    || v > 600000) {
+                if (!parseDecimal(t, 0, 600000, ms)) {
                     error = "fault clause '" + clause
                             + "': delay bound out of [0, 600000]ms";
                     return false;
                 }
-                ms = static_cast<int>(v);
                 return true;
             };
             if (!parseMs(minText, spec.delayMinMs)
@@ -184,17 +177,12 @@ FaultSpec::parse(const std::string &text, FaultSpec &out,
                         + "': expected latency=<ms>ms";
                 return false;
             }
-            std::string msText = value.substr(0, value.size() - 2);
-            errno = 0;
-            char *end = nullptr;
-            long v = std::strtol(msText.c_str(), &end, 10);
-            if (msText.empty() || errno != 0 || *end != '\0' || v < 1
-                || v > 600000) {
+            if (!parseDecimal(value.substr(0, value.size() - 2), 1,
+                              600000, spec.latencyMs)) {
                 error = "fault clause '" + clause
                         + "': latency out of [1, 600000]ms";
                 return false;
             }
-            spec.latencyMs = static_cast<int>(v);
             continue;
         }
 

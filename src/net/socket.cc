@@ -1,7 +1,6 @@
 #include "net/socket.hh"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include <csignal>
@@ -14,6 +13,8 @@
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
+
+#include "common/decimal.hh"
 
 namespace l0vliw::net
 {
@@ -34,17 +35,9 @@ parseHostPort(const std::string &text, HostPort &out, std::string &error)
         error = "endpoint '" + text + "' is not host:port";
         return false;
     }
-    std::string portText = text.substr(colon + 1);
-    if (portText.empty()
-        || portText.find_first_not_of("0123456789") != std::string::npos) {
-        error = "endpoint '" + text + "' has a non-numeric port";
-        return false;
-    }
-    errno = 0;
-    char *end = nullptr;
-    unsigned long port = std::strtoul(portText.c_str(), &end, 10);
-    if (errno != 0 || *end != '\0' || port < 1 || port > 65535) {
-        error = "endpoint '" + text + "' port out of range [1, 65535]";
+    int port = 0;
+    if (!parseDecimal(text.substr(colon + 1), 1, 65535, port)) {
+        error = "endpoint '" + text + "' wants a port in [1, 65535]";
         return false;
     }
     out.host = text.substr(0, colon);

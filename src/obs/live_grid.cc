@@ -15,35 +15,33 @@ LiveGrid::applyFrame(const std::string &line, std::string &error)
     std::optional<json::Value> parsed = json::parse(line, &error);
     if (!parsed)
         return Apply::Malformed;
-    if (!parsed->isObject()) {
-        error = "frame is not an object";
-        return Apply::Malformed;
-    }
-    const json::Value *kind = parsed->find("event");
-    if (kind == nullptr || !kind->isString()) {
+    std::string name;
+    if (!json::getString(*parsed, "event", name, error)) {
         // Query-shaped error replies ({"ok":false,...}) are how the
         // server declines a malformed subscribe line.
-        const json::Value *ok = parsed->find("ok");
-        if (ok != nullptr && ok->isBool() && !ok->boolean()) {
-            const json::Value *msg = parsed->find("error");
-            error = msg != nullptr && msg->isString()
-                        ? msg->str()
-                        : "server rejected the subscription";
+        bool ok = true;
+        std::string reply = "server rejected the subscription";
+        if (json::getBool(*parsed, "ok", ok, error,
+                          json::Presence::Optional)
+            && !ok) {
+            json::getString(*parsed, "error", reply, error,
+                            json::Presence::Optional);
+            error = reply;
             return Apply::Rejected;
         }
-        error = "missing field 'event'";
         return Apply::Malformed;
     }
-    const std::string name = kind->str();
 
     if (name == "subscribed") {
         // `latest` below what we already applied means this server
         // has less history than we folded: it restarted onto a
         // truncated (or fresh) log. Start over — dedup state keyed
         // on its old sequence numbering is meaningless now.
-        const json::Value *latest = parsed->find("latest");
-        if (latest != nullptr && latest->isNumber()
-            && latest->asU64() < lastSeq_) {
+        std::uint64_t latest = lastSeq_;
+        if (!json::getU64(*parsed, "latest", latest, error,
+                          json::Presence::Optional))
+            return Apply::Malformed;
+        if (latest < lastSeq_) {
             reset();
             ++resets_;
         }
@@ -64,13 +62,14 @@ LiveGrid::applyFrame(const std::string &line, std::string &error)
         return Apply::Malformed;
     }
 
-    const json::Value *seqField = parsed->find("seq");
+    std::uint64_t seq = 0;
+    if (!json::getU64(*parsed, "seq", seq, error))
+        return Apply::Malformed;
     const json::Value *data = parsed->find("data");
-    if (seqField == nullptr || !seqField->isNumber() || data == nullptr) {
-        error = "push without seq/data";
+    if (data == nullptr) {
+        error = "push without data";
         return Apply::Malformed;
     }
-    std::uint64_t seq = seqField->asU64();
     store::Event event;
     if (!store::Event::decode(*data, event, error))
         return Apply::Malformed;

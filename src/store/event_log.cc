@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 
@@ -33,20 +34,6 @@ logBytesGauge()
 
 // ---- event decoding ----
 
-namespace
-{
-
-/** Optional string member: leaves @p out alone when absent. */
-void
-takeString(const json::Value &obj, const char *key, std::string &out)
-{
-    const json::Value *v = obj.find(key);
-    if (v != nullptr && v->isString())
-        out = v->str();
-}
-
-} // namespace
-
 bool
 Event::decode(const std::string &line, Event &out, std::string &error)
 {
@@ -57,76 +44,65 @@ Event::decode(const std::string &line, Event &out, std::string &error)
 }
 
 bool
-Event::decode(const json::Value &docValue, Event &out,
-              std::string &error)
+Event::decode(const json::Value &doc, Event &out, std::string &error)
 {
-    const json::Value *doc = &docValue;
-    if (!doc->isObject()) {
-        error = "event is not an object";
-        return false;
-    }
-    const json::Value *kind = doc->find("event");
-    if (kind == nullptr || !kind->isString()) {
-        error = "missing or non-string field 'event'";
-        return false;
-    }
-
     out = Event{};
-    takeString(*doc, "suite", out.suite);
-    takeString(*doc, "rev", out.rev);
-    takeString(*doc, "run", out.run);
+    std::string kind;
+    if (!json::getString(doc, "event", kind, error)
+        || !json::getString(doc, "suite", out.suite, error,
+                            json::Presence::Optional)
+        || !json::getString(doc, "rev", out.rev, error,
+                            json::Presence::Optional)
+        || !json::getString(doc, "run", out.run, error,
+                            json::Presence::Optional))
+        return false;
 
-    if (kind->str() == "grid") {
+    if (kind == "grid") {
         out.kind = Kind::Grid;
-        const json::Value *table = doc->find("table");
+        const json::Value *table = doc.find("table");
         if (table == nullptr) {
             error = "grid event without a 'table'";
             return false;
         }
         return tableFromJsonValue(*table, out.table, error);
     }
-    if (kind->str() != "cell") {
-        error = "unknown event kind '" + kind->str() + "'";
+    if (kind != "cell") {
+        error = "unknown event kind '" + kind + "'";
         return false;
     }
 
     out.kind = Kind::Cell;
-    const json::Value *bench = doc->find("bench");
-    const json::Value *arch = doc->find("arch");
-    const json::Value *ok = doc->find("ok");
-    if (bench == nullptr || !bench->isString() || arch == nullptr
-        || !arch->isString() || ok == nullptr || !ok->isBool()) {
-        error = "cell event without bench/arch/ok";
-        return false;
-    }
-    out.bench = bench->str();
-    out.arch = arch->str();
-    out.ok = ok->boolean();
-    if (const json::Value *id = doc->find("id"))
-        out.id = id->isNumber() ? id->asU64() : 0;
     // Tolerant: a log replays events from before the failure taxonomy,
     // which carry no reason/attempts; unknown reasons are None.
-    if (const json::Value *reason = doc->find("reason"))
-        out.reason = reason->isString()
-                         ? failReasonFromName(reason->str())
-                         : FailReason::None;
-    if (const json::Value *attempts = doc->find("attempts"))
-        out.attempts = attempts->isNumber()
-                           ? static_cast<int>(attempts->asI64())
-                           : 1;
-    if (const json::Value *wall = doc->find("wallMs"))
-        out.wallMs = wall->isNumber() ? wall->asDouble() : 0;
+    std::string reason;
+    if (!json::getString(doc, "bench", out.bench, error)
+        || !json::getString(doc, "arch", out.arch, error)
+        || !json::getBool(doc, "ok", out.ok, error)
+        || !json::getU64(doc, "id", out.id, error,
+                         json::Presence::Optional)
+        || !json::getString(doc, "reason", reason, error,
+                            json::Presence::Optional)
+        || !json::getInt(doc, "attempts", INT_MIN, INT_MAX,
+                         out.attempts, error, json::Presence::Optional)
+        || !json::getDouble(doc, "wallMs", out.wallMs, error,
+                            json::Presence::Optional))
+        return false;
+    out.reason = failReasonFromName(reason);
     // The diff metric rides inside outcome.run; an event without one
     // (a stripped-down producer) still ingests, it just cannot diff.
-    if (const json::Value *outcome = doc->find("outcome")) {
-        const json::Value *run =
-            outcome->isObject() ? outcome->find("run") : nullptr;
-        if (run != nullptr && run->isObject()) {
+    if (const json::Value *outcome = doc.find("outcome")) {
+        if (const json::Value *run = outcome->find("run")) {
             for (const char *key :
                  {"loopCompute", "loopStall", "scalarCycles"}) {
-                const json::Value *v = run->find(key);
-                if (v != nullptr && v->isNumber())
-                    out.totalCycles += v->asU64();
+                std::uint64_t cycles = 0;
+                if (!json::getU64(*run, key, cycles, error,
+                                  json::Presence::Optional))
+                    return false;
+                if (cycles > UINT64_MAX - out.totalCycles) {
+                    error = "cycle total overflows a u64";
+                    return false;
+                }
+                out.totalCycles += cycles;
             }
         }
     }

@@ -70,7 +70,8 @@ namespace l0vliw::store
  * for events published by older drivers or replayed from plain
  * --stream files, "reason"/"attempts" default for events logged
  * before the failure taxonomy existed, and an unknown reason name
- * decodes to None.
+ * decodes to None. Only absence is tolerated: a field that is present
+ * with the wrong type or out of its range makes the event malformed.
  */
 struct Event
 {

@@ -1,9 +1,12 @@
 #include "store/service.hh"
 
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
 
+#include "common/decimal.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "driver/executor.hh"
@@ -194,9 +197,7 @@ StoreService::handleSubscribe(const std::vector<std::string> &words,
     std::uint64_t from = 0;
     bool malformed = false;
     if (words.size() == 4 && words[2] == "from-seq") {
-        char *end = nullptr;
-        from = std::strtoull(words[3].c_str(), &end, 10);
-        malformed = words[3].empty() || *end != '\0';
+        malformed = !parseDecimal(words[3], 0, UINT64_MAX, from);
     } else if (words.size() != 2) {
         malformed = true;
     }
@@ -384,7 +385,8 @@ StoreService::handleQuery(const std::string &line)
         if (words.size() == 5) {
             char *end = nullptr;
             threshold = std::strtod(words[4].c_str(), &end);
-            if (words[4].empty() || *end != '\0' || threshold < 0)
+            if (words[4].empty() || *end != '\0'
+                || !std::isfinite(threshold) || threshold < 0)
                 return errReply("bad threshold '" + words[4]
                                 + "' (want a percentage >= 0)");
             words.pop_back();
@@ -508,14 +510,14 @@ StoreService::handleQuery(const std::string &line)
     if (verb == "compact") {
         if (words.size() != 2)
             return errReply("usage: compact <keep-runs>");
-        char *end = nullptr;
-        long keep = std::strtol(words[1].c_str(), &end, 10);
-        if (words[1].empty() || *end != '\0' || keep < 1)
+        int keep = 0;
+        if (!parseDecimal(words[1], 1, INT_MAX, keep))
             return errReply("bad keep-runs '" + words[1]
-                            + "' (want an integer >= 1)");
+                            + "' (want an integer in [1, "
+                            + std::to_string(INT_MAX) + "])");
         EventLog::CompactStats stats;
         std::string error;
-        if (!log_.compact(static_cast<int>(keep), stats, error))
+        if (!log_.compact(keep, stats, error))
             return errReply(error);
         std::ostringstream text;
         text << "compacted: kept " << stats.keptEvents

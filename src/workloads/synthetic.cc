@@ -2,7 +2,7 @@
 
 #include <limits>
 
-#include "common/label_registry.hh"
+#include "common/decimal.hh"
 #include "common/rng.hh"
 #include "workloads/kernels.hh"
 
@@ -223,32 +223,33 @@ makeSyntheticWorkload(const std::string &label)
         return label.substr(n);
     };
 
-    long a = 0, b = 0;
+    int a = 0, b = 0;
+    std::uint64_t seed = 0;
     if (auto p = param("stream-")) {
-        if (parseLabelNumber(*p, 1, 64, a))
+        if (parseDecimal(*p, 1, 64, a))
             return makeStream(label, a);
     } else if (auto p = param("stride-")) {
         std::size_t x = p->find('x');
         if (x != std::string::npos
-            && parseLabelNumber(p->substr(0, x), 1, 1024, a)
-            && parseLabelNumber(p->substr(x + 1), 0, 64, b))
+            && parseDecimal(p->substr(0, x), 1, 1024, a)
+            && parseDecimal(p->substr(x + 1), 0, 64, b))
             return makeStride(label, a, b);
     } else if (auto p = param("stencil2d-")) {
-        if (parseLabelNumber(*p, 1, 16, a))
+        if (parseDecimal(*p, 1, 16, a))
             return makeStencil2d(label, a);
     } else if (auto p = param("reduce-")) {
-        if (parseLabelNumber(*p, 1, 32, a))
+        if (parseDecimal(*p, 1, 32, a))
             return makeReduce(label, a);
     } else if (auto p = param("pchase-")) {
-        if (parseLabelNumber(*p, 1, 1024, a))
+        if (parseDecimal(*p, 1, 1024, a))
             return makePchase(label, a);
     } else if (auto p = param("rand-s")) {
         std::size_t dash = p->find('-');
         if (dash != std::string::npos
-            && parseLabelNumber(p->substr(0, dash), 0,
-                                std::numeric_limits<long>::max(), a)
-            && parseLabelNumber(p->substr(dash + 1), 2, 128, b))
-            return makeRand(label, static_cast<std::uint64_t>(a), b);
+            && parseDecimal(p->substr(0, dash), 0,
+                            std::numeric_limits<std::int64_t>::max(), seed)
+            && parseDecimal(p->substr(dash + 1), 2, 128, b))
+            return makeRand(label, seed, b);
     }
     return std::nullopt;
 }

@@ -12,7 +12,7 @@
  * family draws everything from an Rng seeded by its label).
  *
  * Grammar (all integers canonical decimal — no sign, space or
- * leading zero, see parseLabelNumber; bounds in
+ * leading zero, see parseDecimal in common/decimal.hh; bounds in
  * makeSyntheticWorkload):
  *
  *   stream-<ops>        unit-stride map, <ops>-deep ALU chain

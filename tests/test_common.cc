@@ -1,11 +1,15 @@
 /**
  * @file
- * Unit tests of the common utilities: RNG determinism, stat sets and
- * the table formatter.
+ * Unit tests of the common utilities: RNG determinism, stat sets, the
+ * table formatter and the number rule.
  */
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
+
+#include "common/decimal.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -121,4 +125,36 @@ TEST(TextTable, HandlesShortRows)
     t.setHeader({"a", "b", "c"});
     t.addRow({"1"});
     EXPECT_FALSE(t.render().empty());
+}
+
+TEST(Decimal, OneSpellingPerValue)
+{
+    std::uint64_t u = 0;
+    EXPECT_TRUE(parseDecimal("18446744073709551615", 0, UINT64_MAX, u));
+    EXPECT_EQ(u, UINT64_MAX);
+    for (const char *bad :
+         {"", "-0", "-1", "+1", " 1", "1 ", "007", "1.5e3", "0x10",
+          "18446744073709551616"})
+        EXPECT_FALSE(parseDecimal(bad, 0, UINT64_MAX, u)) << bad;
+    EXPECT_FALSE(parseDecimal("4294967297", 1, 4294967296, u));
+    EXPECT_FALSE(parseDecimal("0", 1, 9, u));
+
+    std::int64_t s = 0;
+    EXPECT_TRUE(parseDecimal("-9223372036854775808", INT64_MIN,
+                             INT64_MAX, s));
+    EXPECT_EQ(s, INT64_MIN);
+    for (const char *bad : {"-", "-0", "-05", "--1", "-9223372036854775809"})
+        EXPECT_FALSE(parseDecimal(bad, INT64_MIN, INT64_MAX, s)) << bad;
+
+    int i = 0;
+    EXPECT_TRUE(parseDecimal("-3", -5, -1, i));
+    EXPECT_EQ(i, -3);
+    // A '-' is accepted only where the range admits negatives.
+    EXPECT_FALSE(parseDecimal("-1", 0, 10, i));
+    EXPECT_FALSE(parseDecimal("0", -5, -1, i));
+    EXPECT_FALSE(parseDecimal("-6", -5, -1, i));
+    EXPECT_FALSE(parseDecimal("2147483648", INT_MIN, INT_MAX, i));
+    EXPECT_EQ(i, -3) << "a rejected parse leaves the output alone";
+    EXPECT_TRUE(parseDecimal("-2147483648", INT_MIN, INT_MAX, i));
+    EXPECT_EQ(i, INT_MIN);
 }

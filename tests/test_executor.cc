@@ -173,7 +173,7 @@ TEST(Json, ParsesScalarsAndStructure)
     ASSERT_NE(a, nullptr);
     ASSERT_TRUE(a->isArray());
     ASSERT_EQ(a->items().size(), 3u);
-    EXPECT_EQ(a->items()[0].asU64(), 1u);
+    EXPECT_EQ(a->items()[0].numberToken(), "1");
     EXPECT_EQ(a->items()[1].asDouble(), -2.5);
     EXPECT_EQ(a->items()[2].asDouble(), 1000.0);
     EXPECT_EQ(doc->find("s")->str(), "x\n\"yA");
@@ -197,7 +197,9 @@ TEST(Json, NumbersKeepRawTokens)
     auto doc = json::parse("[18446744073709551615, 0.1]");
     ASSERT_TRUE(doc.has_value());
     // Full 64-bit range survives (a double round-trip would not).
-    EXPECT_EQ(doc->items()[0].asU64(), 18446744073709551615ULL);
+    std::uint64_t max = 0;
+    ASSERT_TRUE(json::toU64(doc->items()[0], max));
+    EXPECT_EQ(max, 18446744073709551615ULL);
     EXPECT_EQ(doc->items()[1].asDouble(), 0.1);
 }
 
@@ -393,6 +395,14 @@ TEST(Protocol, DecodeRejectsMissingFields)
     EXPECT_FALSE(driver::benchmarkRunFromJson(
         corrupt("\"loopStall\":42",
                 "\"loopStall\":99999999999999999999999"), run, err));
+    // memStats counters follow the same rule.
+    for (const char *bad : {"-1", "1.5e3"}) {
+        EXPECT_FALSE(driver::benchmarkRunFromJson(
+            corrupt("\"zero\":0", std::string("\"zero\":") + bad), run,
+            err))
+            << bad;
+        EXPECT_NE(err.find("zero"), std::string::npos) << err;
+    }
 }
 
 // ---- executeCellJob (the worker body) ----
@@ -1223,7 +1233,7 @@ TEST(Stream, OneEventPerDispatchedCellFromEveryBackend)
         std::set<std::uint64_t> ids;
         for (const auto &event : events) {
             EXPECT_EQ(event.find("event")->str(), "cell") << tag;
-            ids.insert(event.find("id")->asU64());
+            ids.insert(std::stoull(event.find("id")->numberToken()));
             EXPECT_TRUE(event.find("ok")->boolean()) << tag;
             std::string bench = event.find("bench")->str();
             std::string arch = event.find("arch")->str();
@@ -1634,7 +1644,7 @@ TEST(Stream, FailedCellEventsCarryReasonAndAttempts)
     auto event = json::parse(line, &error);
     ASSERT_TRUE(event.has_value()) << error << " in: " << line;
     EXPECT_EQ(event->find("event")->str(), "cell");
-    EXPECT_EQ(event->find("id")->asU64(), 3u);
+    EXPECT_EQ(event->find("id")->numberToken(), "3");
     EXPECT_FALSE(event->find("ok")->boolean());
     const json::Value *reason = event->find("reason");
     ASSERT_NE(reason, nullptr);
@@ -1642,7 +1652,7 @@ TEST(Stream, FailedCellEventsCarryReasonAndAttempts)
               failReasonName(FailReason::ConnReset));
     const json::Value *attempts = event->find("attempts");
     ASSERT_NE(attempts, nullptr);
-    EXPECT_EQ(attempts->asU64(), 2u);
+    EXPECT_EQ(attempts->numberToken(), "2");
     const json::Value *outcome = event->find("outcome");
     ASSERT_NE(outcome, nullptr);
     ASSERT_NE(outcome->find("reason"), nullptr);

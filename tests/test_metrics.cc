@@ -248,13 +248,13 @@ TEST(Trace, ChromeJsonShape)
     EXPECT_EQ(first.find("name")->str(), "cell");
     EXPECT_EQ(first.find("cat")->str(), "driver");
     EXPECT_EQ(first.find("ph")->str(), "X");
-    EXPECT_EQ(first.find("tid")->asU64(), 7u);
+    EXPECT_EQ(first.find("tid")->numberToken(), "7");
     EXPECT_DOUBLE_EQ(first.find("ts")->asDouble(), 12.5);
     const json::Value *args = first.find("args");
     ASSERT_NE(args, nullptr);
     EXPECT_EQ(args->find("bench")->str(), "fir");
     const json::Value &second = events->items()[1];
-    EXPECT_EQ(second.find("tid")->asU64(), 8u);
+    EXPECT_EQ(second.find("tid")->numberToken(), "8");
     EXPECT_EQ(second.find("args")->find("reason")->str(), "timeout");
     const json::Value *unit = doc->find("displayTimeUnit");
     ASSERT_NE(unit, nullptr);

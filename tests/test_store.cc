@@ -139,7 +139,7 @@ parseReply(const std::string &reply, bool &ok, int &exit,
     text.clear();
     error.clear();
     if (const json::Value *v = doc->find("exit"))
-        exit = static_cast<int>(v->asI64());
+        exit = std::stoi(v->numberToken());
     if (const json::Value *v = doc->find("text"))
         text = v->str();
     if (const json::Value *v = doc->find("error"))
@@ -177,6 +177,16 @@ TEST(TableWire, RejectsMalformedTables)
         "{\"title\":\"\",\"footer\":\"\",\"header\":[],"
         "\"rows\":[[{\"k\":\"f\",\"v\":\"oops\"}]]}",
         out, error));
+    // Display digits are an integer in [0, 17].
+    for (const char *d : {"-1", "99999999999", "18", "1.5"}) {
+        EXPECT_FALSE(tableFromWireJson(
+            std::string("{\"title\":\"\",\"footer\":\"\",")
+                + "\"header\":[],\"rows\":[[{\"k\":\"f\",\"v\":1,"
+                + "\"d\":" + d + "}]]}",
+            out, error))
+            << d;
+        EXPECT_NE(error.find("'d'"), std::string::npos) << error;
+    }
 }
 
 // ---- event decoding ----
@@ -236,6 +246,14 @@ TEST(StoreEvent, RejectsMalformedEvents)
     EXPECT_FALSE(Event::decode("{\"event\":\"cell\",\"id\":1}", e,
                                error));
     EXPECT_FALSE(Event::decode("{\"event\":\"grid\"}", e, error));
+    // Present fields obey the one number rule: no wrap, no narrowing.
+    for (const char *field : {"\"id\":-1", "\"attempts\":4294967297"}) {
+        EXPECT_FALSE(Event::decode(
+            std::string("{\"event\":\"cell\",\"bench\":\"b\",")
+                + "\"arch\":\"a\",\"ok\":true," + field + "}",
+            e, error))
+            << field;
+    }
 }
 
 // ---- EventLog ----
@@ -443,6 +461,14 @@ TEST(StoreServiceTest, IngestAcksAndQueryProtocol)
     parseReply(*service.handleLine("diff s revA nosuchrev"), ok, exit,
                text, queryError);
     EXPECT_FALSE(ok);
+    for (const char *bad : {"nan", "inf", "-1"}) {
+        parseReply(*service.handleLine(std::string("diff s revA revB ")
+                                       + bad),
+                   ok, exit, text, queryError);
+        EXPECT_FALSE(ok) << bad;
+        EXPECT_NE(queryError.find("bad threshold"), std::string::npos)
+            << queryError;
+    }
 
     // runs: both runs listed in ingest order.
     parseReply(*service.handleLine("runs s"), ok, exit, text,
@@ -835,6 +861,16 @@ TEST(StoreServiceTest, CompactQueryVerbAndRetainRuns)
     ASSERT_TRUE(ok) << queryError;
     const std::string gridBefore = text;
 
+    // A keep count past int range is refused, not narrowed to 1.
+    parseReply(*service.handleLine("compact 4294967297"), ok, exit, text,
+               queryError);
+    EXPECT_FALSE(ok);
+    parseReply(*service.handleLine("runs s"), ok, exit, text,
+               queryError);
+    ASSERT_TRUE(ok) << queryError;
+    EXPECT_NE(text.find("r2"), std::string::npos) << text;
+    EXPECT_NE(text.find("r3"), std::string::npos) << text;
+
     // The query verb compacts further; latest-grid stays identical.
     parseReply(*service.handleLine("compact 1"), ok, exit, text,
                queryError);
@@ -991,12 +1027,11 @@ TEST(StoreServiceTest, SubscribeReplaysThenPushesLive)
     json::Value doc = readFrame(subReader);
     EXPECT_EQ(frameEvent(doc), "subscribed");
     EXPECT_EQ(doc.find("suite")->str(), "s");
-    EXPECT_EQ(doc.find("latest")->asI64(), 2);
+    EXPECT_EQ(doc.find("latest")->numberToken(), "2");
     for (std::size_t i = 0; i < lines.size(); ++i) {
         doc = readFrame(subReader);
         EXPECT_EQ(frameEvent(doc), "push");
-        EXPECT_EQ(doc.find("seq")->asI64(),
-                  static_cast<std::int64_t>(i + 1));
+        EXPECT_EQ(doc.find("seq")->numberToken(), std::to_string(i + 1));
         // The stored line rides spliced in verbatim.
         const json::Value *data = doc.find("data");
         ASSERT_NE(data, nullptr);
@@ -1004,7 +1039,7 @@ TEST(StoreServiceTest, SubscribeReplaysThenPushesLive)
     }
     doc = readFrame(subReader);
     EXPECT_EQ(frameEvent(doc), "caught-up");
-    EXPECT_EQ(doc.find("seq")->asI64(), 2);
+    EXPECT_EQ(doc.find("seq")->numberToken(), "2");
 
     // A newly-ingested event for the suite arrives as a live push;
     // one for another suite does not.
@@ -1020,7 +1055,7 @@ TEST(StoreServiceTest, SubscribeReplaysThenPushesLive)
               net::LineReader::Status::Line);
     doc = readFrame(subReader);
     EXPECT_EQ(frameEvent(doc), "push");
-    EXPECT_EQ(doc.find("seq")->asI64(), 4);
+    EXPECT_EQ(doc.find("seq")->numberToken(), "4");
     EXPECT_EQ(doc.find("data")->find("arch")->str(), "a3");
 
     // A second subscribe on the same connection is refused.
@@ -1032,14 +1067,20 @@ TEST(StoreServiceTest, SubscribeReplaysThenPushesLive)
     net::Fd resume = net::connectTcp("127.0.0.1", server.port(), error);
     ASSERT_TRUE(resume.valid()) << error;
     net::LineReader resumeReader(resume.get());
+    // A negative resume point is a usage error, not 2^64 - 1.
+    ASSERT_TRUE(net::writeLine(resume.get(), "subscribe s from-seq -1",
+                               error));
+    doc = readFrame(resumeReader);
+    ASSERT_NE(doc.find("error"), nullptr) << frameEvent(doc);
+    EXPECT_NE(doc.find("error")->str().find("usage"), std::string::npos);
     ASSERT_TRUE(net::writeLine(resume.get(), "subscribe s from-seq 4",
                                error));
     doc = readFrame(resumeReader);
     EXPECT_EQ(frameEvent(doc), "subscribed");
-    EXPECT_EQ(doc.find("from")->asI64(), 4);
+    EXPECT_EQ(doc.find("from")->numberToken(), "4");
     doc = readFrame(resumeReader);
     EXPECT_EQ(frameEvent(doc), "push");
-    EXPECT_EQ(doc.find("seq")->asI64(), 4);
+    EXPECT_EQ(doc.find("seq")->numberToken(), "4");
     doc = readFrame(resumeReader);
     EXPECT_EQ(frameEvent(doc), "caught-up");
 
