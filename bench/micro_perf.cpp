@@ -14,11 +14,13 @@
 #include <sys/socket.h>
 
 #include "driver/executor.hh"
+#include "driver/registry.hh"
 #include "driver/suite.hh"
 #include "net/framing.hh"
 #include "net/server.hh"
 #include "net/socket.hh"
 #include "ir/loop.hh"
+#include "ir/memdep.hh"
 #include "machine/machine_config.hh"
 #include "mem/l0_buffer.hh"
 #include "mem/mem_system.hh"
@@ -28,6 +30,7 @@
 #include "sim/kernel_sim.hh"
 #include "store/service.hh"
 #include "workloads/kernels.hh"
+#include "workloads/workload.hh"
 
 #include <unistd.h>
 
@@ -73,6 +76,40 @@ BM_L0Scheduler(benchmark::State &state)
     }
 }
 BENCHMARK(BM_L0Scheduler);
+
+/**
+ * The scheduler's half of plan building: every Mediabench loop body,
+ * prepared as buildLoopPlans() prepares it (specialised when flagged),
+ * unrolled 1x and 4x, scheduled on l0-2 — the architecture with the
+ * most failing II attempts. One iteration schedules them all;
+ * BM_KernelSimPlanReused is the simulation half.
+ */
+void
+BM_ScheduleMediabenchL0_2(benchmark::State &state)
+{
+    const driver::ArchSpec arch = driver::archRegistry().resolve("l0-2");
+    sched::ModuloScheduler s(arch.config, arch.sched);
+    std::vector<ir::Loop> bodies;
+    for (const workloads::Benchmark &bench : workloads::mediabenchSuite()) {
+        for (const workloads::LoopInstance &li : bench.loops) {
+            ir::Loop body =
+                li.specialize ? ir::specializeLoop(li.loop) : li.loop;
+            bodies.push_back(ir::unrollLoop(body, 4));
+            bodies.push_back(std::move(body));
+        }
+    }
+    for (auto _ : state) {
+        for (const ir::Loop &body : bodies) {
+            sched::Schedule out = s.schedule(body);
+            benchmark::DoNotOptimize(out.ii);
+        }
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<std::int64_t>(bodies.size()));
+}
+BENCHMARK(BM_ScheduleMediabenchL0_2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_L0BufferLookup(benchmark::State &state)

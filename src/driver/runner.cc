@@ -151,7 +151,8 @@ buildLoopPlans(const workloads::Benchmark &bench, const ArchSpec &arch,
                 warn("%s/%s: invalid schedule: %s", bench.name.c_str(),
                      body.name().c_str(), v.c_str());
         }
-        plans.push_back(std::make_shared<sim::KernelPlan>(schedule));
+        plans.push_back(
+            std::make_shared<sim::KernelPlan>(std::move(schedule)));
     }
     return plans;
 }

@@ -1,7 +1,6 @@
 #include "ir/memdep.hh"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 namespace l0vliw::ir
@@ -37,30 +36,46 @@ class UnionFind
 
 } // namespace
 
-std::vector<std::vector<OpId>>
-memoryDependentSets(const Loop &loop)
+MemorySets
+memorySets(const Loop &loop)
 {
     UnionFind uf(loop.numOps());
     for (const auto &e : loop.edges())
         if (e.kind == DepKind::Mem)
             uf.unite(e.src, e.dst);
 
-    std::map<int, std::vector<OpId>> groups;
+    // Sets ordered by their union-find root, members ascending.
+    std::vector<std::pair<int, OpId>> keyed;
     for (OpId i = 0; i < loop.numOps(); ++i)
         if (isMemKind(loop.op(i).kind))
-            groups[uf.find(i)].push_back(i);
+            keyed.emplace_back(uf.find(i), i);
+    std::sort(keyed.begin(), keyed.end());
 
-    std::vector<std::vector<OpId>> out;
-    out.reserve(groups.size());
-    for (auto &kv : groups) {
-        std::sort(kv.second.begin(), kv.second.end());
-        out.push_back(std::move(kv.second));
+    MemorySets out;
+    out.ops.reserve(keyed.size());
+    for (std::size_t i = 0; i < keyed.size(); ++i) {
+        if (i > 0 && keyed[i].first != keyed[i - 1].first)
+            out.begin.push_back(static_cast<int>(i));
+        out.ops.push_back(keyed[i].second);
     }
+    if (!keyed.empty())
+        out.begin.push_back(static_cast<int>(keyed.size()));
+    return out;
+}
+
+std::vector<std::vector<OpId>>
+memoryDependentSets(const Loop &loop)
+{
+    MemorySets sets = memorySets(loop);
+    std::vector<std::vector<OpId>> out;
+    out.reserve(sets.size());
+    for (int s = 0; s < sets.size(); ++s)
+        out.emplace_back(sets[s].begin(), sets[s].end());
     return out;
 }
 
 bool
-setHasLoadAndStore(const Loop &loop, const std::vector<OpId> &set)
+setHasLoadAndStore(const Loop &loop, MemorySets::Members set)
 {
     bool has_load = false, has_store = false;
     for (OpId id : set) {
@@ -69,6 +84,13 @@ setHasLoadAndStore(const Loop &loop, const std::vector<OpId> &set)
         has_store |= (k == OpKind::Store);
     }
     return has_load && has_store;
+}
+
+bool
+setHasLoadAndStore(const Loop &loop, const std::vector<OpId> &set)
+{
+    return setHasLoadAndStore(
+        loop, MemorySets::Members{set.data(), set.data() + set.size()});
 }
 
 Loop

@@ -30,7 +30,35 @@ namespace l0vliw::ir
  */
 std::vector<std::vector<OpId>> memoryDependentSets(const Loop &loop);
 
+/**
+ * memoryDependentSets() in one flat array, same sets in the same
+ * order: set s holds ops[begin[s] .. begin[s + 1]).
+ */
+struct MemorySets
+{
+    /** The members of one set, ascending. */
+    struct Members
+    {
+        const OpId *first, *last;
+        const OpId *begin() const { return first; }
+        const OpId *end() const { return last; }
+    };
+
+    std::vector<int> begin{0};
+    std::vector<OpId> ops;
+
+    int size() const { return static_cast<int>(begin.size()) - 1; }
+    Members
+    operator[](int s) const
+    {
+        return {ops.data() + begin[s], ops.data() + begin[s + 1]};
+    }
+};
+
+MemorySets memorySets(const Loop &loop);
+
 /** True when the set contains at least one load and one store. */
+bool setHasLoadAndStore(const Loop &loop, MemorySets::Members set);
 bool setHasLoadAndStore(const Loop &loop, const std::vector<OpId> &set);
 
 /**

@@ -27,13 +27,12 @@ L0MemSystem::commitFillsSlow(Cycle now, AccessScratch &scratch)
             ++it;
             continue;
         }
-        const int block_bytes = cfg.l1BlockBytes;
         std::vector<std::uint8_t> &block = scratch.blockBuf;
-        block.resize(block_bytes);
-        back.read(it->blockAddr, block.data(), block_bytes);
         if (it->interleaved) {
             // Scatter residues r0, r0+1, ... to consecutive clusters
             // starting at the accessing cluster (Section 3.1).
+            block.resize(cfg.l1BlockBytes);
+            back.read(it->blockAddr, block.data(), cfg.l1BlockBytes);
             for (int k = 0; k < cfg.numClusters; ++k) {
                 int residue = (it->firstResidue + k) % cfg.numClusters;
                 ClusterId c = (it->firstCluster + k) % cfg.numClusters;
@@ -41,9 +40,14 @@ L0MemSystem::commitFillsSlow(Cycle now, AccessScratch &scratch)
                                        block.data());
             }
         } else {
-            l0s[it->firstCluster].fillLinear(
-                it->blockAddr, it->subIndex,
-                block.data() + it->subIndex * cfg.l0SubblockBytes);
+            // A linear fill carries only its subblock.
+            const int sub_bytes = cfg.l0SubblockBytes;
+            block.resize(sub_bytes);
+            back.read(it->blockAddr
+                          + static_cast<Addr>(it->subIndex) * sub_bytes,
+                      block.data(), sub_bytes);
+            l0s[it->firstCluster].fillLinear(it->blockAddr, it->subIndex,
+                                             block.data());
         }
         it = pending.erase(it);
     }

@@ -4,10 +4,10 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <tuple>
 
 #include "common/logging.hh"
+#include "ir/memdep.hh"
 #include "sched/latency_model.hh"
 #include "sched/mii.hh"
 #include "sched/mrt.hh"
@@ -39,6 +39,47 @@ streamKey(const ir::Operation &op)
             op.mem.offsetElems};
 }
 
+/**
+ * What one schedule() call knows about its body before it picks an
+ * II. None of it depends on the II, so it is derived once and lent,
+ * read-only, to every attempt: primary and fallback, at every II.
+ */
+struct LoopFacts
+{
+    LoopFacts(const ir::Loop &body, const machine::MachineConfig &cfg,
+              const SchedulerOptions &opts)
+        : loop(body), incident(body), sets(ir::memorySets(body)),
+          tracked(sets.size()), setOf(body.numOps(), -1),
+          baseLat(body, cfg, opts.memLoadLatency), optLat(baseLat)
+    {
+        for (int s = 0; s < sets.size(); ++s) {
+            tracked[s] = ir::setHasLoadAndStore(body, sets[s]);
+            for (OpId m : sets[s])
+                setOf[m] = s;
+        }
+        for (const auto &op : body.ops()) {
+            if (isCandidate(op)) {
+                candidates.push_back(op.id);
+                optLat.setLoadLatency(op.id, cfg.l0Latency);
+            }
+        }
+    }
+
+    const ir::Loop &loop;
+    /** The placement steps only look at an op's neighbours. */
+    IncidentEdges incident;
+    /** Memory-dependent sets (Section 4.1); each op's, or -1. */
+    ir::MemorySets sets;
+    /** Per set: mixes loads and stores, so NL0/1C/PSR constrain it. */
+    std::vector<bool> tracked;
+    std::vector<int> setOf;
+    /** Candidate loads, ascending id. */
+    std::vector<OpId> candidates;
+    /** Loads at memLoadLatency; and the step-2 assumption, every
+     *  candidate at the L0 latency. */
+    LatencyModel baseLat, optLat;
+};
+
 /** One II attempt: all mutable state of the Figure 4 algorithm. */
 class Attempt
 {
@@ -50,21 +91,30 @@ class Attempt
      *        only loop-carried (distance >= 1) edges constrain an op
      *        from above, and those windows grow with II, so increasing
      *        II always terminates.
+     * @param step2_slack the slack at @p ii under step 2's latencies
+     *        (every candidate at the L0 latency when L0-aware), which
+     *        the ordering starts from.
      */
     Attempt(const machine::MachineConfig &config,
-            const SchedulerOptions &options, const ir::Loop &body, int ii,
-            bool topo_order = false)
-        : cfg(config), opts(options), loop(body), mrt(config, ii), _ii(ii),
-          slackII(ii), topoOrder(topo_order),
-          latWork(body, config, options.memLoadLatency)
+            const SchedulerOptions &options, const LoopFacts &loop_facts,
+            int ii, const SlackInfo &step2_slack, bool topo_order = false)
+        : cfg(config), opts(options), facts(loop_facts),
+          loop(loop_facts.loop), mrt(config, ii), _ii(ii), slackII(ii),
+          topoOrder(topo_order), latWork(loop_facts.baseLat),
+          slack(step2_slack)
     {
     }
 
     /** Run the whole placement; false when the body does not fit. */
     bool run();
 
-    /** Move the result out (only after run() returned true). */
-    Schedule finish();
+    /**
+     * The result over @p body, a copy of the borrowed loop or the
+     * loop itself moved in, with the explicit prefetches appended.
+     * Only after run() returned true, and last: the borrowed loop may
+     * be gone.
+     */
+    Schedule finish(ir::Loop body);
 
   private:
     // --- initialisation (items 1-3 of Figure 4) ---
@@ -72,7 +122,7 @@ class Attempt
 
     // --- per-instruction steps ---
     void decideSetTreatment(OpId id);                       // item 4
-    std::vector<ClusterId> orderClusters(OpId id) const;    // items 5-6
+    const std::vector<ClusterId> &orderClusters(OpId id);   // items 5-6
     bool tryPlace(OpId id, ClusterId c);                    // item 7
     void markRelated(OpId id);                              // item 8
     void consumeEntry(OpId id);                             // item 9
@@ -84,8 +134,8 @@ class Attempt
     void insertExplicitPrefetches();// step 5 (needs the maps)
     void assignAccessAndPrefetchHints(); // step 4 (needs final MRT)
 
-    /** Every candidate, least slack first (ties: lower id). */
-    std::vector<OpId> rankedCandidates() const;
+    /** ranked = every candidate, least slack first (ties: lower id). */
+    void rankCandidates();
 
     /** (latency, usesL0) instruction @p id would get in cluster @p c. */
     std::pair<int, bool> latencyFor(OpId id, ClusterId c) const;
@@ -93,7 +143,10 @@ class Attempt
     /** Latency carried by edge @p e given current assignments. */
     int edgeLatency(const ir::DepEdge &e) const;
 
-    /** Remaining capacity check including the dedup key set. */
+    /** @p op's stream already holds an entry in cluster @p c. */
+    bool entryCounted(ClusterId c, const ir::Operation &op) const;
+
+    /** Remaining capacity check including the counted streams. */
     bool entryAvailable(ClusterId c, const ir::Operation &op) const;
 
     int totalFreeEntries() const;
@@ -112,7 +165,8 @@ class Attempt
 
     const machine::MachineConfig &cfg;
     const SchedulerOptions &opts;
-    ir::Loop loop;
+    const LoopFacts &facts;
+    const ir::Loop &loop;
     Mrt mrt;
     int _ii;
     /** II the re-slack of item 10 runs at: _ii until an NL0 demotion
@@ -125,11 +179,8 @@ class Attempt
     /** latWork.version() and slackII the current slack was derived
      *  from; unset while it still holds init()'s optimistic slack. */
     std::optional<std::pair<unsigned long, int>> slackInputs;
-    /** rankedCandidates() under the current slack (item 10). */
+    /** The candidates ranked under the current slack (item 10). */
     std::vector<OpId> ranked;
-    /** Edges touching each op, in loop.edges() order (a self-loop
-     *  once): the placement steps only look at an op's neighbours. */
-    std::vector<std::vector<const ir::DepEdge *>> incident;
     std::vector<OpId> order;
 
     std::vector<bool> wantL0;       // current latency-assignment intent
@@ -138,19 +189,28 @@ class Attempt
     std::vector<BusTransfer> transfers;
     std::vector<int> clusterLoad;   // placed ops per cluster (balance)
     std::vector<int> freeEntries;
-    std::vector<std::set<StreamKey>> countedKeys;
+    /** The streams holding an L0 entry, with their cluster. */
+    std::vector<std::pair<ClusterId, StreamKey>> countedKeys;
     std::vector<ClusterId> recommended;
 
-    // Memory-dependent sets.
-    std::vector<std::vector<OpId>> sets;
-    std::vector<int> setOf;         // -1 when not in a tracked set
+    // Per memory-dependent set of facts.sets.
     std::vector<SetTreatment> treatment;
     std::vector<ClusterId> boundCluster;
 
-    // MultiVLIW array-affinity state.
-    mutable std::map<int, ClusterId> arrayHome;
+    /** MultiVLIW array affinity: each array's first cluster. */
+    std::vector<ClusterId> arrayHome;
 
-    int explicitPrefetches = 0;
+    /** orderClusters()' result and its scoring buffer. */
+    struct Scored
+    {
+        long score;
+        ClusterId c;
+    };
+    std::vector<Scored> scored;
+    std::vector<ClusterId> clusterOrder;
+
+    /** Step 5's prefetch operations, appended to the body by finish(). */
+    std::vector<ir::Operation> prefetchOps;
 };
 
 void
@@ -161,13 +221,8 @@ Attempt::init()
     sched.assign(n, {});
     clusterLoad.assign(cfg.numClusters, 0);
     recommended.assign(n, kNoCluster);
-    countedKeys.assign(cfg.numClusters, {});
-    incident.assign(n, {});
-    for (const auto &e : loop.edges()) {
-        incident[e.src].push_back(&e);
-        if (e.dst != e.src)
-            incident[e.dst].push_back(&e);
-    }
+    if (opts.arrayAffinity)
+        arrayHome.assign(loop.arrays().size(), kNoCluster);
     freeEntries.assign(cfg.numClusters,
                        cfg.l0Unbounded() ? kPosInf : cfg.l0Entries);
     if (cfg.memArch != machine::MemArch::L0Buffers)
@@ -176,15 +231,6 @@ Attempt::init()
     // Step 2 works under the assumption that every candidate gets the
     // L0 latency; ordering and slack use that optimistic model.
     wantL0.assign(n, false);
-    if (opts.l0Aware) {
-        LatencyModel lat_opt(loop, cfg, opts.memLoadLatency);
-        for (const auto &op : loop.ops())
-            if (isCandidate(op))
-                lat_opt.setLoadLatency(op.id, cfg.l0Latency);
-        slack = computeSlack(loop, lat_opt, _ii);
-    } else {
-        slack = computeSlack(loop, latWork, _ii);
-    }
     if (topoOrder) {
         order.resize(n);
         for (OpId i = 0; i < n; ++i)
@@ -194,36 +240,29 @@ Attempt::init()
                              return slack.asap[a] < slack.asap[b];
                          });
     } else {
-        order = smsOrder(loop, slack);
+        order = smsOrder(facts.incident, slack);
     }
 
     // Item 2: the N*NE most critical candidates start with L0 latency.
     if (opts.l0Aware) {
-        std::vector<OpId> cands = rankedCandidates();
-        std::size_t budget = cands.size();
+        rankCandidates();
+        std::size_t budget = ranked.size();
         if (opts.selectiveL0 && !cfg.l0Unbounded()) {
             budget = static_cast<std::size_t>(cfg.numClusters)
                      * cfg.l0Entries;
         }
-        for (std::size_t i = 0; i < cands.size(); ++i) {
-            if (i < budget) {
-                wantL0[cands[i]] = true;
-                latWork.setLoadLatency(cands[i], cfg.l0Latency);
-            }
+        for (std::size_t i = 0; i < ranked.size() && i < budget; ++i) {
+            wantL0[ranked[i]] = true;
+            latWork.setLoadLatency(ranked[i], cfg.l0Latency);
         }
     }
 
     // Memory-dependent sets (Section 4.1).
-    sets = ir::memoryDependentSets(loop);
-    setOf.assign(n, -1);
-    treatment.assign(sets.size(), SetTreatment::Unconstrained);
-    boundCluster.assign(sets.size(), kNoCluster);
-    for (std::size_t s = 0; s < sets.size(); ++s) {
-        bool tracked = sets[s].size() > 1
-                       && ir::setHasLoadAndStore(loop, sets[s]);
-        for (OpId id : sets[s])
-            setOf[id] = static_cast<int>(s);
-        if (!tracked)
+    const int num_sets = facts.sets.size();
+    treatment.assign(num_sets, SetTreatment::Unconstrained);
+    boundCluster.assign(num_sets, kNoCluster);
+    for (int s = 0; s < num_sets; ++s) {
+        if (!facts.tracked[s])
             continue;
         if (opts.coherence == CoherenceMode::Psr) {
             treatment[s] = SetTreatment::PartialStoreReplication;
@@ -236,7 +275,7 @@ Attempt::init()
 void
 Attempt::decideSetTreatment(OpId id)
 {
-    int s = setOf[id];
+    int s = facts.setOf[id];
     if (s < 0 || treatment[s] != SetTreatment::Undecided)
         return;
     if (!opts.l0Aware || opts.coherence == CoherenceMode::ForceNL0) {
@@ -248,7 +287,7 @@ Attempt::decideSetTreatment(OpId id)
         // 1C whenever some load of the set holds an L0 latency and
         // entries remain; otherwise fall back to NL0 (Figure 4 item 4).
         bool load_with_l0 = false;
-        for (OpId m : sets[s])
+        for (OpId m : facts.sets[s])
             load_with_l0 |= loop.op(m).kind == ir::OpKind::Load
                             && wantL0[m];
         treatment[s] = (load_with_l0 && totalFreeEntries() > 0)
@@ -256,7 +295,7 @@ Attempt::decideSetTreatment(OpId id)
                            : SetTreatment::NotUseL0;
     }
     if (treatment[s] == SetTreatment::NotUseL0) {
-        for (OpId m : sets[s]) {
+        for (OpId m : facts.sets[s]) {
             if (loop.op(m).kind == ir::OpKind::Load && !placed[m]) {
                 wantL0[m] = false;
                 latWork.setLoadLatency(m, opts.memLoadLatency);
@@ -265,19 +304,15 @@ Attempt::decideSetTreatment(OpId id)
     }
 }
 
-std::vector<OpId>
-Attempt::rankedCandidates() const
+void
+Attempt::rankCandidates()
 {
-    std::vector<OpId> cands;
-    for (const auto &op : loop.ops())
-        if (isCandidate(op))
-            cands.push_back(op.id);
-    std::sort(cands.begin(), cands.end(), [&](OpId a, OpId b) {
+    ranked.assign(facts.candidates.begin(), facts.candidates.end());
+    std::sort(ranked.begin(), ranked.end(), [&](OpId a, OpId b) {
         if (slack.slack[a] != slack.slack[b])
             return slack.slack[a] < slack.slack[b];
         return a < b;
     });
-    return cands;
 }
 
 std::pair<int, bool>
@@ -293,7 +328,7 @@ Attempt::latencyFor(OpId id, ClusterId c) const
         return {opts.memLoadLatency, false};
     }
 
-    int s = setOf[id];
+    int s = facts.setOf[id];
     if (s >= 0 && treatment[s] == SetTreatment::OneCluster
             && boundCluster[s] != kNoCluster && boundCluster[s] != c) {
         // The footnote case: L0 latency in the set's cluster, L1
@@ -309,11 +344,17 @@ Attempt::latencyFor(OpId id, ClusterId c) const
 }
 
 bool
+Attempt::entryCounted(ClusterId c, const ir::Operation &op) const
+{
+    return std::find(countedKeys.begin(), countedKeys.end(),
+                     std::make_pair(c, streamKey(op)))
+           != countedKeys.end();
+}
+
+bool
 Attempt::entryAvailable(ClusterId c, const ir::Operation &op) const
 {
-    if (countedKeys[c].count(streamKey(op)))
-        return true;
-    return freeEntries[c] > 0;
+    return entryCounted(c, op) || freeEntries[c] > 0;
 }
 
 int
@@ -352,43 +393,38 @@ Attempt::edgeLatency(const ir::DepEdge &e) const
     return placed[e.src] ? sched[e.src].assignedLatency : latWork.of(e.src);
 }
 
-std::vector<ClusterId>
-Attempt::orderClusters(OpId id) const
+const std::vector<ClusterId> &
+Attempt::orderClusters(OpId id)
 {
     const ir::Operation &op = loop.op(id);
+    clusterOrder.clear();
 
-    if (op.fixedCluster != kNoCluster)
-        return {op.fixedCluster};
+    if (op.fixedCluster != kNoCluster) {
+        clusterOrder.push_back(op.fixedCluster);
+        return clusterOrder;
+    }
 
-    int s = setOf[id];
+    int s = facts.setOf[id];
     if (op.kind == ir::OpKind::Store && s >= 0
             && treatment[s] == SetTreatment::OneCluster
             && boundCluster[s] != kNoCluster) {
-        return {boundCluster[s]};
+        clusterOrder.push_back(boundCluster[s]);
+        return clusterOrder;
     }
 
-    struct Scored
-    {
-        long score;
-        ClusterId c;
-    };
-    std::vector<Scored> scored;
-    scored.reserve(cfg.numClusters);
-
+    scored.clear();
     ClusterId owner = opts.ownerAware ? ownerCluster(op) : kNoCluster;
     ClusterId affinity = kNoCluster;
-    if (opts.arrayAffinity && ir::isMemKind(op.kind)) {
-        auto it = arrayHome.find(op.mem.array);
-        if (it != arrayHome.end())
-            affinity = it->second;
-    }
+    if (opts.arrayAffinity && ir::isMemKind(op.kind))
+        affinity = arrayHome[op.mem.array];
 
+    const IncidentEdges &inc = facts.incident;
     for (ClusterId c = 0; c < cfg.numClusters; ++c) {
         long score = 0;
         // Register communication cost with already-placed neighbours.
         int comm = 0;
-        for (const ir::DepEdge *ep : incident[id]) {
-            const ir::DepEdge &e = *ep;
+        for (int i = inc.begin[id]; i < inc.begin[id + 1]; ++i) {
+            const ir::DepEdge &e = *inc.edges[i];
             if (e.kind != ir::DepKind::Reg)
                 continue;
             if (e.src == id && placed[e.dst] && sched[e.dst].cluster != c)
@@ -425,11 +461,9 @@ Attempt::orderClusters(OpId id) const
             return a.score < b.score;
         return a.c < b.c;
     });
-    std::vector<ClusterId> out;
-    out.reserve(scored.size());
     for (const auto &sc : scored)
-        out.push_back(sc.c);
-    return out;
+        clusterOrder.push_back(sc.c);
+    return clusterOrder;
 }
 
 bool
@@ -440,9 +474,10 @@ Attempt::tryPlace(OpId id, ClusterId c)
 
     // Earliest start from placed predecessors; latest from placed
     // successors (the SMS bidirectional window).
+    const IncidentEdges &inc = facts.incident;
     int estart = kNegInf, lstart = kPosInf;
-    for (const ir::DepEdge *ep : incident[id]) {
-        const ir::DepEdge &e = *ep;
+    for (int i = inc.begin[id]; i < inc.begin[id + 1]; ++i) {
+        const ir::DepEdge &e = *inc.edges[i];
         if (e.dst == id && placed[e.src]) {
             bool cross = e.kind == ir::DepKind::Reg
                          && sched[e.src].cluster != c;
@@ -484,14 +519,12 @@ Attempt::tryPlace(OpId id, ClusterId c)
         if (!mrt.fuFree(c, fu, t))
             continue;
         auto cp = mrt.checkpoint();
+        const std::size_t transfers_mark = transfers.size();
         mrt.reserveFu(c, fu, t);
         bool ok = true;
-        std::vector<BusTransfer> local;
 
-        for (const ir::DepEdge *ep : incident[id]) {
-            const ir::DepEdge &e = *ep;
-            if (!ok)
-                break;
+        for (int i = inc.begin[id]; ok && i < inc.begin[id + 1]; ++i) {
+            const ir::DepEdge &e = *inc.edges[i];
             if (e.kind != ir::DepKind::Reg)
                 continue;
             if (e.dst == id && placed[e.src]
@@ -503,7 +536,7 @@ Attempt::tryPlace(OpId id, ClusterId c)
                     ok = false;
                 } else {
                     mrt.reserveBus(b);
-                    local.push_back({e.src, id, b});
+                    transfers.push_back({e.src, id, b});
                 }
             }
             if (e.src == id && placed[e.dst]
@@ -516,12 +549,13 @@ Attempt::tryPlace(OpId id, ClusterId c)
                     ok = false;
                 } else {
                     mrt.reserveBus(b);
-                    local.push_back({id, e.dst, b});
+                    transfers.push_back({id, e.dst, b});
                 }
             }
         }
         if (!ok) {
             mrt.rollback(cp);
+            transfers.resize(transfers_mark);
             continue;
         }
 
@@ -531,10 +565,9 @@ Attempt::tryPlace(OpId id, ClusterId c)
         sched[id].usesL0 = uses_l0;
         placed[id] = true;
         ++clusterLoad[c];
-        for (const auto &tr : local)
-            transfers.push_back(tr);
-        if (opts.arrayAffinity && ir::isMemKind(op.kind))
-            arrayHome.emplace(op.mem.array, c);
+        if (opts.arrayAffinity && ir::isMemKind(op.kind)
+                && arrayHome[op.mem.array] == kNoCluster)
+            arrayHome[op.mem.array] = c;
         return true;
     }
     return false;
@@ -544,7 +577,7 @@ void
 Attempt::markRelated(OpId id)
 {
     const ir::Operation &op = loop.op(id);
-    int s = setOf[id];
+    int s = facts.setOf[id];
 
     // Bind a 1C set's cluster at the first constrained placement.
     if (s >= 0 && treatment[s] == SetTreatment::OneCluster
@@ -560,10 +593,9 @@ Attempt::markRelated(OpId id)
 
     const ClusterId c = sched[id].cluster;
     const int n = cfg.numClusters;
-    for (const auto &other : loop.ops()) {
+    for (OpId other_id : facts.candidates) {
+        const ir::Operation &other = loop.op(other_id);
         if (other.id == id || placed[other.id])
-            continue;
-        if (other.kind != ir::OpKind::Load || !other.mem.strided)
             continue;
         if (other.mem.array != op.mem.array
                 || other.mem.strideElems != op.mem.strideElems
@@ -571,7 +603,7 @@ Attempt::markRelated(OpId id)
             continue;
         // Loads belonging to a 1C set follow the set's binding, not
         // the stream rotation.
-        int os = setOf[other.id];
+        int os = facts.setOf[other.id];
         if (os >= 0 && treatment[os] == SetTreatment::OneCluster)
             continue;
         long delta = other.mem.offsetElems - op.mem.offsetElems;
@@ -598,10 +630,9 @@ Attempt::consumeEntry(OpId id)
     if (op.kind != ir::OpKind::Load || !sched[id].usesL0)
         return;
     ClusterId c = sched[id].cluster;
-    StreamKey key = streamKey(op);
-    if (countedKeys[c].count(key))
+    if (entryCounted(c, op))
         return;
-    countedKeys[c].insert(key);
+    countedKeys.emplace_back(c, streamKey(op));
     if (freeEntries[c] > 0 && !cfg.l0Unbounded())
         --freeEntries[c];
 }
@@ -617,7 +648,7 @@ Attempt::reassignLatencies()
     // optimistic latencies).
     if (slackInputs != std::make_pair(latWork.version(), slackII)) {
         bool converged = true;
-        slack = computeSlack(loop, latWork, slackII, &converged);
+        computeSlack(loop, latWork, slackII, slack, &converged);
         if (!converged) {
             // NL0 demotion raised recurrence latencies above what this
             // attempt's II supports. Re-derive the minimum feasible II
@@ -626,10 +657,10 @@ Attempt::reassignLatencies()
             // at _ii — slack here only ranks L0-entry assignment)
             // instead of warning on every relaxation.
             slackII = std::max(slackII, recMii(loop, latWork));
-            slack = computeSlack(loop, latWork, slackII);
+            computeSlack(loop, latWork, slackII, slack);
         }
         slackInputs = std::make_pair(latWork.version(), slackII);
-        ranked = rankedCandidates();
+        rankCandidates();
     }
 
     // The unplaced candidates outside NL0 sets, in ranking order, take
@@ -640,7 +671,7 @@ Attempt::reassignLatencies()
                                    std::max(totalFreeEntries(), 0));
     std::size_t rank = 0;
     for (OpId id : ranked) {
-        int s = setOf[id];
+        int s = facts.setOf[id];
         if (placed[id] || (s >= 0 && treatment[s] == SetTreatment::NotUseL0))
             continue;
         bool use = rank++ < budget;
@@ -735,7 +766,7 @@ Attempt::assignAccessAndPrefetchHints()
             os.access = next_busy ? ir::AccessHint::ParAccess
                                   : ir::AccessHint::SeqAccess;
         } else if (op.kind == ir::OpKind::Store) {
-            int s = setOf[id];
+            int s = facts.setOf[id];
             bool update_l0 =
                 (s >= 0 && treatment[s] == SetTreatment::OneCluster
                  && boundCluster[s] == os.cluster)
@@ -789,7 +820,7 @@ Attempt::assignAccessAndPrefetchHints()
         // subblock holds elements the replicated stores write later,
         // and replicas only *invalidate* — they cannot repair a copy
         // that lands after them (1C's updating stores can).
-        int s = setOf[id];
+        int s = facts.setOf[id];
         if (s >= 0
                 && treatment[s] == SetTreatment::PartialStoreReplication)
             continue;
@@ -835,7 +866,7 @@ Attempt::insertExplicitPrefetches()
         pf.mem = op.mem;
         pf.mem.offsetElems =
             op.mem.offsetElems + lookahead * op.mem.strideElems;
-        OpId pid = loop.addOp(pf);
+        prefetchOps.push_back(std::move(pf));
 
         mrt.reserveFu(os.cluster, FuClass::Mem, row);
         OpSchedule ps;
@@ -844,14 +875,11 @@ Attempt::insertExplicitPrefetches()
         ps.assignedLatency = 1;
         ps.access = ir::AccessHint::NoAccess;
         sched.push_back(ps);
-        placed.push_back(true);
-        ++explicitPrefetches;
-        (void)pid;
     }
 }
 
 Schedule
-Attempt::finish()
+Attempt::finish(ir::Loop body)
 {
     Schedule out;
     out.ii = _ii;
@@ -862,11 +890,30 @@ Attempt::finish()
     }
     out.stageCount = max_stage + 1;
     out.rampCycles = max_start;
-    out.loop = std::move(loop);
+    for (ir::Operation &pf : prefetchOps)
+        body.addOp(std::move(pf));
+    out.loop = std::move(body);
     out.ops = std::move(sched);
     out.transfers = std::move(transfers);
-    out.explicitPrefetches = explicitPrefetches;
+    out.explicitPrefetches = static_cast<int>(prefetchOps.size());
     return out;
+}
+
+/**
+ * The primary attempt at @p ii, then the topological fallback; true
+ * when one fit, and @p out holds it. Both start from one slack.
+ */
+bool
+attemptAt(const machine::MachineConfig &cfg, const SchedulerOptions &opts,
+          const LoopFacts &facts, int ii, std::optional<Attempt> &out)
+{
+    const SlackInfo step2_slack = computeSlack(
+        facts.loop, opts.l0Aware ? facts.optLat : facts.baseLat, ii);
+    out.emplace(cfg, opts, facts, ii, step2_slack);
+    if (out->run())
+        return true;
+    out.emplace(cfg, opts, facts, ii, step2_slack, /*topo_order=*/true);
+    return out->run();
 }
 
 } // namespace
@@ -881,49 +928,41 @@ ModuloScheduler::ModuloScheduler(const machine::MachineConfig &config,
 std::optional<Schedule>
 ModuloScheduler::tryScheduleAtII(const ir::Loop &body, int ii) const
 {
-    Attempt attempt(cfg, opts, body, ii);
-    if (attempt.run())
-        return attempt.finish();
-    Attempt fallback(cfg, opts, body, ii, /*topo_order=*/true);
-    if (fallback.run())
-        return fallback.finish();
-    return std::nullopt;
+    LoopFacts facts(body, cfg, opts);
+    std::optional<Attempt> attempt;
+    if (!attemptAt(cfg, opts, facts, ii, attempt))
+        return std::nullopt;
+    return attempt->finish(body);
 }
 
 Schedule
 ModuloScheduler::schedule(const ir::Loop &input) const
 {
-    ir::Loop body = input;
-    if (opts.coherence == CoherenceMode::Psr)
-        body = psrTransform(input, cfg.numClusters, nullptr);
+    ir::Loop body = opts.coherence == CoherenceMode::Psr
+                        ? psrTransform(input, cfg.numClusters, nullptr)
+                        : input;
     body.validate();
+    const LoopFacts facts(body, cfg, opts);
 
     // MII under the step-2 assumption (candidates at L0 latency).
-    LatencyModel lat(body, cfg, opts.memLoadLatency);
-    if (opts.l0Aware) {
-        for (const auto &op : body.ops())
-            if (isCandidate(op))
-                lat.setLoadLatency(op.id, cfg.l0Latency);
-        if (opts.coherence == CoherenceMode::ForceNL0) {
-            // Forced NL0 demotion is static: every tracked load+store
-            // set keeps its loads at the L1 latency. Re-derive the MII
-            // with those latencies up front instead of spinning
-            // attempts at IIs the demoted recurrences can never meet.
-            auto sets = ir::memoryDependentSets(body);
-            for (const auto &set : sets) {
-                if (set.size() <= 1 || !ir::setHasLoadAndStore(body, set))
-                    continue;
-                for (OpId id : set)
-                    if (body.op(id).kind == ir::OpKind::Load)
-                        lat.setLoadLatency(id, opts.memLoadLatency);
-            }
+    LatencyModel lat = opts.l0Aware ? facts.optLat : facts.baseLat;
+    if (opts.l0Aware && opts.coherence == CoherenceMode::ForceNL0) {
+        // Forced NL0 demotion is static: every tracked load+store set
+        // keeps its loads at the L1 latency. Re-derive the MII with
+        // those latencies up front instead of spinning attempts at IIs
+        // the demoted recurrences can never meet.
+        for (int s = 0; s < facts.sets.size(); ++s) {
+            if (!facts.tracked[s])
+                continue;
+            for (OpId m : facts.sets[s])
+                if (body.op(m).kind == ir::OpKind::Load)
+                    lat.setLoadLatency(m, opts.memLoadLatency);
         }
     }
-    int ii = minII(body, cfg, lat);
-    for (; ii <= opts.maxII; ++ii) {
-        auto result = tryScheduleAtII(body, ii);
-        if (result)
-            return std::move(*result);
+    std::optional<Attempt> attempt;
+    for (int ii = minII(body, cfg, lat); ii <= opts.maxII; ++ii) {
+        if (attemptAt(cfg, opts, facts, ii, attempt))
+            return attempt->finish(std::move(body));
     }
     fatal("no schedule for loop %s up to II=%d", body.name().c_str(),
           opts.maxII);

@@ -85,13 +85,17 @@ class ModuloScheduler
 
     /**
      * Schedule an (already unrolled / specialized) loop body.
-     * fatal()s if no schedule exists up to options.maxII.
+     * fatal()s if no schedule exists up to options.maxII. The facts
+     * about the body that do not depend on the II (incident edges,
+     * memory-dependent sets, candidates) are derived once per call
+     * and shared by every attempt.
      */
     Schedule schedule(const ir::Loop &body) const;
 
     /**
-     * Try one II. Exposed for tests; returns std::nullopt when the
-     * body does not fit at @p ii.
+     * Try one II, deriving the body's facts itself. Exposed for
+     * tests; returns std::nullopt when the body does not fit at
+     * @p ii. Unlike schedule(), it applies no PSR transform.
      */
     std::optional<Schedule> tryScheduleAtII(const ir::Loop &body,
                                             int ii) const;

@@ -13,14 +13,23 @@ SlackInfo
 computeSlack(const ir::Loop &loop, const LatencyModel &lat, int ii,
              bool *converged)
 {
-    const int n = loop.numOps();
     SlackInfo info;
+    computeSlack(loop, lat, ii, info, converged);
+    return info;
+}
+
+void
+computeSlack(const ir::Loop &loop, const LatencyModel &lat, int ii,
+             SlackInfo &info, bool *converged)
+{
+    const int n = loop.numOps();
     info.asap.assign(n, 0);
     if (converged)
         *converged = true;
 
     // Forward fixpoint for ASAP. With ii >= recMii every cycle has
     // non-positive total weight, so at most n rounds settle it.
+    bool settled = false;
     for (int round = 0; round < n + 1; ++round) {
         bool changed = false;
         for (const auto &e : loop.edges()) {
@@ -31,8 +40,10 @@ computeSlack(const ir::Loop &loop, const LatencyModel &lat, int ii,
                 changed = true;
             }
         }
-        if (!changed)
+        if (!changed) {
+            settled = true;
             break;
+        }
         if (round == n) {
             if (converged)
                 *converged = false;
@@ -46,11 +57,18 @@ computeSlack(const ir::Loop &loop, const LatencyModel &lat, int ii,
     for (int i = 0; i < n; ++i)
         horizon = std::max(horizon, info.asap[i]);
 
-    // Backward fixpoint for ALAP from the horizon.
+    // Backward fixpoint for ALAP from the horizon. Once the ASAP
+    // settled the fixpoint is unique, and walking the edges backwards
+    // reaches it in a few rounds: bodies are built producers first.
+    // Otherwise the rounds clamp, and the clamped values follow the
+    // edge order, so they keep the forward one.
+    const std::vector<ir::DepEdge> &edges = loop.edges();
+    const std::size_t m = edges.size();
     info.alap.assign(n, horizon);
     for (int round = 0; round < n + 1; ++round) {
         bool changed = false;
-        for (const auto &e : loop.edges()) {
+        for (std::size_t k = 0; k < m; ++k) {
+            const ir::DepEdge &e = edges[settled ? m - 1 - k : k];
             int cand = info.alap[e.dst] - lat.edgeLatency(e)
                        + ii * e.distance;
             if (cand < info.alap[e.src]) {
@@ -65,23 +83,35 @@ computeSlack(const ir::Loop &loop, const LatencyModel &lat, int ii,
     info.slack.resize(n);
     for (int i = 0; i < n; ++i)
         info.slack[i] = info.alap[i] - info.asap[i];
-    return info;
+}
+
+IncidentEdges::IncidentEdges(const ir::Loop &loop)
+    : begin(loop.numOps() + 1, 0)
+{
+    // Count, prefix-sum, then fill each op's run in edge order.
+    for (const auto &e : loop.edges()) {
+        ++begin[e.src + 1];
+        if (e.dst != e.src)
+            ++begin[e.dst + 1];
+    }
+    for (int v = 0; v < loop.numOps(); ++v)
+        begin[v + 1] += begin[v];
+    edges.resize(begin.back());
+    std::vector<int> fill(begin.begin(), begin.end() - 1);
+    for (const auto &e : loop.edges()) {
+        edges[fill[e.src]++] = &e;
+        if (e.dst != e.src)
+            edges[fill[e.dst]++] = &e;
+    }
 }
 
 std::vector<OpId>
-smsOrder(const ir::Loop &loop, const SlackInfo &slack)
+smsOrder(const IncidentEdges &incident, const SlackInfo &slack)
 {
-    const int n = loop.numOps();
+    const int n = static_cast<int>(incident.begin.size()) - 1;
     std::vector<bool> ordered(n, false);
     std::vector<OpId> order;
     order.reserve(n);
-
-    // Adjacency over all edges, both directions.
-    std::vector<std::vector<OpId>> adj(n);
-    for (const auto &e : loop.edges()) {
-        adj[e.src].push_back(e.dst);
-        adj[e.dst].push_back(e.src);
-    }
 
     auto better = [&](OpId a, OpId b) {
         if (slack.slack[a] != slack.slack[b])
@@ -118,9 +148,13 @@ smsOrder(const ir::Loop &loop, const SlackInfo &slack)
         }
         ordered[pick] = true;
         order.push_back(pick);
-        for (OpId v : adj[pick])
+        for (int i = incident.begin[pick]; i < incident.begin[pick + 1];
+             ++i) {
+            const ir::DepEdge &e = *incident.edges[i];
+            OpId v = e.src == pick ? e.dst : e.src;
             if (!ordered[v])
                 frontier.push(v);
+        }
     }
     return order;
 }

@@ -46,13 +46,33 @@ struct SlackInfo
 SlackInfo computeSlack(const ir::Loop &loop, const LatencyModel &lat,
                        int ii, bool *converged = nullptr);
 
+/** computeSlack() into @p info, reusing its storage. */
+void computeSlack(const ir::Loop &loop, const LatencyModel &lat, int ii,
+                  SlackInfo &info, bool *converged = nullptr);
+
+/**
+ * The edges touching each op, in loop.edges() order (a self-loop
+ * once), in CSR form: op v's edges are edges[begin[v] .. begin[v + 1]).
+ * It is the DDG's undirected adjacency too: v's neighbours are the
+ * other ends of its edges. It points into @p loop, which must outlive
+ * it.
+ */
+struct IncidentEdges
+{
+    explicit IncidentEdges(const ir::Loop &loop);
+
+    std::vector<int> begin;
+    std::vector<const ir::DepEdge *> edges;
+};
+
 /**
  * SMS-style ordering: seeded by the minimum-slack node, grown by
  * repeatedly appending the unordered node adjacent to the ordered set
  * with the least slack (ties: lower ALAP, then lower id). Disconnected
  * components are seeded the same way when the frontier empties.
  */
-std::vector<OpId> smsOrder(const ir::Loop &loop, const SlackInfo &slack);
+std::vector<OpId> smsOrder(const IncidentEdges &incident,
+                           const SlackInfo &slack);
 
 } // namespace l0vliw::sched
 

@@ -1,9 +1,8 @@
 #include "sched/validate.hh"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <map>
-#include <set>
 #include <tuple>
 
 #include "ir/memdep.hh"
@@ -75,123 +74,135 @@ validateSchedule(const Schedule &s, const machine::MachineConfig &cfg)
         }
     }
 
-    // 3. FU capacity per kernel row
-    std::map<std::tuple<int, int, int>, int> fu_use; // (cluster,fu,row)
+    const int clusters = cfg.numClusters;
+    constexpr int kFuClasses = 3;
+
+    // 3. FU capacity per kernel row; use counts [cluster][fu][row]
+    std::vector<int> fu_use(static_cast<std::size_t>(clusters)
+                            * kFuClasses * ii);
     for (OpId i = 0; i < n; ++i) {
         int fu = static_cast<int>(fuClassOf(loop.op(i).kind));
-        auto key = std::make_tuple(s.ops[i].cluster, fu,
-                                   s.ops[i].startCycle % ii);
-        ++fu_use[key];
+        ++fu_use[(s.ops[i].cluster * kFuClasses + fu) * ii
+                 + s.ops[i].startCycle % ii];
     }
-    for (const auto &kv : fu_use) {
-        int fu = std::get<1>(kv.first);
-        int limit = fu == static_cast<int>(FuClass::Int)
-                        ? cfg.intUnitsPerCluster
-                        : fu == static_cast<int>(FuClass::Mem)
-                              ? cfg.memUnitsPerCluster
-                              : cfg.fpUnitsPerCluster;
-        if (kv.second > limit) {
-            bad.push_back(fmt("cluster %d fu %d row %d oversubscribed "
-                              "(%d > %d)",
-                              std::get<0>(kv.first), fu,
-                              std::get<2>(kv.first), kv.second, limit));
+    for (int c = 0; c < clusters; ++c) {
+        for (int fu = 0; fu < kFuClasses; ++fu) {
+            int limit = fu == static_cast<int>(FuClass::Int)
+                            ? cfg.intUnitsPerCluster
+                            : fu == static_cast<int>(FuClass::Mem)
+                                  ? cfg.memUnitsPerCluster
+                                  : cfg.fpUnitsPerCluster;
+            for (int row = 0; row < ii; ++row) {
+                int used = fu_use[(c * kFuClasses + fu) * ii + row];
+                if (used > limit)
+                    bad.push_back(fmt("cluster %d fu %d row %d "
+                                      "oversubscribed (%d > %d)",
+                                      c, fu, row, used, limit));
+            }
         }
     }
 
     // 4. bus channel capacity
-    std::map<int, int> bus_use;
+    std::vector<int> bus_use(ii);
     for (const auto &tr : s.transfers)
         ++bus_use[((tr.startCycle % ii) + ii) % ii];
-    for (const auto &kv : bus_use) {
-        if (kv.second > cfg.numBuses)
-            bad.push_back(fmt("bus row %d oversubscribed (%d > %d)",
-                              kv.first, kv.second, cfg.numBuses));
+    for (int row = 0; row < ii; ++row) {
+        if (bus_use[row] > cfg.numBuses)
+            bad.push_back(fmt("bus row %d oversubscribed (%d > %d)", row,
+                              bus_use[row], cfg.numBuses));
     }
 
     // 5. L0 capacity per cluster (distinct streams)
     if (cfg.memArch == machine::MemArch::L0Buffers && !cfg.l0Unbounded()) {
-        std::map<int, std::set<std::tuple<int, long, int, long>>> streams;
-        for (OpId i = 0; i < n; ++i) {
-            const ir::Operation &op = loop.op(i);
-            if (op.kind != ir::OpKind::Load || !s.ops[i].usesL0)
-                continue;
-            streams[s.ops[i].cluster].insert(
-                {op.mem.array, op.mem.strideElems, op.mem.elemSize,
-                 op.mem.offsetElems});
-        }
-        for (const auto &kv : streams) {
-            if (static_cast<int>(kv.second.size()) > cfg.l0Entries)
+        std::vector<std::tuple<int, long, int, long>> streams;
+        for (int c = 0; c < clusters; ++c) {
+            streams.clear();
+            for (OpId i = 0; i < n; ++i) {
+                const ir::Operation &op = loop.op(i);
+                if (op.kind == ir::OpKind::Load && s.ops[i].usesL0
+                        && s.ops[i].cluster == c)
+                    streams.emplace_back(op.mem.array, op.mem.strideElems,
+                                         op.mem.elemSize,
+                                         op.mem.offsetElems);
+            }
+            std::sort(streams.begin(), streams.end());
+            auto distinct = static_cast<std::size_t>(
+                std::unique(streams.begin(), streams.end())
+                - streams.begin());
+            if (static_cast<int>(distinct) > cfg.l0Entries)
                 bad.push_back(fmt("cluster %d: %zu L0 streams exceed %d "
                                   "entries",
-                                  kv.first, kv.second.size(),
-                                  cfg.l0Entries));
+                                  c, distinct, cfg.l0Entries));
         }
     }
 
-    // 6. SEQ_ACCESS legality
-    std::set<std::pair<int, int>> mem_rows; // (cluster, row)
+    // 6. SEQ_ACCESS legality; memory ops at [cluster][row]
+    std::vector<bool> mem_rows(static_cast<std::size_t>(clusters) * ii);
     for (OpId i = 0; i < n; ++i)
         if (ir::isMemKind(loop.op(i).kind))
-            mem_rows.insert({s.ops[i].cluster, s.ops[i].startCycle % ii});
+            mem_rows[s.ops[i].cluster * ii + s.ops[i].startCycle % ii] =
+                true;
     for (OpId i = 0; i < n; ++i) {
         if (loop.op(i).kind != ir::OpKind::Load
                 || s.ops[i].access != ir::AccessHint::SeqAccess)
             continue;
         int next = (s.ops[i].startCycle + 1) % ii;
-        if (mem_rows.count({s.ops[i].cluster, next}))
+        if (mem_rows[s.ops[i].cluster * ii + next])
             bad.push_back(fmt("op %d: SEQ_ACCESS with a memory op in "
                               "the next row", i));
     }
 
     // 7. coherence constraints per load+store set
-    for (const auto &set : ir::memoryDependentSets(loop)) {
-        if (set.size() < 2 || !ir::setHasLoadAndStore(loop, set))
+    const ir::MemorySets sets = ir::memorySets(loop);
+    std::vector<bool> constrained(clusters); // clusters of L0 loads/stores
+    for (int set = 0; set < sets.size(); ++set) {
+        if (!ir::setHasLoadAndStore(loop, sets[set]))
             continue;
         bool psr = false;
-        for (OpId id : set)
+        for (OpId id : sets[set])
             psr |= !loop.op(id).mem.primaryStore;
         if (psr) {
             // PSR: replicated store groups must cover distinct clusters.
-            std::map<std::string, std::set<int>> group_clusters;
-            for (OpId id : set) {
+            // (group tag, cluster) pairs, sorted and deduplicated.
+            std::vector<std::pair<std::string, int>> groups;
+            for (OpId id : sets[set]) {
                 if (loop.op(id).kind != ir::OpKind::Store)
                     continue;
-                std::string base = loop.op(id).tag;
-                auto pos = base.find("_psr");
-                if (pos != std::string::npos)
-                    base = base.substr(0, pos);
-                group_clusters[base].insert(s.ops[id].cluster);
+                const std::string &tag = loop.op(id).tag;
+                groups.emplace_back(tag.substr(0, tag.find("_psr")),
+                                    s.ops[id].cluster);
             }
-            for (const auto &kv : group_clusters) {
-                if (static_cast<int>(kv.second.size())
-                        != cfg.numClusters) {
+            std::sort(groups.begin(), groups.end());
+            groups.erase(std::unique(groups.begin(), groups.end()),
+                         groups.end());
+            for (auto g = groups.begin(); g != groups.end();) {
+                auto next = std::find_if(g, groups.end(), [&](auto &o) {
+                    return o.first != g->first;
+                });
+                if (next - g != cfg.numClusters)
                     bad.push_back(fmt("PSR group '%s' does not cover all "
-                                      "clusters", kv.first.c_str()));
-                }
+                                      "clusters", g->first.c_str()));
+                g = next;
             }
             continue;
         }
-        std::set<int> constrained; // clusters of L0 loads and stores
+        std::fill(constrained.begin(), constrained.end(), false);
         bool any_l0_load = false;
-        for (OpId id : set) {
+        for (OpId id : sets[set]) {
             const ir::Operation &op = loop.op(id);
-            if (op.kind == ir::OpKind::Load && s.ops[id].usesL0) {
-                any_l0_load = true;
-                constrained.insert(s.ops[id].cluster);
-            }
-            if (op.kind == ir::OpKind::Store
-                    && s.ops[id].access == ir::AccessHint::ParAccess)
-                constrained.insert(s.ops[id].cluster);
+            bool l0_load = op.kind == ir::OpKind::Load && s.ops[id].usesL0;
+            any_l0_load |= l0_load;
+            // Every store binds the set once it has an L0 load (1C).
+            if (l0_load || op.kind == ir::OpKind::Store)
+                constrained[s.ops[id].cluster] = true;
         }
         if (!any_l0_load)
             continue; // NL0: nothing to check (L1 always up to date)
-        for (OpId id : set) {
-            if (loop.op(id).kind == ir::OpKind::Store)
-                constrained.insert(s.ops[id].cluster);
-        }
-        if (constrained.size() > 1)
+        auto spans = static_cast<std::size_t>(
+            std::count(constrained.begin(), constrained.end(), true));
+        if (spans > 1)
             bad.push_back(fmt("1C violation: set with L0 loads spans %zu "
-                              "clusters", constrained.size()));
+                              "clusters", spans));
     }
 
     // 8. hint sanity

@@ -146,6 +146,13 @@ initialCursor(const detail::AddrGen &g)
     return c;
 }
 
+/** Some byte lies in both generators' ranges [lo, hi). */
+bool
+overlaps(const detail::AddrGen &a, const detail::AddrGen &b)
+{
+    return a.lo < b.hi && b.lo < a.hi;
+}
+
 bool
 sameOptions(const SimOptions &a, const SimOptions &b)
 {
@@ -166,7 +173,8 @@ thread_local KeyScratch keyScratch;
 
 } // namespace
 
-KernelPlan::KernelPlan(const sched::Schedule &schedule) : sched_(schedule)
+KernelPlan::KernelPlan(sched::Schedule schedule)
+    : sched_(std::move(schedule))
 {
     {
         static metrics::Counter &builds = metrics::counter(
@@ -187,42 +195,82 @@ KernelPlan::KernelPlan(const sched::Schedule &schedule) : sched_(schedule)
         maxStart_ = std::max(maxStart_, sched_.ops[i].startCycle);
     ring_.init(n, sched_.stageCount + max_dist + 2);
 
-    // Load-use register inputs, grouped per consumer (CSR).
-    std::vector<std::vector<Use>> op_uses(n);
+    // Load-use register inputs, grouped per consumer in edge order
+    // (CSR): op i's are op_uses[use_begin[i] .. use_begin[i + 1]).
+    auto load_use = [&](const ir::DepEdge &e) {
+        return e.kind == ir::DepKind::Reg
+               && loop.op(e.src).kind == ir::OpKind::Load;
+    };
+    std::vector<int> use_begin(n + 1, 0);
+    for (const auto &e : loop.edges())
+        if (load_use(e))
+            ++use_begin[e.dst + 1];
+    for (OpId i = 0; i < n; ++i)
+        use_begin[i + 1] += use_begin[i];
+    std::vector<Use> op_uses(use_begin[n]);
+    std::vector<int> next(use_begin.begin(), use_begin.end() - 1);
     for (const auto &e : loop.edges()) {
-        if (e.kind != ir::DepKind::Reg)
-            continue;
-        if (loop.op(e.src).kind != ir::OpKind::Load)
+        if (!load_use(e))
             continue;
         bool cross =
             sched_.ops[e.src].cluster != sched_.ops[e.dst].cluster;
-        op_uses[e.dst].push_back({e.src, e.distance, cross});
+        op_uses[next[e.dst]++] = {e.src, e.distance, cross};
     }
 
-    // Bucket ops by kernel row, preserving program (OpId) order.
-    std::vector<std::vector<OpId>> row_ops(ii);
+    // Bucket ops by kernel row, preserving program (OpId) order:
+    // row r's are row_ops[row_begin[r] .. row_begin[r + 1]).
+    std::vector<int> row_begin(ii + 1, 0);
     for (OpId i = 0; i < n; ++i)
-        row_ops[sched_.ops[i].startCycle % ii].push_back(i);
+        ++row_begin[sched_.ops[i].startCycle % ii + 1];
+    for (int r = 0; r < ii; ++r)
+        row_begin[r + 1] += row_begin[r];
+    std::vector<OpId> row_ops(n);
+    next.assign(row_begin.begin(), row_begin.end() - 1);
+    for (OpId i = 0; i < n; ++i)
+        row_ops[next[sched_.ops[i].startCycle % ii]++] = i;
 
-    // Address generators and golden replay list, in program order.
+    // Address generators, in program order.
     std::vector<int> gen_of(n, -1);
-    std::vector<int> load_idx(n, -1);
     for (OpId i = 0; i < n; ++i) {
-        const ir::Operation &op = loop.op(i);
-        if (!ir::isMemKind(op.kind))
+        if (!ir::isMemKind(loop.op(i).kind))
             continue;
         gen_of[i] = static_cast<int>(gens_.size());
         gens_.push_back(compileGen(loop, i));
-        if (op.kind == ir::OpKind::Load)
-            load_idx[i] = numLoads_++;
-        if (op.kind == ir::OpKind::Load
-            || (op.kind == ir::OpKind::Store && op.mem.primaryStore))
-            goldenOps_.push_back({i, op.kind == ir::OpKind::Load,
-                                  gen_of[i], load_idx[i],
-                                  op.mem.elemSize});
     }
     goldenCursors_.resize(gens_.size());
     execCursors_.resize(gens_.size());
+
+    // The oracle's classification (ARCHITECTURE.md invariant 13). A
+    // load whose bytes no primary store of the loop can write reads
+    // the same backing bytes all invocation long; only loads of
+    // written bytes, and the primary stores that can write them, are
+    // replayed.
+    auto primary_store = [&](OpId i) {
+        return loop.op(i).kind == ir::OpKind::Store
+               && loop.op(i).mem.primaryStore;
+    };
+    auto overlaps_any = [&](OpId i, auto &&pred) {
+        for (OpId j = 0; j < n; ++j)
+            if (gen_of[j] >= 0 && pred(j)
+                && overlaps(gens_[gen_of[i]], gens_[gen_of[j]]))
+                return true;
+        return false;
+    };
+    std::vector<bool> replayed(n, false);
+    for (OpId i = 0; i < n; ++i)
+        replayed[i] = loop.op(i).kind == ir::OpKind::Load
+                      && overlaps_any(i, primary_store);
+    std::vector<int> load_idx(n, -1);
+    for (OpId i = 0; i < n; ++i) {
+        const ir::Operation &op = loop.op(i);
+        if (replayed[i])
+            load_idx[i] = numReplayed_++;
+        else if (!primary_store(i)
+                 || !overlaps_any(i, [&](OpId j) { return replayed[j]; }))
+            continue;
+        goldenOps_.push_back({i, op.kind == ir::OpKind::Load, gen_of[i],
+                              load_idx[i], op.mem.elemSize});
+    }
 
     // Flatten rows: a row matters only if some op in it needs an
     // operand check or issues a memory access; rows of pure ALU ops
@@ -234,19 +282,21 @@ KernelPlan::KernelPlan(const sched::Schedule &schedule) : sched_(schedule)
         row.row = r;
         row.depBegin = static_cast<int>(depSlots_.size());
         row.memBegin = static_cast<int>(memSlots_.size());
-        for (OpId i : row_ops[r]) {
+        for (int ri = row_begin[r]; ri < row_begin[r + 1]; ++ri) {
+            const OpId i = row_ops[ri];
             const ir::Operation &op = loop.op(i);
             bool is_mem = ir::isMemKind(op.kind);
-            if (op_uses[i].empty() && !is_mem)
+            bool has_uses = use_begin[i + 1] > use_begin[i];
+            if (!has_uses && !is_mem)
                 continue;
 
             const int stage = sched_.ops[i].startCycle / ii;
-            if (!op_uses[i].empty()) {
+            if (has_uses) {
                 DepSlot ds;
                 ds.stage = stage;
                 ds.useBegin = static_cast<int>(uses_.size());
-                uses_.insert(uses_.end(), op_uses[i].begin(),
-                             op_uses[i].end());
+                uses_.insert(uses_.end(), op_uses.begin() + use_begin[i],
+                             op_uses.begin() + use_begin[i + 1]);
                 ds.useEnd = static_cast<int>(uses_.size());
                 depSlots_.push_back(ds);
             }
@@ -310,7 +360,7 @@ KernelPlan::goldenReplay(const mem::Backing &backing, std::uint64_t trips)
     overlay_.reset(backing);
     for (std::size_t i = 0; i < gens_.size(); ++i)
         goldenCursors_[i] = initialCursor(gens_[i]);
-    expected_.resize(static_cast<std::size_t>(numLoads_) * trips);
+    expected_.resize(static_cast<std::size_t>(numReplayed_) * trips);
     for (std::uint64_t iter = 0; iter < trips; ++iter) {
         for (const GoldenOp &g : goldenOps_) {
             Addr addr = nextAddr(g.gen, goldenCursors_[g.gen]);
@@ -391,10 +441,18 @@ KernelPlan::runRowInstance(const Row &row, long k, std::uint64_t trips,
                       res.ready);
             if (opts.checkCoherence) {
                 std::uint64_t got = bytesToValue(observed, acc.size);
-                std::uint64_t want =
-                    expected_[static_cast<std::size_t>(sl.loadIdx)
-                                  * trips
-                              + static_cast<std::uint64_t>(iter)];
+                std::uint64_t want;
+                if (sl.loadIdx >= 0) {
+                    want = expected_[static_cast<std::size_t>(sl.loadIdx)
+                                         * trips
+                                     + static_cast<std::uint64_t>(iter)];
+                } else {
+                    // No store of the loop writes these bytes: the
+                    // backing holds the value a replay would compute.
+                    std::uint8_t current[8];
+                    mem.backing().read(acc.addr, current, acc.size);
+                    want = bytesToValue(current, acc.size);
+                }
                 if (got != want) {
                     ++out.coherenceViolations;
                     if (opts.strictCoherence) {
@@ -549,7 +607,7 @@ KernelPlan::simulate(mem::MemSystem &mem, std::uint64_t trips,
     const machine::MachineConfig &cfg = mem.config();
     const Cycle bus_latency = cfg.busLatency;
 
-    if (opts.checkCoherence)
+    if (opts.checkCoherence && numReplayed_ > 0)
         goldenReplay(mem.backing(), trips);
 
     ring_.reset();

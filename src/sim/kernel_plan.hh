@@ -47,8 +47,20 @@
  * The fold adds that invocation's counter delta and shifts the
  * absolute-cycle fields, leaving the memory system exactly as a full
  * simulation would (ARCHITECTURE.md invariant 11; tests/test_plan.cc
- * checks it against the reference walker, which never folds). The
- * coherence oracle runs on every simulated invocation.
+ * checks it against the reference walker, which never folds).
+ *
+ * The coherence oracle compares every load of every simulated
+ * invocation, but replays only what the loop writes. When the plan
+ * compiles, each load is classified by its byte range (its array's
+ * wrap range, never its array id, so aliasing arrays stay replayed):
+ *
+ *  - a load whose range overlaps no primary store's range reads bytes
+ *    nothing writes during the invocation; the buffers are
+ *    write-through, so its expected value is the backing's current
+ *    content, read at the compare;
+ *  - every other load is replayed: the golden replay runs those loads
+ *    and the primary stores overlapping them in program order, and is
+ *    skipped when no load is replayed (ARCHITECTURE.md invariant 13).
  */
 
 #ifndef L0VLIW_SIM_KERNEL_PLAN_HH
@@ -199,7 +211,7 @@ struct AddrCursor
 class KernelPlan
 {
   public:
-    explicit KernelPlan(const sched::Schedule &schedule);
+    explicit KernelPlan(sched::Schedule schedule);
 
     const sched::Schedule &schedule() const { return sched_; }
 
@@ -238,7 +250,9 @@ class KernelPlan
         OpId op = kNoOp;
         int stage = 0;          ///< startCycle / ii
         int gen = -1;           ///< address generator index
-        int loadIdx = -1;       ///< dense load index (oracle table)
+        /** Replayed load: its row of the oracle table; -1 for a load
+         *  compared against the backing, and for other ops. */
+        int loadIdx = -1;
         bool isLoad = false, isStore = false;
     };
 
@@ -250,7 +264,8 @@ class KernelPlan
         int memBegin = 0, memEnd = 0; ///< range into memSlots_
     };
 
-    /** Replay ops in program order (loads and primary stores). */
+    /** Replay ops in program order (replayed loads and the primary
+     *  stores overlapping them). */
     struct GoldenOp
     {
         OpId op = kNoOp;
@@ -316,7 +331,7 @@ class KernelPlan
     int numOps_ = 0;
     int maxStart_ = 0;  ///< latest start cycle over all ops
     int minStage_ = 0, maxStage_ = 0; ///< over ops in non-empty rows
-    int numLoads_ = 0;
+    int numReplayed_ = 0; ///< loads the golden replay computes
     std::vector<DepSlot> depSlots_; ///< row-major, program order inside
     std::vector<MemSlot> memSlots_; ///< row-major, program order inside
     std::vector<Use> uses_;         ///< CSR payload of DepSlot ranges

@@ -741,3 +741,154 @@ TEST(FoldEquivalence, EveryMediabenchCellOnEveryArch)
         }
     }
 }
+
+// ------------------------------------------------------- oracle liveness
+
+namespace
+{
+
+/**
+ * A flat memory (the backing, one cycle per access) that answers one
+ * chosen load with one wrong byte: whether the oracle replays a load
+ * or reads the backing for it, it must notice.
+ */
+class OneWrongByteMemory final : public mem::MemSystem
+{
+  public:
+    OneWrongByteMemory(const machine::MachineConfig &config,
+                       std::uint64_t wrong_load)
+        : MemSystem(config), wrongLoad(wrong_load)
+    {
+    }
+
+    mem::MemAccessResult
+    access(const mem::MemAccess &acc, Cycle now,
+           const std::uint8_t *store_data, std::uint8_t *load_out,
+           mem::AccessScratch &) override
+    {
+        ++accesses;
+        mem::MemAccessResult res;
+        res.ready = now + 1;
+        if (acc.isPrefetch)
+            return res;
+        if (!acc.isLoad) {
+            back.write(acc.addr, store_data, acc.size);
+            return res;
+        }
+        back.read(acc.addr, load_out, acc.size);
+        if (loads++ == wrongLoad)
+            load_out[0] ^= 0x5a;
+        return res;
+    }
+
+    void stateKey(std::vector<std::uint64_t> &) const override {}
+    void timeKey(Cycle, std::vector<std::uint64_t> &) const override {}
+
+    void
+    counterSnapshot(std::vector<std::uint64_t> &out) const override
+    {
+        out.push_back(accesses);
+    }
+
+    void addCounters(const std::uint64_t *delta) override
+    {
+        accesses += delta[0];
+    }
+
+    void shiftTime(Cycle, Cycle) override {}
+
+  private:
+    std::uint64_t wrongLoad;
+    std::uint64_t loads = 0, accesses = 0;
+};
+
+/** A strided access of @p array in a hand-built loop. */
+ir::Operation
+stridedOp(ir::OpKind kind, int array, long offset)
+{
+    ir::Operation op;
+    op.kind = kind;
+    op.mem.array = array;
+    op.mem.elemSize = 4;
+    op.mem.strideElems = 1;
+    op.mem.offsetElems = offset;
+    return op;
+}
+
+/** Violations of one oracle-checked run of @p s on a memory that
+ *  corrupts its 10th load. */
+std::uint64_t
+violationsWithOneWrongByte(const sched::Schedule &s)
+{
+    OneWrongByteMemory mem(machine::MachineConfig::paperUnified(), 10);
+    sim::KernelPlan plan(s);
+    return plan.run(mem, 64, 0, sim::SimOptions{}).coherenceViolations;
+}
+
+} // namespace
+
+TEST(OracleLiveness, WrongByteOfAReadOnlyLoad)
+{
+    // The load's array is disjoint from the store's: the oracle
+    // compares the load against the backing, replaying nothing.
+    ir::Loop l("read_only");
+    int in = l.addArray({"in", 0x10000, 4096});
+    int out = l.addArray({"out", 0x20000, 4096});
+    OpId ld = l.addOp(stridedOp(ir::OpKind::Load, in, 0));
+    ir::Operation al;
+    al.kind = ir::OpKind::IntAlu;
+    OpId aid = l.addOp(al);
+    OpId st = l.addOp(stridedOp(ir::OpKind::Store, out, 0));
+    l.addRegEdge(ld, aid);
+    l.addRegEdge(aid, st);
+    l.validate();
+    EXPECT_EQ(violationsWithOneWrongByte(
+                  scheduleFor(l, ArchSpec::unified())),
+              1u);
+}
+
+TEST(OracleLiveness, WrongByteOfAWrittenLoad)
+{
+    // A read-modify-write stream: a store writes the load's array, so
+    // the load is replayed.
+    EXPECT_EQ(violationsWithOneWrongByte(
+                  scheduleFor(rmwLoop("written", 256), ArchSpec::unified())),
+              1u);
+}
+
+TEST(OracleLiveness, AliasingArraysAreReplayed)
+{
+    // Two ArrayInfos over the same bytes, with no memory edge between
+    // the accesses: iteration i loads element i + 1 through one, and
+    // iteration i + 1 stores it through the other. Placing the store
+    // two cycles before the load (II 1) makes it land first, so the
+    // load observes the value program order says it must not see. The
+    // replay, run in program order, flags every such load; comparing
+    // against the backing instead would find them all equal.
+    ir::Loop l("aliasing");
+    int a = l.addArray({"a", 0x30000, 4096});
+    int b = l.addArray({"b", 0x30000, 4096});
+    l.addOp(stridedOp(ir::OpKind::Load, a, 1));
+    l.addOp(stridedOp(ir::OpKind::Store, b, 0));
+    l.validate();
+
+    sched::Schedule s;
+    s.loop = l;
+    s.ii = 1;
+    s.stageCount = 3;
+    s.rampCycles = 2;
+    s.ops.resize(2);
+    s.ops[0].cluster = 0;
+    s.ops[0].startCycle = 2;
+    s.ops[1].cluster = 0;
+    s.ops[1].startCycle = 0;
+
+    const ArchSpec arch = ArchSpec::unified();
+    auto mem = mem::MemSystem::create(arch.config);
+    sim::KernelPlan plan(s);
+    const std::uint64_t trips = 64;
+    EXPECT_EQ(plan.run(*mem, trips, 0, sim::SimOptions{})
+                  .coherenceViolations,
+              trips - 1);
+    expectEquivalent(s, arch, trips, 3);
+}

@@ -191,7 +191,7 @@ TEST(Sms, OrderIsPermutation)
     MachineConfig cfg = MachineConfig::paperUnified();
     LatencyModel lat(l, cfg, 6);
     SlackInfo s = computeSlack(l, lat, 10);
-    auto order = smsOrder(l, s);
+    auto order = smsOrder(IncidentEdges(l), s);
     std::set<OpId> seen(order.begin(), order.end());
     EXPECT_EQ(static_cast<int>(seen.size()), l.numOps());
 }
@@ -202,7 +202,7 @@ TEST(Sms, EveryLaterNodeTouchesOrderedSet)
     MachineConfig cfg = MachineConfig::paperUnified();
     LatencyModel lat(l, cfg, 6);
     SlackInfo s = computeSlack(l, lat, 10);
-    auto order = smsOrder(l, s);
+    auto order = smsOrder(IncidentEdges(l), s);
     std::set<OpId> placed{order[0]};
     for (std::size_t i = 1; i < order.size(); ++i) {
         bool adjacent = false;
@@ -221,7 +221,7 @@ TEST(Sms, MostCriticalFirst)
     MachineConfig cfg = MachineConfig::paperUnified();
     LatencyModel lat(l, cfg, 6);
     SlackInfo s = computeSlack(l, lat, 11);
-    auto order = smsOrder(l, s);
+    auto order = smsOrder(IncidentEdges(l), s);
     int min_slack = *std::min_element(s.slack.begin(), s.slack.end());
     EXPECT_EQ(s.slack[order[0]], min_slack);
 }
@@ -703,6 +703,82 @@ TEST(Validator, CatchesOversubscribedFu)
     EXPECT_NE(bad[0].find("oversubscribed"), std::string::npos);
 }
 
+TEST(Validator, ReportsEveryViolationInCheckOrder)
+{
+    // One schedule breaking FU, bus, L0-capacity, SEQ_ACCESS, 1C and
+    // hint rules in several clusters and rows at once: each check
+    // reports clusters, units and rows in ascending order.
+    ir::Loop l("many");
+    int a = l.addArray({"a", 0x1000, 4096});
+    int b = l.addArray({"b", 0x8000, 4096});
+    l.addOp(mkLoad(a, 4, 1, 0));               // 0
+    l.addOp(mkLoad(a, 4, 1, 8));               // 1
+    l.addOp(mkLoad(b, 4, 1, 0));               // 2
+    l.addOp(mkLoad(b, 4, 1, 1));               // 3
+    l.addOp(mkStore(a, 4, 1, 0));              // 4
+    l.addOp(mkOp(ir::OpKind::IntAlu));         // 5
+    l.addOp(mkOp(ir::OpKind::IntAlu));         // 6
+    l.addOp(mkLoad(b, 4, 1, 64));              // 7
+    l.addMemEdge(0, 4, 0);
+    l.addMemEdge(4, 0, 1);
+
+    using ir::AccessHint;
+    auto at = [](ClusterId c, int start, bool l0, AccessHint access) {
+        OpSchedule os;
+        os.cluster = c;
+        os.startCycle = start;
+        os.usesL0 = l0;
+        os.access = access;
+        return os;
+    };
+    Schedule s;
+    s.loop = l;
+    s.ii = 2;
+    s.stageCount = 2;
+    s.ops = {at(1, 0, true, AccessHint::SeqAccess),
+             at(1, 2, true, AccessHint::SeqAccess),
+             at(0, 1, true, AccessHint::ParAccess),
+             at(0, 3, true, AccessHint::ParAccess),
+             at(3, 1, false, AccessHint::SeqAccess),
+             at(3, 0, false, AccessHint::NoAccess),
+             at(3, 2, false, AccessHint::NoAccess),
+             at(1, 1, false, AccessHint::NoAccess)};
+    for (int cycle : {0, 1})
+        for (int k = 0; k < 5; ++k)
+            s.transfers.push_back({5, 6, cycle});
+
+    EXPECT_EQ(validateSchedule(s, MachineConfig::paperL0(1)),
+              (std::vector<std::string>{
+                  "cluster 0 fu 1 row 1 oversubscribed (2 > 1)",
+                  "cluster 1 fu 1 row 0 oversubscribed (2 > 1)",
+                  "cluster 3 fu 0 row 0 oversubscribed (2 > 1)",
+                  "bus row 0 oversubscribed (5 > 4)",
+                  "bus row 1 oversubscribed (5 > 4)",
+                  "cluster 0: 2 L0 streams exceed 1 entries",
+                  "cluster 1: 2 L0 streams exceed 1 entries",
+                  "op 0: SEQ_ACCESS with a memory op in the next row",
+                  "op 1: SEQ_ACCESS with a memory op in the next row",
+                  "1C violation: set with L0 loads spans 2 clusters",
+                  "op 4: store marked SEQ_ACCESS",
+              }));
+}
+
+TEST(Validator, ReportsPsrGroupNotCoveringClusters)
+{
+    MachineConfig cfg = MachineConfig::paperL0(8);
+    Schedule s = ModuloScheduler(cfg, SchedulerOptions::l0(CoherenceMode::Psr))
+                     .schedule(recurrenceLoop(2));
+    ASSERT_TRUE(validateSchedule(s, cfg).empty());
+    // Fold the replicas of the store group into two clusters.
+    for (OpId i = 0; i < s.loop.numOps(); ++i)
+        if (s.loop.op(i).kind == ir::OpKind::Store)
+            s.ops[i].cluster = i % 2;
+    std::vector<std::string> bad = validateSchedule(s, cfg);
+    EXPECT_EQ(std::count(bad.begin(), bad.end(),
+                         "PSR group '' does not cover all clusters"),
+              1);
+}
+
 // ---------------------------------------------------------- golden digest
 
 namespace
@@ -830,4 +906,46 @@ TEST(GoldenSchedules, EveryRegisteredArchMatchesDigest)
                   static_cast<unsigned long long>(digest.value()));
     EXPECT_EQ(std::string(hex), "0096eca5c055eeff")
         << "over " << schedules << " schedules";
+}
+
+/**
+ * tryScheduleAtII() on its own, at the II schedule() settled on,
+ * returns the same schedule field for field: it derives the loop
+ * facts schedule() shares between attempts by itself. PSR bodies are
+ * transformed first, as schedule() does before its attempts.
+ */
+TEST(GoldenSchedules, TryScheduleAtIIMatchesSchedule)
+{
+    int checked = 0;
+    for (const char *label : {"unified", "l0-2", "l0-8", "l0-4-allcand",
+                              "l0-8-psr", "multivliw", "interleaved-2"}) {
+        driver::ArchSpec arch = driver::archRegistry().resolve(label);
+        ModuloScheduler scheduler(arch.config, arch.sched);
+        for (const workloads::Benchmark &bench :
+             workloads::mediabenchSuite()) {
+            for (const workloads::LoopInstance &li : bench.loops) {
+                ir::Loop body =
+                    li.specialize ? ir::specializeLoop(li.loop) : li.loop;
+                for (int u : {1, arch.config.numClusters}) {
+                    ir::Loop input = u > 1 ? ir::unrollLoop(body, u) : body;
+                    Schedule full = scheduler.schedule(input);
+                    if (arch.sched.coherence == CoherenceMode::Psr)
+                        input = psrTransform(input,
+                                             arch.config.numClusters,
+                                             nullptr);
+                    std::optional<Schedule> direct =
+                        scheduler.tryScheduleAtII(input, full.ii);
+                    ASSERT_TRUE(direct.has_value())
+                        << label << " " << input.name();
+                    ScheduleDigest want, got;
+                    want.add(full);
+                    got.add(*direct);
+                    EXPECT_EQ(got.value(), want.value())
+                        << label << " " << input.name();
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 0);
 }
