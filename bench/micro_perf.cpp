@@ -20,7 +20,6 @@
 #include "net/server.hh"
 #include "net/socket.hh"
 #include "ir/loop.hh"
-#include "ir/memdep.hh"
 #include "machine/machine_config.hh"
 #include "mem/l0_buffer.hh"
 #include "mem/mem_system.hh"
@@ -79,7 +78,7 @@ BENCHMARK(BM_L0Scheduler);
 
 /**
  * The scheduler's half of plan building: every Mediabench loop body,
- * prepared as buildLoopPlans() prepares it (specialised when flagged),
+ * prepared as buildLoopPlans() prepares it (driver::loopBody),
  * unrolled 1x and 4x, scheduled on l0-2 — the architecture with the
  * most failing II attempts. One iteration schedules them all;
  * BM_KernelSimPlanReused is the simulation half.
@@ -92,10 +91,8 @@ BM_ScheduleMediabenchL0_2(benchmark::State &state)
     std::vector<ir::Loop> bodies;
     for (const workloads::Benchmark &bench : workloads::mediabenchSuite()) {
         for (const workloads::LoopInstance &li : bench.loops) {
-            ir::Loop body =
-                li.specialize ? ir::specializeLoop(li.loop) : li.loop;
-            bodies.push_back(ir::unrollLoop(body, 4));
-            bodies.push_back(std::move(body));
+            bodies.push_back(driver::loopBody(li, 4));
+            bodies.push_back(driver::loopBody(li, 1));
         }
     }
     for (auto _ : state) {

@@ -1,10 +1,17 @@
 /**
  * @file
- * Per-loop inspection of a benchmark model under one architecture:
- * unroll decision, II, stage count, latency assignment, hit rates,
- * the compute/stall split, and how many invocations the simulator
- * actually simulated rather than folded as exact repeats. Useful to understand *why* a benchmark
- * behaves as it does in the paper-level figures.
+ * Per-loop inspection of one (benchmark, architecture) cell: unroll
+ * decision, II, stage count, L0 loads, how many invocations the
+ * simulator actually simulated rather than folded as exact repeats,
+ * and each loop's compute/stall split, accesses, L0 hit rate and fills
+ * by mapping. Useful to understand *why* a benchmark behaves as it
+ * does in the paper-level figures.
+ *
+ * The rows are the cell's own: this runs the grid's cell primitives
+ * (chooseUnrollFactors, buildLoopPlans, runCell) locally, and runCell
+ * fills one row per loop of the same run that yields the summary, so
+ * the rows sum exactly to the final "cell" row. Cells are
+ * deterministic, so the local run is the one any executor would make.
  *
  * Usage: inspect_benchmark [benchmark] [arch] [--format=...]
  *   benchmark: any label workloadRegistry() resolves — the 13
@@ -23,16 +30,31 @@
 #include "driver/cli.hh"
 #include "driver/registry.hh"
 #include "driver/runner.hh"
-#include "driver/suite.hh"
-#include "ir/memdep.hh"
-#include "mem/l0_system.hh"
-#include "mem/mem_system.hh"
-#include "sched/scheduler.hh"
-#include "sim/kernel_plan.hh"
 #include "workloads/registry.hh"
 #include "workloads/workload.hh"
 
 using namespace l0vliw;
+
+namespace
+{
+
+/** The summed columns of a row: one loop's, or the cell's totals. */
+void
+appendCounts(std::vector<CellValue> &cells, const driver::LoopRow &row)
+{
+    std::uint64_t lookups = row.l0Hits + row.l0Misses;
+    double hit = lookups == 0 ? 0 : 100.0 * row.l0Hits / lookups;
+    cells.insert(cells.end(),
+                 {CellValue::integer(row.compute),
+                  CellValue::integer(row.stall),
+                  CellValue::integer(row.memAccesses),
+                  CellValue::fixed(hit, 1),
+                  CellValue::integer(row.fillsLinear),
+                  CellValue::integer(row.fillsInterleaved),
+                  CellValue::integer(row.coherenceViolations)});
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -46,81 +68,62 @@ main(int argc, char **argv)
     workloads::Benchmark bench =
         workloads::workloadRegistry().resolve(bench_name);
     driver::ArchSpec arch = driver::archRegistry().resolve(arch_name);
+    driver::ArchSpec unified = driver::ArchSpec::unified();
 
-    // The grid's own unroll decision, one factor per loop.
+    // The grid's cell, step by step: the unroll decision, the unified
+    // baseline (for the scalar region and the normalisation), then
+    // the cell itself with its per-loop rows.
     std::vector<int> unrolls = driver::chooseUnrollFactors(bench);
-    sched::ModuloScheduler scheduler(arch.config, arch.sched);
+    auto base_plans = driver::buildLoopPlans(bench, unified, unrolls);
+    auto plans = driver::buildLoopPlans(bench, arch, unrolls);
+    driver::BenchmarkRun base =
+        driver::runCell(bench, unified, unrolls, base_plans, nullptr);
+    std::vector<driver::LoopRow> rows;
+    driver::BenchmarkRun r =
+        driver::runCell(bench, arch, unrolls, plans, &base, &rows);
 
     ResultTable t;
-    char title[128];
-    std::snprintf(title, sizeof(title), "benchmark %s on %s\n\n",
-                  bench_name.c_str(), arch.label.c_str());
-    t.title = title;
-    t.header = {"loop", "unroll", "II", "SC", "l0loads", "trips", "inv",
-                "simulated", "folded", "compute", "stall", "hit%",
+    t.title = "benchmark " + bench_name + " on " + arch.label + "\n\n";
+    t.header = {"loop",    "unroll", "II",       "SC",     "l0loads",
+                "trips",   "inv",    "simulated", "folded", "compute",
+                "stall",   "access", "hit%",     "fill-lin", "fill-int",
                 "viol"};
 
-    Cycle clock = 0;
     for (std::size_t i = 0; i < bench.loops.size(); ++i) {
         const workloads::LoopInstance &li = bench.loops[i];
-        ir::Loop body =
-            li.specialize ? ir::specializeLoop(li.loop) : li.loop;
-        int u = unrolls[i];
-        if (u > 1)
-            body = ir::unrollLoop(body, u);
-        sched::Schedule s = scheduler.schedule(body);
-
-        int l0_loads = 0;
-        for (OpId i = 0; i < s.loop.numOps(); ++i)
-            if (s.loop.op(i).kind == ir::OpKind::Load && s.ops[i].usesL0)
+        const sched::Schedule &s = plans[i]->schedule();
+        std::uint64_t l0_loads = 0;
+        for (OpId op = 0; op < s.loop.numOps(); ++op)
+            if (s.loop.op(op).kind == ir::OpKind::Load && s.ops[op].usesL0)
                 ++l0_loads;
-
-        // Fresh memory system per loop so the stats are per-loop.
-        auto mem = mem::MemSystem::create(arch.config);
-        sim::KernelPlan plan(s);
-        sim::SimOptions so;
-        std::uint64_t compute = 0, stall = 0, viol = 0;
-        for (std::uint64_t inv = 0; inv < li.invocations; ++inv) {
-            auto r = plan.run(*mem, li.trips / u, clock, so);
-            clock += r.totalCycles();
-            compute += r.computeCycles;
-            stall += r.stallCycles;
-            viol += r.coherenceViolations;
-        }
-        double hit = 0;
-        if (auto *l0sys = dynamic_cast<mem::L0MemSystem *>(mem.get())) {
-            StatSet st = l0sys->l0Stats();
-            std::uint64_t h = st.get("l0_hits");
-            std::uint64_t m = st.get("l0_misses");
-            hit = h + m == 0 ? 0 : 100.0 * h / (h + m);
-        }
-        t.rows.push_back(
-            {CellValue::text(li.loop.name()),
-             CellValue::integer(static_cast<std::uint64_t>(u)),
-             CellValue::integer(static_cast<std::uint64_t>(s.ii)),
-             CellValue::integer(static_cast<std::uint64_t>(s.stageCount)),
-             CellValue::integer(static_cast<std::uint64_t>(l0_loads)),
-             CellValue::integer(li.trips), CellValue::integer(li.invocations),
-             CellValue::integer(plan.simulatedRuns()),
-             CellValue::integer(plan.foldedRuns()),
-             CellValue::integer(compute), CellValue::integer(stall),
-             CellValue::fixed(hit, 1), CellValue::integer(viol)});
+        std::vector<CellValue> cells = {
+            CellValue::text(li.loop.name()),
+            CellValue::integer(static_cast<std::uint64_t>(unrolls[i])),
+            CellValue::integer(static_cast<std::uint64_t>(s.ii)),
+            CellValue::integer(static_cast<std::uint64_t>(s.stageCount)),
+            CellValue::integer(l0_loads), CellValue::integer(li.trips),
+            CellValue::integer(li.invocations),
+            CellValue::integer(plans[i]->simulatedRuns()),
+            CellValue::integer(plans[i]->foldedRuns())};
+        appendCounts(cells, rows[i]);
+        t.rows.push_back(std::move(cells));
     }
+    // The cell's own totals, which the loop rows sum to; blank under
+    // the nine per-loop columns.
+    std::vector<CellValue> total(9);
+    total[0] = CellValue::text("cell");
+    appendCounts(total, {r.loopCompute, r.loopStall, r.memAccesses,
+                         r.coherenceViolations, r.l0Hits, r.l0Misses,
+                         r.fillsLinear, r.fillsInterleaved});
+    t.rows.push_back(std::move(total));
     makeSink(cli.format)->write(t);
 
-    // Whole-benchmark summary via a 1x1 suite (normalised), through
-    // whatever executor the command line picked.
-    driver::ExperimentSpec spec;
-    spec.benchmarks = {bench_name};
-    spec.archs = {arch.label};
-    driver::ResultGrid grid =
-        driver::Suite(std::move(spec)).run(cli.exec());
-    const driver::Cell &cell = grid.cell(0, 0);
-    const driver::BenchmarkRun &r = cell.run;
+    // Normalised as the grid normalises a cell (Suite::run).
+    const double base_cycles = static_cast<double>(base.totalCycles());
     std::printf("\nnormalised execution time: %.3f (stall %.3f), "
                 "avg unroll %.2f, L0 hit rate %.1f%%\n",
-                cell.normalized, cell.normalizedStall, r.avgUnroll,
-                100.0 * r.l0HitRate());
+                r.totalCycles() / base_cycles, r.loopStall / base_cycles,
+                r.avgUnroll, 100.0 * r.l0HitRate());
     std::printf("fills: linear %llu, interleaved %llu\n",
                 static_cast<unsigned long long>(r.fillsLinear),
                 static_cast<unsigned long long>(r.fillsInterleaved));

@@ -19,6 +19,22 @@ constexpr std::uint64_t kSpecializationCheckCycles = 4;
 /** Scalar (non-modulo-scheduled) share: loops are ~80% of the stream. */
 constexpr double kScalarShare = 0.25;
 
+/**
+ * Set the L0 fields of a BenchmarkRun or LoopRow: the l0Stats() @p now
+ * less those of an earlier boundary, @p since.
+ */
+template <typename Row>
+void
+setL0Fields(Row &row, const StatSet &now, const StatSet &since = {})
+{
+    row.l0Hits = now.get("l0_hits") - since.get("l0_hits");
+    row.l0Misses = now.get("l0_misses") - since.get("l0_misses");
+    row.fillsLinear =
+        now.get("l0_fills_linear") - since.get("l0_fills_linear");
+    row.fillsInterleaved =
+        now.get("l0_fills_interleaved") - since.get("l0_fills_interleaved");
+}
+
 } // namespace
 
 ArchSpec
@@ -108,6 +124,13 @@ ArchSpec::interleaved2()
     return a;
 }
 
+ir::Loop
+loopBody(const workloads::LoopInstance &li, int unroll)
+{
+    ir::Loop body = li.specialize ? ir::specializeLoop(li.loop) : li.loop;
+    return unroll > 1 ? ir::unrollLoop(body, unroll) : std::move(body);
+}
+
 std::vector<int>
 chooseUnrollFactors(const workloads::Benchmark &bench)
 {
@@ -118,12 +141,9 @@ chooseUnrollFactors(const workloads::Benchmark &bench)
     sched::ModuloScheduler scheduler(ref.config, ref.sched);
 
     std::vector<int> factors;
-    for (const auto &li : bench.loops) {
-        ir::Loop body =
-            li.specialize ? ir::specializeLoop(li.loop) : li.loop;
+    for (const auto &li : bench.loops)
         factors.push_back(sched::chooseUnrollFactor(
-            body, li.trips, scheduler, ref.config.numClusters));
-    }
+            loopBody(li), li.trips, scheduler, ref.config.numClusters));
     return factors;
 }
 
@@ -135,12 +155,7 @@ buildLoopPlans(const workloads::Benchmark &bench, const ArchSpec &arch,
 
     std::vector<std::shared_ptr<sim::KernelPlan>> plans;
     for (std::size_t i = 0; i < bench.loops.size(); ++i) {
-        const workloads::LoopInstance &li = bench.loops[i];
-        ir::Loop body =
-            li.specialize ? ir::specializeLoop(li.loop) : li.loop;
-        if (unrolls[i] > 1)
-            body = ir::unrollLoop(body, unrolls[i]);
-
+        ir::Loop body = loopBody(bench.loops[i], unrolls[i]);
         sched::Schedule schedule = scheduler.schedule(body);
         // The all-candidates ablation intentionally overflows the L0
         // capacity, so its schedules fail the capacity rule by design.
@@ -161,13 +176,14 @@ BenchmarkRun
 runCell(const workloads::Benchmark &bench, const ArchSpec &arch,
         const std::vector<int> &unrolls,
         const std::vector<std::shared_ptr<sim::KernelPlan>> &plans,
-        const BenchmarkRun *baseline)
+        const BenchmarkRun *baseline, std::vector<LoopRow> *rows)
 {
     BenchmarkRun out;
     out.bench = bench.name;
     out.arch = arch.label;
 
     auto mem = mem::MemSystem::create(arch.config);
+    const auto *l0sys = dynamic_cast<const mem::L0MemSystem *>(mem.get());
 
     sim::SimOptions sim_opts;
     sim_opts.checkCoherence = true;
@@ -175,39 +191,49 @@ runCell(const workloads::Benchmark &bench, const ArchSpec &arch,
     Cycle clock = 0;
     double unroll_weighted = 0;
     std::uint64_t loop_cycles_total = 0;
+    StatSet l0_seen; // l0Stats() at the last loop boundary (rows only)
 
     for (std::size_t i = 0; i < bench.loops.size(); ++i) {
         const workloads::LoopInstance &li = bench.loops[i];
         int u = unrolls[i];
         std::uint64_t trips = li.trips / u;
-        std::uint64_t loop_cycles = 0;
+        std::uint64_t spec_cost =
+            li.specialize ? kSpecializationCheckCycles : 0;
+        LoopRow row;
         for (std::uint64_t inv = 0; inv < li.invocations; ++inv) {
             sim::InvocationResult res =
                 plans[i]->run(*mem, trips, clock, sim_opts);
-            std::uint64_t spec_cost =
-                li.specialize ? kSpecializationCheckCycles : 0;
             clock += res.totalCycles() + spec_cost;
-            out.loopCompute += res.computeCycles + spec_cost;
-            out.loopStall += res.stallCycles;
-            out.memAccesses += res.memAccesses;
-            out.coherenceViolations += res.coherenceViolations;
-            loop_cycles += res.totalCycles() + spec_cost;
+            row.compute += res.computeCycles + spec_cost;
+            row.stall += res.stallCycles;
+            row.memAccesses += res.memAccesses;
+            row.coherenceViolations += res.coherenceViolations;
         }
+        out.loopCompute += row.compute;
+        out.loopStall += row.stall;
+        out.memAccesses += row.memAccesses;
+        out.coherenceViolations += row.coherenceViolations;
+        std::uint64_t loop_cycles = row.compute + row.stall;
         unroll_weighted += static_cast<double>(loop_cycles) * u;
         loop_cycles_total += loop_cycles;
+
+        if (rows == nullptr)
+            continue;
+        if (l0sys != nullptr) {
+            StatSet l0_now = l0sys->l0Stats();
+            setL0Fields(row, l0_now, l0_seen);
+            l0_seen = std::move(l0_now);
+        }
+        rows->push_back(row);
     }
 
     out.avgUnroll = loop_cycles_total == 0
                         ? 1.0
                         : unroll_weighted / loop_cycles_total;
-    if (auto *l0sys = dynamic_cast<mem::L0MemSystem *>(mem.get())) {
+    if (l0sys != nullptr) {
         // l0Stats() already folds in the system-level counters.
-        StatSet merged = l0sys->l0Stats();
-        out.memStats = merged;
-        out.l0Hits = merged.get("l0_hits");
-        out.l0Misses = merged.get("l0_misses");
-        out.fillsLinear = merged.get("l0_fills_linear");
-        out.fillsInterleaved = merged.get("l0_fills_interleaved");
+        out.memStats = l0sys->l0Stats();
+        setL0Fields(out, out.memStats);
     } else {
         out.memStats = mem->stats();
     }

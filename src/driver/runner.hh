@@ -17,7 +17,8 @@
  * These are the cell primitives. The grid engine calls them only
  * through executeCellJob (driver/executor.hh): a baseline job makes
  * the decision and runs the unified cell, and every other job reuses
- * both.
+ * both. examples/inspect_benchmark.cpp calls them directly to explain
+ * one cell loop by loop.
  */
 
 #ifndef L0VLIW_DRIVER_RUNNER_HH
@@ -93,6 +94,29 @@ struct BenchmarkRun
 };
 
 /**
+ * One loop's share of a cell: the BenchmarkRun counters that add up
+ * over loops, taken as deltas at the loop's boundaries. runCell fills
+ * one per loop on request; summed, they are exactly the cell's.
+ */
+struct LoopRow
+{
+    std::uint64_t compute = 0;  ///< specialization-check cycles included
+    std::uint64_t stall = 0;
+    std::uint64_t memAccesses = 0;
+    std::uint64_t coherenceViolations = 0;
+    std::uint64_t l0Hits = 0;
+    std::uint64_t l0Misses = 0;
+    std::uint64_t fillsLinear = 0;
+    std::uint64_t fillsInterleaved = 0;
+};
+
+/**
+ * The body a cell schedules for @p li: specialized when the loop is
+ * flagged for it, then unrolled by @p unroll.
+ */
+ir::Loop loopBody(const workloads::LoopInstance &li, int unroll = 1);
+
+/**
  * Reference-configuration unroll decision, one factor per loop of
  * @p bench (the paper's "same loop unrolling heuristic ... for all
  * three architectures"). Pure: depends only on the benchmark model.
@@ -117,13 +141,19 @@ buildLoopPlans(const workloads::Benchmark &bench, const ArchSpec &arch,
  * scalar-region cycles; pass null for the unified baseline itself
  * (its scalar region is self-referential). Deterministic: the result
  * is bit-identical no matter which thread or order runs it.
+ *
+ * A non-null @p rows gets one LoopRow per loop appended, in loop
+ * order, whose fields sum exactly to the run's; the run itself is the
+ * same with or without them. The counters are read once per loop,
+ * never per access, and a null @p rows costs nothing.
  */
 BenchmarkRun runCell(const workloads::Benchmark &bench,
                      const ArchSpec &arch,
                      const std::vector<int> &unrolls,
                      const std::vector<std::shared_ptr<sim::KernelPlan>>
                          &plans,
-                     const BenchmarkRun *baseline);
+                     const BenchmarkRun *baseline,
+                     std::vector<LoopRow> *rows = nullptr);
 
 } // namespace l0vliw::driver
 

@@ -63,17 +63,6 @@ memorySets(const Loop &loop)
     return out;
 }
 
-std::vector<std::vector<OpId>>
-memoryDependentSets(const Loop &loop)
-{
-    MemorySets sets = memorySets(loop);
-    std::vector<std::vector<OpId>> out;
-    out.reserve(sets.size());
-    for (int s = 0; s < sets.size(); ++s)
-        out.emplace_back(sets[s].begin(), sets[s].end());
-    return out;
-}
-
 bool
 setHasLoadAndStore(const Loop &loop, MemorySets::Members set)
 {
@@ -84,13 +73,6 @@ setHasLoadAndStore(const Loop &loop, MemorySets::Members set)
         has_store |= (k == OpKind::Store);
     }
     return has_load && has_store;
-}
-
-bool
-setHasLoadAndStore(const Loop &loop, const std::vector<OpId> &set)
-{
-    return setHasLoadAndStore(
-        loop, MemorySets::Members{set.data(), set.data() + set.size()});
 }
 
 Loop

@@ -20,19 +20,8 @@ namespace l0vliw::ir
 {
 
 /**
- * Partition the loop's memory operations into memory-dependent sets.
- *
- * Two memory operations are in the same set when they are connected
- * (in either direction) by memory edges. Singleton sets are returned
- * too; callers filter as needed.
- *
- * @return one vector of op ids per set, each sorted ascending.
- */
-std::vector<std::vector<OpId>> memoryDependentSets(const Loop &loop);
-
-/**
- * memoryDependentSets() in one flat array, same sets in the same
- * order: set s holds ops[begin[s] .. begin[s + 1]).
+ * The loop's memory operations partitioned into memory-dependent sets,
+ * in one flat array: set s holds ops[begin[s] .. begin[s + 1]).
  */
 struct MemorySets
 {
@@ -42,6 +31,7 @@ struct MemorySets
         const OpId *first, *last;
         const OpId *begin() const { return first; }
         const OpId *end() const { return last; }
+        std::size_t size() const { return last - first; }
     };
 
     std::vector<int> begin{0};
@@ -55,11 +45,17 @@ struct MemorySets
     }
 };
 
+/**
+ * Partition the loop's memory operations into memory-dependent sets.
+ *
+ * Two memory operations are in the same set when they are connected
+ * (in either direction) by memory edges. Singleton sets are returned
+ * too; callers filter as needed.
+ */
 MemorySets memorySets(const Loop &loop);
 
 /** True when the set contains at least one load and one store. */
 bool setHasLoadAndStore(const Loop &loop, MemorySets::Members set);
-bool setHasLoadAndStore(const Loop &loop, const std::vector<OpId> &set);
 
 /**
  * Code specialization: return the aggressive version of @p loop with

@@ -14,7 +14,9 @@ psrTransform(const ir::Loop &loop, int num_clusters,
     // Identify the stores needing replication: members of load+store
     // memory-dependent sets.
     std::vector<bool> replicate(loop.numOps(), false);
-    for (const auto &set : ir::memoryDependentSets(loop)) {
+    const ir::MemorySets sets = ir::memorySets(loop);
+    for (int s = 0; s < sets.size(); ++s) {
+        ir::MemorySets::Members set = sets[s];
         if (set.size() < 2 || !ir::setHasLoadAndStore(loop, set))
             continue;
         for (OpId id : set)

@@ -109,10 +109,9 @@ class Attempt
     bool run();
 
     /**
-     * The result over @p body, a copy of the borrowed loop or the
-     * loop itself moved in, with the explicit prefetches appended.
-     * Only after run() returned true, and last: the borrowed loop may
-     * be gone.
+     * The result over @p body, the borrowed loop itself moved in,
+     * with the explicit prefetches appended. Only after run()
+     * returned true, and last: the borrowed loop is gone.
      */
     Schedule finish(ir::Loop body);
 
@@ -923,16 +922,6 @@ ModuloScheduler::ModuloScheduler(const machine::MachineConfig &config,
     : cfg(config), opts(options)
 {
     cfg.validate();
-}
-
-std::optional<Schedule>
-ModuloScheduler::tryScheduleAtII(const ir::Loop &body, int ii) const
-{
-    LoopFacts facts(body, cfg, opts);
-    std::optional<Attempt> attempt;
-    if (!attemptAt(cfg, opts, facts, ii, attempt))
-        return std::nullopt;
-    return attempt->finish(body);
 }
 
 Schedule

@@ -27,8 +27,6 @@
 #ifndef L0VLIW_SCHED_SCHEDULER_HH
 #define L0VLIW_SCHED_SCHEDULER_HH
 
-#include <optional>
-
 #include "ir/loop.hh"
 #include "machine/machine_config.hh"
 #include "sched/coherence.hh"
@@ -91,14 +89,6 @@ class ModuloScheduler
      * and shared by every attempt.
      */
     Schedule schedule(const ir::Loop &body) const;
-
-    /**
-     * Try one II, deriving the body's facts itself. Exposed for
-     * tests; returns std::nullopt when the body does not fit at
-     * @p ii. Unlike schedule(), it applies no PSR transform.
-     */
-    std::optional<Schedule> tryScheduleAtII(const ir::Loop &body,
-                                            int ii) const;
 
     /**
      * Statically estimated execution time of @p trips iterations —

@@ -18,6 +18,7 @@
 
 #include "common/result_sink.hh"
 #include "driver/cli.hh"
+#include "driver/executor.hh"
 #include "driver/registry.hh"
 #include "driver/runner.hh"
 #include "driver/suite.hh"
@@ -180,6 +181,65 @@ TEST(Suite, MatchesPreRedesignDriverLoop)
                       cell.normalizedStall);
         }
     }
+}
+
+/**
+ * runCell's per-loop rows explain the cell they come from: on every
+ * Mediabench benchmark and every registered architecture they sum
+ * exactly to the run's totals (specialization checks, and L1/bus
+ * state carried across loops, included), and asking for them leaves
+ * the run bit-identical.
+ */
+TEST(RunCell, LoopRowsSumToTheCell)
+{
+    const ArchSpec unified = ArchSpec::unified();
+    std::size_t cells = 0;
+    for (const workloads::Benchmark &bench : workloads::mediabenchSuite()) {
+        std::vector<int> unrolls = driver::chooseUnrollFactors(bench);
+        driver::BenchmarkRun base = driver::runCell(
+            bench, unified, unrolls,
+            driver::buildLoopPlans(bench, unified, unrolls), nullptr);
+        for (const std::string &label : driver::archRegistry().names()) {
+            SCOPED_TRACE(bench.name + "/" + label);
+            ArchSpec arch = driver::archRegistry().resolve(label);
+            const driver::BenchmarkRun *scalar =
+                label == "unified" ? nullptr : &base;
+            driver::BenchmarkRun plain = driver::runCell(
+                bench, arch, unrolls,
+                driver::buildLoopPlans(bench, arch, unrolls), scalar);
+            std::vector<driver::LoopRow> rows;
+            driver::BenchmarkRun explained = driver::runCell(
+                bench, arch, unrolls,
+                driver::buildLoopPlans(bench, arch, unrolls), scalar,
+                &rows);
+            EXPECT_EQ(driver::benchmarkRunToJson(explained),
+                      driver::benchmarkRunToJson(plain));
+            ASSERT_EQ(rows.size(), bench.loops.size());
+
+            driver::LoopRow sum;
+            for (const driver::LoopRow &row : rows) {
+                sum.compute += row.compute;
+                sum.stall += row.stall;
+                sum.memAccesses += row.memAccesses;
+                sum.coherenceViolations += row.coherenceViolations;
+                sum.l0Hits += row.l0Hits;
+                sum.l0Misses += row.l0Misses;
+                sum.fillsLinear += row.fillsLinear;
+                sum.fillsInterleaved += row.fillsInterleaved;
+            }
+            EXPECT_EQ(sum.compute, plain.loopCompute);
+            EXPECT_EQ(sum.stall, plain.loopStall);
+            EXPECT_EQ(sum.memAccesses, plain.memAccesses);
+            EXPECT_EQ(sum.coherenceViolations, plain.coherenceViolations);
+            EXPECT_EQ(sum.l0Hits, plain.l0Hits);
+            EXPECT_EQ(sum.l0Misses, plain.l0Misses);
+            EXPECT_EQ(sum.fillsLinear, plain.fillsLinear);
+            EXPECT_EQ(sum.fillsInterleaved, plain.fillsInterleaved);
+            ++cells;
+        }
+    }
+    EXPECT_EQ(cells, workloads::mediabenchSuite().size()
+                         * driver::archRegistry().names().size());
 }
 
 TEST(Suite, UnifiedCellEqualsBaseline)

@@ -177,16 +177,16 @@ TEST(MemDep, SingletonSets)
     int b = l.addArray({"b", 4096, 64});
     l.addOp(load(a, 4, 1, 0));
     l.addOp(load(b, 4, 1, 0));
-    auto sets = memoryDependentSets(l);
-    ASSERT_EQ(sets.size(), 2u);
+    MemorySets sets = memorySets(l);
+    ASSERT_EQ(sets.size(), 2);
     EXPECT_EQ(sets[0].size(), 1u);
 }
 
 TEST(MemDep, UnionOverMemEdges)
 {
     Loop l = makeRecurrence();
-    auto sets = memoryDependentSets(l);
-    ASSERT_EQ(sets.size(), 1u);
+    MemorySets sets = memorySets(l);
+    ASSERT_EQ(sets.size(), 1);
     EXPECT_EQ(sets[0].size(), 2u);
     EXPECT_TRUE(setHasLoadAndStore(l, sets[0]));
 }
@@ -198,16 +198,17 @@ TEST(MemDep, StoreOnlySetIsNotLoadStore)
     OpId s1 = l.addOp(store(a, 4, 1, 0));
     OpId s2 = l.addOp(store(a, 4, 1, 8));
     l.addMemEdge(s1, s2, 0);
-    auto sets = memoryDependentSets(l);
-    ASSERT_EQ(sets.size(), 1u);
+    MemorySets sets = memorySets(l);
+    ASSERT_EQ(sets.size(), 1);
     EXPECT_FALSE(setHasLoadAndStore(l, sets[0]));
 }
 
 TEST(MemDep, AluOpsNotInSets)
 {
     Loop l = makeRecurrence();
-    for (const auto &set : memoryDependentSets(l))
-        for (OpId id : set)
+    MemorySets sets = memorySets(l);
+    for (int s = 0; s < sets.size(); ++s)
+        for (OpId id : sets[s])
             EXPECT_TRUE(isMemKind(l.op(id).kind));
 }
 
@@ -227,8 +228,8 @@ TEST(Specialize, StripsConservativeEdgesOnly)
         mem_edges += e.kind == DepKind::Mem;
     EXPECT_EQ(mem_edges, 2);
     // Specialization splits the set.
-    auto sets = memoryDependentSets(s);
-    EXPECT_EQ(sets.size(), 2u);
+    MemorySets sets = memorySets(s);
+    EXPECT_EQ(sets.size(), 2);
 }
 
 TEST(Specialize, KeepsOpsAndArrays)

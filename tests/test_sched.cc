@@ -12,7 +12,6 @@
 #include <string>
 
 #include "ir/loop.hh"
-#include "ir/memdep.hh"
 #include "sched/coherence.hh"
 #include "sched/latency_model.hh"
 #include "sched/mii.hh"
@@ -21,6 +20,7 @@
 #include "sched/sms.hh"
 #include "sched/validate.hh"
 #include "driver/registry.hh"
+#include "driver/runner.hh"
 #include "workloads/kernels.hh"
 #include "workloads/registry.hh"
 #include "workloads/workload.hh"
@@ -867,7 +867,7 @@ class ScheduleDigest
 /**
  * Every schedule the paper grid and the synthetic sweep can ask for —
  * each Mediabench loop prepared as buildLoopPlans prepares it
- * (specialised when flagged) at unroll 1 and at the cluster count,
+ * (driver::loopBody) at unroll 1 and at the cluster count,
  * plus each fig8_synthetic point's loops, under every registered
  * architecture — folded into one digest. The golden value pins the
  * scheduler's output bit for bit: a change that only speeds the
@@ -891,11 +891,8 @@ TEST(GoldenSchedules, EveryRegisteredArchMatchesDigest)
         ModuloScheduler scheduler(arch.config, arch.sched);
         for (const workloads::Benchmark &bench : benches) {
             for (const workloads::LoopInstance &li : bench.loops) {
-                ir::Loop body =
-                    li.specialize ? ir::specializeLoop(li.loop) : li.loop;
                 for (int u : {1, arch.config.numClusters}) {
-                    digest.add(scheduler.schedule(
-                        u > 1 ? ir::unrollLoop(body, u) : body));
+                    digest.add(scheduler.schedule(driver::loopBody(li, u)));
                     ++schedules;
                 }
             }
@@ -906,46 +903,4 @@ TEST(GoldenSchedules, EveryRegisteredArchMatchesDigest)
                   static_cast<unsigned long long>(digest.value()));
     EXPECT_EQ(std::string(hex), "0096eca5c055eeff")
         << "over " << schedules << " schedules";
-}
-
-/**
- * tryScheduleAtII() on its own, at the II schedule() settled on,
- * returns the same schedule field for field: it derives the loop
- * facts schedule() shares between attempts by itself. PSR bodies are
- * transformed first, as schedule() does before its attempts.
- */
-TEST(GoldenSchedules, TryScheduleAtIIMatchesSchedule)
-{
-    int checked = 0;
-    for (const char *label : {"unified", "l0-2", "l0-8", "l0-4-allcand",
-                              "l0-8-psr", "multivliw", "interleaved-2"}) {
-        driver::ArchSpec arch = driver::archRegistry().resolve(label);
-        ModuloScheduler scheduler(arch.config, arch.sched);
-        for (const workloads::Benchmark &bench :
-             workloads::mediabenchSuite()) {
-            for (const workloads::LoopInstance &li : bench.loops) {
-                ir::Loop body =
-                    li.specialize ? ir::specializeLoop(li.loop) : li.loop;
-                for (int u : {1, arch.config.numClusters}) {
-                    ir::Loop input = u > 1 ? ir::unrollLoop(body, u) : body;
-                    Schedule full = scheduler.schedule(input);
-                    if (arch.sched.coherence == CoherenceMode::Psr)
-                        input = psrTransform(input,
-                                             arch.config.numClusters,
-                                             nullptr);
-                    std::optional<Schedule> direct =
-                        scheduler.tryScheduleAtII(input, full.ii);
-                    ASSERT_TRUE(direct.has_value())
-                        << label << " " << input.name();
-                    ScheduleDigest want, got;
-                    want.add(full);
-                    got.add(*direct);
-                    EXPECT_EQ(got.value(), want.value())
-                        << label << " " << input.name();
-                    ++checked;
-                }
-            }
-        }
-    }
-    EXPECT_GT(checked, 0);
 }

@@ -63,8 +63,9 @@ TEST(Kernels, MemRecurrenceHasLoadStoreSet)
     RecurrenceParams p;
     ir::Loop l = memRecurrence(as, "r", p);
     bool found = false;
-    for (const auto &set : ir::memoryDependentSets(l))
-        found |= set.size() >= 2 && ir::setHasLoadAndStore(l, set);
+    ir::MemorySets sets = ir::memorySets(l);
+    for (int i = 0; i < sets.size(); ++i)
+        found |= sets[i].size() >= 2 && ir::setHasLoadAndStore(l, sets[i]);
     EXPECT_TRUE(found);
 }
 
@@ -77,8 +78,9 @@ TEST(Kernels, ConservativeUpdateSpecializes)
     EXPECT_EQ(ir::countConservativeEdges(s), 0);
     // The genuine in-place set survives specialization.
     bool found = false;
-    for (const auto &set : ir::memoryDependentSets(s))
-        found |= ir::setHasLoadAndStore(s, set);
+    ir::MemorySets sets = ir::memorySets(s);
+    for (int i = 0; i < sets.size(); ++i)
+        found |= ir::setHasLoadAndStore(s, sets[i]);
     EXPECT_TRUE(found);
 }
 
