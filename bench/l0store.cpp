@@ -12,18 +12,12 @@
  *   l0store query 127.0.0.1:4100 runs fig7
  *   l0store query 127.0.0.1:4100 stats
  *   l0store query 127.0.0.1:4100 metrics prom  # Prometheus scrape
- *   l0store watch 127.0.0.1:4100 fig7          # live TUI
- *   l0store watch 127.0.0.1:4100 fig7 --once   # one snapshot
  *   l0store compact 127.0.0.1:4100 50          # keep 50 runs/suite
  *
  * The query exit status is the store's verdict (diff returns 1 when
  * any cell regresses past the threshold), 2 on transport or protocol
  * failure — shell-scriptable, which is how bench/run_bench.sh --diff
- * rides on it. `watch` is the live-observability client (src/obs):
- * it subscribes to the suite's event stream and redraws a terminal
- * grid in place (or emits a self-refreshing HTML page with --html),
- * reconnecting with resume so every stored event is applied exactly
- * once. Auth/TLS are out of scope by design: bind the daemon to
+ * rides on it. Auth/TLS are out of scope by design: bind the daemon to
  * localhost and front it with stunnel or an ssh tunnel when the
  * network is not trusted (src/store/README.md).
  */
@@ -45,7 +39,6 @@
 #include "net/framing.hh"
 #include "net/server.hh"
 #include "net/socket.hh"
-#include "obs/watch.hh"
 #include "store/service.hh"
 
 using namespace l0vliw;
@@ -79,8 +72,6 @@ usage(int exit)
         "       l0store query <host:port> compact <keep-runs>\n"
         "       l0store query <host:port> metrics "
         "[prom|table|csv|json]\n"
-        "       l0store watch <host:port> <suite> [--once] "
-        "[--html FILE] [--for SECONDS] [--no-ansi]\n"
         "       l0store compact <host:port> <keep-runs>\n"
         "fmt: table|csv|json (default table). --log defaults to "
         "l0store.ndjson.\n"
@@ -116,8 +107,8 @@ serveMain(std::uint16_t port, const std::string &logPath,
     if (!service.open(logPath, error))
         fatal("--log %s", error.c_str());
 
-    // Session mode: same request/reply protocol, plus `subscribe`
-    // flips a connection to server-push (src/net/PROTOCOL.md).
+    // Session mode: the --max-conns guard needs each connection's id
+    // and its end.
     net::Server server;
     if (!server.start(port, service.sessionHandler(),
                       service.closedHandler(), error))
@@ -237,46 +228,10 @@ main(int argc, char **argv)
 
     if (args[0] == "compact") {
         // Sugar over the query verb: compaction runs in the daemon,
-        // under its lock, with subscribers live.
+        // under its lock, while it keeps serving.
         if (args.size() != 3)
             usage(2);
         return queryMain(args[1], {"compact", args[2]});
-    }
-
-    if (args[0] == "watch") {
-        if (args.size() < 3)
-            usage(2);
-        obs::WatchOptions options;
-        options.endpoint = args[1];
-        options.suite = args[2];
-        for (std::size_t i = 3; i < args.size(); ++i) {
-            std::string arg = args[i];
-            auto valueOf = [&](const char *name) {
-                std::size_t eq = arg.find('=');
-                if (eq != std::string::npos)
-                    return arg.substr(eq + 1);
-                if (i + 1 >= args.size())
-                    fatal("%s wants a value (see --help)", name);
-                return args[++i];
-            };
-            if (arg == "--once") {
-                options.once = true;
-            } else if (arg == "--no-ansi") {
-                options.ansi = false;
-            } else if (arg == "--html"
-                       || arg.rfind("--html=", 0) == 0) {
-                options.htmlPath = valueOf("--html");
-            } else if (arg == "--for" || arg.rfind("--for=", 0) == 0) {
-                std::string v = valueOf("--for");
-                if (!parseDecimal(v, 1, INT_MAX, options.forSeconds))
-                    fatal("--for wants a positive second count, got "
-                          "'%s'",
-                          v.c_str());
-            } else {
-                usage(2);
-            }
-        }
-        return obs::watchMain(options);
     }
 
     int port = -1;

@@ -9,16 +9,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
-#include <thread>
-
-#include <sys/socket.h>
 
 #include "driver/executor.hh"
 #include "driver/registry.hh"
 #include "driver/suite.hh"
-#include "net/framing.hh"
 #include "net/server.hh"
-#include "net/socket.hh"
 #include "ir/loop.hh"
 #include "machine/machine_config.hh"
 #include "mem/l0_buffer.hh"
@@ -363,8 +358,8 @@ BM_SuiteGrid(benchmark::State &state, driver::ExecBackend backend)
 
 /** An in-process result-store daemon (l0store --serve) on a loopback
  *  ephemeral port, logging to a throwaway file — what --publish would
- *  name. Session mode, exactly like the real daemon, so subscription
- *  benchmarks can attach to it too. L0VLIW_BENCH_STORE=host:port
+ *  name. Session mode, exactly like the real daemon.
+ *  L0VLIW_BENCH_STORE=host:port
  *  substitutes an externally-run daemon (the CI smoke-bench job, which
  *  wants the published run queryable after this process exits). */
 const std::string &
@@ -422,65 +417,6 @@ BM_SuitePublish(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 16);
 }
 BENCHMARK(BM_SuitePublish)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/** The subscription fanout's cost to the publisher: the same publish
- *  loop as BM_SuitePublish with a live subscriber attached and
- *  draining the suite's stream. The delta against BM_SuitePublish is
- *  what server-push costs per 16-cell grid on the ingest path — one
- *  bounded-outbox enqueue per stored event; the subscriber's writer
- *  thread does all the sending off-path. */
-void
-BM_StorePublishSubscribed(benchmark::State &state)
-{
-    std::string error;
-    net::HostPort hp;
-    if (!net::parseHostPort(loopbackStoreEndpoint(), hp, error)) {
-        state.SkipWithError(error.c_str());
-        return;
-    }
-    net::Fd sub = net::connectTcp(hp.host, hp.port, error);
-    if (!sub.valid()
-        || !net::writeLine(sub.get(), "subscribe micro-sub", error)) {
-        state.SkipWithError(error.c_str());
-        return;
-    }
-    std::thread drain([fd = sub.get()]() {
-        net::LineReader reader(fd);
-        std::string line, readError;
-        while (reader.readLine(line, readError, 10000)
-               == net::LineReader::Status::Line) {
-        }
-    });
-
-    driver::Suite suite(suiteSpec());
-    std::unique_ptr<driver::OutcomeStream> sink =
-        driver::OutcomeStream::open("tcp:" + loopbackStoreEndpoint(),
-                                    error);
-    if (sink == nullptr) {
-        state.SkipWithError(error.c_str());
-        ::shutdown(sub.get(), SHUT_RDWR);
-        drain.join();
-        return;
-    }
-    int run = 0;
-    for (auto _ : state) {
-        sink->setMeta("micro-sub", "bench", "s" + std::to_string(run++));
-        driver::ExecOptions exec;
-        exec.onOutcome = sink->callback();
-        driver::ResultGrid grid = suite.run(exec);
-        sink->writeGrid(grid.render());
-        benchmark::DoNotOptimize(grid.cell(0, 0).normalized);
-    }
-    if (sink->dropped() > 0)
-        state.SkipWithError("publisher dropped frames");
-    state.SetItemsProcessed(state.iterations() * 16);
-
-    ::shutdown(sub.get(), SHUT_RDWR);
-    drain.join();
-}
-BENCHMARK(BM_StorePublishSubscribed)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -12,6 +12,10 @@
  * fills one row per loop of the same run that yields the summary, so
  * the rows sum exactly to the final "cell" row. Cells are
  * deterministic, so the local run is the one any executor would make.
+ * The shared driver flags that pick an executor or sink (--executor
+ * other than inprocess, --connect, --stream, --publish, --trace, an
+ * explicit --jobs, --filter) have nothing to act on here: naming one
+ * is an error (exit 2), never a silently local answer.
  *
  * Usage: inspect_benchmark [benchmark] [arch] [--format=...]
  *   benchmark: any label workloadRegistry() resolves — the 13
@@ -54,12 +58,41 @@ appendCounts(std::vector<CellValue> &cells, const driver::LoopRow &row)
                   CellValue::integer(row.coherenceViolations)});
 }
 
+/** The first shared driver flag @p cli sets that this in-process,
+ *  one-cell example would ignore, or null. */
+const char *
+ignoredFlag(const driver::CliOptions &cli)
+{
+    if (cli.executor != driver::ExecBackend::InProcess)
+        return "--executor";
+    if (!cli.connect.empty())
+        return "--connect";
+    if (!cli.stream.empty())
+        return "--stream";
+    if (!cli.publish.empty())
+        return "--publish";
+    if (!cli.trace.empty())
+        return "--trace";
+    if (cli.jobsExplicit)
+        return "--jobs";
+    if (!cli.filter.empty())
+        return "--filter";
+    return nullptr;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     driver::CliOptions cli = driver::parseCli(argc, argv);
+    if (const char *flag = ignoredFlag(cli)) {
+        std::fprintf(stderr,
+                     "inspect_benchmark: %s does not apply: this "
+                     "example runs its one cell in-process\n",
+                     flag);
+        return 2;
+    }
     std::string bench_name =
         cli.positional.empty() ? "epicdec" : cli.positional[0];
     std::string arch_name =

@@ -33,8 +33,8 @@ Server::start(std::uint16_t port, SessionHandler handler,
               ClosedHandler onClosed, std::string &error)
 {
     if (workersPerConn_ > 1) {
-        // Pushes interleaving with out-of-order pool replies would
-        // leave the peer no way to correlate.
+        // A Peer::send frame interleaving with out-of-order pool
+        // replies would leave the peer no way to correlate.
         error = "session mode requires workersPerConnection == 1";
         return false;
     }
@@ -75,26 +75,6 @@ Server::Peer::send(const std::string &line, std::string &error)
         return false;
     }
     return writeLine(conn_->fd.get(), line, error);
-}
-
-void
-Server::Peer::close()
-{
-    if (conn_ == nullptr)
-        return;
-    // Shut down, don't close: the fd stays owned by the connection
-    // thread (which is still inside its read loop), the reader just
-    // wakes with EOF and runs the closed callback on the normal path.
-    //
-    // Deliberately NOT under writeMutex: a send() blocked on a stalled
-    // peer holds that mutex for as long as the kernel keeps the write
-    // parked, and close() exists precisely to break such a send loose
-    // (shutdown(2) is safe against a concurrent write on the same fd).
-    // Validity is the Peer lifetime contract — the fd is not recycled
-    // until after the closed callback, by which point every Peer copy
-    // is dead.
-    if (conn_->fd.valid())
-        ::shutdown(conn_->fd.get(), SHUT_RDWR);
 }
 
 void
@@ -142,10 +122,6 @@ Server::serveConn(Conn *conn)
                             : handler_(frame);
         if (!reply.has_value())
             return false;
-        // Session convention: an empty reply means the handler
-        // answered (or will answer) through Peer::send instead.
-        if (sessionHandler_ && reply->empty())
-            return true;
         std::string error;
         std::lock_guard<std::mutex> lock(conn->writeMutex);
         return writeLine(conn->fd.get(), *reply, error);
@@ -232,9 +208,8 @@ Server::serveConn(Conn *conn)
     for (auto &w : workers)
         w.join();
 
-    // The connection is over, whatever ended it: give the session's
-    // owner its one chance to drop (and join anything holding) Peer
-    // copies before the fd goes away.
+    // The connection is over, whatever ended it: tell the session's
+    // owner before the fd goes away.
     if (closedHandler_)
         closedHandler_(peer);
     // Close the fd now — under the mutex, so stop()'s shutdown sweep

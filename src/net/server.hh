@@ -20,17 +20,13 @@
  *
  *  - Handler shape. A plain Handler maps a frame to its reply. A
  *    SessionHandler (the second start overload) also receives a Peer
- *    handle for the connection — a stable identity (id) plus two
- *    thread-safe operations: send() pushes an unsolicited frame
- *    (serialized with the reply path), and close() shuts the
- *    connection down so its reader wakes with EOF. This is the
- *    sanctioned departure from strict request/reply that the store's
- *    subscription channel rides on (src/net/PROTOCOL.md): a handler
- *    may keep the Peer (a copyable handle), hand it to a writer
- *    thread, and push frames until the closed callback for that peer
- *    returns — after which every copy is dead. The closed callback
- *    runs on the connection's own thread, exactly once per
- *    connection, whatever ended it (EOF, error, close(), stop()).
+ *    handle for the connection: a stable identity (id) plus send(),
+ *    which writes a frame of its own, serialized with the reply
+ *    path. The store's --max-conns guard is its one user: it keys
+ *    live connections by id, and sends its nack before declining
+ *    the frame. The closed callback runs on the connection's own
+ *    thread, exactly once per connection, whatever ended it (EOF,
+ *    error, stop()); after it returns every Peer copy is dead.
  *  - Worker count (setWorkersPerConnection). With 1, the default,
  *    the connection thread handles each frame inline: strict
  *    request order, no extra thread or queue hop. With more, the
@@ -41,8 +37,9 @@
  *    The queue bound is the backpressure: a client that outruns the
  *    workers blocks in the kernel's socket buffer, never in daemon
  *    memory. See src/net/PROTOCOL.md for the windowing rules.
- *    Session handlers need one worker: pushes interleaving with
- *    out-of-order replies would leave the peer no way to correlate.
+ *    Session handlers need one worker: a Peer::send frame
+ *    interleaving with out-of-order replies would leave the peer no
+ *    way to correlate.
  */
 
 #ifndef L0VLIW_NET_SERVER_HH
@@ -92,16 +89,12 @@ class Server
         std::uint64_t id() const { return id_; }
 
         /**
-         * Push one unsolicited frame to the peer, serialized against
-         * concurrent replies and other pushes. False + @p error when
-         * the connection is already broken — callers treat it like a
-         * peer hangup (close() and let the closed callback clean up).
+         * Write one frame to the peer ahead of the handler's reply,
+         * serialized against the reply path. Its one caller is the
+         * store's --max-conns nack, sent before the handler declines.
+         * False + @p error when the connection is already broken.
          */
         bool send(const std::string &line, std::string &error);
-
-        /** Shut the connection down: its reader wakes with EOF and
-         *  the closed callback runs on the connection thread. */
-        void close();
 
       private:
         friend class Server;
@@ -111,19 +104,13 @@ class Server
         std::uint64_t id_ = 0;
     };
 
-    /**
-     * A Handler that also sees the connection's Peer handle. One
-     * extra convention: returning an *empty* string means "handled,
-     * no direct reply" — for verbs whose response is pushed through
-     * Peer::send instead (protocol lines are never empty, so nothing
-     * is lost). Returning nullopt still closes the connection.
-     */
+    /** A Handler that also sees the connection's Peer handle.
+     *  Returning nullopt still closes the connection. */
     using SessionHandler = std::function<std::optional<std::string>(
         const std::string &, Peer &)>;
 
     /** Runs once per connection, on its thread, after its read loop
-     *  ends and before the Peer dies — the owner's last chance to
-     *  drop (and join anything holding) its Peer copies. */
+     *  ends and before the Peer dies. */
     using ClosedHandler = std::function<void(Peer &)>;
 
     Server() = default;
@@ -177,7 +164,7 @@ class Server
         std::atomic<bool> done{false};
         std::uint64_t id = 0;
         /** Serializes every write on this connection: the reply path
-         *  against Peer::send pushes or against the other workers'
+         *  against Peer::send or against the other workers'
          *  completion-order replies. */
         std::mutex writeMutex;
     };

@@ -40,12 +40,7 @@ Event::decode(const std::string &line, Event &out, std::string &error)
     std::optional<json::Value> parsed = json::parse(line, &error);
     if (!parsed)
         return false;
-    return decode(*parsed, out, error);
-}
-
-bool
-Event::decode(const json::Value &doc, Event &out, std::string &error)
-{
+    const json::Value &doc = *parsed;
     out = Event{};
     std::string kind;
     if (!json::getString(doc, "event", kind, error)
@@ -427,8 +422,8 @@ EventLog::compact(int keepRuns, CompactStats &stats, std::string &error)
     }
 
     // Rebuild the index from the kept events only, pinning each line
-    // to the sequence number it already had — subscribers' resume
-    // cursors and `latest run` order both survive compaction. seq_
+    // to the sequence number it already had — `latest run` order and
+    // the `stats` seq range both survive compaction. seq_
     // itself is untouched: the next ingest continues the same global
     // counter.
     std::vector<StoredEvent> retained;

@@ -26,12 +26,11 @@
  * daemon serializes access (StoreService); tests drive it directly.
  *
  * Sequencing contract: every stored event gets the next value of one
- * global, strictly increasing sequence counter — the subscription
- * channel's replay/resume coordinate. Sequence numbers are stable for
- * the life of one EventLog (compaction preserves them); they are NOT
- * persisted in the file, so a reopen renumbers from 1 in replay order
- * (subscribers detect that through the `subscribed` reply's `latest`
- * field and restart from 0).
+ * global, strictly increasing sequence counter — what orders a
+ * suite's runs for `latest-grid` and what the `stats` footer reports
+ * as the retained range. Sequence numbers are stable for the life of
+ * one EventLog (compaction preserves them); they are NOT persisted in
+ * the file, so a reopen renumbers from 1 in replay order.
  *
  * Retention contract: compact(keepRuns) rewrites the log keeping only
  * each suite's newest keepRuns runs — to a temp file, fsync'd, then
@@ -55,11 +54,6 @@
 #include "common/result_sink.hh"
 #include "driver/retry.hh"
 #include "net/socket.hh"
-
-namespace l0vliw::json
-{
-class Value;
-}
 
 namespace l0vliw::store
 {
@@ -104,15 +98,10 @@ struct Event
      *  not a well-formed "cell" or "grid" event. */
     static bool decode(const std::string &line, Event &out,
                        std::string &error);
-
-    /** The same decode over an already-parsed document (how obs::
-     *  LiveGrid folds the event embedded in a subscription push). */
-    static bool decode(const json::Value &doc, Event &out,
-                       std::string &error);
 };
 
-/** One stored event as the subscription channel replays it: its
- *  global sequence number plus the accepted line, verbatim. */
+/** One retained event: its global sequence number plus the accepted
+ *  line, verbatim — what compaction rewrites the log from. */
 struct StoredEvent
 {
     std::uint64_t seq = 0;
@@ -162,9 +151,9 @@ struct SuiteCounters
 };
 
 /**
- * One suite's runs (ingest order) plus its counters: the fold both
- * the store's index (EventLog) and the live view (obs::LiveGrid) run
- * their events through, with the selection rules both answer from.
+ * One suite's runs (ingest order) plus its counters: the fold the
+ * store's index (EventLog) runs each event through, with the
+ * selection rules its queries answer from.
  */
 struct SuiteInfo
 {
@@ -234,14 +223,13 @@ class EventLog
     const RunInfo *latestRunAtRev(const std::string &suite,
                                   const std::string &rev) const;
 
-    // ---- the subscription/replay view ----
+    // ---- the retained events ----
 
     /** The sequence number of the newest stored event (0 = empty). */
     std::uint64_t latestSeq() const { return seq_; }
 
-    /** Every retained event in sequence order (verbatim lines) —
-     *  what `subscribe ... from-seq N` replays. Invalidated by the
-     *  next ingest or compact. */
+    /** Every retained event in sequence order (verbatim lines).
+     *  Invalidated by the next ingest or compact. */
     const std::vector<StoredEvent> &events() const { return events_; }
 
     // ---- retention ----

@@ -86,32 +86,7 @@ runLabel(const RunInfo &run)
     return run.rev + " (run " + run.run + ")";
 }
 
-/** One subscription push: the stored line spliced in verbatim (it is
- *  itself a JSON object, so the frame stays one valid document). */
-std::string
-pushFrame(const StoredEvent &event)
-{
-    return "{\"event\":\"push\",\"seq\":" + std::to_string(event.seq)
-           + ",\"data\":" + event.line + "}";
-}
-
 } // namespace
-
-StoreService::~StoreService()
-{
-    // Normally empty by now: net::Server::stop() runs each
-    // connection's closed callback, which reaps its subscription.
-    // Belt and braces for a service torn down without a stop.
-    for (auto &kv : subscribers_) {
-        {
-            std::lock_guard<std::mutex> lock(kv.second->mutex);
-            kv.second->stop = true;
-        }
-        kv.second->cv.notify_all();
-        if (kv.second->writer.joinable())
-            kv.second->writer.join();
-    }
-}
 
 bool
 StoreService::open(const std::string &logPath, std::string &error)
@@ -138,7 +113,7 @@ StoreService::handleSessionLine(const std::string &line,
         if (liveConns_.insert(peer.id()).second && maxConnections_ > 0
             && liveConns_.size()
                    > static_cast<std::size_t>(maxConnections_)) {
-            // Reject, don't queue: a leak of idle subscribers must
+            // Reject, don't queue: a leak of idle connections must
             // not starve ingest. The nack goes through Peer::send so
             // it is on the wire before the close below.
             std::string error;
@@ -152,11 +127,6 @@ StoreService::handleSessionLine(const std::string &line,
             return std::nullopt; // closes the connection
         }
     }
-    if (line.empty() || line[0] != '{') {
-        std::vector<std::string> words = splitWords(line);
-        if (!words.empty() && words[0] == "subscribe")
-            return handleSubscribe(words, peer);
-    }
     return handleLine(line);
 }
 
@@ -168,16 +138,8 @@ StoreService::handleIngest(const std::string &line)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         result = log_.ingest(line, error);
-        if (result == EventLog::Ingest::Stored) {
-            if (!subscribers_.empty()) {
-                const StoredEvent &event = log_.events().back();
-                std::string frame = pushFrame(event);
-                for (auto &kv : subscribers_)
-                    if (kv.second->suite == event.suite)
-                        enqueueLocked(*kv.second, frame, false);
-            }
+        if (result == EventLog::Ingest::Stored)
             maybeCompactLocked();
-        }
     }
     switch (result) {
     case EventLog::Ingest::Stored:
@@ -190,141 +152,11 @@ StoreService::handleIngest(const std::string &line)
     return "{\"event\":\"nack\",\"error\":" + json::quote(error) + "}";
 }
 
-std::string
-StoreService::handleSubscribe(const std::vector<std::string> &words,
-                              net::Server::Peer &peer)
-{
-    std::uint64_t from = 0;
-    bool malformed = false;
-    if (words.size() == 4 && words[2] == "from-seq") {
-        malformed = !parseDecimal(words[3], 0, UINT64_MAX, from);
-    } else if (words.size() != 2) {
-        malformed = true;
-    }
-    if (malformed)
-        return errReply("usage: subscribe <suite> [from-seq N]");
-    const std::string &suiteName = words[1];
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (subscribers_.count(peer.id()) != 0)
-        return errReply("connection already subscribed");
-
-    // Every frame — handshake, replay, live feed — rides the outbox,
-    // so the writer's order *is* the protocol order: subscribed,
-    // events in sequence order, caught-up, then pushes as they land.
-    // A suite with no events yet is fine (the replay is just empty);
-    // that is how `watch` starts before the first publish.
-    auto sub = std::make_unique<Subscriber>();
-    sub->peer = peer;
-    sub->suite = suiteName;
-    std::uint64_t latest = log_.latestSeq();
-    enqueueLocked(*sub,
-                  "{\"event\":\"subscribed\",\"suite\":"
-                      + json::quote(suiteName)
-                      + ",\"from\":" + std::to_string(from)
-                      + ",\"latest\":" + std::to_string(latest) + "}",
-                  true);
-    for (const StoredEvent &event : log_.events())
-        if (event.suite == suiteName && event.seq >= from)
-            enqueueLocked(*sub, pushFrame(event), true);
-    enqueueLocked(*sub,
-                  "{\"event\":\"caught-up\",\"seq\":"
-                      + std::to_string(latest) + "}",
-                  true);
-    Subscriber *raw = sub.get();
-    sub->writer = std::thread([raw]() { writerLoop(raw); });
-    subscribers_[peer.id()] = std::move(sub);
-    return std::string(); // replied through the outbox, not directly
-}
-
-void
-StoreService::enqueueLocked(Subscriber &sub, std::string frame,
-                            bool initial)
-{
-    std::lock_guard<std::mutex> lock(sub.mutex);
-    if (sub.stop || sub.overflowed)
-        return;
-    if (!initial
-        && sub.outbox.size() >= static_cast<std::size_t>(outboxCap_)) {
-        // Slow consumer: disconnected, never waited for. close() also
-        // breaks a writer send blocked on the stalled socket loose;
-        // this path itself never blocks, which is the ingest-latency
-        // guarantee.
-        sub.overflowed = true;
-        sub.peer.close();
-        static metrics::Counter &overflows = metrics::counter(
-            "l0vliw_store_subscriber_disconnects_total{cause=\""
-            "overflow\"}",
-            "Subscriber connections closed by the store");
-        overflows.inc();
-        return;
-    }
-    sub.outbox.push_back(std::move(frame));
-    static metrics::Gauge &depth = metrics::gauge(
-        "l0vliw_store_outbox_depth",
-        "Frames queued to the most recently pushed-to subscriber");
-    depth.set(static_cast<std::int64_t>(sub.outbox.size()));
-    sub.cv.notify_one();
-}
-
-void
-StoreService::writerLoop(Subscriber *sub)
-{
-    std::string frame, error;
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(sub->mutex);
-            sub->cv.wait(lock, [sub]() {
-                return sub->stop || !sub->outbox.empty();
-            });
-            if (sub->stop)
-                return; // pending frames die with the connection
-            frame = std::move(sub->outbox.front());
-            sub->outbox.pop_front();
-        }
-        if (!sub->peer.send(frame, error)) {
-            // Peer hung up (or the overflow close landed mid-send).
-            // Make sure the connection reader notices, then wait for
-            // the closed callback to flip stop — the Peer must stay
-            // untouched from here on.
-            sub->peer.close();
-            std::unique_lock<std::mutex> lock(sub->mutex);
-            sub->cv.wait(lock, [sub]() { return sub->stop; });
-            return;
-        }
-    }
-}
-
 void
 StoreService::connectionClosed(net::Server::Peer &peer)
 {
-    std::unique_ptr<Subscriber> sub;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        liveConns_.erase(peer.id());
-        auto it = subscribers_.find(peer.id());
-        if (it != subscribers_.end()) {
-            sub = std::move(it->second);
-            subscribers_.erase(it);
-        }
-    }
-    if (!sub)
-        return;
-    // Joined outside the store mutex: the writer never takes it, but
-    // ingest holds it while enqueueing and must not wait behind us.
-    {
-        std::lock_guard<std::mutex> lock(sub->mutex);
-        sub->stop = true;
-        if (!sub->overflowed) { // overflow already counted its cause
-            static metrics::Counter &closed = metrics::counter(
-                "l0vliw_store_subscriber_disconnects_total{cause=\""
-                "closed\"}",
-                "Subscriber connections closed by the store");
-            closed.inc();
-        }
-    }
-    sub->cv.notify_all();
-    sub->writer.join();
+    std::lock_guard<std::mutex> lock(mutex_);
+    liveConns_.erase(peer.id());
 }
 
 void
@@ -527,10 +359,6 @@ StoreService::handleQuery(const std::string &line)
              << " bytes\n";
         return okReply(0, text.str());
     }
-
-    if (verb == "subscribe")
-        return errReply("subscribe requires a session-mode server "
-                        "(l0store --serve)");
 
     return errReply("unknown query '" + verb
                     + "' (expected latest-grid|diff|runs|stats|"

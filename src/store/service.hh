@@ -14,10 +14,6 @@
  *    dedup-dropped resend, or `{"event":"nack","error":...}` for an
  *    undecodable frame — acks are what give the publisher bounded,
  *    at-least-once delivery.
- *  - `subscribe <suite> [from-seq N]` (session mode only) flips the
- *    connection to server-push: replay of every stored event with
- *    sequence >= N, then a live feed of each newly-stored event for
- *    that suite. See src/net/PROTOCOL.md ("subscription channel").
  *  - Anything else is a query: `latest-grid <suite> [fmt]`,
  *    `diff <suite> <rev-a> <rev-b> [threshold%] [fmt]`,
  *    `runs <suite> [fmt]`, `stats [fmt]`, `compact <keep-runs>` with
@@ -28,30 +24,16 @@
  * The handler runs concurrently across connections (net::Server is
  * thread-per-connection); one mutex serializes every touch of the
  * EventLog underneath.
- *
- * Subscription fanout never blocks ingest: each subscriber owns a
- * bounded outbox drained by its own writer thread, and a subscriber
- * whose outbox fills (it stopped reading, or cannot keep up) is
- * disconnected on the spot — the enqueue is the only thing the ingest
- * path ever does for it. The initial replay backlog is exempt from
- * the bound (it is handed over in one piece at subscribe time); only
- * the live feed can overflow.
  */
 
 #ifndef L0VLIW_STORE_SERVICE_HH
 #define L0VLIW_STORE_SERVICE_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "net/server.hh"
 #include "store/event_log.hh"
@@ -63,21 +45,18 @@ namespace l0vliw::store
 class StoreService
 {
   public:
-    ~StoreService();
-
     /** Open (and replay) the backing log; see EventLog::open. */
     bool open(const std::string &logPath, std::string &error);
 
     /**
      * One protocol round trip: event frames ingest and ack, query
      * lines answer. Never returns nullopt — a store connection only
-     * closes from the peer's side (or daemon shutdown). `subscribe`
-     * is rejected here (it needs a Peer to push to).
+     * closes from the peer's side (or daemon shutdown).
      */
     std::optional<std::string> handleLine(const std::string &line);
 
-    /** handleLine bound as a net::Server handler (request/reply
-     *  only — no subscriptions, no connection cap). */
+    /** handleLine bound as a net::Server handler (no connection
+     *  cap). */
     net::Server::Handler
     handler()
     {
@@ -87,9 +66,9 @@ class StoreService
     }
 
     /**
-     * The full protocol as a session-mode handler pair: everything
-     * handleLine serves, plus `subscribe` and the max-connections
-     * guard. Bind both on one net::Server:
+     * The daemon's handler pair: everything handleLine serves, plus
+     * the max-connections guard, which needs the connection's id and
+     * its end. Bind both on one net::Server:
      *   server.start(port, svc.sessionHandler(), svc.closedHandler(),
      *                error)
      */
@@ -101,8 +80,8 @@ class StoreService
         };
     }
 
-    /** Companion to sessionHandler(): reaps the connection's
-     *  subscription (joining its writer thread) when it ends. */
+    /** Companion to sessionHandler(): frees the connection's slot
+     *  when it ends. */
     net::Server::ClosedHandler
     closedHandler()
     {
@@ -114,15 +93,12 @@ class StoreService
     /**
      * Cap concurrent connections (session mode only; 0 = unlimited).
      * A connection past the cap gets one nack line and is closed —
-     * reject-don't-queue, so a subscriber leak cannot starve ingest
-     * or publishers. Call before serving.
+     * reject-don't-queue, so clients that leak used-then-idle
+     * connections cannot exhaust the daemon's threads and starve
+     * publishers. A connection counts from its first line. Call
+     * before serving.
      */
     void setMaxConnections(int cap) { maxConnections_ = cap; }
-
-    /** Live-feed outbox bound per subscriber (default 1024 frames);
-     *  a subscriber whose outbox fills is disconnected. Call before
-     *  serving (tests shrink it to force the overflow path). */
-    void setOutboxCap(int cap) { outboxCap_ = cap < 1 ? 1 : cap; }
 
     /**
      * Auto-compaction: keep at most @p runs runs per suite (0 = keep
@@ -137,41 +113,19 @@ class StoreService
     EventLog &log() { return log_; }
 
   private:
-    /** One push-mode connection: its bounded outbox plus the writer
-     *  thread that drains it. The ingest path only ever enqueues. */
-    struct Subscriber
-    {
-        net::Server::Peer peer;
-        std::string suite;
-        std::mutex mutex;
-        std::condition_variable cv;
-        std::deque<std::string> outbox;
-        bool stop = false;       ///< connection over; writer must exit
-        bool overflowed = false; ///< live feed overran the bound
-        std::thread writer;
-    };
-
     std::optional<std::string>
     handleSessionLine(const std::string &line, net::Server::Peer &peer);
     void connectionClosed(net::Server::Peer &peer);
     std::string handleIngest(const std::string &line);
     std::string handleQuery(const std::string &line);
-    std::string handleSubscribe(const std::vector<std::string> &words,
-                                net::Server::Peer &peer);
-    /** Queue one frame on @p sub (store mutex held). @p initial
-     *  frames (the subscribe-time replay) bypass the outbox bound. */
-    void enqueueLocked(Subscriber &sub, std::string frame, bool initial);
     /** Compact down to retainRuns_ if any suite exceeds it (store
      *  mutex held). */
     void maybeCompactLocked();
-    static void writerLoop(Subscriber *sub);
 
     EventLog log_;
     std::mutex mutex_;
-    std::map<std::uint64_t, std::unique_ptr<Subscriber>> subscribers_;
     std::set<std::uint64_t> liveConns_; ///< session-mode peer ids
     int maxConnections_ = 0;
-    int outboxCap_ = 1024;
     int retainRuns_ = 0;
 };
 

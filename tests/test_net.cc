@@ -758,9 +758,9 @@ TEST(Server, StopUnblocksAndIsIdempotent)
         << err;
 }
 
-// ---- session mode: Peer pushes and the closed callback ----
+// ---- session mode: Peer::send and the closed callback ----
 
-TEST(Server, SessionHandlerRepliesPushesAndDefers)
+TEST(Server, SessionHandlerRepliesSendsAndCloses)
 {
     net::Server server;
     std::string err;
@@ -770,17 +770,14 @@ TEST(Server, SessionHandlerRepliesPushesAndDefers)
         0,
         [](const std::string &line, net::Server::Peer &peer)
             -> std::optional<std::string> {
-            if (line == "push3") {
-                // The empty-reply convention: answered via send().
+            if (line == "bye") {
+                // The --max-conns shape: a frame through send(), then
+                // decline so the connection closes behind it.
                 std::string sendErr;
-                for (int i = 0; i < 3; ++i)
-                    EXPECT_TRUE(peer.send(
-                        "pushed-" + std::to_string(i), sendErr))
-                        << sendErr;
-                return std::string();
-            }
-            if (line == "bye")
+                EXPECT_TRUE(peer.send("sent-before-close", sendErr))
+                    << sendErr;
                 return std::nullopt;
+            }
             return "echo:" + line + ":id"
                    + std::to_string(peer.id());
         },
@@ -801,22 +798,12 @@ TEST(Server, SessionHandlerRepliesPushesAndDefers)
               LineReader::Status::Line);
     EXPECT_EQ(reply, "echo:hello:id1");
 
-    // Pushed frames arrive in send order, no direct reply among them.
-    ASSERT_TRUE(net::writeLine(conn.get(), "push3", err));
-    for (int i = 0; i < 3; ++i) {
-        ASSERT_EQ(reader.readLine(reply, err, 2000),
-                  LineReader::Status::Line);
-        EXPECT_EQ(reply, "pushed-" + std::to_string(i));
-    }
-
-    // And the connection still answers request/reply afterwards.
-    ASSERT_TRUE(net::writeLine(conn.get(), "again", err));
+    // The sent frame lands before the close; nullopt then closes and
+    // the closed callback sees the same id.
+    ASSERT_TRUE(net::writeLine(conn.get(), "bye", err));
     ASSERT_EQ(reader.readLine(reply, err, 2000),
               LineReader::Status::Line);
-    EXPECT_EQ(reply, "echo:again:id1");
-
-    // nullopt still closes; the closed callback sees the same id.
-    ASSERT_TRUE(net::writeLine(conn.get(), "bye", err));
+    EXPECT_EQ(reply, "sent-before-close");
     EXPECT_NE(reader.readLine(reply, err, 2000),
               LineReader::Status::Line);
     for (int i = 0; i < 100; ++i) {
@@ -833,39 +820,10 @@ TEST(Server, SessionHandlerRepliesPushesAndDefers)
     EXPECT_EQ(closedIds[0], 1u);
 }
 
-TEST(Server, SessionPeerCloseWakesTheReader)
-{
-    net::Server server;
-    std::string err;
-    std::atomic<int> closed{0};
-    ASSERT_TRUE(server.start(
-        0,
-        [](const std::string &line, net::Server::Peer &peer)
-            -> std::optional<std::string> {
-            if (line == "kick") {
-                peer.close();
-                return std::string();
-            }
-            return "ok";
-        },
-        [&](net::Server::Peer &) { closed.fetch_add(1); }, err))
-        << err;
-
-    Fd conn = net::connectTcp("127.0.0.1", server.port(), err);
-    ASSERT_TRUE(conn.valid()) << err;
-    LineReader reader(conn.get());
-    ASSERT_TRUE(net::writeLine(conn.get(), "kick", err));
-    std::string reply;
-    EXPECT_NE(reader.readLine(reply, err, 2000),
-              LineReader::Status::Line);
-    server.stop();
-    EXPECT_EQ(closed.load(), 1);
-}
-
 TEST(Server, SessionModeRefusesPipelinedWorkers)
 {
-    // Pushes interleaving with out-of-order replies would be
-    // uncorrelatable; the combination is rejected at start().
+    // A Peer::send frame interleaving with out-of-order replies would
+    // be uncorrelatable; the combination is rejected at start().
     net::Server server;
     server.setWorkersPerConnection(4);
     std::string err;

@@ -5,24 +5,18 @@
  * idempotency, the query protocol, chaos ingest over a faulty
  * connection, and the loopback end-to-end contract — one stored event
  * per dispatched cell and a latest-grid answer byte-identical to the
- * driver's own table. Plus the observability surface underneath
- * src/obs: sequence numbers and the retained-events view, compaction
- * (byte-identity, crash safety, the query verb, --retain-runs), the
- * subscription channel (replay + live push, the slow-subscriber
- * disconnect, the max-connections nack), and the l0store client's
+ * driver's own table. Plus sequence numbers and the retained-events
+ * view, compaction (byte-identity, crash safety, the query verb,
+ * --retain-runs), the max-connections nack, and the l0store client's
  * transport-failure exit code.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -768,8 +762,8 @@ TEST(EventLogTest, CompactKeepsNewestRunsByteIdentically)
     EXPECT_EQ(stats.bytesBefore, sizeBefore);
     EXPECT_EQ(fileSize(log.path()), stats.bytesAfter);
 
-    // Sequence numbers of the kept events are preserved — a live
-    // subscriber's resume coordinate survives compaction.
+    // Sequence numbers of the kept events are preserved — the seq
+    // range the stats footer reports survives compaction.
     EXPECT_EQ(store.latestSeq(), seqBefore);
     ASSERT_EQ(store.events().size(), keptSeqs.size());
     for (std::size_t i = 0; i < keptSeqs.size(); ++i)
@@ -883,17 +877,13 @@ TEST(StoreServiceTest, CompactQueryVerbAndRetainRuns)
     ASSERT_TRUE(ok) << queryError;
     EXPECT_EQ(text, gridBefore);
 
-    // Argument validation, and subscribe needs a session connection.
+    // Argument validation.
     parseReply(*service.handleLine("compact 0"), ok, exit, text,
                queryError);
     EXPECT_FALSE(ok);
     parseReply(*service.handleLine("compact"), ok, exit, text,
                queryError);
     EXPECT_FALSE(ok);
-    parseReply(*service.handleLine("subscribe s"), ok, exit, text,
-               queryError);
-    EXPECT_FALSE(ok);
-    EXPECT_NE(queryError.find("session"), std::string::npos);
 }
 
 TEST(StoreServiceTest, StatsFooterAndMetricsVerb)
@@ -963,222 +953,7 @@ TEST(StoreServiceTest, StatsFooterAndMetricsVerb)
     EXPECT_NE(queryError.find("metrics"), std::string::npos);
 }
 
-// ---- the subscription channel ----
-
-namespace
-{
-
-/** Read one subscription frame and parse it (fails the test on a
- *  non-line status or malformed JSON). */
-json::Value
-readFrame(net::LineReader &reader, int deadlineMs = 5000)
-{
-    std::string line, error;
-    EXPECT_EQ(reader.readLine(line, error, deadlineMs),
-              net::LineReader::Status::Line)
-        << error;
-    std::optional<json::Value> doc = json::parse(line, &error);
-    EXPECT_TRUE(doc.has_value()) << error << ": " << line;
-    return doc.value_or(json::Value());
-}
-
-std::string
-frameEvent(const json::Value &doc)
-{
-    const json::Value *event = doc.find("event");
-    return event != nullptr && event->isString() ? event->str()
-                                                 : std::string();
-}
-
-} // namespace
-
-TEST(StoreServiceTest, SubscribeReplaysThenPushesLive)
-{
-    TempLog log("subscribe");
-    StoreService service;
-    std::string error;
-    ASSERT_TRUE(service.open(log.path(), error)) << error;
-    net::Server server;
-    ASSERT_TRUE(server.start(0, service.sessionHandler(),
-                             service.closedHandler(), error))
-        << error;
-
-    // Two events stored before anyone subscribes...
-    std::vector<std::string> lines = {
-        cellLine("s", "rev1", "r1", 1, "b", "a1", true, 10),
-        cellLine("s", "rev1", "r1", 2, "b", "a2", true, 20),
-    };
-    net::Fd pub = net::connectTcp("127.0.0.1", server.port(), error);
-    ASSERT_TRUE(pub.valid()) << error;
-    net::LineReader pubReader(pub.get());
-    std::string reply;
-    for (const auto &line : lines) {
-        ASSERT_TRUE(net::writeLine(pub.get(), line, error)) << error;
-        ASSERT_EQ(pubReader.readLine(reply, error, 5000),
-                  net::LineReader::Status::Line);
-        EXPECT_EQ(reply, "{\"event\":\"ack\",\"stored\":true}");
-    }
-
-    // ...are replayed in order inside the handshake.
-    net::Fd sub = net::connectTcp("127.0.0.1", server.port(), error);
-    ASSERT_TRUE(sub.valid()) << error;
-    net::LineReader subReader(sub.get());
-    ASSERT_TRUE(net::writeLine(sub.get(), "subscribe s", error));
-    json::Value doc = readFrame(subReader);
-    EXPECT_EQ(frameEvent(doc), "subscribed");
-    EXPECT_EQ(doc.find("suite")->str(), "s");
-    EXPECT_EQ(doc.find("latest")->numberToken(), "2");
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        doc = readFrame(subReader);
-        EXPECT_EQ(frameEvent(doc), "push");
-        EXPECT_EQ(doc.find("seq")->numberToken(), std::to_string(i + 1));
-        // The stored line rides spliced in verbatim.
-        const json::Value *data = doc.find("data");
-        ASSERT_NE(data, nullptr);
-        EXPECT_EQ(data->find("bench")->str(), "b");
-    }
-    doc = readFrame(subReader);
-    EXPECT_EQ(frameEvent(doc), "caught-up");
-    EXPECT_EQ(doc.find("seq")->numberToken(), "2");
-
-    // A newly-ingested event for the suite arrives as a live push;
-    // one for another suite does not.
-    ASSERT_TRUE(net::writeLine(
-        pub.get(), cellLine("other", "rev1", "r1", 1, "b", "a", true, 5),
-        error));
-    ASSERT_EQ(pubReader.readLine(reply, error, 5000),
-              net::LineReader::Status::Line);
-    ASSERT_TRUE(net::writeLine(
-        pub.get(), cellLine("s", "rev1", "r1", 3, "b", "a3", true, 30),
-        error));
-    ASSERT_EQ(pubReader.readLine(reply, error, 5000),
-              net::LineReader::Status::Line);
-    doc = readFrame(subReader);
-    EXPECT_EQ(frameEvent(doc), "push");
-    EXPECT_EQ(doc.find("seq")->numberToken(), "4");
-    EXPECT_EQ(doc.find("data")->find("arch")->str(), "a3");
-
-    // A second subscribe on the same connection is refused.
-    ASSERT_TRUE(net::writeLine(sub.get(), "subscribe s", error));
-    doc = readFrame(subReader);
-    EXPECT_FALSE(doc.find("ok")->boolean());
-
-    // Resume: `from-seq` replays only the suffix.
-    net::Fd resume = net::connectTcp("127.0.0.1", server.port(), error);
-    ASSERT_TRUE(resume.valid()) << error;
-    net::LineReader resumeReader(resume.get());
-    // A negative resume point is a usage error, not 2^64 - 1.
-    ASSERT_TRUE(net::writeLine(resume.get(), "subscribe s from-seq -1",
-                               error));
-    doc = readFrame(resumeReader);
-    ASSERT_NE(doc.find("error"), nullptr) << frameEvent(doc);
-    EXPECT_NE(doc.find("error")->str().find("usage"), std::string::npos);
-    ASSERT_TRUE(net::writeLine(resume.get(), "subscribe s from-seq 4",
-                               error));
-    doc = readFrame(resumeReader);
-    EXPECT_EQ(frameEvent(doc), "subscribed");
-    EXPECT_EQ(doc.find("from")->numberToken(), "4");
-    doc = readFrame(resumeReader);
-    EXPECT_EQ(frameEvent(doc), "push");
-    EXPECT_EQ(doc.find("seq")->numberToken(), "4");
-    doc = readFrame(resumeReader);
-    EXPECT_EQ(frameEvent(doc), "caught-up");
-
-    resume.reset();
-    sub.reset();
-    pub.reset();
-    server.stop();
-}
-
-TEST(StoreServiceTest, SlowSubscriberIsDisconnectedNotBlockingIngest)
-{
-    TempLog log("slowsub");
-    StoreService service;
-    // A tiny live-feed bound so the stall surfaces quickly.
-    service.setOutboxCap(8);
-    std::string error;
-    ASSERT_TRUE(service.open(log.path(), error)) << error;
-    net::Server server;
-    ASSERT_TRUE(server.start(0, service.sessionHandler(),
-                             service.closedHandler(), error))
-        << error;
-
-    // The stalled subscriber: a socket with a tiny receive buffer
-    // (set before connect, so the advertised window stays small) that
-    // subscribes and then never reads. Kernel buffers absorb the
-    // first frames; after that the writer blocks and the outbox
-    // fills.
-    int raw = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(raw, 0);
-    int rcvbuf = 4096;
-    ASSERT_EQ(::setsockopt(raw, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
-                           sizeof(rcvbuf)),
-              0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server.port());
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(::connect(raw, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-    net::Fd sub(raw);
-    ASSERT_TRUE(net::writeLine(sub.get(), "subscribe slow", error));
-
-    // Publish fat events (a ~16 KiB pad the tolerant decoder ignores)
-    // and demand a prompt ack for every one: if the fanout ever
-    // waited on the stalled subscriber, an ack would stall with it.
-    // The backlog must beat the kernel, not just the outbox: with the
-    // subscriber not reading, loopback TCP still buffers ~3 MiB (the
-    // sender's sndbuf autotunes to 4 MiB however small the peer's
-    // window is), so push ~7.5 MiB to guarantee the writer blocks and
-    // the live feed overruns the bound.
-    constexpr int kEvents = 480;
-    net::Fd pub = net::connectTcp("127.0.0.1", server.port(), error);
-    ASSERT_TRUE(pub.valid()) << error;
-    net::LineReader pubReader(pub.get());
-    const std::string pad(16000, 'x');
-    std::string reply;
-    for (int i = 0; i < kEvents; ++i) {
-        std::string line = cellLine("slow", "rev1", "r1",
-                                    static_cast<std::uint64_t>(i + 1),
-                                    "b", "a" + std::to_string(i), true,
-                                    100);
-        line.insert(line.size() - 1, ",\"pad\":\"" + pad + "\"");
-        ASSERT_TRUE(net::writeLine(pub.get(), line, error)) << error;
-        auto start = std::chrono::steady_clock::now();
-        ASSERT_EQ(pubReader.readLine(reply, error, 5000),
-                  net::LineReader::Status::Line)
-            << "ack " << i << " stalled: " << error;
-        EXPECT_EQ(reply, "{\"event\":\"ack\",\"stored\":true}");
-        EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count(),
-                  2000)
-            << "ack " << i << " was not prompt";
-    }
-
-    // And the slow consumer was disconnected, not waited for: its
-    // stream ends (after whatever the kernel buffered) instead of
-    // carrying all the pushes.
-    net::LineReader subReader(sub.get());
-    int frames = 0;
-    net::LineReader::Status status;
-    for (;;) {
-        std::string line;
-        status = subReader.readLine(line, error, 10000);
-        if (status != net::LineReader::Status::Line)
-            break;
-        ++frames;
-        ASSERT_LT(frames, kEvents + 2) << "subscriber was never cut "
-                                          "off";
-    }
-    EXPECT_NE(status, net::LineReader::Status::Timeout);
-    EXPECT_LT(frames, kEvents + 2); // a buffered prefix, not all
-
-    sub.reset();
-    pub.reset();
-    server.stop();
-}
+// ---- the max-connections guard ----
 
 TEST(StoreServiceTest, MaxConnectionsRejectsWithNack)
 {

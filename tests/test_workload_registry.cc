@@ -12,8 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include "ir/memdep.hh"
-#include "machine/machine_config.hh"
+#include "driver/registry.hh"
+#include "driver/runner.hh"
 #include "sched/scheduler.hh"
 #include "sched/validate.hh"
 #include "workloads/registry.hh"
@@ -132,7 +132,8 @@ TEST(WorkloadRegistry, RandSeedsDiffer)
 }
 
 /** Every registered label (and one deep cut per family) must yield
- *  loops the reference-config scheduler can schedule and validate. */
+ *  loops the grid's l0-8 cell can schedule and validate: the same
+ *  unroll decision and loop bodies the grid schedules. */
 class SchedulableWorkload
     : public ::testing::TestWithParam<std::string>
 {
@@ -141,19 +142,16 @@ class SchedulableWorkload
 TEST_P(SchedulableWorkload, EveryLoopSchedules)
 {
     Benchmark bench = workloadRegistry().resolve(GetParam());
-    machine::MachineConfig cfg = machine::MachineConfig::paperL0(8);
-    sched::ModuloScheduler scheduler(cfg,
-                                     sched::SchedulerOptions::l0());
-    for (const auto &li : bench.loops) {
-        ir::Loop body =
-            li.specialize ? ir::specializeLoop(li.loop) : li.loop;
-        int u = sched::chooseUnrollFactor(body, li.trips, scheduler,
-                                          cfg.numClusters);
-        if (u > 1)
-            body = ir::unrollLoop(body, u);
-        sched::Schedule s = scheduler.schedule(body);
+    driver::ArchSpec arch = driver::archRegistry().resolve("l0-8");
+    sched::ModuloScheduler scheduler(arch.config, arch.sched);
+    std::vector<int> unrolls = driver::chooseUnrollFactors(bench);
+    ASSERT_EQ(unrolls.size(), bench.loops.size());
+    for (std::size_t i = 0; i < bench.loops.size(); ++i) {
+        const LoopInstance &li = bench.loops[i];
+        sched::Schedule s =
+            scheduler.schedule(driver::loopBody(li, unrolls[i]));
         EXPECT_GT(s.ii, 0) << li.loop.name();
-        EXPECT_TRUE(sched::validateSchedule(s, cfg).empty())
+        EXPECT_TRUE(sched::validateSchedule(s, arch.config).empty())
             << li.loop.name();
     }
 }
