@@ -102,16 +102,17 @@ serveMain(std::uint16_t port, const std::string &logPath,
 
     store::StoreService service;
     service.setRetainRuns(retainRuns);
-    service.setMaxConnections(maxConns);
     std::string error;
     if (!service.open(logPath, error))
         fatal("--log %s", error.c_str());
 
-    // Session mode: the --max-conns guard needs each connection's id
-    // and its end.
+    // The --max-conns cap is the server's: a connection past it is
+    // refused at accept, whether or not it ever sends a line.
     net::Server server;
-    if (!server.start(port, service.sessionHandler(),
-                      service.closedHandler(), error))
+    if (maxConns > 0)
+        server.setMaxConnections(
+            maxConns, store::StoreService::connectionLimitNack(maxConns));
+    if (!server.start(port, service.handler(), error))
         fatal("--serve %u: %s", static_cast<unsigned>(port),
               error.c_str());
 

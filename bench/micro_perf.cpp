@@ -107,13 +107,12 @@ void
 BM_L0BufferLookup(benchmark::State &state)
 {
     mem::L0Buffer buf(static_cast<int>(state.range(0)), 8, 4);
-    std::uint8_t block[32] = {};
+    const std::uint64_t block[4] = {};
     for (int i = 0; i < state.range(0); ++i)
-        buf.fillLinear(static_cast<Addr>(i) * 32, i % 4, block);
-    std::uint8_t out[8];
+        buf.fillLinear(static_cast<Addr>(i) * 32, i % 4, block + i % 4);
     Addr addr = 0;
     for (auto _ : state) {
-        mem::L0Lookup r = buf.lookup(addr, 4, out);
+        mem::L0Lookup r = buf.lookup(addr, 4);
         benchmark::DoNotOptimize(r.hit);
         addr = (addr + 8) % (state.range(0) * 32);
     }

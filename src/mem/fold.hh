@@ -8,6 +8,7 @@
 #ifndef L0VLIW_MEM_FOLD_HH
 #define L0VLIW_MEM_FOLD_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -65,35 +66,48 @@ shiftCycle(Cycle &c, Cycle from, Cycle to)
 }
 
 /**
- * Append the valid items of the set [@p begin, @p end) to a fold key:
- * their count, then @p emit of each in LRU order (least recently used
+ * Append the valid items 0..@p n-1 of a set to a fold key: their
+ * count, then @p emit(i) of each in LRU order (least recently used
  * first). This is the canonical form of a set of interchangeable ways:
  * hits, victims and invalidations depend only on which items are valid
  * and the order they were used in — not on the raw use clock, which
  * keeps growing across invocations, nor on which way an item sits in.
  * Every use takes a fresh tick, so valid items never share a
- * lastUse and the order is total.
+ * @p stamp(i) and the order is total.
  */
-template <typename T, typename Emit>
+template <typename Valid, typename Stamp, typename Emit>
 void
-appendLruOrder(const T *begin, const T *end,
+appendLruOrder(std::size_t n, Valid valid, Stamp stamp,
                std::vector<std::uint64_t> &key, Emit emit)
 {
-    const std::size_t count_at = key.size();
-    key.push_back(0);
-    const T *prev = nullptr;
-    for (;;) {
-        const T *next = nullptr;
-        for (const T *it = begin; it != end; ++it)
-            if (it->valid && (!prev || it->lastUse > prev->lastUse)
-                && (!next || it->lastUse < next->lastUse))
-                next = it;
-        if (!next)
-            return;
-        ++key[count_at];
-        emit(*next);
-        prev = next;
+    // Sort the valid items by stamp: keys are built twice per
+    // simulated invocation, over every set of every cache, so this
+    // must neither allocate per call nor go quadratic in a large set.
+    // Sets of up to 16 ways (every cache set, bounded L0 buffers)
+    // sort on the stack, larger ones in a per-thread buffer.
+    struct Item
+    {
+        std::uint64_t stamp;
+        std::size_t index;
+    };
+    constexpr std::size_t kSmall = 16;
+    Item small[kSmall]; // trivial: no per-call initialisation
+    thread_local std::vector<Item> large;
+    Item *order = small;
+    if (n > kSmall) {
+        large.resize(n);
+        order = large.data();
     }
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        if (valid(i))
+            order[count++] = Item{stamp(i), i};
+    std::sort(order, order + count, [](const Item &a, const Item &b) {
+        return a.stamp < b.stamp;
+    });
+    key.push_back(count);
+    for (std::size_t k = 0; k < count; ++k)
+        emit(order[k].index);
 }
 
 } // namespace l0vliw::mem

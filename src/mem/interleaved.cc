@@ -1,7 +1,5 @@
 #include "mem/interleaved.hh"
 
-#include "common/logging.hh"
-
 namespace l0vliw::mem
 {
 
@@ -22,17 +20,15 @@ InterleavedMemSystem::InterleavedMemSystem(
 Addr
 InterleavedMemSystem::localAddr(Addr addr) const
 {
-    Addr word = addr / cfg.wiWordBytes;
-    Addr local_word = word / cfg.numClusters;
-    return local_word * cfg.wiWordBytes + addr % cfg.wiWordBytes;
+    Addr word = fastDiv(addr, cfg.wiWordBytes);
+    Addr local_word = fastDiv(word, cfg.numClusters);
+    return local_word * cfg.wiWordBytes + fastMod(addr, cfg.wiWordBytes);
 }
 
 MemAccessResult
 InterleavedMemSystem::access(const MemAccess &acc, Cycle now,
-                             const std::uint8_t *store_data,
-                             std::uint8_t *load_out, AccessScratch &scratch)
+                             std::uint64_t store_value)
 {
-    (void)scratch; // no per-access staging on this architecture
     MemAccessResult res;
     ClusterId home = owner(acc.addr);
     // Accesses spanning an ownership boundary involve two clusters;
@@ -41,7 +37,6 @@ InterleavedMemSystem::access(const MemAccess &acc, Cycle now,
     bool spans = owner(acc.addr + acc.size - 1) != home;
 
     if (!acc.isLoad && !acc.isPrefetch) {
-        L0_ASSERT(store_data != nullptr, "store without data");
         // Update the home slice (no allocate), write through backing,
         // keep ABs coherent: the writer's own AB copy is updated
         // in place (same data path), every remote AB copy is dropped.
@@ -52,7 +47,7 @@ InterleavedMemSystem::access(const MemAccess &acc, Cycle now,
             if (abs[c].invalidate(acc.addr))
                 ++hot.abStoreInvalidations;
         }
-        back.write(acc.addr, store_data, acc.size);
+        back.store(acc.addr, store_value, acc.size);
         ++(home == acc.cluster ? hot.localStores : hot.remoteStores);
         res.ready = now + 1;
         res.local = home == acc.cluster;
@@ -91,8 +86,8 @@ InterleavedMemSystem::access(const MemAccess &acc, Cycle now,
             abs[acc.cluster].access(acc.addr, /*allocate=*/true);
         }
     }
-    if (acc.isLoad && load_out)
-        back.read(acc.addr, load_out, acc.size);
+    if (acc.isLoad)
+        res.value = back.load(acc.addr, acc.size);
     return res;
 }
 

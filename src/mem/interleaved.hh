@@ -18,6 +18,7 @@
 
 #include <vector>
 
+#include "common/intmath.hh"
 #include "mem/mem_system.hh"
 #include "mem/tag_cache.hh"
 
@@ -30,11 +31,8 @@ class InterleavedMemSystem final : public MemSystem
   public:
     explicit InterleavedMemSystem(const machine::MachineConfig &config);
 
-    using MemSystem::access;
     MemAccessResult access(const MemAccess &acc, Cycle now,
-                           const std::uint8_t *store_data,
-                           std::uint8_t *load_out,
-                           AccessScratch &scratch) override;
+                           std::uint64_t store_value) override;
 
     void stateKey(std::vector<std::uint64_t> &key) const override;
     void counterSnapshot(std::vector<std::uint64_t> &out) const override;
@@ -47,7 +45,7 @@ class InterleavedMemSystem final : public MemSystem
     ClusterId owner(Addr addr) const
     {
         return static_cast<ClusterId>(
-            (addr / cfg.wiWordBytes) % cfg.numClusters);
+            fastMod(fastDiv(addr, cfg.wiWordBytes), cfg.numClusters));
     }
 
   private:

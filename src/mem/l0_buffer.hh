@@ -19,9 +19,19 @@
  * duplicates (the paper keeps a single write port), and invalidate-all
  * is a constant-latency operation because no dirty data can exist.
  *
- * Data bytes physically live in the entries: a load that hits a stale
- * entry returns stale bytes. The coherence oracle in src/sim depends on
- * this to prove the compiler's coherence management correct.
+ * Data physically lives in the entries, as little-endian 64-bit payload
+ * words (an entry's subblock bytes, packed densely): a load that hits a
+ * stale entry returns a stale value. The coherence oracle in src/sim
+ * depends on this to prove the compiler's coherence management correct.
+ *
+ * The buffer is laid out as dense per-slot arrays — block address
+ * (validity), LRU stamp, shape and payload — plus a block-tag index:
+ * slots are chained by block address in a small hash table, so an
+ * access probes only the slots of its own L1 block instead of
+ * scanning the buffer (an unbounded buffer holds hundreds of slots).
+ * Which slot wins — the most recently used match — does not depend on
+ * the probe order. An unbounded buffer reuses its slots across loops:
+ * the flush only forgets them.
  */
 
 #ifndef L0VLIW_MEM_L0_BUFFER_HH
@@ -38,20 +48,6 @@
 namespace l0vliw::mem
 {
 
-/** One L0 subblock entry. */
-struct L0Entry
-{
-    bool valid = false;
-    Addr blockAddr = 0;             ///< owning L1 block (aligned)
-    ir::MapHint kind = ir::MapHint::LinearMap;
-    /** Linear: sub-slot index (0..N-1). Interleaved: element residue. */
-    int index = 0;
-    /** Interleaved only: element granularity in bytes (1/2/4/8). */
-    int factor = 0;
-    std::uint64_t lastUse = 0;
-    std::vector<std::uint8_t> data; ///< subblockBytes of payload
-};
-
 /** Result of an L0 lookup. */
 struct L0Lookup
 {
@@ -60,8 +56,8 @@ struct L0Lookup
     bool lastElement = false;
     /** Hit touched the lowest-addressed element of the subblock. */
     bool firstElement = false;
-    /** Index of the hit entry (for tests). */
-    int entry = -1;
+    /** Hit: the size bytes read, little-endian. */
+    std::uint64_t value = 0;
 };
 
 /** A single cluster's flexible L0 buffer. */
@@ -76,34 +72,36 @@ class L0Buffer
     L0Buffer(int num_entries, int subblock_bytes, int num_clusters);
 
     /**
-     * Probe for [addr, addr+size). Reads the bytes into @p out when it
-     * hits (out may be null for a pure probe). Updates LRU.
+     * Probe for [addr, addr+size) (1 <= size <= 8). A hit carries the
+     * value read and updates LRU.
      */
-    L0Lookup lookup(Addr addr, int size, std::uint8_t *out);
+    L0Lookup lookup(Addr addr, int size);
 
     /**
-     * Fill one linear subblock. @p sub_data points at subblockBytes of
-     * payload (the sub-slot's slice of the L1 block).
+     * Fill one linear subblock: sub-slot @p sub_index of the L1 block
+     * at @p block_addr. @p sub_words holds its subblockBytes of
+     * payload, little-endian, in words.
      */
     void fillLinear(Addr block_addr, int sub_index,
-                    const std::uint8_t *sub_data);
+                    const std::uint64_t *sub_words);
 
     /**
      * Fill one interleaved subblock holding the elements of
      * @p block_addr whose element index is congruent to @p residue
-     * (mod N) at granularity @p factor. @p block_data points at the
-     * whole L1 block; the entry packs its residue's elements densely.
+     * (mod N) at granularity @p factor. @p block_words holds the whole
+     * L1 block, little-endian, in words; the entry packs its residue's
+     * elements densely.
      */
     void fillInterleaved(Addr block_addr, int factor, int residue,
-                         const std::uint8_t *block_data);
+                         const std::uint64_t *block_words);
 
     /**
-     * Write-through store update: update the most recently used
-     * matching entry's bytes and invalidate every other matching entry
-     * (single write port, Section 4.1). @return true if any entry
-     * matched.
+     * Write-through store update: write the low @p size bytes of
+     * @p value into the most recently used matching entry and
+     * invalidate every other matching entry (single write port,
+     * Section 4.1). @return true if any entry matched.
      */
-    bool store(Addr addr, int size, const std::uint8_t *in);
+    bool store(Addr addr, int size, std::uint64_t value);
 
     /** PSR non-primary replica: invalidate all matching entries. */
     void invalidateMatching(Addr addr, int size);
@@ -128,7 +126,7 @@ class L0Buffer
 
     /**
      * Append the valid entries in LRU order (see appendLruOrder()):
-     * block, kind, index, factor and payload bytes of each.
+     * block, kind, index, factor and payload words of each.
      */
     void appendKey(std::vector<std::uint64_t> &key) const;
 
@@ -144,21 +142,69 @@ class L0Buffer
     }
 
   private:
-    /** True when entry @p e contains all bytes of [addr, addr+size). */
-    bool contains(const L0Entry &e, Addr addr, int size) const;
+    /** The shape of one slot's subblock. */
+    struct Shape
+    {
+        ir::MapHint kind = ir::MapHint::LinearMap;
+        /** Linear: sub-slot index (0..N-1). Interleaved: residue. */
+        int index = 0;
+        /** Interleaved only: element granularity in bytes (1/2/4/8). */
+        int factor = 0;
+    };
 
-    /** Byte offset inside the entry payload for @p addr, or -1. */
-    int payloadOffset(const L0Entry &e, Addr addr, int size) const;
+    /**
+     * True when valid slot @p i holds all bytes of [addr, addr+size).
+     * The caller has already checked addr against its block
+     * (quick[i] == addr & blockMask).
+     */
+    bool containsInBlock(std::size_t i, Addr addr, int size) const;
 
-    /** payloadOffset() for an entry already known to contain addr. */
-    int payloadOffsetUnchecked(const L0Entry &e, Addr addr) const;
+    /** First slot chained under @p block's bucket, or kEnd. */
+    std::int32_t
+    chain(Addr block) const
+    {
+        return head[(block >> blockShift) & (head.size() - 1)];
+    }
+
+    /**
+     * Call @p f(i) for every valid slot of L1 block @p block, in chain
+     * order. Callers' results do not depend on that order.
+     */
+    template <typename F>
+    void
+    forEachInBlock(Addr block, F f) const
+    {
+        for (std::int32_t i = chain(block); i != kEnd; i = next[i])
+            if (quick[i] == block)
+                f(static_cast<std::size_t>(i));
+    }
+
+    /** Chain slot @p i under @p block (unchaining it first). */
+    void link(std::size_t i, Addr block);
+
+    /** Rebuild an empty index of @p buckets (a power of two) and chain
+     *  every slot that has a block. */
+    void rehash(std::size_t buckets);
+
+    /** Byte offset inside slot @p i's payload for @p addr (the slot
+     *  contains it). */
+    unsigned payloadOffset(std::size_t i, Addr addr) const;
+
+    /** Slot @p i's payload words. */
+    std::uint64_t *words(std::size_t i)
+    {
+        return payload.data() + i * static_cast<std::size_t>(wordsPerEntry);
+    }
 
     /** Pick a slot for a new entry (invalid first, else LRU victim). */
     std::size_t victimIndex();
 
-    /** Pack residue's elements of an L1 block densely into @p dst. */
-    void gatherResidue(std::uint8_t *dst, const std::uint8_t *block_data,
-                       int factor, int residue) const;
+    /** Give a slot @p shape at @p block_addr, most recently used. */
+    void claim(std::size_t i, Addr block_addr, Shape shape);
+
+    /** Pack residue's elements of an L1 block densely into slot @p i. */
+    void gatherResidue(std::size_t i, const std::uint64_t *block_words,
+                       int factor, int residue);
 
     /** Publish the hot counters into statSet (on stats() reads). */
     void syncStats() const;
@@ -181,30 +227,41 @@ class L0Buffer
         std::uint64_t flushes = 0;
     };
 
-    /** quick[] value of an invalid entry; rejects any realistic addr. */
+    /** quick[] value of an invalid slot; rejects any realistic addr. */
     static constexpr Addr kNoBlock = 1ULL << 63;
-
-    /** Keep quick[idx] in sync after a validity/blockAddr change. */
-    void
-    syncQuick(std::size_t idx)
-    {
-        quick[idx] =
-            entries[idx].valid ? entries[idx].blockAddr : kNoBlock;
-    }
+    /** End of a chain. */
+    static constexpr std::int32_t kEnd = -1;
 
     int numEntries;
     int subblockBytes;
     int numClusters;
-    Addr blockBytes; ///< subblockBytes * numClusters, hoisted
+    int wordsPerEntry; ///< payload words per slot (subblockBytes / 8, up)
+    Addr blockBytes;   ///< subblockBytes * numClusters, hoisted
+    Addr blockMask;    ///< ~(blockBytes - 1): an address's L1 block
+    unsigned blockShift; ///< log2(blockBytes), for the bucket hash
     std::uint64_t useClock = 0;
-    std::vector<L0Entry> entries;
     /**
-     * Dense copy of each entry's block address (kNoBlock when
-     * invalid). lookup()/store() run once per simulated access and
-     * scan every entry; one unsigned compare against this array
-     * rejects an entry without touching its cache line.
+     * Slots in use, [0, live). Bounded: all of them. Unbounded: every
+     * fill since the last flush takes the next slot (growing the
+     * arrays only past their high-water mark) and the flush resets it
+     * to 0, so steady-state loops neither allocate nor free.
      */
+    std::size_t live = 0;
+    /** Each slot's block address (kNoBlock when invalid). */
     std::vector<Addr> quick;
+    /**
+     * The block-tag index. head[] holds the first slot of each bucket
+     * (hash of the block address), next[] the rest of the chain, and
+     * linked[] the block a slot is chained under (kNoBlock: none).
+     * Invalidation only clears quick[], so a chain may hold invalid
+     * slots until they are claimed again or the buffer is flushed.
+     */
+    std::vector<std::int32_t> head;
+    std::vector<std::int32_t> next;
+    std::vector<Addr> linked;
+    std::vector<std::uint64_t> stamp; ///< each slot's last use (LRU)
+    std::vector<Shape> shapes;
+    std::vector<std::uint64_t> payload; ///< wordsPerEntry per slot
     HotCounters hot;
     mutable StatSet statSet;
 };

@@ -11,7 +11,8 @@ namespace l0vliw::mem
 L0MemSystem::L0MemSystem(const machine::MachineConfig &config)
     : MemSystem(config),
       l1(config.l1SizeBytes, config.l1Assoc, config.l1BlockBytes),
-      buses(config.numClusters)
+      buses(config.numClusters),
+      fillWords((config.l1BlockBytes + 7) / 8)
 {
     for (int c = 0; c < config.numClusters; ++c)
         l0s.emplace_back(config.l0Entries, config.l0SubblockBytes,
@@ -19,43 +20,66 @@ L0MemSystem::L0MemSystem(const machine::MachineConfig &config)
 }
 
 void
-L0MemSystem::commitFillsSlow(Cycle now, AccessScratch &scratch)
+L0MemSystem::commitFillsSlow(Cycle now)
 {
+    const int n = cfg.numClusters;
     auto it = pending.begin();
     while (it != pending.end()) {
         if (it->ready > now) {
             ++it;
             continue;
         }
-        std::vector<std::uint8_t> &block = scratch.blockBuf;
         if (it->interleaved) {
             // Scatter residues r0, r0+1, ... to consecutive clusters
             // starting at the accessing cluster (Section 3.1).
-            block.resize(cfg.l1BlockBytes);
-            back.read(it->blockAddr, block.data(), cfg.l1BlockBytes);
-            for (int k = 0; k < cfg.numClusters; ++k) {
-                int residue = (it->firstResidue + k) % cfg.numClusters;
-                ClusterId c = (it->firstCluster + k) % cfg.numClusters;
+            const std::uint64_t *block =
+                readFillWords(it->blockAddr, cfg.l1BlockBytes);
+            int residue = it->firstResidue;
+            ClusterId c = it->firstCluster;
+            for (int k = 0; k < n; ++k) {
                 l0s[c].fillInterleaved(it->blockAddr, it->factor, residue,
-                                       block.data());
+                                       block);
+                if (++residue == n)
+                    residue = 0;
+                if (++c == n)
+                    c = 0;
             }
         } else {
             // A linear fill carries only its subblock.
             const int sub_bytes = cfg.l0SubblockBytes;
-            block.resize(sub_bytes);
-            back.read(it->blockAddr
-                          + static_cast<Addr>(it->subIndex) * sub_bytes,
-                      block.data(), sub_bytes);
-            l0s[it->firstCluster].fillLinear(it->blockAddr, it->subIndex,
-                                             block.data());
+            l0s[it->firstCluster].fillLinear(
+                it->blockAddr, it->subIndex,
+                readFillWords(it->blockAddr
+                                  + static_cast<Addr>(it->subIndex)
+                                        * sub_bytes,
+                              sub_bytes));
         }
         it = pending.erase(it);
     }
+    resetNextReady();
+}
+
+const std::uint64_t *
+L0MemSystem::readFillWords(Addr addr, int bytes)
+{
+    for (int k = 0; 8 * k < bytes; ++k)
+        fillWords[k] = back.load(addr + 8 * static_cast<Addr>(k),
+                                 std::min(8, bytes - 8 * k));
+    return fillWords.data();
+}
+
+void
+L0MemSystem::resetNextReady()
+{
+    nextReady = kNever;
+    for (const auto &f : pending)
+        nextReady = std::min(nextReady, f.ready);
 }
 
 const L0MemSystem::PendingFill *
 L0MemSystem::coveringFill(const MemAccess &acc) const
 {
+    const int n = cfg.numClusters;
     Addr block = acc.addr & ~static_cast<Addr>(cfg.l1BlockBytes - 1);
     for (const auto &f : pending) {
         if (f.blockAddr != block)
@@ -68,12 +92,15 @@ L0MemSystem::coveringFill(const MemAccess &acc) const
             Addr last_elem = fastDiv(off + acc.size - 1, f.factor);
             if (first_elem != last_elem)
                 continue;
-            // Which cluster will receive this element's residue?
-            int residue =
-                static_cast<int>(fastMod(first_elem, cfg.numClusters));
-            int k = (residue - f.firstResidue + cfg.numClusters)
-                    % cfg.numClusters;
-            ClusterId c = (f.firstCluster + k) % cfg.numClusters;
+            // Which cluster will receive this element's residue? The
+            // k-th cluster from firstCluster gets firstResidue + k.
+            int residue = static_cast<int>(fastMod(first_elem, n));
+            int k = residue - f.firstResidue;
+            if (k < 0)
+                k += n;
+            int c = f.firstCluster + k;
+            if (c >= n)
+                c -= n;
             if (c == acc.cluster)
                 return &f;
         } else {
@@ -117,7 +144,7 @@ L0MemSystem::startFill(const MemAccess &acc, Cycle grant)
             fastDiv(acc.addr - block, cfg.l0SubblockBytes));
     }
     f.ready = grant + lat;
-    pending.push_back(f);
+    queueFill(f);
     return f.ready;
 }
 
@@ -139,7 +166,7 @@ L0MemSystem::prefetchLinear(Addr block_addr, int sub_index,
     f.blockAddr = block_addr;
     f.subIndex = sub_index;
     f.firstCluster = cluster;
-    pending.push_back(f);
+    queueFill(f);
     ++hot.prefetchFillsLinear;
 }
 
@@ -164,7 +191,7 @@ L0MemSystem::prefetchInterleaved(Addr block_addr, int factor,
     f.factor = factor;
     f.firstResidue = first_residue;
     f.firstCluster = first_cluster;
-    pending.push_back(f);
+    queueFill(f);
     ++hot.prefetchFillsInterleaved;
 }
 
@@ -208,11 +235,10 @@ L0MemSystem::hintPrefetchSlow(const MemAccess &acc, bool positive,
 
 MemAccessResult
 L0MemSystem::access(const MemAccess &acc, Cycle now,
-                    const std::uint8_t *store_data, std::uint8_t *load_out,
-                    AccessScratch &scratch)
+                    std::uint64_t store_value)
 {
     MemAccessResult res;
-    commitFills(now, scratch);
+    commitFills(now);
 
     if (acc.isPrefetch) {
         // Explicit software prefetch: linear mapping only (step 5 —
@@ -227,7 +253,6 @@ L0MemSystem::access(const MemAccess &acc, Cycle now,
     }
 
     if (!acc.isLoad) {
-        L0_ASSERT(store_data != nullptr, "store without data");
         if (!acc.primaryStore) {
             // PSR replica: invalidate matching local entries, and also
             // cancel in-flight fills that would deliver a pre-store
@@ -253,9 +278,9 @@ L0MemSystem::access(const MemAccess &acc, Cycle now,
         Cycle grant = buses[acc.cluster].reserve(now);
         bool l1hit = l1.access(acc.addr, /*allocate=*/false);
         ++(l1hit ? hot.l1StoreHits : hot.l1StoreMisses);
-        back.write(acc.addr, store_data, acc.size);
+        back.store(acc.addr, store_value, acc.size);
         if (acc.access == ir::AccessHint::ParAccess)
-            l0s[acc.cluster].store(acc.addr, acc.size, store_data);
+            l0s[acc.cluster].store(acc.addr, acc.size, store_value);
         if (acc.psrReplicated) {
             // Together with the replica-side cancellation this closes
             // the fill-vs-replication race: a fill issued after the
@@ -283,8 +308,7 @@ L0MemSystem::access(const MemAccess &acc, Cycle now,
         Cycle lat = l1AccessLatency(acc.addr, /*allocate=*/true);
         res.ready = grant + lat;
         res.l1Hit = lat == static_cast<Cycle>(cfg.l1Latency);
-        if (load_out)
-            back.read(acc.addr, load_out, acc.size);
+        res.value = back.load(acc.addr, acc.size);
         return res;
     }
 
@@ -298,10 +322,11 @@ L0MemSystem::access(const MemAccess &acc, Cycle now,
     if (!seq)
         par_grant = buses[acc.cluster].reserve(now);
 
-    L0Lookup probe = l0s[acc.cluster].lookup(acc.addr, acc.size, load_out);
+    L0Lookup probe = l0s[acc.cluster].lookup(acc.addr, acc.size);
     if (probe.hit) {
         res.ready = now + cfg.l0Latency;
         res.l0Hit = true;
+        res.value = probe.value;
         triggerHintPrefetch(acc, probe, now);
         return res;
     }
@@ -312,8 +337,7 @@ L0MemSystem::access(const MemAccess &acc, Cycle now,
     if (const PendingFill *f = coveringFill(acc)) {
         res.ready = std::max(f->ready, now + cfg.l0Latency);
         ++hot.pendingWaits;
-        if (load_out)
-            back.read(acc.addr, load_out, acc.size);
+        res.value = back.load(acc.addr, acc.size);
         return res;
     }
 
@@ -322,8 +346,7 @@ L0MemSystem::access(const MemAccess &acc, Cycle now,
     Cycle grant = seq ? buses[acc.cluster].reserve(now + cfg.l0Latency)
                       : par_grant;
     res.ready = startFill(acc, grant);
-    if (load_out)
-        back.read(acc.addr, load_out, acc.size);
+    res.value = back.load(acc.addr, acc.size);
     return res;
 }
 
@@ -334,6 +357,7 @@ L0MemSystem::endLoop(Cycle now)
     for (auto &b : l0s)
         b.invalidateAll();
     pending.clear();
+    nextReady = kNever;
 }
 
 void
@@ -385,6 +409,7 @@ L0MemSystem::shiftTime(Cycle from, Cycle to)
         b.shiftTime(from, to);
     for (auto &f : pending)
         shiftCycle(f.ready, from, to);
+    resetNextReady();
 }
 
 void

@@ -7,6 +7,7 @@
 #ifndef L0VLIW_MEM_L0_SYSTEM_HH
 #define L0VLIW_MEM_L0_SYSTEM_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "mem/bus.hh"
@@ -46,11 +47,8 @@ class L0MemSystem final : public MemSystem
   public:
     explicit L0MemSystem(const machine::MachineConfig &config);
 
-    using MemSystem::access;
     MemAccessResult access(const MemAccess &acc, Cycle now,
-                           const std::uint8_t *store_data,
-                           std::uint8_t *load_out,
-                           AccessScratch &scratch) override;
+                           std::uint64_t store_value) override;
 
     void endLoop(Cycle now) override;
 
@@ -81,17 +79,38 @@ class L0MemSystem final : public MemSystem
 
     /**
      * Apply every pending fill whose data has arrived by @p now. The
-     * empty check is inline: this runs at the top of every access and
-     * the pending list is empty most of the time.
+     * check is inline: this runs at the top of every access, and
+     * until @p now reaches the earliest pending ready cycle no fill
+     * can commit (with nothing pending, never).
      */
     void
-    commitFills(Cycle now, AccessScratch &scratch)
+    commitFills(Cycle now)
     {
-        if (!pending.empty())
-            commitFillsSlow(now, scratch);
+        if (now >= nextReady)
+            commitFillsSlow(now);
     }
 
-    void commitFillsSlow(Cycle now, AccessScratch &scratch);
+    void commitFillsSlow(Cycle now);
+
+    /** Queue @p f, keeping nextReady a lower bound of every ready. */
+    void
+    queueFill(const PendingFill &f)
+    {
+        pending.push_back(f);
+        nextReady = std::min(nextReady, f.ready);
+    }
+
+    /**
+     * Read @p bytes at @p addr from the backing into fillWords as
+     * little-endian words: a fill's payload, read when it commits.
+     */
+    const std::uint64_t *readFillWords(Addr addr, int bytes);
+
+    /** Recompute nextReady from the pending list. */
+    void resetNextReady();
+
+    /** nextReady with nothing pending. */
+    static constexpr Cycle kNever = ~Cycle{0};
 
     /** True if an in-flight fill will cover [addr, addr+size). */
     const PendingFill *coveringFill(const MemAccess &acc) const;
@@ -156,6 +175,14 @@ class L0MemSystem final : public MemSystem
     std::vector<Bus> buses;
     std::vector<L0Buffer> l0s;
     std::vector<PendingFill> pending;
+    /** One L1 block of words, sized once: fills stage through it. */
+    std::vector<std::uint64_t> fillWords;
+    /**
+     * A lower bound of every pending fill's ready cycle (kNever when
+     * none is pending). Not fold state: it only decides when
+     * commitFills() scans, never what a scan commits.
+     */
+    Cycle nextReady = kNever;
 };
 
 } // namespace l0vliw::mem

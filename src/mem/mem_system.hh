@@ -6,8 +6,9 @@
  * the compiler's hints (which the hardware must honour for NO/SEQ/PAR
  * and may honour for mapping/prefetch), the issuing cluster, and the
  * stall-adjusted issue cycle; the system returns the cycle the data is
- * ready plus the bytes the load actually observed (possibly stale if
- * the compiler mismanaged coherence — the oracle checks).
+ * ready plus the value the load actually observed (possibly stale if
+ * the compiler mismanaged coherence — the oracle checks). Data moves
+ * as 64-bit little-endian values end to end, never as byte buffers.
  */
 
 #ifndef L0VLIW_MEM_MEM_SYSTEM_HH
@@ -49,18 +50,8 @@ struct MemAccessResult
     bool l0Hit = false;     ///< L0-buffer hit (L0 architecture only)
     bool l1Hit = true;      ///< L1 (or slice) hit
     bool local = true;      ///< served without crossing clusters
-};
-
-/**
- * Caller-provided reusable scratch for the access path. A hot caller
- * (the kernel-plan executor) owns one per plan so per-access temporary
- * buffers — block staging for L0 fills today — are allocated once and
- * reused across every invocation instead of per access. Callers that
- * do not care use the system's own fallback scratch.
- */
-struct AccessScratch
-{
-    std::vector<std::uint8_t> blockBuf; ///< one L1 block of staging
+    /** Loads: the acc.size bytes observed, little-endian. */
+    std::uint64_t value = 0;
 };
 
 /** Abstract memory hierarchy under the clustered VLIW core. */
@@ -79,23 +70,12 @@ class MemSystem
      *
      * @param acc the access descriptor
      * @param now stall-adjusted issue cycle
-     * @param store_data bytes to write (stores; size acc.size)
-     * @param load_out buffer receiving observed bytes (loads; may be
-     *        null when the caller only needs timing)
-     * @param scratch reusable temporary storage owned by the caller
+     * @param store_value stores: the value whose low acc.size bytes
+     *        are written (ignored otherwise)
+     * @return timing, routing and (loads) the observed value
      */
     virtual MemAccessResult access(const MemAccess &acc, Cycle now,
-                                   const std::uint8_t *store_data,
-                                   std::uint8_t *load_out,
-                                   AccessScratch &scratch) = 0;
-
-    /** access() against the system's own fallback scratch. */
-    MemAccessResult
-    access(const MemAccess &acc, Cycle now, const std::uint8_t *store_data,
-           std::uint8_t *load_out)
-    {
-        return access(acc, now, store_data, load_out, ownScratch);
-    }
+                                   std::uint64_t store_value) = 0;
 
     /**
      * Loop boundary: the inter-loop coherence flush (invalidate_buffer
@@ -116,7 +96,7 @@ class MemSystem
      * Append a canonical key of every behaviour-affecting field that
      * holds no absolute cycle: each cache set's or buffer's valid
      * tags in LRU order (appendLruOrder(): never the raw use clock nor
-     * the way a tag sits in), the payload bytes of valid L0 entries,
+     * the way a tag sits in), the payload words of valid L0 entries,
      * pending fills. Two states with equal keys (and equal timeKey()s
      * and backing contents) produce the same results from then on.
      */
@@ -170,7 +150,6 @@ class MemSystem
     machine::MachineConfig cfg;
     Backing back;
     mutable StatSet statSet;
-    AccessScratch ownScratch;
 };
 
 } // namespace l0vliw::mem

@@ -1,7 +1,5 @@
 #include "mem/multivliw.hh"
 
-#include "common/logging.hh"
-
 namespace l0vliw::mem
 {
 
@@ -20,15 +18,12 @@ MultiVliwMemSystem::MultiVliwMemSystem(const machine::MachineConfig &config)
 
 MemAccessResult
 MultiVliwMemSystem::access(const MemAccess &acc, Cycle now,
-                           const std::uint8_t *store_data,
-                           std::uint8_t *load_out, AccessScratch &scratch)
+                           std::uint64_t store_value)
 {
-    (void)scratch; // no per-access staging on this architecture
     MemAccessResult res;
     TagCache &local = slices[acc.cluster];
 
     if (!acc.isLoad && !acc.isPrefetch) {
-        L0_ASSERT(store_data != nullptr, "store without data");
         // Write-through invalidate: update the local slice if present,
         // invalidate every remote copy, always update backing.
         local.access(acc.addr, /*allocate=*/false);
@@ -38,7 +33,7 @@ MultiVliwMemSystem::access(const MemAccess &acc, Cycle now,
             if (slices[c].invalidate(acc.addr))
                 ++hot.storeInvalidations;
         }
-        back.write(acc.addr, store_data, acc.size);
+        back.store(acc.addr, store_value, acc.size);
         res.ready = now + 1;
         return res;
     }
@@ -48,8 +43,8 @@ MultiVliwMemSystem::access(const MemAccess &acc, Cycle now,
         ++hot.localHits;
         res.ready = now + cfg.mvLocalHitLatency;
         res.local = true;
-        if (acc.isLoad && load_out)
-            back.read(acc.addr, load_out, acc.size);
+        if (acc.isLoad)
+            res.value = back.load(acc.addr, acc.size);
         return res;
     }
 
@@ -76,8 +71,8 @@ MultiVliwMemSystem::access(const MemAccess &acc, Cycle now,
         // not once per block (see MachineConfig::sliceSeqPrefetch).
         local.access(acc.addr + cfg.l1BlockBytes, /*allocate=*/true);
     }
-    if (acc.isLoad && load_out)
-        back.read(acc.addr, load_out, acc.size);
+    if (acc.isLoad)
+        res.value = back.load(acc.addr, acc.size);
     return res;
 }
 

@@ -12,8 +12,12 @@ TagCache::TagCache(std::uint64_t size_bytes, int assoc, int block_bytes)
       ways(assoc), blockBytes(block_bytes)
 {
     L0_ASSERT(sets >= 1 && ways >= 1, "cache too small");
-    L0_ASSERT((blockBytes & (blockBytes - 1)) == 0,
+    L0_ASSERT(isPow2(static_cast<std::uint32_t>(blockBytes)),
               "block size must be a power of two");
+    blockShift = static_cast<unsigned>(__builtin_ctz(blockBytes));
+    setMask = isPow2(static_cast<std::uint32_t>(sets))
+                  ? static_cast<Addr>(sets - 1)
+                  : kNoMask;
     store.resize(static_cast<std::size_t>(sets) * ways);
 }
 
@@ -22,12 +26,6 @@ TagCache::fullyAssociative(int entries, int block_bytes)
 {
     return TagCache(static_cast<std::uint64_t>(entries) * block_bytes,
                     entries, block_bytes);
-}
-
-int
-TagCache::setIndex(Addr addr) const
-{
-    return static_cast<int>(fastMod(fastDiv(addr, blockBytes), sets));
 }
 
 bool
@@ -87,9 +85,14 @@ TagCache::invalidate(Addr addr)
 void
 TagCache::appendKey(std::vector<std::uint64_t> &key) const
 {
-    for (std::size_t s = 0; s < store.size(); s += ways)
-        appendLruOrder(&store[s], &store[s] + ways, key,
-                       [&key](const Way &w) { key.push_back(w.tag); });
+    for (std::size_t s = 0; s < store.size(); s += ways) {
+        const Way *set = &store[s];
+        appendLruOrder(
+            static_cast<std::size_t>(ways),
+            [set](std::size_t w) { return set[w].valid; },
+            [set](std::size_t w) { return set[w].lastUse; }, key,
+            [set, &key](std::size_t w) { key.push_back(set[w].tag); });
+    }
 }
 
 void

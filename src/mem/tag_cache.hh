@@ -73,11 +73,24 @@ class TagCache
         std::uint64_t lastUse = 0;
     };
 
-    int setIndex(Addr addr) const;
+    /** Set of @p addr: a shift and a mask, with no per-access
+     *  power-of-two test (a divide only for a non-power-of-two set
+     *  count, which no Table 2 cache has). */
+    int
+    setIndex(Addr addr) const
+    {
+        const Addr block = addr >> blockShift;
+        return static_cast<int>(setMask != kNoMask ? block & setMask
+                                                   : block % sets);
+    }
+
+    static constexpr Addr kNoMask = ~0ULL;
 
     int sets;
     int ways;
     int blockBytes;
+    unsigned blockShift; ///< log2(blockBytes)
+    Addr setMask;        ///< sets - 1, or kNoMask if sets is no power of 2
     std::uint64_t useClock = 0;
     std::vector<Way> store; // sets * ways, row-major by set
 };

@@ -1,7 +1,5 @@
 #include "mem/unified.hh"
 
-#include "common/logging.hh"
-
 namespace l0vliw::mem
 {
 
@@ -14,10 +12,8 @@ UnifiedMemSystem::UnifiedMemSystem(const machine::MachineConfig &config)
 
 MemAccessResult
 UnifiedMemSystem::access(const MemAccess &acc, Cycle now,
-                         const std::uint8_t *store_data,
-                         std::uint8_t *load_out, AccessScratch &scratch)
+                         std::uint64_t store_value)
 {
-    (void)scratch; // no per-access staging on this architecture
     MemAccessResult res;
     Bus &bus = buses[acc.cluster];
 
@@ -28,18 +24,17 @@ UnifiedMemSystem::access(const MemAccess &acc, Cycle now,
         Cycle lat = cfg.l1Latency + (hit ? 0 : cfg.l2Latency);
         res.ready = grant + lat;
         res.l1Hit = hit;
-        if (acc.isLoad && load_out)
-            back.read(acc.addr, load_out, acc.size);
+        if (acc.isLoad)
+            res.value = back.load(acc.addr, acc.size);
         return res;
     }
 
     // Store: write-through, non-allocating; completion does not gate
     // any consumer, so ready is just past issue.
-    L0_ASSERT(store_data != nullptr, "store without data");
     Cycle grant = bus.reserve(now);
     bool hit = l1.access(acc.addr, /*allocate=*/false);
     ++(hit ? hot.l1StoreHits : hot.l1StoreMisses);
-    back.write(acc.addr, store_data, acc.size);
+    back.store(acc.addr, store_value, acc.size);
     res.ready = grant + 1;
     res.l1Hit = hit;
     return res;

@@ -26,11 +26,8 @@ class UnifiedMemSystem final : public MemSystem
   public:
     explicit UnifiedMemSystem(const machine::MachineConfig &config);
 
-    using MemSystem::access;
     MemAccessResult access(const MemAccess &acc, Cycle now,
-                           const std::uint8_t *store_data,
-                           std::uint8_t *load_out,
-                           AccessScratch &scratch) override;
+                           std::uint64_t store_value) override;
 
     void stateKey(std::vector<std::uint64_t> &key) const override;
     void timeKey(Cycle start,

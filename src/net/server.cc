@@ -95,14 +95,24 @@ Server::acceptLoop()
         }
         int id = accepted_.fetch_add(1) + 1;
 
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (stopping_.load())
+            break; // raced with stop(): drop the connection unserved
+        reapFinished();
+        if (maxConns_ > 0
+            && conns_.size() >= static_cast<std::size_t>(maxConns_)) {
+            lock.unlock();
+            // Past the cap: the nack and a FIN, and the fd closes at
+            // the end of this iteration. No thread was started, so a
+            // flood of connections costs the daemon nothing but this.
+            writeLine(conn.get(), capNack_, error);
+            ::shutdown(conn.get(), SHUT_WR);
+            continue;
+        }
         auto c = std::make_unique<Conn>();
         c->fd = std::move(conn);
         c->id = static_cast<std::uint64_t>(id);
         Conn *raw = c.get();
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (stopping_.load())
-            break; // raced with stop(): drop the connection unserved
-        reapFinished();
         raw->thread = std::thread([this, raw]() { serveConn(raw); });
         conns_.push_back(std::move(c));
     }

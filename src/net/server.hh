@@ -22,11 +22,9 @@
  *    SessionHandler (the second start overload) also receives a Peer
  *    handle for the connection: a stable identity (id) plus send(),
  *    which writes a frame of its own, serialized with the reply
- *    path. The store's --max-conns guard is its one user: it keys
- *    live connections by id, and sends its nack before declining
- *    the frame. The closed callback runs on the connection's own
- *    thread, exactly once per connection, whatever ended it (EOF,
- *    error, stop()); after it returns every Peer copy is dead.
+ *    path. The closed callback runs on the connection's own thread,
+ *    exactly once per connection, whatever ended it (EOF, error,
+ *    stop()); after it returns every Peer copy is dead.
  *  - Worker count (setWorkersPerConnection). With 1, the default,
  *    the connection thread handles each frame inline: strict
  *    request order, no extra thread or queue hop. With more, the
@@ -40,6 +38,11 @@
  *    Session handlers need one worker: a Peer::send frame
  *    interleaving with out-of-order replies would leave the peer no
  *    way to correlate.
+ *
+ * A connection cap (setMaxConnections) is enforced at accept: past
+ * it, the accept loop writes one nack line and closes the connection
+ * without starting a thread for it, so connections that never send a
+ * line count like any other.
  */
 
 #ifndef L0VLIW_NET_SERVER_HH
@@ -90,9 +93,8 @@ class Server
 
         /**
          * Write one frame to the peer ahead of the handler's reply,
-         * serialized against the reply path. Its one caller is the
-         * store's --max-conns nack, sent before the handler declines.
-         * False + @p error when the connection is already broken.
+         * serialized against the reply path. False + @p error when
+         * the connection is already broken.
          */
         bool send(const std::string &line, std::string &error);
 
@@ -145,10 +147,25 @@ class Server
         workersPerConn_ = workers < 1 ? 1 : workers;
     }
 
+    /**
+     * Serve at most @p cap connections at once (0, the default, is
+     * unlimited). A connection accepted past the cap is sent @p nack
+     * as one line and closed, with no thread started for it: reject,
+     * don't queue, so idle or silent connections cannot exhaust the
+     * daemon's threads. Call before start().
+     */
+    void
+    setMaxConnections(int cap, std::string nack)
+    {
+        maxConns_ = cap < 0 ? 0 : cap;
+        capNack_ = std::move(nack);
+    }
+
     /** The bound port (valid after a successful start). */
     std::uint16_t port() const { return port_; }
 
-    /** Lifetime connection count (inspectable by tests). */
+    /** Lifetime connection count, refused ones included (inspectable
+     *  by tests). */
     int connectionsAccepted() const { return accepted_.load(); }
 
     bool running() const { return listen_.valid(); }
@@ -183,6 +200,8 @@ class Server
     ClosedHandler closedHandler_;
     Fd listen_;
     int workersPerConn_ = 1;
+    int maxConns_ = 0;     ///< 0: unlimited
+    std::string capNack_;  ///< the line a connection past the cap gets
     std::uint16_t port_ = 0;
     std::thread acceptThread_;
     std::mutex mutex_; ///< guards conns_

@@ -1,21 +1,9 @@
 #include "sim/address.hh"
 
-#include <cstring>
-
-#include "common/bytes.hh"
 #include "common/logging.hh"
 
 namespace l0vliw::sim
 {
-
-std::uint64_t
-mix(std::uint64_t a, std::uint64_t b)
-{
-    std::uint64_t z = a * 0x9e3779b97f4a7c15ULL + b + 0x7f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 Addr
 addressOf(const ir::Loop &loop, OpId id, std::uint64_t iter)
@@ -42,12 +30,6 @@ addressOf(const ir::Loop &loop, OpId id, std::uint64_t iter)
     std::uint64_t elem = mix(static_cast<std::uint64_t>(id) + 1, iter)
                          % elems;
     return arr.base + elem * op.mem.elemSize;
-}
-
-std::uint64_t
-storeValue(OpId id, std::uint64_t iter)
-{
-    return mix(0xabcdULL + static_cast<std::uint64_t>(id), iter);
 }
 
 } // namespace l0vliw::sim

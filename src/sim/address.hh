@@ -14,52 +14,32 @@
 
 #include <cstdint>
 
-#include "common/bytes.hh"
 #include "common/types.hh"
 #include "ir/loop.hh"
 
 namespace l0vliw::sim
 {
 
-/** Mixing hash used for irregular strides and store values. */
-std::uint64_t mix(std::uint64_t a, std::uint64_t b);
+/** Mixing hash used for irregular strides and store values. Inline:
+ *  the executor calls it once per simulated store. */
+inline std::uint64_t
+mix(std::uint64_t a, std::uint64_t b)
+{
+    std::uint64_t z = a * 0x9e3779b97f4a7c15ULL + b + 0x7f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
 
 /** Effective address of memory op @p id at iteration @p iter. */
 Addr addressOf(const ir::Loop &loop, OpId id, std::uint64_t iter);
 
 /** Value stored by store op @p id at iteration @p iter (acc.size
  *  low-order bytes are written). */
-std::uint64_t storeValue(OpId id, std::uint64_t iter);
-
-/** Read @p size little-endian bytes into a value. */
 inline std::uint64_t
-bytesToValue(const std::uint8_t *bytes, int size)
+storeValue(OpId id, std::uint64_t iter)
 {
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    std::uint64_t v = 0;
-    copySmall(reinterpret_cast<std::uint8_t *>(&v), bytes, size);
-    return v;
-#else
-    std::uint64_t v = 0;
-    for (int i = size - 1; i >= 0; --i)
-        v = (v << 8) | bytes[i];
-    return v;
-#endif
-}
-
-/** Write @p size little-endian bytes of @p value. */
-inline void
-valueToBytes(std::uint64_t value, std::uint8_t *bytes, int size)
-{
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    copySmall(bytes, reinterpret_cast<const std::uint8_t *>(&value),
-              size);
-#else
-    for (int i = 0; i < size; ++i) {
-        bytes[i] = static_cast<std::uint8_t>(value & 0xff);
-        value >>= 8;
-    }
-#endif
+    return mix(0xabcdULL + static_cast<std::uint64_t>(id), iter);
 }
 
 } // namespace l0vliw::sim

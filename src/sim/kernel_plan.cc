@@ -1,10 +1,13 @@
 #include "sim/kernel_plan.hh"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/bytes.hh"
 #include "common/logging.hh"
+#include "mem/interleaved.hh"
 #include "mem/l0_system.hh"
+#include "mem/multivliw.hh"
+#include "mem/unified.hh"
 #include "metrics/registry.hh"
 #include "sim/address.hh"
 
@@ -19,22 +22,22 @@ ReadyRing::get(OpId op, std::uint64_t iter) const
 {
     std::size_t idx = slot(op, iter);
     L0_ASSERT(tag[idx] == iter,
-              "ready-ring miss for op %d iter %llu (depth %d)", op,
-              static_cast<unsigned long long>(iter), depth);
+              "ready-ring miss for op %d iter %llu (depth %llu)", op,
+              static_cast<unsigned long long>(iter),
+              static_cast<unsigned long long>(mask + 1));
     return ready[idx];
 }
 
 std::uint64_t
 ChunkedOverlay::read(Addr addr, int size) const
 {
-    std::uint8_t buf[8];
-    base->read(addr, buf, size);
+    std::uint64_t value = base->load(addr, size);
     Addr first = addr & ~(kChunkBytes - 1);
     Addr last = (addr + size - 1) & ~(kChunkBytes - 1);
-    patch(first, addr, buf, size);
+    patch(first, addr, size, value);
     if (last != first)
-        patch(last, addr, buf, size);
-    return bytesToValue(buf, size);
+        patch(last, addr, size, value);
+    return value;
 }
 
 const ChunkedOverlay::Chunk *
@@ -62,8 +65,8 @@ ChunkedOverlay::chunkFor(Addr chunk_addr)
 }
 
 void
-ChunkedOverlay::patch(Addr chunk_addr, Addr addr, std::uint8_t *buf,
-                      int size) const
+ChunkedOverlay::patch(Addr chunk_addr, Addr addr, int size,
+                      std::uint64_t &value) const
 {
     const Chunk *c = findChunk(chunk_addr);
     if (!c)
@@ -72,25 +75,26 @@ ChunkedOverlay::patch(Addr chunk_addr, Addr addr, std::uint8_t *buf,
         Addr a = addr + i;
         if ((a & ~(kChunkBytes - 1)) != chunk_addr)
             continue;
-        int off = static_cast<int>(a - chunk_addr);
-        if (c->mask >> off & 1)
-            buf[i] = c->data[off];
+        unsigned off = static_cast<unsigned>(a - chunk_addr);
+        if (c->mask >> off & 1) {
+            const unsigned shift = 8 * static_cast<unsigned>(i);
+            value = (value & ~(0xffULL << shift))
+                    | loadBytes(c->words, off, 1) << shift;
+        }
     }
 }
 
 void
 ChunkedOverlay::write(Addr addr, std::uint64_t value, int size)
 {
-    std::uint8_t buf[8];
-    valueToBytes(value, buf, size);
     int i = 0;
     while (i < size) {
         Addr a = addr + i;
         Addr chunk_addr = a & ~(kChunkBytes - 1);
         Chunk &c = chunkFor(chunk_addr);
-        int off = static_cast<int>(a - chunk_addr);
-        int n = std::min(size - i, static_cast<int>(kChunkBytes) - off);
-        copySmall(c.data + off, buf + i, n);
+        unsigned off = static_cast<unsigned>(a - chunk_addr);
+        int n = std::min(size - i, static_cast<int>(kChunkBytes - off));
+        storeBytes(c.words, off, value >> (8 * i), n);
         c.mask |= ((1ULL << n) - 1) << off;
         i += n;
     }
@@ -421,26 +425,17 @@ KernelPlan::runRowInstance(const Row &row, long k, std::uint64_t trips,
         mem::MemAccess &acc = sl.acc;
         acc.addr = nextAddr(sl.gen, execCursors_[sl.gen]);
 
-        // Neither buffer needs zeroing: the memory system writes
-        // exactly acc.size bytes of load_out, and only acc.size bytes
-        // of store data are read.
-        std::uint8_t data[8];
-        if (sl.isStore)
-            valueToBytes(storeValue(sl.op,
-                                    static_cast<std::uint64_t>(iter)),
-                         data, acc.size);
-
-        std::uint8_t observed[8];
-        mem::MemAccessResult res =
-            mem.access(acc, actual, sl.isStore ? data : nullptr,
-                       sl.isLoad ? observed : nullptr, memScratch_);
+        mem::MemAccessResult res = mem.access(
+            acc, actual,
+            sl.isStore ? storeValue(sl.op, static_cast<std::uint64_t>(iter))
+                       : 0);
         ++out.memAccesses;
 
         if (sl.isLoad) {
             ring_.set(sl.op, static_cast<std::uint64_t>(iter),
                       res.ready);
             if (opts.checkCoherence) {
-                std::uint64_t got = bytesToValue(observed, acc.size);
+                const std::uint64_t got = res.value;
                 std::uint64_t want;
                 if (sl.loadIdx >= 0) {
                     want = expected_[static_cast<std::size_t>(sl.loadIdx)
@@ -449,9 +444,7 @@ KernelPlan::runRowInstance(const Row &row, long k, std::uint64_t trips,
                 } else {
                     // No store of the loop writes these bytes: the
                     // backing holds the value a replay would compute.
-                    std::uint8_t current[8];
-                    mem.backing().read(acc.addr, current, acc.size);
-                    want = bytesToValue(current, acc.size);
+                    want = mem.backing().load(acc.addr, acc.size);
                 }
                 if (got != want) {
                     ++out.coherenceViolations;
@@ -617,13 +610,23 @@ KernelPlan::simulate(mem::MemSystem &mem, std::uint64_t trips,
     std::uint64_t stall = 0;
     if (!rows_.empty()) {
         // One type switch per invocation so the per-access call into
-        // the (final) memory system is direct, not virtual.
+        // the (final) memory system is direct, not virtual. Any other
+        // MemSystem (tests' fakes) takes the virtual call.
+        auto phases = [&](auto &m) {
+            runPhases(m, trips, start_cycle, bus_latency, opts, stall,
+                      out);
+        };
         if (auto *l0 = dynamic_cast<mem::L0MemSystem *>(&mem))
-            runPhases(*l0, trips, start_cycle, bus_latency, opts, stall,
-                      out);
+            phases(*l0);
+        else if (auto *u = dynamic_cast<mem::UnifiedMemSystem *>(&mem))
+            phases(*u);
+        else if (auto *mv = dynamic_cast<mem::MultiVliwMemSystem *>(&mem))
+            phases(*mv);
+        else if (auto *wi =
+                     dynamic_cast<mem::InterleavedMemSystem *>(&mem))
+            phases(*wi);
         else
-            runPhases(mem, trips, start_cycle, bus_latency, opts, stall,
-                      out);
+            phases(mem);
     }
 
     const long last_issue =

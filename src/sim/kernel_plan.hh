@@ -17,9 +17,9 @@
  *    precomputed, so the steady state advances an address with one add
  *    and one compare instead of a div/mod per access);
  *  - the load-use dependence lists in CSR form;
- *  - reusable scratch: the ready ring, the golden-replay buffers (a
- *    block-granular overlay instead of a per-byte hash map), and the
- *    memory system's AccessScratch.
+ *  - reusable scratch: the ready ring (power-of-two deep, so a slot is
+ *    a shift and a mask) and the golden-replay buffers (a
+ *    block-granular overlay instead of a per-byte hash map).
  *
  * run() is then a thin executor: iteration-major stepping over only the
  * non-empty rows, with an unguarded steady-state fast path between the
@@ -81,16 +81,24 @@ namespace l0vliw::sim
 namespace detail
 {
 
-/** Ring buffer of per-iteration load-ready times. */
+/**
+ * Ring buffer of per-iteration load-ready times. The depth is rounded
+ * up to a power of two, so a slot costs a shift and a mask, never a
+ * runtime division.
+ */
 class ReadyRing
 {
   public:
     void
-    init(int num_ops, int ring_depth)
+    init(int num_ops, int min_depth)
     {
-        depth = ring_depth;
-        ready.assign(static_cast<std::size_t>(num_ops) * depth, 0);
-        tag.assign(static_cast<std::size_t>(num_ops) * depth, ~0ULL);
+        shift = 0;
+        while ((1 << shift) < min_depth)
+            ++shift;
+        mask = (std::uint64_t{1} << shift) - 1;
+        const std::size_t n = static_cast<std::size_t>(num_ops) << shift;
+        ready.assign(n, 0);
+        tag.assign(n, ~0ULL);
     }
 
     /** Forget every entry (between invocations) without reallocating. */
@@ -114,10 +122,11 @@ class ReadyRing
     std::size_t
     slot(OpId op, std::uint64_t iter) const
     {
-        return static_cast<std::size_t>(op) * depth + iter % depth;
+        return (static_cast<std::size_t>(op) << shift) | (iter & mask);
     }
 
-    int depth = 0;
+    int shift = 0;          ///< log2 of the depth
+    std::uint64_t mask = 0; ///< depth - 1
     std::vector<Cycle> ready;
     std::vector<std::uint64_t> tag;
 };
@@ -126,7 +135,7 @@ class ReadyRing
  * Block-granular overlay over the pre-invocation backing state for the
  * golden replay. Equivalent to a per-byte map, but one hash probe
  * covers a whole chunk and the bucket storage is reused across
- * invocations via reset().
+ * invocations via reset(). Values in and out, like the Backing.
  */
 class ChunkedOverlay
 {
@@ -150,12 +159,14 @@ class ChunkedOverlay
 
     struct Chunk
     {
-        std::uint64_t mask = 0; ///< bit i set => data[i] overlaid
-        std::uint8_t data[kChunkBytes];
+        std::uint64_t mask = 0; ///< bit i set => byte i overlaid
+        std::uint64_t words[kChunkBytes / 8] = {}; ///< little-endian
     };
 
-    void patch(Addr chunk_addr, Addr addr, std::uint8_t *buf,
-               int size) const;
+    /** Replace the bytes of @p value (read at @p addr) that chunk
+     *  @p chunk_addr overlays. */
+    void patch(Addr chunk_addr, Addr addr, int size,
+               std::uint64_t &value) const;
 
     /** Existing chunk at aligned @p chunk_addr, or null. */
     const Chunk *findChunk(Addr chunk_addr) const;
@@ -313,7 +324,8 @@ class KernelPlan
     /**
      * The ramp-up / steady / drain loops, templated on the concrete
      * memory-system type so the hot path calls access() directly
-     * (run() type-switches once per invocation).
+     * (simulate() type-switches once per invocation, over all four
+     * final memory systems).
      */
     template <typename TMem>
     void runPhases(TMem &mem, std::uint64_t trips, Cycle start_cycle,
@@ -345,7 +357,6 @@ class KernelPlan
     std::vector<std::uint64_t> expected_; ///< loadIdx * trips + iter
     std::vector<detail::AddrCursor> goldenCursors_;
     std::vector<detail::AddrCursor> execCursors_;
-    mem::AccessScratch memScratch_;
     FoldRecord fold_;
     std::uint64_t simulated_ = 0, folded_ = 0;
 };

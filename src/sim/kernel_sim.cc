@@ -74,23 +74,23 @@ class GoldenOverlay
     std::uint64_t
     read(Addr addr, int size) const
     {
-        std::uint8_t buf[8];
-        base.read(addr, buf, size);
+        std::uint64_t value = base.load(addr, size);
         for (int i = 0; i < size; ++i) {
             auto it = overlay.find(addr + i);
-            if (it != overlay.end())
-                buf[i] = it->second;
+            if (it != overlay.end()) {
+                const unsigned shift = 8 * static_cast<unsigned>(i);
+                value = (value & ~(0xffULL << shift))
+                        | std::uint64_t{it->second} << shift;
+            }
         }
-        return bytesToValue(buf, size);
+        return value;
     }
 
     void
     write(Addr addr, std::uint64_t value, int size)
     {
-        std::uint8_t buf[8];
-        valueToBytes(value, buf, size);
         for (int i = 0; i < size; ++i)
-            overlay[addr + i] = buf[i];
+            overlay[addr + i] = static_cast<std::uint8_t>(value >> (8 * i));
     }
 
   private:
@@ -230,20 +230,15 @@ simulateInvocationReference(const sched::Schedule &schedule,
             acc.primaryStore = op.mem.primaryStore;
             acc.psrReplicated = op.mem.psrReplicated;
 
-            std::uint8_t data[8] = {};
-            if (op.kind == ir::OpKind::Store)
-                valueToBytes(storeValue(id, iter), data, acc.size);
-
-            std::uint8_t observed[8] = {};
             mem::MemAccessResult res = mem.access(
-                acc, actual, op.kind == ir::OpKind::Store ? data : nullptr,
-                acc.isLoad ? observed : nullptr);
+                acc, actual,
+                op.kind == ir::OpKind::Store ? storeValue(id, iter) : 0);
             ++out.memAccesses;
 
             if (acc.isLoad) {
                 ring.set(id, iter, res.ready);
                 if (opts.checkCoherence) {
-                    std::uint64_t got = bytesToValue(observed, acc.size);
+                    std::uint64_t got = res.value;
                     if (got != expected[id][iter]) {
                         ++out.coherenceViolations;
                         if (opts.strictCoherence) {

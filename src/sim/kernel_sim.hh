@@ -13,7 +13,7 @@
  * stacked bars of Figures 5 and 7.
  *
  * A golden replay of the invocation in program order provides the
- * expected value of every load; any mismatch with the bytes the load
+ * expected value of every load; any mismatch with the value the load
  * actually observed (e.g. from a stale L0 entry) is a coherence
  * violation. With the paper's scheduling rules in force the count must
  * be zero — the property tests assert exactly that.

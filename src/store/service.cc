@@ -104,30 +104,13 @@ StoreService::handleLine(const std::string &line)
     return handleQuery(line);
 }
 
-std::optional<std::string>
-StoreService::handleSessionLine(const std::string &line,
-                                net::Server::Peer &peer)
+std::string
+StoreService::connectionLimitNack(int cap)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (liveConns_.insert(peer.id()).second && maxConnections_ > 0
-            && liveConns_.size()
-                   > static_cast<std::size_t>(maxConnections_)) {
-            // Reject, don't queue: a leak of idle connections must
-            // not starve ingest. The nack goes through Peer::send so
-            // it is on the wire before the close below.
-            std::string error;
-            peer.send("{\"event\":\"nack\",\"error\":"
-                          + json::quote("connection limit reached ("
-                                        + std::to_string(
-                                            maxConnections_)
-                                        + ")")
-                          + "}",
-                      error);
-            return std::nullopt; // closes the connection
-        }
-    }
-    return handleLine(line);
+    return "{\"event\":\"nack\",\"error\":"
+           + json::quote("connection limit reached (" + std::to_string(cap)
+                         + ")")
+           + "}";
 }
 
 std::string
@@ -150,13 +133,6 @@ StoreService::handleIngest(const std::string &line)
         break;
     }
     return "{\"event\":\"nack\",\"error\":" + json::quote(error) + "}";
-}
-
-void
-StoreService::connectionClosed(net::Server::Peer &peer)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    liveConns_.erase(peer.id());
 }
 
 void

@@ -29,10 +29,8 @@
 #ifndef L0VLIW_STORE_SERVICE_HH
 #define L0VLIW_STORE_SERVICE_HH
 
-#include <cstdint>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "net/server.hh"
@@ -55,8 +53,7 @@ class StoreService
      */
     std::optional<std::string> handleLine(const std::string &line);
 
-    /** handleLine bound as a net::Server handler (no connection
-     *  cap). */
+    /** handleLine bound as a net::Server handler. */
     net::Server::Handler
     handler()
     {
@@ -66,39 +63,31 @@ class StoreService
     }
 
     /**
-     * The daemon's handler pair: everything handleLine serves, plus
-     * the max-connections guard, which needs the connection's id and
-     * its end. Bind both on one net::Server:
+     * handleLine bound as a session-mode handler pair (the closed
+     * callback has nothing to free). Bind both on one net::Server:
      *   server.start(port, svc.sessionHandler(), svc.closedHandler(),
      *                error)
      */
     net::Server::SessionHandler
     sessionHandler()
     {
-        return [this](const std::string &line, net::Server::Peer &peer) {
-            return handleSessionLine(line, peer);
+        return [this](const std::string &line, net::Server::Peer &) {
+            return handleLine(line);
         };
     }
 
-    /** Companion to sessionHandler(): frees the connection's slot
-     *  when it ends. */
     net::Server::ClosedHandler
     closedHandler()
     {
-        return [this](net::Server::Peer &peer) {
-            connectionClosed(peer);
-        };
+        return [](net::Server::Peer &) {};
     }
 
     /**
-     * Cap concurrent connections (session mode only; 0 = unlimited).
-     * A connection past the cap gets one nack line and is closed —
-     * reject-don't-queue, so clients that leak used-then-idle
-     * connections cannot exhaust the daemon's threads and starve
-     * publishers. A connection counts from its first line. Call
-     * before serving.
+     * The line a connection past the daemon's --max-conns cap gets
+     * (net::Server::setMaxConnections) before it is closed: a nack,
+     * like an undecodable frame's, naming the cap.
      */
-    void setMaxConnections(int cap) { maxConnections_ = cap; }
+    static std::string connectionLimitNack(int cap);
 
     /**
      * Auto-compaction: keep at most @p runs runs per suite (0 = keep
@@ -113,9 +102,6 @@ class StoreService
     EventLog &log() { return log_; }
 
   private:
-    std::optional<std::string>
-    handleSessionLine(const std::string &line, net::Server::Peer &peer);
-    void connectionClosed(net::Server::Peer &peer);
     std::string handleIngest(const std::string &line);
     std::string handleQuery(const std::string &line);
     /** Compact down to retainRuns_ if any suite exceeds it (store
@@ -124,8 +110,6 @@ class StoreService
 
     EventLog log_;
     std::mutex mutex_;
-    std::set<std::uint64_t> liveConns_; ///< session-mode peer ids
-    int maxConnections_ = 0;
     int retainRuns_ = 0;
 };
 

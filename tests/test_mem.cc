@@ -5,8 +5,11 @@
  * interleaved entry semantics.
  */
 
-#include <cstring>
 #include <gtest/gtest.h>
+
+#include <array>
+#include <map>
+#include <random>
 
 #include "mem/backing.hh"
 #include "mem/bus.hh"
@@ -21,40 +24,69 @@ using namespace l0vliw::mem;
 TEST(Backing, DefaultPatternIsDeterministic)
 {
     Backing a, b;
-    std::uint8_t x[8], y[8];
-    a.read(0x1234, x, 8);
-    b.read(0x1234, y, 8);
-    EXPECT_EQ(0, std::memcmp(x, y, 8));
+    EXPECT_EQ(a.load(0x1234, 8), b.load(0x1234, 8));
 }
 
 TEST(Backing, WriteThenRead)
 {
     Backing m;
-    std::uint8_t w[4] = {1, 2, 3, 4};
-    m.write(0x2000, w, 4);
-    std::uint8_t r[4];
-    m.read(0x2000, r, 4);
-    EXPECT_EQ(0, std::memcmp(w, r, 4));
+    const std::uint64_t w = 0x04030201; // bytes 1, 2, 3, 4
+    m.store(0x2000, w, 4);
+    EXPECT_EQ(m.load(0x2000, 4), w);
 }
 
 TEST(Backing, WritesSpanPages)
 {
     Backing m;
-    std::uint8_t w[8] = {9, 9, 9, 9, 9, 9, 9, 9};
-    m.write(4096 - 4, w, 8); // straddles a page boundary
-    std::uint8_t r[8];
-    m.read(4096 - 4, r, 8);
-    EXPECT_EQ(0, std::memcmp(w, r, 8));
+    const std::uint64_t w = 0x0909090909090909;
+    m.store(4096 - 4, w, 8); // straddles a page boundary
+    EXPECT_EQ(m.load(4096 - 4, 8), w);
 }
 
 TEST(Backing, UnwrittenNeighboursKeepPattern)
 {
     Backing m;
-    std::uint8_t w = 0xAA;
-    m.write(0x3000, &w, 1);
-    std::uint8_t r;
-    m.read(0x3001, &r, 1);
-    EXPECT_EQ(r, Backing::defaultByte(0x3001));
+    m.store(0x3000, 0xAA, 1);
+    EXPECT_EQ(m.load(0x3001, 1), Backing::defaultByte(0x3001));
+}
+
+TEST(Backing, LoadStoreMatchesByteModel)
+{
+    // Seeded random 1/2/4/8-byte stores and loads, biased toward word
+    // and page boundaries, against a byte map over the default
+    // pattern: values are little-endian, straddling accesses split
+    // across words and pages, and unwritten bytes keep defaultByte().
+    std::map<Addr, std::uint8_t> model;
+    auto model_load = [&model](Addr addr, int size) {
+        std::uint64_t v = 0;
+        for (int i = 0; i < size; ++i) {
+            auto it = model.find(addr + i);
+            std::uint8_t b = it != model.end()
+                                 ? it->second
+                                 : Backing::defaultByte(addr + i);
+            v |= std::uint64_t{b} << (8 * i);
+        }
+        return v;
+    };
+    Backing m;
+    std::mt19937_64 rng(20260118);
+    const int sizes[] = {1, 2, 4, 8};
+    // Near word and page boundaries of three pages, one never written.
+    const Addr bases[] = {0x1000, 0x2000, 0x7fff8};
+    for (int step = 0; step < 20000; ++step) {
+        const int size = sizes[rng() % 4];
+        const Addr addr = bases[rng() % 3] - 12 + rng() % 24;
+        if (rng() % 3 == 0 && addr < 0x7f000) {
+            const std::uint64_t v = rng();
+            m.store(addr, v, size);
+            for (int i = 0; i < size; ++i)
+                model[addr + i] = static_cast<std::uint8_t>(v >> (8 * i));
+        } else {
+            ASSERT_EQ(m.load(addr, size), model_load(addr, size))
+                << "step " << step << " addr " << addr << " size "
+                << size;
+        }
+    }
 }
 
 // ------------------------------------------------------------------- bus
@@ -135,14 +167,22 @@ TEST(TagCache, ClearDropsEverything)
 namespace
 {
 
-/** An L1 block with bytes 0..31. */
-std::vector<std::uint8_t>
-pattern32()
+/** An L1 block with bytes 0..31 (each plus @p add), in words. */
+std::array<std::uint64_t, 4>
+pattern32(int add = 0)
 {
-    std::vector<std::uint8_t> v(32);
+    std::array<std::uint64_t, 4> w{};
     for (int i = 0; i < 32; ++i)
-        v[i] = static_cast<std::uint8_t>(i);
-    return v;
+        w[i / 8] |= static_cast<std::uint64_t>((i + add) & 0xff)
+                    << (8 * (i % 8));
+    return w;
+}
+
+/** Byte @p i of a little-endian value. */
+int
+byteOf(std::uint64_t v, int i)
+{
+    return static_cast<int>(v >> (8 * i) & 0xff);
 }
 
 } // namespace
@@ -151,15 +191,15 @@ TEST(L0Buffer, LinearContainment)
 {
     L0Buffer b(4, 8, 4);
     auto blk = pattern32();
-    b.fillLinear(0x100, 1, blk.data() + 8); // bytes 8..15 of the block
+    b.fillLinear(0x100, 1, blk.data() + 1); // bytes 8..15 of the block
 
-    std::uint8_t out[4];
-    EXPECT_TRUE(b.lookup(0x108, 4, out).hit);
-    EXPECT_EQ(out[0], 8);
-    EXPECT_EQ(out[3], 11);
-    EXPECT_TRUE(b.lookup(0x10c, 4, out).hit);
-    EXPECT_FALSE(b.lookup(0x100, 4, nullptr).hit); // sub-slot 0 absent
-    EXPECT_FALSE(b.lookup(0x10e, 4, nullptr).hit); // crosses subblock end
+    L0Lookup r = b.lookup(0x108, 4);
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(byteOf(r.value, 0), 8);
+    EXPECT_EQ(byteOf(r.value, 3), 11);
+    EXPECT_TRUE(b.lookup(0x10c, 4).hit);
+    EXPECT_FALSE(b.lookup(0x100, 4).hit); // sub-slot 0 absent
+    EXPECT_FALSE(b.lookup(0x10e, 4).hit); // crosses subblock end
 }
 
 TEST(L0Buffer, LinearFirstAndLastElementFlags)
@@ -167,11 +207,11 @@ TEST(L0Buffer, LinearFirstAndLastElementFlags)
     L0Buffer b(4, 8, 4);
     auto blk = pattern32();
     b.fillLinear(0x100, 0, blk.data());
-    auto first = b.lookup(0x100, 2, nullptr);
+    auto first = b.lookup(0x100, 2);
     EXPECT_TRUE(first.hit);
     EXPECT_TRUE(first.firstElement);
     EXPECT_FALSE(first.lastElement);
-    auto last = b.lookup(0x106, 2, nullptr);
+    auto last = b.lookup(0x106, 2);
     EXPECT_TRUE(last.hit);
     EXPECT_TRUE(last.lastElement);
     EXPECT_FALSE(last.firstElement);
@@ -185,17 +225,19 @@ TEST(L0Buffer, InterleavedContainmentAndPayload)
     auto blk = pattern32();
     b.fillInterleaved(0x200, 2, 1, blk.data());
 
-    std::uint8_t out[2];
-    EXPECT_TRUE(b.lookup(0x202, 2, out).hit);
-    EXPECT_EQ(out[0], 2);
-    EXPECT_EQ(out[1], 3);
-    EXPECT_TRUE(b.lookup(0x20a, 2, out).hit);
-    EXPECT_EQ(out[0], 10);
-    EXPECT_TRUE(b.lookup(0x21a, 2, out).hit);
-    EXPECT_EQ(out[0], 26);
+    L0Lookup r = b.lookup(0x202, 2);
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(byteOf(r.value, 0), 2);
+    EXPECT_EQ(byteOf(r.value, 1), 3);
+    r = b.lookup(0x20a, 2);
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(byteOf(r.value, 0), 10);
+    r = b.lookup(0x21a, 2);
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(byteOf(r.value, 0), 26);
     // Other residues miss.
-    EXPECT_FALSE(b.lookup(0x200, 2, nullptr).hit);
-    EXPECT_FALSE(b.lookup(0x204, 2, nullptr).hit);
+    EXPECT_FALSE(b.lookup(0x200, 2).hit);
+    EXPECT_FALSE(b.lookup(0x204, 2).hit);
 }
 
 TEST(L0Buffer, InterleavedWiderAccessMisses)
@@ -205,8 +247,8 @@ TEST(L0Buffer, InterleavedWiderAccessMisses)
     L0Buffer b(4, 8, 4);
     auto blk = pattern32();
     b.fillInterleaved(0x200, 1, 0, blk.data());
-    EXPECT_TRUE(b.lookup(0x200, 1, nullptr).hit);
-    EXPECT_FALSE(b.lookup(0x200, 4, nullptr).hit);
+    EXPECT_TRUE(b.lookup(0x200, 1).hit);
+    EXPECT_FALSE(b.lookup(0x200, 4).hit);
 }
 
 TEST(L0BufferDeathTest, IncompatibleInterleaveFactorPanicsReadably)
@@ -226,9 +268,9 @@ TEST(L0Buffer, InterleavedBoundaryFlags)
     L0Buffer b(4, 8, 4);
     auto blk = pattern32();
     b.fillInterleaved(0x200, 2, 0, blk.data()); // elems 0,4,8,12
-    auto first = b.lookup(0x200, 2, nullptr);
+    auto first = b.lookup(0x200, 2);
     EXPECT_TRUE(first.firstElement);
-    auto last = b.lookup(0x218, 2, nullptr); // element 12
+    auto last = b.lookup(0x218, 2); // element 12
     EXPECT_TRUE(last.lastElement);
 }
 
@@ -238,7 +280,7 @@ TEST(L0Buffer, LruVictimSelection)
     auto blk = pattern32();
     b.fillLinear(0x100, 0, blk.data());
     b.fillLinear(0x200, 0, blk.data());
-    b.lookup(0x100, 4, nullptr);        // 0x100 becomes MRU
+    b.lookup(0x100, 4);         // 0x100 becomes MRU
     b.fillLinear(0x300, 0, blk.data()); // evicts 0x200
     EXPECT_TRUE(b.hasLinear(0x100, 0));
     EXPECT_FALSE(b.hasLinear(0x200, 0));
@@ -264,21 +306,20 @@ TEST(L0Buffer, StoreUpdatesMruCopyInvalidatesDuplicates)
     b.fillLinear(0x100, 0, blk.data());        // covers bytes 0..7
     b.fillInterleaved(0x100, 2, 0, blk.data()); // covers elems 0,4,8,12
 
-    std::uint8_t val[2] = {0xEE, 0xFF};
-    EXPECT_TRUE(b.store(0x100, 2, val)); // element 0: both copies match
+    // Element 0: both copies match.
+    EXPECT_TRUE(b.store(0x100, 2, 0xFFEE)); // bytes 0xEE, 0xFF
     EXPECT_EQ(b.validEntries(), 1);
 
-    std::uint8_t out[2];
-    ASSERT_TRUE(b.lookup(0x100, 2, out).hit);
-    EXPECT_EQ(out[0], 0xEE);
-    EXPECT_EQ(out[1], 0xFF);
+    L0Lookup r = b.lookup(0x100, 2);
+    ASSERT_TRUE(r.hit);
+    EXPECT_EQ(byteOf(r.value, 0), 0xEE);
+    EXPECT_EQ(byteOf(r.value, 1), 0xFF);
 }
 
 TEST(L0Buffer, StoreMissesWhenAbsent)
 {
     L0Buffer b(4, 8, 4);
-    std::uint8_t val[2] = {1, 2};
-    EXPECT_FALSE(b.store(0x500, 2, val)); // non-write-allocate
+    EXPECT_FALSE(b.store(0x500, 2, 0x0201)); // non-write-allocate
     EXPECT_EQ(b.validEntries(), 0);
 }
 
@@ -301,7 +342,7 @@ TEST(L0Buffer, InvalidateAllIsTotal)
     b.fillInterleaved(0x200, 2, 1, blk.data());
     b.invalidateAll();
     EXPECT_EQ(b.validEntries(), 0);
-    EXPECT_FALSE(b.lookup(0x100, 4, nullptr).hit);
+    EXPECT_FALSE(b.lookup(0x100, 4).hit);
 }
 
 TEST(L0Buffer, RefillRefreshesData)
@@ -309,14 +350,10 @@ TEST(L0Buffer, RefillRefreshesData)
     L0Buffer b(4, 8, 4);
     auto blk = pattern32();
     b.fillLinear(0x100, 0, blk.data());
-    auto blk2 = pattern32();
-    for (auto &x : blk2)
-        x = static_cast<std::uint8_t>(x + 100);
+    auto blk2 = pattern32(100);
     b.fillLinear(0x100, 0, blk2.data());
     EXPECT_EQ(b.validEntries(), 1); // no duplicate entry
-    std::uint8_t out[1];
-    b.lookup(0x100, 1, out);
-    EXPECT_EQ(out[0], 100);
+    EXPECT_EQ(b.lookup(0x100, 1).value, 100u);
 }
 
 TEST(L0Buffer, StatsCountHitsAndMisses)
@@ -324,10 +361,81 @@ TEST(L0Buffer, StatsCountHitsAndMisses)
     L0Buffer b(4, 8, 4);
     auto blk = pattern32();
     b.fillLinear(0x100, 0, blk.data());
-    b.lookup(0x100, 4, nullptr);
-    b.lookup(0x900, 4, nullptr);
+    b.lookup(0x100, 4);
+    b.lookup(0x900, 4);
     EXPECT_EQ(b.stats().get("l0_hits"), 1u);
     EXPECT_EQ(b.stats().get("l0_misses"), 1u);
+}
+
+TEST(L0Buffer, ValueRoundTripLinearAndInterleaved)
+{
+    // Every access a linear or an interleaved entry holds reads back
+    // the block's little-endian value, at every size that fits, by a
+    // byte model of the block.
+    std::mt19937_64 rng(7);
+    std::array<std::uint64_t, 4> blk;
+    for (auto &w : blk)
+        w = rng();
+    auto model = [&blk](int off, int size) {
+        std::uint64_t v = 0;
+        for (int i = 0; i < size; ++i)
+            v |= (blk[(off + i) / 8] >> (8 * ((off + i) % 8)) & 0xff)
+                 << (8 * i);
+        return v;
+    };
+    const Addr block = 0x600;
+
+    L0Buffer lin(4, 8, 4);
+    for (int sub = 0; sub < 4; ++sub)
+        lin.fillLinear(block, sub, blk.data() + sub);
+    for (int size : {1, 2, 4, 8}) {
+        for (int off = 0; off + size <= 32; ++off) {
+            L0Lookup r = lin.lookup(block + off, size);
+            const bool inside = off % 8 + size <= 8;
+            EXPECT_EQ(r.hit, inside) << off << "/" << size;
+            if (inside) {
+                EXPECT_EQ(r.value, model(off, size))
+                    << off << "/" << size;
+            }
+        }
+    }
+
+    for (int f : {1, 2, 4, 8}) {
+        for (int residue = 0; residue < 4; ++residue) {
+            L0Buffer il(4, 8, 4);
+            il.fillInterleaved(block, f, residue, blk.data());
+            for (int size : {1, 2, 4, 8}) {
+                for (int off = 0; off + size <= 32; ++off) {
+                    const int elem = off / f;
+                    const bool inside = (off + size - 1) / f == elem
+                                        && elem % 4 == residue;
+                    L0Lookup r = il.lookup(block + off, size);
+                    EXPECT_EQ(r.hit, inside);
+                    if (inside) {
+                        EXPECT_EQ(r.value, model(off, size))
+                            << "factor " << f << " off " << off
+                            << " size " << size;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(L0Buffer, StoreThenNarrowerAndWiderLookups)
+{
+    const std::uint64_t word = 0x8877665544332211;
+    L0Buffer b(4, 8, 4);
+    b.fillLinear(0x700, 0, &word);
+    ASSERT_TRUE(b.store(0x704, 4, 0xDDCCBBAA));
+    EXPECT_EQ(b.lookup(0x704, 2).value, 0xBBAAu);
+    EXPECT_EQ(b.lookup(0x706, 2).value, 0xDDCCu);
+    EXPECT_EQ(b.lookup(0x707, 1).value, 0xDDu);
+    EXPECT_EQ(b.lookup(0x702, 4).value, 0xBBAA4433u);
+    EXPECT_EQ(b.lookup(0x700, 8).value, 0xDDCCBBAA44332211u);
+    // A narrow store into the middle of the word.
+    ASSERT_TRUE(b.store(0x701, 2, 0xF00F));
+    EXPECT_EQ(b.lookup(0x700, 8).value, 0xDDCCBBAA44F00F11u);
 }
 
 /** Interleaved factors sweep: containment must hold for each factor. */
@@ -343,11 +451,11 @@ TEST_P(L0InterleaveFactor, ResiduePartitionIsExact)
     b.fillInterleaved(0x400, f, 2, blk.data());
     int elems = 32 / f;
     for (int j = 0; j < elems; ++j) {
-        std::uint8_t out[8];
-        bool hit = b.lookup(0x400 + static_cast<Addr>(j) * f, f, out).hit;
+        L0Lookup r = b.lookup(0x400 + static_cast<Addr>(j) * f, f);
+        bool hit = r.hit;
         if (j % 4 == 2) {
             EXPECT_TRUE(hit) << "factor " << f << " element " << j;
-            EXPECT_EQ(out[0], static_cast<std::uint8_t>(j * f));
+            EXPECT_EQ(byteOf(r.value, 0), j * f);
         } else {
             EXPECT_FALSE(hit) << "factor " << f << " element " << j;
         }

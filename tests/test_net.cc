@@ -729,6 +729,38 @@ TEST(Server, NulloptHandlerClosesTheConnection)
     EXPECT_NE(reader.readLine(reply, err), LineReader::Status::Line);
 }
 
+TEST(Server, MaxConnectionsCountsSilentConnections)
+{
+    // The cap counts a connection from its accept, not from its first
+    // line: a first connection that never speaks still holds the one
+    // slot, so the second gets the nack at once and then EOF.
+    net::Server server;
+    server.setMaxConnections(1, "full");
+    std::string err;
+    ASSERT_TRUE(server.start(
+        0, [](const std::string &line) { return line; }, err))
+        << err;
+
+    Fd silent = net::connectTcp("127.0.0.1", server.port(), err);
+    ASSERT_TRUE(silent.valid()) << err;
+    Fd second = net::connectTcp("127.0.0.1", server.port(), err);
+    ASSERT_TRUE(second.valid()) << err;
+    LineReader reader(second.get());
+    std::string reply;
+    ASSERT_EQ(reader.readLine(reply, err, 5000), LineReader::Status::Line);
+    EXPECT_EQ(reply, "full");
+    EXPECT_EQ(reader.readLine(reply, err, 5000), LineReader::Status::Eof);
+    EXPECT_EQ(server.connectionsAccepted(), 2);
+
+    // The silent connection was served all along.
+    LineReader silentReader(silent.get());
+    ASSERT_TRUE(net::writeLine(silent.get(), "hello", err));
+    ASSERT_EQ(silentReader.readLine(reply, err, 5000),
+              LineReader::Status::Line);
+    EXPECT_EQ(reply, "hello");
+    server.stop();
+}
+
 TEST(Server, StopUnblocksAndIsIdempotent)
 {
     net::Server server;

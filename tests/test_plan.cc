@@ -548,11 +548,11 @@ TEST(FoldEquivalence, ForeignWritesAndAccessesBetweenInvocations)
         const sched::Schedule s = scheduleFor(body, arch);
         const Addr input = firstLoadArray(s);
         BetweenFn between = [input](std::size_t step, mem::MemSystem &m) {
-            const std::uint8_t bytes[4] = {1, 2, 3, 4};
+            const std::uint64_t value = 0x04030201;
             if (step == 4) // into the loop's input
-                m.backing().write(input + 8, bytes, 4);
+                m.backing().store(input + 8, value, 4);
             if (step == 8) // nowhere the loop looks
-                m.backing().write(0x7000000, bytes, 4);
+                m.backing().store(0x7000000, value, 4);
             if (step == 12) {
                 // Loads that evict the input's first block: the 8 KB
                 // 2-way L1 (and each MultiVLIW slice) repeats its sets
@@ -561,8 +561,7 @@ TEST(FoldEquivalence, ForeignWritesAndAccessesBetweenInvocations)
                 for (Addr conflict : {input + 4096, input + 8192}) {
                     mem::MemAccess acc;
                     acc.addr = conflict;
-                    std::uint8_t out[4];
-                    m.access(acc, 0, nullptr, out);
+                    m.access(acc, 0, 0);
                 }
             }
         };
@@ -674,15 +673,13 @@ expectOnlyUntouchedMemoryFolds(const ArchSpec &arch)
     };
 
     steady(64, on);
-    const std::uint8_t byte = 7;
-    mem->backing().write(0x7000000, &byte, 1);
+    mem->backing().store(0x7000000, 7, 1);
     EXPECT_FALSE(folds(*mem, 64, on)) << "after a backing write";
 
     steady(64, on);
     mem::MemAccess acc;
     acc.addr = 0x7000000;
-    std::uint8_t out[4];
-    mem->access(acc, clock, nullptr, out);
+    mem->access(acc, clock, 0);
     EXPECT_FALSE(folds(*mem, 64, on)) << "after a direct access";
 
     steady(64, on);
@@ -763,8 +760,7 @@ class OneWrongByteMemory final : public mem::MemSystem
 
     mem::MemAccessResult
     access(const mem::MemAccess &acc, Cycle now,
-           const std::uint8_t *store_data, std::uint8_t *load_out,
-           mem::AccessScratch &) override
+           std::uint64_t store_value) override
     {
         ++accesses;
         mem::MemAccessResult res;
@@ -772,12 +768,12 @@ class OneWrongByteMemory final : public mem::MemSystem
         if (acc.isPrefetch)
             return res;
         if (!acc.isLoad) {
-            back.write(acc.addr, store_data, acc.size);
+            back.store(acc.addr, store_value, acc.size);
             return res;
         }
-        back.read(acc.addr, load_out, acc.size);
+        res.value = back.load(acc.addr, acc.size);
         if (loads++ == wrongLoad)
-            load_out[0] ^= 0x5a;
+            res.value ^= 0x5a; // the low (first) byte
         return res;
     }
 

@@ -84,15 +84,6 @@ TEST(Address, IrregularIsDeterministicAndBounded)
     }
 }
 
-TEST(Address, ValueBytesRoundTrip)
-{
-    std::uint8_t buf[8];
-    valueToBytes(0x1122334455667788ULL, buf, 8);
-    EXPECT_EQ(bytesToValue(buf, 8), 0x1122334455667788ULL);
-    valueToBytes(0xABCD, buf, 2);
-    EXPECT_EQ(bytesToValue(buf, 2), 0xABCDu);
-}
-
 namespace
 {
 

@@ -959,13 +959,11 @@ TEST(StoreServiceTest, MaxConnectionsRejectsWithNack)
 {
     TempLog log("maxconns");
     StoreService service;
-    service.setMaxConnections(1);
     std::string error;
     ASSERT_TRUE(service.open(log.path(), error)) << error;
     net::Server server;
-    ASSERT_TRUE(server.start(0, service.sessionHandler(),
-                             service.closedHandler(), error))
-        << error;
+    server.setMaxConnections(1, StoreService::connectionLimitNack(1));
+    ASSERT_TRUE(server.start(0, service.handler(), error)) << error;
 
     // The first connection takes the slot...
     net::Fd first = net::connectTcp("127.0.0.1", server.port(), error);
@@ -978,12 +976,11 @@ TEST(StoreServiceTest, MaxConnectionsRejectsWithNack)
               net::LineReader::Status::Line);
     EXPECT_EQ(reply, driver::kCellPongLine);
 
-    // ...the second is told why and closed (reject, don't queue).
+    // ...the second is told why and closed (reject, don't queue). The
+    // nack arrives at accept, before the client says anything.
     net::Fd second = net::connectTcp("127.0.0.1", server.port(), error);
     ASSERT_TRUE(second.valid()) << error;
     net::LineReader secondReader(second.get());
-    ASSERT_TRUE(net::writeLine(second.get(), driver::kCellPingLine,
-                               error));
     ASSERT_EQ(secondReader.readLine(reply, error, 5000),
               net::LineReader::Status::Line);
     EXPECT_NE(reply.find("\"event\":\"nack\""), std::string::npos);
@@ -992,8 +989,9 @@ TEST(StoreServiceTest, MaxConnectionsRejectsWithNack)
     EXPECT_EQ(secondReader.readLine(reply, error, 5000),
               net::LineReader::Status::Eof);
 
-    // Closing the first frees the slot (the closed callback runs
-    // asynchronously; retry until it has).
+    // Closing the first frees the slot (the server notices the close
+    // asynchronously; retry until it has). A refused retry gets its
+    // nack at once; an admitted one hears nothing until it pings.
     first.reset();
     bool freed = false;
     for (int i = 0; i < 100 && !freed; ++i) {
@@ -1001,14 +999,19 @@ TEST(StoreServiceTest, MaxConnectionsRejectsWithNack)
                                         error);
         ASSERT_TRUE(retry.valid()) << error;
         net::LineReader retryReader(retry.get());
+        if (retryReader.readLine(reply, error, 100)
+            == net::LineReader::Status::Line) {
+            EXPECT_NE(reply.find("connection limit reached"),
+                      std::string::npos);
+            retry.reset();
+            usleep(10000);
+            continue;
+        }
         ASSERT_TRUE(net::writeLine(retry.get(), driver::kCellPingLine,
                                    error));
         ASSERT_EQ(retryReader.readLine(reply, error, 5000),
                   net::LineReader::Status::Line);
         freed = reply == driver::kCellPongLine;
-        retry.reset();
-        if (!freed)
-            usleep(10000);
     }
     EXPECT_TRUE(freed);
     server.stop();
