@@ -233,10 +233,10 @@ BM_KernelSimFolded(benchmark::State &state)
 BENCHMARK(BM_KernelSimFolded)->Arg(0)->Arg(1);
 
 /**
- * The instrumentation itself: one counter increment and one histogram
- * record, the two operations invariant 10 promises stay off the locks
- * and the allocator. These are the per-frame / per-access costs every
- * instrumented hot path pays, so they must price in nanoseconds.
+ * The instrumentation itself: one counter increment, the operation
+ * invariant 10 promises stays off the locks and the allocator. It is
+ * the per-frame / per-access cost every instrumented hot path pays, so
+ * it must price in nanoseconds.
  */
 void
 BM_MetricsCounterInc(benchmark::State &state)
@@ -249,22 +249,6 @@ BM_MetricsCounterInc(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MetricsCounterInc);
-
-void
-BM_MetricsHistogramRecord(benchmark::State &state)
-{
-    metrics::Histogram &h = metrics::histogram(
-        "bench_metrics_histogram_us", "micro_perf scratch histogram");
-    std::uint64_t v = 1;
-    for (auto _ : state) {
-        h.record(v);
-        // Walk the value across buckets so the clz path, not one hot
-        // cache line, is what gets measured.
-        v = v >= (1ULL << 20) ? 1 : v << 1;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsHistogramRecord);
 
 /**
  * The experiment engine end to end: a 4-benchmark x 4-architecture
@@ -357,7 +341,7 @@ BM_SuiteGrid(benchmark::State &state, driver::ExecBackend backend)
 
 /** An in-process result-store daemon (l0store --serve) on a loopback
  *  ephemeral port, logging to a throwaway file — what --publish would
- *  name. Session mode, exactly like the real daemon.
+ *  name, served exactly like the real daemon.
  *  L0VLIW_BENCH_STORE=host:port
  *  substitutes an externally-run daemon (the CI smoke-bench job, which
  *  wants the published run queryable after this process exits). */
@@ -375,8 +359,7 @@ loopbackStoreEndpoint()
         std::remove(path.c_str());
         std::string error;
         if (!service.open(path, error)
-            || !server.start(0, service.sessionHandler(),
-                             service.closedHandler(), error)) {
+            || !server.start(0, service.handler(), error)) {
             std::fprintf(stderr, "loopback store: %s\n", error.c_str());
             std::abort();
         }

@@ -383,40 +383,11 @@ using ExecClock = std::chrono::steady_clock;
 /** Mixes pool-thread ordinals into distinct backoff-jitter seeds. */
 constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
 
-/** Retry charges by the failure that caused them — the labeled,
- *  monotone mirror of the executors' Stats::retries. Remote charges
- *  count at the failure that finalizes them, not at redispatch (the
- *  teardown path refunds non-head dispatch charges, and a Prometheus
- *  counter cannot go down). */
-metrics::Counter &
-retryCounter(FailReason reason)
-{
-    // Registered on first use per reason, like a function-local
-    // static (the registry lookup is idempotent); retries are rare.
-    const char *name = failReasonName(reason);
-    return metrics::Registry::global().counter(
-        std::string("l0vliw_driver_retries_total{reason=\"")
-            + (*name != '\0' ? name : "none") + "\"}",
-        "Cell attempts charged beyond the first, by the transport "
-        "failure that caused the retry");
-}
-
-/** The executors' deadline/heartbeat expiries (Stats::timeouts). */
-metrics::Counter &
-deadlineTimeouts()
-{
-    static metrics::Counter &c = metrics::counter(
-        "l0vliw_driver_deadline_timeouts_total",
-        "Cell deadline and heartbeat expiries observed by executors");
-    return c;
-}
-
 /**
- * Per-finished-job bookkeeping shared by every backend: the per-cell
- * wall-time histogram, the cell/execute/plan-build trace spans, and
- * the ExecOptions.onOutcome callback. @p start is the job's first
- * dispatch — a retried or handed-off job's wall time covers every
- * burned attempt.
+ * Per-finished-job bookkeeping shared by every backend: the
+ * cell/execute/plan-build trace spans and the ExecOptions.onOutcome
+ * callback. @p start is the job's first dispatch — a retried or
+ * handed-off job's wall time covers every burned attempt.
  */
 void
 emitOutcomeEvent(const ExecOptions &opts, const CellJob &job,
@@ -425,13 +396,6 @@ emitOutcomeEvent(const ExecOptions &opts, const CellJob &job,
     ExecClock::time_point end = ExecClock::now();
     double wallMs =
         std::chrono::duration<double, std::milli>(end - start).count();
-    {
-        static metrics::Histogram &h = metrics::histogram(
-            "l0vliw_driver_cell_wall_us",
-            "Per-cell wall time from first dispatch to final outcome, "
-            "microseconds");
-        h.record(static_cast<std::uint64_t>(wallMs * 1000.0));
-    }
     if (opts.trace != nullptr) {
         double startUs = opts.trace->sinceUs(start);
         double endUs = opts.trace->sinceUs(end);
@@ -825,9 +789,7 @@ struct RemoteQueue
           firstDispatch_(total),
           total_(total),
           active_(threads)
-    {
-        publishDepthLocked();
-    }
+    {}
 
     enum class Wait
     {
@@ -894,7 +856,6 @@ struct RemoteQueue
     {
         std::lock_guard<std::mutex> lock(mutex_);
         requeued_.push_back(i);
-        publishDepthLocked();
         --working_;
         cv_.notify_all();
     }
@@ -920,7 +881,6 @@ struct RemoteQueue
         --active_;
         ++reroutes_[i];
         requeued_.push_back(i);
-        publishDepthLocked();
         --working_;
         cv_.notify_all();
         return true;
@@ -934,30 +894,15 @@ struct RemoteQueue
             i = requeued_.back();
             requeued_.pop_back();
             ++working_;
-            publishDepthLocked();
             return true;
         }
         if (nextIdx_ < total_) {
             i = nextIdx_++;
             ++working_;
             firstDispatch_[i] = ExecClock::now();
-            publishDepthLocked();
             return true;
         }
         return false;
-    }
-
-    /** Live unclaimed-depth gauge (mutex held; the gauge store itself
-     *  is lock-free, so this adds no lock to any reader). */
-    void
-    publishDepthLocked()
-    {
-        static metrics::Gauge &depth = metrics::gauge(
-            "l0vliw_driver_queue_depth",
-            "Cell jobs in the remote executor's shared queue, not yet "
-            "claimed by an endpoint");
-        depth.set(static_cast<std::int64_t>(total_ - nextIdx_
-                                            + requeued_.size()));
     }
 
     std::mutex mutex_;
@@ -992,27 +937,6 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
     const int heartbeatMs = effectiveHeartbeatMs(opts_);
     const int window = effectiveWindow(opts_);
     std::vector<int> perEndpoint(endpoints.size(), 0);
-
-    // The live-gauge view of Stats: per-endpoint outcome totals and
-    // windowed in-flight depth, registered once per endpoint index up
-    // front so the per-reply updates are lock-free gauge stores.
-    metrics::Registry &registry = metrics::Registry::global();
-    std::vector<metrics::Gauge *> epJobs(endpoints.size());
-    std::vector<metrics::Gauge *> epInflight(endpoints.size());
-    for (std::size_t e = 0; e < endpoints.size(); ++e) {
-        std::string label = "{endpoint=\"" + std::to_string(e) + "\"}";
-        epJobs[e] = &registry.gauge(
-            "l0vliw_driver_jobs_per_endpoint" + label,
-            "Final outcomes each endpoint produced (the live view of "
-            "Stats::jobsPerEndpoint, by endpoint index)");
-        epInflight[e] = &registry.gauge(
-            "l0vliw_driver_inflight" + label,
-            "Jobs currently windowed on each endpoint's channel");
-    }
-    metrics::Gauge &maxInFlightGauge = registry.gauge(
-        "l0vliw_driver_max_inflight",
-        "Peak windowed jobs observed on any one channel (the live "
-        "view of Stats::maxInFlight)");
 
     // Jobs only the in-process fallback can still resolve (--degrade
     // local): every endpoint permanently failed them.
@@ -1060,10 +984,8 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
         // attempt, exactly as if it had been dispatched and lost.
         auto chargeAll = [&]() {
             for (std::size_t i : pending)
-                if (++attempts[i] > 1) {
+                if (++attempts[i] > 1)
                     retries.fetch_add(1);
-                    retryCounter(lastReason).inc();
-                }
         };
         // The wire broke with jobs in flight: re-queue every one of
         // them locally. Exactly one job pays the attempt — the head
@@ -1079,16 +1001,9 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
             chan.close(/*kill=*/true);
             ++cycleFails;
             std::uint64_t headSeq = ~std::uint64_t{0};
-            if (!refundHead) {
+            if (!refundHead)
                 for (const auto &kv : inflight)
                     headSeq = std::min(headSeq, kv.second.seq);
-                // The head-of-line charge is the one this failure
-                // makes final — attribute it now (the monotone
-                // counter cannot mirror the dispatch-time charge and
-                // its refunds).
-                if (!inflight.empty())
-                    retryCounter(lastReason).inc();
-            }
             for (const auto &kv : inflight) {
                 if (kv.second.seq != headSeq
                     && --attempts[kv.second.job] >= 1)
@@ -1096,19 +1011,11 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                 pending.push_back(kv.second.job);
             }
             inflight.clear();
-            epInflight[index]->set(0);
         };
         // Ping/pong on an otherwise quiet channel; false means the
         // caller closes the channel.
         auto probe = [&]() -> bool {
             std::string err;
-            {
-                static metrics::Counter &pings = metrics::counter(
-                    "l0vliw_driver_heartbeats_total{type=\"ping\"}",
-                    "Heartbeat probes: pings sent by clients, pongs "
-                    "answered by executing sides");
-                pings.inc();
-            }
             if (!net::writeLine(chan.fd.get(), kCellPingLine, err)) {
                 lastError = "ping write failed: " + err;
                 lastReason = ep.broken;
@@ -1119,7 +1026,6 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                 reader.readLine(pong, err, heartbeatMs);
             if (st == net::LineReader::Status::Timeout) {
                 timeouts.fetch_add(1);
-                deadlineTimeouts().inc();
                 lastError = "peer silent: no pong within "
                             + std::to_string(heartbeatMs) + "ms";
                 lastReason = FailReason::Timeout;
@@ -1226,20 +1132,8 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                 }
                 reader.reset(chan.fd.get());
                 connects.fetch_add(1);
-                {
-                    static metrics::Counter &c = metrics::counter(
-                        "l0vliw_driver_connects_total",
-                        "Executor channels opened: daemon connections "
-                        "and spawned workers (initial and reopened)");
-                    c.inc();
-                }
-                if (everOpened) {
+                if (everOpened)
                     reconnects.fetch_add(1);
-                    static metrics::Counter &c = metrics::counter(
-                        "l0vliw_driver_reconnects_total",
-                        "Executor channels reopened after a teardown");
-                    c.inc();
-                }
                 everOpened = true;
                 if (heartbeatMs > 0 && !probe()) {
                     // A fresh channel proves it serves the protocol
@@ -1280,8 +1174,6 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                     inflight[jobs[i].id] = {i, ExecClock::now(),
                                             nextSeq++};
                     int depth = static_cast<int>(inflight.size());
-                    epInflight[index]->set(depth);
-                    maxInFlightGauge.max(depth);
                     int seen = maxInFlight.load();
                     while (depth > seen
                            && !maxInFlight.compare_exchange_weak(seen,
@@ -1321,7 +1213,6 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                 // channel goes too — every in-flight job re-queues
                 // and pays its next attempt on redispatch.
                 timeouts.fetch_add(1);
-                deadlineTimeouts().inc();
                 lastError = "cell exceeded the "
                             + std::to_string(deadlineMs)
                             + "ms deadline";
@@ -1369,14 +1260,12 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
             }
             std::size_t i = it->second.job;
             inflight.erase(it);
-            epInflight[index]->set(static_cast<int>(inflight.size()));
             cycleFails = 0;
             result.attempts = attempts[i];
             outcomes[i] = std::move(result);
             emitOutcomeEvent(opts_, jobs[i], outcomes[i],
                              queue.firstDispatch(i));
             perEndpoint[index] += 1;
-            epJobs[index]->add(1);
             queue.finish();
         }
         // Closing the channel tells the peer this stream is done: a
@@ -1408,13 +1297,6 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
         warn("all %zu endpoint(s) failed; running %zu remaining "
              "cell(s) in-process (--degrade local)",
              endpoints.size(), degraded.size());
-        {
-            static metrics::Counter &c = metrics::counter(
-                "l0vliw_driver_degraded_jobs_total",
-                "Cells drained in-process after every endpoint "
-                "permanently failed (--degrade local)");
-            c.inc(degraded.size());
-        }
         ExecOptions localOpts;
         localOpts.backend = ExecBackend::InProcess;
         localOpts.jobs = opts_.jobs;

@@ -298,7 +298,8 @@ class InProcessExecutor : public Executor
 class RemoteExecutor : public Executor
 {
   public:
-    /** Channel-health counters (inspectable by tests). */
+    /** Channel-health counters: the executor's one record of them
+     *  (tests and benchmarks read it; no metrics series mirrors it). */
     struct Stats
     {
         int connects = 0;   ///< channels opened (initial + reopened)

@@ -45,7 +45,7 @@ struct FailReasonInfo
 };
 
 /** The taxonomy, in enum order: the one list every per-reason name,
- *  counter array, metric series and `stats` column derives from. */
+ *  counter array and `stats` column derives from. */
 inline constexpr FailReasonInfo kFailReasons[] = {
     {FailReason::None, ""},
     {FailReason::Timeout, "timeout"},

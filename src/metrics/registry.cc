@@ -22,23 +22,6 @@ threadShard()
 
 } // namespace detail
 
-std::uint64_t
-Histogram::count() const noexcept
-{
-    std::uint64_t total = 0;
-    for (const auto &b : buckets_)
-        total += b.load(std::memory_order_relaxed);
-    return total;
-}
-
-void
-Histogram::reset() noexcept
-{
-    for (auto &b : buckets_)
-        b.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-}
-
 Registry &
 Registry::global()
 {
@@ -84,36 +67,6 @@ Registry::gauge(const std::string &name, const std::string &help)
     return findOrCreate(name, help, Type::Gauge).gauge;
 }
 
-Histogram &
-Registry::histogram(const std::string &name, const std::string &help)
-{
-    return findOrCreate(name, help, Type::Histogram).histogram;
-}
-
-namespace
-{
-
-const char *
-typeName(bool counter, bool histogram)
-{
-    return histogram ? "histogram" : counter ? "counter" : "gauge";
-}
-
-/** Splice extra labels into a series name that may already carry a
- *  label set: f(`a{x="y"}`, `le="4"`) -> `a{x="y",le="4"}`. */
-std::string
-withLabel(const std::string &name, const std::string &label)
-{
-    std::size_t brace = name.find('{');
-    if (brace == std::string::npos)
-        return name + "{" + label + "}";
-    std::string out = name;
-    out.insert(name.size() - 1, "," + label);
-    return out;
-}
-
-} // namespace
-
 std::string
 Registry::renderProm() const
 {
@@ -127,37 +80,16 @@ Registry::renderProm() const
         if (entry.base != lastBase) {
             out << "# HELP " << entry.base << ' ' << entry.help << '\n';
             out << "# TYPE " << entry.base << ' '
-                << typeName(entry.type == Type::Counter,
-                            entry.type == Type::Histogram)
+                << (entry.type == Type::Counter ? "counter" : "gauge")
                 << '\n';
             lastBase = entry.base;
         }
-        switch (entry.type) {
-        case Type::Counter:
-            out << entry.name << ' ' << entry.counter.value() << '\n';
-            break;
-        case Type::Gauge:
-            out << entry.name << ' ' << entry.gauge.value() << '\n';
-            break;
-        case Type::Histogram: {
-            std::uint64_t cumulative = 0;
-            for (int b = 0; b < Histogram::kBuckets - 1; ++b) {
-                cumulative += entry.histogram.bucket(b);
-                out << withLabel(entry.name + "_bucket",
-                                 "le=\"" + std::to_string(1ULL << b)
-                                     + "\"")
-                    << ' ' << cumulative << '\n';
-            }
-            cumulative +=
-                entry.histogram.bucket(Histogram::kBuckets - 1);
-            out << withLabel(entry.name + "_bucket", "le=\"+Inf\"")
-                << ' ' << cumulative << '\n';
-            out << entry.name << "_sum " << entry.histogram.sum()
-                << '\n';
-            out << entry.name << "_count " << cumulative << '\n';
-            break;
-        }
-        }
+        out << entry.name << ' ';
+        if (entry.type == Type::Counter)
+            out << entry.counter.value();
+        else
+            out << entry.gauge.value();
+        out << '\n';
     }
     return out.str();
 }
@@ -170,38 +102,15 @@ Registry::renderTable() const
     t.title = "process metrics\n";
     t.header = {"metric", "type", "value"};
     for (const Entry &entry : entries_) {
-        switch (entry.type) {
-        case Type::Counter:
+        if (entry.type == Type::Counter)
             t.rows.push_back({CellValue::text(entry.name),
                               CellValue::text("counter"),
                               CellValue::integer(entry.counter.value())});
-            break;
-        case Type::Gauge:
+        else
             t.rows.push_back(
                 {CellValue::text(entry.name), CellValue::text("gauge"),
                  CellValue::fixed(
                      static_cast<double>(entry.gauge.value()), 0)});
-            break;
-        case Type::Histogram: {
-            std::uint64_t count = entry.histogram.count();
-            std::uint64_t sum = entry.histogram.sum();
-            t.rows.push_back({CellValue::text(entry.name + "_count"),
-                              CellValue::text("histogram"),
-                              CellValue::integer(count)});
-            t.rows.push_back({CellValue::text(entry.name + "_sum"),
-                              CellValue::text("histogram"),
-                              CellValue::integer(sum)});
-            t.rows.push_back(
-                {CellValue::text(entry.name + "_mean"),
-                 CellValue::text("histogram"),
-                 CellValue::fixed(count == 0 ? 0.0
-                                             : static_cast<double>(sum)
-                                                   / static_cast<double>(
-                                                       count),
-                                  1)});
-            break;
-        }
-        }
     }
     return t;
 }
@@ -213,7 +122,6 @@ Registry::resetAllForTest()
     for (Entry &entry : entries_) {
         entry.counter.reset();
         entry.gauge.reset();
-        entry.histogram.reset();
     }
 }
 
@@ -227,12 +135,6 @@ Gauge &
 gauge(const char *name, const char *help)
 {
     return Registry::global().gauge(name, help);
-}
-
-Histogram &
-histogram(const char *name, const char *help)
-{
-    return Registry::global().histogram(name, help);
 }
 
 std::string

@@ -1,25 +1,26 @@
 /**
  * @file
- * The process-wide metrics registry: counters, gauges, and fixed-
- * bucket log2 latency histograms for every layer of the stack.
+ * The process-wide metrics registry: the counters and gauges a
+ * process can report through the `metrics` query verb.
  *
  * The design extends the simulator's "stats are sync-on-read" hot-path
  * invariant to the whole system (ARCHITECTURE.md invariant 10): the
- * record path — Counter::inc, Gauge::set/add/max, Histogram::record —
- * never takes a lock and never allocates. Counters are sharded across
- * cache-line-padded relaxed atomics (one shard per worker thread,
- * round-robin), gauges and histogram buckets are single relaxed
- * atomics; the string-keyed view of the registry is materialized only
- * when someone reads it (renderProm / renderTable), so reads are
- * eventually consistent with respect to in-flight increments — exactly
- * the StatSet contract, process-wide.
+ * record path — Counter::inc, Gauge::set — never takes a lock and
+ * never allocates. Counters are sharded across cache-line-padded
+ * relaxed atomics (one shard per worker thread, round-robin), gauges
+ * are single relaxed atomics; the string-keyed view of the registry is
+ * materialized only when someone reads it (renderProm / renderTable),
+ * so reads are eventually consistent with respect to in-flight
+ * increments — exactly the StatSet contract, process-wide. Only code a
+ * daemon runs records here: the registry has no reader but the
+ * `metrics` verb.
  *
- * Registration is the one cold path that locks: counter()/gauge()/
- * histogram() look the name up (or create it) under the registry
- * mutex and hand back a reference that is stable for the life of the
- * process. Instrumentation sites therefore resolve their handle once
- * (a function-local static) and record through plain pointer access
- * ever after.
+ * Registration is the one cold path that locks: counter()/gauge()
+ * look the name up (or create it) under the registry mutex and hand
+ * back a reference that is stable for the life of the process.
+ * Instrumentation sites therefore resolve their handle once (a
+ * function-local static) and record through plain pointer access ever
+ * after.
  *
  * Naming follows Prometheus conventions: lowercase, `_total` suffix
  * on counters, an optional fixed label set baked into the registered
@@ -96,7 +97,7 @@ class Counter
     Shard shards_[kShards];
 };
 
-/** A point-in-time signed value (depths, live splits). */
+/** A point-in-time signed value (sizes, depths). */
 class Gauge
 {
   public:
@@ -104,23 +105,6 @@ class Gauge
     set(std::int64_t v) noexcept
     {
         v_.store(v, std::memory_order_relaxed);
-    }
-
-    void
-    add(std::int64_t n) noexcept
-    {
-        v_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    /** Raise to @p v when larger (peak tracking, e.g. maxInFlight). */
-    void
-    max(std::int64_t v) noexcept
-    {
-        std::int64_t seen = v_.load(std::memory_order_relaxed);
-        while (v > seen
-               && !v_.compare_exchange_weak(seen, v,
-                                            std::memory_order_relaxed))
-            ;
     }
 
     std::int64_t
@@ -139,50 +123,6 @@ class Gauge
     std::atomic<std::int64_t> v_{0};
 };
 
-/**
- * A fixed-bucket log2 histogram: bucket b counts values in
- * [2^(b-1), 2^b) (bucket 0 is exactly 0), so one record() is two
- * relaxed adds — no per-value allocation, no configuration. Sized for
- * microsecond latencies: the top bucket absorbs everything past
- * ~2^28us (about four and a half minutes).
- */
-class Histogram
-{
-  public:
-    static constexpr int kBuckets = 30;
-
-    void
-    record(std::uint64_t v) noexcept
-    {
-        int b = v == 0 ? 0 : 64 - __builtin_clzll(v);
-        if (b > kBuckets - 1)
-            b = kBuckets - 1;
-        buckets_[b].fetch_add(1, std::memory_order_relaxed);
-        sum_.fetch_add(v, std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    bucket(int b) const noexcept
-    {
-        return buckets_[b].load(std::memory_order_relaxed);
-    }
-
-    /** Total records — derived from the buckets on read. */
-    std::uint64_t count() const noexcept;
-
-    std::uint64_t
-    sum() const noexcept
-    {
-        return sum_.load(std::memory_order_relaxed);
-    }
-
-    void reset() noexcept;
-
-  private:
-    std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-    std::atomic<std::uint64_t> sum_{0};
-};
-
 /** The process-wide name -> instrument table. */
 class Registry
 {
@@ -199,15 +139,12 @@ class Registry
      */
     Counter &counter(const std::string &name, const std::string &help);
     Gauge &gauge(const std::string &name, const std::string &help);
-    Histogram &histogram(const std::string &name,
-                         const std::string &help);
 
     /** Prometheus text exposition (HELP/TYPE per base name, series in
-     *  registration order, histograms with le/sum/count). */
+     *  registration order). */
     std::string renderProm() const;
 
-    /** The same snapshot as a ResultTable for the shared sinks
-     *  (histograms appear as their _count/_sum/_mean). */
+    /** The same snapshot as a ResultTable for the shared sinks. */
     ResultTable renderTable() const;
 
     /** Zero every value, keep every registration — test isolation
@@ -218,8 +155,7 @@ class Registry
     enum class Type
     {
         Counter,
-        Gauge,
-        Histogram
+        Gauge
     };
 
     struct Entry
@@ -232,7 +168,6 @@ class Registry
         // the address stable across later registrations.
         Counter counter;
         Gauge gauge;
-        Histogram histogram;
     };
 
     Entry &findOrCreate(const std::string &name,
@@ -247,7 +182,6 @@ class Registry
  *  (resolve once into a function-local static, record ever after). */
 Counter &counter(const char *name, const char *help);
 Gauge &gauge(const char *name, const char *help);
-Histogram &histogram(const char *name, const char *help);
 
 /**
  * The `metrics [prom|table|csv|json]` query verb, shared by every

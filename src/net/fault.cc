@@ -1,11 +1,13 @@
 #include "net/fault.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <thread>
 
 #include <poll.h>
@@ -22,50 +24,40 @@ namespace l0vliw::net
 namespace
 {
 
-/** Count a drawn (non-None) fault by kind. Handles resolve once; the
- *  per-draw cost is one relaxed add under FaultPlan's existing lock. */
+/** Count a drawn (non-None) fault by kind. Each kind's handle
+ *  resolves on its first draw, so a scrape lists only the kinds a plan
+ *  has drawn; after that a draw costs one atomic load and one relaxed
+ *  add under FaultPlan's existing lock. */
 void
 countFault(FaultAction::Kind kind)
 {
-    switch (kind) {
-      case FaultAction::Kind::Reset: {
-        static metrics::Counter &c = metrics::counter(
-            "l0vliw_net_faults_injected_total{kind=\"reset\"}",
+    // Indexed by FaultAction::Kind; None is never counted.
+    static const char *const kSeries[] = {
+        nullptr,
+        "l0vliw_net_faults_injected_total{kind=\"delay\"}",
+        "l0vliw_net_faults_injected_total{kind=\"drop\"}",
+        "l0vliw_net_faults_injected_total{kind=\"corrupt\"}",
+        "l0vliw_net_faults_injected_total{kind=\"stall\"}",
+        "l0vliw_net_faults_injected_total{kind=\"reset\"}",
+    };
+    static_assert(std::size(kSeries)
+                      == static_cast<std::size_t>(FaultAction::Kind::Reset)
+                             + 1,
+                  "one series slot per FaultAction::Kind");
+    static std::atomic<metrics::Counter *> counters[std::size(kSeries)];
+    const auto k = static_cast<std::size_t>(kind);
+    if (kSeries[k] == nullptr)
+        return;
+    metrics::Counter *c = counters[k].load();
+    if (c == nullptr) {
+        // Racing first draws resolve the same handle: the registry
+        // lookup is idempotent.
+        c = &metrics::counter(
+            kSeries[k],
             "Injected fault actions drawn by the active fault plan");
-        c.inc();
-        break;
-      }
-      case FaultAction::Kind::Drop: {
-        static metrics::Counter &c = metrics::counter(
-            "l0vliw_net_faults_injected_total{kind=\"drop\"}",
-            "Injected fault actions drawn by the active fault plan");
-        c.inc();
-        break;
-      }
-      case FaultAction::Kind::Corrupt: {
-        static metrics::Counter &c = metrics::counter(
-            "l0vliw_net_faults_injected_total{kind=\"corrupt\"}",
-            "Injected fault actions drawn by the active fault plan");
-        c.inc();
-        break;
-      }
-      case FaultAction::Kind::Stall: {
-        static metrics::Counter &c = metrics::counter(
-            "l0vliw_net_faults_injected_total{kind=\"stall\"}",
-            "Injected fault actions drawn by the active fault plan");
-        c.inc();
-        break;
-      }
-      case FaultAction::Kind::Delay: {
-        static metrics::Counter &c = metrics::counter(
-            "l0vliw_net_faults_injected_total{kind=\"delay\"}",
-            "Injected fault actions drawn by the active fault plan");
-        c.inc();
-        break;
-      }
-      default:
-        break;
+        counters[k].store(c);
     }
+    c->inc();
 }
 
 } // namespace

@@ -25,56 +25,17 @@ constexpr int kIdleReadDeadlineMs = 1000;
 bool
 Server::start(std::uint16_t port, Handler handler, std::string &error)
 {
-    return launch(port, std::move(handler), nullptr, nullptr, error);
-}
-
-bool
-Server::start(std::uint16_t port, SessionHandler handler,
-              ClosedHandler onClosed, std::string &error)
-{
-    if (workersPerConn_ > 1) {
-        // A Peer::send frame interleaving with out-of-order pool
-        // replies would leave the peer no way to correlate.
-        error = "session mode requires workersPerConnection == 1";
-        return false;
-    }
-    return launch(port, nullptr, std::move(handler), std::move(onClosed),
-                  error);
-}
-
-bool
-Server::launch(std::uint16_t port, Handler handler,
-               SessionHandler sessionHandler, ClosedHandler onClosed,
-               std::string &error)
-{
     if (running()) {
         error = "server already running";
         return false;
     }
     stopping_.store(false);
     handler_ = std::move(handler);
-    sessionHandler_ = std::move(sessionHandler);
-    closedHandler_ = std::move(onClosed);
     listen_ = listenTcp(port, error, &port_);
     if (!listen_.valid())
         return false;
     acceptThread_ = std::thread([this]() { acceptLoop(); });
     return true;
-}
-
-bool
-Server::Peer::send(const std::string &line, std::string &error)
-{
-    if (conn_ == nullptr) {
-        error = "detached peer handle";
-        return false;
-    }
-    std::lock_guard<std::mutex> lock(conn_->writeMutex);
-    if (!conn_->fd.valid()) {
-        error = "connection closed";
-        return false;
-    }
-    return writeLine(conn_->fd.get(), line, error);
 }
 
 void
@@ -93,7 +54,7 @@ Server::acceptLoop()
                      static_cast<unsigned>(port_), error.c_str());
             break;
         }
-        int id = accepted_.fetch_add(1) + 1;
+        accepted_.fetch_add(1);
 
         std::unique_lock<std::mutex> lock(mutex_);
         if (stopping_.load())
@@ -111,7 +72,6 @@ Server::acceptLoop()
         }
         auto c = std::make_unique<Conn>();
         c->fd = std::move(conn);
-        c->id = static_cast<std::uint64_t>(id);
         Conn *raw = c.get();
         raw->thread = std::thread([this, raw]() { serveConn(raw); });
         conns_.push_back(std::move(c));
@@ -121,15 +81,12 @@ Server::acceptLoop()
 void
 Server::serveConn(Conn *conn)
 {
-    Peer peer(conn, conn->id);
     // One frame through the handler and its reply onto the wire.
     // False — a declining handler or a failed write — poisons the
     // connection: the peer sees EOF and its retry discipline takes
     // over.
     auto serve = [&](const std::string &frame) {
-        std::optional<std::string> reply =
-            sessionHandler_ ? sessionHandler_(frame, peer)
-                            : handler_(frame);
+        std::optional<std::string> reply = handler_(frame);
         if (!reply.has_value())
             return false;
         std::string error;
@@ -218,22 +175,14 @@ Server::serveConn(Conn *conn)
     for (auto &w : workers)
         w.join();
 
-    // The connection is over, whatever ended it: tell the session's
-    // owner before the fd goes away.
-    if (closedHandler_)
-        closedHandler_(peer);
-    // Close the fd now — under the mutex, so stop()'s shutdown sweep
-    // can never touch a recycled descriptor — rather than holding it
-    // until the next accept reaps us; an idle daemon must not sit on
-    // a finished suite's worth of sockets.
+    // The connection is over, whatever ended it. Close the fd now —
+    // under the mutex, so stop()'s shutdown sweep can never touch a
+    // recycled descriptor — rather than holding it until the next
+    // accept reaps us; an idle daemon must not sit on a finished
+    // suite's worth of sockets.
     std::lock_guard<std::mutex> lock(mutex_);
     ::shutdown(conn->fd.get(), SHUT_RDWR);
-    {
-        // Under the write mutex too: a contract-violating late
-        // Peer::send must see an invalid fd, never a recycled one.
-        std::lock_guard<std::mutex> wlock(conn->writeMutex);
-        conn->fd.reset();
-    }
+    conn->fd.reset();
     conn->done.store(true);
 }
 

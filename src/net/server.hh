@@ -15,29 +15,16 @@
  * what makes SIGINT-driven daemon shutdown clean (the signal handler
  * only sets a flag; teardown happens on the normal path).
  *
- * A serving mode is a handler shape plus a worker count, never a
- * second loop:
- *
- *  - Handler shape. A plain Handler maps a frame to its reply. A
- *    SessionHandler (the second start overload) also receives a Peer
- *    handle for the connection: a stable identity (id) plus send(),
- *    which writes a frame of its own, serialized with the reply
- *    path. The closed callback runs on the connection's own thread,
- *    exactly once per connection, whatever ended it (EOF, error,
- *    stop()); after it returns every Peer copy is dead.
- *  - Worker count (setWorkersPerConnection). With 1, the default,
- *    the connection thread handles each frame inline: strict
- *    request order, no extra thread or queue hop. With more, the
- *    connection thread only reads, feeding a bounded queue of 2x
- *    workers frames to a per-connection pool whose workers write
- *    replies *as they complete*, not in request order (ordering is
- *    the client's problem; the cell protocol solves it with ids).
- *    The queue bound is the backpressure: a client that outruns the
- *    workers blocks in the kernel's socket buffer, never in daemon
- *    memory. See src/net/PROTOCOL.md for the windowing rules.
- *    Session handlers need one worker: a Peer::send frame
- *    interleaving with out-of-order replies would leave the peer no
- *    way to correlate.
+ * A serving mode is a worker count, never a second loop
+ * (setWorkersPerConnection). With 1, the default, the connection
+ * thread handles each frame inline: strict request order, no extra
+ * thread or queue hop. With more, the connection thread only reads,
+ * feeding a bounded queue of 2x workers frames to a per-connection
+ * pool whose workers write replies *as they complete*, not in request
+ * order (ordering is the client's problem; the cell protocol solves it
+ * with ids). The queue bound is the backpressure: a client that
+ * outruns the workers blocks in the kernel's socket buffer, never in
+ * daemon memory. See src/net/PROTOCOL.md for the windowing rules.
  *
  * A connection cap (setMaxConnections) is enforced at accept: past
  * it, the accept loop writes one nack line and closes the connection
@@ -49,6 +36,7 @@
 #define L0VLIW_NET_SERVER_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,6 +44,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/socket.hh"
@@ -66,9 +55,6 @@ namespace l0vliw::net
 /** Serves one request line → one reply line per round trip. */
 class Server
 {
-  private:
-    struct Conn;
-
   public:
     /**
      * Maps a received frame to the reply frame. Returning nullopt
@@ -77,43 +63,6 @@ class Server
      */
     using Handler =
         std::function<std::optional<std::string>(const std::string &)>;
-
-    /**
-     * A handle to one live connection, handed to a SessionHandler.
-     * Copyable; every copy is valid until the closed callback for
-     * this connection returns. All operations are thread-safe.
-     */
-    class Peer
-    {
-      public:
-        Peer() = default;
-
-        /** Stable connection identity (1-based accept order). */
-        std::uint64_t id() const { return id_; }
-
-        /**
-         * Write one frame to the peer ahead of the handler's reply,
-         * serialized against the reply path. False + @p error when
-         * the connection is already broken.
-         */
-        bool send(const std::string &line, std::string &error);
-
-      private:
-        friend class Server;
-        Peer(Conn *conn, std::uint64_t id) : conn_(conn), id_(id) {}
-
-        Conn *conn_ = nullptr;
-        std::uint64_t id_ = 0;
-    };
-
-    /** A Handler that also sees the connection's Peer handle.
-     *  Returning nullopt still closes the connection. */
-    using SessionHandler = std::function<std::optional<std::string>(
-        const std::string &, Peer &)>;
-
-    /** Runs once per connection, on its thread, after its read loop
-     *  ends and before the Peer dies. */
-    using ClosedHandler = std::function<void(Peer &)>;
 
     Server() = default;
     ~Server() { stop(); }
@@ -128,12 +77,16 @@ class Server
     bool start(std::uint16_t port, Handler handler, std::string &error);
 
     /**
-     * Session-mode start: like start(), but the handler gets a Peer
-     * and @p onClosed runs when a connection ends (may be null).
-     * Incompatible with setWorkersPerConnection > 1.
+     * start() with an ignored third argument, so the four-argument
+     * spelling over a store::StoreService still compiles:
+     * `start(port, svc.sessionHandler(), svc.closedHandler(), error)`.
      */
-    bool start(std::uint16_t port, SessionHandler handler,
-               ClosedHandler onClosed, std::string &error);
+    bool
+    start(std::uint16_t port, Handler handler, std::nullptr_t,
+          std::string &error)
+    {
+        return start(port, std::move(handler), error);
+    }
 
     /**
      * Serve each connection with @p workers handler threads, replying
@@ -179,25 +132,17 @@ class Server
         Fd fd;
         std::thread thread;
         std::atomic<bool> done{false};
-        std::uint64_t id = 0;
-        /** Serializes every write on this connection: the reply path
-         *  against Peer::send or against the other workers'
-         *  completion-order replies. */
+        /** Serializes the pool workers' completion-order replies on
+         *  this connection. */
         std::mutex writeMutex;
     };
 
-    /** Bind @p port, install the handlers, start the accept thread. */
-    bool launch(std::uint16_t port, Handler handler,
-                SessionHandler sessionHandler, ClosedHandler onClosed,
-                std::string &error);
     void acceptLoop();
     void serveConn(Conn *conn);
     /** Join and drop connections whose threads already finished. */
     void reapFinished();
 
     Handler handler_;
-    SessionHandler sessionHandler_;
-    ClosedHandler closedHandler_;
     Fd listen_;
     int workersPerConn_ = 1;
     int maxConns_ = 0;     ///< 0: unlimited

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/bytes.hh"
+#include "common/intmath.hh"
 #include "common/logging.hh"
 #include "mem/interleaved.hh"
 #include "mem/l0_system.hh"
@@ -121,10 +122,13 @@ compileGen(const ir::Loop &loop, OpId id)
     const ir::ArrayInfo &arr = loop.array(op.mem.array);
     std::uint64_t elems = arr.sizeBytes / op.mem.elemSize;
     L0_ASSERT(elems > 0, "array %s too small", arr.name.c_str());
+    L0_ASSERT(elems <= UINT32_MAX,
+              "array %s has too many elements for a u32 divisor",
+              arr.name.c_str());
 
     detail::AddrGen g;
     g.op = id;
-    g.elems = elems;
+    g.elems = static_cast<std::uint32_t>(elems);
     g.elemSize = op.mem.elemSize;
     g.lo = arr.base;
     g.hi = arr.base + elems * static_cast<Addr>(op.mem.elemSize);
@@ -352,9 +356,8 @@ KernelPlan::nextAddr(int gen, detail::AddrCursor &cursor) const
         cursor.cur = next;
         return a;
     }
-    std::uint64_t elem =
-        mix(static_cast<std::uint64_t>(g.op) + 1, cursor.iter++)
-        % g.elems;
+    std::uint64_t elem = fastMod(
+        mix(static_cast<std::uint64_t>(g.op) + 1, cursor.iter++), g.elems);
     return g.lo + elem * static_cast<Addr>(g.elemSize);
 }
 

@@ -197,7 +197,7 @@ struct AddrGen
     Addr lo = 0;        ///< array base
     Addr hi = 0;        ///< wrap limit: lo + elems * elemSize
     OpId op = kNoOp;    ///< irregular: hash stream id
-    std::uint64_t elems = 0;
+    std::uint32_t elems = 0; ///< irregular: fastMod divisor
     int elemSize = 4;
 };
 

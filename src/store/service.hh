@@ -21,14 +21,17 @@
  *    JSON line: `{"ok":true,"exit":N,"text":"..."}` — the client
  *    prints text verbatim and exits N — or `{"ok":false,"error":...}`.
  *
- * The handler runs concurrently across connections (net::Server is
- * thread-per-connection); one mutex serializes every touch of the
- * EventLog underneath.
+ * Strictly request/reply: the store never writes a line the peer did
+ * not ask for, so it needs nothing from net::Server but the handler
+ * and keeps no per-connection state. The handler runs concurrently
+ * across connections (net::Server is thread-per-connection); one mutex
+ * serializes every touch of the EventLog underneath.
  */
 
 #ifndef L0VLIW_STORE_SERVICE_HH
 #define L0VLIW_STORE_SERVICE_HH
 
+#include <cstddef>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -62,25 +65,11 @@ class StoreService
         };
     }
 
-    /**
-     * handleLine bound as a session-mode handler pair (the closed
-     * callback has nothing to free). Bind both on one net::Server:
-     *   server.start(port, svc.sessionHandler(), svc.closedHandler(),
-     *                error)
-     */
-    net::Server::SessionHandler
-    sessionHandler()
-    {
-        return [this](const std::string &line, net::Server::Peer &) {
-            return handleLine(line);
-        };
-    }
-
-    net::Server::ClosedHandler
-    closedHandler()
-    {
-        return [](net::Server::Peer &) {};
-    }
+    /** The pair the four-argument net::Server::start takes: the same
+     *  handler, and no close callback (the store keeps no
+     *  per-connection state). */
+    net::Server::Handler sessionHandler() { return handler(); }
+    std::nullptr_t closedHandler() { return nullptr; }
 
     /**
      * The line a connection past the daemon's --max-conns cap gets

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests of the metrics layer: counter/gauge/histogram semantics,
+ * Unit tests of the metrics layer: counter and gauge semantics,
  * the registry's Prometheus and table renderings, the shared `metrics`
  * query verb, and the Chrome trace-event recorder.
  *
@@ -50,43 +50,15 @@ TEST(MetricsCounter, ShardedIncrementsSumAcrossThreads)
               static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(MetricsGauge, SetAddMax)
+TEST(MetricsGauge, SetAndReset)
 {
     Gauge g;
     g.set(7);
     EXPECT_EQ(g.value(), 7);
-    g.add(-10);
+    g.set(-3);
     EXPECT_EQ(g.value(), -3);
-    g.max(5);
-    EXPECT_EQ(g.value(), 5);
-    g.max(2); // lower than current: no effect
-    EXPECT_EQ(g.value(), 5);
     g.reset();
     EXPECT_EQ(g.value(), 0);
-}
-
-TEST(MetricsHistogram, Log2Buckets)
-{
-    Histogram h;
-    h.record(0); // bucket 0 is exactly 0
-    h.record(1); // [1,2) -> bucket 1
-    h.record(2); // [2,4) -> bucket 2
-    h.record(3);
-    h.record(1024); // [1024,2048) -> bucket 11
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(2), 2u);
-    EXPECT_EQ(h.bucket(11), 1u);
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_EQ(h.sum(), 0u + 1 + 2 + 3 + 1024);
-}
-
-TEST(MetricsHistogram, TopBucketAbsorbsOverflow)
-{
-    Histogram h;
-    h.record(~0ULL);
-    EXPECT_EQ(h.bucket(Histogram::kBuckets - 1), 1u);
-    EXPECT_EQ(h.count(), 1u);
 }
 
 TEST(MetricsRegistry, SameNameSameHandle)
@@ -119,26 +91,6 @@ TEST(MetricsRegistry, LabeledSeriesAreDistinct)
               std::string::npos);
 }
 
-TEST(MetricsRegistry, PromHistogramExposition)
-{
-    Histogram &h =
-        histogram("test_registry_lat_us", "a test histogram");
-    h.record(3); // bucket 2: le="2" cumulative 0, le="4" cumulative 1
-    std::string prom = Registry::global().renderProm();
-    EXPECT_NE(prom.find("# TYPE test_registry_lat_us histogram"),
-              std::string::npos);
-    EXPECT_NE(prom.find("test_registry_lat_us_bucket{le=\"2\"} 0"),
-              std::string::npos);
-    EXPECT_NE(prom.find("test_registry_lat_us_bucket{le=\"4\"} 1"),
-              std::string::npos);
-    EXPECT_NE(prom.find("test_registry_lat_us_bucket{le=\"+Inf\"} 1"),
-              std::string::npos);
-    EXPECT_NE(prom.find("test_registry_lat_us_sum 3"),
-              std::string::npos);
-    EXPECT_NE(prom.find("test_registry_lat_us_count 1"),
-              std::string::npos);
-}
-
 TEST(MetricsRegistry, GaugeInProm)
 {
     Gauge &g = gauge("test_registry_depth", "a test gauge");
@@ -147,27 +99,6 @@ TEST(MetricsRegistry, GaugeInProm)
     EXPECT_NE(prom.find("# TYPE test_registry_depth gauge"),
               std::string::npos);
     EXPECT_NE(prom.find("test_registry_depth -4"), std::string::npos);
-}
-
-TEST(MetricsRegistry, TableRendersHistogramSummary)
-{
-    Histogram &h =
-        histogram("test_registry_table_us", "a table histogram");
-    h.record(10);
-    h.record(20);
-    ResultTable t = Registry::global().renderTable();
-    bool sawCount = false, sawSum = false, sawMean = false;
-    for (const auto &row : t.rows) {
-        if (row.empty())
-            continue;
-        const std::string &name = row[0].textValue();
-        sawCount |= name == "test_registry_table_us_count";
-        sawSum |= name == "test_registry_table_us_sum";
-        sawMean |= name == "test_registry_table_us_mean";
-    }
-    EXPECT_TRUE(sawCount);
-    EXPECT_TRUE(sawSum);
-    EXPECT_TRUE(sawMean);
 }
 
 TEST(MetricsRegistry, ResetZeroesButKeepsHandles)

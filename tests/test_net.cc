@@ -790,84 +790,6 @@ TEST(Server, StopUnblocksAndIsIdempotent)
         << err;
 }
 
-// ---- session mode: Peer::send and the closed callback ----
-
-TEST(Server, SessionHandlerRepliesSendsAndCloses)
-{
-    net::Server server;
-    std::string err;
-    std::mutex closedMutex;
-    std::vector<std::uint64_t> closedIds;
-    ASSERT_TRUE(server.start(
-        0,
-        [](const std::string &line, net::Server::Peer &peer)
-            -> std::optional<std::string> {
-            if (line == "bye") {
-                // The --max-conns shape: a frame through send(), then
-                // decline so the connection closes behind it.
-                std::string sendErr;
-                EXPECT_TRUE(peer.send("sent-before-close", sendErr))
-                    << sendErr;
-                return std::nullopt;
-            }
-            return "echo:" + line + ":id"
-                   + std::to_string(peer.id());
-        },
-        [&](net::Server::Peer &peer) {
-            std::lock_guard<std::mutex> lock(closedMutex);
-            closedIds.push_back(peer.id());
-        },
-        err))
-        << err;
-
-    Fd conn = net::connectTcp("127.0.0.1", server.port(), err);
-    ASSERT_TRUE(conn.valid()) << err;
-    LineReader reader(conn.get());
-    std::string reply;
-
-    ASSERT_TRUE(net::writeLine(conn.get(), "hello", err));
-    ASSERT_EQ(reader.readLine(reply, err, 2000),
-              LineReader::Status::Line);
-    EXPECT_EQ(reply, "echo:hello:id1");
-
-    // The sent frame lands before the close; nullopt then closes and
-    // the closed callback sees the same id.
-    ASSERT_TRUE(net::writeLine(conn.get(), "bye", err));
-    ASSERT_EQ(reader.readLine(reply, err, 2000),
-              LineReader::Status::Line);
-    EXPECT_EQ(reply, "sent-before-close");
-    EXPECT_NE(reader.readLine(reply, err, 2000),
-              LineReader::Status::Line);
-    for (int i = 0; i < 100; ++i) {
-        {
-            std::lock_guard<std::mutex> lock(closedMutex);
-            if (!closedIds.empty())
-                break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    server.stop();
-    std::lock_guard<std::mutex> lock(closedMutex);
-    ASSERT_EQ(closedIds.size(), 1u);
-    EXPECT_EQ(closedIds[0], 1u);
-}
-
-TEST(Server, SessionModeRefusesPipelinedWorkers)
-{
-    // A Peer::send frame interleaving with out-of-order replies would
-    // be uncorrelatable; the combination is rejected at start().
-    net::Server server;
-    server.setWorkersPerConnection(4);
-    std::string err;
-    EXPECT_FALSE(server.start(
-        0,
-        [](const std::string &, net::Server::Peer &)
-            -> std::optional<std::string> { return "x"; },
-        nullptr, err));
-    EXPECT_NE(err.find("session"), std::string::npos);
-    EXPECT_FALSE(server.running());
-}
-
 // ---- the pipelined per-connection worker pool ----
 
 TEST(Server, PipelinedWorkersReplyOutOfOrder)

@@ -582,7 +582,11 @@ TEST(StoreEndToEnd, LoopbackPublishMatchesInProcessGrid)
     std::string error;
     ASSERT_TRUE(service.open(log.path(), error)) << error;
     net::Server server;
-    ASSERT_TRUE(server.start(0, service.handler(), error)) << error;
+    // The four-argument spelling (perfbench's store daemon uses it)
+    // serves exactly like start(port, service.handler(), error).
+    ASSERT_TRUE(server.start(0, service.sessionHandler(),
+                             service.closedHandler(), error))
+        << error;
     const std::string endpoint =
         "127.0.0.1:" + std::to_string(server.port());
 
