@@ -402,26 +402,6 @@ BENCHMARK(BM_SuitePublish)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/** The wire protocol's end-to-end cost: the same grid through a pool
- *  of --cell-worker subprocesses (spawn + JSON both ways per cell). */
-void
-BM_SuiteSubprocess(benchmark::State &state)
-{
-    driver::Suite suite(suiteSpec());
-    driver::ExecOptions exec;
-    exec.backend = driver::ExecBackend::Subprocess;
-    exec.jobs = static_cast<int>(state.range(0));
-    for (auto _ : state) {
-        driver::ResultGrid grid = suite.run(exec);
-        benchmark::DoNotOptimize(grid.cell(0, 0).normalized);
-    }
-    state.SetItemsProcessed(state.iterations() * 16);
-}
-BENCHMARK(BM_SuiteSubprocess)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 /** The TCP transport's end-to-end cost: the same grid through a
  *  loopback --serve daemon (connect + framing + JSON both ways per
  *  cell) over state.range(0) concurrent connections, pinned to
@@ -502,23 +482,14 @@ BENCHMARK(BM_SuiteTcpPipelined)
 
 } // namespace
 
-/** Hand-rolled BENCHMARK_MAIN(): the subprocess suite benchmarks
- *  re-execute this binary as their --cell-worker, which must win over
- *  google-benchmark's flag parsing; and BM_SuiteParallel registers
+/** Hand-rolled BENCHMARK_MAIN(): BM_SuiteParallel registers
  *  dynamically so bench/run_bench.sh --executor (via L0VLIW_EXECUTOR)
  *  tags its name with any non-default backend. */
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--cell-worker")
-            return driver::cellWorkerMain();
-    }
-
     driver::ExecBackend backend = driver::execBackendFromEnv();
-    const char *name = backend == driver::ExecBackend::Subprocess
-                           ? "BM_SuiteParallel<subprocess>"
-                       : backend == driver::ExecBackend::Tcp
+    const char *name = backend == driver::ExecBackend::Tcp
                            ? "BM_SuiteParallel<tcp>"
                            : "BM_SuiteParallel";
     for (int jobs : {2, 4})

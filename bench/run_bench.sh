@@ -5,16 +5,15 @@
 #
 # Usage:
 #   bench/run_bench.sh [--smoke] [--out FILE]
-#                      [--executor inprocess|subprocess|tcp]
+#                      [--executor inprocess|tcp]
 #                      [extra google-benchmark args...]
 #       --smoke   reduced grid: 1 repetition, for CI smoke runs; writes
 #                 build-bench/BENCH_smoke.json unless --out is given
 #       --out F   write the JSON to F instead of the default
 #       --executor E  run the BM_Suite* grid benchmarks through the
 #                 given cell executor (exported as L0VLIW_EXECUTOR;
-#                 subprocess exercises the NDJSON wire protocol over
-#                 pipes, tcp over a loopback --serve daemon micro_perf
-#                 hosts in-process)
+#                 tcp exercises the NDJSON wire protocol over a
+#                 loopback --serve daemon micro_perf hosts in-process)
 #
 #   bench/run_bench.sh --diff OLD NEW [THRESHOLD_PCT]
 #       Compare two results and print a per-benchmark delta table,
@@ -105,8 +104,8 @@ while [ $# -gt 0 ]; do
     --out) out="$2"; shift 2 ;;
     --executor)
         case "$2" in
-        inprocess|subprocess|tcp) ;;
-        *) echo "--executor wants inprocess|subprocess|tcp, got '$2'" >&2
+        inprocess|tcp) ;;
+        *) echo "--executor wants inprocess|tcp, got '$2'" >&2
            exit 2 ;;
         esac
         L0VLIW_EXECUTOR="$2"; export L0VLIW_EXECUTOR; shift 2 ;;

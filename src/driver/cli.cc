@@ -105,26 +105,20 @@ printLabelsAndExit()
 CliOptions
 parseCli(int argc, char **argv)
 {
-    // Inherited fault injection first: a --cell-worker child or a
-    // daemon launched under L0VLIW_FAULT_INJECT must be faulty before
-    // any transport I/O happens (the flag below re-installs for the
-    // explicit-flag case).
+    // Inherited fault injection first: a daemon launched under
+    // L0VLIW_FAULT_INJECT must be faulty before any transport I/O
+    // happens (the flag below re-installs for the explicit-flag case).
     net::installFaultPlanFromEnv();
-
-    // The hidden worker mode preempts everything: the process becomes
-    // an executor worker and never returns to the driver body.
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--cell-worker")
-            std::exit(cellWorkerMain());
-    }
 
     CliOptions opts;
     opts.jobs = defaultJobs();
     // The L0VLIW_EXECUTOR default is consulted (and validated) only
     // when no --executor flag overrides it — see after the loop.
     bool executorSet = false;
-    // --serve preempts the driver body like --cell-worker does, but
-    // its port value needs the normal flag machinery first.
+    // Likewise L0VLIW_CELL_TIMEOUT_MS, when no --cell-timeout-ms.
+    bool cellTimeoutSet = false;
+    // --serve preempts the driver body, but its port value needs the
+    // normal flag machinery first.
     int servePort = -1;
 
     // Every value flag accepts --flag=value and --flag value. In the
@@ -170,6 +164,7 @@ parseCli(int argc, char **argv)
             opts.cellTimeoutMs = flagNumber(
                 "--cell-timeout-ms", valueOf(i, arg, "--cell-timeout-ms"),
                 0, kMaxCellTimeoutMs);
+            cellTimeoutSet = true;
         } else if (matches(arg, "--window")) {
             opts.window = flagNumber(
                 "--window", valueOf(i, arg, "--window"), 1, kMaxWindow);
@@ -185,9 +180,6 @@ parseCli(int argc, char **argv)
             std::string error;
             if (!net::installFaultPlanFromSpec(spec, error))
                 fatal("--fault-inject: %s", error.c_str());
-            // Workers this process spawns (--cell-worker children)
-            // inherit the injection through the environment.
-            ::setenv("L0VLIW_FAULT_INJECT", spec.c_str(), 1);
         } else if (matches(arg, "--serve")) {
             servePort =
                 flagNumber("--serve", valueOf(i, arg, "--serve"), 1, 65535);
@@ -198,7 +190,7 @@ parseCli(int argc, char **argv)
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: %s [--filter=<substr>] [--jobs=N]\n"
-                "          [--executor=inprocess|subprocess|tcp]\n"
+                "          [--executor=inprocess|tcp]\n"
                 "          [--connect=host:port[,host:port...]]\n"
                 "          [--stream=<file|fd:N|->]\n"
                 "          [--publish=host:port] [--suite=NAME]\n"
@@ -225,13 +217,13 @@ parseCli(int argc, char **argv)
     }
     if (!executorSet)
         opts.executor = execBackendFromEnv();
-    if (opts.cellTimeoutMs < 0) {
+    if (!cellTimeoutSet) {
         const char *env = std::getenv("L0VLIW_CELL_TIMEOUT_MS");
         if (env != nullptr && *env != '\0')
             opts.cellTimeoutMs = flagNumber(
                 "L0VLIW_CELL_TIMEOUT_MS", env, 0, kMaxCellTimeoutMs);
     }
-    if (opts.window < 0) {
+    if (!opts.windowExplicit) {
         const char *env = std::getenv("L0VLIW_WINDOW");
         if (env != nullptr && *env != '\0')
             opts.window = flagNumber("L0VLIW_WINDOW", env, 1, kMaxWindow);
@@ -275,9 +267,9 @@ CliOptions::exec() const
     // pipeline window where no channel carries the cells. (The
     // L0VLIW_WINDOW env default is exempt: it is ambient.)
     if (e.backend == ExecBackend::InProcess && degradeExplicit)
-        fatal("--degrade only applies to --executor subprocess|tcp");
+        fatal("--degrade only applies to --executor tcp");
     if (e.backend == ExecBackend::InProcess && windowExplicit)
-        fatal("--window only applies to --executor subprocess|tcp");
+        fatal("--window only applies to --executor tcp");
     if (e.backend == ExecBackend::Tcp) {
         if (e.endpoints.empty()) {
             const char *env = std::getenv("L0VLIW_CONNECT");

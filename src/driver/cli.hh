@@ -11,17 +11,15 @@
  *                       the connection count: beyond the --connect
  *                       list it replicates the endpoints round-robin,
  *                       below it keeps only the first N.
- *   --executor=inprocess|subprocess|tcp
+ *   --executor=inprocess|tcp
  *                       where cells execute: worker threads in this
- *                       process, a pool of child processes, or remote
- *                       --serve daemons — all speaking the NDJSON
- *                       cell protocol (default: inprocess,
+ *                       process, or remote --serve daemons speaking
+ *                       the NDJSON cell protocol (default: inprocess,
  *                       overridable via L0VLIW_EXECUTOR)
  *   --connect=host:port[,host:port...]
  *                       the worker daemons for --executor tcp, one
  *                       connection per entry (env: L0VLIW_CONNECT)
- *   --window=N          jobs pipelined per subprocess/tcp channel
- *                       (default 4 for tcp, 1 for subprocess;
+ *   --window=N          jobs pipelined per tcp connection (default 4;
  *                       1 = strict lockstep, one request one reply;
  *                       env: L0VLIW_WINDOW). Results are bit-identical
  *                       for every value — windowing only changes how
@@ -42,21 +40,19 @@
  *                       (default: $L0VLIW_GIT_REV, else "unknown")
  *   --run-id=ID         ... the unique run id published events dedup
  *                       on (default: generated from time and pid)
- *   --cell-timeout-ms=N per-job wall-clock deadline for the
- *                       subprocess/tcp backends (0 = off; default:
- *                       60000 for tcp, off locally; env:
+ *   --cell-timeout-ms=N per-job wall-clock deadline for the tcp
+ *                       executor (0 = off; default 60000; env:
  *                       L0VLIW_CELL_TIMEOUT_MS)
  *   --degrade=fail|local
- *                       what the subprocess/tcp executor does when
+ *                       what the tcp executor does when
  *                       every endpoint has permanently failed: fail the
  *                       remaining cells (default) or drain them
  *                       through the in-process executor
  *   --fault-inject=<spec>
  *                       deterministic transport fault injection (see
  *                       src/net/fault.hh for the grammar, e.g.
- *                       seed=7,delay=0..50ms@0.2,drop@0.05); also
- *                       exported to spawned workers via the
- *                       L0VLIW_FAULT_INJECT environment
+ *                       seed=7,delay=0..50ms@0.2,drop@0.05; env:
+ *                       L0VLIW_FAULT_INJECT)
  *   --trace=<file>      record every dispatched cell's span chain
  *                       (enqueue -> cell -> wire-write -> plan-build/
  *                       execute -> fold, keyed by wire job id) and
@@ -76,14 +72,11 @@
  * Anything else is passed through as a positional argument (the
  * examples take benchmark/architecture names positionally).
  *
- * Two modes preempt the driver body: --cell-worker turns the process
- * into a socketpair-fed executor worker (jobs in on fd 0, outcomes
- * out on fd 1) — how the subprocess backend re-executes any driver
- * binary as its own worker — and --serve <port> turns it into a TCP
- * worker daemon answering the same protocol until SIGINT/SIGTERM. Under
- * --serve, an explicit --jobs N sets the daemon's per-connection
- * worker-pool size (default: all hardware threads; 1 restores the
- * strict serial request/reply loop).
+ * One mode preempts the driver body: --serve <port> turns the process
+ * into a TCP worker daemon answering the cell protocol until
+ * SIGINT/SIGTERM. Under --serve, an explicit --jobs N sets the
+ * daemon's per-connection worker-pool size (default: all hardware
+ * threads; 1 restores the strict serial request/reply loop).
  */
 
 #ifndef L0VLIW_DRIVER_CLI_HH
@@ -122,14 +115,13 @@ struct CliOptions
     std::string suiteName;
     std::string rev;
     std::string runId;
-    /** --cell-timeout-ms (-1 = backend default; 0 = off). */
-    int cellTimeoutMs = -1;
-    /** --window pipelined jobs per channel (-1 = backend default: 4
-     *  for tcp, 1 for subprocess). */
-    int window = -1;
+    /** --cell-timeout-ms (0 = off). */
+    int cellTimeoutMs = ExecOptions{}.cellTimeoutMs;
+    /** --window pipelined jobs per connection. */
+    int window = ExecOptions{}.window;
     /** True when --window was given (not for inprocess). */
     bool windowExplicit = false;
-    /** --degrade policy for the subprocess/tcp executor. */
+    /** --degrade policy for the tcp executor. */
     DegradeMode degrade = DegradeMode::Fail;
     /** True when --degrade was given (not for inprocess). */
     bool degradeExplicit = false;

@@ -15,9 +15,6 @@
 #include <sstream>
 #include <thread>
 
-#include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/decimal.hh"
@@ -42,11 +39,9 @@ parseExecBackend(const std::string &name)
 {
     if (name == "inprocess")
         return ExecBackend::InProcess;
-    if (name == "subprocess")
-        return ExecBackend::Subprocess;
     if (name == "tcp")
         return ExecBackend::Tcp;
-    fatal("unknown executor '%s' (expected inprocess|subprocess|tcp)",
+    fatal("unknown executor '%s' (expected inprocess|tcp)",
           name.c_str());
 }
 
@@ -426,52 +421,20 @@ emitOutcomeEvent(const ExecOptions &opts, const CellJob &job,
 /** A successful wire write of job @p id becomes one trace span. */
 void
 recordWireWrite(const ExecOptions &opts, std::uint64_t id,
-                const char *cat, ExecClock::time_point start)
+                ExecClock::time_point start)
 {
     if (opts.trace == nullptr)
         return;
     double startUs = opts.trace->sinceUs(start);
-    opts.trace->record({id, "wire-write", cat, startUs,
+    opts.trace->record({id, "wire-write", "tcp", startUs,
                         opts.trace->nowUs() - startUs, {}});
 }
 
-/** Workers for @p tasks jobs — pool threads or worker children:
- *  min(jobs, tasks), at least one. */
+/** Pool threads for @p tasks jobs: min(jobs, tasks), at least one. */
 std::size_t
 poolSize(const ExecOptions &opts, std::size_t tasks)
 {
     return opts.jobs <= 1 ? 1 : std::min<std::size_t>(opts.jobs, tasks);
-}
-
-/** The per-job deadline in effect: explicit value wins (0 = off), the
- *  backend default otherwise — on for Tcp (a remote cell must resolve
- *  in bounded time), off for Subprocess. -1 means unbounded. */
-int
-effectiveCellTimeoutMs(const ExecOptions &opts)
-{
-    if (opts.cellTimeoutMs >= 0)
-        return opts.cellTimeoutMs == 0 ? -1 : opts.cellTimeoutMs;
-    return opts.backend == ExecBackend::Tcp ? 60000 : -1;
-}
-
-/** The heartbeat interval in effect (default on for Tcp only; 0 =
- *  off). */
-int
-effectiveHeartbeatMs(const ExecOptions &opts)
-{
-    if (opts.heartbeatMs >= 0)
-        return opts.heartbeatMs;
-    return opts.backend == ExecBackend::Tcp ? 5000 : 0;
-}
-
-/** The per-channel pipeline window in effect (>= 1; Tcp defaults to
- *  4, Subprocess to lockstep). */
-int
-effectiveWindow(const ExecOptions &opts)
-{
-    if (opts.window >= 1)
-        return opts.window;
-    return opts.backend == ExecBackend::Tcp ? 4 : 1;
 }
 
 /** Fill the permanent-failure fields of a job that exhausted its
@@ -521,212 +484,24 @@ InProcessExecutor::execute(const std::vector<CellJob> &jobs)
     return outcomes;
 }
 
-// ---- channels: where an endpoint's jobs travel ----
+// ---- endpoints: where the jobs travel ----
 
 namespace
 {
 
-// ---- graceful shutdown: no orphaned --cell-worker children ----
-//
-// SIGINT/SIGTERM while a subprocess pool is mid-suite must not leave
-// worker children behind (a worker blocked computing a cell never
-// notices its socket closing). Live children register in a fixed
-// lock-free table; the signal handler — async-signal-safe only:
-// kill/signal/raise — SIGKILLs every registered pid, restores the
-// default disposition, and re-raises so the process still dies with
-// the right status. The handlers are installed only over SIG_DFL; an
-// embedding program's own handlers stay in place (and inherit the
-// orphan problem knowingly).
-
-// Sized to parseJobs's 4096 ceiling so every spawnable worker fits.
-constexpr int kMaxTrackedChildren = 4096;
-std::atomic<pid_t> g_trackedChildren[kMaxTrackedChildren];
-
-void
-killTrackedChildrenHandler(int sig)
-{
-    for (auto &slot : g_trackedChildren) {
-        pid_t pid = slot.load(std::memory_order_relaxed);
-        if (pid > 0)
-            ::kill(pid, SIGKILL);
-    }
-    std::signal(sig, SIG_DFL);
-    ::raise(sig);
-}
-
-void
-installChildKillHandlers()
-{
-    static std::once_flag once;
-    std::call_once(once, []() {
-        for (int sig : {SIGINT, SIGTERM}) {
-            struct sigaction current;
-            if (sigaction(sig, nullptr, &current) != 0
-                || current.sa_handler != SIG_DFL)
-                continue;
-            struct sigaction sa{};
-            sa.sa_handler = killTrackedChildrenHandler;
-            sigemptyset(&sa.sa_mask);
-            sigaction(sig, &sa, nullptr);
-        }
-    });
-}
-
-void
-trackChild(pid_t pid)
-{
-    for (auto &slot : g_trackedChildren) {
-        pid_t expected = 0;
-        if (slot.compare_exchange_strong(expected, pid))
-            return;
-    }
-    // Full table means this child escapes the kill-on-signal sweep —
-    // the no-orphans contract has a hole, so say so.
-    warn("child-kill table full: worker %ld will survive SIGINT/"
-         "SIGTERM",
-         static_cast<long>(pid));
-}
-
-void
-untrackChild(pid_t pid)
-{
-    for (auto &slot : g_trackedChildren) {
-        pid_t expected = pid;
-        if (slot.compare_exchange_strong(expected, 0))
-            return;
-    }
-}
-
-/**
- * One endpoint's open channel: a TCP connection to a --serve daemon,
- * or a socketpair whose far end is a spawned --cell-worker child's
- * stdin and stdout. The executor frames both through
- * net::LineReader/writeLine, so windows, deadlines, heartbeats, and
- * fault injection treat them alike.
- */
-struct Channel
-{
-    net::Fd fd;
-    pid_t pid = -1; ///< the child behind a spawned channel
-
-    Channel() = default;
-    Channel(const Channel &) = delete;
-    Channel &operator=(const Channel &) = delete;
-    ~Channel() { close(/*kill=*/false); }
-
-    bool valid() const { return fd.valid(); }
-
-    /**
-     * Close the fd and reap the child, if any. @p kill SIGKILLs it
-     * first — every teardown does: a worker that blew its deadline or
-     * broke the stream may still be computing and would never notice
-     * its socket closing. Without @p kill the closed socket is the
-     * idle child's clean EOF, and it exits on its own.
-     */
-    void
-    close(bool kill)
-    {
-        if (pid > 0) {
-            untrackChild(pid);
-            if (kill)
-                ::kill(pid, SIGKILL);
-        }
-        fd.reset();
-        if (pid > 0) {
-            int status = 0;
-            waitpid(pid, &status, 0);
-        }
-        pid = -1;
-    }
-};
-
-/**
- * Where one endpoint's channel leads, and the executor's one channel
- * factory (open). Everything else about an endpoint — windowing,
- * credits, retries, teardown accounting — is channel-agnostic; a
- * broken stream only names its cause per kind (conn-reset for a
- * daemon, worker-crash for a child).
- */
+/** One --connect entry: a daemon, and the name diagnostics give it. */
 struct Endpoint
 {
-    std::string name;                 ///< for diagnostics
-    net::HostPort daemon;             ///< connect here...
-    std::vector<std::string> command; ///< ...unless set: spawn this
-    FailReason broken = FailReason::ConnReset;
-    const char *traceCat = "tcp"; ///< wire-write span category
-
-    /**
-     * Connect, or fork/exec the child over one socketpair dup'd onto
-     * its fds 0 and 1. The pair is O_CLOEXEC so a child spawned
-     * concurrently by another pool thread cannot inherit (and keep
-     * open) this child's end — otherwise a dead worker's socket would
-     * never read EOF in the parent.
-     */
-    bool
-    open(Channel &out, std::string &error) const
-    {
-        if (command.empty()) {
-            out.fd = net::connectTcp(daemon.host, daemon.port, error);
-            return out.valid();
-        }
-        int pair[2];
-        if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair)
-            != 0) {
-            error = std::string("socketpair: ") + std::strerror(errno);
-            return false;
-        }
-        std::vector<char *> argv;
-        argv.reserve(command.size() + 1);
-        for (const auto &arg : command)
-            argv.push_back(const_cast<char *>(arg.c_str()));
-        argv.push_back(nullptr);
-
-        // Flush stdio so buffered output is not duplicated into the
-        // child.
-        std::fflush(stdout);
-        std::fflush(stderr);
-
-        pid_t pid = fork();
-        if (pid < 0) {
-            error = std::string("fork: ") + std::strerror(errno);
-            ::close(pair[0]);
-            ::close(pair[1]);
-            return false;
-        }
-        if (pid == 0) {
-            // Child: jobs in on fd 0, outcomes out on fd 1, stderr
-            // inherited. Only async-signal-safe calls until exec.
-            if (dup2(pair[1], STDIN_FILENO) < 0
-                || dup2(pair[1], STDOUT_FILENO) < 0)
-                _exit(127);
-            execv(argv[0], argv.data());
-            _exit(127);
-        }
-        ::close(pair[1]);
-        trackChild(pid);
-        out.pid = pid;
-        out.fd.reset(pair[0]);
-        return true;
-    }
+    std::string name;
+    net::HostPort daemon;
 };
 
-/** The endpoints @p opts names: min(jobs, cells) children of
- *  workerCommand for Subprocess, one per --connect entry for Tcp. */
+/** The endpoints @p opts names, one per --connect entry (fatal on a
+ *  malformed one). */
 std::vector<Endpoint>
-endpointsOf(const ExecOptions &opts, std::size_t cells)
+endpointsOf(const ExecOptions &opts)
 {
     std::vector<Endpoint> out;
-    if (opts.backend == ExecBackend::Subprocess) {
-        for (std::size_t e = 0; e < poolSize(opts, cells); ++e) {
-            Endpoint ep;
-            ep.name = "worker " + std::to_string(e);
-            ep.command = opts.workerCommand;
-            ep.broken = FailReason::WorkerCrash;
-            ep.traceCat = "subprocess";
-            out.push_back(std::move(ep));
-        }
-        return out;
-    }
     for (const auto &spec : opts.endpoints) {
         Endpoint ep;
         ep.name = spec;
@@ -744,19 +519,10 @@ endpointsOf(const ExecOptions &opts, std::size_t cells)
 
 RemoteExecutor::RemoteExecutor(const ExecOptions &opts) : opts_(opts)
 {
-    if (opts_.backend == ExecBackend::Subprocess) {
-        // Re-execute this binary in the shared CLI's hidden worker
-        // mode; every driver is its own worker.
-        if (opts_.workerCommand.empty())
-            opts_.workerCommand = {"/proc/self/exe", "--cell-worker"};
-        // ^C mid-suite must take the worker children down with us.
-        installChildKillHandlers();
-    } else {
-        if (opts_.endpoints.empty())
-            fatal("--executor tcp needs at least one --connect "
-                  "host:port worker daemon");
-        endpointsOf(opts_, 0); // fatal on a malformed entry
-    }
+    if (opts_.endpoints.empty())
+        fatal("--executor tcp needs at least one --connect host:port "
+              "worker daemon");
+    endpointsOf(opts_); // fatal on a malformed entry
     // A peer hanging up mid-send must be an EPIPE error on the retry
     // path, not process death (MSG_NOSIGNAL covers writeLine, but
     // belt and braces for any other write to the channel).
@@ -925,7 +691,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
     if (jobs.empty())
         return outcomes;
 
-    const std::vector<Endpoint> endpoints = endpointsOf(opts_, jobs.size());
+    const std::vector<Endpoint> endpoints = endpointsOf(opts_);
     RemoteQueue queue(jobs.size(), static_cast<int>(endpoints.size()));
     std::atomic<int> connects{0}, reconnects{0}, retries{0},
         timeouts{0}, maxInFlight{0};
@@ -933,9 +699,11 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
     policy.maxAttempts = opts_.maxRetries + 1;
     policy.baseBackoffMs = opts_.retryBackoffMs;
     policy.maxBackoffMs = opts_.maxBackoffMs;
-    const int deadlineMs = effectiveCellTimeoutMs(opts_);
-    const int heartbeatMs = effectiveHeartbeatMs(opts_);
-    const int window = effectiveWindow(opts_);
+    // -1: no deadline (cellTimeoutMs 0 turns it off).
+    const int deadlineMs =
+        opts_.cellTimeoutMs > 0 ? opts_.cellTimeoutMs : -1;
+    const int heartbeatMs = opts_.heartbeatMs; // <= 0: off
+    const int window = std::max(1, opts_.window);
     std::vector<int> perEndpoint(endpoints.size(), 0);
 
     // Jobs only the in-process fallback can still resolve (--degrade
@@ -944,7 +712,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
     std::vector<std::size_t> degraded;
 
     // One pool thread per endpoint: each owns one channel (a daemon
-    // connection or a spawned child) and windows up to `window` jobs
+    // connection) and windows up to `window` jobs
     // onto it, claimed off the shared queue whenever a slot is free
     // (credit-based assignment: a reply frees a slot, so throughput
     // sets the claim rate). Replies complete out of order against the
@@ -960,7 +728,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
     // standing writes permanent failures into outcomes (or, under
     // --degrade local, parks them for the in-process drain).
     auto work = [&](const Endpoint &ep, std::size_t index) {
-        Channel chan;
+        net::Fd chan;
         net::LineReader reader;
         bool everOpened = false;
         Rng rng(0x7eefca11u ^ (index + 1) * kGolden);
@@ -976,7 +744,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
         std::vector<std::size_t> pending; ///< claimed, not on the wire
         std::vector<int> attempts(jobs.size(), 0); ///< mine, per job
         std::string lastError = "channel never opened";
-        FailReason lastReason = ep.broken;
+        FailReason lastReason = FailReason::ConnReset;
         int cycleFails = 0; ///< teardowns since the last good reply
 
         // One failed cycle that never reached the wire (connect or
@@ -998,7 +766,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
         // the write-failure path, where the charged victim never left
         // `pending`.
         auto teardown = [&](bool refundHead) {
-            chan.close(/*kill=*/true);
+            chan.reset();
             ++cycleFails;
             std::uint64_t headSeq = ~std::uint64_t{0};
             if (!refundHead)
@@ -1016,9 +784,9 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
         // caller closes the channel.
         auto probe = [&]() -> bool {
             std::string err;
-            if (!net::writeLine(chan.fd.get(), kCellPingLine, err)) {
+            if (!net::writeLine(chan.get(), kCellPingLine, err)) {
                 lastError = "ping write failed: " + err;
-                lastReason = ep.broken;
+                lastReason = FailReason::ConnReset;
                 return false;
             }
             std::string pong;
@@ -1108,7 +876,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                     // found now costs nobody a job — just close it and
                     // reopen when work arrives.
                     if (!probe())
-                        chan.close(/*kill=*/true);
+                        chan.reset();
                     continue;
                 }
                 pending.push_back(i);
@@ -1123,14 +891,16 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                             std::min(cycleFails, policy.maxAttempts),
                             rng)));
                 std::string err;
-                if (!ep.open(chan, err)) {
+                chan =
+                    net::connectTcp(ep.daemon.host, ep.daemon.port, err);
+                if (!chan.valid()) {
                     lastError = err;
-                    lastReason = ep.broken;
+                    lastReason = FailReason::ConnReset;
                     ++cycleFails;
                     chargeAll();
                     continue;
                 }
-                reader.reset(chan.fd.get());
+                reader.reset(chan.get());
                 connects.fetch_add(1);
                 if (everOpened)
                     reconnects.fetch_add(1);
@@ -1138,7 +908,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                 if (heartbeatMs > 0 && !probe()) {
                     // A fresh channel proves it serves the protocol
                     // loop before any job rides it.
-                    chan.close(/*kill=*/true);
+                    chan.reset();
                     ++cycleFails;
                     chargeAll();
                     continue;
@@ -1157,19 +927,18 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                         retries.fetch_add(1);
                     std::string err;
                     ExecClock::time_point writeStart = ExecClock::now();
-                    if (!net::writeLine(chan.fd.get(), jobs[i].toJson(),
+                    if (!net::writeLine(chan.get(), jobs[i].toJson(),
                                         err)) {
                         lastError =
                             "peer dropped before accepting the job: "
                             + err;
-                        lastReason = ep.broken;
+                        lastReason = FailReason::ConnReset;
                         // The write-failing job itself paid above.
                         teardown(/*refundHead=*/true);
                         wireOk = false;
                         break;
                     }
-                    recordWireWrite(opts_, jobs[i].id, ep.traceCat,
-                                    writeStart);
+                    recordWireWrite(opts_, jobs[i].id, writeStart);
                     pending.pop_back();
                     inflight[jobs[i].id] = {i, ExecClock::now(),
                                             nextSeq++};
@@ -1229,8 +998,8 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                     status == net::LineReader::Status::Eof
                         ? std::string("peer dropped mid-job")
                         : "framing error: " + err;
-                lastReason =
-                    offProtocol ? FailReason::FrameCorrupt : ep.broken;
+                lastReason = offProtocol ? FailReason::FrameCorrupt
+                                         : FailReason::ConnReset;
                 teardown(/*refundHead=*/false);
                 continue;
             }
@@ -1268,9 +1037,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
             perEndpoint[index] += 1;
             queue.finish();
         }
-        // Closing the channel tells the peer this stream is done: a
-        // daemon drops the connection, an idle child reads EOF and
-        // exits (and is reaped).
+        // Closing the channel tells the daemon this stream is done.
     };
 
     std::vector<std::thread> pool;
@@ -1330,8 +1097,10 @@ const char *const kCellPingLine = "{\"event\":\"ping\"}";
 const char *const kCellPongLine = "{\"event\":\"pong\"}";
 
 std::string
-handleCellLine(const std::string &line)
+handleCellLine(const std::string &line, bool *ranJob)
 {
+    if (ranJob != nullptr)
+        *ranJob = false;
     if (line == kCellPingLine) {
         static metrics::Counter &pongs = metrics::counter(
             "l0vliw_driver_heartbeats_total{type=\"pong\"}",
@@ -1360,39 +1129,14 @@ handleCellLine(const std::string &line)
     CellOutcome outcome;
     if (CellJob::fromJson(line, job, err)) {
         outcome = executeCellJob(job);
+        if (ranJob != nullptr)
+            *ranJob = true;
     } else {
         outcome.ok = false;
         outcome.error = "malformed job: " + err;
         outcome.reason = FailReason::FrameCorrupt;
     }
     return outcome.toJson();
-}
-
-int
-cellWorkerMain(int exitAfter)
-{
-    // The parent dying mid-reply must be a write error (the return 1
-    // below), not a SIGPIPE death that looks like a worker crash.
-    net::ignoreSigpipe();
-    if (exitAfter == 0)
-        _exit(3); // crash-path test hook: die before the first job
-
-    net::LineReader reader(STDIN_FILENO);
-    int handled = 0;
-    std::string line, error;
-    for (;;) {
-        net::LineReader::Status status = reader.readLine(line, error);
-        if (status == net::LineReader::Status::Eof)
-            return 0; // the parent closed the channel
-        if (status != net::LineReader::Status::Line)
-            return 1; // broken or off-protocol stream
-        if (line.empty())
-            continue;
-        if (!net::writeLine(STDOUT_FILENO, handleCellLine(line), error))
-            return 1; // parent went away
-        if (exitAfter > 0 && ++handled >= exitAfter)
-            _exit(3); // crash-path test hook
-    }
 }
 
 // ---- the --serve worker daemon ----
@@ -1448,8 +1192,11 @@ cellDaemonMain(std::uint16_t port, int workers)
     bool ok = server.start(
         port,
         [&served](const std::string &line) {
-            served.fetch_add(1);
-            return std::optional<std::string>(handleCellLine(line));
+            bool ranJob = false;
+            std::string reply = handleCellLine(line, &ranJob);
+            if (ranJob)
+                served.fetch_add(1);
+            return std::optional<std::string>(std::move(reply));
         },
         error);
     if (!ok)

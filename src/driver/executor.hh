@@ -16,24 +16,17 @@
  * result is a CellOutcome carrying the full BenchmarkRun. Both value
  * types have a lossless JSON encoding (common/json.hh): 64-bit
  * counters decode from their raw tokens and doubles travel as %.17g,
- * so a run that crossed a pipe is bit-identical to one computed in
+ * so a run that crossed the wire is bit-identical to one computed in
  * place.
  *
  * Two engines ship:
  *
  *  - InProcessExecutor: a work-stealing thread pool in this process.
- *  - RemoteExecutor: the one dispatch engine for cells that cross a
- *    process boundary. It runs one thread per endpoint, and each
- *    endpoint owns a *channel* carrying newline-delimited JSON jobs
- *    and outcomes. A channel is one of two kinds, opened and closed
- *    by one small factory:
- *      - Subprocess: a socketpair to a `--cell-worker` child (the
- *        shared driver CLI's hidden mode re-executing this binary),
- *        min(jobs, cells) of them; closing one on a teardown
- *        SIGKILLs and reaps the child.
- *      - Tcp: a connection to a `--serve` worker daemon (src/net),
- *        one per ExecOptions.endpoints entry.
- *    Every channel is *pipelined*: it windows up to
+ *  - RemoteExecutor: the one dispatch engine for cells that leave the
+ *    process. It runs one thread per ExecOptions.endpoints entry, and
+ *    each owns a *channel*: a TCP connection to a `--serve` worker
+ *    daemon (src/net) carrying newline-delimited JSON jobs and
+ *    outcomes. Every channel is *pipelined*: it windows up to
  *    ExecOptions.window jobs in flight (the frames carry per-job ids,
  *    so replies complete out of order against an in-flight map).
  *    Work assignment is credit-based: a completion frees a window
@@ -41,11 +34,11 @@
  *    shared queue, so a fast peer drains more of the grid than a slow
  *    one with no static partitioning. A teardown re-queues *every*
  *    windowed in-flight job (only the head of the line is charged an
- *    attempt) and reopens the channel with backoff (which also rides
- *    out a daemon restart or a worker crash). An endpoint that
- *    exhausts a job's retry budget hands the job back to the shared
- *    queue and retires — the surviving endpoints absorb its load, and
- *    only when every endpoint is gone do jobs fail in their outcomes.
+ *    attempt) and reconnects with backoff (which also rides out a
+ *    daemon restart). An endpoint that exhausts a job's retry budget
+ *    hands the job back to the shared queue and retires — the
+ *    surviving endpoints absorb its load, and only when every
+ *    endpoint is gone do jobs fail in their outcomes.
  *
  * Every cell is a deterministic pure function of its job, so all
  * backends produce bit-identical grids for every jobs/endpoint count
@@ -85,12 +78,11 @@ namespace l0vliw::driver
 /** Where cells execute. */
 enum class ExecBackend
 {
-    InProcess,  ///< worker threads in this process
-    Subprocess, ///< a pool of --cell-worker child processes
-    Tcp,        ///< --serve daemons reached over TCP (src/net)
+    InProcess, ///< worker threads in this process
+    Tcp,       ///< --serve daemons reached over TCP (src/net)
 };
 
-/** Parse "inprocess" | "subprocess" | "tcp" (fatal otherwise). */
+/** Parse "inprocess" | "tcp" (fatal otherwise). */
 ExecBackend parseExecBackend(const std::string &name);
 
 /** The L0VLIW_EXECUTOR environment default (InProcess when unset). */
@@ -122,69 +114,59 @@ using CellEventFn = std::function<void(
 struct ExecOptions
 {
     ExecBackend backend = ExecBackend::InProcess;
-    /** Worker threads or worker processes (<= 1: one worker). */
+    /** Worker threads in this process: InProcess, and Tcp's
+     *  --degrade local drain (<= 1: one worker). */
     int jobs = 1;
-    /** Channel backends: retry budget per job on a channel teardown
+    /** Tcp: retry budget per job on a channel teardown
      *  (attempts = maxRetries + 1). */
     int maxRetries = 2;
     /**
-     * Subprocess channels: the worker command line. Empty means
-     * re-execute this binary via /proc/self/exe with the hidden
-     * --cell-worker flag — every driver built on the shared CLI is its
-     * own worker.
-     */
-    std::vector<std::string> workerCommand;
-    /**
-     * Tcp channels: the "host:port" worker daemons (the drivers'
-     * --connect). One connection — and one pool thread — per entry;
-     * list a daemon twice for two concurrent streams into it.
+     * Tcp: the "host:port" worker daemons (the drivers' --connect).
+     * One connection — and one pool thread — per entry; list a daemon
+     * twice for two concurrent streams into it.
      */
     std::vector<std::string> endpoints;
     /**
-     * Channel backends: base retry backoff. Attempt k waits
-     * base * 2^(k-1) capped at maxBackoffMs, jittered +/- 50%
-     * (RetryPolicy) — the jitter keeps N connections to a restarted
-     * daemon from re-stampeding it in lockstep.
+     * Tcp: base retry backoff. Attempt k waits base * 2^(k-1) capped
+     * at maxBackoffMs, jittered +/- 50% (RetryPolicy) — the jitter
+     * keeps N connections to a restarted daemon from re-stampeding it
+     * in lockstep.
      */
     int retryBackoffMs = 50;
-    /** Channel backends: backoff cap before jitter. */
+    /** Tcp: backoff cap before jitter. */
     int maxBackoffMs = 2000;
     /**
-     * Per-job wall-clock deadline (the drivers' --cell-timeout-ms).
-     * < 0 is the backend default: 60000 for Tcp (a remote cell must
-     * resolve in bounded time), off for Subprocess. 0 disables
-     * explicitly. A blown deadline tears the channel down like any
-     * other break — a child is SIGKILLed and respawned. InProcess: not
-     * applicable (a compute thread cannot be safely preempted; cells
-     * are pure deterministic functions, so locally a slow cell is just
-     * slow).
+     * Tcp: per-job wall-clock deadline (the drivers'
+     * --cell-timeout-ms); a remote cell must resolve in bounded time.
+     * 0 disables. A blown deadline tears the channel down like any
+     * other break. InProcess: not applicable (a compute thread cannot
+     * be safely preempted; cells are pure deterministic functions, so
+     * locally a slow cell is just slow).
      */
-    int cellTimeoutMs = -1;
+    int cellTimeoutMs = 60000;
     /**
-     * Channel backends: heartbeat interval — an *idle-channel* timer.
-     * A {"event":"ping"} probe goes out on fresh channels and on
+     * Tcp: heartbeat interval — an *idle-channel* timer. A
+     * {"event":"ping"} probe goes out on fresh channels and on
      * channels that have sat idle (no job in flight, no exchange) for
      * this long while the endpoint waits for work, and the peer must
      * pong within the same bound — a silent (accepted but wedged)
      * peer is detected in bounded time instead of swallowing a job
      * for its full deadline. A channel with jobs in flight is never
      * pinged: the replies themselves prove liveness, and the per-job
-     * deadline bounds their silence. < 0 is the backend default (5000
-     * for Tcp, off for Subprocess); 0 disables.
+     * deadline bounds their silence. 0 disables.
      */
-    int heartbeatMs = -1;
+    int heartbeatMs = 5000;
     /**
-     * Channel backends: jobs windowed per channel (the drivers'
-     * --window). The client keeps up to this many jobs in flight on
-     * each channel, matching replies by id; 1 is strict lockstep (one
+     * Tcp: jobs windowed per channel (the drivers' --window, >= 1).
+     * The client keeps up to this many jobs in flight on each
+     * channel, matching replies by id; 1 is strict lockstep (one
      * request, one reply — bit-identical outcomes either way, cells
-     * are pure). < 0 is the backend default (4 for Tcp, 1 for
-     * Subprocess). Higher windows hide link round trips; see
+     * are pure). Higher windows hide link round trips; see
      * src/net/PROTOCOL.md and the README note on picking a value.
      */
-    int window = -1;
-    /** Channel backends: what happens when every endpoint permanently
-     *  fails (the drivers' --degrade). */
+    int window = 4;
+    /** Tcp: what happens when every endpoint permanently fails (the
+     *  drivers' --degrade). */
     DegradeMode degrade = DegradeMode::Fail;
     /** Fires once per job with its final outcome; see CellEventFn. */
     CellEventFn onOutcome;
@@ -290,11 +272,7 @@ class InProcessExecutor : public Executor
     ExecOptions opts_;
 };
 
-/**
- * Ships cell jobs over channels: spawned --cell-worker children
- * (ExecBackend::Subprocess) or --serve daemons over TCP
- * (ExecBackend::Tcp).
- */
+/** Ships cell jobs over TCP to --serve daemons (ExecBackend::Tcp). */
 class RemoteExecutor : public Executor
 {
   public:
@@ -314,9 +292,7 @@ class RemoteExecutor : public Executor
         std::vector<int> jobsPerEndpoint;
     };
 
-    /** Tcp: fatal on an empty or malformed ExecOptions.endpoints
-     *  list. Subprocess: installs the kill-children-on-signal
-     *  handlers. */
+    /** Fatal on an empty or malformed ExecOptions.endpoints list. */
     explicit RemoteExecutor(const ExecOptions &opts);
     std::vector<CellOutcome>
     execute(const std::vector<CellJob> &jobs) override;
@@ -331,22 +307,10 @@ class RemoteExecutor : public Executor
 std::unique_ptr<Executor> makeExecutor(const ExecOptions &opts);
 
 /**
- * The hidden --cell-worker CLI mode: the daemon's per-connection loop
- * on fds 0/1. Reads one frame per line from fd 0 and writes
- * handleCellLine's reply to fd 1 (net::LineReader/writeLine: framed,
- * bounded, fault-injectable), until EOF. Returns the process exit
- * code.
- *
- * @p exitAfter is a test hook for the crash/retry path: >= 0 makes
- * the worker _exit(3) after that many outcomes (0 dies immediately).
- */
-int cellWorkerMain(int exitAfter = -1);
-
-/**
  * The heartbeat probe frames. A client sends kCellPingLine on a fresh
  * channel or one that has sat idle with nothing in flight; every
- * executing side (handleCellLine, so the daemon, the --cell-worker
- * loop, and in-process test daemons alike) answers kCellPongLine —
+ * executing side (handleCellLine, so the daemon and in-process test
+ * daemons alike) answers kCellPongLine —
  * proof the peer is not merely accepting bytes but actually serving
  * its protocol loop. Channels with jobs in flight are never
  * pinged (see ExecOptions.heartbeatMs).
@@ -358,10 +322,13 @@ extern const char *const kCellPongLine;
  * One protocol round trip, transport-free: decode a CellJob line,
  * execute it, encode the CellOutcome line. Malformed frames come back
  * as a failed outcome (id 0, reason frame-corrupt), never a crash —
- * both the --cell-worker loop and the --serve daemon are this
- * function behind a transport. kCellPingLine answers kCellPongLine.
+ * the --serve daemon is this function behind a transport.
+ * kCellPingLine answers kCellPongLine. @p ranJob, when given, is set
+ * to whether the line decoded as a CellJob and went to
+ * executeCellJob (pings, scrapes and malformed frames do not).
  */
-std::string handleCellLine(const std::string &line);
+std::string handleCellLine(const std::string &line,
+                           bool *ranJob = nullptr);
 
 /**
  * The --serve CLI mode: a worker daemon answering CellJob lines with

@@ -10,8 +10,8 @@
  * out, and the cap keeps the worst-case wait bounded.
  *
  * FailReason is the diagnosis side: when a cell fails for good, the
- * executor records *why* in transport terms (timeout, worker-crash,
- * frame-corrupt, conn-reset, job-error) rather than only a prose
+ * executor records *why* in transport terms (timeout, frame-corrupt,
+ * conn-reset, job-error) rather than only a prose
  * string, so a chaos run's failures can be asserted on and a
  * production run's failures can be aggregated.
  */
@@ -31,7 +31,10 @@ enum class FailReason
 {
     None,         ///< no failure (or unclassified legacy outcome)
     Timeout,      ///< deadline or heartbeat expired
-    WorkerCrash,  ///< subprocess worker died / could not be spawned
+    /** Read only: no executor produces it any more, but the result
+     *  store still decodes it from events already in its log (a
+     *  spawned worker process died or could not be spawned). */
+    WorkerCrash,
     FrameCorrupt, ///< malformed or mismatched protocol frame
     ConnReset,    ///< TCP connection lost / could not be established
     JobError,     ///< the job itself is unrunnable (bad label, ...)

@@ -17,8 +17,7 @@
  * Execution contract: Suite::run(const ExecOptions&) runs the grid
  * as two waves of serializable CellJobs through one Executor
  * (driver/executor.hh) — worker threads in this process, or the
- * windowed channel executor over --cell-worker children or remote
- * --serve daemons. Wave 1 is one baseline job per benchmark: its
+ * windowed channel executor over TCP to --serve daemons. Wave 1 is one baseline job per benchmark: its
  * worker makes the unroll decision and runs the unified cell. Wave 2
  * is every other cell, carrying that decision and the baseline's
  * scalar-region cycles; a "unified" column is the wave-1 run itself.
@@ -227,7 +226,7 @@ class Suite
     /**
      * Execute every (benchmark, architecture) cell through the
      * executor @p exec selects (in-process thread pool, or channels to
-     * worker children or daemons). Bit-identical results for every
+     * --serve daemons). Bit-identical results for every
      * (backend, jobs, window) combination; see the execution
      * contract above.
      */

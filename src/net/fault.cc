@@ -425,8 +425,9 @@ FaultyStream::writeAll(const char *data, std::size_t n,
     std::size_t off = 0;
     while (off < limit) {
         // MSG_NOSIGNAL keeps a hung-up socket peer an EPIPE error
-        // instead of a process-killing SIGPIPE; pipes (ENOTSOCK) fall
-        // back to plain write and the executor's SIGPIPE disposition.
+        // instead of a process-killing SIGPIPE; a non-socket fd
+        // (ENOTSOCK) falls back to plain write and the process's
+        // SIGPIPE disposition.
         ssize_t sent = ::send(fd_, data + off, limit - off,
                               MSG_NOSIGNAL);
         if (sent < 0 && errno == ENOTSOCK)

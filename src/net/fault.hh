@@ -17,9 +17,9 @@
  * per-operation fault decisions. Every LineReader::readLine and
  * writeLine consults the process-global plan (when one is installed,
  * via --fault-inject / L0VLIW_FAULT_INJECT or installFaultPlan from a
- * test), so the same injection layer covers the TCP daemon, the
- * RemoteExecutor's channels, and both ends of a --cell-worker
- * child's socketpair (the child inherits L0VLIW_FAULT_INJECT).
+ * test), so the same injection layer covers both ends of every TCP
+ * stream: the --serve daemon's connections and the RemoteExecutor's
+ * channels.
  *
  * Fault semantics per stream operation:
  *
@@ -156,9 +156,8 @@ bool installFaultPlanFromSpec(const std::string &specText,
                               std::string &error);
 
 /**
- * Honor the L0VLIW_FAULT_INJECT environment spec, when set: how
- * daemons and --cell-worker children inherit injection from their
- * launcher. Fatal on a malformed spec (a typo'd chaos run must not
+ * Honor the L0VLIW_FAULT_INJECT environment spec, when set: how a
+ * daemon inherits injection from its launcher. Fatal on a malformed spec (a typo'd chaos run must not
  * silently measure a healthy system).
  */
 void installFaultPlanFromEnv();

@@ -95,13 +95,13 @@ Fd connectTcp(const std::string &host, std::uint16_t port,
               std::string &error);
 
 /**
- * Ignore SIGPIPE process-wide so a peer-closed socket or pipe is an
- * EPIPE write error (handled on the retry path) instead of process
- * death. MSG_NOSIGNAL already covers socket sends, but pipe writes to
- * a dead --cell-worker and stdio fallbacks have no per-call opt-out.
+ * Ignore SIGPIPE process-wide so a peer-closed socket is an EPIPE
+ * write error (handled on the retry path) instead of process death.
+ * MSG_NOSIGNAL already covers socket sends, but the plain-write
+ * fallback for a non-socket fd has no per-call opt-out.
  * Installs SIG_IGN only over SIG_DFL — an embedding application's own
  * handler is left alone. Idempotent; called by every component that
- * writes to a peer (daemon, executors, workers).
+ * writes to a peer (daemons, executors).
  */
 void ignoreSigpipe();
 

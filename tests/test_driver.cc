@@ -8,12 +8,16 @@
  * typed result sinks.
  */
 
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/result_sink.hh"
@@ -22,6 +26,7 @@
 #include "driver/registry.hh"
 #include "driver/runner.hh"
 #include "driver/suite.hh"
+#include "net/socket.hh"
 #include "workloads/synthetic.hh"
 #include "workloads/workload.hh"
 
@@ -390,16 +395,36 @@ captureStdout(const std::string &cmd)
     return out;
 }
 
+/** A `--serve` daemon child, SIGTERMed and reaped on every exit path. */
+struct DaemonProcess
+{
+    pid_t pid = -1;
+
+    DaemonProcess() = default;
+    DaemonProcess(const DaemonProcess &) = delete;
+    DaemonProcess &operator=(const DaemonProcess &) = delete;
+
+    ~DaemonProcess()
+    {
+        if (pid > 0) {
+            kill(pid, SIGTERM);
+            int status = 0;
+            waitpid(pid, &status, 0);
+        }
+    }
+};
+
 } // namespace
 
 /**
- * The PR's acceptance pin: for every bench driver binary,
- * `--executor subprocess --jobs 4` must produce byte-identical
+ * The cross-process pin: for every bench driver binary,
+ * `--executor tcp` into one `fig7_distributed --serve` daemon (any
+ * driver serves every registered cell) must produce byte-identical
  * table/CSV/JSON output to `--executor inprocess --jobs 1`. The
  * drivers live next to this test in the build tree (ctest runs from
  * there); narrow --filters keep the 8 x 3 x 2 matrix fast.
  */
-TEST(DriverBinaries, SubprocessOutputBytesEqualInProcess)
+TEST(DriverBinaries, TcpOutputBytesEqualInProcess)
 {
     struct DriverCase
     {
@@ -421,6 +446,33 @@ TEST(DriverBinaries, SubprocessOutputBytesEqualInProcess)
         GTEST_SKIP() << "driver binaries not in the working directory "
                         "(run via ctest from the build tree)";
 
+    // Reserve a port for the daemon (closed before the fork: a tiny
+    // reuse race, harmless in a test runner).
+    std::string error;
+    std::uint16_t port = 0;
+    {
+        net::Fd listener = net::listenTcp(0, error, &port);
+        ASSERT_TRUE(listener.valid()) << error;
+    }
+    const std::string portText = std::to_string(port);
+    DaemonProcess daemon;
+    daemon.pid = fork();
+    ASSERT_GE(daemon.pid, 0);
+    if (daemon.pid == 0) {
+        execl("./fig7_distributed", "./fig7_distributed", "--serve",
+              portText.c_str(), "--jobs", "2",
+              static_cast<char *>(nullptr));
+        _exit(127);
+    }
+    bool listening = false;
+    for (int attempt = 0; attempt < 500 && !listening; ++attempt) {
+        listening = net::connectTcp("127.0.0.1", port, error).valid();
+        if (!listening)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_TRUE(listening) << "daemon never listened: " << error;
+    const std::string endpoint = "127.0.0.1:" + portText;
+
     for (const DriverCase &d : drivers) {
         std::string base = std::string("./") + d.binary;
         if (d.filter)
@@ -429,14 +481,15 @@ TEST(DriverBinaries, SubprocessOutputBytesEqualInProcess)
             std::string fmt = std::string(" --format=") + format;
             auto inproc = captureStdout(
                 base + " --executor inprocess --jobs 1" + fmt);
-            auto subproc = captureStdout(
-                base + " --executor subprocess --jobs 4" + fmt);
+            auto remote = captureStdout(base + " --executor tcp --connect "
+                                        + endpoint + "," + endpoint
+                                        + fmt);
             ASSERT_TRUE(inproc.has_value()) << base << fmt;
-            ASSERT_TRUE(subproc.has_value()) << base << fmt;
+            ASSERT_TRUE(remote.has_value()) << base << fmt;
             EXPECT_FALSE(inproc->empty()) << base << fmt;
-            EXPECT_EQ(*inproc, *subproc)
+            EXPECT_EQ(*inproc, *remote)
                 << d.binary << " --format=" << format
-                << ": subprocess output diverged from in-process";
+                << ": tcp output diverged from in-process";
         }
     }
 }

@@ -2,30 +2,23 @@
  * @file
  * The executor API and its wire protocol: lossless JSON round-trips
  * of CellJob/CellOutcome/BenchmarkRun (every field, StatSet and
- * bit-exact doubles included), subprocess ≡ in-process ≡ tcp
- * bit-identity across every registered ArchSpec, the worker-death and
- * connection-drop retry paths (daemon restart included), the
- * per-cell event stream, and graceful shutdown (daemon SIGTERM, no
- * orphaned --cell-worker children).
+ * bit-exact doubles included), tcp ≡ in-process bit-identity across
+ * every registered ArchSpec, the connection-drop retry paths (daemon
+ * restart included), the per-cell event stream, and graceful daemon
+ * shutdown on SIGTERM.
  *
- * This test carries its own main(): the subprocess backend re-executes
- * /proc/self/exe as a --cell-worker, so this binary doubles as its own
- * worker (with a --crash-after=N hook for the death tests, a
- * --sleep-worker hook for the orphan-cleanup test, and a --hang hook
- * for the deadline-watchdog test).
- *
- * The reliability layer is covered here too: the subprocess deadline
- * watchdog, the TCP heartbeat against a silent daemon, --degrade
- * local draining a suite with every daemon down, failed --stream
- * events carrying reason + attempts, and two chaos soaks
- * (src/net/fault.hh) — 20 seeds over TCP, 10 over spawned workers
- * with faults on the child's side of the socketpair too — asserting
- * every seed terminates with cells that are bit-identical to an
- * in-process run or carry an explicit failure reason — never a hang.
+ * The reliability layer is covered here too: the per-job deadline
+ * against a daemon that never replies, the heartbeat against a silent
+ * daemon, --degrade local draining a suite with every daemon down,
+ * failed --stream events carrying reason + attempts, and a chaos soak
+ * (src/net/fault.hh) of 20 seeds over TCP asserting every seed
+ * terminates with cells that are bit-identical to an in-process run
+ * or carry an explicit failure reason — never a hang.
  */
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,7 +30,6 @@
 #include <tuple>
 #include <utility>
 
-#include <dirent.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -143,19 +135,6 @@ makeJob(std::uint64_t id, const std::string &bench,
     job.unrolls = w1.unrolls;
     job.baseline = w1.baseline;
     return job;
-}
-
-ExecOptions
-subprocessOpts(int jobs, int crashAfter = -1)
-{
-    ExecOptions opts;
-    opts.backend = ExecBackend::Subprocess;
-    opts.jobs = jobs;
-    opts.workerCommand = {"/proc/self/exe", "--cell-worker"};
-    if (crashAfter >= 0)
-        opts.workerCommand.push_back("--crash-after="
-                                     + std::to_string(crashAfter));
-    return opts;
 }
 
 } // namespace
@@ -494,178 +473,6 @@ TEST(ExecuteCellJob, BaselineJobDecidesAndRunsTheUnifiedCell)
             .unrolls.empty());
 }
 
-// ---- subprocess ≡ in-process ----
-
-TEST(SubprocessExecutor, BitIdenticalToInProcessAcrossRegistry)
-{
-    // Every registered ArchSpec crosses the wire; the decoded runs
-    // must equal the in-process ones bit for bit.
-    driver::ExperimentSpec spec;
-    spec.benchmarks = {"gsmdec", "stream-4"};
-    spec.archs = driver::archRegistry().names();
-    for (std::size_t a = 0; a < spec.archs.size(); ++a)
-        spec.columns.push_back(driver::normalizedColumn(
-            spec.archs[a], static_cast<int>(a)));
-    driver::Suite suite(std::move(spec));
-
-    ExecOptions inproc;
-    inproc.jobs = 1;
-    driver::ResultGrid serial = suite.run(inproc);
-    driver::ResultGrid piped = suite.run(subprocessOpts(4));
-
-    ASSERT_EQ(serial.numBenches(), piped.numBenches());
-    ASSERT_EQ(serial.numArchs(), piped.numArchs());
-    for (std::size_t b = 0; b < serial.numBenches(); ++b) {
-        expectRunsEqual(serial.baseline(b), piped.baseline(b));
-        for (std::size_t a = 0; a < serial.numArchs(); ++a) {
-            expectRunsEqual(serial.cell(b, a).run, piped.cell(b, a).run);
-            EXPECT_EQ(serial.cell(b, a).normalized,
-                      piped.cell(b, a).normalized);
-            EXPECT_EQ(serial.cell(b, a).normalizedStall,
-                      piped.cell(b, a).normalizedStall);
-        }
-    }
-    EXPECT_EQ(renderText(serial.render()), renderText(piped.render()));
-    EXPECT_EQ(renderCsv(serial.render()), renderCsv(piped.render()));
-    EXPECT_EQ(renderJson(serial.render()), renderJson(piped.render()));
-}
-
-// ---- worker death ----
-
-TEST(SubprocessExecutor, RespawnsWorkersAndRetries)
-{
-    // Workers _exit(3) after every job: each completes, but the pool
-    // must respawn a child per job past the first.
-    Wave1 w1 = wave1("gsmdec");
-    std::vector<CellJob> jobs;
-    for (int i = 0; i < 4; ++i)
-        jobs.push_back(makeJob(i, "gsmdec",
-                               i % 2 ? "l0-4" : "l0-8", w1));
-
-    driver::RemoteExecutor exec(subprocessOpts(2, /*crashAfter=*/1));
-    std::vector<CellOutcome> outcomes = exec.execute(jobs);
-
-    ASSERT_EQ(outcomes.size(), jobs.size());
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        EXPECT_TRUE(outcomes[i].ok) << outcomes[i].error;
-        EXPECT_EQ(outcomes[i].id, jobs[i].id);
-        EXPECT_EQ(outcomes[i].run.arch, jobs[i].arch);
-    }
-    // 4 jobs, workers die after each one: at least two extra spawns.
-    EXPECT_GT(exec.stats().reconnects, 0);
-    EXPECT_GE(exec.stats().connects, 4);
-}
-
-TEST(SubprocessExecutor, FailsCleanlyWhenWorkersAlwaysDie)
-{
-    // Workers die before accepting any job: the retry budget runs out
-    // and the outcome reports failure instead of hanging or crashing.
-    Wave1 w1 = wave1("gsmdec");
-    std::vector<CellJob> jobs = {makeJob(0, "gsmdec", "l0-8", w1)};
-
-    ExecOptions opts = subprocessOpts(1, /*crashAfter=*/0);
-    opts.maxRetries = 1;
-    driver::RemoteExecutor exec(opts);
-    std::vector<CellOutcome> outcomes = exec.execute(jobs);
-
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_FALSE(outcomes[0].ok);
-    EXPECT_NE(outcomes[0].error.find("failed after"),
-              std::string::npos)
-        << outcomes[0].error;
-    EXPECT_GE(exec.stats().retries, 1);
-}
-
-TEST(SubprocessExecutor, PropagatesInJobFailures)
-{
-    // A job the *worker* rejects (bad label) is not a worker death:
-    // no retries, the failure comes back through the outcome.
-    Wave1 w1 = wave1("gsmdec");
-    std::vector<CellJob> jobs = {
-        makeJob(0, "gsmdec", "l0-8", w1),
-        makeJob(1, "no-such-bench", "l0-8", w1),
-    };
-    driver::RemoteExecutor exec(subprocessOpts(1));
-    std::vector<CellOutcome> outcomes = exec.execute(jobs);
-
-    ASSERT_EQ(outcomes.size(), 2u);
-    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
-    EXPECT_FALSE(outcomes[1].ok);
-    EXPECT_NE(outcomes[1].error.find("no-such-bench"),
-              std::string::npos);
-    EXPECT_EQ(exec.stats().retries, 0);
-}
-
-TEST(SubprocessExecutor, WorkerSurvivesBadUnrollFactors)
-{
-    // Straight onto a --cell-worker's socketpair, no executor in
-    // between: a factor of 0 used to kill the worker with SIGFPE, -1
-    // came back as an ok zero-cycle cell, and 1.5 and 2^32+1 ran as 1.
-    // Each must now get a failed outcome — the worker's job-error for
-    // a frame that decodes, the id-0 frame-corrupt sentinel for one
-    // that does not — and the same worker must then serve a valid job.
-    int pair[2];
-    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair), 0);
-    pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        if (dup2(pair[1], STDIN_FILENO) < 0
-            || dup2(pair[1], STDOUT_FILENO) < 0)
-            _exit(127);
-        execl("/proc/self/exe", "/proc/self/exe", "--cell-worker",
-              static_cast<char *>(nullptr));
-        _exit(127);
-    }
-    ::close(pair[1]);
-    net::Fd chan(pair[0]);
-    net::LineReader reader(chan.get());
-    auto roundTrip = [&](const std::string &frame, CellOutcome &out) {
-        std::string reply, error;
-        ASSERT_TRUE(net::writeLine(chan.get(), frame, error)) << error;
-        ASSERT_EQ(reader.readLine(reply, error, 30000),
-                  net::LineReader::Status::Line)
-            << frame << ": " << error;
-        ASSERT_TRUE(CellOutcome::fromJson(reply, out, error)) << error;
-    };
-
-    Wave1 w1 = wave1("gsmdec");
-    const CellJob good = makeJob(2, "gsmdec", "l0-8", w1);
-    const std::string key = "\"unrolls\":[";
-    struct Bad
-    {
-        const char *factor;
-        std::uint64_t id;
-        FailReason reason;
-    };
-    for (const Bad &bad : {Bad{"0", 1, FailReason::JobError},
-                           Bad{"-1", 1, FailReason::JobError},
-                           Bad{"1.5", 0, FailReason::FrameCorrupt},
-                           Bad{"4294967297", 0, FailReason::FrameCorrupt}}) {
-        CellJob job = good;
-        job.id = 1;
-        std::string frame = job.toJson();
-        std::size_t at = frame.find(key) + key.size();
-        frame.replace(at, frame.find_first_of(",]", at) - at, bad.factor);
-
-        CellOutcome out;
-        roundTrip(frame, out);
-        EXPECT_FALSE(out.ok) << bad.factor;
-        EXPECT_EQ(out.id, bad.id) << bad.factor;
-        EXPECT_EQ(out.reason, bad.reason) << bad.factor << ": "
-                                          << out.error;
-        roundTrip(good.toJson(), out);
-        EXPECT_TRUE(out.ok) << bad.factor << ": " << out.error;
-        EXPECT_EQ(out.id, 2u);
-    }
-
-    chan.reset(); // EOF: the worker exits on its own
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
-    EXPECT_TRUE(WIFEXITED(status)) << "worker died of signal "
-                                   << WTERMSIG(status);
-    EXPECT_EQ(WEXITSTATUS(status), 0);
-}
-
 // ---- tcp executor: a loopback --serve daemon in this process ----
 
 namespace
@@ -731,8 +538,7 @@ tcpOpts(const std::vector<std::string> &endpoints, int maxRetries = 2)
 TEST(RemoteExecutor, BitIdenticalToInProcessAcrossRegistry)
 {
     // Every registered ArchSpec crosses TCP; the decoded runs must
-    // equal the in-process ones bit for bit — the third backend obeys
-    // the same contract the subprocess pool proved above.
+    // equal the in-process ones bit for bit, in every output format.
     driver::ExperimentSpec spec;
     spec.benchmarks = {"gsmdec", "stream-4"};
     spec.archs = driver::archRegistry().names();
@@ -765,6 +571,7 @@ TEST(RemoteExecutor, BitIdenticalToInProcessAcrossRegistry)
         }
     }
     EXPECT_EQ(renderText(serial.render()), renderText(remote.render()));
+    EXPECT_EQ(renderCsv(serial.render()), renderCsv(remote.render()));
     EXPECT_EQ(renderJson(serial.render()), renderJson(remote.render()));
 }
 
@@ -1165,6 +972,109 @@ TEST(RemoteExecutor, PropagatesInJobFailures)
     EXPECT_GE(exec.stats().maxInFlight, 1);
 }
 
+TEST(RemoteExecutor, DefaultsAndZeroTurnsDeadlineAndHeartbeatOff)
+{
+    // One channel kind, one set of defaults: a one-minute per-job
+    // deadline, a five-second heartbeat and a window of four.
+    ExecOptions defaults;
+    defaults.backend = ExecBackend::Tcp;
+    EXPECT_EQ(defaults.cellTimeoutMs, 60000);
+    EXPECT_EQ(defaults.heartbeatMs, 5000);
+    EXPECT_EQ(defaults.window, 4);
+
+    Wave1 w1 = wave1("gsmdec");
+    std::vector<CellJob> jobs;
+    for (int i = 0; i < 8; ++i)
+        jobs.push_back(
+            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
+
+    // At the defaults a fresh channel is probed, and a slow daemon
+    // fills exactly four window slots.
+    {
+        LoopbackDaemon daemon(/*dropEvery=*/0, /*workers=*/1,
+                              /*serveDelayMs=*/20);
+        driver::RemoteExecutor exec(tcpOpts({daemon.endpoint()}));
+        for (const CellOutcome &out : exec.execute(jobs))
+            EXPECT_TRUE(out.ok) << out.error;
+        EXPECT_GE(daemon.pings.load(), 1);
+        EXPECT_EQ(exec.stats().maxInFlight, 4);
+    }
+    // 0 is off, not a zero-length bound: no probe goes out, and a
+    // cell slower than any short deadline still completes.
+    {
+        LoopbackDaemon daemon(/*dropEvery=*/0, /*workers=*/1,
+                              /*serveDelayMs=*/100);
+        ExecOptions opts = tcpOpts({daemon.endpoint()});
+        opts.cellTimeoutMs = 0;
+        opts.heartbeatMs = 0;
+        driver::RemoteExecutor exec(opts);
+        std::vector<CellOutcome> outcomes =
+            exec.execute({jobs[0], jobs[1]});
+        for (const CellOutcome &out : outcomes)
+            EXPECT_TRUE(out.ok) << out.error;
+        EXPECT_EQ(daemon.pings.load(), 0);
+        EXPECT_EQ(exec.stats().timeouts, 0);
+        EXPECT_EQ(exec.stats().retries, 0);
+    }
+}
+
+TEST(RemoteExecutor, DaemonSurvivesBadUnrollFactors)
+{
+    // Straight onto a daemon connection, no executor in between: an
+    // unroll factor of 0 (a division by zero), -1 (a zero-cycle cell),
+    // 1.5 or 2^32+1 (truncated or wrapped) must each get a failed
+    // outcome — the job-error for a frame that decodes, the id-0
+    // frame-corrupt sentinel for one that does not — and the same
+    // connection must then serve a valid job.
+    LoopbackDaemon daemon;
+    std::string error;
+    net::Fd chan = net::connectTcp("127.0.0.1", daemon.server.port(),
+                                   error);
+    ASSERT_TRUE(chan.valid()) << error;
+    net::LineReader reader(chan.get());
+    auto roundTrip = [&](const std::string &frame, CellOutcome &out) {
+        std::string reply, err;
+        ASSERT_TRUE(net::writeLine(chan.get(), frame, err)) << err;
+        ASSERT_EQ(reader.readLine(reply, err, 30000),
+                  net::LineReader::Status::Line)
+            << frame << ": " << err;
+        ASSERT_TRUE(CellOutcome::fromJson(reply, out, err)) << err;
+    };
+
+    Wave1 w1 = wave1("gsmdec");
+    const CellJob good = makeJob(2, "gsmdec", "l0-8", w1);
+    const std::string key = "\"unrolls\":[";
+    struct Bad
+    {
+        const char *factor;
+        std::uint64_t id;
+        FailReason reason;
+    };
+    for (const Bad &bad : {Bad{"0", 1, FailReason::JobError},
+                           Bad{"-1", 1, FailReason::JobError},
+                           Bad{"1.5", 0, FailReason::FrameCorrupt},
+                           Bad{"4294967297", 0, FailReason::FrameCorrupt}}) {
+        CellJob job = good;
+        job.id = 1;
+        std::string frame = job.toJson();
+        std::size_t at = frame.find(key) + key.size();
+        frame.replace(at, frame.find_first_of(",]", at) - at, bad.factor);
+
+        CellOutcome out;
+        roundTrip(frame, out);
+        EXPECT_FALSE(out.ok) << bad.factor;
+        EXPECT_EQ(out.id, bad.id) << bad.factor;
+        EXPECT_EQ(out.reason, bad.reason) << bad.factor << ": "
+                                          << out.error;
+        roundTrip(good.toJson(), out);
+        EXPECT_TRUE(out.ok) << bad.factor << ": " << out.error;
+        EXPECT_EQ(out.id, 2u);
+    }
+    // One connection served all eight frames.
+    EXPECT_EQ(daemon.served.load(), 8);
+    EXPECT_EQ(daemon.server.connectionsAccepted(), 1);
+}
+
 // ---- the per-cell event stream ----
 
 namespace
@@ -1226,7 +1136,6 @@ TEST(Stream, OneEventPerDispatchedCellFromEveryBackend)
     inproc.jobs = 2;
     std::vector<std::pair<std::string, ExecOptions>> backends = {
         {"inprocess", inproc},
-        {"subprocess", subprocessOpts(2)},
         {"tcp", tcpOpts({daemon.endpoint()})},
     };
 
@@ -1345,104 +1254,6 @@ TEST(Shutdown, DaemonExitsCleanlyOnSigterm)
     EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
-namespace
-{
-
-/** Top-level pids whose parent is @p parent (reads /proc). */
-std::vector<pid_t>
-childrenOf(pid_t parent)
-{
-    std::vector<pid_t> out;
-    DIR *proc = opendir("/proc");
-    if (proc == nullptr)
-        return out;
-    while (dirent *entry = readdir(proc)) {
-        char *end = nullptr;
-        long pid = std::strtol(entry->d_name, &end, 10);
-        if (*end != '\0' || pid <= 0)
-            continue;
-        std::string statPath =
-            "/proc/" + std::string(entry->d_name) + "/stat";
-        std::FILE *f = std::fopen(statPath.c_str(), "r");
-        if (f == nullptr)
-            continue;
-        int ppid = -1;
-        // pid (comm) state ppid — comm may hold spaces, so skip past
-        // the closing paren first.
-        char buf[512];
-        if (std::fgets(buf, sizeof(buf), f) != nullptr) {
-            const char *paren = std::strrchr(buf, ')');
-            if (paren != nullptr)
-                std::sscanf(paren + 1, " %*c %d", &ppid);
-        }
-        std::fclose(f);
-        if (ppid == static_cast<int>(parent))
-            out.push_back(static_cast<pid_t>(pid));
-    }
-    closedir(proc);
-    return out;
-}
-
-} // namespace
-
-TEST(Shutdown, SigtermLeavesNoWorkerChildrenBehind)
-{
-    // A middle process runs a subprocess pool whose workers accept a
-    // job and then sleep forever (--sleep-worker). SIGTERM to the
-    // middle must take the workers down with it — the no-zombie
-    // contract of the child-kill signal handlers.
-    Wave1 w1 = wave1("gsmdec");
-
-    pid_t middle = fork();
-    ASSERT_GE(middle, 0);
-    if (middle == 0) {
-        ExecOptions opts;
-        opts.backend = ExecBackend::Subprocess;
-        opts.jobs = 2;
-        opts.maxRetries = 0;
-        opts.workerCommand = {"/proc/self/exe", "--sleep-worker"};
-        driver::RemoteExecutor exec(opts);
-        std::vector<CellJob> jobs = {
-            makeJob(0, "gsmdec", "l0-8", w1),
-            makeJob(1, "gsmdec", "l0-4", w1),
-        };
-        exec.execute(jobs); // blocks: workers never reply
-        _exit(0);           // unreachable
-    }
-
-    // Wait until both sleep-workers exist.
-    std::vector<pid_t> workers;
-    for (int attempt = 0; attempt < 500; ++attempt) {
-        workers = childrenOf(middle);
-        if (workers.size() >= 2)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_GE(workers.size(), 2u) << "workers never spawned";
-
-    ASSERT_EQ(kill(middle, SIGTERM), 0);
-    int status = 0;
-    ASSERT_EQ(waitpid(middle, &status, 0), middle);
-    // The handler re-raises after killing the children, so the middle
-    // still reports death-by-SIGTERM.
-    EXPECT_TRUE(WIFSIGNALED(status));
-    if (WIFSIGNALED(status)) {
-        EXPECT_EQ(WTERMSIG(status), SIGTERM);
-    }
-
-    // Every worker must be gone (SIGKILLed, then reaped by init).
-    for (pid_t worker : workers) {
-        bool gone = false;
-        for (int attempt = 0; attempt < 500 && !gone; ++attempt) {
-            gone = kill(worker, 0) != 0;
-            if (!gone)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-        }
-        EXPECT_TRUE(gone) << "worker " << worker << " orphaned";
-    }
-}
-
 // ---- deadlines, heartbeats, degradation ----
 
 namespace
@@ -1456,24 +1267,66 @@ elapsedMsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
+/** A daemon that answers the heartbeat probe but never replies to a
+ *  job: its handler holds every job line until destruction. */
+struct HangingDaemon
+{
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool released = false;
+    std::atomic<int> jobLines{0};
+    net::Server server;
+
+    HangingDaemon()
+    {
+        std::string error;
+        bool ok = server.start(
+            0,
+            [this](const std::string &line) -> std::optional<std::string> {
+                if (line == driver::kCellPingLine)
+                    return driver::handleCellLine(line);
+                jobLines.fetch_add(1);
+                std::unique_lock<std::mutex> lock(mutex);
+                cv.wait(lock, [this]() { return released; });
+                return std::nullopt;
+            },
+            error);
+        EXPECT_TRUE(ok) << error;
+    }
+
+    ~HangingDaemon()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            released = true;
+        }
+        cv.notify_all();
+        server.stop();
+    }
+
+    std::string
+    endpoint() const
+    {
+        return "127.0.0.1:" + std::to_string(server.port());
+    }
+};
+
 } // namespace
 
-TEST(SubprocessExecutor, WatchdogKillsHungWorker)
+TEST(RemoteExecutor, DeadlineTearsDownAHungJob)
 {
-    // Workers accept the job and never reply (--hang): every attempt
-    // must end in a bounded-deadline SIGKILL + respawn, not a pool
-    // hang, and the final outcome must say so in transport terms.
+    // The daemon passes the fresh-channel ping, takes the job and never
+    // replies: every attempt must end in a bounded-deadline teardown
+    // and reconnect, not a hang, and the final outcome must say so in
+    // transport terms.
+    HangingDaemon daemon;
     Wave1 w1 = wave1("gsmdec");
     std::vector<CellJob> jobs = {makeJob(0, "gsmdec", "l0-8", w1)};
 
-    ExecOptions opts;
-    opts.backend = ExecBackend::Subprocess;
-    opts.jobs = 1;
-    opts.maxRetries = 1;
+    ExecOptions opts = tcpOpts({daemon.endpoint()}, /*maxRetries=*/1);
     opts.retryBackoffMs = 1;
     opts.maxBackoffMs = 5;
     opts.cellTimeoutMs = 200;
-    opts.workerCommand = {"/proc/self/exe", "--hang"};
 
     auto start = std::chrono::steady_clock::now();
     driver::RemoteExecutor exec(opts);
@@ -1488,7 +1341,8 @@ TEST(SubprocessExecutor, WatchdogKillsHungWorker)
     EXPECT_EQ(outcomes[0].attempts, 2);
     EXPECT_EQ(exec.stats().timeouts, 2);
     EXPECT_EQ(exec.stats().reconnects, 1);
-    // Two 200ms deadlines plus spawn overhead — bounded, not a hang.
+    EXPECT_EQ(daemon.jobLines.load(), 2);
+    // Two 200ms deadlines plus connect overhead — bounded, not a hang.
     EXPECT_GE(elapsedMs, 350.0);
     EXPECT_LT(elapsedMs, 10000.0);
 }
@@ -1671,7 +1525,7 @@ TEST(Trace, OneCompleteSpanChainPerDispatchedCellFromEveryBackend)
     // baseline jobs and dispatch once each, so every backend traces
     // exactly 6 job lanes, each a complete lifecycle chain — enqueue,
     // cell, execute, plan-build, fold — plus exactly one wire-write on
-    // the backends with a wire.
+    // the backend with a wire.
     driver::ExperimentSpec spec;
     spec.benchmarks = {"gsmdec", "stream-4"};
     spec.archs = {"l0-8", "unified", "l0-4"};
@@ -1685,7 +1539,6 @@ TEST(Trace, OneCompleteSpanChainPerDispatchedCellFromEveryBackend)
     inproc.jobs = 2;
     std::vector<std::tuple<std::string, ExecOptions, bool>> backends = {
         {"inprocess", inproc, false},
-        {"subprocess", subprocessOpts(2), true},
         {"tcp", tcpOpts({daemon.endpoint()}), true},
     };
 
@@ -1928,114 +1781,4 @@ TEST(ChaosSoak, TwentySeedsBitIdenticalOrDiagnosedNeverHung)
         // 4-cell grid under faults resolves in seconds.
         EXPECT_LT(elapsedMs, 60000.0) << "seed " << seed;
     }
-}
-
-TEST(ChaosSoak, SubprocessSeedsBitIdenticalOrDiagnosedNeverHung)
-{
-    // The same contract over spawned --cell-worker channels, with the
-    // faults on both ends of every socketpair: the parent's plan is
-    // installed here, and every child installs the exported
-    // L0VLIW_FAULT_INJECT spec before its first read (main below).
-    // The worker side frames through LineReader/writeLine like the
-    // daemon, so its reads stall, corrupt and reset, and its writes
-    // drop and tear — a teardown must SIGKILL and respawn the child
-    // and re-queue or diagnose every windowed id.
-    Wave1 w1 = wave1("gsmdec");
-    std::vector<CellJob> jobs;
-    for (int i = 0; i < 4; ++i)
-        jobs.push_back(
-            makeJob(i + 1, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
-
-    ExecOptions inproc;
-    inproc.jobs = 2;
-    std::vector<CellOutcome> reference =
-        driver::InProcessExecutor(inproc).execute(jobs);
-    for (const CellOutcome &ref : reference)
-        ASSERT_TRUE(ref.ok) << ref.error;
-
-    net::FaultSpec spec;
-    std::string specError;
-    ASSERT_TRUE(net::FaultSpec::parse(
-        "delay=0..5ms@0.25,drop@0.05,corrupt@0.05,stall@0.01,"
-        "reset@0.05",
-        spec, specError))
-        << specError;
-
-    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        spec.seed = seed;
-        ASSERT_EQ(setenv("L0VLIW_FAULT_INJECT", spec.summary().c_str(), 1),
-                  0);
-        auto start = std::chrono::steady_clock::now();
-        std::vector<CellOutcome> outcomes;
-        {
-            net::ScopedFaultPlan chaos(spec);
-            ExecOptions opts = subprocessOpts(2);
-            opts.maxRetries = 4;
-            opts.window = 4;
-            opts.retryBackoffMs = 2;
-            opts.maxBackoffMs = 20;
-            opts.cellTimeoutMs = 2000;
-            opts.degrade = driver::DegradeMode::Local;
-            driver::RemoteExecutor exec(opts);
-            outcomes = exec.execute(jobs);
-        }
-        unsetenv("L0VLIW_FAULT_INJECT");
-        double elapsedMs = elapsedMsSince(start);
-
-        ASSERT_EQ(outcomes.size(), jobs.size()) << "seed " << seed;
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            if (outcomes[i].ok) {
-                EXPECT_EQ(outcomes[i].id, jobs[i].id)
-                    << "seed " << seed;
-                expectRunsEqual(reference[i].run, outcomes[i].run);
-            } else {
-                EXPECT_NE(outcomes[i].reason, FailReason::None)
-                    << "seed " << seed << ": " << outcomes[i].error;
-                EXPECT_FALSE(outcomes[i].error.empty())
-                    << "seed " << seed;
-            }
-        }
-        EXPECT_LT(elapsedMs, 60000.0) << "seed " << seed;
-    }
-}
-
-// ---- main: this binary is its own --cell-worker ----
-
-int
-main(int argc, char **argv)
-{
-    int crashAfter = -1;
-    bool worker = false;
-    bool sleepWorker = false;
-    bool hang = false;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--cell-worker")
-            worker = true;
-        else if (arg.rfind("--crash-after=", 0) == 0)
-            crashAfter = std::atoi(arg.c_str() + 14);
-        else if (arg == "--sleep-worker")
-            sleepWorker = true;
-        else if (arg == "--hang")
-            hang = true;
-    }
-    if (sleepWorker || hang) {
-        // Orphan-cleanup and deadline-watchdog test fodder: accept a
-        // job, then hang until the parent (the shutdown handler or
-        // the cell-deadline watchdog) SIGKILLs us.
-        char buf[65536];
-        if (std::fgets(buf, sizeof(buf), stdin) != nullptr) {
-        }
-        for (;;)
-            pause();
-    }
-    if (worker) {
-        // Children inherit a chaos soak's fault spec through the
-        // environment, as a driver's --cell-worker does (parseCli).
-        net::installFaultPlanFromEnv();
-        return driver::cellWorkerMain(crashAfter);
-    }
-
-    ::testing::InitGoogleTest(&argc, argv);
-    return RUN_ALL_TESTS();
 }

@@ -931,8 +931,8 @@ TEST(CellProtocol, MalformedFramesFailCleanly)
 TEST(CellProtocol, PingAnswersPong)
 {
     // Every executing side is handleCellLine behind a transport, so
-    // one assertion covers the daemon, the --cell-worker loop, and
-    // in-process test daemons: a ping probe gets an immediate pong.
+    // one assertion covers the daemon and in-process test daemons: a
+    // ping probe gets an immediate pong.
     EXPECT_EQ(driver::handleCellLine(driver::kCellPingLine),
               driver::kCellPongLine);
     // And a pong is NOT a valid job — a desynced stream fails loud.
@@ -942,6 +942,32 @@ TEST(CellProtocol, PingAnswersPong)
         driver::handleCellLine(driver::kCellPongLine), outcome, err));
     EXPECT_FALSE(outcome.ok);
     EXPECT_EQ(outcome.reason, FailReason::FrameCorrupt);
+}
+
+TEST(CellProtocol, OnlyDecodedJobFramesCountAsJobs)
+{
+    // What the daemon's "after N jobs" shutdown line counts: a frame
+    // that decodes as a CellJob and reaches executeCellJob — a bad
+    // label included — but not a ping, a metrics scrape or a
+    // malformed frame.
+    driver::CellJob bad;
+    bad.id = 3;
+    bad.bench = "no-such-bench";
+    bad.arch = "l0-8";
+    bad.unrolls = {1};
+    struct Case
+    {
+        std::string line;
+        bool ranJob;
+    };
+    for (const Case &c : {Case{driver::kCellPingLine, false},
+                          Case{"metrics prom", false},
+                          Case{"{\"id\":", false},
+                          Case{bad.toJson(), true}}) {
+        bool ranJob = !c.ranJob;
+        driver::handleCellLine(c.line, &ranJob);
+        EXPECT_EQ(ranJob, c.ranJob) << c.line;
+    }
 }
 
 TEST(CellProtocol, FailureReasonsRoundTripTheWire)
