@@ -9,6 +9,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "driver/executor.hh"
 #include "driver/registry.hh"
@@ -399,6 +401,55 @@ BM_SuitePublish(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 16);
 }
 BENCHMARK(BM_SuitePublish)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/** The publisher alone: one wire-publish-sized grid's frames — 76
+ *  cell frames, then the grid frame — sent to the in-process loopback
+ *  store, with no simulation in the loop, so its rate (items are
+ *  frames: frames/s) tracks the publisher and the store's ingest apart
+ *  from the grid's CPU. The cell frames are one serial grid's real
+ *  outcomes under 76 ids; a fresh run id per iteration stores every
+ *  frame, never dedups it. */
+void
+BM_PublishGrid(benchmark::State &state)
+{
+    constexpr int kCellFrames = 76;
+    std::vector<std::pair<driver::CellJob, driver::CellOutcome>> ran;
+    driver::ExecOptions serial;
+    serial.onOutcome = [&ran](const driver::CellJob &job,
+                              const driver::CellOutcome &outcome,
+                              double) { ran.emplace_back(job, outcome); };
+    driver::Suite suite(suiteSpec());
+    ResultTable table = suite.run(serial).render();
+    std::vector<std::pair<driver::CellJob, driver::CellOutcome>> frames;
+    for (int i = 0; i < kCellFrames; ++i) {
+        frames.push_back(ran[static_cast<std::size_t>(i) % ran.size()]);
+        frames.back().first.id = static_cast<std::uint64_t>(i + 1);
+        frames.back().second.id = frames.back().first.id;
+    }
+
+    std::string error;
+    std::unique_ptr<driver::OutcomeStream> sink =
+        driver::OutcomeStream::open("tcp:" + loopbackStoreEndpoint(),
+                                    error);
+    if (sink == nullptr) {
+        state.SkipWithError(error.c_str());
+        return;
+    }
+    int run = 0;
+    for (auto _ : state) {
+        sink->setMeta("micro-publish", "bench",
+                      "r" + std::to_string(run++));
+        for (const auto &[job, outcome] : frames)
+            sink->write(job, outcome, 1.0);
+        sink->writeGrid(table);
+    }
+    if (sink->dropped() > 0)
+        state.SkipWithError("publisher dropped frames");
+    state.SetItemsProcessed(state.iterations() * (kCellFrames + 1));
+}
+BENCHMARK(BM_PublishGrid)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

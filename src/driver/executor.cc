@@ -1227,8 +1227,9 @@ cellDaemonMain(std::uint16_t port, int workers)
 namespace
 {
 
-/** How long a publish waits for the store's ack before the frame is
- *  retried over a fresh connection. */
+/** How long a publisher waits for the store's next ack, once its
+ *  window is full or it is settling the rest, before it resends the
+ *  window over a fresh connection. */
 constexpr int kPublishAckMs = 5000;
 /** Delivery attempts per published frame (connect + send + ack). */
 constexpr int kPublishAttempts = 3;
@@ -1299,7 +1300,10 @@ OutcomeStream::~OutcomeStream()
         else
             std::fflush(out_);
     }
-    // tcp mode: closing sock_ is the publisher's EOF to the store.
+    // tcp mode: settle the window; closing sock_ is then the
+    // publisher's EOF to the store.
+    if (tcp_)
+        settle(0);
 }
 
 void
@@ -1356,6 +1360,8 @@ OutcomeStream::writeGrid(const ResultTable &table)
     event += ",\"table\":" + tableToWireJson(table);
     event += '}';
     emitLine(event);
+    if (tcp_)
+        settle(0);
 }
 
 void
@@ -1367,59 +1373,92 @@ OutcomeStream::emitLine(const std::string &line)
         std::fflush(out_); // live: a dashboard tail sees the cell now
         return;
     }
-    // Acked at-least-once delivery: send, wait (bounded) for the
-    // store's ack, reconnect and resend on any break. The store
-    // dedups on (suite, run, id), so a resend after a lost ack is
-    // harmless; a frame that exhausts the budget is dropped with a
-    // warning — publishing must never hang the suite it measures.
-    RetryPolicy policy;
-    policy.maxAttempts = kPublishAttempts;
-    std::string error = "never connected";
-    for (int attempt = 1; attempt <= policy.maxAttempts; ++attempt) {
-        if (attempt > 1)
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                policy.backoffMs(attempt - 1, rng_)));
-        if (!sock_.valid()) {
-            sock_ = net::connectTcp(store_.host, store_.port, error);
-            if (!sock_.valid())
-                continue;
-            reader_.reset(sock_.get());
-        }
-        if (sendAcked(line, error))
-            return;
-    }
-    ++dropped_;
-    warn("publish to %s:%u dropped a frame after %d attempts: %s",
-         store_.host.c_str(), static_cast<unsigned>(store_.port),
-         policy.maxAttempts, error.c_str());
+    // Windowed at-least-once delivery: send, take the acks already
+    // in, and wait (bounded) for one only when the window is full. The
+    // store dedups on (suite, run, id), so resending the window after
+    // a break is harmless.
+    window_.push_back({line, 0});
+    settle(kPublishWindow - 1);
 }
 
-bool
-OutcomeStream::sendAcked(const std::string &line, std::string &error)
+void
+OutcomeStream::settle(std::size_t keep)
 {
-    if (!net::writeLine(sock_.get(), line, error)) {
-        sock_.reset();
-        return false;
-    }
-    std::string reply;
-    net::LineReader::Status status =
-        reader_.readLine(reply, error, kPublishAckMs);
-    if (status != net::LineReader::Status::Line) {
+    while (!window_.empty()) {
+        std::string error;
+        if (!sock_.valid() && !reconnect(error)) {
+            disconnect(error);
+            continue;
+        }
+        std::size_t allowed = std::min(window_.size(), limit_);
+        while (sent_ < allowed
+               && net::writeLine(sock_.get(), window_[sent_].line, error))
+            ++sent_;
+        if (sent_ < allowed) {
+            disconnect(error);
+            continue;
+        }
+        bool wait = window_.size() > keep || sent_ < window_.size();
+        std::string reply;
+        net::LineReader::Status status =
+            reader_.readLine(reply, error, wait ? kPublishAckMs : 0);
+        if (status == net::LineReader::Status::Line) {
+            // The store answers one line per line, in order: this
+            // reply is the oldest unsettled frame's. A nack settles
+            // it too — the store diagnosed and rejected it, and
+            // resending the same bytes cannot help.
+            if (reply.find("\"event\":\"nack\"") != std::string::npos)
+                warn("store %s:%u rejected a frame: %s",
+                     store_.host.c_str(),
+                     static_cast<unsigned>(store_.port), reply.c_str());
+            window_.pop_front();
+            --sent_;
+            limit_ = std::min(2 * limit_, kPublishWindow);
+            continue;
+        }
+        if (status == net::LineReader::Status::Timeout && !wait)
+            return;
         if (status == net::LineReader::Status::Timeout)
             error = "no ack within " + std::to_string(kPublishAckMs)
                     + "ms";
         else if (status == net::LineReader::Status::Eof)
             error = "store hung up before acking";
-        sock_.reset();
-        return false;
+        disconnect(error);
     }
-    // Any reply settles the frame: an ack stored it, a nack means the
-    // store diagnosed and rejected it — resending the same bytes
-    // cannot help, so surface the verdict instead of retrying.
-    if (reply.find("\"event\":\"nack\"") != std::string::npos)
-        warn("store %s:%u rejected a frame: %s", store_.host.c_str(),
-             static_cast<unsigned>(store_.port), reply.c_str());
+}
+
+bool
+OutcomeStream::reconnect(std::string &error)
+{
+    RetryPolicy policy;
+    int failures = window_.front().failures;
+    if (failures > 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            policy.backoffMs(failures, rng_)));
+    sock_ = net::connectTcp(store_.host, store_.port, error);
+    if (!sock_.valid())
+        return false;
+    reader_.reset(sock_.get());
     return true;
+}
+
+void
+OutcomeStream::disconnect(const std::string &error)
+{
+    // Only the oldest frame pays for a break: the store answers in
+    // order, so the frames behind it were still waiting on it. The
+    // window reopens from one frame, doubling per ack, so a link that
+    // keeps breaking is retried frame by frame, as in lockstep.
+    sock_.reset();
+    sent_ = 0;
+    limit_ = 1;
+    if (++window_.front().failures < kPublishAttempts)
+        return;
+    ++dropped_;
+    warn("publish to %s:%u dropped a frame after %d attempts: %s",
+         store_.host.c_str(), static_cast<unsigned>(store_.port),
+         kPublishAttempts, error.c_str());
+    window_.pop_front();
 }
 
 } // namespace l0vliw::driver

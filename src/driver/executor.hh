@@ -53,7 +53,9 @@
 #ifndef L0VLIW_DRIVER_EXECUTOR_HH
 #define L0VLIW_DRIVER_EXECUTOR_HH
 
+#include <cstddef>
 #include <cstdio>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -359,13 +361,17 @@ int cellDaemonMain(std::uint16_t port, int workers = 0);
  * carries "suite"/"rev"/"run" fields right after "arch".
  *
  * A "tcp:host:port" spec turns the sink into a store publisher: each
- * event travels as a writeLine frame to an l0store daemon, which acks
- * every frame — the publisher reads the ack in lockstep (bounded by a
- * deadline), reconnects with backoff on a drop, and resends. Frames
- * are idempotent on the store side (keyed by run and cell id), so
- * at-least-once delivery is safe; an event that exhausts its retry
- * budget is dropped with a warning — publishing must never hang or
- * sink the suite that is being measured.
+ * event travels as a writeLine frame to an l0store daemon, which
+ * answers every line with one ack, in order. Up to kPublishWindow
+ * frames ride unacked: the n-th reply settles the n-th unsettled
+ * frame (a nack settles it too, with a warning). On any break the
+ * publisher reconnects with backoff and resends every unsettled frame
+ * in order, one frame at first and twice as many per ack, so a link
+ * that keeps breaking is retried as in lockstep. Frames are idempotent
+ * on the store side (keyed by run and cell id), so at-least-once
+ * delivery is safe; a frame that exhausts its retry budget is dropped
+ * with a warning — publishing must never hang or sink the suite that
+ * is being measured.
  */
 class OutcomeStream
 {
@@ -392,7 +398,11 @@ class OutcomeStream
      */
     void setMeta(std::string suite, std::string rev, std::string run);
 
-    /** Emit one event line (locked; flushed or acked per event). */
+    /**
+     * Emit one event line (locked). A file is flushed per event; a tcp
+     * publisher sends the frame, takes the acks that have already
+     * arrived, and waits (bounded) only while the window is full.
+     */
     void write(const CellJob &job, const CellOutcome &outcome,
                double wallMs);
 
@@ -405,7 +415,8 @@ class OutcomeStream
      *   {"event":"grid","suite":...,"rev":...,"run":...,"table":{...}}
      *
      * Only the --publish path calls this; plain --stream files keep
-     * the cells-only schema their consumers expect.
+     * the cells-only schema their consumers expect. Returns once every
+     * frame sent so far is settled (acked, nacked or dropped).
      */
     void writeGrid(const ResultTable &table);
 
@@ -426,12 +437,35 @@ class OutcomeStream
     }
     explicit OutcomeStream(net::HostPort store);
 
+    /** Published frames in flight before a write waits for an ack. */
+    static constexpr std::size_t kPublishWindow = 64;
+
+    /** A published frame the store has not answered yet. */
+    struct Unsettled
+    {
+        std::string line;
+        int failures = 0; ///< breaks while it was the oldest unsettled
+    };
+
     /** Append the run-identity fields when set (mutex held). */
     void appendMeta(std::string &event) const;
-    /** Ship one frame: file write or acked tcp send (mutex held). */
+    /** Ship one frame: file write or tcp window send (mutex held). */
     void emitLine(const std::string &line);
-    /** One acked tcp delivery attempt; false resets the socket. */
-    bool sendAcked(const std::string &line, std::string &error);
+    /**
+     * Send the frames the window allows and take the store's replies
+     * until at most @p keep frames are unsettled and all are sent,
+     * waiting (bounded per reply) only while that does not hold, then
+     * take the replies that have already arrived; reconnects and
+     * resends on a break (mutex held).
+     */
+    void settle(std::size_t keep);
+    /** Open a fresh connection after a backoff paced by the oldest
+     *  frame's failures; false sets @p error. */
+    bool reconnect(std::string &error);
+    /** Close the connection after @p error, shrink the window to one
+     *  frame and charge the oldest frame; one whose attempts are spent
+     *  is dropped with a warning. */
+    void disconnect(const std::string &error);
 
     std::FILE *out_ = nullptr;
     bool owned_ = false; ///< close on destruction ("-" leaves stdout open)
@@ -440,6 +474,11 @@ class OutcomeStream
     bool tcp_ = false;
     net::Fd sock_;
     net::LineReader reader_;
+    std::deque<Unsettled> window_; ///< oldest first
+    std::size_t sent_ = 0; ///< window_ prefix sent on sock_
+    /** Frames sock_ may carry unacked: one after a break, doubling
+     *  per ack up to kPublishWindow. */
+    std::size_t limit_ = kPublishWindow;
     Rng rng_{0x9b115edau};
     int dropped_ = 0;
 

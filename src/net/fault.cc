@@ -1,5 +1,6 @@
 #include "net/fault.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -348,11 +349,9 @@ FaultyStream::read(char *buf, std::size_t n, int remainingMs,
 
     for (;;) {
         if (remainingMs >= 0) {
-            int left = remainingMs - elapsedMs();
-            if (left <= 0) {
-                timedOut = true;
-                return -1;
-            }
+            // A spent budget still takes what is already in: polling
+            // with 0 left never waits.
+            int left = std::max(0, remainingMs - elapsedMs());
             pollfd pfd{};
             pfd.fd = fd_;
             pfd.events = POLLIN;

@@ -193,9 +193,11 @@ class FaultyStream
 
     /**
      * Read up to @p n bytes, honoring @p remainingMs (< 0 blocks
-     * forever). Returns the byte count, 0 on EOF, or -1 with
-     * @p error set; @p timedOut distinguishes a deadline expiry
-     * (injected stalls consume the remaining deadline) from an error.
+     * forever; 0, or a budget spent by an injected delay, takes only
+     * what has already arrived). Returns the byte count, 0 on EOF, or
+     * -1 with @p error set; @p timedOut distinguishes a deadline
+     * expiry (injected stalls consume the remaining deadline) from an
+     * error.
      */
     ssize_t read(char *buf, std::size_t n, int remainingMs,
                  bool &timedOut, std::string &error);

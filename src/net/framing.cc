@@ -123,7 +123,9 @@ LineReader::readLine(std::string &out, std::string &error,
         if (timedOut) {
             // Partial bytes stay buffered: the frame is merely late,
             // and a retried read with a fresh budget may complete it.
-            readTimeouts().inc();
+            // A zero budget is a poll, not a deadline that expired.
+            if (deadlineMs != 0)
+                readTimeouts().inc();
             return Status::Timeout;
         }
         if (n == 0) {

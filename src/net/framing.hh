@@ -80,8 +80,9 @@ class LineReader
      * With @p deadlineMs < 0, blocks until a full frame, EOF, or an
      * error; otherwise returns Timeout once @p deadlineMs of wall
      * clock passes without one (buffered partial bytes are kept — a
-     * retried read with a fresh budget resumes the same frame). On
-     * Error @p error says why and errorKind() says which kind.
+     * retried read with a fresh budget resumes the same frame); 0
+     * polls, taking only what has already arrived. On Error @p error
+     * says why and errorKind() says which kind.
      */
     Status readLine(std::string &out, std::string &error,
                     int deadlineMs = -1);

@@ -21,9 +21,10 @@
  *    JSON line: `{"ok":true,"exit":N,"text":"..."}` — the client
  *    prints text verbatim and exits N — or `{"ok":false,"error":...}`.
  *
- * Strictly request/reply: the store never writes a line the peer did
- * not ask for, so it needs nothing from net::Server but the handler
- * and keeps no per-connection state. The handler runs concurrently
+ * Strictly request/reply, in order: the store never writes a line the
+ * peer did not ask for (which lets a publisher match acks to frames by
+ * position), so it needs nothing from net::Server but the handler and
+ * keeps no per-connection state. The handler runs concurrently
  * across connections (net::Server is thread-per-connection); one mutex
  * serializes every touch of the EventLog underneath.
  */

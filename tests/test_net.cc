@@ -284,6 +284,25 @@ TEST(Framing, DeadlineExpiresAsTimeoutNotError)
     EXPECT_EQ(reader.errorKind(), LineReader::ErrorKind::None);
 }
 
+TEST(Framing, ZeroDeadlinePollsWhatHasArrived)
+{
+    auto [a, b] = makeSocketPair();
+    LineReader reader(b.get());
+    std::string line, err;
+    // Nothing there: a zero budget returns at once.
+    EXPECT_EQ(reader.readLine(line, err, 0), LineReader::Status::Timeout);
+    // Two frames already in the socket, none in the reader's buffer:
+    // a zero budget still takes them.
+    ASSERT_EQ(write(a.get(), "one\ntwo\n", 8), 8);
+    ASSERT_EQ(reader.readLine(line, err, 0), LineReader::Status::Line)
+        << err;
+    EXPECT_EQ(line, "one");
+    ASSERT_EQ(reader.readLine(line, err, 0), LineReader::Status::Line)
+        << err;
+    EXPECT_EQ(line, "two");
+    EXPECT_EQ(reader.readLine(line, err, 0), LineReader::Status::Timeout);
+}
+
 TEST(Framing, TimedOutPartialFrameResumesOnRetry)
 {
     auto [a, b] = makeSocketPair();

@@ -11,10 +11,16 @@
  * transport-failure exit code.
  */
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/stat.h>
@@ -90,6 +96,26 @@ cellLine(const std::string &suite, const std::string &rev,
     line += ",\"attempts\":1,\"wallMs\":1.5,\"outcome\":"
             + outcome.toJson() + "}";
     return line;
+}
+
+/** Publish @p count cell frames (ids 1..count, bench-<id>) through
+ *  @p sink. */
+void
+publishCells(driver::OutcomeStream &sink, int count)
+{
+    for (int i = 1; i <= count; ++i) {
+        driver::CellJob job;
+        job.id = static_cast<std::uint64_t>(i);
+        job.bench = "bench-" + std::to_string(i);
+        job.arch = "l0-8";
+        driver::CellOutcome outcome;
+        outcome.id = job.id;
+        outcome.ok = true;
+        outcome.run.bench = job.bench;
+        outcome.run.arch = job.arch;
+        outcome.run.loopCompute = 100u + static_cast<std::uint64_t>(i);
+        sink.write(job, outcome, 1.0);
+    }
 }
 
 /** A publisher-shaped grid frame. */
@@ -505,7 +531,7 @@ TEST(StoreServiceTest, FaultyConnectionNeverCorruptsTheLog)
         specError))
         << specError;
 
-    int published = 0;
+    const int published = 40;
     {
         net::ScopedFaultPlan faulty(spec);
         std::unique_ptr<driver::OutcomeStream> sink =
@@ -519,22 +545,11 @@ TEST(StoreServiceTest, FaultyConnectionNeverCorruptsTheLog)
                 error);
         ASSERT_NE(sink, nullptr) << error;
         sink->setMeta("chaos", "rev1", "r1");
-
-        for (int i = 0; i < 40; ++i) {
-            driver::CellJob job;
-            job.id = static_cast<std::uint64_t>(i + 1);
-            job.bench = "bench-" + std::to_string(i);
-            job.arch = "l0-8";
-            driver::CellOutcome outcome;
-            outcome.id = job.id;
-            outcome.ok = true;
-            outcome.run.bench = job.bench;
-            outcome.run.arch = job.arch;
-            outcome.run.loopCompute = 100 + i;
-            sink->write(job, outcome, 1.0);
-            ++published;
-        }
-        EXPECT_LE(sink->dropped(), published);
+        publishCells(*sink, published);
+        sink->writeGrid(sampleTable()); // settles every frame
+        // A link that keeps breaking is retried frame by frame, so it
+        // costs a few frames, not the window.
+        EXPECT_LE(sink->dropped(), published / 4);
     }
     server.stop();
 
@@ -652,6 +667,154 @@ TEST(StoreEndToEnd, LoopbackPublishMatchesInProcessGrid)
     EXPECT_NE(text.find("PASS"), std::string::npos);
 
     conn.reset();
+    server.stop();
+}
+
+// ---- the publisher's window ----
+
+TEST(StoreEndToEnd, RestartMidWindowLosesNothingAndDoublesNothing)
+{
+    // A store that answers slower than the publisher sends, so the
+    // publisher's window is full when the store goes away.
+    TempLog log("restart");
+    std::atomic<int> lines{0};
+    auto slowly = [&lines](StoreService &service) {
+        return [&service, &lines](const std::string &line) {
+            lines.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            return service.handleLine(line);
+        };
+    };
+    std::string error;
+    auto first = std::make_unique<StoreService>();
+    ASSERT_TRUE(first->open(log.path(), error)) << error;
+    net::Server server;
+    ASSERT_TRUE(server.start(0, slowly(*first), error)) << error;
+    const std::uint16_t port = server.port();
+
+    std::unique_ptr<driver::OutcomeStream> sink =
+        driver::OutcomeStream::open(
+            "tcp:127.0.0.1:" + std::to_string(port), error);
+    ASSERT_NE(sink, nullptr) << error;
+    sink->setMeta("restart", "rev1", "r1");
+    const int kCells = 100; // more than one window
+    publishCells(*sink, kCells);
+
+    // Restart on the same port and log while frames are unacked.
+    server.stop();
+    first.reset();
+    lines = 0;
+    StoreService second;
+    ASSERT_TRUE(second.open(log.path(), error)) << error;
+    net::Server restarted;
+    ASSERT_TRUE(restarted.start(port, slowly(second), error)) << error;
+
+    ResultTable table = sampleTable();
+    sink->writeGrid(table);
+    EXPECT_EQ(sink->dropped(), 0);
+    // The publisher came back and resent cells, not just the grid.
+    EXPECT_EQ(restarted.connectionsAccepted(), 1);
+    EXPECT_GT(lines.load(), 1);
+
+    const store::SuiteInfo *info = second.log().suite("restart");
+    ASSERT_NE(info, nullptr);
+    EXPECT_EQ(info->counters.cells, static_cast<std::uint64_t>(kCells));
+    EXPECT_LE(info->counters.duplicates, 64u); // resends only
+    EXPECT_EQ(info->counters.grids, 1u);
+    const store::RunInfo *run = info->findRun("r1");
+    ASSERT_NE(run, nullptr);
+    EXPECT_EQ(run->seenIds.size(), static_cast<std::size_t>(kCells));
+    ASSERT_EQ(run->cells.size(), static_cast<std::size_t>(kCells));
+    for (int i = 1; i <= kCells; ++i)
+        EXPECT_EQ(run->cells.count({"bench-" + std::to_string(i), "l0-8"}),
+                  1u)
+            << i;
+    restarted.stop();
+
+    // The log holds each cell once: a fresh replay agrees.
+    EventLog reopened;
+    ASSERT_TRUE(reopened.open(log.path(), error)) << error;
+    ASSERT_NE(reopened.suite("restart"), nullptr);
+    EXPECT_EQ(reopened.suite("restart")->counters.cells,
+              static_cast<std::uint64_t>(kCells));
+
+    bool ok;
+    int exit;
+    std::string text, queryError;
+    parseReply(*second.handleLine("latest-grid restart"), ok, exit, text,
+               queryError);
+    ASSERT_TRUE(ok) << queryError;
+    EXPECT_EQ(text, renderText(table));
+}
+
+TEST(StoreEndToEnd, AcksMatchByPositionAndANackSettlesOnlyItsFrame)
+{
+    // A raw store stand-in: nack every 5th line, ack the rest, in
+    // order, a little slower than the publisher sends.
+    std::mutex mutex;
+    std::vector<std::string> seen;
+    net::Server server;
+    std::string error;
+    ASSERT_TRUE(server.start(
+        0,
+        [&](const std::string &line) -> std::optional<std::string> {
+            std::size_t n;
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                seen.push_back(line);
+                n = seen.size();
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+            if (n % 5 == 0)
+                return "{\"event\":\"nack\",\"error\":\"line "
+                       + std::to_string(n) + "\"}";
+            return std::string("{\"event\":\"ack\",\"stored\":true}");
+        },
+        error))
+        << error;
+
+    std::unique_ptr<driver::OutcomeStream> sink =
+        driver::OutcomeStream::open(
+            "tcp:127.0.0.1:" + std::to_string(server.port()), error);
+    ASSERT_NE(sink, nullptr) << error;
+    sink->setMeta("nacks", "rev1", "r1");
+    const int kCells = 100;
+    auto t0 = std::chrono::steady_clock::now();
+    testing::internal::CaptureStderr();
+    publishCells(*sink, kCells);
+    sink->writeGrid(sampleTable());
+    std::string warnings = testing::internal::GetCapturedStderr();
+    auto elapsed = std::chrono::steady_clock::now() - t0;
+    // writeGrid returned only after the last reply: every line was in.
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        EXPECT_EQ(seen.size(), static_cast<std::size_t>(kCells + 1));
+    }
+
+    EXPECT_EQ(sink->dropped(), 0);
+    // No ack went missing, so no deadline fired and nothing was resent.
+    EXPECT_LT(elapsed, std::chrono::seconds(5));
+    EXPECT_EQ(server.connectionsAccepted(), 1);
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        ASSERT_EQ(seen.size(), static_cast<std::size_t>(kCells + 1));
+        std::set<std::string> distinct(seen.begin(), seen.end());
+        EXPECT_EQ(distinct.size(), seen.size());
+    }
+    // One warning per nack, in the order the store sent them.
+    std::vector<std::string> nacked;
+    for (std::size_t at = warnings.find("rejected a frame");
+         at != std::string::npos;
+         at = warnings.find("rejected a frame", at + 1)) {
+        std::size_t line = warnings.find("line ", at);
+        ASSERT_NE(line, std::string::npos);
+        nacked.push_back(warnings.substr(
+            line + 5, warnings.find('"', line) - line - 5));
+    }
+    std::vector<std::string> expected;
+    for (int n = 5; n <= kCells + 1; n += 5)
+        expected.push_back(std::to_string(n));
+    EXPECT_EQ(nacked, expected) << warnings;
     server.stop();
 }
 
