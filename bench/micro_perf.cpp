@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -74,21 +75,23 @@ BM_L0Scheduler(benchmark::State &state)
 BENCHMARK(BM_L0Scheduler);
 
 /**
- * The scheduler's half of plan building: every Mediabench loop body,
- * prepared as buildLoopPlans() prepares it (driver::loopBody),
- * unrolled 1x and 4x, scheduled on l0-2 — the architecture with the
- * most failing II attempts. One iteration schedules them all;
- * BM_KernelSimPlanReused is the simulation half.
+ * The scheduler's half of plan building, one architecture of the
+ * paper grid per run: every Mediabench loop body, prepared as
+ * buildLoopPlans() prepares it (driver::loopBody), unrolled 1x and by
+ * the cluster count, scheduled for @p label. One iteration schedules
+ * them all; BM_KernelSimPlanReused is the simulation half. main()
+ * registers one run per architecture perfbench's paper-serial grid
+ * runs (l0-2 has the most failing II attempts).
  */
 void
-BM_ScheduleMediabenchL0_2(benchmark::State &state)
+BM_ScheduleMediabench(benchmark::State &state, const std::string &label)
 {
-    const driver::ArchSpec arch = driver::archRegistry().resolve("l0-2");
+    const driver::ArchSpec arch = driver::archRegistry().resolve(label);
     sched::ModuloScheduler s(arch.config, arch.sched);
     std::vector<ir::Loop> bodies;
     for (const workloads::Benchmark &bench : workloads::mediabenchSuite()) {
         for (const workloads::LoopInstance &li : bench.loops) {
-            bodies.push_back(driver::loopBody(li, 4));
+            bodies.push_back(driver::loopBody(li, arch.config.numClusters));
             bodies.push_back(driver::loopBody(li, 1));
         }
     }
@@ -101,9 +104,6 @@ BM_ScheduleMediabenchL0_2(benchmark::State &state)
     state.SetItemsProcessed(state.iterations()
                             * static_cast<std::int64_t>(bodies.size()));
 }
-BENCHMARK(BM_ScheduleMediabenchL0_2)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 void
 BM_L0BufferLookup(benchmark::State &state)
@@ -356,9 +356,12 @@ loopbackStoreEndpoint()
             ext != nullptr && *ext != '\0')
             return ext;
         static store::StoreService service;
-        std::string path = "/tmp/l0vliw_bench_store."
-                           + std::to_string(getpid()) + ".ndjson";
+        static const std::string path = "/tmp/l0vliw_bench_store."
+                                        + std::to_string(getpid())
+                                        + ".ndjson";
         std::remove(path.c_str());
+        // The log is this process's scratch: gone when it exits.
+        std::atexit([] { std::remove(path.c_str()); });
         std::string error;
         if (!service.open(path, error)
             || !server.start(0, service.handler(), error)) {
@@ -535,7 +538,8 @@ BENCHMARK(BM_SuiteTcpPipelined)
 
 /** Hand-rolled BENCHMARK_MAIN(): BM_SuiteParallel registers
  *  dynamically so bench/run_bench.sh --executor (via L0VLIW_EXECUTOR)
- *  tags its name with any non-default backend. */
+ *  tags its name with any non-default backend, and
+ *  BM_ScheduleMediabench registers once per paper-grid architecture. */
 int
 main(int argc, char **argv)
 {
@@ -546,6 +550,15 @@ main(int argc, char **argv)
     for (int jobs : {2, 4})
         ::benchmark::RegisterBenchmark(name, BM_SuiteGrid, backend)
             ->Arg(jobs)
+            ->UseRealTime()
+            ->Unit(benchmark::kMillisecond);
+    for (const char *label :
+         {"unified", "l0-2", "l0-4", "l0-8", "l0-16", "l0-unbounded",
+          "l0-4-allcand", "multivliw", "interleaved-1", "interleaved-2",
+          "l0-8-pf1", "l0-8-pf2"})
+        ::benchmark::RegisterBenchmark(
+            ("BM_ScheduleMediabench/" + std::string(label)).c_str(),
+            BM_ScheduleMediabench, std::string(label))
             ->UseRealTime()
             ->Unit(benchmark::kMillisecond);
 

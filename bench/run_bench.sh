@@ -41,7 +41,8 @@ if [ "$1" = "--diff" ]; then
         l0store="$repo/build/l0store"
         if [ ! -x "$l0store" ]; then
             cmake -B "$repo/build" -S "$repo" > /dev/null
-            cmake --build "$repo/build" --target l0store -j > /dev/null
+            cmake --build "$repo/build" --target l0store -j "$(nproc)" \
+                > /dev/null
         fi
         exec "$l0store" query "$L0VLIW_STORE" diff \
             "${L0VLIW_SUITE:-micro}" "$old" "$new" "$threshold"
@@ -122,7 +123,7 @@ fi
 
 cmake -B "$build" -S "$repo" -DL0VLIW_BENCH=ON \
       -DCMAKE_BUILD_TYPE=Release > /dev/null
-cmake --build "$build" --target micro_perf -j > /dev/null
+cmake --build "$build" --target micro_perf -j "$(nproc)" > /dev/null
 
 if [ "$smoke" = 1 ]; then
     # Reduced grid: one repetition, no aggregates — enough to diff

@@ -154,9 +154,10 @@ buildLoopPlans(const workloads::Benchmark &bench, const ArchSpec &arch,
     sched::ModuloScheduler scheduler(arch.config, arch.sched);
 
     std::vector<std::shared_ptr<sim::KernelPlan>> plans;
+    plans.reserve(bench.loops.size());
     for (std::size_t i = 0; i < bench.loops.size(); ++i) {
-        ir::Loop body = loopBody(bench.loops[i], unrolls[i]);
-        sched::Schedule schedule = scheduler.schedule(body);
+        sched::Schedule schedule =
+            scheduler.schedule(loopBody(bench.loops[i], unrolls[i]));
         // The all-candidates ablation intentionally overflows the L0
         // capacity, so its schedules fail the capacity rule by design.
         if (arch.sched.selectiveL0) {
@@ -164,7 +165,8 @@ buildLoopPlans(const workloads::Benchmark &bench, const ArchSpec &arch,
                 sched::validateSchedule(schedule, arch.config);
             for (const auto &v : violations)
                 warn("%s/%s: invalid schedule: %s", bench.name.c_str(),
-                     body.name().c_str(), v.c_str());
+                     loopBody(bench.loops[i], unrolls[i]).name().c_str(),
+                     v.c_str());
         }
         plans.push_back(
             std::make_shared<sim::KernelPlan>(std::move(schedule)));

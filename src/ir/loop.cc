@@ -1,7 +1,5 @@
 #include "ir/loop.hh"
 
-#include <functional>
-
 #include "common/logging.hh"
 
 namespace l0vliw::ir
@@ -32,28 +30,6 @@ void
 Loop::addMemEdge(OpId src, OpId dst, int distance, bool conservative)
 {
     _edges.push_back({src, dst, DepKind::Mem, distance, conservative});
-}
-
-Operation &
-Loop::op(OpId id)
-{
-    L0_ASSERT(id >= 0 && id < numOps(), "op id %d out of range", id);
-    return _ops[id];
-}
-
-const Operation &
-Loop::op(OpId id) const
-{
-    L0_ASSERT(id >= 0 && id < numOps(), "op id %d out of range", id);
-    return _ops[id];
-}
-
-const ArrayInfo &
-Loop::array(int idx) const
-{
-    L0_ASSERT(idx >= 0 && idx < static_cast<int>(_arrays.size()),
-              "array index %d out of range", idx);
-    return _arrays[idx];
 }
 
 std::vector<const DepEdge *>
@@ -113,24 +89,53 @@ Loop::validate() const
     }
 
     // Reject zero-distance cycles: with all distance-0 edges the DDG
-    // must be acyclic or no schedule exists at any II.
-    std::vector<int> state(n, 0); // 0 = unvisited, 1 = on stack, 2 = done
-    std::function<void(OpId)> dfs = [&](OpId u) {
-        state[u] = 1;
-        for (const auto &e : _edges) {
-            if (e.src != u || e.distance != 0)
+    // must be acyclic or no schedule exists at any II. A depth-first
+    // search with an explicit stack over each op's distance-0
+    // out-edges (in edge order, in CSR form): O(ops + edges), in one
+    // allocation.
+    int zero = 0;
+    for (const auto &e : _edges)
+        zero += e.distance == 0;
+    std::vector<int> work(4 * static_cast<std::size_t>(n) + 2 + zero, 0);
+    int *first = work.data();   // n + 2: op v's out-edges are
+    int *succ = first + n + 2;  // succ[first[v] .. first[v + 1])
+    int *state = succ + zero;   // n: 0 unvisited, 1 on stack, 2 done
+    int *stack = state + n;     // 2n: (op, next out-edge) pairs
+    for (const auto &e : _edges)
+        if (e.distance == 0)
+            ++first[e.src + 2];
+    for (int v = 1; v <= n; ++v)
+        first[v + 1] += first[v];
+    for (const auto &e : _edges)
+        if (e.distance == 0)
+            succ[first[e.src + 1]++] = e.dst;
+    for (OpId root = 0; root < n; ++root) {
+        if (state[root] != 0)
+            continue;
+        int depth = 0;
+        auto push = [&](OpId v) {
+            state[v] = 1;
+            stack[2 * depth] = v;
+            stack[2 * depth + 1] = first[v];
+            ++depth;
+        };
+        push(root);
+        while (depth > 0) {
+            const OpId u = stack[2 * depth - 2];
+            int &next = stack[2 * depth - 1];
+            if (next == first[u + 1]) {
+                state[u] = 2;
+                --depth;
                 continue;
-            if (state[e.dst] == 1)
+            }
+            const OpId v = succ[next++];
+            if (state[v] == 1)
                 panic("zero-distance dependence cycle through op %d in %s",
-                      e.dst, _name.c_str());
-            if (state[e.dst] == 0)
-                dfs(e.dst);
+                      v, _name.c_str());
+            if (state[v] == 0)
+                push(v);
         }
-        state[u] = 2;
-    };
-    for (OpId u = 0; u < n; ++u)
-        if (state[u] == 0)
-            dfs(u);
+    }
 }
 
 Loop
@@ -144,34 +149,34 @@ unrollLoop(const Loop &loop, int factor)
     }
 
     Loop out(loop.name() + "_u" + std::to_string(factor));
+    const int n = loop.numOps();
+    out.reserve(factor * n, factor * loop.edges().size(),
+                loop.arrays().size());
     for (const auto &a : loop.arrays())
         out.addArray(a);
 
-    const int n = loop.numOps();
-    // newId[k][i] = id of copy k of original op i.
-    std::vector<std::vector<OpId>> new_id(factor, std::vector<OpId>(n));
+    // Copy k of original op i gets id k * n + i.
     for (int k = 0; k < factor; ++k) {
-        for (OpId i = 0; i < n; ++i) {
-            Operation op = loop.op(i);
-            op.tag += "#" + std::to_string(k);
+        for (const Operation &orig : loop.ops()) {
+            Operation op = orig;
+            op.tag += '#';
+            op.tag += std::to_string(k);
             if (isMemKind(op.kind)) {
                 op.mem.offsetElems += k * op.mem.strideElems;
                 op.mem.strideElems *= factor;
             }
-            new_id[k][i] = out.addOp(op);
+            out.addOp(std::move(op));
         }
     }
     for (const auto &e : loop.edges()) {
         for (int k = 0; k < factor; ++k) {
             int t = k + e.distance;
-            int dst_copy = t % factor;
-            int new_dist = t / factor;
+            OpId src = k * n + e.src;
+            OpId dst = (t % factor) * n + e.dst;
             if (e.kind == DepKind::Reg)
-                out.addRegEdge(new_id[k][e.src], new_id[dst_copy][e.dst],
-                               new_dist);
+                out.addRegEdge(src, dst, t / factor);
             else
-                out.addMemEdge(new_id[k][e.src], new_id[dst_copy][e.dst],
-                               new_dist, e.conservative);
+                out.addMemEdge(src, dst, t / factor, e.conservative);
         }
     }
     out.setUnrollFactor(factor * loop.unrollFactor());

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "ir/operation.hh"
 
@@ -66,6 +67,16 @@ class Loop
     /** Register an array and return its index in the array table. */
     int addArray(ArrayInfo info);
 
+    /** Room for @p ops operations, @p edges edges and @p arrays
+     *  arrays without reallocating. */
+    void
+    reserve(std::size_t ops, std::size_t edges, std::size_t arrays)
+    {
+        _ops.reserve(ops);
+        _edges.reserve(edges);
+        _arrays.reserve(arrays);
+    }
+
     /** Add a register flow dependence src -> dst. */
     void addRegEdge(OpId src, OpId dst, int distance = 0);
 
@@ -77,9 +88,27 @@ class Loop
     const std::vector<DepEdge> &edges() const { return _edges; }
     const std::vector<ArrayInfo> &arrays() const { return _arrays; }
 
-    Operation &op(OpId id);
-    const Operation &op(OpId id) const;
-    const ArrayInfo &array(int idx) const;
+    Operation &
+    op(OpId id)
+    {
+        L0_ASSERT(id >= 0 && id < numOps(), "op id %d out of range", id);
+        return _ops[id];
+    }
+
+    const Operation &
+    op(OpId id) const
+    {
+        L0_ASSERT(id >= 0 && id < numOps(), "op id %d out of range", id);
+        return _ops[id];
+    }
+
+    const ArrayInfo &
+    array(int idx) const
+    {
+        L0_ASSERT(idx >= 0 && idx < static_cast<int>(_arrays.size()),
+                  "array index %d out of range", idx);
+        return _arrays[idx];
+    }
 
     int numOps() const { return static_cast<int>(_ops.size()); }
 

@@ -39,27 +39,33 @@ class UnionFind
 MemorySets
 memorySets(const Loop &loop)
 {
-    UnionFind uf(loop.numOps());
+    const int n = loop.numOps();
+    UnionFind uf(n);
     for (const auto &e : loop.edges())
         if (e.kind == DepKind::Mem)
             uf.unite(e.src, e.dst);
 
-    // Sets ordered by their union-find root, members ascending.
-    std::vector<std::pair<int, OpId>> keyed;
-    for (OpId i = 0; i < loop.numOps(); ++i)
-        if (isMemKind(loop.op(i).kind))
-            keyed.emplace_back(uf.find(i), i);
-    std::sort(keyed.begin(), keyed.end());
-
-    MemorySets out;
-    out.ops.reserve(keyed.size());
-    for (std::size_t i = 0; i < keyed.size(); ++i) {
-        if (i > 0 && keyed[i].first != keyed[i - 1].first)
-            out.begin.push_back(static_cast<int>(i));
-        out.ops.push_back(keyed[i].second);
+    // Sets ordered by their union-find root, members ascending: a
+    // counting sort of the memory ops by root.
+    std::vector<int> at(n + 1, 0); // per root: its set's first slot
+    int members = 0;
+    for (OpId i = 0; i < n; ++i) {
+        if (isMemKind(loop.op(i).kind)) {
+            ++at[uf.find(i) + 1];
+            ++members;
+        }
     }
-    if (!keyed.empty())
-        out.begin.push_back(static_cast<int>(keyed.size()));
+    MemorySets out;
+    out.ops.resize(members);
+    out.begin.reserve(1 + n - std::count(at.begin() + 1, at.end(), 0));
+    for (int r = 0; r < n; ++r) {
+        if (at[r + 1] != 0)
+            out.begin.push_back(out.begin.back() + at[r + 1]);
+        at[r + 1] += at[r];
+    }
+    for (OpId i = 0; i < n; ++i)
+        if (isMemKind(loop.op(i).kind))
+            out.ops[at[uf.find(i)]++] = i;
     return out;
 }
 
@@ -79,12 +85,12 @@ Loop
 specializeLoop(const Loop &loop)
 {
     Loop out(loop.name() + "_spec");
+    out.reserve(loop.ops().size(), loop.edges().size(),
+                loop.arrays().size());
     for (const auto &a : loop.arrays())
         out.addArray(a);
-    for (const auto &o : loop.ops()) {
-        Operation copy = o;
-        out.addOp(copy);
-    }
+    for (const auto &o : loop.ops())
+        out.addOp(o);
     for (const auto &e : loop.edges()) {
         if (e.kind == DepKind::Mem && e.conservative)
             continue;

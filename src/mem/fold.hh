@@ -80,10 +80,10 @@ void
 appendLruOrder(std::size_t n, Valid valid, Stamp stamp,
                std::vector<std::uint64_t> &key, Emit emit)
 {
-    // Sort the valid items by stamp: keys are built twice per
-    // simulated invocation, over every set of every cache, so this
-    // must neither allocate per call nor go quadratic in a large set.
-    // Sets of up to 16 ways (every cache set, bounded L0 buffers)
+    // Sort the valid items by stamp: the L0 buffers' keys are built
+    // twice per simulated invocation (MemSystem::saveState() and
+    // matchesState()), so this must neither allocate per call nor go
+    // quadratic in a large (unbounded) buffer. Sets of up to 16 ways
     // sort on the stack, larger ones in a per-thread buffer.
     struct Item
     {

@@ -91,13 +91,15 @@ InterleavedMemSystem::access(const MemAccess &acc, Cycle now,
     return res;
 }
 
-void
-InterleavedMemSystem::stateKey(std::vector<std::uint64_t> &key) const
+std::vector<const TagCache *>
+InterleavedMemSystem::tagStores() const
 {
+    std::vector<const TagCache *> out;
     for (const auto &s : slices)
-        s.appendKey(key);
+        out.push_back(&s);
     for (const auto &ab : abs)
-        ab.appendKey(key);
+        out.push_back(&ab);
+    return out;
 }
 
 void

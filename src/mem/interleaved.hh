@@ -34,7 +34,6 @@ class InterleavedMemSystem final : public MemSystem
     MemAccessResult access(const MemAccess &acc, Cycle now,
                            std::uint64_t store_value) override;
 
-    void stateKey(std::vector<std::uint64_t> &key) const override;
     void counterSnapshot(std::vector<std::uint64_t> &out) const override;
     void addCounters(const std::uint64_t *delta) override;
     // Fixed latencies: no field holds an absolute cycle.
@@ -56,6 +55,7 @@ class InterleavedMemSystem final : public MemSystem
      */
     Addr localAddr(Addr addr) const;
 
+    std::vector<const TagCache *> tagStores() const override;
     void syncStats() const override;
 
     /** Per-access counters as plain integers (see L0Buffer). */

@@ -361,9 +361,8 @@ L0MemSystem::endLoop(Cycle now)
 }
 
 void
-L0MemSystem::stateKey(std::vector<std::uint64_t> &key) const
+L0MemSystem::appendOtherState(std::vector<std::uint64_t> &key) const
 {
-    l1.appendKey(key);
     for (const auto &b : l0s)
         b.appendKey(key);
     key.push_back(pending.size());

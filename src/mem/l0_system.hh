@@ -52,7 +52,6 @@ class L0MemSystem final : public MemSystem
 
     void endLoop(Cycle now) override;
 
-    void stateKey(std::vector<std::uint64_t> &key) const override;
     void timeKey(Cycle start,
                  std::vector<std::uint64_t> &key) const override;
     void counterSnapshot(std::vector<std::uint64_t> &out) const override;
@@ -105,6 +104,14 @@ class L0MemSystem final : public MemSystem
      * little-endian words: a fill's payload, read when it commits.
      */
     const std::uint64_t *readFillWords(Addr addr, int bytes);
+
+    std::vector<const TagCache *> tagStores() const override
+    {
+        return {&l1};
+    }
+
+    /** The buffers and the pending fills. */
+    void appendOtherState(std::vector<std::uint64_t> &key) const override;
 
     /** Recompute nextReady from the pending list. */
     void resetNextReady();

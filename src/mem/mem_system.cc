@@ -1,5 +1,6 @@
 #include "mem/mem_system.hh"
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/logging.hh"
@@ -33,6 +34,37 @@ MemSystem::create(const machine::MachineConfig &config)
         return std::make_unique<InterleavedMemSystem>(config);
     }
     panic("unknown memory architecture");
+}
+
+void
+MemSystem::stateKey(std::vector<std::uint64_t> &key) const
+{
+    for (const TagCache *t : tagStores())
+        t->appendKey(key);
+    appendOtherState(key);
+}
+
+void
+MemSystem::saveState(std::vector<std::uint64_t> &out) const
+{
+    for (const TagCache *t : tagStores())
+        t->appendRaw(out);
+    appendOtherState(out);
+}
+
+bool
+MemSystem::matchesState(const std::vector<std::uint64_t> &saved) const
+{
+    const std::uint64_t *raw = saved.data();
+    for (const TagCache *t : tagStores())
+        if (!t->matchesRaw(raw))
+            return false;
+    thread_local std::vector<std::uint64_t> other;
+    other.clear();
+    appendOtherState(other);
+    return static_cast<std::size_t>(saved.data() + saved.size() - raw)
+               == other.size()
+           && std::equal(other.begin(), other.end(), raw);
 }
 
 } // namespace l0vliw::mem

@@ -24,6 +24,7 @@
 #include "machine/machine_config.hh"
 #include "mem/backing.hh"
 #include "mem/fold.hh"
+#include "mem/tag_cache.hh"
 
 namespace l0vliw::mem
 {
@@ -94,13 +95,30 @@ class MemSystem
 
     /**
      * Append a canonical key of every behaviour-affecting field that
-     * holds no absolute cycle: each cache set's or buffer's valid
-     * tags in LRU order (appendLruOrder(): never the raw use clock nor
-     * the way a tag sits in), the payload words of valid L0 entries,
-     * pending fills. Two states with equal keys (and equal timeKey()s
-     * and backing contents) produce the same results from then on.
+     * holds no absolute cycle: each tagStores() cache's sets, valid
+     * tags in LRU order (TagCache::appendKey(): never the raw use
+     * clock nor the way a tag sits in), then appendOtherState() (the
+     * payload words of valid L0 entries, pending fills). Two states
+     * with equal keys (and equal timeKey()s and backing contents)
+     * produce the same results from then on.
      */
-    virtual void stateKey(std::vector<std::uint64_t> &key) const = 0;
+    void stateKey(std::vector<std::uint64_t> &key) const;
+
+    /**
+     * Append a snapshot of the stateKey() state to @p out, for
+     * matchesState(): the tag stores as they are (TagCache::appendRaw(),
+     * a copy, cheaper than their key), then appendOtherState().
+     */
+    void saveState(std::vector<std::uint64_t> &out) const;
+
+    /**
+     * True iff stateKey() now equals stateKey() at the saveState()
+     * that wrote @p saved (of this system, or of one with the same
+     * configuration), compared in place: a set no use touched since is
+     * the same raw words. The fold's "left the state as it found it"
+     * test.
+     */
+    bool matchesState(const std::vector<std::uint64_t> &saved) const;
 
     /**
      * Append every absolute-cycle field (bus next-free cycles, pending
@@ -139,6 +157,16 @@ class MemSystem
     const std::uint64_t uid;
 
   protected:
+    /** The tag stores in the stateKey() state, in a fixed order. */
+    virtual std::vector<const TagCache *> tagStores() const = 0;
+
+    /** Append the key of the rest of the stateKey() state (none by
+     *  default). */
+    virtual void appendOtherState(std::vector<std::uint64_t> &key) const
+    {
+        (void)key;
+    }
+
     /**
      * Publish any plain-integer hot-path counters into statSet. Called
      * whenever stats() is read; systems with per-access counters

@@ -76,11 +76,13 @@ MultiVliwMemSystem::access(const MemAccess &acc, Cycle now,
     return res;
 }
 
-void
-MultiVliwMemSystem::stateKey(std::vector<std::uint64_t> &key) const
+std::vector<const TagCache *>
+MultiVliwMemSystem::tagStores() const
 {
+    std::vector<const TagCache *> out;
     for (const auto &s : slices)
-        s.appendKey(key);
+        out.push_back(&s);
+    return out;
 }
 
 void

@@ -34,7 +34,6 @@ class MultiVliwMemSystem final : public MemSystem
     MemAccessResult access(const MemAccess &acc, Cycle now,
                            std::uint64_t store_value) override;
 
-    void stateKey(std::vector<std::uint64_t> &key) const override;
     void counterSnapshot(std::vector<std::uint64_t> &out) const override;
     void addCounters(const std::uint64_t *delta) override;
     // Fixed latencies: no field holds an absolute cycle.
@@ -42,6 +41,7 @@ class MultiVliwMemSystem final : public MemSystem
     void shiftTime(Cycle, Cycle) override {}
 
   private:
+    std::vector<const TagCache *> tagStores() const override;
     void syncStats() const override;
 
     /** Per-access counters as plain integers (see L0Buffer). */

@@ -1,5 +1,9 @@
 #include "mem/tag_cache.hh"
 
+#include <algorithm>
+#include <cstring>
+#include <type_traits>
+
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "mem/fold.hh"
@@ -37,18 +41,18 @@ TagCache::access(Addr addr, bool allocate)
     Way *victim = base;
     for (int w = 0; w < ways; ++w) {
         Way &way = base[w];
-        if (way.valid && way.tag == tag) {
+        if (way.tag == tag) {
             way.lastUse = ++useClock;
             return true;
         }
-        if (!way.valid) {
+        if (way.tag == kNoTag) {
             victim = &way;
-        } else if (victim->valid && way.lastUse < victim->lastUse) {
+        } else if (victim->tag != kNoTag
+                   && way.lastUse < victim->lastUse) {
             victim = &way;
         }
     }
     if (allocate) {
-        victim->valid = true;
         victim->tag = tag;
         victim->lastUse = ++useClock;
     }
@@ -62,7 +66,7 @@ TagCache::present(Addr addr) const
     int s = setIndex(addr);
     const Way *base = &store[static_cast<std::size_t>(s) * ways];
     for (int w = 0; w < ways; ++w)
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].tag == tag)
             return true;
     return false;
 }
@@ -74,8 +78,8 @@ TagCache::invalidate(Addr addr)
     int s = setIndex(addr);
     Way *base = &store[static_cast<std::size_t>(s) * ways];
     for (int w = 0; w < ways; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].valid = false;
+        if (base[w].tag == tag) {
+            base[w] = Way{};
             return true;
         }
     }
@@ -89,17 +93,81 @@ TagCache::appendKey(std::vector<std::uint64_t> &key) const
         const Way *set = &store[s];
         appendLruOrder(
             static_cast<std::size_t>(ways),
-            [set](std::size_t w) { return set[w].valid; },
+            [set](std::size_t w) { return set[w].tag != kNoTag; },
             [set](std::size_t w) { return set[w].lastUse; }, key,
             [set, &key](std::size_t w) { key.push_back(set[w].tag); });
     }
 }
 
 void
+TagCache::appendRaw(std::vector<std::uint64_t> &out) const
+{
+    static_assert(sizeof(Way) == 2 * sizeof(std::uint64_t)
+                      && std::is_trivially_copyable_v<Way>,
+                  "a way is two words");
+    const std::size_t n = out.size();
+    out.resize(n + 2 * store.size());
+    std::memcpy(out.data() + n, store.data(), store.size() * sizeof(Way));
+}
+
+bool
+TagCache::matchesRaw(const std::uint64_t *&raw) const
+{
+    const std::uint64_t *set_raw = raw;
+    raw += 2 * store.size();
+    for (std::size_t s = 0; s < store.size();
+         s += ways, set_raw += 2 * ways) {
+        // A set no use touched since is the same words; a touched one
+        // must hold the same tags in the same LRU order.
+        if (std::memcmp(set_raw, &store[s], ways * sizeof(Way)) != 0
+            && !sameLruOrder(set_raw, &store[s]))
+            return false;
+    }
+    return true;
+}
+
+bool
+TagCache::sameLruOrder(const std::uint64_t *was, const Way *now) const
+{
+    // Each set's valid tags by LRU rank, as appendKey() lists them.
+    // Every use takes a fresh tick, so a set's ranks are distinct.
+    constexpr int kSmall = 16;
+    thread_local std::vector<Addr> large_was, large_now;
+    Addr small_was[kSmall], small_now[kSmall];
+    Addr *by_rank_was = small_was, *by_rank_now = small_now;
+    if (ways > kSmall) {
+        large_was.resize(ways);
+        large_now.resize(ways);
+        by_rank_was = large_was.data();
+        by_rank_now = large_now.data();
+    }
+    auto rank = [this](auto tag, auto last_use, Addr *by_rank) {
+        int count = 0;
+        for (int i = 0; i < ways; ++i) {
+            if (tag(i) == kNoTag)
+                continue;
+            int r = 0;
+            for (int j = 0; j < ways; ++j)
+                r += tag(j) != kNoTag && last_use(j) < last_use(i);
+            by_rank[r] = tag(i);
+            ++count;
+        }
+        return count;
+    };
+    const int count = rank([was](int w) { return was[2 * w]; },
+                           [was](int w) { return was[2 * w + 1]; },
+                           by_rank_was);
+    return count == rank([now](int w) { return now[w].tag; },
+                         [now](int w) { return now[w].lastUse; },
+                         by_rank_now)
+           && std::equal(by_rank_was, by_rank_was + count, by_rank_now);
+}
+
+void
 TagCache::clear()
 {
     for (auto &w : store)
-        w.valid = false;
+        w = Way{};
 }
 
 } // namespace l0vliw::mem

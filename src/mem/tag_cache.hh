@@ -65,11 +65,30 @@ class TagCache
      */
     void appendKey(std::vector<std::uint64_t> &key) const;
 
+    /**
+     * Append the tag store as it is, two words a way (its tag and its
+     * last use): a copy, cheaper than appendKey(), for matchesRaw().
+     */
+    void appendRaw(std::vector<std::uint64_t> &out) const;
+
+    /**
+     * True iff appendKey() now equals appendKey() of the cache (of
+     * this geometry) whose appendRaw() wrote @p raw; advances @p raw
+     * past it. A set no use has touched since compares as raw words;
+     * only a touched one is put in LRU order.
+     */
+    bool matchesRaw(const std::uint64_t *&raw) const;
+
   private:
+    /** A way's tag while it holds no block: no block address is
+     *  anywhere near it. */
+    static constexpr Addr kNoTag = ~0ULL;
+
+    /** One way: invalid ways hold (kNoTag, 0), so two tag stores in
+     *  the same state are the same words. */
     struct Way
     {
-        bool valid = false;
-        Addr tag = 0;
+        Addr tag = kNoTag;
         std::uint64_t lastUse = 0;
     };
 
@@ -83,6 +102,10 @@ class TagCache
         return static_cast<int>(setMask != kNoMask ? block & setMask
                                                    : block % sets);
     }
+
+    /** Same valid tags in the same LRU order: the set @p now and the
+     *  appendRaw() words @p was of one give the same appendKey(). */
+    bool sameLruOrder(const std::uint64_t *was, const Way *now) const;
 
     static constexpr Addr kNoMask = ~0ULL;
 

@@ -41,12 +41,6 @@ UnifiedMemSystem::access(const MemAccess &acc, Cycle now,
 }
 
 void
-UnifiedMemSystem::stateKey(std::vector<std::uint64_t> &key) const
-{
-    l1.appendKey(key);
-}
-
-void
 UnifiedMemSystem::timeKey(Cycle start,
                           std::vector<std::uint64_t> &key) const
 {

@@ -29,7 +29,6 @@ class UnifiedMemSystem final : public MemSystem
     MemAccessResult access(const MemAccess &acc, Cycle now,
                            std::uint64_t store_value) override;
 
-    void stateKey(std::vector<std::uint64_t> &key) const override;
     void timeKey(Cycle start,
                  std::vector<std::uint64_t> &key) const override;
     void counterSnapshot(std::vector<std::uint64_t> &out) const override;
@@ -37,6 +36,10 @@ class UnifiedMemSystem final : public MemSystem
     void shiftTime(Cycle from, Cycle to) override;
 
   private:
+    std::vector<const TagCache *> tagStores() const override
+    {
+        return {&l1};
+    }
     void syncStats() const override;
 
     /** Per-access counters as plain integers (see L0Buffer). */

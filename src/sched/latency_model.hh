@@ -24,16 +24,28 @@ namespace l0vliw::sched
 class LatencyModel
 {
   public:
+    LatencyModel() = default;
+
     LatencyModel(const ir::Loop &loop, const machine::MachineConfig &cfg,
                  int mem_load_latency)
     {
-        lat.reserve(loop.numOps());
+        assign(loop, cfg, mem_load_latency);
+    }
+
+    /** The model of @p loop, reusing this one's storage; a new
+     *  version. */
+    void
+    assign(const ir::Loop &loop, const machine::MachineConfig &cfg,
+           int mem_load_latency)
+    {
+        lat.clear();
         for (const auto &op : loop.ops()) {
             if (op.kind == ir::OpKind::Load)
                 lat.push_back(mem_load_latency);
             else
                 lat.push_back(cfg.opLatency(op.kind));
         }
+        ++_version;
     }
 
     /** Latency assumed for @p id. */

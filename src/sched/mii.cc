@@ -43,31 +43,62 @@ namespace
 {
 
 /**
- * True when the graph with weights lat(e) - ii*dist(e) has a
- * positive-weight cycle (meaning ii is infeasible): longest paths from
- * a virtual source joined to every node (so every node starts at 0)
- * settle within n-1 rounds of relaxation unless a positive cycle keeps
- * raising them.
+ * 0 when the graph with weights lat(e) - ii*dist(e) has no
+ * positive-weight cycle (ii is feasible); otherwise a lower bound of
+ * recMII above ii. Longest paths from a virtual source joined to every
+ * op (so every op starts at 0) settle within n rounds unless a
+ * positive cycle keeps raising them; a round ends settled when no
+ * loop-carried edge raised a value (DepGraph). Each raise records the
+ * edge that made it, and a cycle of those edges has positive weight
+ * (as in Bellman-Ford's predecessor graph). So after each unsettled
+ * round the raises are traced back from the last op a loop-carried
+ * edge raised, and a cycle found there ends the probe early:
+ * ceil(latency / distance) of it bounds recMII.
  */
-bool
-hasPositiveCycle(const ir::Loop &loop, const LatencyModel &lat, int ii)
+int
+positiveCycleBound(const DepGraph &graph, const LatencyModel &lat, int ii,
+                   std::vector<long> &dist,
+                   std::vector<const DepGraph::Arc *> &raised_by)
 {
-    const int n = loop.numOps();
-    std::vector<long> dist(n, 0);
-    for (int round = 0; round <= n; ++round) {
-        bool changed = false;
-        for (const auto &e : loop.edges()) {
-            long cand = dist[e.src] + lat.edgeLatency(e)
-                        - static_cast<long>(ii) * e.distance;
-            if (cand > dist[e.dst]) {
-                dist[e.dst] = cand;
-                changed = true;
-            }
-        }
-        if (!changed)
+    const int n = graph.loop->numOps();
+    dist.assign(n, 0);
+    raised_by.assign(n, nullptr);
+    auto raise = [&](const DepGraph::Arc &a) {
+        long cand = dist[a.src] + a.latency(lat)
+                    - static_cast<long>(ii) * a.distance;
+        if (cand <= dist[a.dst])
             return false;
+        dist[a.dst] = cand;
+        raised_by[a.dst] = &a;
+        return true;
+    };
+    for (int round = 0; round <= n; ++round) {
+        for (const DepGraph::Arc &a : graph.sameIteration)
+            raise(a);
+        OpId last = kNoOp;
+        for (const DepGraph::Arc &a : graph.carried)
+            if (raise(a))
+                last = a.dst;
+        if (last == kNoOp)
+            return 0;
+        // n steps back from the last raise either reach an op nothing
+        // raised or end on a cycle of raises.
+        OpId v = last;
+        for (int step = 0; step < n && v != kNoOp; ++step)
+            v = raised_by[v] ? raised_by[v]->src : kNoOp;
+        if (v != kNoOp) {
+            long latency = 0, distance = 0;
+            OpId u = v;
+            do {
+                latency += raised_by[u]->latency(lat);
+                distance += raised_by[u]->distance;
+                u = raised_by[u]->src;
+            } while (u != v);
+            return static_cast<int>(std::max<long>(
+                ii + 1, (latency + distance - 1) / distance));
+        }
     }
-    return true;
+    return ii + 1; // still rising after n rounds: a positive cycle
 }
 
 } // namespace
@@ -75,25 +106,22 @@ hasPositiveCycle(const ir::Loop &loop, const LatencyModel &lat, int ii)
 int
 recMii(const ir::Loop &loop, const LatencyModel &lat)
 {
-    // Upper bound: the sum of all edge latencies certainly breaks
-    // every cycle (each cycle has distance >= 1).
-    long bound = 1;
-    for (const auto &e : loop.edges())
-        bound += lat.edgeLatency(e);
+    return recMii(DepGraph(loop), lat);
+}
 
-    int lo = 1, hi = static_cast<int>(std::min(bound, 4096L));
-    if (!hasPositiveCycle(loop, lat, lo))
-        return lo;
-    while (lo < hi) {
-        int mid = lo + (hi - lo) / 2;
-        if (hasPositiveCycle(loop, lat, mid))
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    L0_ASSERT(!hasPositiveCycle(loop, lat, lo),
-              "recMii search failed for loop %s", loop.name().c_str());
-    return lo;
+int
+recMii(const DepGraph &graph, const LatencyModel &lat, int at_least)
+{
+    int ii = std::max(at_least, 1);
+    if (graph.carried.empty())
+        return ii; // no cycle
+    // Every bound is a lower bound of the answer and above the II it
+    // probed, so the first feasible II is recMII.
+    std::vector<long> dist;
+    std::vector<const DepGraph::Arc *> raised_by;
+    while (int bound = positiveCycleBound(graph, lat, ii, dist, raised_by))
+        ii = bound;
+    return ii;
 }
 
 int

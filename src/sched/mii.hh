@@ -9,6 +9,7 @@
 #include "ir/loop.hh"
 #include "machine/machine_config.hh"
 #include "sched/latency_model.hh"
+#include "sched/sms.hh"
 
 namespace l0vliw::sched
 {
@@ -22,10 +23,22 @@ int resMii(const ir::Loop &loop, const machine::MachineConfig &cfg);
 /**
  * Recurrence-constrained MII: the smallest II such that the dependence
  * graph, with edge weight latency(e) - II * distance(e), has no
- * positive-weight cycle (checked with a Bellman-Ford longest-path
- * relaxation, O(ops * edges) per probe).
+ * positive-weight cycle; 1 without a recurrence. Each probe runs a
+ * Bellman-Ford longest-path relaxation; an infeasible probe yields a
+ * positive cycle, whose latency / distance ratio is the next II
+ * probed.
  */
 int recMii(const ir::Loop &loop, const LatencyModel &lat);
+
+/**
+ * max(@p at_least, recMii()) over a graph already derived from the
+ * body: the smallest II >= @p at_least without a positive cycle. The
+ * probes start at @p at_least, which callers that already know a bound
+ * below which they need no answer (resMII, a demoted re-slack's II)
+ * pass.
+ */
+int recMii(const DepGraph &graph, const LatencyModel &lat,
+           int at_least = 1);
 
 /** max(resMii, recMii), never less than 1. */
 int minII(const ir::Loop &loop, const machine::MachineConfig &cfg,

@@ -1,5 +1,7 @@
 #include "sched/mrt.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace l0vliw::sched
@@ -22,38 +24,30 @@ fuClassOf(ir::OpKind kind)
     return FuClass::Int;
 }
 
-Mrt::Mrt(const machine::MachineConfig &config, int ii)
-    : cfg(config), _ii(ii)
+Mrt::Mrt(const machine::MachineConfig &cfg, int ii)
+{
+    configure(cfg);
+    reset(ii);
+}
+
+void
+Mrt::configure(const machine::MachineConfig &cfg)
+{
+    numClusters = cfg.numClusters;
+    numBuses = cfg.numBuses;
+    limit[static_cast<int>(FuClass::Int)] = cfg.intUnitsPerCluster;
+    limit[static_cast<int>(FuClass::Mem)] = cfg.memUnitsPerCluster;
+    limit[static_cast<int>(FuClass::Fp)] = cfg.fpUnitsPerCluster;
+}
+
+void
+Mrt::reset(int ii)
 {
     L0_ASSERT(ii >= 1, "II must be positive");
-    fuUse.assign(static_cast<std::size_t>(cfg.numClusters) * 3 * ii, 0);
+    _ii = ii;
+    fuUse.assign(static_cast<std::size_t>(numClusters) * 3 * ii, 0);
     busUse.assign(ii, 0);
-}
-
-int &
-Mrt::fuCount(ClusterId c, FuClass fu, int r)
-{
-    return fuUse[(static_cast<std::size_t>(c) * 3
-                  + static_cast<int>(fu)) * _ii + r];
-}
-
-const int &
-Mrt::fuCount(ClusterId c, FuClass fu, int r) const
-{
-    return fuUse[(static_cast<std::size_t>(c) * 3
-                  + static_cast<int>(fu)) * _ii + r];
-}
-
-bool
-Mrt::fuFree(ClusterId c, FuClass fu, int cycle) const
-{
-    int limit = 0;
-    switch (fu) {
-      case FuClass::Int: limit = cfg.intUnitsPerCluster; break;
-      case FuClass::Mem: limit = cfg.memUnitsPerCluster; break;
-      case FuClass::Fp: limit = cfg.fpUnitsPerCluster; break;
-    }
-    return fuCount(c, fu, row(cycle)) < limit;
+    undoLog.clear();
 }
 
 void
@@ -62,18 +56,6 @@ Mrt::reserveFu(ClusterId c, FuClass fu, int cycle)
     L0_ASSERT(fuFree(c, fu, cycle), "reserving a busy FU slot");
     ++fuCount(c, fu, row(cycle));
     undoLog.push_back({false, c, static_cast<int>(fu), row(cycle)});
-}
-
-bool
-Mrt::memSlotBusy(ClusterId c, int cycle) const
-{
-    return fuCount(c, FuClass::Mem, row(cycle)) > 0;
-}
-
-bool
-Mrt::busFree(int cycle) const
-{
-    return busUse[row(cycle)] < cfg.numBuses;
 }
 
 void
@@ -85,14 +67,35 @@ Mrt::reserveBus(int cycle)
 }
 
 int
+Mrt::nextFuFree(ClusterId c, FuClass fu, int from, int to, int step) const
+{
+    const int *use = &fuCount(c, fu, 0);
+    const int cap = limit[static_cast<int>(fu)];
+    for (int t = from, r = row(from); step > 0 ? t <= to : t >= to;
+         t += step) {
+        if (use[r] < cap)
+            return t;
+        r += step;
+        if (r == _ii)
+            r = 0;
+        else if (r < 0)
+            r = _ii - 1;
+    }
+    return kNoCycle;
+}
+
+int
 Mrt::findBusSlot(int lo, int hi) const
 {
     if (lo > hi)
         return -1;
     int limit = std::min(hi, lo + _ii - 1);
-    for (int b = lo; b <= limit; ++b)
-        if (busFree(b))
+    for (int b = lo, r = row(lo); b <= limit; ++b) {
+        if (busUse[r] < numBuses)
             return b;
+        if (++r == _ii)
+            r = 0;
+    }
     return -1;
 }
 

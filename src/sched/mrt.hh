@@ -36,21 +36,48 @@ class Mrt
 {
   public:
     Mrt(const machine::MachineConfig &cfg, int ii);
+    /** An empty table; configure() and reset() before use. */
+    Mrt() = default;
+
+    /** Take @p cfg's units and buses (the II and use stay). */
+    void configure(const machine::MachineConfig &cfg);
+
+    /** Empty the table and make its II @p ii (storage is reused). */
+    void reset(int ii);
 
     int ii() const { return _ii; }
 
     /** True when cluster @p c has a free @p fu slot at flat @p cycle. */
-    bool fuFree(ClusterId c, FuClass fu, int cycle) const;
+    bool
+    fuFree(ClusterId c, FuClass fu, int cycle) const
+    {
+        return fuCount(c, fu, row(cycle)) < limit[static_cast<int>(fu)];
+    }
+
+    /**
+     * The first flat cycle from @p from to @p to, both included,
+     * stepping by @p step (+1 or -1), at which cluster @p c has a free
+     * @p fu slot; kNoCycle when there is none.
+     */
+    int nextFuFree(ClusterId c, FuClass fu, int from, int to,
+                   int step) const;
+
+    /** nextFuFree()'s "none". */
+    static constexpr int kNoCycle = -(1 << 30);
 
     /** Reserve an FU slot (must be free). */
     void reserveFu(ClusterId c, FuClass fu, int cycle);
 
     /** True when any memory slot of cluster @p c is taken at @p cycle.
      *  Used for the SEQ_ACCESS legality rule. */
-    bool memSlotBusy(ClusterId c, int cycle) const;
+    bool
+    memSlotBusy(ClusterId c, int cycle) const
+    {
+        return fuCount(c, FuClass::Mem, row(cycle)) > 0;
+    }
 
     /** True when a bus channel is free at flat @p cycle. */
-    bool busFree(int cycle) const;
+    bool busFree(int cycle) const { return busUse[row(cycle)] < numBuses; }
 
     /** Reserve a bus channel (must be free). */
     void reserveBus(int cycle);
@@ -82,12 +109,32 @@ class Mrt
         int row = 0;
     };
 
-    int row(int cycle) const { return ((cycle % _ii) + _ii) % _ii; }
-    int &fuCount(ClusterId c, FuClass fu, int r);
-    const int &fuCount(ClusterId c, FuClass fu, int r) const;
+    int
+    row(int cycle) const
+    {
+        const int r = cycle % _ii;
+        return r < 0 ? r + _ii : r;
+    }
 
-    const machine::MachineConfig &cfg;
-    int _ii;
+    int &
+    fuCount(ClusterId c, FuClass fu, int r)
+    {
+        return fuUse[(static_cast<std::size_t>(c) * 3
+                      + static_cast<int>(fu)) * _ii + r];
+    }
+
+    const int &
+    fuCount(ClusterId c, FuClass fu, int r) const
+    {
+        return fuUse[(static_cast<std::size_t>(c) * 3
+                      + static_cast<int>(fu)) * _ii + r];
+    }
+
+    int numClusters = 0;
+    int numBuses = 0;
+    /** Units per cluster, by FuClass. */
+    int limit[3] = {};
+    int _ii = 0;
     /** use counts: [cluster][fuClass][row] */
     std::vector<int> fuUse;
     /** bus channels in use per row */

@@ -27,6 +27,8 @@
 #ifndef L0VLIW_SCHED_SCHEDULER_HH
 #define L0VLIW_SCHED_SCHEDULER_HH
 
+#include <optional>
+
 #include "ir/loop.hh"
 #include "machine/machine_config.hh"
 #include "sched/coherence.hh"
@@ -82,13 +84,23 @@ class ModuloScheduler
                     const SchedulerOptions &options);
 
     /**
-     * Schedule an (already unrolled / specialized) loop body.
-     * fatal()s if no schedule exists up to options.maxII. The facts
-     * about the body that do not depend on the II (incident edges,
+     * Schedule an (already unrolled / specialized) loop body: the
+     * first II from the MII up at which scheduleAt() fits. fatal()s
+     * if no schedule exists up to options.maxII. The facts about the
+     * body that do not depend on the II (incident edges,
      * memory-dependent sets, candidates) are derived once per call
-     * and shared by every attempt.
+     * and shared by every attempt, and IIs that a bound proves no
+     * attempt meets (too few L0 entries for a 1C set's recurrence)
+     * are not tried.
      */
-    Schedule schedule(const ir::Loop &body) const;
+    Schedule schedule(ir::Loop body) const;
+
+    /**
+     * Schedule @p body at exactly @p ii (at least its MII): the
+     * primary attempt, then the fallback order; nullopt when neither
+     * fits.
+     */
+    std::optional<Schedule> scheduleAt(ir::Loop body, int ii) const;
 
     /**
      * Statically estimated execution time of @p trips iterations —
@@ -98,6 +110,10 @@ class ModuloScheduler
                                  std::uint64_t trips) const;
 
   private:
+    /** The body as attempts see it (PSR-transformed under PSR),
+     *  validated. */
+    ir::Loop prepare(ir::Loop body) const;
+
     machine::MachineConfig cfg;
     SchedulerOptions opts;
 };

@@ -18,6 +18,8 @@
 #ifndef L0VLIW_SCHED_SMS_HH
 #define L0VLIW_SCHED_SMS_HH
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ir/loop.hh"
@@ -35,19 +37,67 @@ struct SlackInfo
 };
 
 /**
+ * The dependence graph in the order the longest-path relaxations want
+ * it, derived once per body and shared by every computeSlack() and
+ * recMii() call on it. The distance-0 edges are listed by their
+ * source's rank in a topological order of them (they are acyclic:
+ * Loop::validate rejects zero-distance cycles), so one forward pass
+ * over them settles every same-iteration chain and one backward pass
+ * does too; a relaxation round is that pass followed by the
+ * loop-carried edges, and only a loop-carried edge that still moves a
+ * value calls for another round. Every cycle has a loop-carried edge,
+ * so a body without one has no recurrence. It points into @p loop,
+ * which must outlive it.
+ */
+struct DepGraph
+{
+    DepGraph() = default;
+    explicit DepGraph(const ir::Loop &loop) { assign(loop); }
+
+    /** Derive @p loop's graph into this one, reusing its storage. */
+    void assign(const ir::Loop &loop);
+
+    /** One edge, flattened: its latency is its source's for a
+     *  register edge, 1 for a memory edge (LatencyModel). */
+    struct Arc
+    {
+        OpId src, dst;
+        int distance;
+        bool reg;
+
+        int latency(const LatencyModel &lat) const
+        {
+            return reg ? lat.of(src) : 1;
+        }
+    };
+
+    const ir::Loop *loop = nullptr;
+    /** The distance-0 edges in source rank order. */
+    std::vector<Arc> sameIteration;
+    /** The loop-carried edges, in source rank order. */
+    std::vector<Arc> carried;
+    /** assign()'s working storage. */
+    std::vector<int> scratch;
+};
+
+/**
  * Longest-path ASAP/ALAP with modulo edge weights
- * lat(e) - II*dist(e), relaxed to a fixpoint. The II must be feasible
- * (>= recMii under @p lat) or the relaxation diverges; we clamp after
- * n+1 rounds either way. When @p converged is null a diverging
- * relaxation warns; otherwise it only reports through the flag, so
- * callers that expect infeasible IIs (the scheduler's post-demotion
- * re-slack) can re-derive a feasible II instead of spamming warnings.
+ * lat(e) - II*dist(e): the least fixpoint above 0 (ASAP), and the
+ * greatest one below the largest ASAP (ALAP). The II must be feasible
+ * (>= recMii under @p lat) for the fixpoint to exist; values still
+ * rising after as many rounds as there are ops mean a positive cycle,
+ * and then they are not a fixpoint and must not be used.
+ * When @p converged is null such an II warns; otherwise it only
+ * reports through the flag, so callers that expect infeasible IIs
+ * (the scheduler's post-demotion re-slack) can re-derive a feasible II
+ * instead of spamming warnings.
  */
 SlackInfo computeSlack(const ir::Loop &loop, const LatencyModel &lat,
                        int ii, bool *converged = nullptr);
 
-/** computeSlack() into @p info, reusing its storage. */
-void computeSlack(const ir::Loop &loop, const LatencyModel &lat, int ii,
+/** computeSlack() over a graph already derived from the body, into
+ *  @p info, reusing its storage. */
+void computeSlack(const DepGraph &graph, const LatencyModel &lat, int ii,
                   SlackInfo &info, bool *converged = nullptr);
 
 /**
@@ -59,7 +109,11 @@ void computeSlack(const ir::Loop &loop, const LatencyModel &lat, int ii,
  */
 struct IncidentEdges
 {
-    explicit IncidentEdges(const ir::Loop &loop);
+    IncidentEdges() = default;
+    explicit IncidentEdges(const ir::Loop &loop) { assign(loop); }
+
+    /** Derive @p loop's edges into this one, reusing its storage. */
+    void assign(const ir::Loop &loop);
 
     std::vector<int> begin;
     std::vector<const ir::DepEdge *> edges;
@@ -73,6 +127,19 @@ struct IncidentEdges
  */
 std::vector<OpId> smsOrder(const IncidentEdges &incident,
                            const SlackInfo &slack);
+
+/** smsOrder()'s working storage, reusable across calls. */
+struct SmsScratch
+{
+    std::vector<std::pair<std::uint64_t, OpId>> keyed;
+    std::vector<OpId> byRank;
+    std::vector<int> rank;
+    std::vector<std::uint64_t> ordered, frontier;
+};
+
+/** smsOrder() into @p order, reusing its and @p scratch's storage. */
+void smsOrder(const IncidentEdges &incident, const SlackInfo &slack,
+              std::vector<OpId> &order, SmsScratch &scratch);
 
 } // namespace l0vliw::sched
 

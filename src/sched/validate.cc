@@ -77,33 +77,43 @@ validateSchedule(const Schedule &s, const machine::MachineConfig &cfg)
     const int clusters = cfg.numClusters;
     constexpr int kFuClasses = 3;
 
-    // 3. FU capacity per kernel row; use counts [cluster][fu][row]
-    std::vector<int> fu_use(static_cast<std::size_t>(clusters)
-                            * kFuClasses * ii);
+    // The per-row tables of rules 3, 4 and 6 in one buffer: FU use
+    // counts [cluster][fu][row], bus channels [row], and whether a
+    // memory op issues at [cluster][row].
+    std::vector<int> tables(static_cast<std::size_t>(clusters)
+                                * (kFuClasses + 1) * ii
+                            + ii);
+    int *fu_use = tables.data();
+    int *bus_use = fu_use + static_cast<std::size_t>(clusters) * kFuClasses
+                                * ii;
+    int *mem_rows = bus_use + ii;
+
+    // 3. FU capacity per kernel row: a slot only an op uses can be
+    // oversubscribed, so the ops are checked first and the table is
+    // walked in order only to name the slots that are.
+    const int limits[kFuClasses] = {cfg.intUnitsPerCluster,
+                                    cfg.memUnitsPerCluster,
+                                    cfg.fpUnitsPerCluster};
+    bool oversubscribed = false;
     for (OpId i = 0; i < n; ++i) {
         int fu = static_cast<int>(fuClassOf(loop.op(i).kind));
-        ++fu_use[(s.ops[i].cluster * kFuClasses + fu) * ii
-                 + s.ops[i].startCycle % ii];
+        oversubscribed |= ++fu_use[(s.ops[i].cluster * kFuClasses + fu) * ii
+                                   + s.ops[i].startCycle % ii]
+                          > limits[fu];
     }
-    for (int c = 0; c < clusters; ++c) {
+    for (int c = 0; c < clusters && oversubscribed; ++c) {
         for (int fu = 0; fu < kFuClasses; ++fu) {
-            int limit = fu == static_cast<int>(FuClass::Int)
-                            ? cfg.intUnitsPerCluster
-                            : fu == static_cast<int>(FuClass::Mem)
-                                  ? cfg.memUnitsPerCluster
-                                  : cfg.fpUnitsPerCluster;
             for (int row = 0; row < ii; ++row) {
                 int used = fu_use[(c * kFuClasses + fu) * ii + row];
-                if (used > limit)
+                if (used > limits[fu])
                     bad.push_back(fmt("cluster %d fu %d row %d "
                                       "oversubscribed (%d > %d)",
-                                      c, fu, row, used, limit));
+                                      c, fu, row, used, limits[fu]));
             }
         }
     }
 
     // 4. bus channel capacity
-    std::vector<int> bus_use(ii);
     for (const auto &tr : s.transfers)
         ++bus_use[((tr.startCycle % ii) + ii) % ii];
     for (int row = 0; row < ii; ++row) {
@@ -112,23 +122,27 @@ validateSchedule(const Schedule &s, const machine::MachineConfig &cfg)
                               bus_use[row], cfg.numBuses));
     }
 
-    // 5. L0 capacity per cluster (distinct streams)
+    // 5. L0 capacity per cluster (distinct streams): the L0 loads'
+    // (cluster, stream) pairs, sorted, deduplicated and counted per
+    // cluster.
     if (cfg.memArch == machine::MemArch::L0Buffers && !cfg.l0Unbounded()) {
-        std::vector<std::tuple<int, long, int, long>> streams;
-        for (int c = 0; c < clusters; ++c) {
-            streams.clear();
-            for (OpId i = 0; i < n; ++i) {
-                const ir::Operation &op = loop.op(i);
-                if (op.kind == ir::OpKind::Load && s.ops[i].usesL0
-                        && s.ops[i].cluster == c)
-                    streams.emplace_back(op.mem.array, op.mem.strideElems,
-                                         op.mem.elemSize,
-                                         op.mem.offsetElems);
-            }
-            std::sort(streams.begin(), streams.end());
-            auto distinct = static_cast<std::size_t>(
-                std::unique(streams.begin(), streams.end())
-                - streams.begin());
+        std::vector<std::tuple<int, int, long, int, long>> streams;
+        streams.reserve(n);
+        for (OpId i = 0; i < n; ++i) {
+            const ir::Operation &op = loop.op(i);
+            if (op.kind == ir::OpKind::Load && s.ops[i].usesL0)
+                streams.emplace_back(s.ops[i].cluster, op.mem.array,
+                                     op.mem.strideElems, op.mem.elemSize,
+                                     op.mem.offsetElems);
+        }
+        std::sort(streams.begin(), streams.end());
+        streams.erase(std::unique(streams.begin(), streams.end()),
+                      streams.end());
+        for (std::size_t k = 0; k < streams.size();) {
+            const int c = std::get<0>(streams[k]);
+            std::size_t distinct = 0;
+            for (; k < streams.size() && std::get<0>(streams[k]) == c; ++k)
+                ++distinct;
             if (static_cast<int>(distinct) > cfg.l0Entries)
                 bad.push_back(fmt("cluster %d: %zu L0 streams exceed %d "
                                   "entries",
@@ -136,12 +150,10 @@ validateSchedule(const Schedule &s, const machine::MachineConfig &cfg)
         }
     }
 
-    // 6. SEQ_ACCESS legality; memory ops at [cluster][row]
-    std::vector<bool> mem_rows(static_cast<std::size_t>(clusters) * ii);
+    // 6. SEQ_ACCESS legality
     for (OpId i = 0; i < n; ++i)
         if (ir::isMemKind(loop.op(i).kind))
-            mem_rows[s.ops[i].cluster * ii + s.ops[i].startCycle % ii] =
-                true;
+            mem_rows[s.ops[i].cluster * ii + s.ops[i].startCycle % ii] = 1;
     for (OpId i = 0; i < n; ++i) {
         if (loop.op(i).kind != ir::OpKind::Load
                 || s.ops[i].access != ir::AccessHint::SeqAccess)

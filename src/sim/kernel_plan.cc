@@ -169,15 +169,16 @@ sameOptions(const SimOptions &a, const SimOptions &b)
 }
 
 /**
- * Fold-key scratch shared by every plan on a thread (run() is not
- * reentrant). A state key runs to a few thousand words, too many to
- * keep one per plan.
+ * Fold scratch shared by every plan on a thread (run() is not
+ * reentrant): the memory state a simulated invocation starts from
+ * (MemSystem::saveState(), a few thousand words, too many to keep one
+ * per plan), and a probe of the counters and time key.
  */
-struct KeyScratch
+struct FoldScratch
 {
-    std::vector<std::uint64_t> before, after;
+    std::vector<std::uint64_t> stateBefore, probe;
 };
-thread_local KeyScratch keyScratch;
+thread_local FoldScratch foldScratch;
 
 } // namespace
 
@@ -199,9 +200,24 @@ KernelPlan::KernelPlan(sched::Schedule schedule)
     int max_dist = 0;
     for (const auto &e : loop.edges())
         max_dist = std::max(max_dist, e.distance);
-    for (OpId i = 0; i < n; ++i)
+    int num_mem = 0;
+    for (OpId i = 0; i < n; ++i) {
         maxStart_ = std::max(maxStart_, sched_.ops[i].startCycle);
+        num_mem += ir::isMemKind(loop.op(i).kind);
+    }
     ring_.init(n, sched_.stageCount + max_dist + 2);
+
+    // The per-op and per-row tables below, carved out of one buffer.
+    std::vector<int> work(5 * static_cast<std::size_t>(n) + ii + 2
+                              + std::max(n, ii),
+                          0);
+    int *use_begin = work.data();       // n + 1
+    int *row_begin = use_begin + n + 1; // ii + 1
+    int *row_ops = row_begin + ii + 1;  // n
+    int *gen_of = row_ops + n;          // n
+    int *load_idx = gen_of + n;         // n
+    int *listed = load_idx + n;         // n
+    int *next = listed + n;             // max(n, ii)
 
     // Load-use register inputs, grouped per consumer in edge order
     // (CSR): op i's are op_uses[use_begin[i] .. use_begin[i + 1]).
@@ -209,14 +225,13 @@ KernelPlan::KernelPlan(sched::Schedule schedule)
         return e.kind == ir::DepKind::Reg
                && loop.op(e.src).kind == ir::OpKind::Load;
     };
-    std::vector<int> use_begin(n + 1, 0);
     for (const auto &e : loop.edges())
         if (load_use(e))
             ++use_begin[e.dst + 1];
     for (OpId i = 0; i < n; ++i)
         use_begin[i + 1] += use_begin[i];
     std::vector<Use> op_uses(use_begin[n]);
-    std::vector<int> next(use_begin.begin(), use_begin.end() - 1);
+    std::copy(use_begin, use_begin + n, next);
     for (const auto &e : loop.edges()) {
         if (!load_use(e))
             continue;
@@ -227,19 +242,18 @@ KernelPlan::KernelPlan(sched::Schedule schedule)
 
     // Bucket ops by kernel row, preserving program (OpId) order:
     // row r's are row_ops[row_begin[r] .. row_begin[r + 1]).
-    std::vector<int> row_begin(ii + 1, 0);
     for (OpId i = 0; i < n; ++i)
         ++row_begin[sched_.ops[i].startCycle % ii + 1];
     for (int r = 0; r < ii; ++r)
         row_begin[r + 1] += row_begin[r];
-    std::vector<OpId> row_ops(n);
-    next.assign(row_begin.begin(), row_begin.end() - 1);
+    std::copy(row_begin, row_begin + ii, next);
     for (OpId i = 0; i < n; ++i)
         row_ops[next[sched_.ops[i].startCycle % ii]++] = i;
 
     // Address generators, in program order.
-    std::vector<int> gen_of(n, -1);
+    gens_.reserve(num_mem);
     for (OpId i = 0; i < n; ++i) {
+        gen_of[i] = -1;
         if (!ir::isMemKind(loop.op(i).kind))
             continue;
         gen_of[i] = static_cast<int>(gens_.size());
@@ -252,29 +266,38 @@ KernelPlan::KernelPlan(sched::Schedule schedule)
     // load whose bytes no primary store of the loop can write reads
     // the same backing bytes all invocation long; only loads of
     // written bytes, and the primary stores that can write them, are
-    // replayed.
+    // replayed. listed[0 .. stores) holds the primary stores, then
+    // listed[stores .. replayed) the replayed loads.
     auto primary_store = [&](OpId i) {
         return loop.op(i).kind == ir::OpKind::Store
                && loop.op(i).mem.primaryStore;
     };
-    auto overlaps_any = [&](OpId i, auto &&pred) {
-        for (OpId j = 0; j < n; ++j)
-            if (gen_of[j] >= 0 && pred(j)
-                && overlaps(gens_[gen_of[i]], gens_[gen_of[j]]))
+    auto overlaps_any = [&](OpId i, const int *first, const int *last) {
+        for (const int *j = first; j != last; ++j)
+            if (overlaps(gens_[gen_of[i]], gens_[gen_of[*j]]))
                 return true;
         return false;
     };
-    std::vector<bool> replayed(n, false);
+    int stores = 0;
     for (OpId i = 0; i < n; ++i)
-        replayed[i] = loop.op(i).kind == ir::OpKind::Load
-                      && overlaps_any(i, primary_store);
-    std::vector<int> load_idx(n, -1);
+        if (primary_store(i))
+            listed[stores++] = i;
+    storesBacking_ = stores > 0;
+    int replayed_end = stores;
+    for (OpId i = 0; i < n; ++i) {
+        load_idx[i] = -1;
+        if (loop.op(i).kind == ir::OpKind::Load
+                && overlaps_any(i, listed, listed + stores)) {
+            listed[replayed_end++] = i;
+            load_idx[i] = numReplayed_++;
+        }
+    }
     for (OpId i = 0; i < n; ++i) {
         const ir::Operation &op = loop.op(i);
-        if (replayed[i])
-            load_idx[i] = numReplayed_++;
-        else if (!primary_store(i)
-                 || !overlaps_any(i, [&](OpId j) { return replayed[j]; }))
+        if (load_idx[i] < 0
+                && (!primary_store(i)
+                    || !overlaps_any(i, listed + stores,
+                                     listed + replayed_end)))
             continue;
         goldenOps_.push_back({i, op.kind == ir::OpKind::Load, gen_of[i],
                               load_idx[i], op.mem.elemSize});
@@ -284,6 +307,13 @@ KernelPlan::KernelPlan(sched::Schedule schedule)
     // operand check or issues a memory access; rows of pure ALU ops
     // with loop-invariant inputs contribute nothing to stall or memory
     // traffic and are skipped entirely by the executor.
+    int with_uses = 0;
+    for (OpId i = 0; i < n; ++i)
+        with_uses += use_begin[i + 1] > use_begin[i];
+    depSlots_.reserve(with_uses);
+    memSlots_.reserve(num_mem);
+    uses_.reserve(op_uses.size());
+    rows_.reserve(std::min(n, ii));
     bool stages_seen = false;
     for (int r = 0; r < ii; ++r) {
         Row row;
@@ -532,28 +562,35 @@ KernelPlan::run(mem::MemSystem &mem, std::uint64_t trips,
     // nothing wrote since.
     const bool rewrites = f.memId == mem.id() && f.trips == trips
                           && f.backingVersion == version_before;
-    std::vector<std::uint64_t> &state_before = keyScratch.before;
-    state_before.clear();
-    mem.stateKey(state_before);
-    f.timeKey.clear();
-    mem.timeKey(start_cycle, f.timeKey);
-    f.delta.clear();
-    mem.counterSnapshot(f.delta);
+    // Otherwise a plan with a primary store writes the backing (every
+    // op issues once per iteration), so this call will not be
+    // foldable and what only folding reads is not recorded.
+    const bool may_fold = rewrites || !storesBacking_;
+    std::vector<std::uint64_t> &state_before = foldScratch.stateBefore;
+    if (may_fold) {
+        state_before.clear();
+        mem.saveState(state_before);
+        f.timeKey.clear();
+        mem.timeKey(start_cycle, f.timeKey);
+        f.delta.clear();
+        mem.counterSnapshot(f.delta);
+    }
 
     const InvocationResult out =
         simulate(mem, trips, start_cycle, opts);
 
-    f.counters.clear();
-    mem.counterSnapshot(f.counters);
-    for (std::size_t i = 0; i < f.counters.size(); ++i)
-        f.delta[i] = f.counters[i] - f.delta[i];
     f.backingVersion = mem.backing().version();
     f.foldable = false;
-    if (rewrites || f.backingVersion == version_before) {
-        std::vector<std::uint64_t> &state_after = keyScratch.after;
-        state_after.clear();
-        mem.stateKey(state_after);
-        f.foldable = state_after == state_before;
+    if (may_fold) {
+        f.counters.clear();
+        mem.counterSnapshot(f.counters);
+        for (std::size_t i = 0; i < f.counters.size(); ++i)
+            f.delta[i] = f.counters[i] - f.delta[i];
+        if (rewrites || f.backingVersion == version_before)
+            f.foldable = mem.matchesState(state_before);
+    } else {
+        L0_ASSERT(f.backingVersion != version_before,
+                  "a storing invocation left the backing unwritten");
     }
     f.memId = mem.id();
     f.trips = trips;
@@ -577,7 +614,7 @@ KernelPlan::tryFold(mem::MemSystem &mem, std::uint64_t trips,
         || !sameOptions(f.opts, opts) || start_cycle < f.start
         || mem.backing().version() != f.backingVersion)
         return false;
-    std::vector<std::uint64_t> &probe = keyScratch.after;
+    std::vector<std::uint64_t> &probe = foldScratch.probe;
     probe.clear();
     mem.counterSnapshot(probe);
     if (probe != f.counters)

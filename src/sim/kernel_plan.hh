@@ -40,7 +40,11 @@
  *  - the last simulated invocation left the backing content and the
  *    memory system's stateKey() as it found them (its writes repeat
  *    the previous call's, which a run's writes do: they depend only
- *    on the plan and trips);
+ *    on the plan and trips). The state is saved before the run
+ *    (MemSystem::saveState()) and compared in place after it
+ *    (matchesState()), never built into two keys. A run that does
+ *    not repeat the previous call's writes and stores at all moves
+ *    the backing, so it saves nothing: it cannot be folded;
  *  - the timeKey() (bus and fill cycles relative to the start) equals
  *    the one that invocation started from.
  *
@@ -344,6 +348,7 @@ class KernelPlan
     int maxStart_ = 0;  ///< latest start cycle over all ops
     int minStage_ = 0, maxStage_ = 0; ///< over ops in non-empty rows
     int numReplayed_ = 0; ///< loads the golden replay computes
+    bool storesBacking_ = false; ///< some op is a primary store
     std::vector<DepSlot> depSlots_; ///< row-major, program order inside
     std::vector<MemSlot> memSlots_; ///< row-major, program order inside
     std::vector<Use> uses_;         ///< CSR payload of DepSlot ranges

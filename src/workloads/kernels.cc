@@ -64,6 +64,10 @@ ir::Loop
 streamMap(AddressSpace &as, const std::string &name, const StreamParams &p)
 {
     ir::Loop loop(name);
+    const int chain = p.intOps + p.fpOps;
+    loop.reserve(2 * p.loadStreams - 1 + chain + p.storeStreams,
+                 2 * (p.loadStreams - 1) + chain + p.storeStreams,
+                 p.loadStreams + p.storeStreams);
     std::vector<OpId> loads;
     for (int s = 0; s < p.loadStreams; ++s) {
         int arr = loop.addArray(
@@ -101,6 +105,8 @@ memRecurrence(AddressSpace &as, const std::string &name,
               const RecurrenceParams &p)
 {
     ir::Loop loop(name);
+    loop.reserve(2 + 2 * p.extraLoads + p.chainOps,
+                 3 + 2 * p.extraLoads + p.chainOps, 1 + p.extraLoads);
     int y = loop.addArray({name + "_y", as.alloc(p.arrayBytes),
                            p.arrayBytes});
     OpId ld_prev = loop.addOp(makeLoad(y, p.elemSize, 1, -p.lookback,
@@ -141,6 +147,7 @@ blockTransform(AddressSpace &as, const std::string &name, int block,
                int elem_size, std::uint64_t array_bytes)
 {
     ir::Loop loop(name);
+    loop.reserve(3 * block, 3 * block, 2);
     int x = loop.addArray({name + "_x", as.alloc(array_bytes),
                            array_bytes});
     int y = loop.addArray({name + "_y", as.alloc(array_bytes),
@@ -179,6 +186,8 @@ ir::Loop
 columnWalk(AddressSpace &as, const std::string &name, const ColumnParams &p)
 {
     ir::Loop loop(name);
+    loop.reserve(2 * p.streams + p.intOps, 2 * p.streams + p.intOps,
+                 p.streams + 1);
     std::vector<OpId> loads;
     for (int s = 0; s < p.streams; ++s) {
         int arr = loop.addArray(
@@ -212,6 +221,8 @@ tableLookup(AddressSpace &as, const std::string &name, int irregular_loads,
             int elem_size)
 {
     ir::Loop loop(name);
+    const int loads = strided_loads + irregular_loads;
+    loop.reserve(2 * loads + int_ops, 3 * loads + int_ops, loads + 1);
     std::vector<OpId> inputs;
     for (int s = 0; s < strided_loads; ++s) {
         int arr = loop.addArray(
@@ -256,6 +267,8 @@ conservativeUpdate(AddressSpace &as, const std::string &name,
                    std::uint64_t array_bytes)
 {
     ir::Loop loop(name);
+    loop.reserve(2 * load_streams + int_ops, 4 * load_streams + int_ops + 1,
+                 load_streams);
     std::vector<OpId> loads;
     std::vector<int> arrays;
     for (int s = 0; s < load_streams; ++s) {

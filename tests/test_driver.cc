@@ -8,9 +8,11 @@
  * typed result sinks.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
@@ -27,6 +29,7 @@
 #include "driver/runner.hh"
 #include "driver/suite.hh"
 #include "net/socket.hh"
+#include "workloads/registry.hh"
 #include "workloads/synthetic.hh"
 #include "workloads/workload.hh"
 
@@ -245,6 +248,152 @@ TEST(RunCell, LoopRowsSumToTheCell)
     }
     EXPECT_EQ(cells, workloads::mediabenchSuite().size()
                          * driver::archRegistry().names().size());
+}
+
+namespace
+{
+
+/** FNV-1a over 64-bit words: the run digest of GoldenRuns. */
+class RunDigest
+{
+  public:
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+    }
+
+    void
+    add(const std::string &s)
+    {
+        add(s.size());
+        for (unsigned char c : s)
+            add(c);
+    }
+
+    void
+    add(const driver::BenchmarkRun &r)
+    {
+        add(r.bench);
+        add(r.arch);
+        add(r.loopCompute);
+        add(r.loopStall);
+        add(r.scalarCycles);
+        add(r.memAccesses);
+        add(r.coherenceViolations);
+        std::uint64_t unroll_bits;
+        std::memcpy(&unroll_bits, &r.avgUnroll, sizeof unroll_bits);
+        add(unroll_bits);
+        add(r.l0Hits);
+        add(r.l0Misses);
+        add(r.fillsLinear);
+        add(r.fillsInterleaved);
+        add(r.memStats.all().size());
+        for (const auto &[name, value] : r.memStats.all()) {
+            add(name);
+            add(value);
+        }
+    }
+
+    void
+    add(const driver::LoopRow &row)
+    {
+        add(row.compute);
+        add(row.stall);
+        add(row.memAccesses);
+        add(row.coherenceViolations);
+        add(row.l0Hits);
+        add(row.l0Misses);
+        add(row.fillsLinear);
+        add(row.fillsInterleaved);
+    }
+
+    std::string
+    hex() const
+    {
+        char buf[17];
+        std::snprintf(buf, sizeof buf, "%016llx",
+                      static_cast<unsigned long long>(h));
+        return buf;
+    }
+
+  private:
+    std::uint64_t h = 1469598103934665603ULL;
+};
+
+/** The paper grid's architectures (perfbench paper-serial). */
+bool
+paperGridArch(const std::string &label)
+{
+    for (const char *a :
+         {"unified", "l0-2", "l0-4", "l0-8", "l0-16", "l0-unbounded",
+          "l0-4-allcand", "multivliw", "interleaved-1", "interleaved-2",
+          "l0-8-pf1", "l0-8-pf2"})
+        if (label == a)
+            return true;
+    return false;
+}
+
+} // namespace
+
+/**
+ * Every simulated bit of every registered cell — each workload under
+ * each architecture, run as the grid runs it (the unroll decision, the
+ * unified baseline, buildLoopPlans, runCell with rows) — folded into
+ * one digest: every BenchmarkRun field, avgUnroll's bits, every
+ * memory statistic by name, and every LoopRow. A change that only
+ * speeds the simulator or the scheduler up must leave it alone; one
+ * that moves it on purpose updates the value and says why.
+ *
+ * The same pass pins the fold decisions of the paper grid (the
+ * Mediabench models under its 12 architectures): how many plans it
+ * builds, and how many of their invocations simulate and fold.
+ */
+TEST(GoldenRuns, EveryRegisteredCellMatchesDigest)
+{
+    const ArchSpec unified = ArchSpec::unified();
+    RunDigest digest;
+    std::size_t cells = 0;
+    std::uint64_t paper_plans = 0, paper_simulated = 0, paper_folded = 0;
+    const std::vector<std::string> &archs = driver::archRegistry().names();
+    for (const std::string &name : workloads::workloadRegistry().names()) {
+        const workloads::Benchmark bench =
+            workloads::workloadRegistry().resolve(name);
+        const std::vector<std::string> &paper = workloads::benchmarkNames();
+        const bool paper_bench =
+            std::find(paper.begin(), paper.end(), name) != paper.end();
+        const std::vector<int> unrolls = driver::chooseUnrollFactors(bench);
+        const driver::BenchmarkRun base = driver::runCell(
+            bench, unified, unrolls,
+            driver::buildLoopPlans(bench, unified, unrolls), nullptr);
+        for (const std::string &label : archs) {
+            const ArchSpec arch = driver::archRegistry().resolve(label);
+            const auto plans = driver::buildLoopPlans(bench, arch, unrolls);
+            std::vector<driver::LoopRow> rows;
+            const driver::BenchmarkRun run = driver::runCell(
+                bench, arch, unrolls, plans,
+                label == "unified" ? nullptr : &base, &rows);
+            digest.add(run);
+            for (const driver::LoopRow &row : rows)
+                digest.add(row);
+            ++cells;
+            if (paper_bench && paperGridArch(label)) {
+                paper_plans += plans.size();
+                for (const auto &plan : plans) {
+                    paper_simulated += plan->simulatedRuns();
+                    paper_folded += plan->foldedRuns();
+                }
+            }
+        }
+    }
+    EXPECT_EQ(digest.hex(), "159a46c4d1351d23") << "over " << cells
+                                                << " cells";
+    EXPECT_EQ(paper_plans, 648u);
+    EXPECT_EQ(paper_simulated, 1328u);
+    EXPECT_EQ(paper_simulated + paper_folded, 21312u);
 }
 
 TEST(Suite, UnifiedCellEqualsBaseline)

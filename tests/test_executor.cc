@@ -706,8 +706,11 @@ TEST(RemoteExecutor, WindowedBeatsLockstepOnAHighLatencyLink)
     // compute is far below one period even at sanitizer speed, and both
     // runs are measured in periods: the link, not the host, sets them.
     // Same daemon, same jobs: the speedup must be structural, the
-    // results identical.
+    // results identical. Sixteen jobs make the per-job periods
+    // outweigh each run's fixed ones (connecting, draining), which a
+    // slow host (a sanitizer build) stretches most.
     constexpr int kPeriodMs = 25;
+    constexpr int kJobs = 16;
     net::FaultSpec wan;
     std::string err;
     ASSERT_TRUE(net::FaultSpec::parse(
@@ -717,7 +720,7 @@ TEST(RemoteExecutor, WindowedBeatsLockstepOnAHighLatencyLink)
     LoopbackDaemon daemon;
     Wave1 w1 = wave1("pchase-64");
     std::vector<CellJob> jobs;
-    for (int i = 0; i < 8; ++i)
+    for (int i = 0; i < kJobs; ++i)
         jobs.push_back(
             makeJob(i + 1, "pchase-64", i % 2 ? "l0-4" : "l0-8", w1));
 

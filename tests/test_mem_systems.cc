@@ -3,11 +3,13 @@
  * Integration tests of the four memory systems' timing and data
  * behaviour: unified L1, L0 buffers (SEQ/PAR paths, fills, hint and
  * explicit prefetch, PSR replicas, flush), MultiVLIW snooping, and the
- * word-interleaved cache with Attraction Buffers.
+ * word-interleaved cache with Attraction Buffers; and the fold hooks'
+ * state comparison.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "mem/interleaved.hh"
 #include "mem/l0_system.hh"
 #include "mem/mem_system.hh"
@@ -406,4 +408,116 @@ TEST(ConfigValidate, RejectsBadGeometry)
     MachineConfig cfg = MachineConfig::paperL0(8);
     cfg.l0SubblockBytes = 16; // 16*4 != 32
     EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "subblock");
+}
+
+// ------------------------------------------------------------ fold hooks
+
+namespace
+{
+
+/**
+ * @p count random accesses against @p mem, drawn by @p rng from a pool
+ * of addresses three L1s wide (so sets fill, evict and reorder): loads
+ * and stores with every hint, a few explicit prefetches, and now and
+ * then a loop boundary. @p now advances.
+ */
+void
+randomAccesses(MemSystem &mem, Rng &rng, int count, Cycle &now)
+{
+    const MachineConfig &cfg = mem.config();
+    const Addr pool = 3 * static_cast<Addr>(cfg.l1SizeBytes);
+    for (int k = 0; k < count; ++k) {
+        MemAccess a;
+        a.isLoad = rng.chance(0.7);
+        a.isPrefetch = a.isLoad && rng.chance(0.05);
+        a.size = 4;
+        a.addr = 0x40000 + 4 * rng.below(pool / 4);
+        a.cluster = static_cast<ClusterId>(rng.below(cfg.numClusters));
+        // Stores never carry SEQ_ACCESS.
+        const AccessHint hints[] = {AccessHint::NoAccess,
+                                    AccessHint::ParAccess,
+                                    AccessHint::SeqAccess};
+        a.access = hints[rng.below(a.isLoad ? 3 : 2)];
+        a.map = rng.chance(0.3) ? MapHint::InterleavedMap
+                                : MapHint::LinearMap;
+        const PrefetchHint prefetches[] = {PrefetchHint::NoPrefetch,
+                                           PrefetchHint::Positive,
+                                           PrefetchHint::Negative};
+        a.prefetch = prefetches[rng.below(3)];
+        mem.access(a, now, rng.next());
+        now += rng.below(4);
+        if (rng.chance(0.01))
+            mem.endLoop(now);
+    }
+}
+
+} // namespace
+
+/**
+ * matchesState() against a saveState() must answer exactly whether the
+ * two stateKey()s are equal — on states that are equal word for word,
+ * on states the same accesses left with other use clocks (equal keys,
+ * different raw words), and on states that differ — for every memory
+ * architecture.
+ */
+TEST(FoldHooks, MatchesStateIsStateKeyEquality)
+{
+    const MachineConfig configs[] = {
+        MachineConfig::paperUnified(), MachineConfig::paperL0(8),
+        MachineConfig::paperL0(-1), MachineConfig::paperMultiVliw(),
+        MachineConfig::paperInterleaved()};
+    for (const MachineConfig &cfg : configs) {
+        int equal = 0, differ = 0, equal_keys_other_words = 0;
+        for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+            SCOPED_TRACE("arch " + std::to_string(static_cast<int>(
+                             cfg.memArch))
+                         + " seed " + std::to_string(seed));
+            auto x = MemSystem::create(cfg);
+            auto y = MemSystem::create(cfg);
+            Cycle now_x = 0, now_y = 0;
+            Rng rx(seed), ry(seed);
+            const int count = static_cast<int>(1 + seed * 7 % 400);
+            randomAccesses(*x, rx, count, now_x);
+            randomAccesses(*y, ry, count, now_y);
+            switch (seed % 3) {
+              case 0:
+                break; // the same state, word for word
+              case 1: {
+                // The same accesses again: mostly the same tags in the
+                // same order, under a later use clock.
+                Rng again(seed);
+                Cycle t = now_y;
+                randomAccesses(*y, again, count, t);
+                now_y = t;
+                break;
+              }
+              default: {
+                Rng other(seed + 1000);
+                randomAccesses(*y, other, 1 + seed % 5, now_y);
+                break;
+              }
+            }
+            // Loop boundaries, as at the fold's checks (and always after
+            // a replay, whose in-flight fills would differ in time).
+            if (seed % 4 == 0 || seed % 3 == 1) {
+                x->endLoop(now_x);
+                y->endLoop(now_y);
+            }
+
+            std::vector<std::uint64_t> key_x, key_y, saved_x, saved_y;
+            x->stateKey(key_x);
+            y->stateKey(key_y);
+            x->saveState(saved_x);
+            y->saveState(saved_y);
+            const bool same = key_x == key_y;
+            EXPECT_EQ(y->matchesState(saved_x), same);
+            EXPECT_EQ(x->matchesState(saved_y), same);
+            EXPECT_TRUE(x->matchesState(saved_x));
+            (same ? equal : differ) += 1;
+            equal_keys_other_words += same && saved_x != saved_y;
+        }
+        EXPECT_GT(equal, 20);
+        EXPECT_GT(differ, 20);
+        EXPECT_GT(equal_keys_other_words, 5);
+    }
 }

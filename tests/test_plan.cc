@@ -777,7 +777,6 @@ class OneWrongByteMemory final : public mem::MemSystem
         return res;
     }
 
-    void stateKey(std::vector<std::uint64_t> &) const override {}
     void timeKey(Cycle, std::vector<std::uint64_t> &) const override {}
 
     void
@@ -794,6 +793,11 @@ class OneWrongByteMemory final : public mem::MemSystem
     void shiftTime(Cycle, Cycle) override {}
 
   private:
+    std::vector<const mem::TagCache *> tagStores() const override
+    {
+        return {};
+    }
+
     std::uint64_t wrongLoad;
     std::uint64_t loads = 0, accesses = 0;
 };

@@ -4,8 +4,12 @@
  * are scheduled for every architecture and executed; the invariants
  * checked are (1) the schedule validator finds no violation, (2) the
  * coherence oracle sees no stale load, (3) the simulated cycle count
- * is deterministic, and (4) recMii is exactly the smallest II at which
- * the slack relaxation converges.
+ * is deterministic, (4) recMii is exactly the smallest II at which
+ * the slack relaxation converges, and (5) every II below the schedule's
+ * fails both attempts, so the IIs schedule() skips could not have fit.
+ * On random dependence graphs, recMii, computeSlack, Loop::validate and
+ * ir::memorySets equal the plain Bellman-Ford, depth-first search and
+ * sort they replaced. (5) holds on every registered body too.
  *
  * The generator builds semantically meaningful loops: independent
  * strided/irregular streams over disjoint arrays, ALU/FP dataflow, and
@@ -13,18 +17,27 @@
  * sets), so the oracle's expectations are well-defined.
  */
 
+#include <algorithm>
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "driver/registry.hh"
+#include "driver/runner.hh"
 #include "ir/loop.hh"
+#include "ir/memdep.hh"
 #include "machine/machine_config.hh"
 #include "mem/mem_system.hh"
+#include "sched/coherence.hh"
 #include "sched/latency_model.hh"
 #include "sched/mii.hh"
 #include "sched/scheduler.hh"
 #include "sched/sms.hh"
 #include "sched/validate.hh"
 #include "sim/kernel_sim.hh"
+#include "workloads/registry.hh"
+#include "workloads/workload.hh"
 
 using namespace l0vliw;
 using l0vliw::machine::MachineConfig;
@@ -263,5 +276,409 @@ TEST_P(RandomLoops, RecMiiIsFirstConvergingII)
     }
 }
 
+namespace
+{
+
+/**
+ * The II schedule() started from before it skipped any: the MII under
+ * step 2's latencies (strided loads at the L0 latency when L0-aware,
+ * a load+store set's loads at the L1 latency under forced NL0) of the
+ * body as scheduled (PSR-transformed under PSR).
+ */
+int
+stepTwoMii(const ir::Loop &input, const MachineConfig &cfg,
+           const sched::SchedulerOptions &opts)
+{
+    const ir::Loop body =
+        opts.coherence == sched::CoherenceMode::Psr
+            ? sched::psrTransform(input, cfg.numClusters, nullptr)
+            : input;
+    sched::LatencyModel lat(body, cfg, opts.memLoadLatency);
+    if (opts.l0Aware) {
+        for (const auto &op : body.ops())
+            if (op.kind == ir::OpKind::Load && op.mem.strided)
+                lat.setLoadLatency(op.id, cfg.l0Latency);
+        if (opts.coherence == sched::CoherenceMode::ForceNL0) {
+            const ir::MemorySets sets = ir::memorySets(body);
+            for (int s = 0; s < sets.size(); ++s)
+                if (ir::setHasLoadAndStore(body, sets[s]))
+                    for (OpId m : sets[s])
+                        if (body.op(m).kind == ir::OpKind::Load)
+                            lat.setLoadLatency(m, opts.memLoadLatency);
+        }
+    }
+    return sched::minII(body, cfg, lat);
+}
+
+/**
+ * schedule() is the first II from stepTwoMii() up at which scheduleAt()
+ * fits: every II below its schedule's fails both attempts, and at its
+ * II scheduleAt() gives the same schedule. Returns how many IIs below
+ * failed.
+ */
+int
+expectEarlierIIsFail(const ir::Loop &body, const MachineConfig &cfg,
+                     const sched::SchedulerOptions &opts)
+{
+    const sched::ModuloScheduler scheduler(cfg, opts);
+    const sched::Schedule got = scheduler.schedule(body);
+    const int from = stepTwoMii(body, cfg, opts);
+    EXPECT_GE(got.ii, from) << body.name();
+    for (int ii = from; ii < got.ii; ++ii)
+        EXPECT_FALSE(scheduler.scheduleAt(body, ii).has_value())
+            << body.name() << " fits at II " << ii << " below "
+            << got.ii;
+    const std::optional<sched::Schedule> at =
+        scheduler.scheduleAt(body, got.ii);
+    EXPECT_TRUE(at.has_value()) << body.name();
+    if (at) {
+        EXPECT_EQ(at->stageCount, got.stageCount) << body.name();
+        EXPECT_EQ(at->loop.numOps(), got.loop.numOps()) << body.name();
+        for (std::size_t i = 0;
+             i < got.ops.size() && i < at->ops.size(); ++i) {
+            EXPECT_EQ(at->ops[i].cluster, got.ops[i].cluster);
+            EXPECT_EQ(at->ops[i].startCycle, got.ops[i].startCycle);
+            EXPECT_EQ(at->ops[i].usesL0, got.ops[i].usesL0);
+        }
+    }
+    return got.ii - from;
+}
+
+} // namespace
+
+TEST_P(RandomLoops, EarlierIIsFailBothAttempts)
+{
+    auto [cfg, opts] = propArch(GetParam().arch);
+    expectEarlierIIsFail(propBody(GetParam()), cfg, opts);
+}
+
+/**
+ * The same on every registered body: each Mediabench model and
+ * fig8_synthetic point, unrolled 1x and by the cluster count, under
+ * every registered architecture (the GoldenSchedules corpus). The
+ * l0-2 recurrences are where schedule() skips IIs.
+ */
+TEST(SkippedIIs, EveryRegisteredBodyFailsThemBoth)
+{
+    std::vector<workloads::Benchmark> benches =
+        workloads::mediabenchSuite();
+    for (const char *label :
+         {"stream-2", "stream-8", "stride-4x2", "stride-32x4",
+          "stencil2d-2", "stencil2d-4", "reduce-4", "reduce-12",
+          "pchase-8", "pchase-256", "rand-s1-12", "rand-s7-16"})
+        benches.push_back(workloads::workloadRegistry().resolve(label));
+    int below = 0;
+    for (const std::string &label : driver::archRegistry().names()) {
+        const driver::ArchSpec arch = driver::archRegistry().resolve(label);
+        for (const workloads::Benchmark &bench : benches)
+            for (const workloads::LoopInstance &li : bench.loops)
+                for (int u : {1, arch.config.numClusters})
+                    below += expectEarlierIIsFail(driver::loopBody(li, u),
+                                                  arch.config, arch.sched);
+    }
+    // The corpus has bodies that only fit well above their MII.
+    EXPECT_GT(below, 200);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomLoops,
                          ::testing::ValuesIn(propCases()), propName);
+
+// ------------------------------------------- exact graph-rewrite oracles
+
+namespace
+{
+
+/**
+ * A random dependence graph for the relaxation oracles: ops in
+ * shuffled id order, a random DAG of distance-0 edges (so edge order
+ * and id order disagree), and loop-carried edges of distance 1-3 in
+ * either direction, some closing recurrences. With @p zero_cycles,
+ * some distance-0 edges may close cycles too (bodies validate
+ * rejects).
+ */
+ir::Loop
+randomGraph(std::uint64_t seed, bool zero_cycles = false)
+{
+    Rng rng(seed);
+    ir::Loop l("graph" + std::to_string(seed));
+    const int arr = l.addArray({"a", 0x10000, 4096});
+    const int n = static_cast<int>(rng.range(2, 24));
+    // position[i]: op i's place in the hidden topological order.
+    std::vector<int> position(n);
+    for (int i = 0; i < n; ++i)
+        position[i] = i;
+    for (int i = n - 1; i > 0; --i)
+        std::swap(position[i], position[rng.below(i + 1)]);
+    for (int i = 0; i < n; ++i) {
+        ir::Operation op;
+        const int kind = static_cast<int>(rng.below(4));
+        op.kind = kind == 0   ? ir::OpKind::Load
+                  : kind == 1 ? ir::OpKind::Store
+                  : kind == 2 ? ir::OpKind::IntMul
+                              : ir::OpKind::IntAlu;
+        op.mem.array = arr;
+        op.mem.strided = rng.chance(0.7);
+        op.mem.strideElems = 1;
+        l.addOp(op);
+    }
+    const int edges = static_cast<int>(rng.range(0, 3 * n));
+    for (int k = 0; k < edges; ++k) {
+        OpId a = static_cast<OpId>(rng.below(n));
+        OpId b = static_cast<OpId>(rng.below(n));
+        int distance = 0;
+        if (rng.chance(0.2))
+            distance = static_cast<int>(rng.range(1, 3));
+        else if (position[a] >= position[b]
+                 && !(zero_cycles && rng.chance(0.25)))
+            std::swap(a, b);
+        if (distance == 0 && a == b)
+            continue;
+        const bool mem_edge = ir::isMemKind(l.op(a).kind)
+                              && ir::isMemKind(l.op(b).kind)
+                              && rng.chance(0.3);
+        if (mem_edge)
+            l.addMemEdge(a, b, distance);
+        else
+            l.addRegEdge(a, b, distance);
+    }
+    return l;
+}
+
+/** A random latency per op (loads 1-12). */
+sched::LatencyModel
+randomLatencies(const ir::Loop &l, std::uint64_t seed)
+{
+    Rng rng(seed * 7919 + 1);
+    sched::LatencyModel lat(l, MachineConfig::paperL0(8), 6);
+    for (const auto &op : l.ops())
+        if (op.kind == ir::OpKind::Load)
+            lat.setLoadLatency(op.id, static_cast<int>(rng.range(1, 12)));
+    return lat;
+}
+
+// The Bellman-Ford relaxations as the scheduler first had them: every
+// edge in loop.edges() order, every round, until nothing changes.
+
+bool
+refHasPositiveCycle(const ir::Loop &loop, const sched::LatencyModel &lat,
+                    int ii)
+{
+    const int n = loop.numOps();
+    std::vector<long> dist(n, 0);
+    for (int round = 0; round <= n; ++round) {
+        bool changed = false;
+        for (const auto &e : loop.edges()) {
+            long cand = dist[e.src] + lat.edgeLatency(e)
+                        - static_cast<long>(ii) * e.distance;
+            if (cand > dist[e.dst]) {
+                dist[e.dst] = cand;
+                changed = true;
+            }
+        }
+        if (!changed)
+            return false;
+    }
+    return true;
+}
+
+int
+refRecMii(const ir::Loop &loop, const sched::LatencyModel &lat)
+{
+    long bound = 1;
+    for (const auto &e : loop.edges())
+        bound += lat.edgeLatency(e);
+    int lo = 1, hi = static_cast<int>(std::min(bound, 4096L));
+    if (!refHasPositiveCycle(loop, lat, lo))
+        return lo;
+    while (lo < hi) {
+        int mid = lo + (hi - lo) / 2;
+        if (refHasPositiveCycle(loop, lat, mid))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+sched::SlackInfo
+refComputeSlack(const ir::Loop &loop, const sched::LatencyModel &lat,
+                int ii, bool &converged)
+{
+    const int n = loop.numOps();
+    sched::SlackInfo info;
+    info.asap.assign(n, 0);
+    converged = false;
+    for (int round = 0; round < n + 1 && !converged; ++round) {
+        converged = true;
+        for (const auto &e : loop.edges()) {
+            int cand = info.asap[e.src] + lat.edgeLatency(e)
+                       - ii * e.distance;
+            if (cand > info.asap[e.dst]) {
+                info.asap[e.dst] = cand;
+                converged = false;
+            }
+        }
+    }
+    int horizon = 0;
+    for (int v : info.asap)
+        horizon = std::max(horizon, v);
+    info.alap.assign(n, horizon);
+    for (int round = 0; round < n + 1; ++round) {
+        bool changed = false;
+        for (const auto &e : loop.edges()) {
+            int cand = info.alap[e.dst] - lat.edgeLatency(e)
+                       + ii * e.distance;
+            if (cand < info.alap[e.src]) {
+                info.alap[e.src] = cand;
+                changed = true;
+            }
+        }
+        if (!changed)
+            break;
+    }
+    info.slack.resize(n);
+    for (int i = 0; i < n; ++i)
+        info.slack[i] = info.alap[i] - info.asap[i];
+    return info;
+}
+
+/** The first op the recursive DFS validate used to name in a
+ *  zero-distance cycle, or kNoOp. */
+OpId
+refZeroDistanceCycle(const ir::Loop &l)
+{
+    const int n = l.numOps();
+    std::vector<int> state(n, 0);
+    OpId found = kNoOp;
+    std::function<void(OpId)> dfs = [&](OpId u) {
+        state[u] = 1;
+        for (const auto &e : l.edges()) {
+            if (found != kNoOp || e.src != u || e.distance != 0)
+                continue;
+            if (state[e.dst] == 1)
+                found = e.dst;
+            else if (state[e.dst] == 0)
+                dfs(e.dst);
+        }
+        state[u] = 2;
+    };
+    for (OpId u = 0; u < n && found == kNoOp; ++u)
+        if (state[u] == 0)
+            dfs(u);
+    return found;
+}
+
+} // namespace
+
+/**
+ * recMii and computeSlack run over a precomputed edge order and jump
+ * between positive cycles; they must give exactly what the plain
+ * Bellman-Ford relaxations give: the same recMII (also with a lower
+ * bound), the same convergence verdict at every II (feasible or not),
+ * and the same ASAP/ALAP/slack wherever the II is feasible.
+ */
+TEST(GraphRewrites, RelaxationsMatchBellmanFord)
+{
+    int feasible = 0, infeasible = 0, recurrent = 0;
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const ir::Loop l = randomGraph(seed);
+        ASSERT_EQ(refZeroDistanceCycle(l), kNoOp);
+        const sched::LatencyModel lat = randomLatencies(l, seed);
+        const sched::DepGraph graph(l);
+        const int rec = refRecMii(l, lat);
+        recurrent += rec > 1;
+        EXPECT_EQ(sched::recMii(l, lat), rec);
+        EXPECT_EQ(sched::recMii(graph, lat), rec);
+        for (int at_least : {1, rec - 1, rec, rec + 2, 3 * rec})
+            EXPECT_EQ(sched::recMii(graph, lat, at_least),
+                      std::max({at_least, rec, 1}));
+        sched::SlackInfo got;
+        for (int ii = 1; ii <= rec + 3; ++ii) {
+            bool want_converged = false, converged = true;
+            const sched::SlackInfo want =
+                refComputeSlack(l, lat, ii, want_converged);
+            sched::computeSlack(graph, lat, ii, got, &converged);
+            ASSERT_EQ(converged, want_converged) << "II " << ii;
+            ASSERT_EQ(converged, ii >= rec) << "II " << ii;
+            if (!converged) {
+                ++infeasible;
+                continue;
+            }
+            ++feasible;
+            EXPECT_EQ(got.asap, want.asap) << "II " << ii;
+            EXPECT_EQ(got.alap, want.alap) << "II " << ii;
+            EXPECT_EQ(got.slack, want.slack) << "II " << ii;
+        }
+    }
+    // The sweep reaches both sides of recMII, on real recurrences.
+    EXPECT_GT(recurrent, 50);
+    EXPECT_GT(infeasible, 200);
+    EXPECT_GT(feasible, 1000);
+}
+
+/** Loop::validate rejects exactly the bodies with a zero-distance
+ *  cycle, naming the op the recursive search named. */
+TEST(GraphRewrites, ValidateRejectsExactlyZeroDistanceCycles)
+{
+    int rejected = 0, accepted = 0;
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const ir::Loop l = randomGraph(seed, /*zero_cycles=*/true);
+        const OpId op = refZeroDistanceCycle(l);
+        if (op == kNoOp) {
+            l.validate(); // must not die
+            ++accepted;
+        } else {
+            EXPECT_DEATH(l.validate(),
+                         "zero-distance dependence cycle through op "
+                             + std::to_string(op) + " in");
+            ++rejected;
+        }
+    }
+    EXPECT_GT(rejected, 40);
+    EXPECT_GT(accepted, 40);
+}
+
+/** ir::memorySets' counting sort by union-find root against the
+ *  (root, op) sort it replaced: the same sets in the same order. */
+TEST(GraphRewrites, MemorySetsMatchSortedRoots)
+{
+    int multi = 0;
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const ir::Loop l = randomGraph(seed);
+        // The reference: union-find over the memory edges, then the
+        // memory ops sorted by (root, id) and cut where the root
+        // changes.
+        std::vector<int> parent(l.numOps());
+        for (int i = 0; i < l.numOps(); ++i)
+            parent[i] = i;
+        std::function<int(int)> find = [&](int x) {
+            return parent[x] == x ? x : parent[x] = find(parent[x]);
+        };
+        for (const auto &e : l.edges())
+            if (e.kind == ir::DepKind::Mem)
+                parent[find(e.src)] = find(e.dst);
+        std::vector<std::pair<int, OpId>> keyed;
+        for (OpId i = 0; i < l.numOps(); ++i)
+            if (ir::isMemKind(l.op(i).kind))
+                keyed.emplace_back(find(i), i);
+        std::sort(keyed.begin(), keyed.end());
+        std::vector<std::vector<OpId>> want;
+        for (std::size_t i = 0; i < keyed.size(); ++i) {
+            if (i == 0 || keyed[i].first != keyed[i - 1].first)
+                want.emplace_back();
+            want.back().push_back(keyed[i].second);
+        }
+
+        const ir::MemorySets got = ir::memorySets(l);
+        ASSERT_EQ(got.size(), static_cast<int>(want.size()));
+        for (int k = 0; k < got.size(); ++k) {
+            EXPECT_EQ(std::vector<OpId>(got[k].begin(), got[k].end()),
+                      want[k]);
+            multi += got[k].size() > 1;
+        }
+    }
+    EXPECT_GT(multi, 100);
+}
