@@ -1,5 +1,6 @@
 #include "common/result_sink.hh"
 
+#include <climits>
 #include <sstream>
 
 #include "common/json.hh"
@@ -12,17 +13,25 @@ namespace l0vliw
 std::string
 CellValue::formatted() const
 {
+    std::string out;
     switch (kind_) {
     case Kind::Text:
         return text_;
+    case Kind::Failed:
+        return "failed(" + text_ + ")";
     case Kind::Fixed:
-        return TextTable::fmt(num_, digits_);
+        out = TextTable::fmt(num_, digits_);
+        break;
     case Kind::Percent:
-        return TextTable::pct(num_, digits_);
+        out = TextTable::pct(num_, digits_);
+        break;
     case Kind::Integer:
-        return std::to_string(int_);
+        out = std::to_string(int_);
+        break;
     }
-    return {};
+    if (excluded_ > 0)
+        out += " (" + std::to_string(excluded_) + " failed excluded)";
+    return out;
 }
 
 // String escaping lives in common/json.hh, shared with the executor
@@ -51,19 +60,27 @@ csvEscape(const std::string &s)
 std::string
 CellValue::json() const
 {
+    std::string out;
     switch (kind_) {
     case Kind::Text:
         return json::quote(text_);
+    case Kind::Failed:
+        return "{\"failed\":" + json::quote(text_) + "}";
     case Kind::Fixed:
     case Kind::Percent: {
         char buf[64];
         std::snprintf(buf, sizeof(buf), "%.12g", num_);
-        return buf;
+        out = buf;
+        break;
     }
     case Kind::Integer:
-        return std::to_string(int_);
+        out = std::to_string(int_);
+        break;
     }
-    return "null";
+    if (excluded_ > 0)
+        out = "{\"value\":" + out
+              + ",\"excluded\":" + std::to_string(excluded_) + "}";
+    return out;
 }
 
 SinkFormat
@@ -150,6 +167,8 @@ kindTag(CellValue::Kind k)
         return 'p';
     case CellValue::Kind::Integer:
         return 'i';
+    case CellValue::Kind::Failed:
+        return 'x';
     }
     return 't';
 }
@@ -162,6 +181,7 @@ appendWireCell(std::string &out, const CellValue &v)
     out += "\",\"v\":";
     switch (v.kind()) {
     case CellValue::Kind::Text:
+    case CellValue::Kind::Failed:
         out += json::quote(v.textValue());
         break;
     case CellValue::Kind::Fixed:
@@ -173,6 +193,8 @@ appendWireCell(std::string &out, const CellValue &v)
         out += std::to_string(v.integerValue());
         break;
     }
+    if (v.excluded() > 0)
+        out += ",\"e\":" + std::to_string(v.excluded());
     out += '}';
 }
 
@@ -181,11 +203,15 @@ decodeWireCell(const json::Value &doc, CellValue &out,
                std::string &error)
 {
     // "d" is the display digits: at most 17, %.17g's round-trip
-    // precision, so no decoded cell can ask printf for more.
+    // precision, so no decoded cell can ask printf for more. "e" is
+    // the failed cells a value left out.
     std::string kind;
     int digits = 2;
+    int excluded = 0;
     if (!json::getString(doc, "k", kind, error)
         || !json::getInt(doc, "d", 0, 17, digits, error,
+                         json::Presence::Optional)
+        || !json::getInt(doc, "e", 0, INT_MAX, excluded, error,
                          json::Presence::Optional))
         return false;
     const json::Value *v = doc.find("v");
@@ -197,6 +223,8 @@ decodeWireCell(const json::Value &doc, CellValue &out,
     std::uint64_t integer = 0;
     if (kind == "t" && v->isString()) {
         out = CellValue::text(v->str());
+    } else if (kind == "x" && v->isString()) {
+        out = CellValue::failed(v->str());
     } else if (kind == "f" && json::toDouble(*v, number)) {
         out = CellValue::fixed(number, digits);
     } else if (kind == "p" && json::toDouble(*v, number)) {
@@ -208,6 +236,7 @@ decodeWireCell(const json::Value &doc, CellValue &out,
                 + "' does not match its value";
         return false;
     }
+    out.setExcluded(excluded);
     return true;
 }
 

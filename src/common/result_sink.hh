@@ -4,10 +4,16 @@
  *
  * The experiment engine produces a ResultTable: free-form title/footer
  * prose plus a grid of typed cells (text, fixed-point, percentage,
- * integer). Sinks render one table per format: the aligned TextTable
- * the paper drivers always printed (byte-identical formatting via
- * TextTable::fmt/pct), CSV for spreadsheets, and JSON for dashboards —
- * JSON emits the raw numeric values, not the rounded display strings.
+ * integer, or a failed cell's hole). Sinks render one table per
+ * format: the aligned TextTable the paper drivers always printed
+ * (byte-identical formatting via TextTable::fmt/pct), CSV for
+ * spreadsheets, and JSON for dashboards — JSON emits the raw numeric
+ * values, not the rounded display strings.
+ *
+ * A hole renders as `failed(<reason>)` in the text and CSV sinks and
+ * as {"failed":"<reason>"} in JSON. A value that left holes out (an
+ * AMEAN over a column's other cells) is flagged: `0.91 (1 failed
+ * excluded)` in text and CSV, {"value":0.91,"excluded":1} in JSON.
  */
 
 #ifndef L0VLIW_COMMON_RESULT_SINK_HH
@@ -26,7 +32,7 @@ namespace l0vliw
 class CellValue
 {
   public:
-    enum class Kind { Text, Fixed, Percent, Integer };
+    enum class Kind { Text, Fixed, Percent, Integer, Failed };
 
     CellValue() = default;
 
@@ -70,8 +76,27 @@ class CellValue
         return v;
     }
 
+    /** A hole: the cell's run failed for @p reason (a FailReason
+     *  name), so there is no number to show. */
+    static CellValue
+    failed(std::string reason)
+    {
+        CellValue v;
+        v.kind_ = Kind::Failed;
+        v.text_ = std::move(reason);
+        return v;
+    }
+
     Kind kind() const { return kind_; }
-    bool isNumeric() const { return kind_ != Kind::Text; }
+    bool isNumeric() const
+    {
+        return kind_ != Kind::Text && kind_ != Kind::Failed;
+    }
+
+    /** Flag a numeric value as computed without @p holes failed
+     *  cells (0 clears the flag). */
+    void setExcluded(int holes) { excluded_ = holes; }
+    int excluded() const { return excluded_; }
 
     /** Raw numeric value (Percent stays a 0..1 fraction). */
     double
@@ -82,6 +107,7 @@ class CellValue
     }
 
     std::uint64_t integerValue() const { return int_; }
+    /** The text, or a hole's reason. */
     const std::string &textValue() const { return text_; }
     int digits() const { return digits_; }
 
@@ -97,6 +123,7 @@ class CellValue
     double num_ = 0;
     std::uint64_t int_ = 0;
     int digits_ = 2;
+    int excluded_ = 0;
 };
 
 /** A rendered experiment result: prose plus a grid of typed cells. */

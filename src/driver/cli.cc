@@ -115,8 +115,6 @@ parseCli(int argc, char **argv)
     // The L0VLIW_EXECUTOR default is consulted (and validated) only
     // when no --executor flag overrides it — see after the loop.
     bool executorSet = false;
-    // Likewise L0VLIW_CELL_TIMEOUT_MS, when no --cell-timeout-ms.
-    bool cellTimeoutSet = false;
     // --serve preempts the driver body, but its port value needs the
     // normal flag machinery first.
     int servePort = -1;
@@ -164,15 +162,10 @@ parseCli(int argc, char **argv)
             opts.cellTimeoutMs = flagNumber(
                 "--cell-timeout-ms", valueOf(i, arg, "--cell-timeout-ms"),
                 0, kMaxCellTimeoutMs);
-            cellTimeoutSet = true;
         } else if (matches(arg, "--window")) {
             opts.window = flagNumber(
                 "--window", valueOf(i, arg, "--window"), 1, kMaxWindow);
             opts.windowExplicit = true;
-        } else if (matches(arg, "--degrade")) {
-            opts.degrade =
-                parseDegradeMode(valueOf(i, arg, "--degrade"));
-            opts.degradeExplicit = true;
         } else if (matches(arg, "--trace")) {
             opts.trace = valueOf(i, arg, "--trace");
         } else if (matches(arg, "--fault-inject")) {
@@ -192,16 +185,18 @@ parseCli(int argc, char **argv)
                 "usage: %s [--filter=<substr>] [--jobs=N]\n"
                 "          [--executor=inprocess|tcp]\n"
                 "          [--connect=host:port[,host:port...]]\n"
-                "          [--stream=<file|fd:N|->]\n"
+                "          [--stream=<file|->]\n"
                 "          [--publish=host:port] [--suite=NAME]\n"
                 "          [--rev=REV] [--run-id=ID]\n"
                 "          [--cell-timeout-ms=N] [--window=N]\n"
-                "          [--degrade=fail|local]\n"
                 "          [--fault-inject=<spec>] [--trace=<file>]\n"
                 "          [--format=table|csv|json] [--list]\n"
                 "          [--serve=<port>]\n"
-                "          [positional args]\n",
-                argv[0]);
+                "          [positional args]\n"
+                "exit: 0 for a complete grid, %d when failed cells "
+                "left holes (printed as failed(<reason>)), 1 on an "
+                "error\n",
+                argv[0], kExitHoles);
             std::exit(0);
         } else if (arg.rfind("--", 0) == 0) {
             fatal("unknown option '%s' (see --help)", arg.c_str());
@@ -217,26 +212,13 @@ parseCli(int argc, char **argv)
     }
     if (!executorSet)
         opts.executor = execBackendFromEnv();
-    if (!cellTimeoutSet) {
-        const char *env = std::getenv("L0VLIW_CELL_TIMEOUT_MS");
-        if (env != nullptr && *env != '\0')
-            opts.cellTimeoutMs = flagNumber(
-                "L0VLIW_CELL_TIMEOUT_MS", env, 0, kMaxCellTimeoutMs);
-    }
-    if (!opts.windowExplicit) {
-        const char *env = std::getenv("L0VLIW_WINDOW");
-        if (env != nullptr && *env != '\0')
-            opts.window = flagNumber("L0VLIW_WINDOW", env, 1, kMaxWindow);
-    }
     // Run-identity defaults: every published event needs a suite to
     // group under, a revision to diff by, and a run id to dedup on —
     // whether or not the flags were spelled out.
     if (opts.suiteName.empty())
         opts.suiteName = baseName(argc > 0 ? argv[0] : nullptr);
-    if (opts.rev.empty()) {
-        const char *env = std::getenv("L0VLIW_GIT_REV");
-        opts.rev = env != nullptr && *env != '\0' ? env : "unknown";
-    }
+    if (opts.rev.empty())
+        opts.rev = "unknown";
     if (opts.runId.empty())
         opts.runId = defaultRunId();
     return opts;
@@ -251,7 +233,6 @@ CliOptions::exec() const
     e.endpoints = connect;
     e.cellTimeoutMs = cellTimeoutMs;
     e.window = window;
-    e.degrade = degrade;
     if (!trace.empty()) {
         if (traceRecorder_ == nullptr)
             traceRecorder_ =
@@ -260,25 +241,16 @@ CliOptions::exec() const
     }
     // --connect without the tcp backend would run the suite locally
     // while *looking* distributed — a silently wrong measurement.
-    // (The L0VLIW_CONNECT env default is exempt: it is ambient.)
     if (e.backend != ExecBackend::Tcp && !connect.empty())
         fatal("--connect only applies to --executor tcp");
-    // Same shape of mistake: asking for a degradation policy or a
-    // pipeline window where no channel carries the cells. (The
-    // L0VLIW_WINDOW env default is exempt: it is ambient.)
-    if (e.backend == ExecBackend::InProcess && degradeExplicit)
-        fatal("--degrade only applies to --executor tcp");
+    // Same shape of mistake: a pipeline window where no channel
+    // carries the cells.
     if (e.backend == ExecBackend::InProcess && windowExplicit)
         fatal("--window only applies to --executor tcp");
     if (e.backend == ExecBackend::Tcp) {
-        if (e.endpoints.empty()) {
-            const char *env = std::getenv("L0VLIW_CONNECT");
-            if (env != nullptr && *env != '\0')
-                e.endpoints = splitEndpoints(env);
-            if (e.endpoints.empty())
-                fatal("--executor tcp needs --connect host:port[,host:"
-                      "port...] (or L0VLIW_CONNECT)");
-        }
+        if (e.endpoints.empty())
+            fatal("--executor tcp needs --connect host:port[,host:"
+                  "port...]");
         // tcp parallelism is the connection count, and an explicit
         // --jobs sets it: beyond the --connect list it replicates the
         // endpoints round-robin, below it keeps only the first N (a
@@ -338,9 +310,12 @@ runSuiteMain(ExperimentSpec spec, const CliOptions &cli)
     ResultGrid grid = suite.run(cli.exec());
     // Render once: the table published to the store is the very table
     // emitted below, so `l0store query latest-grid` can answer
-    // byte-identically to what this driver printed.
+    // byte-identically to what this driver printed. A grid with holes
+    // is not published: the store's latest-grid stays on the last
+    // complete run (its failed cells were streamed as events).
     ResultTable table = grid.render();
-    if (std::shared_ptr<OutcomeStream> store = cli.publishSink())
+    std::shared_ptr<OutcomeStream> store = cli.publishSink();
+    if (store != nullptr && grid.complete())
         store->writeGrid(table);
     makeSink(cli.format)->write(table);
     if (std::shared_ptr<metrics::TraceRecorder> rec =
@@ -352,7 +327,7 @@ runSuiteMain(ExperimentSpec spec, const CliOptions &cli)
                "or chrome://tracing)",
                rec->spans().size(), cli.trace.c_str());
     }
-    return 0;
+    return grid.complete() ? 0 : kExitHoles;
 }
 
 } // namespace l0vliw::driver

@@ -18,36 +18,29 @@
  *                       overridable via L0VLIW_EXECUTOR)
  *   --connect=host:port[,host:port...]
  *                       the worker daemons for --executor tcp, one
- *                       connection per entry (env: L0VLIW_CONNECT)
+ *                       connection per entry
  *   --window=N          jobs pipelined per tcp connection (default 4;
- *                       1 = strict lockstep, one request one reply;
- *                       env: L0VLIW_WINDOW). Results are bit-identical
- *                       for every value — windowing only changes how
- *                       many round trips overlap. See
- *                       src/net/PROTOCOL.md and the README on picking
- *                       a value.
- *   --stream=<file|fd:N|->
- *                       emit one NDJSON event per completed cell, as
+ *                       1 = strict lockstep, one request one reply).
+ *                       Results are bit-identical for every value —
+ *                       windowing only changes how many round trips
+ *                       overlap. See src/net/PROTOCOL.md and the
+ *                       README on picking a value.
+ *   --stream=<file|->   emit one NDJSON event per completed cell, as
  *                       it completes, from any executor backend
  *   --publish=host:port publish the same per-cell events — plus the
- *                       final rendered grid — to an `l0store --serve`
- *                       result-store daemon (acked, idempotent,
- *                       bounded retries; see src/store/README.md)
+ *                       final rendered grid of a run without holes —
+ *                       to an `l0store --serve` result-store daemon
+ *                       (acked, idempotent, bounded retries; see
+ *                       src/store/README.md)
  *   --suite=NAME        run identity stamped into published events:
  *                       the suite name queries group by (default:
  *                       the driver binary's basename)
  *   --rev=REV           ... the source revision, for `l0store diff`
- *                       (default: $L0VLIW_GIT_REV, else "unknown")
+ *                       (default: "unknown")
  *   --run-id=ID         ... the unique run id published events dedup
  *                       on (default: generated from time and pid)
  *   --cell-timeout-ms=N per-job wall-clock deadline for the tcp
- *                       executor (0 = off; default 60000; env:
- *                       L0VLIW_CELL_TIMEOUT_MS)
- *   --degrade=fail|local
- *                       what the tcp executor does when
- *                       every endpoint has permanently failed: fail the
- *                       remaining cells (default) or drain them
- *                       through the in-process executor
+ *                       executor (0 = off; default 60000)
  *   --fault-inject=<spec>
  *                       deterministic transport fault injection (see
  *                       src/net/fault.hh for the grammar, e.g.
@@ -65,10 +58,10 @@
  *                       and exit
  *
  * Every flag also accepts its value space-separated (--jobs 4).
- * Numbers — in flags, their environment fallbacks, fd:N and ports —
- * are canonical decimals in the stated range: digits only, no '+',
- * no space, no leading zero (common/decimal.hh); anything else is
- * fatal, never wrapped or narrowed.
+ * Numbers — in flags and ports — are canonical decimals in the stated
+ * range: digits only, no '+', no space, no leading zero
+ * (common/decimal.hh); anything else is fatal, never wrapped or
+ * narrowed.
  * Anything else is passed through as a positional argument (the
  * examples take benchmark/architecture names positionally).
  *
@@ -77,6 +70,10 @@
  * SIGINT/SIGTERM. Under --serve, an explicit --jobs N sets the
  * daemon's per-connection worker-pool size (default: all hardware
  * threads; 1 restores the strict serial request/reply loop).
+ *
+ * Exit codes: 0 for a complete grid; kExitHoles when the grid has
+ * holes (cells that failed after the executor's retries, printed as
+ * `failed(<reason>)`; see driver/suite.hh); 1 for every fatal error.
  */
 
 #ifndef L0VLIW_DRIVER_CLI_HH
@@ -93,6 +90,9 @@
 
 namespace l0vliw::driver
 {
+
+/** runSuiteMain's exit code for a grid with holes (fatal() exits 1). */
+constexpr int kExitHoles = 3;
 
 /** Parsed shared driver options. */
 struct CliOptions
@@ -121,10 +121,6 @@ struct CliOptions
     int window = ExecOptions{}.window;
     /** True when --window was given (not for inprocess). */
     bool windowExplicit = false;
-    /** --degrade policy for the tcp executor. */
-    DegradeMode degrade = DegradeMode::Fail;
-    /** True when --degrade was given (not for inprocess). */
-    bool degradeExplicit = false;
     /** --trace output file ("" = no tracing). */
     std::string trace;
     SinkFormat format = SinkFormat::Table;
@@ -133,11 +129,10 @@ struct CliOptions
     /**
      * The Suite execution options these flags select, --stream's
      * event sink bound and ready (the sink rides inside onOutcome, so
-     * every caller of exec() gets it — not just runSuiteMain). For
-     * the tcp backend an empty --connect falls back to L0VLIW_CONNECT
-     * (fatal when still empty), and an explicit --jobs beyond the
-     * endpoint count replicates the list round-robin into that many
-     * connections. A --publish sink is opened (and cached) here too,
+     * every caller of exec() gets it — not just runSuiteMain). The
+     * tcp backend needs --connect (fatal without it), and an explicit
+     * --jobs beyond the endpoint count replicates the list
+     * round-robin into that many connections. A --publish sink is opened (and cached) here too,
      * its events stamped with the run identity; both sinks compose
      * into the same onOutcome.
      */
@@ -172,7 +167,8 @@ CliOptions parseCli(int argc, char **argv);
 /**
  * The whole body of a grid driver: apply the filter, execute the
  * suite through the requested executor, emit through the requested
- * sink. Returns the process exit code.
+ * sink, and publish the grid when it has no holes. Returns the
+ * process exit code: 0, or kExitHoles.
  */
 int runSuiteMain(ExperimentSpec spec, const CliOptions &cli);
 

@@ -17,7 +17,6 @@
 
 #include <unistd.h>
 
-#include "common/decimal.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -52,17 +51,6 @@ execBackendFromEnv()
     if (env == nullptr || *env == '\0')
         return ExecBackend::InProcess;
     return parseExecBackend(env);
-}
-
-DegradeMode
-parseDegradeMode(const std::string &name)
-{
-    if (name == "fail")
-        return DegradeMode::Fail;
-    if (name == "local")
-        return DegradeMode::Local;
-    fatal("unknown degrade mode '%s' (expected fail|local)",
-          name.c_str());
 }
 
 // ---- wire encoding ----
@@ -706,11 +694,6 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
     const int window = std::max(1, opts_.window);
     std::vector<int> perEndpoint(endpoints.size(), 0);
 
-    // Jobs only the in-process fallback can still resolve (--degrade
-    // local): every endpoint permanently failed them.
-    std::mutex degradeMutex;
-    std::vector<std::size_t> degraded;
-
     // One pool thread per endpoint: each owns one channel (a daemon
     // connection) and windows up to `window` jobs
     // onto it, claimed off the shared queue whenever a slot is free
@@ -725,8 +708,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
     // handed back to the queue for the remaining endpoints (this one
     // retires, releasing the rest of its window: one dead peer must
     // not sink jobs a healthy one could run); only the last endpoint
-    // standing writes permanent failures into outcomes (or, under
-    // --degrade local, parks them for the in-process drain).
+    // standing writes permanent failures into outcomes.
     auto work = [&](const Endpoint &ep, std::size_t index) {
         net::Fd chan;
         net::LineReader reader;
@@ -813,8 +795,7 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
         bool retired = false;
         for (;;) {
             // Resolve the jobs whose budget this endpoint burned:
-            // hand off (and retire), park for --degrade local, or
-            // fail in the outcome.
+            // hand off (and retire), or fail in the outcome.
             std::size_t k = 0;
             while (k < pending.size()) {
                 std::size_t i = pending[k];
@@ -828,19 +809,10 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
                     retired = true;
                     break;
                 }
-                if (opts_.degrade == DegradeMode::Local) {
-                    // Transport-dead everywhere, but the cell itself
-                    // may be fine: park it for the in-process drain.
-                    // No event yet — the drain emits the real outcome.
-                    std::lock_guard<std::mutex> lock(degradeMutex);
-                    degraded.push_back(i);
-                } else {
-                    fillFailedOutcome(outcomes[i], jobs[i],
-                                      " via " + ep.name, attempts[i],
-                                      lastError, lastReason);
-                    emitOutcomeEvent(opts_, jobs[i], outcomes[i],
-                                     queue.firstDispatch(i));
-                }
+                fillFailedOutcome(outcomes[i], jobs[i], " via " + ep.name,
+                                  attempts[i], lastError, lastReason);
+                emitOutcomeEvent(opts_, jobs[i], outcomes[i],
+                                 queue.firstDispatch(i));
                 queue.finish();
             }
             if (retired) {
@@ -1056,30 +1028,6 @@ RemoteExecutor::execute(const std::vector<CellJob> &jobs)
         stats_.jobsPerEndpoint.resize(perEndpoint.size(), 0);
     for (std::size_t e = 0; e < perEndpoint.size(); ++e)
         stats_.jobsPerEndpoint[e] += perEndpoint[e];
-
-    if (!degraded.empty()) {
-        // Graceful degradation: every endpoint is gone, the grid is
-        // not. Same jobs, same deterministic outcomes — just slower
-        // and local, and loudly so.
-        warn("all %zu endpoint(s) failed; running %zu remaining "
-             "cell(s) in-process (--degrade local)",
-             endpoints.size(), degraded.size());
-        ExecOptions localOpts;
-        localOpts.backend = ExecBackend::InProcess;
-        localOpts.jobs = opts_.jobs;
-        localOpts.onOutcome = opts_.onOutcome;
-        localOpts.trace = opts_.trace;
-        std::vector<CellJob> localJobs;
-        localJobs.reserve(degraded.size());
-        for (std::size_t i : degraded)
-            localJobs.push_back(jobs[i]);
-        InProcessExecutor local(localOpts);
-        std::vector<CellOutcome> localOutcomes =
-            local.execute(localJobs);
-        for (std::size_t k = 0; k < degraded.size(); ++k)
-            outcomes[degraded[k]] = std::move(localOutcomes[k]);
-        stats_.degradedLocal += static_cast<int>(degraded.size());
-    }
     return outcomes;
 }
 
@@ -1265,41 +1213,21 @@ OutcomeStream::open(const std::string &spec, std::string &error)
         return s;
     }
 
-    std::FILE *out = nullptr;
-    bool owned = true;
-    if (spec == "-") {
-        out = stdout;
-        owned = false;
-    } else if (spec.rfind("fd:", 0) == 0) {
-        int fd = -1;
-        int dup = -1;
-        if (parseDecimal(spec.substr(3), 0, INT_MAX, fd))
-            dup = ::dup(fd);
-        out = dup >= 0 ? fdopen(dup, "w") : nullptr;
-        if (out == nullptr) {
-            if (dup >= 0)
-                ::close(dup);
-            error = "--stream " + spec + ": not an open descriptor";
-            return nullptr;
-        }
-    } else {
-        out = std::fopen(spec.c_str(), "w");
-        if (out == nullptr) {
-            error = "--stream " + spec + ": " + std::strerror(errno);
-            return nullptr;
-        }
+    std::FILE *out = spec == "-" ? stdout : std::fopen(spec.c_str(), "w");
+    if (out == nullptr) {
+        error = "--stream " + spec + ": " + std::strerror(errno);
+        return nullptr;
     }
-    return std::unique_ptr<OutcomeStream>(new OutcomeStream(out, owned));
+    return std::unique_ptr<OutcomeStream>(new OutcomeStream(out));
 }
 
 OutcomeStream::~OutcomeStream()
 {
-    if (out_ != nullptr) {
-        if (owned_)
-            std::fclose(out_);
-        else
-            std::fflush(out_);
-    }
+    // "-" leaves stdout open; a file is closed.
+    if (out_ == stdout)
+        std::fflush(out_);
+    else if (out_ != nullptr)
+        std::fclose(out_);
     // tcp mode: settle the window; closing sock_ is then the
     // publisher's EOF to the store.
     if (tcp_)

@@ -90,17 +90,6 @@ ExecBackend parseExecBackend(const std::string &name);
 /** The L0VLIW_EXECUTOR environment default (InProcess when unset). */
 ExecBackend execBackendFromEnv();
 
-/** What RemoteExecutor does once every endpoint has permanently
- *  failed (the drivers' --degrade). */
-enum class DegradeMode
-{
-    Fail,  ///< remaining jobs fail in their outcomes (classic)
-    Local, ///< drain remaining jobs through an InProcessExecutor
-};
-
-/** Parse "fail" | "local" (fatal otherwise). */
-DegradeMode parseDegradeMode(const std::string &name);
-
 struct CellJob;
 struct CellOutcome;
 
@@ -116,8 +105,7 @@ using CellEventFn = std::function<void(
 struct ExecOptions
 {
     ExecBackend backend = ExecBackend::InProcess;
-    /** Worker threads in this process: InProcess, and Tcp's
-     *  --degrade local drain (<= 1: one worker). */
+    /** InProcess: worker threads in this process (<= 1: one). */
     int jobs = 1;
     /** Tcp: retry budget per job on a channel teardown
      *  (attempts = maxRetries + 1). */
@@ -167,9 +155,6 @@ struct ExecOptions
      * src/net/PROTOCOL.md and the README note on picking a value.
      */
     int window = 4;
-    /** Tcp: what happens when every endpoint permanently fails (the
-     *  drivers' --degrade). */
-    DegradeMode degrade = DegradeMode::Fail;
     /** Fires once per job with its final outcome; see CellEventFn. */
     CellEventFn onOutcome;
     /**
@@ -286,8 +271,7 @@ class RemoteExecutor : public Executor
         int reconnects = 0; ///< channels reopened after a teardown
         int retries = 0;    ///< job attempts charged beyond the first
         int timeouts = 0;   ///< deadline/heartbeat expiries observed
-        int degradedLocal = 0; ///< jobs drained in-process (--degrade)
-        int maxInFlight = 0;   ///< peak windowed jobs on one connection
+        int maxInFlight = 0; ///< peak windowed jobs on one connection
         /** Final outcomes each endpoint produced, by endpoint index —
          *  how credit-based assignment shows: a fast peer's entry
          *  dwarfs a slow one's. */
@@ -377,10 +361,9 @@ class OutcomeStream
 {
   public:
     /**
-     * Open @p spec: "-" appends to stdout, "fd:N" adopts a duplicate
-     * of descriptor N, "tcp:host:port" connects to a store daemon
-     * (the drivers' --publish), anything else is a file path
-     * (truncated). Null + @p error on failure — a tcp: spec fails
+     * Open @p spec: "-" appends to stdout, "tcp:host:port" connects
+     * to a store daemon (the drivers' --publish), anything else is a
+     * file path (truncated). Null + @p error on failure — a tcp: spec fails
      * here, eagerly, when the daemon is unreachable.
      */
     static std::unique_ptr<OutcomeStream> open(const std::string &spec,
@@ -432,9 +415,7 @@ class OutcomeStream
     }
 
   private:
-    OutcomeStream(std::FILE *out, bool owned) : out_(out), owned_(owned)
-    {
-    }
+    explicit OutcomeStream(std::FILE *out) : out_(out) {}
     explicit OutcomeStream(net::HostPort store);
 
     /** Published frames in flight before a write waits for an ack. */
@@ -468,7 +449,6 @@ class OutcomeStream
     void disconnect(const std::string &error);
 
     std::FILE *out_ = nullptr;
-    bool owned_ = false; ///< close on destruction ("-" leaves stdout open)
 
     net::HostPort store_;   ///< tcp: daemon endpoint (tcp mode only)
     bool tcp_ = false;

@@ -179,9 +179,13 @@ Suite::run(const ExecOptions &exec) const
         }
         std::vector<CellOutcome> outcomes = executor->execute(jobs);
         for (std::size_t j = 0; j < jobs.size(); ++j) {
-            if (!outcomes[j].ok)
-                fatal("suite cell %s/%s: %s", jobs[j].bench.c_str(),
-                      jobs[j].arch.c_str(), outcomes[j].error.c_str());
+            if (!outcomes[j].ok) {
+                warn("suite cell %s/%s: %s", jobs[j].bench.c_str(),
+                     jobs[j].arch.c_str(), outcomes[j].error.c_str());
+                // A failure a peer could not classify is still a hole.
+                if (outcomes[j].reason == FailReason::None)
+                    outcomes[j].reason = FailReason::JobError;
+            }
             double foldStart =
                 exec.trace != nullptr ? exec.trace->nowUs() : 0;
             fold(j, outcomes[j]);
@@ -211,6 +215,12 @@ Suite::run(const ExecOptions &exec) const
             {0, label, "unified", /*unrolls=*/{}, /*baseline=*/{}});
     std::vector<std::vector<int>> unrolls(nb);
     runWave(baselineJobs, [&](std::size_t b, CellOutcome &outcome) {
+        if (!outcome.ok) {
+            // No unroll decision and no baseline: the row is holes.
+            for (std::size_t a = 0; a < na; ++a)
+                grid.cells_[b * na + a].reason = outcome.reason;
+            return;
+        }
         unrolls[b] = std::move(outcome.unrolls);
         grid.baselines_[b] = std::move(outcome.run);
         for (std::size_t a = 0; a < na; ++a)
@@ -218,13 +228,13 @@ Suite::run(const ExecOptions &exec) const
                 setCell(b, a, grid.baselines_[b]);
     });
 
-    // Wave 2: every other cell, carrying the decision and the
-    // baseline's scalar-region cycles.
+    // Wave 2: every other cell of a row whose baseline ran, carrying
+    // the decision and the baseline's scalar-region cycles.
     std::vector<CellJob> jobs;
     std::vector<std::size_t> cellOf; // job index -> cell index
     for (std::size_t i = 0; i < nb * na; ++i) {
         std::size_t b = i / na, a = i % na;
-        if (archs[a].label == "unified")
+        if (archs[a].label == "unified" || grid.cells_[i].failed())
             continue;
         jobs.push_back({0, state_->spec.benchmarks[b], archs[a].label,
                         unrolls[b], /*baseline=*/{}});
@@ -233,9 +243,21 @@ Suite::run(const ExecOptions &exec) const
         cellOf.push_back(i);
     }
     runWave(jobs, [&](std::size_t j, CellOutcome &outcome) {
-        setCell(cellOf[j] / na, cellOf[j] % na, std::move(outcome.run));
+        if (outcome.ok)
+            setCell(cellOf[j] / na, cellOf[j] % na, std::move(outcome.run));
+        else
+            grid.cells_[cellOf[j]].reason = outcome.reason;
     });
     return grid;
+}
+
+bool
+ResultGrid::complete() const
+{
+    for (const Cell &cell : cells_)
+        if (cell.failed())
+            return false;
+    return true;
 }
 
 // ---- rendering ----
@@ -273,22 +295,32 @@ metricValue(Metric m, const Cell &c)
 }
 
 CellValue
+hole(const Cell &c)
+{
+    return CellValue::failed(failReasonName(c.reason));
+}
+
+CellValue
 evalColumn(const ColumnSpec &col, const RowView &row)
 {
-    if (col.compute)
-        return col.compute(row);
-
-    if (col.metric == Metric::Violations && col.arch < 0) {
+    // A column that reads a hole shows it; a computed column or a row
+    // sum reads the whole row.
+    if (col.compute || (col.metric == Metric::Violations && col.arch < 0)) {
         std::uint64_t sum = 0;
-        for (std::size_t a = 0; a < row.numCells; ++a)
+        for (std::size_t a = 0; a < row.numCells; ++a) {
+            if (row.cell(a).failed())
+                return hole(row.cell(a));
             sum += row.cell(a).run.coherenceViolations;
-        return CellValue::integer(sum);
+        }
+        return col.compute ? col.compute(row) : CellValue::integer(sum);
     }
 
     std::size_t a = col.arch < 0 ? 0 : static_cast<std::size_t>(col.arch);
     L0_ASSERT(a < row.numCells, "column '%s' references arch %zu of %zu",
               col.header.c_str(), a, row.numCells);
     const Cell &c = row.cell(a);
+    if (c.failed())
+        return hole(c);
     double v = metricValue(col.metric, c);
     switch (col.kind) {
     case CellValue::Kind::Fixed:
@@ -298,6 +330,7 @@ evalColumn(const ColumnSpec &col, const RowView &row)
     case CellValue::Kind::Integer:
         return CellValue::integer(static_cast<std::uint64_t>(v));
     case CellValue::Kind::Text:
+    case CellValue::Kind::Failed:
         break; // meaningless for a numeric metric; fall through
     }
     return CellValue::fixed(v, col.digits);
@@ -317,7 +350,14 @@ ResultGrid::render() const
         t.header.push_back(col.header);
 
     const std::size_t na = numArchs();
-    std::vector<std::vector<double>> meanVals(spec.columns.size());
+    // Per column: the values a mean takes, and the holes it leaves out.
+    struct MeanInputs
+    {
+        std::vector<double> values;
+        int holes = 0;
+        std::string reason; ///< the last hole's
+    };
+    std::vector<MeanInputs> means(spec.columns.size());
 
     auto addRow = [&](const std::string &label, const RowView &row) {
         std::vector<CellValue> cells;
@@ -325,9 +365,14 @@ ResultGrid::render() const
         cells.push_back(CellValue::text(label));
         for (std::size_t c = 0; c < spec.columns.size(); ++c) {
             CellValue v = evalColumn(spec.columns[c], row);
-            if (spec.columns[c].mean == ColumnSpec::MeanPolicy::Amean
-                && v.isNumeric())
-                meanVals[c].push_back(v.number());
+            if (v.kind() == CellValue::Kind::Failed) {
+                ++means[c].holes;
+                means[c].reason = v.textValue();
+            } else if (spec.columns[c].mean
+                           == ColumnSpec::MeanPolicy::Amean
+                       && v.isNumeric()) {
+                means[c].values.push_back(v.number());
+            }
             cells.push_back(std::move(v));
         }
         t.rows.push_back(std::move(cells));
@@ -351,22 +396,29 @@ ResultGrid::render() const
         cells.push_back(CellValue::text(spec.meanLabel));
         for (std::size_t c = 0; c < spec.columns.size(); ++c) {
             const ColumnSpec &col = spec.columns[c];
+            const MeanInputs &in = means[c];
+            CellValue mean;
             switch (col.mean) {
             case ColumnSpec::MeanPolicy::Amean:
-                cells.push_back(
-                    col.kind == CellValue::Kind::Percent
-                        ? CellValue::percent(amean(meanVals[c]),
-                                             col.digits)
-                        : CellValue::fixed(amean(meanVals[c]),
-                                           col.digits));
+                mean = col.kind == CellValue::Kind::Percent
+                           ? CellValue::percent(amean(in.values),
+                                                col.digits)
+                           : CellValue::fixed(amean(in.values),
+                                              col.digits);
                 break;
             case ColumnSpec::MeanPolicy::Zero:
-                cells.push_back(CellValue::integer(0));
+                mean = CellValue::integer(0);
                 break;
             case ColumnSpec::MeanPolicy::Blank:
-                cells.push_back(CellValue::text(""));
+                mean = CellValue::text("");
                 break;
             }
+            // A column of nothing but holes has no mean.
+            if (col.mean != ColumnSpec::MeanPolicy::Blank && in.holes > 0
+                && static_cast<std::size_t>(in.holes) == t.rows.size())
+                mean = CellValue::failed(in.reason);
+            mean.setExcluded(in.holes);
+            cells.push_back(std::move(mean));
         }
         t.rows.push_back(std::move(cells));
     }

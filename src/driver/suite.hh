@@ -27,6 +27,16 @@
  * (tests/test_driver.cc and tests/test_executor.cc prove it).
  * ExecOptions.onOutcome additionally streams every completed cell,
  * baselines included, as it lands — see OutcomeStream.
+ *
+ * Failure contract: a cell whose outcome failed (after the executor's
+ * retries) is a *hole*: its Cell keeps the outcome's FailReason
+ * instead of a run, and the other cells stand. A failed baseline job
+ * leaves its row without an unroll decision, so the whole row is
+ * holes with that reason and its wave-2 jobs are never dispatched.
+ * render() shows each hole as `failed(<reason>)` in every column that
+ * reads it (a computed column reads its whole row), and a mean row
+ * takes each column's mean over the cells that ran and flags how many
+ * it left out.
  */
 
 #ifndef L0VLIW_DRIVER_SUITE_HH
@@ -72,6 +82,11 @@ struct Cell
     BenchmarkRun run;
     double normalized = 0;
     double normalizedStall = 0;
+    /** Why the cell is a hole; None when it ran (see the failure
+     *  contract above). A hole's run and metrics stay zero. */
+    FailReason reason = FailReason::None;
+
+    bool failed() const { return reason != FailReason::None; }
 };
 
 /** The row handed to computed columns: one benchmark, its cells. */
@@ -97,6 +112,7 @@ struct ColumnSpec
     {
         Blank, ///< empty cell
         Amean, ///< arithmetic mean of the column's raw numeric values
+               ///< (holes left out, and counted on the mean)
         Zero,  ///< literal 0 (the "all runs coherent" convention)
     };
 
@@ -194,11 +210,15 @@ class ResultGrid
         return cells_[b * numArchs() + a];
     }
 
-    /** The unified-baseline run of benchmark @p b. */
+    /** The unified-baseline run of benchmark @p b (empty when that
+     *  row is holes). */
     const BenchmarkRun &baseline(std::size_t b) const
     {
         return baselines_[b];
     }
+
+    /** True when no cell is a hole. */
+    bool complete() const;
 
     /** Apply the spec's columns: a typed table ready for any sink. */
     ResultTable render() const;
@@ -228,7 +248,8 @@ class Suite
      * executor @p exec selects (in-process thread pool, or channels to
      * --serve daemons). Bit-identical results for every
      * (backend, jobs, window) combination; see the execution
-     * contract above.
+     * contract above. A failed cell becomes a hole, with a warning
+     * naming it; see the failure contract.
      */
     ResultGrid run(const ExecOptions &exec) const;
 

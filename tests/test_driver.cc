@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -525,21 +526,28 @@ TEST(Suite, FilterKeepsArchsInBenchMajorGrids)
 namespace
 {
 
-/** Capture a command's stdout (stderr dropped); empty optional when
- *  the command could not run or exited nonzero. */
-std::optional<std::string>
-captureStdout(const std::string &cmd)
+/** Run a command, its stdout captured in @p out (stderr dropped);
+ *  its exit code, or -1 when it could not run or died of a signal. */
+int
+runCommand(const std::string &cmd, std::string &out)
 {
     std::FILE *pipe = popen((cmd + " 2>/dev/null").c_str(), "r");
     if (pipe == nullptr)
-        return std::nullopt;
-    std::string out;
+        return -1;
     char buf[4096];
     std::size_t n;
     while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
         out.append(buf, n);
     int status = pclose(pipe);
-    if (status != 0)
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** A command's stdout; empty optional when it did not exit 0. */
+std::optional<std::string>
+captureStdout(const std::string &cmd)
+{
+    std::string out;
+    if (runCommand(cmd, out) != 0)
         return std::nullopt;
     return out;
 }
@@ -560,6 +568,37 @@ struct DaemonProcess
             int status = 0;
             waitpid(pid, &status, 0);
         }
+    }
+
+    /** Fork `./fig7_distributed --serve` (any driver serves every
+     *  registered cell) on a free port; its endpoint once it listens,
+     *  or "" with @p error set. */
+    std::string
+    start(std::string &error)
+    {
+        // Reserve a port (closed before the fork: a tiny reuse race,
+        // harmless in a test runner).
+        std::uint16_t port = 0;
+        {
+            net::Fd listener = net::listenTcp(0, error, &port);
+            if (!listener.valid())
+                return "";
+        }
+        const std::string portText = std::to_string(port);
+        pid = fork();
+        if (pid == 0) {
+            execl("./fig7_distributed", "./fig7_distributed", "--serve",
+                  portText.c_str(), "--jobs", "2",
+                  static_cast<char *>(nullptr));
+            _exit(127);
+        }
+        for (int attempt = 0; pid > 0 && attempt < 500; ++attempt) {
+            if (net::connectTcp("127.0.0.1", port, error).valid())
+                return "127.0.0.1:" + portText;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        error = "daemon never listened: " + error;
+        return "";
     }
 };
 
@@ -595,32 +634,10 @@ TEST(DriverBinaries, TcpOutputBytesEqualInProcess)
         GTEST_SKIP() << "driver binaries not in the working directory "
                         "(run via ctest from the build tree)";
 
-    // Reserve a port for the daemon (closed before the fork: a tiny
-    // reuse race, harmless in a test runner).
-    std::string error;
-    std::uint16_t port = 0;
-    {
-        net::Fd listener = net::listenTcp(0, error, &port);
-        ASSERT_TRUE(listener.valid()) << error;
-    }
-    const std::string portText = std::to_string(port);
     DaemonProcess daemon;
-    daemon.pid = fork();
-    ASSERT_GE(daemon.pid, 0);
-    if (daemon.pid == 0) {
-        execl("./fig7_distributed", "./fig7_distributed", "--serve",
-              portText.c_str(), "--jobs", "2",
-              static_cast<char *>(nullptr));
-        _exit(127);
-    }
-    bool listening = false;
-    for (int attempt = 0; attempt < 500 && !listening; ++attempt) {
-        listening = net::connectTcp("127.0.0.1", port, error).valid();
-        if (!listening)
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_TRUE(listening) << "daemon never listened: " << error;
-    const std::string endpoint = "127.0.0.1:" + portText;
+    std::string error;
+    const std::string endpoint = daemon.start(error);
+    ASSERT_FALSE(endpoint.empty()) << error;
 
     for (const DriverCase &d : drivers) {
         std::string base = std::string("./") + d.binary;
@@ -643,12 +660,59 @@ TEST(DriverBinaries, TcpOutputBytesEqualInProcess)
     }
 }
 
+/**
+ * A remote grid whose cells all fail: every transport attempt of the
+ * driver resets (`--fault-inject reset@1`, the driver's side only), so
+ * the baseline fails and its whole row prints as holes in each format,
+ * and the driver exits with the holes code — after printing, not
+ * instead of it.
+ */
+TEST(DriverBinaries, FailedCellsPrintAsHolesAndExitWithTheHolesCode)
+{
+    if (access("fig7_distributed", X_OK) != 0)
+        GTEST_SKIP() << "driver binaries not in the working directory "
+                        "(run via ctest from the build tree)";
+    DaemonProcess daemon;
+    std::string error;
+    const std::string endpoint = daemon.start(error);
+    ASSERT_FALSE(endpoint.empty()) << error;
+
+    const std::string base =
+        "./fig7_distributed --filter=gsmdec --executor tcp --connect "
+        + endpoint + " --fault-inject reset@1 --cell-timeout-ms 5000";
+    const std::pair<const char *, const char *> formats[] = {
+        {"table", "failed(conn-reset)"},
+        {"csv", "failed(conn-reset)"},
+        {"json", "{\"failed\":\"conn-reset\"}"},
+    };
+    for (const auto &[format, hole] : formats) {
+        std::string out;
+        EXPECT_EQ(runCommand(base + " --format=" + format, out),
+                  driver::kExitHoles)
+            << format;
+        // gsmdec's 8 columns, and the AMEAN of the 4 that take one.
+        std::size_t holes = 0;
+        for (std::size_t at = out.find(hole); at != std::string::npos;
+             at = out.find(hole, at + 1))
+            ++holes;
+        EXPECT_EQ(holes, 12u) << format << ":\n" << out;
+    }
+}
+
 TEST(Sinks, FormattingMatchesTextTable)
 {
     EXPECT_EQ(CellValue::fixed(0.8375, 2).formatted(), "0.84");
     EXPECT_EQ(CellValue::percent(0.955, 1).formatted(), "95.5%");
     EXPECT_EQ(CellValue::integer(42).formatted(), "42");
     EXPECT_EQ(CellValue::text("x").formatted(), "x");
+    EXPECT_EQ(CellValue::failed("timeout").formatted(), "failed(timeout)");
+    EXPECT_EQ(CellValue::failed("timeout").json(),
+              "{\"failed\":\"timeout\"}");
+    CellValue mean = CellValue::fixed(0.8375, 2);
+    mean.setExcluded(1);
+    EXPECT_EQ(mean.formatted(), "0.84 (1 failed excluded)");
+    EXPECT_EQ(mean.json(), "{\"value\":0.8375,\"excluded\":1}");
+    EXPECT_FALSE(CellValue::failed("timeout").isNumeric());
 }
 
 TEST(Sinks, CsvEscapesAndJsonTypes)

@@ -9,8 +9,9 @@
  *
  * The reliability layer is covered here too: the per-job deadline
  * against a daemon that never replies, the heartbeat against a silent
- * daemon, --degrade local draining a suite with every daemon down,
- * failed --stream events carrying reason + attempts, and a chaos soak
+ * daemon, a suite whose failed cells come back as holes (a failed
+ * baseline as a row of them), failed --stream events carrying
+ * reason + attempts, and a chaos soak
  * (src/net/fault.hh) of 20 seeds over TCP asserting every seed
  * terminates with cells that are bit-identical to an in-process run
  * or carry an explicit failure reason — never a hang.
@@ -598,6 +599,130 @@ TEST(RemoteExecutor, ReconnectsWhenDaemonDropsMidJob)
     }
     EXPECT_GT(exec.stats().reconnects, 0);
     EXPECT_GT(exec.stats().retries, 0);
+}
+
+// ---- failed cells are holes ----
+
+/**
+ * One endpoint, window 1 and no retries: jobs reach the daemon one at
+ * a time in id order (wave 1, one baseline per benchmark; then wave 2,
+ * row-major with the unified column skipped), so a daemon that drops
+ * every N-th job fails exactly the N-th, 2N-th, ... dispatched cell.
+ * Those cells — and a failed baseline's whole row — must render as
+ * holes in every format, and every other cell must equal the
+ * in-process run bit for bit.
+ */
+TEST(Suite, DroppedCellsRenderAsHolesAndTheRestStayBitIdentical)
+{
+    driver::ExperimentSpec spec;
+    spec.benchmarks = {"gsmdec", "stream-4"};
+    spec.archs = {"l0-8", "unified", "l0-4"};
+    for (int a = 0; a < 3; ++a)
+        spec.columns.push_back(
+            driver::normalizedColumn(spec.archs[a], a));
+    spec.columns.push_back(driver::violationsColumn("viol")); // row sum
+    spec.meanRow = true;
+    driver::Suite suite(std::move(spec));
+    ExecOptions inproc;
+    driver::ResultGrid reference = suite.run(inproc);
+    const ResultTable refTable = reference.render();
+    ASSERT_TRUE(reference.complete());
+
+    struct Case
+    {
+        int dropEvery;
+        std::set<std::pair<std::size_t, std::size_t>> holes; ///< (b, a)
+        int served; ///< job lines the daemon saw
+    };
+    // Dispatch order: 1 gsmdec and 2 stream-4 baselines, then
+    // 3 gsmdec/l0-8, 4 gsmdec/l0-4, 5 stream-4/l0-8, 6 stream-4/l0-4.
+    const Case cases[] = {
+        {4, {{0, 2}}, 6},
+        // Job 2 is stream-4's baseline: its row is holes and its two
+        // wave-2 jobs are never sent; job 4 is still gsmdec/l0-4.
+        {2, {{0, 2}, {1, 0}, {1, 1}, {1, 2}}, 4},
+    };
+    const std::string hole = "failed(conn-reset)";
+    for (const Case &c : cases) {
+        LoopbackDaemon daemon(c.dropEvery);
+        ExecOptions opts = tcpOpts({daemon.endpoint()}, /*maxRetries=*/0);
+        opts.window = 1;
+        driver::ResultGrid grid = suite.run(opts);
+        EXPECT_EQ(daemon.served.load(), c.served) << c.dropEvery;
+        EXPECT_FALSE(grid.complete());
+
+        for (std::size_t b = 0; b < grid.numBenches(); ++b)
+            for (std::size_t a = 0; a < grid.numArchs(); ++a) {
+                const driver::Cell &cell = grid.cell(b, a);
+                if (c.holes.count({b, a})) {
+                    EXPECT_EQ(cell.reason, FailReason::ConnReset)
+                        << c.dropEvery << ": " << b << "/" << a;
+                    continue;
+                }
+                ASSERT_FALSE(cell.failed()) << b << "/" << a;
+                expectRunsEqual(reference.cell(b, a).run, cell.run);
+                EXPECT_EQ(reference.cell(b, a).normalized, cell.normalized);
+            }
+
+        // Every row: a column is a hole when it reads one (the row-sum
+        // column reads the whole row); any other value renders as the
+        // in-process one.
+        const ResultTable table = grid.render();
+        ASSERT_EQ(table.rows.size(), refTable.rows.size());
+        int holes = 0;
+        std::vector<int> columnHoles(4, 0);
+        for (std::size_t b = 0; b < 2; ++b)
+            for (std::size_t col = 0; col < 4; ++col) {
+                bool expectHole = false;
+                for (std::size_t a = 0; a < 3; ++a)
+                    if (c.holes.count({b, a}) && (col == 3 || col == a))
+                        expectHole = true;
+                const CellValue &v = table.rows[b][col + 1];
+                if (expectHole) {
+                    EXPECT_EQ(v.formatted(), hole) << b << "/" << col;
+                    ++holes;
+                    ++columnHoles[col];
+                } else {
+                    EXPECT_EQ(v.formatted(),
+                              refTable.rows[b][col + 1].formatted())
+                        << b << "/" << col;
+                }
+            }
+        // The mean row: over the cells that ran, flagged with the holes
+        // it left out; a column of nothing but holes has no mean.
+        const std::vector<CellValue> &mean = table.rows.back();
+        for (std::size_t col = 0; col < 4; ++col) {
+            const CellValue &v = mean[col + 1];
+            if (columnHoles[col] == 2) {
+                EXPECT_EQ(v.formatted(), hole) << "mean " << col;
+                ++holes;
+            } else {
+                EXPECT_EQ(v.excluded(), columnHoles[col]) << "mean " << col;
+            }
+            if (columnHoles[col] == 0) {
+                EXPECT_EQ(v.formatted(),
+                          refTable.rows.back()[col + 1].formatted());
+            }
+        }
+        EXPECT_NE(renderText(table).find("(1 failed excluded)"),
+                  std::string::npos);
+
+        // The same holes in all three formats.
+        auto count = [](const std::string &text, const std::string &what) {
+            int n = 0;
+            for (std::size_t at = text.find(what); at != std::string::npos;
+                 at = text.find(what, at + 1))
+                ++n;
+            return n;
+        };
+        EXPECT_EQ(count(renderText(table), hole), holes) << c.dropEvery;
+        EXPECT_EQ(count(renderCsv(table), hole), holes) << c.dropEvery;
+        EXPECT_EQ(count(renderJson(table), "{\"failed\":\"conn-reset\"}"),
+                  holes)
+            << c.dropEvery;
+        EXPECT_NE(renderJson(table).find("\"excluded\":1}"),
+                  std::string::npos);
+    }
 }
 
 // ---- the pipelined window ----
@@ -1257,7 +1382,7 @@ TEST(Shutdown, DaemonExitsCleanlyOnSigterm)
     EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
-// ---- deadlines, heartbeats, degradation ----
+// ---- deadlines and heartbeats ----
 
 namespace
 {
@@ -1403,70 +1528,12 @@ TEST(RemoteExecutor, HeartbeatDetectsSilentDaemon)
     EXPECT_LT(elapsedMs, 10000.0);
 }
 
-TEST(RemoteExecutor, DegradeLocalCompletesSuiteWithAllDaemonsDown)
-{
-    // Two reserved-then-closed ports: every endpoint permanently
-    // fails. --degrade local must drain the whole grid through the
-    // in-process executor — bit-identical outcomes, exactly one
-    // (authoritative, successful) event per cell.
-    std::string error;
-    std::vector<std::string> dead;
-    for (int e = 0; e < 2; ++e) {
-        std::uint16_t port = 0;
-        net::Fd listener = net::listenTcp(0, error, &port);
-        ASSERT_TRUE(listener.valid()) << error;
-        dead.push_back("127.0.0.1:" + std::to_string(port));
-    }
-
-    Wave1 w1 = wave1("gsmdec");
-    std::vector<CellJob> jobs;
-    for (int i = 0; i < 6; ++i)
-        jobs.push_back(
-            makeJob(i, "gsmdec", i % 2 ? "l0-4" : "l0-8", w1));
-
-    ExecOptions inproc;
-    inproc.jobs = 2;
-    std::vector<CellOutcome> reference =
-        driver::InProcessExecutor(inproc).execute(jobs);
-
-    std::mutex eventMutex;
-    std::vector<std::pair<std::uint64_t, bool>> events;
-    ExecOptions opts = tcpOpts(dead, /*maxRetries=*/1);
-    opts.retryBackoffMs = 1;
-    opts.maxBackoffMs = 5;
-    opts.degrade = driver::DegradeMode::Local;
-    opts.onOutcome = [&](const CellJob &job,
-                         const CellOutcome &outcome, double) {
-        std::lock_guard<std::mutex> lock(eventMutex);
-        events.emplace_back(job.id, outcome.ok);
-    };
-    driver::RemoteExecutor exec(opts);
-    std::vector<CellOutcome> outcomes = exec.execute(jobs);
-
-    ASSERT_EQ(outcomes.size(), jobs.size());
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        EXPECT_TRUE(outcomes[i].ok) << outcomes[i].error;
-        EXPECT_EQ(outcomes[i].id, jobs[i].id);
-        ASSERT_TRUE(reference[i].ok) << reference[i].error;
-        expectRunsEqual(reference[i].run, outcomes[i].run);
-    }
-    EXPECT_EQ(exec.stats().degradedLocal, 6);
-    ASSERT_EQ(events.size(), jobs.size());
-    std::set<std::uint64_t> eventIds;
-    for (const auto &[id, ok] : events) {
-        EXPECT_TRUE(ok);
-        eventIds.insert(id);
-    }
-    EXPECT_EQ(eventIds.size(), jobs.size())
-        << "parked cells must emit exactly one event, from the drain";
-}
-
 TEST(Stream, FailedCellEventsCarryReasonAndAttempts)
 {
-    // A permanently refused endpoint under --degrade fail: the failed
-    // cell's stream event must carry the structured diagnosis, not
-    // just prose — "reason" at the event level and inside the
-    // embedded outcome, plus the attempt count the failure cost.
+    // A permanently refused endpoint: the failed cell's stream event
+    // must carry the structured diagnosis, not just prose — "reason"
+    // at the event level and inside the embedded outcome, plus the
+    // attempt count the failure cost.
     std::string error;
     std::uint16_t port = 0;
     {
@@ -1651,7 +1718,6 @@ TEST(Trace, StaysValidJsonUnderChaos)
         opts.maxBackoffMs = 20;
         opts.cellTimeoutMs = 300;
         opts.heartbeatMs = 100;
-        opts.degrade = driver::DegradeMode::Local;
         opts.trace = &rec;
         driver::RemoteExecutor exec(opts);
         std::vector<CellOutcome> outcomes = exec.execute(jobs);
@@ -1759,7 +1825,6 @@ TEST(ChaosSoak, TwentySeedsBitIdenticalOrDiagnosedNeverHung)
             opts.maxBackoffMs = 20;
             opts.cellTimeoutMs = 300;
             opts.heartbeatMs = 100;
-            opts.degrade = driver::DegradeMode::Local;
             driver::RemoteExecutor exec(opts);
             outcomes = exec.execute(jobs);
         }

@@ -1063,12 +1063,6 @@ TEST(OutcomeStream, RejectsBadDestinations)
                                           err),
               nullptr);
     EXPECT_FALSE(err.empty());
-    err.clear();
-    EXPECT_EQ(driver::OutcomeStream::open("fd:9999", err), nullptr);
-    EXPECT_FALSE(err.empty());
-    err.clear();
-    EXPECT_EQ(driver::OutcomeStream::open("fd:x", err), nullptr);
-    EXPECT_FALSE(err.empty());
 }
 
 TEST(OutcomeStream, EmitsOneParseableEventPerCell)

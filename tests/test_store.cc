@@ -176,6 +176,11 @@ TEST(TableWire, RoundTripsByteIdentically)
     t.rows.push_back({CellValue::text("ids"),
                       CellValue::integer(0xffffffffffffffffULL),
                       CellValue::fixed(1.0 / 3.0, 5)});
+    // A hole and a mean flagged with the holes it left out.
+    CellValue flagged = CellValue::percent(0.25, 1);
+    flagged.setExcluded(2);
+    t.rows.push_back({CellValue::text("holes"),
+                      CellValue::failed("conn-reset"), flagged});
     std::string wire = tableToWireJson(t);
     ResultTable back;
     std::string error;
@@ -207,6 +212,15 @@ TEST(TableWire, RejectsMalformedTables)
             << d;
         EXPECT_NE(error.find("'d'"), std::string::npos) << error;
     }
+    // A hole's reason is a string; the excluded count a natural int.
+    EXPECT_FALSE(tableFromWireJson(
+        "{\"title\":\"\",\"footer\":\"\",\"header\":[],"
+        "\"rows\":[[{\"k\":\"x\",\"v\":1}]]}",
+        out, error));
+    EXPECT_FALSE(tableFromWireJson(
+        "{\"title\":\"\",\"footer\":\"\",\"header\":[],"
+        "\"rows\":[[{\"k\":\"i\",\"v\":1,\"e\":-1}]]}",
+        out, error));
 }
 
 // ---- event decoding ----
@@ -667,6 +681,82 @@ TEST(StoreEndToEnd, LoopbackPublishMatchesInProcessGrid)
     EXPECT_NE(text.find("PASS"), std::string::npos);
 
     conn.reset();
+    server.stop();
+}
+
+/**
+ * A --publish run with holes streams its cells but no grid frame, so
+ * latest-grid keeps serving the previous complete run — no new field,
+ * just SuiteInfo::latestGridRun's existing rule. The second run's
+ * endpoint refuses every connection: its baselines fail, every cell is
+ * a hole, and runSuiteMain returns the holes code.
+ */
+TEST(StoreEndToEnd, PublishedRunWithHolesLeavesLatestGridOnTheLastComplete)
+{
+    auto makeSpec = []() {
+        driver::ExperimentSpec spec;
+        spec.benchmarks = {"stream-4", "reduce-2"};
+        spec.archs = {"l0-2", "l0-8"};
+        spec.columns = {driver::normalizedColumn("l0-2", 0),
+                        driver::normalizedColumn("l0-8", 1)};
+        spec.meanRow = true;
+        return spec;
+    };
+    driver::ExecOptions plain;
+    const std::string direct =
+        renderText(driver::Suite(makeSpec()).run(plain).render());
+
+    TempLog log("holes");
+    StoreService service;
+    std::string error;
+    ASSERT_TRUE(service.open(log.path(), error)) << error;
+    net::Server server;
+    ASSERT_TRUE(server.start(0, service.handler(), error)) << error;
+    std::uint16_t dead = 0;
+    {
+        net::Fd listener = net::listenTcp(0, error, &dead);
+        ASSERT_TRUE(listener.valid()) << error;
+    }
+
+    for (const char *runId : {"complete", "holes"}) {
+        driver::CliOptions cli;
+        cli.publish = "127.0.0.1:" + std::to_string(server.port());
+        cli.suiteName = "holes";
+        cli.rev = "revA";
+        cli.runId = runId;
+        cli.format = SinkFormat::Csv;
+        const bool holes = std::string(runId) == "holes";
+        if (holes) {
+            cli.executor = driver::ExecBackend::Tcp;
+            cli.connect = {"127.0.0.1:" + std::to_string(dead)};
+        }
+        EXPECT_EQ(driver::runSuiteMain(makeSpec(), cli),
+                  holes ? driver::kExitHoles : 0)
+            << runId;
+    } // each run's publisher settles its frames as it closes
+
+    const store::SuiteInfo *info = service.log().suite("holes");
+    ASSERT_NE(info, nullptr);
+    EXPECT_EQ(info->counters.grids, 1u);
+    // The holes run's two failed baselines were streamed as events.
+    const store::RunInfo *holesRun = info->findRun("holes");
+    ASSERT_NE(holesRun, nullptr);
+    EXPECT_FALSE(holesRun->hasGrid);
+    EXPECT_EQ(holesRun->cells.size(), 2u);
+    EXPECT_EQ(holesRun->failedCells(), 2u);
+    EXPECT_EQ(info->latestRun(), holesRun);
+    ASSERT_NE(info->latestGridRun(), nullptr);
+    EXPECT_EQ(info->latestGridRun()->run, "complete");
+
+    std::optional<std::string> reply =
+        service.handleLine("latest-grid holes");
+    ASSERT_TRUE(reply.has_value());
+    bool ok;
+    int exit;
+    std::string text, queryError;
+    parseReply(*reply, ok, exit, text, queryError);
+    ASSERT_TRUE(ok) << queryError;
+    EXPECT_EQ(text, direct);
     server.stop();
 }
 
