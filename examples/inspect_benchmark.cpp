@@ -23,7 +23,7 @@
  *         stream-4, stride-32x2, stencil2d-3, reduce-8, pchase-64,
  *         rand-s7-12                              (default: epicdec)
  *   arch: any label archRegistry() resolves — unified, l0-N,
- *         l0-unbounded, multivliw, int1, int2, ...   (default: l0-8)
+ *         l0-unbounded, multivliw, interleaved-1, ...  (default: l0-8)
  */
 
 #include <cstdio>

@@ -6,12 +6,11 @@
  * cell's identity on the wire and in the store (ARCHITECTURE.md
  * invariant 1).
  *
- * A label resolves through, in order: a registered name, an alias
- * (another spelling of a registered name, resolving to its canonical
- * target), then the owner's parametric grammar. A grammar result is
- * accepted only when the value it builds carries exactly the label
- * asked for — so a grammar that tolerates a stray spelling ("l0-8-",
- * "l0-08") can never mint a second identity for one machine.
+ * A label resolves through a registered name, then the owner's
+ * parametric grammar. A grammar result is accepted only when the value
+ * it builds carries exactly the label asked for — so a grammar that
+ * tolerates a stray spelling ("l0-8-", "l0-08") can never mint a
+ * second identity for one machine: every value has one spelling.
  * The grammars read their numbers with parseDecimal()
  * (common/decimal.hh), strict in the same spirit.
  *
@@ -54,42 +53,21 @@ class LabelRegistry
     void
     add(const std::string &name, Factory factory)
     {
-        if (contains(name))
+        if (find(name) != nullptr)
             fatal("%s '%s' registered twice", kind_, name.c_str());
         order_.push_back(name);
         factories_.emplace_back(name, std::move(factory));
     }
 
-    /** Register @p alias as another name for registered @p name. */
-    void
-    addAlias(const std::string &alias, const std::string &name)
-    {
-        if (contains(alias))
-            fatal("%s alias '%s' registered twice", kind_, alias.c_str());
-        if (find(name) == nullptr)
-            fatal("alias '%s' targets unknown %s '%s'", alias.c_str(),
-                  kind_, name.c_str());
-        aliases_.emplace_back(alias, name);
-    }
-
-    /** True if @p name is explicitly registered (aliases included). */
-    bool
-    contains(const std::string &name) const
-    {
-        return find(name) != nullptr || aliasTarget(name) != nullptr;
-    }
-
     /**
-     * Resolve @p label: a registered name or alias, else a grammar
-     * result whose own label is @p label. Empty on unknown labels.
+     * Resolve @p label: a registered name, else a grammar result whose
+     * own label is @p label. Empty on unknown labels.
      */
     std::optional<T>
     tryResolve(const std::string &label) const
     {
         if (const Factory *f = find(label))
             return (*f)();
-        if (const std::string *target = aliasTarget(label))
-            return (*find(*target))();
         std::optional<T> parsed = grammar_(label);
         if (parsed && (*parsed).*Label != label)
             return std::nullopt;
@@ -120,21 +98,11 @@ class LabelRegistry
         return nullptr;
     }
 
-    const std::string *
-    aliasTarget(const std::string &alias) const
-    {
-        for (const auto &kv : aliases_)
-            if (kv.first == alias)
-                return &kv.second;
-        return nullptr;
-    }
-
     const char *kind_;
     Grammar grammar_;
     const char *hint_;
     std::vector<std::string> order_;
     std::vector<std::pair<std::string, Factory>> factories_;
-    std::vector<std::pair<std::string, std::string>> aliases_;
 };
 
 } // namespace l0vliw

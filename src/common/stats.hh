@@ -37,28 +37,11 @@ class StatSet
         return it == counters.end() ? 0 : it->second;
     }
 
-    /**
-     * Set counter @p name to an absolute value. Components that count
-     * on their hottest paths keep plain integer members and publish
-     * them here when their stats are read — string-keyed map lookups
-     * are far too slow for a per-access path.
-     */
+    /** Set counter @p name to an absolute value. */
     void
     set(const std::string &name, std::uint64_t value)
     {
         counters[name] = value;
-    }
-
-    /**
-     * set() only when @p value is nonzero: keeps the published set
-     * identical to what add()-based counting would have created (a
-     * counter exists only once it has been hit).
-     */
-    void
-    setNonzero(const std::string &name, std::uint64_t value)
-    {
-        if (value)
-            set(name, value);
     }
 
     /** Merge all counters of @p other into this set. */

@@ -76,9 +76,6 @@ archRegistry()
             r->add("l0-8-pf" + std::to_string(d), [d] {
                 return ArchSpec::l0PrefetchDistance(8, d);
             });
-        // Short names inspect_benchmark historically accepted.
-        r->addAlias("int1", "interleaved-1");
-        r->addAlias("int2", "interleaved-2");
         return r;
     }();
     return *reg;

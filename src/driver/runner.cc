@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "ir/memdep.hh"
-#include "mem/l0_system.hh"
 #include "mem/mem_system.hh"
 #include "sched/validate.hh"
 #include "sim/kernel_sim.hh"
@@ -20,8 +19,9 @@ constexpr std::uint64_t kSpecializationCheckCycles = 4;
 constexpr double kScalarShare = 0.25;
 
 /**
- * Set the L0 fields of a BenchmarkRun or LoopRow: the l0Stats() @p now
- * less those of an earlier boundary, @p since.
+ * Set the L0 fields of a BenchmarkRun or LoopRow: the stats() @p now
+ * less those of an earlier boundary, @p since (all 0 on a machine
+ * without L0 buffers).
  */
 template <typename Row>
 void
@@ -44,7 +44,6 @@ ArchSpec::unified()
     a.label = "unified";
     a.config = machine::MachineConfig::paperUnified();
     a.sched = sched::SchedulerOptions::baseUnified();
-    a.sched.memLoadLatency = a.config.l1Latency;
     return a;
 }
 
@@ -63,7 +62,6 @@ ArchSpec::l0(int entries, sched::CoherenceMode mode)
         a.label += "-psr";
     a.config = machine::MachineConfig::paperL0(entries);
     a.sched = sched::SchedulerOptions::l0(mode);
-    a.sched.memLoadLatency = a.config.l1Latency;
     return a;
 }
 
@@ -92,8 +90,6 @@ ArchSpec::multiVliw()
     a.label = "multivliw";
     a.config = machine::MachineConfig::paperMultiVliw();
     a.sched = sched::SchedulerOptions::baseUnified();
-    a.sched.memLoadLatency = a.config.mvLocalHitLatency;
-    a.sched.arrayAffinity = true;
     return a;
 }
 
@@ -101,14 +97,12 @@ ArchSpec
 ArchSpec::interleaved1()
 {
     // Heuristic 1: no ownership analysis — loads schedule with the
-    // conservative (remote) latency, so remote accesses do not stall
-    // but every load pays the long schedule.
+    // machine's conservative (remote) latency, so remote accesses do
+    // not stall but every load pays the long schedule.
     ArchSpec a;
     a.label = "interleaved-1";
     a.config = machine::MachineConfig::paperInterleaved();
     a.sched = sched::SchedulerOptions::baseUnified();
-    a.sched.memLoadLatency =
-        a.config.wiLocalHitLatency + a.config.wiRemotePenalty;
     return a;
 }
 
@@ -120,7 +114,6 @@ ArchSpec::interleaved2()
     ArchSpec a = interleaved1();
     a.label = "interleaved-2";
     a.sched.ownerAware = true;
-    a.sched.ownerLatency = true;
     return a;
 }
 
@@ -185,7 +178,6 @@ runCell(const workloads::Benchmark &bench, const ArchSpec &arch,
     out.arch = arch.label;
 
     auto mem = mem::MemSystem::create(arch.config);
-    const auto *l0sys = dynamic_cast<const mem::L0MemSystem *>(mem.get());
 
     sim::SimOptions sim_opts;
     sim_opts.checkCoherence = true;
@@ -193,7 +185,7 @@ runCell(const workloads::Benchmark &bench, const ArchSpec &arch,
     Cycle clock = 0;
     double unroll_weighted = 0;
     std::uint64_t loop_cycles_total = 0;
-    StatSet l0_seen; // l0Stats() at the last loop boundary (rows only)
+    StatSet seen; // stats() at the last loop boundary (rows only)
 
     for (std::size_t i = 0; i < bench.loops.size(); ++i) {
         const workloads::LoopInstance &li = bench.loops[i];
@@ -221,24 +213,17 @@ runCell(const workloads::Benchmark &bench, const ArchSpec &arch,
 
         if (rows == nullptr)
             continue;
-        if (l0sys != nullptr) {
-            StatSet l0_now = l0sys->l0Stats();
-            setL0Fields(row, l0_now, l0_seen);
-            l0_seen = std::move(l0_now);
-        }
+        StatSet now = mem->stats();
+        setL0Fields(row, now, seen);
+        seen = std::move(now);
         rows->push_back(row);
     }
 
     out.avgUnroll = loop_cycles_total == 0
                         ? 1.0
                         : unroll_weighted / loop_cycles_total;
-    if (l0sys != nullptr) {
-        // l0Stats() already folds in the system-level counters.
-        out.memStats = l0sys->l0Stats();
-        setL0Fields(out, out.memStats);
-    } else {
-        out.memStats = mem->stats();
-    }
+    out.memStats = mem->stats();
+    setL0Fields(out, out.memStats);
 
     // Scalar region: fixed share of the *baseline* loop time, identical
     // for every architecture (self-referential for the baseline run).

@@ -37,7 +37,8 @@
 namespace l0vliw::driver
 {
 
-/** An architecture plus the scheduler variant that targets it. */
+/** A machine plus the compiler's choices for it (the scheduler reads
+ *  the rest from the machine). */
 struct ArchSpec
 {
     std::string label;

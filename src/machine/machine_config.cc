@@ -33,6 +33,19 @@ MachineConfig::opLatency(ir::OpKind kind) const
     return 1;
 }
 
+int
+MachineConfig::scheduledLoadLatency() const
+{
+    switch (memArch) {
+      case MemArch::MultiVliw: return mvLocalHitLatency;
+      case MemArch::WordInterleaved:
+        return wiLocalHitLatency + wiRemotePenalty;
+      case MemArch::UnifiedL1:
+      case MemArch::L0Buffers: break;
+    }
+    return l1Latency;
+}
+
 void
 MachineConfig::validate() const
 {
@@ -50,6 +63,9 @@ MachineConfig::validate() const
         }
         if (l0Entries == 0)
             fatal("l0Entries must be nonzero (use UnifiedL1 for no L0)");
+        if (l0Latency > l1Latency)
+            fatal("an L0 buffer must be no slower than the L1 (%d > %d)",
+                  l0Latency, l1Latency);
     }
     if (l1SizeBytes % (l1Assoc * l1BlockBytes) != 0)
         fatal("L1 size must be a whole number of sets");

@@ -115,10 +115,14 @@ struct MachineConfig
     int fpAluLatency = 4;
     int storeIssueLatency = 1;
 
-    /** Latency assumed by the scheduler for an L0-marked access. */
-    int scheduledL0Latency() const { return l0Latency; }
-    /** Latency assumed by the scheduler for an L1 (NO_ACCESS) access. */
-    int scheduledL1Latency() const { return l1Latency; }
+    /**
+     * Latency the scheduler assumes for a load not using L0: the L1
+     * latency (unified and L0 machines), MultiVLIW's local hit, or the
+     * word-interleaved machine's remote access (local hit plus the
+     * remote penalty: without ownership analysis any load may be
+     * remote).
+     */
+    int scheduledLoadLatency() const;
 
     /** Scheduling latency of a non-memory operation. */
     int opLatency(ir::OpKind kind) const;

@@ -3,29 +3,20 @@
 namespace l0vliw::mem
 {
 
-void
-Backing::pageFor(Addr page)
+Backing::Page &
+Backing::materialise(Addr page)
 {
-    auto it = pages.find(page);
-    if (it == pages.end()) {
-        std::vector<std::uint64_t> words(kPageWords);
-        const Addr base = page << kPageShift;
-        for (Addr i = 0; i < kPageWords; ++i)
-            words[i] = defaultWord(base + i);
-        it = pages.emplace(page, std::move(words)).first;
-    }
-    cachedId = page;
-    cachedPage = it->second.data();
-}
-
-void
-Backing::findPage(Addr page) const
-{
-    auto it = pages.find(page);
-    cachedId = page;
-    cachedPage = it == pages.end()
-                     ? nullptr
-                     : const_cast<std::uint64_t *>(it->second.data());
+    const Addr top = page >> kLeafShift;
+    if (top >= dir.size())
+        dir.resize(top + 1);
+    if (!dir[top])
+        dir[top] = std::make_unique<Leaf>();
+    std::unique_ptr<Page> &slot = (*dir[top])[page & (kLeafPages - 1)];
+    slot = std::make_unique<Page>();
+    const Addr base = page << kPageShift;
+    for (Addr i = 0; i < kPageWords; ++i)
+        (*slot)[i] = defaultWord(base + i);
+    return *slot;
 }
 
 } // namespace l0vliw::mem

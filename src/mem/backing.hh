@@ -15,13 +15,22 @@
  * on two pages). Unwritten memory reads as a deterministic pattern
  * generated per 8-byte word, so cold loads are reproducible and
  * checkable by the oracle.
+ *
+ * A page is found by its number through a two-level directory: a top
+ * table of leaves, each mapping 512 consecutive pages (2 MB), grown
+ * only by stores and only to the highest leaf a store touched. So
+ * every access is two indexed loads with no hashing and no cache to
+ * miss, a read of never-written memory allocates nothing, and the top
+ * table costs 8 bytes per 2 MB below the highest written address
+ * (workload arrays start at 1 MB: a few entries).
  */
 
 #ifndef L0VLIW_MEM_BACKING_HH
 #define L0VLIW_MEM_BACKING_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "common/bytes.hh"
@@ -31,20 +40,13 @@ namespace l0vliw::mem
 {
 
 /**
- * Sparse paged word store with deterministic default contents.
- *
- * Not copyable: the one-entry page cache points into this object's
- * own page map, so a copy would read the source's pages and dangle once
- * the source is destroyed. A Backing lives inside its MemSystem, whose
- * id() therefore identifies it.
+ * Sparse paged word store with deterministic default contents. A
+ * Backing lives inside its MemSystem, whose id() therefore identifies
+ * it.
  */
 class Backing
 {
   public:
-    Backing() = default;
-    Backing(const Backing &) = delete;
-    Backing &operator=(const Backing &) = delete;
-
     /** The @p size bytes at @p addr, little-endian (1 <= size <= 8). */
     std::uint64_t
     load(Addr addr, int size) const
@@ -89,9 +91,7 @@ class Backing
     void
     clear()
     {
-        pages.clear();
-        cachedId = kNoPage;
-        cachedPage = nullptr;
+        dir.clear();
         ++writes;
     }
 
@@ -104,7 +104,11 @@ class Backing
   private:
     static constexpr unsigned kPageShift = 9; ///< 512 words = 4 KB
     static constexpr Addr kPageWords = Addr{1} << kPageShift;
-    static constexpr Addr kNoPage = ~0ULL;
+    static constexpr unsigned kLeafShift = 9; ///< 512 pages = 2 MB
+    static constexpr Addr kLeafPages = Addr{1} << kLeafShift;
+
+    using Page = std::array<std::uint64_t, kPageWords>;
+    using Leaf = std::array<std::unique_ptr<Page>, kLeafPages>;
 
     /** The deterministic content of unwritten word @p w (= addr >> 3). */
     static std::uint64_t
@@ -118,43 +122,38 @@ class Backing
         return z ^ (z >> 31);
     }
 
+    /** Page @p page, or null when no store touched it. */
+    Page *
+    pageAt(Addr page) const
+    {
+        const Addr top = page >> kLeafShift;
+        return top < dir.size() && dir[top]
+                   ? (*dir[top])[page & (kLeafPages - 1)].get()
+                   : nullptr;
+    }
+
     /** Word @p w, written or default. */
     std::uint64_t
     word(Addr w) const
     {
-        const Addr page = w >> kPageShift;
-        if (page != cachedId)
-            findPage(page);
-        return cachedPage ? cachedPage[w & (kPageWords - 1)]
-                          : defaultWord(w);
+        const Page *p = pageAt(w >> kPageShift);
+        return p ? (*p)[w & (kPageWords - 1)] : defaultWord(w);
     }
 
     /** Word @p w, its page materialised on demand. */
     std::uint64_t &
     wordRef(Addr w)
     {
-        const Addr page = w >> kPageShift;
-        if (page != cachedId || !cachedPage)
-            pageFor(page);
-        return cachedPage[w & (kPageWords - 1)];
+        Page *p = pageAt(w >> kPageShift);
+        return (p ? *p : materialise(w >> kPageShift))[w & (kPageWords - 1)];
     }
 
-    /** Point the page cache at page @p page, materialising it. */
-    void pageFor(Addr page);
+    /** Page @p page, which no store touched yet, filled with its
+     *  default words (its leaf too, if need be). */
+    Page &materialise(Addr page);
 
-    /** Point the page cache at page @p page, or at null (a cached
-     *  miss) when it was never written. */
-    void findPage(Addr page) const;
-
-    std::unordered_map<Addr, std::vector<std::uint64_t>> pages;
-    /**
-     * One-entry page cache: accesses stream sequentially, so almost
-     * every access lands on the last page touched. A null cachedPage
-     * caches a miss: reads of a never-written page stop probing the
-     * map. Pointers into the node-based map stay valid until clear().
-     */
-    mutable Addr cachedId = kNoPage;
-    mutable std::uint64_t *cachedPage = nullptr;
+    /** The top table: leaf page >> kLeafShift, or null. */
+    std::vector<std::unique_ptr<Leaf>> dir;
     std::uint64_t writes = 0;
 };
 

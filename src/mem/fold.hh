@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <type_traits>
 #include <vector>
 
+#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace l0vliw::mem
@@ -48,6 +50,36 @@ addHot(Hot &hot, const std::uint64_t *delta)
         v[i] += delta[i];
     std::memcpy(&hot, v, sizeof(Hot));
     return delta + n;
+}
+
+/**
+ * Name a HotCounters struct: add each nonzero counter to @p out under
+ * its entry of Hot::kNames, the struct's one name table (field order).
+ * A name @p out already holds sums, so the buffers of one system merge
+ * by adding each in turn.
+ */
+template <typename Hot>
+void
+addNamed(const Hot &hot, StatSet &out)
+{
+    constexpr std::size_t n = sizeof(Hot) / sizeof(std::uint64_t);
+    static_assert(std::size(Hot::kNames) == n,
+                  "one name per HotCounters field");
+    std::uint64_t v[n];
+    std::memcpy(v, &hot, sizeof(Hot));
+    for (std::size_t i = 0; i < n; ++i)
+        if (v[i] != 0)
+            out.add(Hot::kNames[i], v[i]);
+}
+
+/** addNamed() into a new set. */
+template <typename Hot>
+StatSet
+named(const Hot &hot)
+{
+    StatSet out;
+    addNamed(hot, out);
+    return out;
 }
 
 /** An absolute cycle as a key: relative to @p start, clamped at 0. */

@@ -15,6 +15,10 @@ InterleavedMemSystem::InterleavedMemSystem(
         abs.push_back(TagCache::fullyAssociative(config.abEntries,
                                                  config.wiWordBytes));
     }
+    for (const auto &s : slices)
+        tagStores.push_back(&s);
+    for (const auto &ab : abs)
+        tagStores.push_back(&ab);
 }
 
 Addr
@@ -91,17 +95,6 @@ InterleavedMemSystem::access(const MemAccess &acc, Cycle now,
     return res;
 }
 
-std::vector<const TagCache *>
-InterleavedMemSystem::tagStores() const
-{
-    std::vector<const TagCache *> out;
-    for (const auto &s : slices)
-        out.push_back(&s);
-    for (const auto &ab : abs)
-        out.push_back(&ab);
-    return out;
-}
-
 void
 InterleavedMemSystem::counterSnapshot(
         std::vector<std::uint64_t> &out) const
@@ -113,18 +106,6 @@ void
 InterleavedMemSystem::addCounters(const std::uint64_t *delta)
 {
     addHot(hot, delta);
-}
-
-void
-InterleavedMemSystem::syncStats() const
-{
-    statSet.setNonzero("ab_store_invalidations", hot.abStoreInvalidations);
-    statSet.setNonzero("wi_local_stores", hot.localStores);
-    statSet.setNonzero("wi_remote_stores", hot.remoteStores);
-    statSet.setNonzero("wi_local_hits", hot.localHits);
-    statSet.setNonzero("wi_local_misses", hot.localMisses);
-    statSet.setNonzero("ab_hits", hot.abHits);
-    statSet.setNonzero("wi_remote_accesses", hot.remoteAccesses);
 }
 
 } // namespace l0vliw::mem

@@ -47,6 +47,8 @@ class InterleavedMemSystem final : public MemSystem
             fastMod(fastDiv(addr, cfg.wiWordBytes), cfg.numClusters));
     }
 
+    StatSet stats() const override { return named(hot); }
+
   private:
     /**
      * Slice-local address: word index within the owner's slice, with
@@ -54,9 +56,6 @@ class InterleavedMemSystem final : public MemSystem
      * dense address space.
      */
     Addr localAddr(Addr addr) const;
-
-    std::vector<const TagCache *> tagStores() const override;
-    void syncStats() const override;
 
     /** Per-access counters as plain integers (see L0Buffer). */
     struct HotCounters
@@ -68,6 +67,11 @@ class InterleavedMemSystem final : public MemSystem
         std::uint64_t localMisses = 0;
         std::uint64_t abHits = 0;
         std::uint64_t remoteAccesses = 0;
+
+        static constexpr const char *kNames[] = {
+            "ab_store_invalidations", "wi_local_stores", "wi_remote_stores",
+            "wi_local_hits", "wi_local_misses", "ab_hits",
+            "wi_remote_accesses"};
     };
 
     std::vector<TagCache> slices;

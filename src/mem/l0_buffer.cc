@@ -332,20 +332,6 @@ L0Buffer::hasInterleaved(Addr block_addr, int factor, int residue) const
 }
 
 void
-L0Buffer::syncStats() const
-{
-    statSet.setNonzero("l0_hits", hot.hits);
-    statSet.setNonzero("l0_misses", hot.misses);
-    statSet.setNonzero("l0_evictions", hot.evictions);
-    statSet.setNonzero("l0_fills_linear", hot.fillsLinear);
-    statSet.setNonzero("l0_fills_interleaved", hot.fillsInterleaved);
-    statSet.setNonzero("l0_store_updates", hot.storeUpdates);
-    statSet.setNonzero("l0_store_dup_invalidations", hot.storeDupInvalidations);
-    statSet.setNonzero("l0_psr_invalidations", hot.psrInvalidations);
-    statSet.setNonzero("l0_flushes", hot.flushes);
-}
-
-void
 L0Buffer::appendKey(std::vector<std::uint64_t> &key) const
 {
     const std::size_t wpe = static_cast<std::size_t>(wordsPerEntry);

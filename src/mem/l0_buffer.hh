@@ -119,8 +119,9 @@ class L0Buffer
     int capacity() const { return numEntries; }
     bool unbounded() const { return numEntries < 0; }
 
-    StatSet &stats() { syncStats(); return statSet; }
-    const StatSet &stats() const { syncStats(); return statSet; }
+    /** Add this buffer's nonzero counters to @p out by name (see
+     *  addNamed()). */
+    void addStats(StatSet &out) const { addNamed(hot, out); }
 
     // ---- fold hooks (see MemSystem::stateKey) ----
 
@@ -206,9 +207,6 @@ class L0Buffer
     void gatherResidue(std::size_t i, const std::uint64_t *block_words,
                        int factor, int residue);
 
-    /** Publish the hot counters into statSet (on stats() reads). */
-    void syncStats() const;
-
     /**
      * Per-access counters as plain integers: lookup/fill/store run
      * once per simulated memory access, where a string-keyed map
@@ -225,6 +223,12 @@ class L0Buffer
         std::uint64_t storeDupInvalidations = 0;
         std::uint64_t psrInvalidations = 0;
         std::uint64_t flushes = 0;
+
+        static constexpr const char *kNames[] = {
+            "l0_hits", "l0_misses", "l0_evictions", "l0_fills_linear",
+            "l0_fills_interleaved", "l0_store_updates",
+            "l0_store_dup_invalidations", "l0_psr_invalidations",
+            "l0_flushes"};
     };
 
     /** quick[] value of an invalid slot; rejects any realistic addr. */
@@ -263,7 +267,6 @@ class L0Buffer
     std::vector<Shape> shapes;
     std::vector<std::uint64_t> payload; ///< wordsPerEntry per slot
     HotCounters hot;
-    mutable StatSet statSet;
 };
 
 } // namespace l0vliw::mem

@@ -14,6 +14,7 @@ L0MemSystem::L0MemSystem(const machine::MachineConfig &config)
       buses(config.numClusters),
       fillWords((config.l1BlockBytes + 7) / 8)
 {
+    tagStores.push_back(&l1);
     for (int c = 0; c < config.numClusters; ++c)
         l0s.emplace_back(config.l0Entries, config.l0SubblockBytes,
                          config.numClusters);
@@ -411,30 +412,14 @@ L0MemSystem::shiftTime(Cycle from, Cycle to)
     resetNextReady();
 }
 
-void
-L0MemSystem::syncStats() const
-{
-    statSet.setNonzero("l1_hits", hot.l1Hits);
-    statSet.setNonzero("l1_misses", hot.l1Misses);
-    statSet.setNonzero("l1_store_hits", hot.l1StoreHits);
-    statSet.setNonzero("l1_store_misses", hot.l1StoreMisses);
-    statSet.setNonzero("l0_pending_waits", hot.pendingWaits);
-    statSet.setNonzero("psr_fill_cancels", hot.psrFillCancels);
-    statSet.setNonzero("psr_replica_stores", hot.psrReplicaStores);
-    statSet.setNonzero("explicit_prefetches", hot.explicitPrefetches);
-    statSet.setNonzero("hint_prefetches", hot.hintPrefetches);
-    statSet.setNonzero("prefetch_fills_linear", hot.prefetchFillsLinear);
-    statSet.setNonzero("prefetch_fills_interleaved", hot.prefetchFillsInterleaved);
-}
-
 StatSet
-L0MemSystem::l0Stats() const
+L0MemSystem::stats() const
 {
-    StatSet merged;
+    StatSet out;
     for (const auto &b : l0s)
-        merged.merge(b.stats());
-    merged.merge(stats());
-    return merged;
+        b.addStats(out);
+    addNamed(hot, out);
+    return out;
 }
 
 } // namespace l0vliw::mem

@@ -61,8 +61,11 @@ class L0MemSystem final : public MemSystem
     /** The L0 buffer of cluster @p c (tests and stats). */
     L0Buffer &l0(ClusterId c) { return l0s[c]; }
 
-    /** Merged L0 statistics across clusters. */
-    StatSet l0Stats() const;
+    /** Every buffer's counters summed, and the system's. */
+    StatSet stats() const override;
+
+    /** stats(): the merged L0 statistics across clusters. */
+    StatSet l0Stats() const { return stats(); }
 
   private:
     struct PendingFill
@@ -104,11 +107,6 @@ class L0MemSystem final : public MemSystem
      * little-endian words: a fill's payload, read when it commits.
      */
     const std::uint64_t *readFillWords(Addr addr, int bytes);
-
-    std::vector<const TagCache *> tagStores() const override
-    {
-        return {&l1};
-    }
 
     /** The buffers and the pending fills. */
     void appendOtherState(std::vector<std::uint64_t> &key) const override;
@@ -159,8 +157,6 @@ class L0MemSystem final : public MemSystem
     void prefetchInterleaved(Addr block_addr, int factor, int first_residue,
                              ClusterId first_cluster, Cycle now);
 
-    void syncStats() const override;
-
     /** Per-access counters as plain integers (see L0Buffer). */
     struct HotCounters
     {
@@ -175,6 +171,12 @@ class L0MemSystem final : public MemSystem
         std::uint64_t hintPrefetches = 0;
         std::uint64_t prefetchFillsLinear = 0;
         std::uint64_t prefetchFillsInterleaved = 0;
+
+        static constexpr const char *kNames[] = {
+            "l1_hits", "l1_misses", "l1_store_hits", "l1_store_misses",
+            "l0_pending_waits", "psr_fill_cancels", "psr_replica_stores",
+            "explicit_prefetches", "hint_prefetches",
+            "prefetch_fills_linear", "prefetch_fills_interleaved"};
     };
 
     TagCache l1;

@@ -39,7 +39,7 @@ MemSystem::create(const machine::MachineConfig &config)
 void
 MemSystem::stateKey(std::vector<std::uint64_t> &key) const
 {
-    for (const TagCache *t : tagStores())
+    for (const TagCache *t : tagStores)
         t->appendKey(key);
     appendOtherState(key);
 }
@@ -47,7 +47,7 @@ MemSystem::stateKey(std::vector<std::uint64_t> &key) const
 void
 MemSystem::saveState(std::vector<std::uint64_t> &out) const
 {
-    for (const TagCache *t : tagStores())
+    for (const TagCache *t : tagStores)
         t->appendRaw(out);
     appendOtherState(out);
 }
@@ -56,7 +56,7 @@ bool
 MemSystem::matchesState(const std::vector<std::uint64_t> &saved) const
 {
     const std::uint64_t *raw = saved.data();
-    for (const TagCache *t : tagStores())
+    for (const TagCache *t : tagStores)
         if (!t->matchesRaw(raw))
             return false;
     thread_local std::vector<std::uint64_t> other;

@@ -95,7 +95,7 @@ class MemSystem
 
     /**
      * Append a canonical key of every behaviour-affecting field that
-     * holds no absolute cycle: each tagStores() cache's sets, valid
+     * holds no absolute cycle: each tagStores cache's sets, valid
      * tags in LRU order (TagCache::appendKey(): never the raw use
      * clock nor the way a tag sits in), then appendOtherState() (the
      * payload words of valid L0 entries, pending fills). Two states
@@ -142,8 +142,13 @@ class MemSystem
      */
     virtual void shiftTime(Cycle from, Cycle to) = 0;
 
-    StatSet &stats() { syncStats(); return statSet; }
-    const StatSet &stats() const { syncStats(); return statSet; }
+    /**
+     * Every counter, this system's and its buffers', named now: the
+     * nonzero ones only, a name several buffers share summed. The
+     * access path counts in plain HotCounters structs and never
+     * touches a name.
+     */
+    virtual StatSet stats() const { return {}; }
 
     const machine::MachineConfig &config() const { return cfg; }
 
@@ -157,8 +162,9 @@ class MemSystem
     const std::uint64_t uid;
 
   protected:
-    /** The tag stores in the stateKey() state, in a fixed order. */
-    virtual std::vector<const TagCache *> tagStores() const = 0;
+    /** The tag stores in the stateKey() state, in a fixed order: each
+     *  constructor lists its own, once. */
+    std::vector<const TagCache *> tagStores;
 
     /** Append the key of the rest of the stateKey() state (none by
      *  default). */
@@ -167,17 +173,8 @@ class MemSystem
         (void)key;
     }
 
-    /**
-     * Publish any plain-integer hot-path counters into statSet. Called
-     * whenever stats() is read; systems with per-access counters
-     * override it so the access path never touches the string-keyed
-     * map. Counters absent until nonzero, exactly as with add().
-     */
-    virtual void syncStats() const {}
-
     machine::MachineConfig cfg;
     Backing back;
-    mutable StatSet statSet;
 };
 
 } // namespace l0vliw::mem

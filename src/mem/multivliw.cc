@@ -14,6 +14,8 @@ MultiVliwMemSystem::MultiVliwMemSystem(const machine::MachineConfig &config)
     for (int c = 0; c < config.numClusters; ++c)
         slices.emplace_back(config.l1SizeBytes, config.l1Assoc,
                             config.l1BlockBytes);
+    for (const auto &s : slices)
+        tagStores.push_back(&s);
 }
 
 MemAccessResult
@@ -76,15 +78,6 @@ MultiVliwMemSystem::access(const MemAccess &acc, Cycle now,
     return res;
 }
 
-std::vector<const TagCache *>
-MultiVliwMemSystem::tagStores() const
-{
-    std::vector<const TagCache *> out;
-    for (const auto &s : slices)
-        out.push_back(&s);
-    return out;
-}
-
 void
 MultiVliwMemSystem::counterSnapshot(std::vector<std::uint64_t> &out) const
 {
@@ -95,15 +88,6 @@ void
 MultiVliwMemSystem::addCounters(const std::uint64_t *delta)
 {
     addHot(hot, delta);
-}
-
-void
-MultiVliwMemSystem::syncStats() const
-{
-    statSet.setNonzero("mv_store_invalidations", hot.storeInvalidations);
-    statSet.setNonzero("mv_local_hits", hot.localHits);
-    statSet.setNonzero("mv_remote_hits", hot.remoteHits);
-    statSet.setNonzero("mv_l2_fills", hot.l2Fills);
 }
 
 } // namespace l0vliw::mem

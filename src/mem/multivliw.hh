@@ -40,10 +40,9 @@ class MultiVliwMemSystem final : public MemSystem
     void timeKey(Cycle, std::vector<std::uint64_t> &) const override {}
     void shiftTime(Cycle, Cycle) override {}
 
-  private:
-    std::vector<const TagCache *> tagStores() const override;
-    void syncStats() const override;
+    StatSet stats() const override { return named(hot); }
 
+  private:
     /** Per-access counters as plain integers (see L0Buffer). */
     struct HotCounters
     {
@@ -51,6 +50,10 @@ class MultiVliwMemSystem final : public MemSystem
         std::uint64_t localHits = 0;
         std::uint64_t remoteHits = 0;
         std::uint64_t l2Fills = 0;
+
+        static constexpr const char *kNames[] = {
+            "mv_store_invalidations", "mv_local_hits", "mv_remote_hits",
+            "mv_l2_fills"};
     };
 
     std::vector<TagCache> slices; // one per cluster

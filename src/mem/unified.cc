@@ -8,6 +8,7 @@ UnifiedMemSystem::UnifiedMemSystem(const machine::MachineConfig &config)
       l1(config.l1SizeBytes, config.l1Assoc, config.l1BlockBytes),
       buses(config.numClusters)
 {
+    tagStores.push_back(&l1);
 }
 
 MemAccessResult
@@ -65,15 +66,6 @@ UnifiedMemSystem::shiftTime(Cycle from, Cycle to)
 {
     for (auto &b : buses)
         b.shiftTime(from, to);
-}
-
-void
-UnifiedMemSystem::syncStats() const
-{
-    statSet.setNonzero("l1_hits", hot.l1Hits);
-    statSet.setNonzero("l1_misses", hot.l1Misses);
-    statSet.setNonzero("l1_store_hits", hot.l1StoreHits);
-    statSet.setNonzero("l1_store_misses", hot.l1StoreMisses);
 }
 
 } // namespace l0vliw::mem

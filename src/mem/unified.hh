@@ -35,13 +35,9 @@ class UnifiedMemSystem final : public MemSystem
     void addCounters(const std::uint64_t *delta) override;
     void shiftTime(Cycle from, Cycle to) override;
 
-  private:
-    std::vector<const TagCache *> tagStores() const override
-    {
-        return {&l1};
-    }
-    void syncStats() const override;
+    StatSet stats() const override { return named(hot); }
 
+  private:
     /** Per-access counters as plain integers (see L0Buffer). */
     struct HotCounters
     {
@@ -49,6 +45,9 @@ class UnifiedMemSystem final : public MemSystem
         std::uint64_t l1Misses = 0;
         std::uint64_t l1StoreHits = 0;
         std::uint64_t l1StoreMisses = 0;
+
+        static constexpr const char *kNames[] = {
+            "l1_hits", "l1_misses", "l1_store_hits", "l1_store_misses"};
     };
 
     TagCache l1;

@@ -3,7 +3,7 @@
  * The process-wide metrics registry: the counters and gauges a
  * process can report through the `metrics` query verb.
  *
- * The design extends the simulator's "stats are sync-on-read" hot-path
+ * The design extends the simulator's "stats are named when read" hot-path
  * invariant to the whole system (ARCHITECTURE.md invariant 10): the
  * record path — Counter::inc, Gauge::set — never takes a lock and
  * never allocates. Counters are sharded across cache-line-padded

@@ -26,22 +26,22 @@ class LatencyModel
   public:
     LatencyModel() = default;
 
-    LatencyModel(const ir::Loop &loop, const machine::MachineConfig &cfg,
-                 int mem_load_latency)
+    LatencyModel(const ir::Loop &loop, const machine::MachineConfig &cfg)
     {
-        assign(loop, cfg, mem_load_latency);
+        assign(loop, cfg);
     }
 
-    /** The model of @p loop, reusing this one's storage; a new
+    /** The model of @p loop, every load at
+     *  cfg.scheduledLoadLatency(), reusing this one's storage; a new
      *  version. */
     void
-    assign(const ir::Loop &loop, const machine::MachineConfig &cfg,
-           int mem_load_latency)
+    assign(const ir::Loop &loop, const machine::MachineConfig &cfg)
     {
+        const int load_latency = cfg.scheduledLoadLatency();
         lat.clear();
         for (const auto &op : loop.ops()) {
             if (op.kind == ir::OpKind::Load)
-                lat.push_back(mem_load_latency);
+                lat.push_back(load_latency);
             else
                 lat.push_back(cfg.opLatency(op.kind));
         }

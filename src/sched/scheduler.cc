@@ -8,6 +8,7 @@
 
 #include "common/logging.hh"
 #include "ir/memdep.hh"
+#include "metrics/registry.hh"
 #include "sched/latency_model.hh"
 #include "sched/mii.hh"
 #include "sched/mrt.hh"
@@ -21,6 +22,9 @@ namespace
 
 constexpr int kNegInf = std::numeric_limits<int>::min() / 4;
 constexpr int kPosInf = std::numeric_limits<int>::max() / 4;
+
+/** Give up (fatal) past this II. */
+constexpr int kMaxII = 512;
 
 /** Candidate instructions: strided loads (Section 4.3). */
 bool
@@ -39,11 +43,11 @@ struct LoopFacts
     /** Derive the facts of @p body, which must outlive their use,
      *  into this object's storage. */
     void
-    derive(const ir::Loop &body, const machine::MachineConfig &cfg,
-           const SchedulerOptions &opts)
+    derive(const ir::Loop &body, const machine::MachineConfig &cfg)
     {
         const int n = body.numOps();
         loop = &body;
+        hasL0 = cfg.memArch == machine::MemArch::L0Buffers;
         incident.assign(body);
         graph.assign(body);
         sets = ir::memorySets(body);
@@ -52,7 +56,7 @@ struct LoopFacts
         stream.assign(n, -1);
         group.assign(n, -1);
         owner.assign(n, kNoCluster);
-        baseLat.assign(body, cfg, opts.memLoadLatency);
+        baseLat.assign(body, cfg);
         optLat = baseLat;
         candidates.clear();
         groupBegin.clear();
@@ -123,6 +127,8 @@ struct LoopFacts
     }
 
     const ir::Loop *loop = nullptr;
+    /** The machine has L0 buffers: the Section 4.3 extensions apply. */
+    bool hasL0 = false;
     /** The placement steps only look at an op's neighbours. */
     IncidentEdges incident;
     /** The slack and recMII relaxations' edge order. */
@@ -148,9 +154,17 @@ struct LoopFacts
     std::vector<int> groupBegin;
     /** Each memory op's ownerCluster(), kNoCluster for other ops. */
     std::vector<ClusterId> owner;
-    /** Loads at memLoadLatency; and the step-2 assumption, every
+    /** Loads at the machine's scheduledLoadLatency(); and every
      *  candidate at the L0 latency. */
     LatencyModel baseLat, optLat;
+
+    /** Step 2's assumption: every candidate at the L0 latency on a
+     *  machine with L0 buffers, every load at baseLat's elsewhere. */
+    const LatencyModel &
+    step2Lat() const
+    {
+        return hasL0 ? optLat : baseLat;
+    }
 };
 
 /**
@@ -172,6 +186,11 @@ class Attempt
     {
         cfg = &config;
         opts = &options;
+        keepArrays = config.memArch == machine::MemArch::MultiVliw;
+        ownerLocalHit =
+            options.ownerAware
+            && config.memArch == machine::MemArch::WordInterleaved;
+        loadLatency = config.scheduledLoadLatency();
         mrt.configure(config);
         neighboursIn.resize(config.numClusters);
         score.resize(config.numClusters);
@@ -261,6 +280,13 @@ class Attempt
 
     const machine::MachineConfig *cfg = nullptr;
     const SchedulerOptions *opts = nullptr;
+    /** What the machine decides (bind()), besides facts.hasL0:
+     *  MultiVLIW's array affinity; an owner-aware load of the
+     *  word-interleaved machine at the local-hit latency in its owner
+     *  cluster; the latency of a load not using L0. */
+    bool keepArrays = false;
+    bool ownerLocalHit = false;
+    int loadLatency = 0;
     const LoopFacts &facts;
     Mrt mrt;
     int _ii = 0;
@@ -326,7 +352,7 @@ Attempt::init(int ii, const SlackInfo &step2_slack, bool topo_order)
     prefetchOps.clear();
     clusterLoad.assign(cfg->numClusters, 0);
     recommended.assign(n, kNoCluster);
-    if (opts->arrayAffinity)
+    if (keepArrays)
         arrayHome.assign(loop().arrays().size(), kNoCluster);
     freeEntries.assign(cfg->numClusters,
                        cfg->l0Unbounded() ? kPosInf : cfg->l0Entries);
@@ -355,7 +381,7 @@ Attempt::init(int ii, const SlackInfo &step2_slack, bool topo_order)
     }
 
     // Item 2: the N*NE most critical candidates start with L0 latency.
-    if (opts->l0Aware) {
+    if (facts.hasL0) {
         rankCandidates();
         std::size_t budget = ranked.size();
         if (opts->selectiveL0 && !cfg->l0Unbounded()) {
@@ -389,10 +415,10 @@ Attempt::decideSetTreatment(OpId id)
     int s = facts.setOf[id];
     if (s < 0 || treatment[s] != SetTreatment::Undecided)
         return;
-    if (!opts->l0Aware || opts->coherence == CoherenceMode::ForceNL0) {
-        treatment[s] = opts->l0Aware ? SetTreatment::NotUseL0
-                                    : SetTreatment::Unconstrained;
-        if (!opts->l0Aware)
+    if (!facts.hasL0 || opts->coherence == CoherenceMode::ForceNL0) {
+        treatment[s] = facts.hasL0 ? SetTreatment::NotUseL0
+                                   : SetTreatment::Unconstrained;
+        if (!facts.hasL0)
             return;
     } else {
         // 1C whenever some load of the set holds an L0 latency and
@@ -409,7 +435,7 @@ Attempt::decideSetTreatment(OpId id)
         for (OpId m : facts.sets[s]) {
             if (loop().op(m).kind == ir::OpKind::Load && !placed[m]) {
                 wantL0[m] = false;
-                latWork.setLoadLatency(m, opts->memLoadLatency);
+                latWork.setLoadLatency(m, loadLatency);
             }
         }
     }
@@ -432,16 +458,16 @@ Attempt::latencyFor(OpId id, ClusterId c) const
     const ir::Operation &op = loop().op(id);
     if (op.kind != ir::OpKind::Load)
         return {cfg->opLatency(op.kind), false};
-    if (!opts->l0Aware || !wantL0[id]) {
-        if (opts->ownerLatency && facts.owner[id] == c
+    if (!facts.hasL0 || !wantL0[id]) {
+        if (ownerLocalHit && facts.owner[id] == c
                 && facts.owner[id] != kNoCluster)
             return {cfg->wiLocalHitLatency, false};
-        return {opts->memLoadLatency, false};
+        return {loadLatency, false};
     }
 
     if (l0Usable(id, c))
         return {cfg->l0Latency, true};
-    return {opts->memLoadLatency, false};
+    return {loadLatency, false};
 }
 
 bool
@@ -519,7 +545,7 @@ Attempt::orderClusters(OpId id)
 
     ClusterId owner = opts->ownerAware ? facts.owner[id] : kNoCluster;
     ClusterId affinity = kNoCluster;
-    if (opts->arrayAffinity && ir::isMemKind(op.kind))
+    if (keepArrays && ir::isMemKind(op.kind))
         affinity = arrayHome[op.mem.array];
     // In a bound 1C set the only cluster where the load can keep its L0
     // latency is the set's cluster: that binding overrides any
@@ -528,7 +554,7 @@ Attempt::orderClusters(OpId id)
     if (s >= 0 && treatment[s] == SetTreatment::OneCluster
             && boundCluster[s] != kNoCluster)
         want = boundCluster[s];
-    const bool l0_mem = opts->l0Aware && ir::isMemKind(op.kind);
+    const bool l0_mem = facts.hasL0 && ir::isMemKind(op.kind);
     const bool wants_l0 =
         l0_mem && op.kind == ir::OpKind::Load && wantL0[id];
 
@@ -654,7 +680,7 @@ Attempt::tryPlace(OpId id, ClusterId c)
         sched[id].usesL0 = uses_l0;
         placed[id] = true;
         ++clusterLoad[c];
-        if (opts->arrayAffinity && ir::isMemKind(op.kind)
+        if (keepArrays && ir::isMemKind(op.kind)
                 && arrayHome[op.mem.array] == kNoCluster)
             arrayHome[op.mem.array] = c;
         return true;
@@ -729,7 +755,7 @@ Attempt::consumeEntry(OpId id)
 void
 Attempt::reassignLatencies()
 {
-    if (!opts->l0Aware || !opts->selectiveL0)
+    if (!facts.hasL0 || !opts->selectiveL0)
         return;
     // The slack, and so the candidates' ranking, is a function of the
     // working latencies and slackII alone: re-derive it only when one
@@ -767,7 +793,7 @@ Attempt::reassignLatencies()
         if (wantL0[id] != use) {
             wantL0[id] = use;
             latWork.setLoadLatency(id, use ? cfg->l0Latency
-                                           : opts->memLoadLatency);
+                                           : loadLatency);
         }
     }
 }
@@ -775,6 +801,13 @@ Attempt::reassignLatencies()
 bool
 Attempt::run(int ii, const SlackInfo &step2_slack, bool topo_order)
 {
+    static metrics::Counter &attempts = metrics::counter(
+        "l0vliw_sched_attempts_total",
+        "Placements of a loop body at one II (SMS or topological order)");
+    static metrics::Counter &failures = metrics::counter(
+        "l0vliw_sched_attempts_failed_total",
+        "Placements that did not fit their II");
+    attempts.inc();
     init(ii, step2_slack, topo_order);
     for (OpId id : order) {
         decideSetTreatment(id);
@@ -785,14 +818,16 @@ Attempt::run(int ii, const SlackInfo &step2_slack, bool topo_order)
                 break;
             }
         }
-        if (!done)
+        if (!done) {
+            failures.inc();
             return false;
+        }
         markRelated(id);
         consumeEntry(id);
         reassignLatencies();
     }
     normalize();
-    if (opts->l0Aware) {
+    if (facts.hasL0) {
         // Mapping hints first, then the explicit prefetches (which
         // need them and occupy memory slots), then the access hints:
         // the SEQ_ACCESS legality check must see the final reservation
@@ -998,11 +1033,10 @@ Attempt::finish(ir::Loop body)
  * when one fit, and @p attempt holds it. Both start from one slack.
  */
 bool
-attemptAt(const SchedulerOptions &opts, const LoopFacts &facts, int ii,
-          SlackInfo &step2_slack, Attempt &attempt)
+attemptAt(const LoopFacts &facts, int ii, SlackInfo &step2_slack,
+          Attempt &attempt)
 {
-    computeSlack(facts.graph, opts.l0Aware ? facts.optLat : facts.baseLat,
-                 ii, step2_slack);
+    computeSlack(facts.graph, facts.step2Lat(), ii, step2_slack);
     return attempt.run(ii, step2_slack, /*topo_order=*/false)
            || attempt.run(ii, step2_slack, /*topo_order=*/true);
 }
@@ -1023,7 +1057,7 @@ constexpr long kMaxStreamChoices = 64;
  * sits in the set's one cluster; an NL0 set has none. So of a tracked
  * set's candidate streams at most l0Entries keep the L0 latency, and
  * the least recMII over every such choice, the set's other candidates
- * at memLoadLatency and the rest of the body at @p lat (step 2's, the
+ * at the L1 latency and the rest of the body at @p lat (step 2's, the
  * lowest any attempt assigns), bounds the II. Sets whose streams fit,
  * and those with a load on a register self-edge (which placement never
  * checks), are left at @p lat.
@@ -1034,11 +1068,9 @@ streamCapBound(const LoopFacts &facts, const machine::MachineConfig &cfg,
                int mii)
 {
     const int entries = cfg.l0Entries;
-    if (!opts.l0Aware || !opts.selectiveL0
-            || opts.coherence != CoherenceMode::Auto || opts.ownerLatency
-            || cfg.memArch != machine::MemArch::L0Buffers
-            || cfg.l0Unbounded() || entries < 1
-            || opts.memLoadLatency < cfg.l0Latency)
+    if (!facts.hasL0 || !opts.selectiveL0
+            || opts.coherence != CoherenceMode::Auto
+            || cfg.l0Unbounded() || entries < 1)
         return mii;
 
     // Streams are fewer than candidates: most bodies have no set to
@@ -1110,7 +1142,7 @@ streamCapBound(const LoopFacts &facts, const machine::MachineConfig &cfg,
             for (const auto &[m, st] : capped[c].loads)
                 work.setLoadLatency(m, keep[c] >> st & 1
                                            ? cfg.l0Latency
-                                           : opts.memLoadLatency);
+                                           : cfg.l1Latency);
         best = std::min(best, recMii(facts.graph, work, mii));
         if (best == mii)
             return mii;
@@ -1137,8 +1169,8 @@ int
 firstII(const LoopFacts &facts, const machine::MachineConfig &cfg,
         const SchedulerOptions &opts)
 {
-    const LatencyModel &step2 = opts.l0Aware ? facts.optLat : facts.baseLat;
-    if (opts.l0Aware && opts.coherence == CoherenceMode::ForceNL0) {
+    const LatencyModel &step2 = facts.step2Lat();
+    if (facts.hasL0 && opts.coherence == CoherenceMode::ForceNL0) {
         // Forced NL0 demotion is static: every tracked load+store set
         // keeps its loads at the L1 latency. Re-derive the MII with
         // those latencies up front instead of spinning attempts at IIs
@@ -1150,7 +1182,7 @@ firstII(const LoopFacts &facts, const machine::MachineConfig &cfg,
                 continue;
             for (OpId m : facts.sets[s])
                 if (facts.loop->op(m).kind == ir::OpKind::Load)
-                    lat.setLoadLatency(m, opts.memLoadLatency);
+                    lat.setLoadLatency(m, cfg.l1Latency);
         }
         return recMii(facts.graph, lat, resMii(*facts.loop, cfg));
     }
@@ -1203,13 +1235,13 @@ ModuloScheduler::schedule(ir::Loop input) const
 {
     ir::Loop body = prepare(std::move(input));
     Workspace &w = workspace(cfg, opts);
-    w.facts.derive(body, cfg, opts);
-    for (int ii = firstII(w.facts, cfg, opts); ii <= opts.maxII; ++ii) {
-        if (attemptAt(opts, w.facts, ii, w.step2Slack, w.attempt))
+    w.facts.derive(body, cfg);
+    for (int ii = firstII(w.facts, cfg, opts); ii <= kMaxII; ++ii) {
+        if (attemptAt(w.facts, ii, w.step2Slack, w.attempt))
             return w.attempt.finish(std::move(body));
     }
     fatal("no schedule for loop %s up to II=%d", body.name().c_str(),
-          opts.maxII);
+          kMaxII);
 }
 
 std::optional<Schedule>
@@ -1217,8 +1249,8 @@ ModuloScheduler::scheduleAt(ir::Loop input, int ii) const
 {
     ir::Loop body = prepare(std::move(input));
     Workspace &w = workspace(cfg, opts);
-    w.facts.derive(body, cfg, opts);
-    if (!attemptAt(opts, w.facts, ii, w.step2Slack, w.attempt))
+    w.facts.derive(body, cfg);
+    if (!attemptAt(w.facts, ii, w.step2Slack, w.attempt))
         return std::nullopt;
     return w.attempt.finish(std::move(body));
 }

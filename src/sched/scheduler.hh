@@ -3,19 +3,24 @@
  * The modulo scheduler: BASE algorithm plus the paper's L0-aware
  * extensions (Section 4.2/4.3).
  *
- * One engine serves every architecture:
+ * One engine serves every architecture; the machine it targets decides
+ * the mode and the load latencies, the options only the compiler's
+ * choices:
  *
- *  - BASE mode (l0Aware=false): the reference algorithm for a
- *    clustered VLIW with a unified L1 — SMS ordering, then one
- *    instruction at a time into the cluster minimising inter-cluster
- *    communication with maximal workload balance, II incremented until
- *    a schedule exists. Loads schedule at memLoadLatency (6 for the
- *    unified cache, the local-hit latency for the distributed
- *    baselines).
+ *  - BASE mode (a machine without L0 buffers): the reference algorithm
+ *    for a clustered VLIW — SMS ordering, then one instruction at a
+ *    time into the cluster minimising inter-cluster communication with
+ *    maximal workload balance, II incremented until a schedule exists.
+ *    Loads schedule at MachineConfig::scheduledLoadLatency() (6 for
+ *    the unified cache, the local-hit latency on MultiVLIW, the remote
+ *    latency on the word-interleaved machine). MultiVLIW keeps the ops
+ *    touching one array in one cluster.
  *
- *  - L0-aware mode: implements Figure 4. Strided loads are candidates;
- *    the N*NE most slack-critical candidates start with the L0
- *    latency; num_free_L0_entries is tracked per cluster; memory-
+ *  - L0-aware mode (a machine with L0 buffers): implements Figure 4.
+ *    Strided loads are candidates; the N*NE most slack-critical
+ *    candidates start with the L0 latency (the others and every other
+ *    load at the L1 latency); num_free_L0_entries is tracked per
+ *    cluster; memory-
  *    dependent sets with loads and stores choose 1C or NL0 (or PSR);
  *    scheduling a load updates recommended clusters of its stream
  *    mates; latencies of unplaced candidates are re-derived from the
@@ -37,40 +42,27 @@
 namespace l0vliw::sched
 {
 
-/** Knobs selecting the algorithm variant. */
+/** The compiler's choices; everything else follows from the machine. */
 struct SchedulerOptions
 {
-    /** Enable the Section 4.3 L0-buffer extensions. */
-    bool l0Aware = false;
-    /** Scheduled latency of a load not using L0 (6 unified; 2 for the
-     *  distributed baselines' local hit). */
-    int memLoadLatency = 6;
+    /** How L0 buffers of a memory-dependent set stay coherent. */
     CoherenceMode coherence = CoherenceMode::Auto;
     /** false: mark ALL candidates to use the buffers (the Section 5.2
      *  overflow ablation: +6% over selective with 4 entries). */
     bool selectiveL0 = true;
     /** Interleaved-2 heuristic: prefer the cluster statically owning a
-     *  strided access's words. */
+     *  strided access's words and, on the word-interleaved machine,
+     *  schedule the load there with the local-hit latency. */
     bool ownerAware = false;
-    /** Word-interleaved machines: schedule a strided load with the
-     *  local-hit latency when placed in its owner cluster and with the
-     *  remote latency elsewhere (memLoadLatency is then the remote /
-     *  unpredictable-access latency). */
-    bool ownerLatency = false;
-    /** MultiVLIW heuristic: keep ops touching one array together. */
-    bool arrayAffinity = false;
-    /** Give up (fatal) past this II. */
-    int maxII = 512;
 
-    /** BASE for the unified no-L0 machine. */
+    /** The defaults: BASE on a machine without L0 buffers. */
     static SchedulerOptions baseUnified() { return {}; }
 
-    /** The paper's L0-aware configuration. */
+    /** The paper's L0-aware configuration with coherence @p mode. */
     static SchedulerOptions
     l0(CoherenceMode mode = CoherenceMode::Auto)
     {
         SchedulerOptions o;
-        o.l0Aware = true;
         o.coherence = mode;
         return o;
     }
@@ -86,7 +78,7 @@ class ModuloScheduler
     /**
      * Schedule an (already unrolled / specialized) loop body: the
      * first II from the MII up at which scheduleAt() fits. fatal()s
-     * if no schedule exists up to options.maxII. The facts about the
+     * if no schedule exists up to II 512. The facts about the
      * body that do not depend on the II (incident edges,
      * memory-dependent sets, candidates) are derived once per call
      * and shared by every attempt, and IIs that a bound proves no

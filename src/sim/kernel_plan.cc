@@ -47,7 +47,7 @@ ChunkedOverlay::findChunk(Addr chunk_addr) const
     if (chunk_addr == cachedAddr)
         return cachedChunk;
     auto it = chunks.find(chunk_addr);
-    if (it == chunks.end())
+    if (it == chunks.end() || it->second.generation != generation)
         return nullptr;
     cachedAddr = chunk_addr;
     cachedChunk = const_cast<Chunk *>(&it->second);
@@ -60,6 +60,10 @@ ChunkedOverlay::chunkFor(Addr chunk_addr)
     if (chunk_addr == cachedAddr)
         return *cachedChunk;
     Chunk &c = chunks[chunk_addr];
+    if (c.generation != generation) {
+        c.generation = generation;
+        c.mask = 0;
+    }
     cachedAddr = chunk_addr;
     cachedChunk = &c;
     return c;

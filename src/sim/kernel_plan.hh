@@ -138,8 +138,10 @@ class ReadyRing
 /**
  * Block-granular overlay over the pre-invocation backing state for the
  * golden replay. Equivalent to a per-byte map, but one hash probe
- * covers a whole chunk and the bucket storage is reused across
- * invocations via reset(). Values in and out, like the Backing.
+ * covers a whole chunk. Chunks outlive reset(): each carries the
+ * generation (replay) that last wrote it and reads as empty in any
+ * other, so a plan's later replays over the same addresses allocate
+ * nothing. Values in and out, like the Backing.
  */
 class ChunkedOverlay
 {
@@ -149,7 +151,7 @@ class ChunkedOverlay
     reset(const mem::Backing &backing)
     {
         base = &backing;
-        chunks.clear();
+        ++generation;
         cachedAddr = kNoChunk;
         cachedChunk = nullptr;
     }
@@ -163,6 +165,7 @@ class ChunkedOverlay
 
     struct Chunk
     {
+        std::uint64_t generation = 0; ///< the replay mask belongs to
         std::uint64_t mask = 0; ///< bit i set => byte i overlaid
         std::uint64_t words[kChunkBytes / 8] = {}; ///< little-endian
     };
@@ -172,17 +175,20 @@ class ChunkedOverlay
     void patch(Addr chunk_addr, Addr addr, int size,
                std::uint64_t &value) const;
 
-    /** Existing chunk at aligned @p chunk_addr, or null. */
+    /** This replay's chunk at aligned @p chunk_addr, or null. */
     const Chunk *findChunk(Addr chunk_addr) const;
 
-    /** Chunk at aligned @p chunk_addr, created on demand. */
+    /** This replay's chunk at aligned @p chunk_addr, created (or an
+     *  older replay's emptied) on demand. */
     Chunk &chunkFor(Addr chunk_addr);
 
     const mem::Backing *base = nullptr;
+    std::uint64_t generation = 0; ///< bumped by every reset()
     std::unordered_map<Addr, Chunk> chunks;
     /**
-     * One-entry chunk cache: a strided stream touches the same chunk
-     * many times in a row. Node pointers stay valid until reset().
+     * One-entry chunk cache of this replay's chunks: a strided stream
+     * touches the same chunk many times in a row. Node pointers stay
+     * valid for the overlay's life.
      */
     mutable Addr cachedAddr = kNoChunk;
     mutable Chunk *cachedChunk = nullptr;

@@ -32,7 +32,8 @@ allCases()
     std::vector<Case> cases;
     for (const auto &b : workloads::benchmarkNames())
         for (const auto &a :
-             {"unified", "l0-8", "l0-4", "multivliw", "int1", "int2"})
+             {"unified", "l0-8", "l0-4", "multivliw", "interleaved-1",
+              "interleaved-2"})
             cases.push_back({b, a});
     return cases;
 }

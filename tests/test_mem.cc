@@ -50,6 +50,24 @@ TEST(Backing, UnwrittenNeighboursKeepPattern)
     EXPECT_EQ(m.load(0x3001, 1), Backing::defaultByte(0x3001));
 }
 
+TEST(Backing, FarPagesWriteBackAndFarReadsKeepPattern)
+{
+    // Pages in other 2 MB leaves than the first store's, a read far
+    // past every written page, and clear() back to the pattern.
+    Backing m;
+    const std::uint64_t w = 0x0102030405060708;
+    m.store(0x100000, w, 8);
+    m.store(0x40000000 - 4, w, 8); // straddles two leaves
+    EXPECT_EQ(m.load(0x100000, 8), w);
+    EXPECT_EQ(m.load(0x40000000 - 4, 8), w);
+    const Addr far = ~Addr{0} - 15;
+    EXPECT_EQ(m.load(far, 1), Backing::defaultByte(far));
+    const std::uint64_t version = m.version();
+    m.clear();
+    EXPECT_GT(m.version(), version);
+    EXPECT_EQ(m.load(0x100000, 1), Backing::defaultByte(0x100000));
+}
+
 TEST(Backing, LoadStoreMatchesByteModel)
 {
     // Seeded random 1/2/4/8-byte stores and loads, biased toward word
@@ -363,8 +381,12 @@ TEST(L0Buffer, StatsCountHitsAndMisses)
     b.fillLinear(0x100, 0, blk.data());
     b.lookup(0x100, 4);
     b.lookup(0x900, 4);
-    EXPECT_EQ(b.stats().get("l0_hits"), 1u);
-    EXPECT_EQ(b.stats().get("l0_misses"), 1u);
+    StatSet stats;
+    b.addStats(stats);
+    EXPECT_EQ(stats.get("l0_hits"), 1u);
+    EXPECT_EQ(stats.get("l0_misses"), 1u);
+    b.addStats(stats);
+    EXPECT_EQ(stats.get("l0_hits"), 2u); // a shared name sums
 }
 
 TEST(L0Buffer, ValueRoundTripLinearAndInterleaved)

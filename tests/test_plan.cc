@@ -793,11 +793,6 @@ class OneWrongByteMemory final : public mem::MemSystem
     void shiftTime(Cycle, Cycle) override {}
 
   private:
-    std::vector<const mem::TagCache *> tagStores() const override
-    {
-        return {};
-    }
-
     std::uint64_t wrongLoad;
     std::uint64_t loads = 0, accesses = 0;
 };

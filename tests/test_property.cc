@@ -255,10 +255,10 @@ TEST_P(RandomLoops, ScheduleValidAndExecutionCoherent)
  */
 TEST_P(RandomLoops, RecMiiIsFirstConvergingII)
 {
-    auto [cfg, opts] = propArch(GetParam().arch);
+    const MachineConfig cfg = propArch(GetParam().arch).first;
     ir::Loop body = propBody(GetParam());
 
-    sched::LatencyModel l1(body, cfg, opts.memLoadLatency);
+    sched::LatencyModel l1(body, cfg);
     sched::LatencyModel l0 = l1;
     for (const auto &op : body.ops())
         if (op.kind == ir::OpKind::Load && op.mem.strided)
@@ -293,8 +293,8 @@ stepTwoMii(const ir::Loop &input, const MachineConfig &cfg,
         opts.coherence == sched::CoherenceMode::Psr
             ? sched::psrTransform(input, cfg.numClusters, nullptr)
             : input;
-    sched::LatencyModel lat(body, cfg, opts.memLoadLatency);
-    if (opts.l0Aware) {
+    sched::LatencyModel lat(body, cfg);
+    if (cfg.memArch == machine::MemArch::L0Buffers) {
         for (const auto &op : body.ops())
             if (op.kind == ir::OpKind::Load && op.mem.strided)
                 lat.setLoadLatency(op.id, cfg.l0Latency);
@@ -304,7 +304,7 @@ stepTwoMii(const ir::Loop &input, const MachineConfig &cfg,
                 if (ir::setHasLoadAndStore(body, sets[s]))
                     for (OpId m : sets[s])
                         if (body.op(m).kind == ir::OpKind::Load)
-                            lat.setLoadLatency(m, opts.memLoadLatency);
+                            lat.setLoadLatency(m, cfg.l1Latency);
         }
     }
     return sched::minII(body, cfg, lat);
@@ -449,7 +449,7 @@ sched::LatencyModel
 randomLatencies(const ir::Loop &l, std::uint64_t seed)
 {
     Rng rng(seed * 7919 + 1);
-    sched::LatencyModel lat(l, MachineConfig::paperL0(8), 6);
+    sched::LatencyModel lat(l, MachineConfig::paperL0(8));
     for (const auto &op : l.ops())
         if (op.kind == ir::OpKind::Load)
             lat.setLoadLatency(op.id, static_cast<int>(rng.range(1, 12)));

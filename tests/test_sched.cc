@@ -118,10 +118,13 @@ TEST(Mii, RecurrenceBoundMatchesChain)
     ir::Loop l = recurrenceLoop(2);
     // L1 latency 6: the cycle carries lat(load)=6, two 1-cycle ALU
     // edges, and the 1-cycle store->load memory edge -> RecMII = 9.
-    LatencyModel lat(l, cfg, 6);
+    LatencyModel lat(l, cfg);
     EXPECT_EQ(recMii(l, lat), 9);
     // L0 latency 1: cycle = 1+1+1+1 = 4.
-    LatencyModel lat0(l, cfg, 1);
+    LatencyModel lat0 = lat;
+    for (const auto &op : l.ops())
+        if (op.kind == ir::OpKind::Load)
+            lat0.setLoadLatency(op.id, cfg.l0Latency);
     EXPECT_EQ(recMii(l, lat0), 4);
 }
 
@@ -132,7 +135,7 @@ TEST(Mii, NoRecurrenceGivesOne)
     OpId a = l.addOp(mkOp(ir::OpKind::IntAlu));
     OpId b = l.addOp(mkOp(ir::OpKind::IntAlu));
     l.addRegEdge(a, b);
-    LatencyModel lat(l, cfg, 6);
+    LatencyModel lat(l, cfg);
     EXPECT_EQ(recMii(l, lat), 1);
 }
 
@@ -151,7 +154,7 @@ TEST(Mii, ReverseOrderedChainNeedsEveryRound)
             l.addRegEdge(kOps - 1, 0, 1);
         for (int i = kOps - 1; i > 0; --i)
             l.addRegEdge(i - 1, i);
-        LatencyModel lat(l, cfg, 6);
+        LatencyModel lat(l, cfg);
         // The closed cycle carries kOps unit latencies over distance 1.
         EXPECT_EQ(recMii(l, lat), closed ? kOps : 1);
     }
@@ -161,7 +164,7 @@ TEST(Mii, MinIIIsMax)
 {
     MachineConfig cfg = MachineConfig::paperUnified();
     ir::Loop l = recurrenceLoop(2);
-    LatencyModel lat(l, cfg, 6);
+    LatencyModel lat(l, cfg);
     EXPECT_EQ(minII(l, cfg, lat), std::max(resMii(l, cfg), 9));
 }
 
@@ -177,7 +180,7 @@ TEST(Slack, ChainHasZeroSlackOnCriticalPath)
     l.addRegEdge(a, b);
     l.addRegEdge(b, c);
     OpId free_op = l.addOp(mkOp(ir::OpKind::IntAlu));
-    LatencyModel lat(l, cfg, 6);
+    LatencyModel lat(l, cfg);
     SlackInfo s = computeSlack(l, lat, 1);
     EXPECT_EQ(s.slack[a], 0);
     EXPECT_EQ(s.slack[b], 0);
@@ -189,7 +192,7 @@ TEST(Sms, OrderIsPermutation)
 {
     ir::Loop l = recurrenceLoop(3);
     MachineConfig cfg = MachineConfig::paperUnified();
-    LatencyModel lat(l, cfg, 6);
+    LatencyModel lat(l, cfg);
     SlackInfo s = computeSlack(l, lat, 10);
     auto order = smsOrder(IncidentEdges(l), s);
     std::set<OpId> seen(order.begin(), order.end());
@@ -200,7 +203,7 @@ TEST(Sms, EveryLaterNodeTouchesOrderedSet)
 {
     ir::Loop l = recurrenceLoop(3);
     MachineConfig cfg = MachineConfig::paperUnified();
-    LatencyModel lat(l, cfg, 6);
+    LatencyModel lat(l, cfg);
     SlackInfo s = computeSlack(l, lat, 10);
     auto order = smsOrder(IncidentEdges(l), s);
     std::set<OpId> placed{order[0]};
@@ -219,7 +222,7 @@ TEST(Sms, MostCriticalFirst)
 {
     ir::Loop l = recurrenceLoop(3);
     MachineConfig cfg = MachineConfig::paperUnified();
-    LatencyModel lat(l, cfg, 6);
+    LatencyModel lat(l, cfg);
     SlackInfo s = computeSlack(l, lat, 11);
     auto order = smsOrder(IncidentEdges(l), s);
     int min_slack = *std::min_element(s.slack.begin(), s.slack.end());
@@ -281,6 +284,45 @@ TEST(Mrt, RollbackRestoresEverything)
 
 // -------------------------------------------------------- BASE scheduler
 
+TEST(BaseScheduler, LoadLatencyFollowsTheMachine)
+{
+    EXPECT_EQ(MachineConfig::paperUnified().scheduledLoadLatency(), 6);
+    EXPECT_EQ(MachineConfig::paperL0(8).scheduledLoadLatency(), 6);
+    EXPECT_EQ(MachineConfig::paperMultiVliw().scheduledLoadLatency(), 2);
+    EXPECT_EQ(MachineConfig::paperInterleaved().scheduledLoadLatency(), 6);
+
+    // Every load that does not use L0 is scheduled at its machine's
+    // latency, but an owner-aware one in its word's home cluster.
+    workloads::AddressSpace as;
+    workloads::StreamParams p;
+    p.loadStreams = 3;
+    p.storeStreams = 1;
+    p.intOps = 4;
+    const ir::Loop l = ir::unrollLoop(workloads::streamMap(as, "s", p), 4);
+    for (const std::string &label : driver::archRegistry().names()) {
+        const driver::ArchSpec arch = driver::archRegistry().resolve(label);
+        const Schedule out =
+            ModuloScheduler(arch.config, arch.sched).schedule(l);
+        for (OpId i = 0; i < out.loop.numOps(); ++i) {
+            if (out.loop.op(i).kind != ir::OpKind::Load || out.ops[i].usesL0)
+                continue;
+            const int lat = out.ops[i].assignedLatency;
+            if (arch.sched.ownerAware
+                    && lat == arch.config.wiLocalHitLatency)
+                continue;
+            EXPECT_EQ(lat, arch.config.scheduledLoadLatency())
+                << label << " op " << i;
+        }
+    }
+}
+
+TEST(BaseSchedulerDeathTest, L0SlowerThanL1IsRejected)
+{
+    MachineConfig cfg = MachineConfig::paperL0(8);
+    cfg.l0Latency = cfg.l1Latency + 1;
+    EXPECT_DEATH(cfg.validate(), "no slower than the L1");
+}
+
 TEST(BaseScheduler, ValidScheduleForStreamLoop)
 {
     workloads::AddressSpace as;
@@ -312,12 +354,12 @@ TEST(BaseScheduler, AchievesResMiiOnParallelWork)
 TEST(BaseScheduler, RecurrenceLatencyScalesII)
 {
     ir::Loop l = recurrenceLoop(2);
-    MachineConfig cfg = MachineConfig::paperUnified();
-    SchedulerOptions o6 = SchedulerOptions::baseUnified();
-    SchedulerOptions o2 = SchedulerOptions::baseUnified();
-    o2.memLoadLatency = 2;
-    Schedule s6 = ModuloScheduler(cfg, o6).schedule(l);
-    Schedule s2 = ModuloScheduler(cfg, o2).schedule(l);
+    MachineConfig cfg6 = MachineConfig::paperUnified();
+    MachineConfig cfg2 = cfg6;
+    cfg2.l1Latency = 2;
+    const SchedulerOptions o = SchedulerOptions::baseUnified();
+    Schedule s6 = ModuloScheduler(cfg6, o).schedule(l);
+    Schedule s2 = ModuloScheduler(cfg2, o).schedule(l);
     // RecMII is 9 vs 5; the placement may cost one extra cycle, but
     // the latency-driven gap must remain.
     EXPECT_LE(s6.ii, 10);
